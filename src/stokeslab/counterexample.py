@@ -164,6 +164,27 @@ class TransitionFn:
         return float(self.derivative(t).max())
 
 
+def _gl_composite(f, lengths, panels: int, order: int = 12) -> np.ndarray:
+    """Composite Gauss-Legendre values over [0, b] for each length b.
+
+    Each interval is cut into ``panels`` equal panels.  ``f`` maps the
+    (len(lengths), panels * order) array of nodes to values of that shape.
+    """
+    nodes, weights = gauss_rule(order)
+    lengths = np.asarray(lengths, dtype=float)
+    edges = np.linspace(0.0, lengths, panels + 1, axis=-1)
+    mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    halves = 0.5 * np.diff(edges, axis=-1)
+    pts = (mids[..., None] + halves[..., None] * nodes).reshape(len(lengths), -1)
+    vals = np.asarray(f(pts)).reshape(len(lengths), panels, order)
+    return np.sum(halves * (vals @ weights), axis=-1)
+
+
+# Points per evaluation block of SurfaceModel._row_integrals.  The strip
+# evaluators build a dozen temporaries of the block's size, so this bounds
+# the extra memory a batch of rows needs.
+ROW_BLOCK_POINTS = 1 << 14
+
 _DEFAULT_TRANSITION: Optional[TransitionFn] = None
 
 
@@ -197,6 +218,13 @@ class SurfaceModel:
         a = params.a
         self.k_cut = max(2, math.ceil(math.log(tail_cut) / math.log(a))) if a > 0 else 2
         self._y_table = np.array([params.y_k(k) for k in range(self.K_TABLE + 1)])
+        self._periods = np.array([self._x_period(k) for k in range(self.K_TABLE)])
+        # per-strip constants, looked up by strip index so that a value never
+        # depends on the shape of the array it is evaluated in
+        ks = np.arange(self.K_TABLE + 1)
+        self._amp = np.where(ks == 0, 0.0, params.h ** ks)
+        self._freq = params.lam ** (-ks.astype(float))
+        self._width = params.a ** (ks + 1.0)
         self._sup_dphi = self.transition.sup_derivative()
         self._scalar_cache: dict = {}
 
@@ -223,28 +251,26 @@ class SurfaceModel:
 
     def _f(self, k, x):
         """f_k(x) stacked for integer array k and float array x."""
-        p = self.params
-        k = np.asarray(k)
-        x = np.asarray(x, dtype=float)
-        hk = np.where(k == 0, 0.0, p.h ** k)
-        freq = p.lam ** (-k.astype(float))
-        return hk * np.sin(x * freq)
+        return self._amp[k] * np.sin(np.asarray(x, dtype=float) * self._freq[k])
 
     def _fprime(self, k, x):
-        p = self.params
-        k = np.asarray(k)
-        x = np.asarray(x, dtype=float)
-        hk = np.where(k == 0, 0.0, p.h ** k)
-        freq = p.lam ** (-k.astype(float))
-        return hk * freq * np.cos(x * freq)
+        freq = self._freq[k]
+        return self._amp[k] * freq * np.cos(np.asarray(x, dtype=float) * freq)
 
     def _strip_data(self, x, y):
-        """theta, phi-prime factor and the four partials on matching arrays."""
-        p = self.params
+        """psi and its partials px, py, pxy on broadcastable arrays x and y.
+
+        Per-strip work (strip index, transition weights) is done on y's
+        shape, so a (rows, 1) column of heights pays it once per row.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if self.params.h == 0.0:
+            # every f_k vanishes: the surface is the flat rectangle
+            zero = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+            return zero, zero, zero, zero
         k = self.strip_index(y)
-        width = p.a ** (k + 1.0)
+        width = self._width[k]
         s = (y - self._y_table[k]) / width
         theta = self.transition(s)
         dtheta = self.transition.derivative(s) / width
@@ -296,41 +322,44 @@ class SurfaceModel:
     def _panels_per_period(self) -> int:
         return 2 * self.panels_per_osc * self.params.lam_inverse
 
-    def _gl_fixed(self, f, a: float, b: float, panels: int, order: int = 12) -> float:
-        if b <= a:
-            return 0.0
-        nodes, weights = gauss_rule(order)
-        edges = np.linspace(a, b, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * np.diff(edges)
-        pts = (mids[:, None] + halves[:, None] * nodes[None, :]).ravel()
-        vals = np.asarray(f(pts)).reshape(panels, -1)
-        return float(np.sum(halves * (vals @ weights)))
+    def _row_integrals(self, integrand, ys, x_his, scale: int = 1) -> np.ndarray:
+        """Integral of ``integrand(x, y)`` over x in [0, x_hi], for every row (y, x_hi).
 
-    def _periodized_x_integral(self, integrand, y: float, x_hi: float,
-                               with_error: bool = False):
-        """Integral of a strip-periodic integrand over [0, x_hi] at height y."""
-        k = int(self.strip_index(y))
-        P = self._x_period(k)
+        Each row is a count of whole periods of its strip plus a tail, on
+        ``scale`` times the usual panels.  The whole-period integral is
+        computed once per distinct height, and rows with equal panel counts
+        are evaluated together, ROW_BLOCK_POINTS points at a time.
+        """
+        ys, x_his = np.broadcast_arrays(np.atleast_1d(np.asarray(ys, dtype=float)),
+                                        np.asarray(x_his, dtype=float))
+        P = self._periods[self.strip_index(ys)]
         panels = self._panels_per_period()
+        n_full = np.floor(x_his / P + 1e-12)
+        rem = x_his - n_full * P
+        rem[rem < 1e-15 * np.maximum(1.0, x_his)] = 0.0
+        out = np.zeros(ys.shape)
+        full = n_full != 0
+        if full.any():
+            heights, row_of = np.unique(ys[full], return_inverse=True)
+            per = self._gl_rows(integrand, heights, self._periods[self.strip_index(heights)],
+                                scale * panels)
+            out[full] = n_full[full] * per[row_of.ravel()]
+        tail = rem > 0
+        tail_panels = scale * np.maximum(2, np.ceil(panels * rem / P)).astype(int)
+        for n in np.unique(tail_panels[tail]):
+            rows = tail & (tail_panels == n)
+            out[rows] += self._gl_rows(integrand, ys[rows], rem[rows], int(n))
+        return out
 
-        def g(xs):
-            return integrand(xs, np.full_like(xs, y))
-
-        n_full = int(math.floor(x_hi / P + 1e-12))
-        rem = x_hi - n_full * P
-        if rem < 1e-15 * max(1.0, x_hi):
-            rem = 0.0
-        per = self._gl_fixed(g, 0.0, P, panels) if n_full else 0.0
-        rem_panels = max(2, int(math.ceil(panels * rem / P))) if rem else 0
-        tail = self._gl_fixed(g, 0.0, rem, rem_panels) if rem else 0.0
-        value = n_full * per + tail
-        if not with_error:
-            return value
-        per2 = self._gl_fixed(g, 0.0, P, 2 * panels) if n_full else 0.0
-        tail2 = self._gl_fixed(g, 0.0, rem, 2 * rem_panels) if rem else 0.0
-        value2 = n_full * per2 + tail2
-        return value2, abs(value2 - value)
+    def _gl_rows(self, integrand, ys, lengths, panels: int) -> np.ndarray:
+        """Composite Gauss values over [0, lengths[i]] at heights ys[i], blockwise."""
+        out = np.empty(len(ys))
+        block = max(1, ROW_BLOCK_POINTS // (12 * panels))
+        for s in range(0, len(ys), block):
+            Y = ys[s:s + block, None]
+            out[s:s + block] = _gl_composite(lambda X: integrand(X, Y),
+                                             lengths[s:s + block], panels)
+        return out
 
     def _speed(self, xs, ys):
         return np.sqrt(1.0 + self._strip_data(xs, ys)[1] ** 2)
@@ -346,8 +375,6 @@ class SurfaceModel:
     def _memo(self, key, compute):
         cache = self._scalar_cache
         if key not in cache:
-            if len(cache) > 200_000:
-                cache.clear()
             cache[key] = compute()
         return cache[key]
 
@@ -356,36 +383,44 @@ class SurfaceModel:
         y = float(y)
         if y >= self.y_infinity:
             return QuadResult(math.pi, 0.0, 0)
-        value, err = self._memo(
-            ("L", y),
-            lambda: self._periodized_x_integral(self._speed, y, math.pi, with_error=True),
-        )
-        return QuadResult(value, err, 0)
+        coarse = self._row_integrals(self._speed, y, math.pi)[0]
+        fine = self._row_integrals(self._speed, y, math.pi, scale=2)[0]
+        return QuadResult(float(fine), float(abs(fine - coarse)), 0)
 
     def partial_length(self, x: float, y: float) -> float:
         """L(x, y): arclength of the section from 0 to x."""
         x, y = float(x), float(y)
         if y >= self.y_infinity:
             return x
-        return self._memo(
-            ("Lp", x, y), lambda: self._periodized_x_integral(self._speed, y, x)
-        )
+        return float(self._row_integrals(self._speed, y, x)[0])
 
     def dy_section_length(self, y: float) -> float:
         y = float(y)
         if y >= self.y_infinity:
             return 0.0
-        return self._memo(
-            ("dL", y), lambda: self._periodized_x_integral(self._dy_speed, y, math.pi)
-        )
+        return float(self._row_integrals(self._dy_speed, y, math.pi)[0])
 
     def dy_partial_length(self, x: float, y: float) -> float:
         x, y = float(x), float(y)
         if y >= self.y_infinity:
             return 0.0
-        return self._memo(
-            ("dLp", x, y), lambda: self._periodized_x_integral(self._dy_speed, y, x)
-        )
+        return float(self._row_integrals(self._dy_speed, y, x)[0])
+
+    def _lengths_at(self, x, y):
+        """L(y), dL/dy(y), L(x, y) and dL(x, y)/dy at points with y < y_infinity.
+
+        Section rows (x_hi = pi) and partial rows share one kernel call per
+        integrand, so each distinct height pays for one whole period.
+        """
+        heights, h_of = np.unique(y, return_inverse=True)
+        pairs, p_of = np.unique(np.stack([x, y], axis=-1), axis=0, return_inverse=True)
+        row_y = np.concatenate([heights, pairs[:, 1]])
+        row_x = np.concatenate([np.full(len(heights), math.pi), pairs[:, 0]])
+        h_of, p_of = h_of.ravel(), len(heights) + p_of.ravel()
+        speed = self._row_integrals(self._speed, row_y, row_x)
+        dy_speed = self._row_integrals(self._dy_speed, row_y, row_x)
+        L = self._row_integrals(self._speed, heights, math.pi, scale=2)
+        return L[h_of], dy_speed[h_of], speed[p_of], dy_speed[p_of]
 
     # -- strip areas and windowed mass ----------------------------------------
 
@@ -407,28 +442,22 @@ class SurfaceModel:
         """Integral over [0, pi] x [y0, y1] of the area element; single strip."""
         if y1 <= y0:
             return QuadResult(0.0, 0.0, 0)
-
-        def row(y: float) -> float:
-            return self._periodized_x_integral(self._area_density, y, math.pi)
-
-        def rows(ys):
-            return np.array([row(float(yy)) for yy in np.atleast_1d(ys)])
-
-        nodes, weights = gauss_rule(12)
         panels = 8
-        total1 = self._y_composite(rows, y0, y1, panels, nodes, weights)
-        total2 = self._y_composite(rows, y0, y1, 2 * panels, nodes, weights)
+        total1 = self._y_composite(y0, y1, panels)
+        total2 = self._y_composite(y0, y1, 2 * panels)
         return QuadResult(total2, abs(total2 - total1) + tol, 2 * panels)
 
-    @staticmethod
-    def _y_composite(rows, y0, y1, panels, nodes, weights):
+    def _y_composite(self, y0: float, y1: float, panels: int) -> float:
+        """Composite Gauss rule in y over full-width rows, all rows in one kernel call."""
+        nodes, weights = gauss_rule(12)
         edges = np.linspace(y0, y1, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         halves = 0.5 * np.diff(edges)
+        ys = mids[:, None] + halves[:, None] * nodes
+        rows = self._row_integrals(self._area_density, ys.ravel(), math.pi).reshape(ys.shape)
         total = 0.0
-        for mid, half in zip(mids, halves):
-            ys = mid + half * nodes
-            total += half * float(np.dot(weights, rows(ys)))
+        for half, row in zip(halves, rows):
+            total += half * float(np.dot(weights, row))
         return total
 
     def tail_area_bound(self, k_from: int) -> float:
@@ -501,30 +530,30 @@ class SurfaceModel:
         tau3 = np.stack([-px / n2, -py / n2, 1.0 / n2 + zero], axis=-1)
         return tau1, tau2, tau3
 
-    def omega_surface_coeffs(self, x: float, y: float) -> tuple[float, float]:
-        """Frame coefficients (c1, c2) of the form at the surface point."""
-        x, y = float(x), float(y)
-        if y >= self.y_infinity:
-            if self.params.h == 0.0:
-                return 1.0 / math.pi, 0.0
-            return 0.0, 0.0
-        _, px, py, _ = (float(v) for v in self._strip_data(x, y))
-        L = self.section_length(y).value
-        n1 = math.sqrt(1.0 + px * px)
-        n2 = math.sqrt(1.0 + px * px + py * py)
-        Lxy = self.partial_length(x, y)
-        dyL = self.dy_section_length(y)
-        dyLxy = self.dy_partial_length(x, y)
-        Y = (L * dyLxy - Lxy * dyL) / (L * L)
-        c1 = 1.0 / L
-        c2 = -px * py / (L * n2) + Y * n1 / n2
-        return c1, c2
+    def omega_surface_coeffs(self, x, y):
+        """Frame coefficients (c1, c2) of the form at the surface points Psi(x, y)."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        shape = x.shape
+        x, y = x.ravel(), y.ravel()
+        c1 = np.full(x.shape, 1.0 / math.pi if self.params.h == 0.0 else 0.0)
+        c2 = np.zeros(x.shape)
+        inner = y < self.y_infinity
+        if inner.any():
+            x, y = x[inner], y[inner]
+            _, px, py, _ = self._strip_data(x, y)
+            L, dyL, Lxy, dyLxy = self._lengths_at(x, y)
+            n1 = np.sqrt(1.0 + px * px)
+            n2 = np.sqrt(1.0 + px * px + py * py)
+            Y = (L * dyLxy - Lxy * dyL) / (L * L)
+            c1[inner] = 1.0 / L
+            c2[inner] = -px * py / (L * n2) + Y * n1 / n2
+        return c1.reshape(shape), c2.reshape(shape)
 
-    def omega_at_surface(self, x: float, y: float) -> np.ndarray:
-        """Cartesian coefficients of the form at Psi(x, y)."""
+    def omega_at_surface(self, x, y) -> np.ndarray:
+        """Cartesian coefficients of the form at Psi(x, y): (3,), or (N, 3) for arrays."""
         c1, c2 = self.omega_surface_coeffs(x, y)
         tau1, tau2, _ = self.tangent_frame(x, y)
-        return c1 * tau1 + c2 * tau2
+        return c1[..., None] * tau1 + c2[..., None] * tau2
 
     def _cutoff(self, t):
         """C-infinity plateau cutoff: 1 on [-1, 1], 0 outside (-2, 2)."""
@@ -532,34 +561,24 @@ class SurfaceModel:
         return _smooth_step(2.0 - t)
 
     def omega_coeffs(self, point) -> np.ndarray:
-        """Ambient form value at any point of R^3 (Cartesian coefficients)."""
-        X, Yc, Z = (float(v) for v in point)
-        decay = self.params.flag_length
-        if Yc >= self.y_infinity and decay:
-            return np.zeros(3)
-        damp = 1.0
-        base_y = Yc
-        if Yc >= self.y_infinity:
-            damp *= float(self._cutoff(1.0 + (Yc - self.y_infinity)))
-            base_y = self.y_infinity
-        if Yc < 0.0:
-            damp *= float(self._cutoff(1.0 - Yc))
-            base_y = 0.0
-        if damp == 0.0:
-            return np.zeros(3)
-        damp *= float(self._cutoff((2.0 * X - math.pi) / math.pi))
-        if damp == 0.0:
-            return np.zeros(3)
-        base_x = X
-        if X > math.pi:
-            base_x = X - math.pi
-        elif X < 0.0:
-            base_x = X + math.pi
-        psi_val = float(self.psi(base_x, base_y))
-        damp *= float(self._cutoff(Z - psi_val))
-        if damp == 0.0:
-            return np.zeros(3)
-        return damp * self.omega_at_surface(base_x, base_y)
+        """Ambient form value (Cartesian coefficients) at a point (3,) or points (N, 3)."""
+        pts = np.asarray(point, dtype=float)
+        X, Yc, Z = np.atleast_2d(pts).T
+        top, below = Yc >= self.y_infinity, Yc < 0.0
+        damp = np.where(top, self._cutoff(1.0 + (Yc - self.y_infinity)),
+                        np.where(below, self._cutoff(1.0 - Yc), 1.0))
+        if self.params.flag_length:
+            damp[top] = 0.0
+        damp = damp * self._cutoff((2.0 * X - math.pi) / math.pi)
+        base_x = np.where(X > math.pi, X - math.pi, np.where(X < 0.0, X + math.pi, X))
+        base_y = np.where(top, self.y_infinity, np.where(below, 0.0, Yc))
+        out = np.zeros((len(X), 3))
+        live = damp != 0.0
+        damp[live] *= self._cutoff(Z[live] - self.psi(base_x[live], base_y[live]))
+        live = damp != 0.0
+        if live.any():
+            out[live] = damp[live, None] * self.omega_at_surface(base_x[live], base_y[live])
+        return out.reshape(pts.shape)
 
     def omega_field(self) -> forms.FormField:
         model = self
@@ -568,7 +587,7 @@ class SurfaceModel:
             return forms.KCovector(3, 1, model.omega_coeffs(p))
 
         return forms.FormField(
-            n=3, k=1, evaluate=evaluate,
+            n=3, k=1, evaluate=evaluate, evaluate_batch=model.omega_coeffs,
             exceptional_set=self.singular_set(),
             name="normalized-arclength form",
         )
@@ -582,11 +601,8 @@ class SurfaceModel:
             return 0.0
         P = self._x_period(int(self.strip_index(y)))
         xs = np.linspace(0.0, min(P, math.pi), samples_per_period, endpoint=False)
-        best = 0.0
-        for x in xs:
-            v = self.omega_at_surface(float(x), y)
-            best = max(best, float(np.linalg.norm(v)))
-        return best
+        values = self.omega_at_surface(xs, np.full_like(xs, y))
+        return max(float(np.linalg.norm(v)) for v in values)
 
     def tangential_curl_samples(self, n_points: int, rng=None,
                                 max_strip: int = 10) -> np.ndarray:
@@ -596,40 +612,47 @@ class SurfaceModel:
         and rounding stay balanced.
         """
         rng = rng or np.random.default_rng(0)
-        out = np.empty(n_points)
         p = self.params
-        count = 0
-        while count < n_points:
+        xs, ys, steps = [], [], []
+        while len(xs) < n_points:
             y = rng.uniform(0.0, self._y_table[min(max_strip, self.k_cut)])
             k = int(self.strip_index(y))
             step = 5e-6 * p.lam ** k
             y0, y1 = self.strip_bounds_y(k)
             if y - y0 < 2 * step or y1 - y < 2 * step:
                 continue
-            x = rng.uniform(0.1, math.pi - 0.1)
-            val = self.tangential_curl_at(x, y, step)
-            out[count] = val
-            count += 1
-        return out
+            xs.append(rng.uniform(0.1, math.pi - 0.1))
+            ys.append(y)
+            steps.append(step)
+        return np.abs(self.tangential_curls(xs, ys, steps))
 
     def tangential_curl_at(self, x: float, y: float, step: float) -> float:
-        base = np.array([x, y, float(self.psi(x, y))])
-        partial = np.zeros((3, 3))
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = step
-            hi = self.omega_coeffs(base + e)
-            lo = self.omega_coeffs(base - e)
-            partial[i] = (hi - lo) / (2.0 * step)
+        return abs(float(self.tangential_curls(x, y, step)[0]))
+
+    def tangential_curls(self, x, y, step, omega=None) -> np.ndarray:
+        """<d omega, tau1 ^ tau2> at the surface points Psi(x, y), by central differences.
+
+        ``omega`` maps an (N, 3) array of points to (N, 3) coefficients and
+        defaults to this model's form.  The six stencil points of every
+        surface point go to it in one call.
+        """
+        omega = omega or self.omega_coeffs
+        x, y, step = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                           for v in (x, y, step)))
+        base = np.stack([x, y, self.psi(x, y)], axis=-1)[:, None, :]
+        shift = step[:, None, None] * np.eye(3)
+        stencil = np.concatenate([base + shift, base - shift], axis=1)
+        values = omega(stencil.reshape(-1, 3)).reshape(len(x), 2, 3, 3)
+        partial = (values[:, 0] - values[:, 1]) / (2.0 * step)[:, None, None]
         # two-form coefficients over (e12, e13, e23)
-        d12 = partial[0, 1] - partial[1, 0]
-        d13 = partial[0, 2] - partial[2, 0]
-        d23 = partial[1, 2] - partial[2, 1]
-        tau1, tau2, _ = self.tangent_frame(x, y)
-        w12 = tau1[0] * tau2[1] - tau1[1] * tau2[0]
-        w13 = tau1[0] * tau2[2] - tau1[2] * tau2[0]
-        w23 = tau1[1] * tau2[2] - tau1[2] * tau2[1]
-        return abs(d12 * w12 + d13 * w13 + d23 * w23)
+        d12 = partial[:, 0, 1] - partial[:, 1, 0]
+        d13 = partial[:, 0, 2] - partial[:, 2, 0]
+        d23 = partial[:, 1, 2] - partial[:, 2, 1]
+        t1, t2, _ = self.tangent_frame(x, y)
+        w12 = t1[:, 0] * t2[:, 1] - t1[:, 1] * t2[:, 0]
+        w13 = t1[:, 0] * t2[:, 2] - t1[:, 2] * t2[:, 0]
+        w23 = t1[:, 1] * t2[:, 2] - t1[:, 2] * t2[:, 1]
+        return d12 * w12 + d13 * w13 + d23 * w23
 
     # -- chart atlas for the decomposition engine -------------------------------
 
@@ -825,20 +848,15 @@ class CylindricalModel:
         k = int(self.strip_index(r))
         P = 2.0 * math.pi * self.params.lam ** k
         panels = self._panels_per_period()
-        nodes, weights = gauss_rule(12)
 
-        def block(a, b, n):
-            edges = np.linspace(a, b, n + 1)
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            halves = 0.5 * np.diff(edges)
-            pts = (mids[:, None] + halves[:, None] * nodes[None, :]).ravel()
-            vals = np.asarray(integrand(np.full_like(pts, r), pts)).reshape(n, -1)
-            return float(np.sum(halves * (vals @ weights)))
+        def block(b, n):
+            return float(_gl_composite(lambda th: integrand(np.full_like(th[0], r), th[0]),
+                                       [b], n)[0])
 
         n_full = int(math.floor(theta_hi / P + 1e-12))
         rem = max(theta_hi - n_full * P, 0.0)
-        per = block(0.0, P, panels) if n_full else 0.0
-        tail = block(0.0, rem, max(2, int(math.ceil(panels * rem / P)))) if rem > 1e-15 else 0.0
+        per = block(P, panels) if n_full else 0.0
+        tail = block(rem, max(2, int(math.ceil(panels * rem / P)))) if rem > 1e-15 else 0.0
         return n_full * per + tail
 
     def section_length(self, r: float) -> float:

@@ -24,7 +24,11 @@ __all__ = [
     "numeric_differential",
     "DegreeError",
     "DomainError",
+    "DIFFERENTIAL_STEP",
 ]
+
+# Central-difference step of numeric exterior derivatives.
+DIFFERENTIAL_STEP = 1e-5
 
 
 class DegreeError(ValueError):
@@ -202,6 +206,9 @@ class FormField:
     substitute.  ``exceptional_set`` is any object with a ``distance(x)``
     method describing where the field loses smoothness (None means smooth
     everywhere); ``sup_norm`` is an optional known bound on |omega|.
+    ``evaluate_batch`` maps an (N, n) array of points to their (N, dim)
+    coefficients at once; without it :meth:`evaluate_many` loops over
+    ``evaluate``.
     """
 
     n: int
@@ -211,11 +218,21 @@ class FormField:
     exceptional_set: object = None
     sup_norm: Optional[float] = None
     name: str = ""
+    evaluate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x) -> KCovector:
         return self.evaluate(np.asarray(x, dtype=float))
 
-    def d(self, x, step: float = 1e-5) -> KCovector:
+    def evaluate_many(self, points) -> np.ndarray:
+        """Coefficients at every row of an (N, n) point array, as an (N, dim) array."""
+        points = np.asarray(points, dtype=float)
+        if self.evaluate_batch is not None:
+            return np.asarray(self.evaluate_batch(points), dtype=float)
+        dim = len(basis_tuples(self.n, self.k))
+        return np.array([self.evaluate(p).coeffs for p in points],
+                        dtype=float).reshape(len(points), dim)
+
+    def d(self, x, step: float = DIFFERENTIAL_STEP) -> KCovector:
         """Exterior derivative at x: analytic when provided, else numeric."""
         x = np.asarray(x, dtype=float)
         if self.differential is not None:
@@ -223,7 +240,7 @@ class FormField:
         return numeric_differential(self, x, step)
 
 
-def numeric_differential(omega: FormField, x, step: float = 1e-5) -> KCovector:
+def numeric_differential(omega: FormField, x, step: float = DIFFERENTIAL_STEP) -> KCovector:
     """Central-difference exterior derivative of a field at an interior point.
 
     Exact (up to rounding) whenever every coefficient is polynomial of

@@ -33,6 +33,7 @@ from .currents import (
     boundary_form_integral,
 )
 from .dyadic import ExceptionalSet
+from .forms import DIFFERENTIAL_STEP, DomainError
 from .quadrature import QuadResult, integrate_1d, integrate_2d
 
 __all__ = [
@@ -147,26 +148,6 @@ def form_tangent_integral(T: Current, zeta: Callable, tol: float = 1e-9,
     raise NotImplementedError(f"tangent integral unsupported for {type(T).__name__}")
 
 
-def _tangential_curl_of(omega, model, x: float, y: float, step: float) -> float:
-    """<d omega, tau1 ^ tau2> at the surface point, by central differences."""
-    base = np.array([x, y, float(model.psi(x, y))])
-    partial = np.zeros((3, 3))
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = step
-        hi = omega(base + e).coeffs
-        lo = omega(base - e).coeffs
-        partial[i] = (hi - lo) / (2.0 * step)
-    d12 = partial[0, 1] - partial[1, 0]
-    d13 = partial[0, 2] - partial[2, 0]
-    d23 = partial[1, 2] - partial[2, 1]
-    t1, t2, _ = model.tangent_frame(x, y)
-    w12 = t1[0] * t2[1] - t1[1] * t2[0]
-    w13 = t1[0] * t2[2] - t1[2] * t2[0]
-    w23 = t1[1] * t2[2] - t1[2] * t2[1]
-    return d12 * w12 + d13 * w13 + d23 * w23
-
-
 def _surface_tangent_integral(T: SurfaceCurrent, omega, options: dict) -> QuadResult:
     """Tangential differential of a 1-form over the surface, by sampling.
 
@@ -181,6 +162,14 @@ def _surface_tangent_integral(T: SurfaceCurrent, omega, options: dict) -> QuadRe
     x_panels = options.get("x_panels", 4)
     order = options.get("order", 8)
     nodes, weights = np.polynomial.legendre.leggauss(order)
+
+    def composite(lo, hi, panels):
+        """Nodes and weights of the composite Gauss rule on [lo, hi]."""
+        edges = np.linspace(lo, hi, panels + 1)
+        mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        return (mids[:, None] + halves[:, None] * nodes).ravel(), \
+            (halves[:, None] * weights).ravel()
+
     total = 0.0
     abs_total = 0.0
     k0 = int(model.strip_index(T.y_lo))
@@ -195,29 +184,15 @@ def _surface_tangent_integral(T: SurfaceCurrent, omega, options: dict) -> QuadRe
         n_periods = model.x_hi / P
         step = 5e-6 * model.params.lam ** k
         margin = 2 * step
-        strip_sum = 0.0
-        strip_abs = 0.0
-        y_edges = np.linspace(lo + margin, hi - margin, y_panels + 1)
-        for ylo, yhi in zip(y_edges[:-1], y_edges[1:]):
-            ym, yh = 0.5 * (ylo + yhi), 0.5 * (yhi - ylo)
-            for ny, wy in zip(nodes, weights):
-                y = float(ym + yh * ny)
-                x_edges = np.linspace(0.0, P, x_panels + 1)
-                row = 0.0
-                row_abs = 0.0
-                for xlo, xhi in zip(x_edges[:-1], x_edges[1:]):
-                    xm, xh = 0.5 * (xlo + xhi), 0.5 * (xhi - xlo)
-                    for nx, wx in zip(nodes, weights):
-                        x = float(xm + xh * nx)
-                        curl = _tangential_curl_of(omega, model, x, y, step)
-                        _, px, py, _ = (float(v) for v in model._strip_data(x, y))
-                        dens = math.sqrt(1.0 + px * px + py * py)
-                        row += xh * wx * curl * dens
-                        row_abs += xh * wx * abs(curl) * dens
-                strip_sum += yh * wy * row * n_periods
-                strip_abs += yh * wy * row_abs * n_periods
-        total += strip_sum
-        abs_total += strip_abs
+        ys, wy = composite(lo + margin, hi - margin, y_panels)
+        xs, wx = composite(0.0, P, x_panels)
+        X, Y = np.meshgrid(xs, ys)
+        curl = model.tangential_curls(X.ravel(), Y.ravel(), step,
+                                      omega.evaluate_many).reshape(X.shape)
+        _, px, py, _ = model._strip_data(X, Y)
+        dens = np.sqrt(1.0 + px * px + py * py)
+        total += float(wy @ (curl * dens) @ wx) * n_periods
+        abs_total += float(wy @ (np.abs(curl) * dens) @ wx) * n_periods
         checked_mass += model.mass_between(lo, hi).value
     # strips past max_strip are not fd-verified; the integrand is the
     # tangential differential of a pullback of a closed form there, zero in
@@ -472,9 +447,9 @@ def stokes_check(T: Current, omega, E_T: Optional[ExceptionalSet] = None,
                 delta = Gauge.constant(2.0 ** (-j))
                 family = gauge_decompose(T, E_T, delta, eta, G, max(tol / 3.0, 1e-9),
                                          evidence=evidence)
-                sigma = riemann_sum(
-                    lambda p: _tangent_density_at(T, omega, p), family
-                )
+                tags = np.array([p.tag for p in family.pairs], dtype=float)
+                densities = _tangent_densities(T, omega, tags)
+                sigma = math.fsum(d * p.mass for d, p in zip(densities, family.pairs))
                 curve.append({
                     "j": j,
                     "max_diam": family.max_diameter(),
@@ -514,6 +489,25 @@ def stokes_check(T: Current, omega, E_T: Optional[ExceptionalSet] = None,
         decomposition=decomposition, family_stats=family_stats,
         refinement_curve=tuple(curve),
     )
+
+
+def _tangent_densities(T: Current, omega, tags: np.ndarray) -> np.ndarray:
+    """<d omega(p), unit tangent plane at p> at every tag, for Riemann sums over families.
+
+    On the surface, a form without an analytic differential is
+    differentiated by the model's batched curl, with the step of
+    :meth:`FormField.d`.
+    """
+    if isinstance(T, SurfaceCurrent) and omega.differential is None:
+        E = omega.exceptional_set
+        if E is not None and float(E.distance_many(tags).min()) <= DIFFERENTIAL_STEP:
+            raise DomainError(
+                f"a tag lies within step={DIFFERENTIAL_STEP} of the form's exceptional set"
+            )
+        curls = T.model.tangential_curls(tags[:, 0], tags[:, 1], DIFFERENTIAL_STEP,
+                                         omega.evaluate_many)
+        return curls * (1 if T.theta > 0 else -1)
+    return np.array([_tangent_density_at(T, omega, p) for p in tags])
 
 
 def _tangent_density_at(T: Current, omega, p: np.ndarray) -> float:

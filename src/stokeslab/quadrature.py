@@ -147,13 +147,3 @@ def integrate_2d(f, x0: float, x1: float, y0: float, y1: float, tol: float = 1e-
                 heapq.heappush(heap, (-err, count, p, q, r, s, val))
                 count += 1
 
-
-def fixed_panel_1d(f, a: float, b: float, panels: int, order: int = 12) -> float:
-    """Composite Gauss-Legendre value on a fixed uniform panel grid (no certificate)."""
-    nodes, weights = gauss_rule(order)
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    pts = (mids[:, None] + halves[:, None] * nodes[None, :]).ravel()
-    vals = f(pts).reshape(panels, len(nodes))
-    return float(np.sum(halves * (vals @ weights)))

@@ -289,6 +289,173 @@ def test_section_circulation_is_one_at_every_height():
         assert total == pytest.approx(1.0, rel=1e-6)
 
 
+# -- batched evaluators against a per-point reference ---------------------------
+#
+# The reference below evaluates one row or one point at a time, the way the
+# model did before its evaluators were batched; the batched paths must agree
+# with it to 1e-12 relative.
+
+REL = 1e-12
+
+
+def _ref_composite(f, b, panels):
+    from stokeslab.quadrature import gauss_rule
+
+    nodes, weights = gauss_rule(12)
+    edges = np.linspace(0.0, b, panels + 1)
+    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    vals = f((mids[:, None] + halves[:, None] * nodes).ravel()).reshape(panels, -1)
+    return float(np.sum(halves * (vals @ weights)))
+
+
+def _ref_row(model, integrand, y, x_hi, scale=1):
+    """Whole periods of the strip plus a tail, for a single row."""
+    P = model._x_period(int(model.strip_index(y)))
+    panels = model._panels_per_period()
+
+    def g(xs):
+        return integrand(xs, np.full_like(xs, y))
+
+    n_full = math.floor(x_hi / P + 1e-12)
+    rem = x_hi - n_full * P
+    value = n_full * _ref_composite(g, P, scale * panels) if n_full else 0.0
+    if rem >= 1e-15 * max(1.0, x_hi):
+        value += _ref_composite(g, rem, scale * max(2, math.ceil(panels * rem / P)))
+    return value
+
+
+def _ref_lengths(model, x, y):
+    """L(y), dL/dy(y), L(x, y), dL(x, y)/dy."""
+    return (_ref_row(model, model._speed, y, math.pi, scale=2),
+            _ref_row(model, model._dy_speed, y, math.pi),
+            _ref_row(model, model._speed, y, x),
+            _ref_row(model, model._dy_speed, y, x))
+
+
+def _ref_omega_at_surface(model, x, y):
+    if y >= model.y_infinity:
+        c1, c2 = (1.0 / math.pi if model.params.h == 0.0 else 0.0), 0.0
+    else:
+        _, px, py, _ = (float(v) for v in model._strip_data(x, y))
+        L, dyL, Lxy, dyLxy = _ref_lengths(model, x, y)
+        n1 = math.sqrt(1.0 + px * px)
+        n2 = math.sqrt(1.0 + px * px + py * py)
+        Y = (L * dyLxy - Lxy * dyL) / (L * L)
+        c1, c2 = 1.0 / L, -px * py / (L * n2) + Y * n1 / n2
+    t1, t2, _ = model.tangent_frame(x, y)
+    return c1 * t1 + c2 * t2
+
+
+def _ref_omega(model, point):
+    X, Y, Z = (float(v) for v in point)
+    if Y >= model.y_infinity and model.params.flag_length:
+        return np.zeros(3)
+    damp, base_y = 1.0, Y
+    if Y >= model.y_infinity:
+        damp, base_y = float(model._cutoff(1.0 + (Y - model.y_infinity))), model.y_infinity
+    if Y < 0.0:
+        damp, base_y = float(model._cutoff(1.0 - Y)), 0.0
+    damp *= float(model._cutoff((2.0 * X - math.pi) / math.pi))
+    base_x = X - math.pi if X > math.pi else X + math.pi if X < 0.0 else X
+    if damp:
+        damp *= float(model._cutoff(Z - float(model.psi(base_x, base_y))))
+    if not damp:
+        return np.zeros(3)
+    return damp * _ref_omega_at_surface(model, base_x, base_y)
+
+
+def _ref_curl_points(model, n_points, rng, max_strip=10):
+    """The sample points of the per-point curl loop, in its draw order."""
+    points = []
+    while len(points) < n_points:
+        y = rng.uniform(0.0, model._y_table[min(max_strip, model.k_cut)])
+        k = int(model.strip_index(y))
+        step = 5e-6 * model.params.lam ** k
+        y0, y1 = model.strip_bounds_y(k)
+        if y - y0 < 2 * step or y1 - y < 2 * step:
+            continue
+        points.append((rng.uniform(0.1, math.pi - 0.1), y))
+    return points
+
+
+def _strip_points(rng, per_strip=3):
+    ys = np.concatenate([rng.uniform(MODEL._y_table[k], MODEL._y_table[k + 1], per_strip)
+                         for k in range(0, 11)])
+    return rng.uniform(0.0, math.pi, len(ys)), ys
+
+
+def test_batched_lengths_match_per_point_reference():
+    xs, ys = _strip_points(np.random.default_rng(11))
+    # repeated heights and x = pi exercise the shared whole-period rows;
+    # a negative x counts its periods backwards
+    xs = np.concatenate([xs, xs[:5] * 0.5, np.full(3, math.pi), [-0.3]])
+    ys = np.concatenate([ys, ys[:5], ys[-3:], ys[3:4]])
+    ref = np.array([_ref_lengths(MODEL, x, y) for x, y in zip(xs, ys)])
+    scalar = np.array([(MODEL.section_length(y).value, MODEL.dy_section_length(y),
+                        MODEL.partial_length(x, y), MODEL.dy_partial_length(x, y))
+                       for x, y in zip(xs, ys)])
+    batched = np.stack(MODEL._lengths_at(xs, ys), axis=1)
+    np.testing.assert_allclose(scalar, ref, rtol=REL, atol=0.0)
+    np.testing.assert_allclose(batched, ref, rtol=REL, atol=0.0)
+
+
+def test_batched_mass_rows_match_per_row_reference():
+    from stokeslab.quadrature import gauss_rule
+
+    nodes, weights = gauss_rule(12)
+    y0, y1 = MODEL.strip_bounds_y(3)
+    for panels in (8, 16):
+        edges = np.linspace(y0, y1, panels + 1)
+        ref = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            rows = [_ref_row(MODEL, MODEL._area_density, float(y), math.pi)
+                    for y in mid + half * nodes]
+            ref += half * float(np.dot(weights, rows))
+        assert MODEL._y_composite(y0, y1, panels) == pytest.approx(ref, rel=REL)
+
+
+def test_batched_omega_matches_per_point_reference():
+    rng = np.random.default_rng(12)
+    xs, ys = _strip_points(rng)
+    on_surface = np.stack([xs, ys, MODEL.psi(xs, ys)], axis=1)
+    # the cutoff regions: past either x seam, below y = 0, above y_infinity
+    # and off the surface in z
+    off_surface = np.stack([rng.uniform(-2.0, math.pi + 2.0, 40),
+                            rng.uniform(-1.5, 1.2, 40),
+                            rng.uniform(-2.5, 2.5, 40)], axis=1)
+    points = np.concatenate([on_surface, off_surface])
+    ref = np.array([_ref_omega(MODEL, p) for p in points])
+    assert np.count_nonzero(np.abs(ref[len(on_surface):]).sum(axis=1)) >= 5
+    # relative to the size of each vector: a component can cancel to ~0
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(MODEL.omega_coeffs(points) - ref) <= REL * scale)
+    for p, r, s in zip(points[::10], ref[::10], scale[::10]):
+        assert np.all(np.abs(MODEL.omega_coeffs(p) - r) <= REL * s)
+
+
+def test_batched_sup_omega_matches_per_point_reference():
+    for k in range(1, 11):
+        y = float(MODEL._y_table[k])
+        P = MODEL._x_period(int(MODEL.strip_index(y)))
+        xs = np.linspace(0.0, min(P, math.pi), 64, endpoint=False)
+        ref = max(float(np.linalg.norm(_ref_omega_at_surface(MODEL, float(x), y))) for x in xs)
+        assert MODEL.sup_omega_on_section(k) == pytest.approx(ref, rel=REL)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_curl_samples_keep_their_points(seed):
+    seen = []
+
+    class Spy(SurfaceModel):
+        def tangential_curls(self, x, y, step, omega=None):
+            seen.extend(zip(x, y))
+            return np.zeros(len(x))
+
+    Spy(PARAMS).tangential_curl_samples(400, np.random.default_rng(seed))
+    assert seen == _ref_curl_points(MODEL, 400, np.random.default_rng(seed))
+
+
 # -- the failure report -------------------------------------------------------
 
 
