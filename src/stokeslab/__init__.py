@@ -1,6 +1,6 @@
 """stokeslab: boundary identities on integral currents, verified numerically.
 
-The package provides exact dyadic geometry, certified quadrature, gauge
+The package provides exact dyadic geometry, adaptive quadrature, gauge
 decompositions of currents into tagged families, intrinsic Minkowski-content
 profiles, and the explicit oscillating surface on which the boundary
 identity fails.

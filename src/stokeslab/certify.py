@@ -36,7 +36,7 @@ class CertificateReport:
 
 def _chart_mass(piece: ChartCurrent) -> tuple[float, float]:
     total, err = 0.0, 0.0
-    for r in piece._domain_rects():
+    for r in piece.domain_rects():
         res = integrate_2d(lambda x, y: piece.chart.area_element(x, y),
                            r.x0, r.x1, r.y0, r.y1, tol=1e-9, order=_CHECK_ORDER)
         total += res.value
@@ -47,7 +47,7 @@ def _chart_mass(piece: ChartCurrent) -> tuple[float, float]:
 def _chart_boundary_mass(piece: ChartCurrent) -> tuple[float, float]:
     total, err = 0.0, 0.0
     chart = piece.chart
-    for (p, q) in piece.boundary_edges_2d():
+    for (p, q) in piece.planar_edges():
         p = np.asarray(p)
         q = np.asarray(q)
         d = q - p
@@ -79,7 +79,7 @@ def _footprint(piece) -> tuple[float, float, float, float]:
             return (lo[0], hi[0], 0.0, 1.0)
         return (lo[0], hi[0], lo[1], hi[1])
     if isinstance(piece, ChartCurrent):
-        rects = piece._domain_rects()
+        rects = piece.domain_rects()
         return (min(r.x0 for r in rects), max(r.x1 for r in rects),
                 min(r.y0 for r in rects), max(r.y1 for r in rects))
     if isinstance(piece, SurfaceCurrent):

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .quadrature import QuadratureError
+
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
@@ -382,6 +384,9 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except QuadratureError as exc:
+        print(f"resource exhausted: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from . import forms
-from .currents import SurfaceCurrent
+from .currents import SurfaceCurrent, graph_tangent
 from .dyadic import ExceptionalSet
-from .quadrature import QuadResult, gauss_rule
+from .quadrature import QuadResult, composite_nodes, gauss_rule
 
 __all__ = [
     "Params",
@@ -170,13 +170,10 @@ def _gl_composite(f, lengths, panels: int, order: int = 12) -> np.ndarray:
     Each interval is cut into ``panels`` equal panels.  ``f`` maps the
     (len(lengths), panels * order) array of nodes to values of that shape.
     """
-    nodes, weights = gauss_rule(order)
+    _, weights = gauss_rule(order)
     lengths = np.asarray(lengths, dtype=float)
-    edges = np.linspace(0.0, lengths, panels + 1, axis=-1)
-    mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    halves = 0.5 * np.diff(edges, axis=-1)
-    pts = (mids[..., None] + halves[..., None] * nodes).reshape(len(lengths), -1)
-    vals = np.asarray(f(pts)).reshape(len(lengths), panels, order)
+    pts, halves = composite_nodes(0.0, lengths, panels, order)
+    vals = np.asarray(f(pts.reshape(len(lengths), -1))).reshape(len(lengths), panels, order)
     return np.sum(halves * (vals @ weights), axis=-1)
 
 
@@ -282,26 +279,21 @@ class SurfaceModel:
         pxy = dtheta * (gk1 - gk)
         return psi, px, py, pxy
 
-    def psi(self, x, y):
+    def _graph_data(self, i: int, x, y):
+        """Entry i of :meth:`_strip_data`, zero on the flat limit y >= y_infinity."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         flat = y >= self.y_infinity
-        val = self._strip_data(x, np.where(flat, 0.0, y))[0]
-        return np.where(flat, 0.0, val)
+        return np.where(flat, 0.0, self._strip_data(x, np.where(flat, 0.0, y))[i])
+
+    def psi(self, x, y):
+        return self._graph_data(0, x, y)
 
     def dpsi_dx(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        flat = y >= self.y_infinity
-        val = self._strip_data(x, np.where(flat, 0.0, y))[1]
-        return np.where(flat, 0.0, val)
+        return self._graph_data(1, x, y)
 
     def dpsi_dy(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        flat = y >= self.y_infinity
-        val = self._strip_data(x, np.where(flat, 0.0, y))[2]
-        return np.where(flat, 0.0, val)
+        return self._graph_data(2, x, y)
 
     def point(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -449,11 +441,8 @@ class SurfaceModel:
 
     def _y_composite(self, y0: float, y1: float, panels: int) -> float:
         """Composite Gauss rule in y over full-width rows, all rows in one kernel call."""
-        nodes, weights = gauss_rule(12)
-        edges = np.linspace(y0, y1, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * np.diff(edges)
-        ys = mids[:, None] + halves[:, None] * nodes
+        _, weights = gauss_rule(12)
+        ys, halves = composite_nodes(y0, y1, panels)
         rows = self._row_integrals(self._area_density, ys.ravel(), math.pi).reshape(ys.shape)
         total = 0.0
         for half, row in zip(halves, rows):
@@ -483,14 +472,25 @@ class SurfaceModel:
             return QuadResult(0.0, 0.0, 0)
         return self._memo(("mass", y0, y1, tol), lambda: self._mass_between(y0, y1, tol))
 
+    def strip_windows(self, y0: float, y1: float) -> list[tuple[int, float, float]]:
+        """(k, lo, hi): the window [y0, y1] cut at the strip junctions, one entry per strip met."""
+        k0 = int(self.strip_index(y0))
+        k1 = int(self.strip_index(max(y1 - 1e-15, y0)))
+        out = []
+        for k in range(k0, k1 + 1):
+            s0, s1 = self.strip_bounds_y(k)
+            lo, hi = max(y0, s0), min(y1, s1)
+            if hi > lo:
+                out.append((k, lo, hi))
+        return out
+
     def _mass_between(self, y0: float, y1: float, tol: float) -> QuadResult:
         k0 = int(self.strip_index(y0))
         total, err, panels = 0.0, 0.0, 0
-        for k in range(k0, self.k_cut + 1):
+        for k, lo, hi in self.strip_windows(y0, y1):
+            if k > self.k_cut:
+                break
             s0, s1 = self.strip_bounds_y(k)
-            lo, hi = max(y0, s0), min(y1, s1)
-            if hi <= lo:
-                continue
             if lo == s0 and hi == s1:
                 res, _ = self.strip_area(k)  # full strips come from the cache
             else:
@@ -648,11 +648,9 @@ class SurfaceModel:
         d12 = partial[:, 0, 1] - partial[:, 1, 0]
         d13 = partial[:, 0, 2] - partial[:, 2, 0]
         d23 = partial[:, 1, 2] - partial[:, 2, 1]
-        t1, t2, _ = self.tangent_frame(x, y)
-        w12 = t1[:, 0] * t2[:, 1] - t1[:, 1] * t2[:, 0]
-        w13 = t1[:, 0] * t2[:, 2] - t1[:, 2] * t2[:, 0]
-        w23 = t1[:, 1] * t2[:, 2] - t1[:, 2] * t2[:, 1]
-        return d12 * w12 + d13 * w13 + d23 * w23
+        _, px, py, _ = self._strip_data(x, y)
+        w, area = graph_tangent(px, py)
+        return np.vecdot(np.stack([d12, d13, d23], axis=-1), w) / area
 
     # -- chart atlas for the decomposition engine -------------------------------
 

@@ -19,12 +19,11 @@ import numpy as np
 from .currents import (
     ChartCurrent,
     Current,
-    HalfSpace,
     Rect,
     SurfaceCurrent,
     TopDimCurrent,
     boundary_form_integral,
-    restrict,
+    complement_within,
     slice_current,
 )
 from .dyadic import CubeSet, DyadicCube, DepthError, ExceptionalSet, RootBox
@@ -327,7 +326,7 @@ def excise(T: Current, E: ExceptionalSet, eps: float, r0: float,
         raise ValueError(
             f"||T||(B(E, r0)) = {ball.value:.3e} is not below eps = {eps:.3e}; shrink r0"
         )
-    far = _support_clear_of(T, E)
+    far = T.support_clearance(E)
     if far is not None and far >= r0:
         return T, 0.75 * r0, {"trivial": True, "removed_mass": 0.0}
     bound = (2.0 / r0) * ball_upper
@@ -340,7 +339,7 @@ def excise(T: Current, E: ExceptionalSet, eps: float, r0: float,
         if cut < best[0]:
             best = (cut, (r, s))
         if cut <= bound:
-            T_eps = _restrict_outside(T, E, s.radius, layer_budget)
+            T_eps = T.restrict_outside(E, s.radius, layer_budget)
             removed = T.mass().value - T_eps.mass().value
             return T_eps, s.radius, {
                 "radius": s.radius,
@@ -353,51 +352,6 @@ def excise(T: Current, E: ExceptionalSet, eps: float, r0: float,
         f"no radius in ({r0/2}, {r0}) met the slice bound {bound:.3e}; "
         f"minimum slice mass found was {best[0]:.3e}"
     )
-
-
-def _support_clear_of(T: Current, E: ExceptionalSet) -> Optional[float]:
-    """Distance from the support to E when cheaply available."""
-    if isinstance(T, TopDimCurrent):
-        return min((E.cube_min_distance(q) for q in T.region.cubes), default=math.inf)
-    if isinstance(T, SurfaceCurrent):
-        target = T.model.singular_set()
-        if E.elements == target.elements:
-            return T.model.y_infinity - T.y_hi
-    return None
-
-
-def _restrict_outside(T: Current, E: ExceptionalSet, r: float,
-                      layer_budget: float = 1e-6) -> Current:
-    """T restricted to the complement of B(E, r); dyadic for cube sets.
-
-    Cubes straddling the sphere are refined until the dropped layer fits the
-    budget, so the support provably clears the open ball while the extra
-    removed mass stays below ``layer_budget``.
-    """
-    if isinstance(T, SurfaceCurrent):
-        return restrict(T, HalfSpace(1, T.model.y_infinity - r, below=True))
-    if not isinstance(T, TopDimCurrent):
-        raise ValueError("excision is implemented for cube-set and surface currents")
-    kept: list[DyadicCube] = []
-    pending = list(T.region.cubes)
-    while True:
-        straddlers = []
-        for q in pending:
-            if E.cube_min_distance(q) >= r:
-                kept.append(q)
-            elif E.cube_max_distance_bound(q) < r:
-                continue
-            else:
-                straddlers.append(q)
-        layer = math.fsum(q.measure() for q in straddlers)
-        # the side <= r/4 floor keeps the staircase perimeter of the removed
-        # region within the mean-value constant of the excision bound
-        fine_enough = not straddlers or straddlers[0].side <= 0.25 * r
-        if not straddlers or (layer <= layer_budget and fine_enough) \
-                or straddlers[0].generation >= 26:
-            break
-        pending = [c for q in straddlers for c in q.subdivide()]
-    return TopDimCurrent(CubeSet(T.region.root, tuple(kept)), T.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +493,7 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
                 except (ValueError, RuntimeError):
                     r0 *= 0.5
                     continue
-                cap = complement_pieces(T, candidate)
+                cap = complement_within(T, candidate)
                 if G.of_pieces(cap) < eps / 2.0:
                     work = candidate
                     remainder.extend(cap)
@@ -574,17 +528,8 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
                         G.name, eps)
 
 
-def complement_pieces(T: Current, S: Current) -> list[Current]:
-    from .currents import complement_within
-
-    rest = complement_within(T, S)
-    if rest is None:
-        return []
-    return rest if isinstance(rest, list) else [rest]
-
-
 def _needs_excision(T: Current, E: ExceptionalSet) -> bool:
-    far = _support_clear_of(T, E)
+    far = T.support_clearance(E)
     return far is None or far <= 0.0
 
 
@@ -592,52 +537,36 @@ def _initial_excision_radius(T: Current, E: ExceptionalSet) -> float:
     return min(0.25 * T.support_diameter(), 0.2)
 
 
-def _chart_atlas(T: Current) -> tuple[list[dict], list[Current]]:
+def _chart_atlas(T: Current) -> tuple[list[Current], list[Current]]:
     """Cover T by graph charts; cube sets are their own (identity) chart.
 
-    Returns (chart entries, uncovered pieces to charge against the budget).
+    Returns (chart pieces, uncovered pieces to charge against the budget).
     """
-    if isinstance(T, TopDimCurrent):
-        return [{"kind": "flat", "current": T}], []
-    if isinstance(T, ChartCurrent):
-        return [{"kind": "chart", "current": T}], []
-    if isinstance(T, SurfaceCurrent):
-        model = T.model
-        if model.params.h == 0.0:
-            # degenerate flat surface: one chart covers everything
-            flat = ChartCurrent(Rect(model.x_lo, model.x_hi, T.y_lo, T.y_hi),
-                                model.strip_chart(0), T.theta)
-            return [{"kind": "chart", "current": flat}], []
-        out = []
-        k0 = int(model.strip_index(T.y_lo))
-        k1 = int(model.strip_index(max(T.y_hi - 1e-15, T.y_lo)))
-        uncovered: list[Current] = []
-        if k1 > model.k_cut:
-            k1 = model.k_cut
-            cap_lo = model.strip_bounds_y(model.k_cut)[1]
-            if cap_lo < T.y_hi:
-                uncovered.append(SurfaceCurrent(model, cap_lo, T.y_hi, T.theta))
-        for k in range(k0, k1 + 1):
-            s0, s1 = model.strip_bounds_y(k)
-            lo, hi = max(T.y_lo, s0), min(T.y_hi, s1)
-            if hi <= lo:
-                continue
-            piece = SurfaceCurrent(model, lo, hi, T.theta)
-            out.append({"kind": "strip", "current": piece, "strip": k})
-        return out, uncovered
-    raise ValueError(f"no chart atlas for {type(T).__name__}")
+    if not isinstance(T, SurfaceCurrent):
+        return [T], []
+    model = T.model
+    if model.params.h == 0.0:
+        # degenerate flat surface: one chart covers everything
+        return [ChartCurrent(Rect(model.x_lo, model.x_hi, T.y_lo, T.y_hi),
+                             model.strip_chart(0), T.theta)], []
+    pieces: list[Current] = []
+    for k, lo, hi in model.strip_windows(T.y_lo, T.y_hi):
+        if k > model.k_cut:
+            return pieces, [SurfaceCurrent(model, lo, T.y_hi, T.theta)]
+        pieces.append(ChartCurrent(Rect(model.x_lo, model.x_hi, lo, hi),
+                                   model.strip_chart(k), T.theta))
+    return pieces, []
 
 
-def _decompose_chart_piece(entry: dict, delta: Gauge, eta: RegularityFn,
+def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
                            G: SubadditiveFn, budget: float, max_generation: int,
                            piece_budget: int) -> tuple[list[TaggedPair], list[Current]]:
-    kind = entry["kind"]
-    T = entry["current"]
-    if kind == "flat":
+    if isinstance(T, TopDimCurrent):
         pairs = []
         for q in T.region.cubes:
-            fam = cousin_decompose(q, delta, _max_constant_eta(eta, q), max_generation,
-                                   theta=T.theta)
+            # one constant eta per cube: its largest value at the test points
+            fam = cousin_decompose(q, delta, max(eta(p) for p in _cube_test_points(q)),
+                                   max_generation, theta=T.theta)
             for p in fam.pairs:
                 pairs.append(TaggedPair(
                     tag=p.tag, piece=p.piece, diam=p.diam,
@@ -650,18 +579,10 @@ def _decompose_chart_piece(entry: dict, delta: Gauge, eta: RegularityFn,
                     f"decomposition exceeded the piece budget ({piece_budget})"
                 )
         return pairs, []
-    if kind == "chart":
-        chart = T.chart
-        rects = T._domain_rects()
-    else:
-        model = T.model
-        k = entry["strip"]
-        chart = model.strip_chart(k)
-        rects = [Rect(model.x_lo, model.x_hi, T.y_lo, T.y_hi)]
-
+    chart = T.chart
     pairs: list[TaggedPair] = []
     leftovers: list[Current] = []
-    for rect in rects:
+    for rect in T.domain_rects():
         squares, rest = _tile_rect_with_squares(rect)
         while True:
             rest_currents = [ChartCurrent(rr, chart, T.theta, tol=1e-9) for rr in rest]
@@ -691,9 +612,3 @@ def _decompose_chart_piece(entry: dict, delta: Gauge, eta: RegularityFn,
                     f"decomposition exceeded the piece budget ({piece_budget})"
                 )
     return pairs, leftovers
-
-
-def _max_constant_eta(eta: RegularityFn, cube: DyadicCube) -> float:
-    """Largest eta value over the cube's test points, kept below the cube score."""
-    vals = [eta(p) for p in _cube_test_points(cube)]
-    return min(max(vals), CUBE_REGULARITY(cube.m) * (1 - 1e-12))

@@ -1,15 +1,26 @@
 """Integral currents at desk scale.
 
-Three concrete kinds are supported:
+Every current here is planar or a graph (x, y) -> (x, y, psi(x, y)) over a
+planar domain.  Three concrete kinds are supported:
 
 * top-dimensional cube-set currents (multiplicity times a dyadic complex),
-* graph-chart currents (x, y) -> (x, y, psi(x, y)) over planar domains,
+* graph-chart currents over a rectangle or a planar cube set,
 * oscillating-surface currents built from a strip model (see
-  :mod:`stokeslab.counterexample`), wrapped here behind a small protocol.
+  :mod:`stokeslab.counterexample`), windowed in y.
 
-Masses, boundary masses and slice masses are scalars with certified error
-bounds; restriction, slicing by distance functions and coordinate
-half-spaces, and the coarea inequality check live here too.
+Each kind provides one protocol.  ``boundary_curves`` gives the oriented
+boundary as curves ``(point(t), tangent(t), t0, t1)`` vectorized over t:
+cube sets use their planar edges, charts and surface windows lift the edges
+of their planar domain through psi.  ``tangent_plane`` gives the tangent
+2-vector at support points (:func:`graph_tangent` for the graphs).  Mass,
+boundary mass, restriction, complements, slices by distance functions,
+neighbourhood masses of a set and support samples are methods of the kinds,
+and the free functions below delegate to them.  :mod:`stokeslab.certify`
+re-derives masses, boundary masses and footprints from the raw geometry on
+purpose, so that it shares no numbers with this module.
+
+Cube-set quantities are exact; the other masses are quadrature estimates
+whose error is |fine - coarse|, not a rigorous bound.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import CubeSet, ExceptionalSet
+from .dyadic import CubeSet, DyadicCube, ExceptionalSet, RootBox
 from .quadrature import QuadResult, integrate_1d, integrate_2d
 
 __all__ = [
@@ -32,6 +43,7 @@ __all__ = [
     "SurfaceCurrent",
     "HalfSpace",
     "Slice",
+    "graph_tangent",
     "mass",
     "boundary_mass",
     "restrict",
@@ -127,12 +139,111 @@ class ChartMap:
         return bool(np.all(self.area_element(xs, ys) <= self.lip_upper + 1e-12))
 
 
+def graph_tangent(px, py):
+    """Tangent 2-vector of a graph with partials (px, py), and its length.
+
+    Returns Dphi(e1) ^ Dphi(e2) = (1, py, -px) over (e12, e13, e23), shaped
+    (..., 3), and its length sqrt(1 + px^2 + py^2), the area element.  Their
+    quotient is the unit tangent plane tau1 ^ tau2 of the graph.
+    """
+    px, py = np.broadcast_arrays(np.asarray(px, dtype=float), np.asarray(py, dtype=float))
+    w = np.stack([np.ones_like(px), py, -px], axis=-1)
+    return w, np.sqrt(np.vecdot(w, w))
+
+
+def _summed(results, factor: float = 1.0) -> QuadResult:
+    """Sum of quadrature results; the value scales by factor, the error by |factor|."""
+    total, err, panels = 0.0, 0.0, 0
+    for res in results:
+        total += res.value
+        err += res.error
+        panels += res.panels
+    return QuadResult(factor * total, abs(factor) * err, panels)
+
+
+def _rects(domain) -> list[Rect]:
+    """A Rect, or the cubes of a planar CubeSet, as rectangles."""
+    if isinstance(domain, Rect):
+        return [domain]
+    return [Rect(lo[0], hi[0], lo[1], hi[1]) for lo, hi in (q.bounds() for q in domain.cubes)]
+
+
+def _planar_edges(domain) -> list:
+    """Counterclockwise boundary edges (start, end) of a Rect or a planar CubeSet."""
+    if isinstance(domain, Rect):
+        return domain.boundary_edges()
+    edges = []
+    for axis, coord, orient, lo, hi in domain.boundary_segments():
+        # the edge tangent is the facet normal turned by +90 degrees
+        if axis == 0:
+            ends = [(coord, lo[1]), (coord, hi[1])]
+        else:
+            ends = [(hi[0], coord), (lo[0], coord)]
+        edges.append(tuple(ends if orient > 0 else ends[::-1]))
+    return edges
+
+
+def _segments(edges) -> list:
+    """Each edge (p, q) as the planar segment (p, q - p) over t in [0, 1]."""
+    out = []
+    for p, q in edges:
+        p = np.asarray(p, dtype=float)
+        out.append((p, np.asarray(q, dtype=float) - p, 0.0, 1.0))
+    return out
+
+
+def _planar_curves(segments) -> list:
+    """Curves t -> base + t * direction of planar segments (base, direction, t0, t1)."""
+    return [(lambda t, b=b, d=d: b + np.multiply.outer(t, d),
+             lambda t, d=d: np.broadcast_to(d, (len(t), len(d))), t0, t1)
+            for b, d, t0, t1 in segments]
+
+
+def _lifted_curves(graph, segments) -> list:
+    """Planar segments lifted through a graph with psi, dpsi_dx and dpsi_dy.
+
+    The point u = base + t * direction lifts to (u, psi(u)) with tangent
+    (d0, d1, psi_x(u) d0 + psi_y(u) d1).
+    """
+    curves = []
+    for b, d, t0, t1 in segments:
+        def point(t, b=b, d=d):
+            u = b + np.multiply.outer(t, d)
+            return np.column_stack([u, graph.psi(u[:, 0], u[:, 1])])
+
+        def tangent(t, b=b, d=d):
+            x, y = (b + np.multiply.outer(t, d)).T
+            out = np.empty((len(t), 3))
+            out[:, :2] = d
+            out[:, 2] = graph.dpsi_dx(x, y) * d[0] + graph.dpsi_dy(x, y) * d[1]
+            return out
+
+        curves.append((point, tangent, t0, t1))
+    return curves
+
+
+def _sample_boxes(boxes, weights, n: int, rng) -> np.ndarray:
+    """n points uniform on a union of boxes (lo, hi), box chosen by weight."""
+    weights = np.asarray(weights, dtype=float)
+    idx = rng.choice(len(boxes), size=n, p=weights / weights.sum())
+    out = np.empty((n, len(boxes[0][0])))
+    for i, ci in enumerate(idx):
+        out[i] = rng.uniform(*boxes[ci])
+    return out
+
+
 class Current:
-    """Common interface of the concrete current kinds."""
+    """Common interface of the concrete current kinds.
+
+    Operations a kind does not support raise :class:`CurrentError`.
+    """
 
     m: int
     n: int
     theta: int
+
+    def _unsupported(self, what: str):
+        raise CurrentError(f"{what} unsupported for {type(self).__name__}")
 
     def mass(self) -> QuadResult:
         raise NotImplementedError
@@ -148,6 +259,63 @@ class Current:
 
     def descriptor(self) -> dict:
         raise NotImplementedError
+
+    def boundary_curves(self) -> list:
+        """Oriented boundary as curves (point(t), tangent(t), t0, t1), vectorized in t."""
+        self._unsupported("boundary curves")
+
+    def tangent_plane(self, points):
+        """Tangent 2-vectors w at support points (N, n) and their lengths: unit plane w / length."""
+        self._unsupported("tangent planes")
+
+    def domain_rects(self) -> list[Rect]:
+        """The planar domain as rectangles with disjoint interiors."""
+        self._unsupported("planar domains")
+
+    def lift(self, u) -> np.ndarray:
+        """The support point over the planar point u."""
+        self._unsupported("lifts")
+
+    def restrict(self, region) -> "Current":
+        self._unsupported(f"restriction by {type(region).__name__}")
+
+    def complement_within(self, S: "Current") -> list["Current"]:
+        """Pieces of self - S when S was produced by restricting self; [] if empty."""
+        self._unsupported("complements")
+
+    def slice(self, E: ExceptionalSet, r: float, samples: int) -> "Slice":
+        self._unsupported("slicing")
+
+    def neighborhood_mass(self, E: ExceptionalSet, r: float) -> QuadResult:
+        """||T||(B(E, r)) with an error estimate."""
+        self._unsupported("neighbourhood mass")
+
+    def support_samples(self, n: int, rng) -> np.ndarray:
+        self._unsupported("support sampling")
+
+    def support_clearance(self, E: ExceptionalSet) -> Optional[float]:
+        """Distance from the support to E when cheaply available, else None."""
+        return None
+
+    def restrict_outside(self, E: ExceptionalSet, r: float, layer_budget: float) -> "Current":
+        """The current restricted to the complement of B(E, r)."""
+        self._unsupported("excision")
+
+    def scalar_integral(self, f, tol: float) -> QuadResult:
+        """Integral of f d||T|| for f mapping points (N, n) to values (N,)."""
+        self._unsupported("scalar integrals")
+
+    def tangent_integral(self, zeta, tol: float) -> QuadResult:
+        """Integral of <zeta(x), unit tangent plane(x)> d||T|| for a 2-covector field."""
+        self._unsupported("tangent integrals")
+
+    def square_at(self, u, side: float):
+        """The square piece of side ``side`` centred at u, and its diameter bound."""
+        self._unsupported("square pieces")
+
+    def pushforward_data(self):
+        """(chart, planar area) of a current that one graph chart covers."""
+        raise CurrentError("pushforward bounds apply to chart currents")
 
 
 @dataclass(frozen=True)
@@ -181,24 +349,10 @@ class TopDimCurrent(Current):
     def support_diameter(self) -> float:
         return self.region.diameter()
 
-    def oriented_boundary_pieces(self):
-        """Boundary pieces as (start, end) with ccw orientation for theta > 0.
-
-        Each piece is a straight segment; the multiplicity is not folded in.
-        """
+    def boundary_curves(self) -> list:
         if self.m != 2:
-            raise CurrentError("oriented boundary pieces are only provided in the plane")
-        pieces = []
-        for axis, coord, orient, lo, hi in self.region.boundary_segments():
-            if axis == 0:
-                # facet normal is +-e1, tangent rot90(normal) = +-e2
-                start = (coord, lo[1]) if orient > 0 else (coord, hi[1])
-                end = (coord, hi[1]) if orient > 0 else (coord, lo[1])
-            else:
-                start = (hi[0], coord) if orient > 0 else (lo[0], coord)
-                end = (lo[0], coord) if orient > 0 else (hi[0], coord)
-            pieces.append((start, end))
-        return pieces
+            raise CurrentError("boundary curves are only provided in the plane")
+        return _planar_curves(_segments(_planar_edges(self.region)))
 
     def boundary_points_signed(self):
         if self.m != 1:
@@ -207,6 +361,128 @@ class TopDimCurrent(Current):
         for axis, coord, orient, _, _ in self.region.boundary_segments():
             out.append((coord, orient))
         return out
+
+    def tangent_plane(self, points):
+        return np.ones((len(points), 1)), np.ones(len(points))
+
+    def domain_rects(self) -> list[Rect]:
+        return _rects(self.region)
+
+    def lift(self, u) -> np.ndarray:
+        return np.asarray(u, dtype=float)
+
+    def restrict(self, region) -> Current:
+        if isinstance(region, CubeSet):
+            return TopDimCurrent(self.region.intersection(region), self.theta)
+        if isinstance(region, HalfSpace):
+            cut = self.region.restrict_half_space(region.axis, region.threshold, region.below)
+            return TopDimCurrent(cut, self.theta)
+        return super().restrict(region)
+
+    def complement_within(self, S: Current) -> list[Current]:
+        rest = self.region.difference(S.region)
+        return [] if rest.is_empty() else [TopDimCurrent(rest, self.theta)]
+
+    def slice(self, E: ExceptionalSet, r: float, samples: int) -> "Slice":
+        if self.m == 1:
+            count = 0
+            for (lo, hi) in E.elements:
+                for pt in (lo[0] - r, hi[0] + r):
+                    if self.region.contains((pt,)):
+                        count += 1
+            return Slice(self.descriptor(), E, r, r,
+                         QuadResult(abs(self.theta) * float(count), 0.0, 0))
+        far = max((E.cube_max_distance_bound(q) for q in self.region.cubes), default=0.0)
+        if r >= far:
+            return Slice(self.descriptor(), E, r, r, QuadResult(0.0, 0.0, 0))
+        rr = _regular_radius(
+            lambda rad, tol: all(abs(E.distance(corner) - rad) > tol
+                                 for q in self.region.cubes for corner in q.corners()), r)
+        total, err = 0.0, 0.0
+        pieces = []
+        multi = len(E.elements) > 1
+        for element in E.elements:
+            straight, arcs = _offset_pieces(element, rr)
+            for kind, coord, t0, t1 in straight:
+                axis = 0 if kind == "h" else 1
+                if not multi:
+                    seg = self.region.line_intersection_length(axis, coord, t0, t1)
+                else:
+                    ts = np.linspace(t0, t1, samples)
+                    mids = 0.5 * (ts[:-1] + ts[1:])
+                    if kind == "h":
+                        pts = np.stack([mids, np.full_like(mids, coord)], axis=1)
+                    else:
+                        pts = np.stack([np.full_like(mids, coord), mids], axis=1)
+                    keep = self.region.contains_many(pts)
+                    # on the level set of this element the global distance is
+                    # min(rr, dist to others); keep where no other element is nearer
+                    keep &= E.distance_many(pts) >= rr - 1e-12
+                    seg = float(np.mean(keep)) * (t1 - t0)
+                total += abs(self.theta) * seg
+                pieces.append(("segment", kind, coord, t0, t1, seg))
+            for center, a0, a1 in arcs:
+                length, arc_err = _arc_length_inside(self.region, E, center, rr, a0, a1,
+                                                     samples, multi)
+                total += abs(self.theta) * length
+                err += abs(self.theta) * arc_err
+                pieces.append(("arc", center, a0, a1, length))
+        return Slice(self.descriptor(), E, rr, r, QuadResult(total, err, 0), tuple(pieces))
+
+    def neighborhood_mass(self, E: ExceptionalSet, r: float) -> QuadResult:
+        res = _cube_region_measure_in_ball(self.region, E, r)
+        return QuadResult(abs(self.theta) * res.value, abs(self.theta) * res.error, res.panels)
+
+    def support_samples(self, n: int, rng) -> np.ndarray:
+        cubes = self.region.cubes
+        return _sample_boxes([q.bounds() for q in cubes], [q.measure() for q in cubes], n, rng)
+
+    def support_clearance(self, E: ExceptionalSet) -> Optional[float]:
+        return min((E.cube_min_distance(q) for q in self.region.cubes), default=math.inf)
+
+    def restrict_outside(self, E: ExceptionalSet, r: float, layer_budget: float) -> Current:
+        """Dyadic restriction: cubes straddling the sphere are refined until the
+        dropped layer fits the budget, so the support provably clears the open
+        ball while the extra removed mass stays below ``layer_budget``."""
+        kept: list[DyadicCube] = []
+        pending = list(self.region.cubes)
+        while True:
+            straddlers = []
+            for q in pending:
+                if E.cube_min_distance(q) >= r:
+                    kept.append(q)
+                elif E.cube_max_distance_bound(q) < r:
+                    continue
+                else:
+                    straddlers.append(q)
+            layer = math.fsum(q.measure() for q in straddlers)
+            # the side <= r/4 floor keeps the staircase perimeter of the removed
+            # region within the mean-value constant of the excision bound
+            fine_enough = not straddlers or straddlers[0].side <= 0.25 * r
+            if not straddlers or (layer <= layer_budget and fine_enough) \
+                    or straddlers[0].generation >= 26:
+                break
+            pending = [c for q in straddlers for c in q.subdivide()]
+        return TopDimCurrent(CubeSet(self.region.root, tuple(kept)), self.theta)
+
+    def scalar_integral(self, f, tol: float) -> QuadResult:
+        if self.m == 1:
+            results = (integrate_1d(lambda x: f(x[:, None]), lo[0], hi[0], tol=tol)
+                       for lo, hi in (q.bounds() for q in self.region.cubes))
+        else:
+            results = (integrate_2d(lambda x, y: f(np.stack([x, y], axis=-1)),
+                                    lo[0], hi[0], lo[1], hi[1], tol=tol * q.measure())
+                       for q in self.region.cubes for lo, hi in [q.bounds()])
+        return _summed(results, abs(self.theta))
+
+    def tangent_integral(self, zeta, tol: float) -> QuadResult:
+        res = TopDimCurrent(self.region, 1).scalar_integral(
+            lambda pts: np.array([zeta(p).coeffs[0] for p in pts]), tol)
+        return QuadResult(self.theta * res.value, abs(self.theta) * res.error, res.panels)
+
+    def square_at(self, u, side: float):
+        root = RootBox((u[0] - side / 2.0, u[1] - side / 2.0), side)
+        return TopDimCurrent(CubeSet.whole(root), self.theta), side * math.sqrt(2)
 
     def descriptor(self) -> dict:
         import json
@@ -246,70 +522,47 @@ class ChartCurrent(Current):
     def is_zero(self) -> bool:
         return isinstance(self.domain, CubeSet) and self.domain.is_empty()
 
-    def _domain_rects(self) -> list[Rect]:
-        if isinstance(self.domain, Rect):
-            return [self.domain]
-        rects = []
-        for q in self.domain.cubes:
-            lo, hi = q.bounds()
-            rects.append(Rect(lo[0], hi[0], lo[1], hi[1]))
-        return rects
+    def domain_rects(self) -> list[Rect]:
+        return _rects(self.domain)
+
+    def lift(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        return self.chart.point(u[..., 0], u[..., 1])
 
     def domain_measure(self) -> float:
-        if isinstance(self.domain, Rect):
-            return self.domain.measure()
         return self.domain.measure()
 
-    def mass(self) -> QuadResult:
-        total, err, panels = 0.0, 0.0, 0
-        for r in self._domain_rects():
-            res = integrate_2d(
-                lambda x, y: self.chart.area_element(x, y),
-                r.x0, r.x1, r.y0, r.y1, tol=self.tol,
-            )
-            total += res.value
-            err += res.error
-            panels += res.panels
-        return QuadResult(abs(self.theta) * total, abs(self.theta) * err, panels)
+    def _integrate(self, density, tol: float, factor: float,
+                   max_panels: int = 4096) -> QuadResult:
+        """factor times the integral of density(x, y) over the domain rectangles."""
+        return _summed((integrate_2d(density, r.x0, r.x1, r.y0, r.y1, tol=tol,
+                                     max_panels=max_panels)
+                        for r in self.domain_rects()), factor)
 
-    def boundary_edges_2d(self):
-        """Counterclockwise planar boundary edges of the domain."""
-        if isinstance(self.domain, Rect):
-            return self.domain.boundary_edges()
-        edges = []
-        for axis, coord, orient, lo, hi in self.domain.boundary_segments():
-            if axis == 0:
-                start = (coord, lo[1]) if orient > 0 else (coord, hi[1])
-                end = (coord, hi[1]) if orient > 0 else (coord, lo[1])
-            else:
-                start = (hi[0], coord) if orient > 0 else (lo[0], coord)
-                end = (lo[0], coord) if orient > 0 else (hi[0], coord)
-            edges.append((start, end))
-        return edges
+    def mass(self) -> QuadResult:
+        return self._integrate(self.chart.area_element, self.tol, abs(self.theta))
+
+    def planar_edges(self) -> list:
+        """Counterclockwise planar boundary edges (start, end) of the domain."""
+        return _planar_edges(self.domain)
 
     def boundary_mass(self) -> QuadResult:
-        total, err, panels = 0.0, 0.0, 0
-        for (p, q) in self.boundary_edges_2d():
-            p = np.asarray(p)
-            q = np.asarray(q)
-            direction = q - p
-            length = float(np.linalg.norm(direction))
+        def speed(tangent):
+            return lambda t: np.sqrt((tangent(t) ** 2).sum(axis=-1))
 
-            def speed(t, p=p, direction=direction, length=length):
-                pts = p[None, :] + np.outer(t, direction)
-                dz = (self.chart.dpsi_dx(pts[:, 0], pts[:, 1]) * direction[0]
-                      + self.chart.dpsi_dy(pts[:, 0], pts[:, 1]) * direction[1])
-                return np.sqrt(length ** 2 + dz ** 2)
+        return _summed((integrate_1d(speed(tangent), t0, t1, tol=self.tol)
+                        for _, tangent, t0, t1 in self.boundary_curves()), abs(self.theta))
 
-            res = integrate_1d(speed, 0.0, 1.0, tol=self.tol)
-            total += res.value
-            err += res.error
-            panels += res.panels
-        return QuadResult(abs(self.theta) * total, abs(self.theta) * err, panels)
+    def boundary_curves(self) -> list:
+        return _lifted_curves(self.chart, _segments(self.planar_edges()))
+
+    def tangent_plane(self, points):
+        x, y = points[:, 0], points[:, 1]
+        return graph_tangent(self.chart.dpsi_dx(x, y), self.chart.dpsi_dy(x, y))
 
     def support_diameter(self) -> float:
         pts = []
-        for r in self._domain_rects():
+        for r in self.domain_rects():
             xs = np.linspace(r.x0, r.x1, 12)
             ys = np.linspace(r.y0, r.y1, 12)
             X, Y = np.meshgrid(xs, ys)
@@ -319,14 +572,56 @@ class ChartCurrent(Current):
         sampled = float(np.sqrt((diff ** 2).sum(axis=2)).max())
         return sampled
 
-    def support_diameter_upper(self) -> float:
-        """Upper bound: planar diameter plus worst vertical oscillation."""
-        rects = self._domain_rects()
-        lo = np.array([min(r.x0 for r in rects), min(r.y0 for r in rects)])
-        hi = np.array([max(r.x1 for r in rects), max(r.y1 for r in rects)])
-        planar = float(np.linalg.norm(hi - lo))
-        grad_bound = math.sqrt(max(self.chart.lip_upper ** 2 - 1.0, 0.0))
-        return math.hypot(planar, planar * grad_bound)
+    def restrict(self, region) -> Current:
+        if isinstance(self.domain, CubeSet):
+            if isinstance(region, CubeSet):
+                return ChartCurrent(self.domain.intersection(region), self.chart, self.theta,
+                                    self.tol)
+            if isinstance(region, HalfSpace):
+                cut = self.domain.restrict_half_space(region.axis, region.threshold,
+                                                      region.below)
+                return ChartCurrent(cut, self.chart, self.theta, self.tol)
+        raise CurrentError("chart currents restrict by planar cube sets or half-spaces")
+
+    def complement_within(self, S: Current) -> list[Current]:
+        if not (isinstance(self.domain, CubeSet) and isinstance(S.domain, CubeSet)):
+            raise CurrentError("chart complements need cube-set domains")
+        rest = self.domain.difference(S.domain)
+        return [] if rest.is_empty() else [ChartCurrent(rest, self.chart, self.theta, self.tol)]
+
+    def neighborhood_mass(self, E: ExceptionalSet, r: float) -> QuadResult:
+        def dens(x, y):
+            inside = E.distance_many(self.chart.point(x, y)) < r
+            return self.chart.area_element(x, y) * inside
+
+        return self._integrate(dens, 1e-7, abs(self.theta), max_panels=2048)
+
+    def support_samples(self, n: int, rng) -> np.ndarray:
+        rects = self.domain_rects()
+        u = _sample_boxes([((r.x0, r.y0), (r.x1, r.y1)) for r in rects],
+                          [r.measure() for r in rects], n, rng)
+        return self.lift(u)
+
+    def scalar_integral(self, f, tol: float) -> QuadResult:
+        return self._integrate(
+            lambda x, y: f(self.chart.point(x, y)) * self.chart.area_element(x, y),
+            tol, abs(self.theta))
+
+    def tangent_integral(self, zeta, tol: float) -> QuadResult:
+        def dens(xs, ys):
+            points = self.chart.point(xs, ys)
+            w, _ = self.tangent_plane(points)
+            return np.vecdot(np.array([zeta(p).coeffs for p in points]), w)
+
+        return self._integrate(dens, tol, self.theta, max_panels=1024)
+
+    def square_at(self, u, side: float):
+        rect = Rect(u[0] - side / 2, u[0] + side / 2, u[1] - side / 2, u[1] + side / 2)
+        piece = ChartCurrent(rect, self.chart, self.theta, tol=1e-12)
+        return piece, self.chart.lip_upper * side * math.sqrt(2)
+
+    def pushforward_data(self):
+        return self.chart, self.domain_measure()
 
     def descriptor(self) -> dict:
         import json
@@ -376,8 +671,9 @@ class SurfaceCurrent(Current):
     def is_zero(self) -> bool:
         return False
 
-    def is_full(self) -> bool:
-        return self.y_lo == 0.0 and self.y_hi == self.model.y_infinity
+    def is_singular_set(self, E: ExceptionalSet) -> bool:
+        """Whether E is the model's singular segment, the one set surfaces slice and excise by."""
+        return E.elements == self.model.singular_set().elements
 
     def mass(self) -> QuadResult:
         res = self.model.mass_between(self.y_lo, self.y_hi)
@@ -398,19 +694,77 @@ class SurfaceCurrent(Current):
         bump = 2.0 * self.model.sup_abs_psi(self.y_lo)
         return math.sqrt(width ** 2 + height ** 2 + bump ** 2)
 
-    def boundary_curves(self):
-        """Counterclockwise boundary curves in the parameter rectangle.
-
-        Yields (kind, data): horizontal sections carry (y, x_from, x_to),
-        vertical sides carry (x, y_from, y_to); traversal follows the order.
-        """
+    def boundary_curves(self) -> list:
+        # the window's edges counterclockwise, each parametrized by the
+        # coordinate that runs along it
         x0, x1 = self.model.x_lo, self.model.x_hi
-        return [
-            ("horizontal", (self.y_lo, x0, x1)),
-            ("vertical", (x1, self.y_lo, self.y_hi)),
-            ("horizontal", (self.y_hi, x1, x0)),
-            ("vertical", (x0, self.y_hi, self.y_lo)),
-        ]
+        ex, ey = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        return _lifted_curves(self.model, [
+            (np.array([0.0, self.y_lo]), ex, x0, x1),
+            (np.array([x1, 0.0]), ey, self.y_lo, self.y_hi),
+            (np.array([0.0, self.y_hi]), ex, x1, x0),
+            (np.array([x0, 0.0]), ey, self.y_hi, self.y_lo),
+        ])
+
+    def tangent_plane(self, points):
+        _, px, py, _ = self.model._strip_data(points[:, 0], points[:, 1])
+        return graph_tangent(px, py)
+
+    def restrict(self, region) -> Current:
+        if not (isinstance(region, HalfSpace) and region.axis == 1):
+            raise CurrentError("surface currents restrict by y half-spaces only")
+        t = region.threshold
+        if region.below:
+            lo, hi = self.y_lo, min(self.y_hi, t)
+        else:
+            lo, hi = max(self.y_lo, t), self.y_hi
+        if hi <= lo:
+            raise CurrentError("restriction window is empty")
+        return SurfaceCurrent(self.model, lo, hi, self.theta)
+
+    def complement_within(self, S: Current) -> list[Current]:
+        pieces = []
+        if S.y_lo > self.y_lo:
+            pieces.append(SurfaceCurrent(self.model, self.y_lo, S.y_lo, self.theta))
+        if S.y_hi < self.y_hi:
+            pieces.append(SurfaceCurrent(self.model, S.y_hi, self.y_hi, self.theta))
+        return pieces
+
+    def slice(self, E: ExceptionalSet, r: float, samples: int) -> "Slice":
+        if not self.is_singular_set(E):
+            raise CurrentError("surface currents slice by their singular set only")
+        y = self.model.y_infinity - r
+        if not (self.y_lo < y < self.y_hi):
+            return Slice(self.descriptor(), E, r, r, QuadResult(0.0, 0.0, 0))
+        junctions = self.model.strip_junctions()
+        y_inf = self.model.y_infinity
+        rr = _regular_radius(lambda s, tol: all(abs(y_inf - s - yk) > tol for yk in junctions), r)
+        y = self.model.y_infinity - rr
+        L = self.model.section_length(y)
+        return Slice(self.descriptor(), E, rr, r,
+                     QuadResult(abs(self.theta) * L.value, abs(self.theta) * L.error, L.panels),
+                     (("section", y),))
+
+    def neighborhood_mass(self, E: ExceptionalSet, r: float) -> QuadResult:
+        if not self.is_singular_set(E):
+            raise ValueError("surface neighbourhood masses are implemented for the singular set")
+        y_from = max(self.y_lo, self.model.y_infinity - r)
+        res = self.model.mass_between(y_from, self.y_hi)
+        return QuadResult(abs(self.theta) * res.value, abs(self.theta) * res.error, res.panels)
+
+    def support_clearance(self, E: ExceptionalSet) -> Optional[float]:
+        return self.model.y_infinity - self.y_hi if self.is_singular_set(E) else None
+
+    def restrict_outside(self, E: ExceptionalSet, r: float, layer_budget: float) -> Current:
+        return self.restrict(HalfSpace(1, self.model.y_infinity - r, below=True))
+
+    def pushforward_data(self):
+        model = self.model
+        windows = model.strip_windows(self.y_lo, self.y_hi)
+        if len(windows) != 1:
+            raise CurrentError("surface pushforward bounds need a single-strip window")
+        k, lo, hi = windows[0]
+        return model.strip_chart(k), (model.x_hi - model.x_lo) * (hi - lo)
 
     def descriptor(self) -> dict:
         return {
@@ -435,70 +789,22 @@ def boundary_mass(T: Current) -> QuadResult:
 
 def restrict(T: Current, region) -> Current:
     """Subcurrent T restricted to a cube set or coordinate half-space."""
-    if isinstance(T, TopDimCurrent):
-        if isinstance(region, CubeSet):
-            return TopDimCurrent(T.region.intersection(region), T.theta)
-        if isinstance(region, HalfSpace):
-            cut = T.region.restrict_half_space(region.axis, region.threshold, region.below)
-            return TopDimCurrent(cut, T.theta)
-        raise CurrentError(f"cannot restrict a cube-set current by {type(region).__name__}")
-    if isinstance(T, ChartCurrent):
-        if isinstance(region, CubeSet) and isinstance(T.domain, CubeSet):
-            return ChartCurrent(T.domain.intersection(region), T.chart, T.theta, T.tol)
-        if isinstance(region, HalfSpace) and isinstance(T.domain, CubeSet):
-            cut = T.domain.restrict_half_space(region.axis, region.threshold, region.below)
-            return ChartCurrent(cut, T.chart, T.theta, T.tol)
-        raise CurrentError("chart currents restrict by planar cube sets or half-spaces")
-    if isinstance(T, SurfaceCurrent):
-        if isinstance(region, HalfSpace) and region.axis == 1:
-            t = region.threshold
-            if region.below:
-                lo, hi = T.y_lo, min(T.y_hi, t)
-            else:
-                lo, hi = max(T.y_lo, t), T.y_hi
-            if hi <= lo:
-                raise CurrentError("restriction window is empty")
-            return SurfaceCurrent(T.model, lo, hi, T.theta)
-        raise CurrentError("surface currents restrict by y half-spaces only")
-    raise CurrentError(f"unsupported current type {type(T).__name__}")
+    return T.restrict(region)
 
 
-def complement_within(T: Current, S: Current) -> Current | None:
-    """The current T - S when S was produced by restricting T; None if empty."""
-    if isinstance(T, TopDimCurrent) and isinstance(S, TopDimCurrent):
-        rest = T.region.difference(S.region)
-        return None if rest.is_empty() else TopDimCurrent(rest, T.theta)
-    if isinstance(T, ChartCurrent) and isinstance(S, ChartCurrent):
-        if isinstance(T.domain, CubeSet) and isinstance(S.domain, CubeSet):
-            rest = T.domain.difference(S.domain)
-            return None if rest.is_empty() else ChartCurrent(rest, T.chart, T.theta, T.tol)
-        raise CurrentError("chart complements need cube-set domains")
-    if isinstance(T, SurfaceCurrent) and isinstance(S, SurfaceCurrent):
-        pieces = []
-        if S.y_lo > T.y_lo:
-            pieces.append(SurfaceCurrent(T.model, T.y_lo, S.y_lo, T.theta))
-        if S.y_hi < T.y_hi:
-            pieces.append(SurfaceCurrent(T.model, S.y_hi, T.y_hi, T.theta))
-        if not pieces:
-            return None
-        if len(pieces) == 1:
-            return pieces[0]
-        return pieces  # two-sided complement, returned as a list
-    raise CurrentError("complement of mismatched current kinds")
+def complement_within(T: Current, S: Current) -> list[Current]:
+    """Pieces of the current T - S when S was produced by restricting T; [] if empty."""
+    if type(S) is not type(T):
+        raise CurrentError("complement of mismatched current kinds")
+    return T.complement_within(S)
 
 
 def mass_additivity_check(T: Current, S: Current) -> dict:
-    """Verify mass(S) + mass(T - S) = mass(T) within combined certificates."""
-    rest = complement_within(T, S)
+    """Verify mass(S) + mass(T - S) = mass(T) within the combined error estimates."""
+    vals = [p.mass() for p in complement_within(T, S)]
     mT = T.mass()
     mS = S.mass() if not S.is_zero() else QuadResult(0.0, 0.0, 0)
-    if rest is None:
-        m_rest = QuadResult(0.0, 0.0, 0)
-    elif isinstance(rest, list):
-        vals = [p.mass() for p in rest]
-        m_rest = QuadResult(sum(v.value for v in vals), sum(v.error for v in vals), 0)
-    else:
-        m_rest = rest.mass()
+    m_rest = QuadResult(sum(v.value for v in vals), sum(v.error for v in vals), 0)
     gap = abs(mS.value + m_rest.value - mT.value)
     budget = mS.error + m_rest.error + mT.error + 1e-12
     return {
@@ -517,25 +823,9 @@ def pushforward_mass_bounds(T) -> dict:
     Accepts chart currents and surface currents windowed to one strip (the
     strip chart provides the Lipschitz data there).
     """
-    if isinstance(T, SurfaceCurrent):
-        model = T.model
-        k0 = int(model.strip_index(T.y_lo))
-        k1 = int(model.strip_index(max(T.y_hi - 1e-15, T.y_lo)))
-        if k0 != k1:
-            raise CurrentError("surface pushforward bounds need a single-strip window")
-        chart = model.strip_chart(k0)
-        area = (model.x_hi - model.x_lo) * (T.y_hi - T.y_lo)
-        lower = abs(T.theta) * (chart.lip_inverse ** (-T.m)) * area
-        upper = abs(T.theta) * (chart.lip_upper ** T.m) * area
-        mres = T.mass()
-        slack = mres.error + 1e-12 * max(1.0, upper)
-        ok = bool(lower - slack <= mres.value <= upper + slack)
-        return {"lower": lower, "upper": upper, "mass": mres.value, "ok": ok}
-    if not isinstance(T, ChartCurrent):
-        raise CurrentError("pushforward bounds apply to chart currents")
-    area = T.domain_measure()
-    lower = abs(T.theta) * (T.chart.lip_inverse ** (-T.m)) * area
-    upper = abs(T.theta) * (T.chart.lip_upper ** T.m) * area
+    chart, area = T.pushforward_data()
+    lower = abs(T.theta) * (chart.lip_inverse ** (-T.m)) * area
+    upper = abs(T.theta) * (chart.lip_upper ** T.m) * area
     mres = T.mass()
     slack = mres.error + 1e-12 * max(1.0, upper)
     ok = bool(lower - slack <= mres.value <= upper + slack)
@@ -577,23 +867,12 @@ def _offset_pieces(element, r: float):
     return straight, arcs
 
 
-def _regular_radius(T: Current, E: ExceptionalSet, r: float, tol: float = 1e-9) -> float:
-    """Nudge the radius until the level set misses grid vertices / junctions."""
-    def is_regular(rr: float) -> bool:
-        if isinstance(T, TopDimCurrent):
-            for q in T.region.cubes:
-                for corner in q.corners():
-                    if abs(E.distance(corner) - rr) <= tol:
-                        return False
-            return True
-        if isinstance(T, SurfaceCurrent):
-            y = T.model.y_infinity - rr
-            return all(abs(y - yk) > tol for yk in T.model.strip_junctions())
-        return True
-
+def _regular_radius(is_regular, r: float, tol: float = 1e-9) -> float:
+    """Nudge the radius until ``is_regular(radius, tol)``: the level set misses
+    grid vertices or strip junctions."""
     for attempt in range(64):
         candidate = r + attempt * 4.0 * tol * (1 if attempt % 2 == 0 else -1)
-        if is_regular(candidate):
+        if is_regular(candidate, tol):
             return candidate
     raise CurrentError(f"no regular slicing radius found near r={r}")
 
@@ -603,66 +882,7 @@ def slice_current(T: Current, E: ExceptionalSet, r: float,
     """The slice of T by dist(., E) at radius r, realized as a level curve."""
     if r <= 0:
         raise CurrentError("slice radius must be positive")
-    if isinstance(T, TopDimCurrent) and T.m == 2:
-        far = max((E.cube_max_distance_bound(q) for q in T.region.cubes), default=0.0)
-        if r >= far:
-            return Slice(T.descriptor(), E, r, r, QuadResult(0.0, 0.0, 0))
-        rr = _regular_radius(T, E, r)
-        total, err = 0.0, 0.0
-        pieces = []
-        multi = len(E.elements) > 1
-        for element in E.elements:
-            straight, arcs = _offset_pieces(element, rr)
-            for kind, coord, t0, t1 in straight:
-                axis = 0 if kind == "h" else 1
-                if not multi:
-                    seg = T.region.line_intersection_length(axis, coord, t0, t1)
-                else:
-                    ts = np.linspace(t0, t1, samples)
-                    mids = 0.5 * (ts[:-1] + ts[1:])
-                    if kind == "h":
-                        pts = np.stack([mids, np.full_like(mids, coord)], axis=1)
-                    else:
-                        pts = np.stack([np.full_like(mids, coord), mids], axis=1)
-                    keep = T.region.contains_many(pts)
-                    # on the level set of this element the global distance is
-                    # min(rr, dist to others); keep where no other element is nearer
-                    keep &= E.distance_many(pts) >= rr - 1e-12
-                    seg = float(np.mean(keep)) * (t1 - t0)
-                total += abs(T.theta) * seg
-                pieces.append(("segment", kind, coord, t0, t1, seg))
-            for center, a0, a1 in arcs:
-                length, arc_err = _arc_length_inside(T.region, E, center, rr, a0, a1,
-                                                     samples, multi)
-                total += abs(T.theta) * length
-                err += abs(T.theta) * arc_err
-                pieces.append(("arc", center, a0, a1, length))
-        return Slice(T.descriptor(), E, rr, r, QuadResult(total, err, 0), tuple(pieces))
-    if isinstance(T, TopDimCurrent) and T.m == 1:
-        count = 0
-        for (lo, hi) in E.elements:
-            for pt in (lo[0] - r, hi[0] + r):
-                if T.region.contains((pt,)):
-                    count += 1
-        return Slice(T.descriptor(), E, r, r, QuadResult(abs(T.theta) * float(count), 0.0, 0))
-    if isinstance(T, SurfaceCurrent):
-        if not _is_surface_singular_set(T, E):
-            raise CurrentError("surface currents slice by their singular set only")
-        y = T.model.y_infinity - r
-        if not (T.y_lo < y < T.y_hi):
-            return Slice(T.descriptor(), E, r, r, QuadResult(0.0, 0.0, 0))
-        rr = _regular_radius(T, E, r)
-        y = T.model.y_infinity - rr
-        L = T.model.section_length(y)
-        return Slice(T.descriptor(), E, rr, r,
-                     QuadResult(abs(T.theta) * L.value, abs(T.theta) * L.error, L.panels),
-                     (("section", y),))
-    raise CurrentError(f"slicing unsupported for {type(T).__name__}")
-
-
-def _is_surface_singular_set(T: SurfaceCurrent, E: ExceptionalSet) -> bool:
-    target = T.model.singular_set()
-    return E.elements == target.elements
+    return T.slice(E, r, samples)
 
 
 def _arc_length_inside(region: CubeSet, E: ExceptionalSet, center, r: float,
@@ -685,91 +905,77 @@ def _arc_length_inside(region: CubeSet, E: ExceptionalSet, center, r: float,
     return fine, abs(fine - coarse) + (a1 - a0) * r / samples
 
 
-def _line_integral(omega, points_of, tangent_of, t0: float, t1: float,
+def _cube_ball_overlap(cube_lo, cube_hi, elem_lo, elem_hi, r: float) -> QuadResult:
+    """Planar measure of  cube  intersected with {dist(., element box) < r}.
+
+    Exact up to an adaptive 1-D quadrature of the vertical section length,
+    which is piecewise smooth in x.
+    """
+    ex0, ey0 = elem_lo
+    ex1, ey1 = elem_hi
+    cx0, cy0 = cube_lo
+    cx1, cy1 = cube_hi
+    a = max(cx0, ex0 - r)
+    b = min(cx1, ex1 + r)
+    if b <= a:
+        return QuadResult(0.0, 0.0, 0)
+
+    def section(xs):
+        dx = np.maximum(ex0 - xs, 0.0) + np.maximum(xs - ex1, 0.0)
+        w = np.sqrt(np.maximum(r * r - dx * dx, 0.0))
+        lo = np.maximum(ey0 - w, cy0)
+        hi = np.minimum(ey1 + w, cy1)
+        return np.where(dx < r, np.maximum(hi - lo, 0.0), 0.0)
+
+    return integrate_1d(section, a, b, tol=1e-12, max_panels=2048)
+
+
+def _cube_region_measure_in_ball(region: CubeSet, E: ExceptionalSet, r: float,
+                                 rel_tol: float = 1e-4) -> QuadResult:
+    """Lebesgue measure of region intersected with B(E, r), with a bound.
+
+    Single-element sets use exact per-cube section integrals; unions fall
+    back to a dyadic refinement sandwich (the balls may overlap).
+    """
+    if len(E.elements) == 1 and region.m == 2:
+        (elo, ehi) = E.elements[0]
+        return _summed(_cube_ball_overlap(*q.bounds(), elo, ehi, r) for q in region.cubes)
+    inside = 0.0
+    budget = rel_tol * max(region.measure(), 1e-12)
+    pending = list(region.cubes)
+    max_generation = 26
+    while True:
+        straddlers = []
+        for q in pending:
+            if E.cube_min_distance(q) >= r:
+                continue
+            if E.cube_max_distance_bound(q) < r:
+                inside += q.measure()
+            else:
+                straddlers.append(q)
+        layer = math.fsum(q.measure() for q in straddlers)
+        if layer <= budget or not straddlers or straddlers[0].generation >= max_generation:
+            return QuadResult(inside + 0.5 * layer, 0.5 * layer, 0)
+        pending = [c for q in straddlers for c in q.subdivide()]
+
+
+def _line_integral(omega, point, tangent, t0: float, t1: float,
                    tol: float) -> QuadResult:
     def integrand(ts):
-        out = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            p = points_of(t)
-            tan = tangent_of(t)
-            out[i] = float(np.dot(omega(p).coeffs, tan))
-        return out
+        return np.vecdot(omega.evaluate_many(point(ts)), tangent(ts))
 
     return integrate_1d(integrand, t0, t1, tol=tol, max_panels=2048)
 
 
 def boundary_form_integral(T: Current, omega, tol: float = 1e-10) -> QuadResult:
     """Integral of a degree-(m-1) form over the oriented boundary of T."""
-    if isinstance(T, TopDimCurrent) and T.m == 1:
+    if T.m == 1:
         total = 0.0
         for coord, orient in T.boundary_points_signed():
             total += orient * float(omega(np.array([coord])))
         return QuadResult(T.theta * total, 0.0, 0)
-    if isinstance(T, TopDimCurrent) and T.m == 2:
-        total, err = 0.0, 0.0
-        for (p, q) in T.oriented_boundary_pieces():
-            p = np.asarray(p, dtype=float)
-            q = np.asarray(q, dtype=float)
-            direction = q - p
-            res = _line_integral(
-                omega,
-                lambda t, p=p, d=direction: p + t * d,
-                lambda t, d=direction: d,
-                0.0, 1.0, tol,
-            )
-            total += res.value
-            err += res.error
-        return QuadResult(T.theta * total, abs(T.theta) * err, 0)
-    if isinstance(T, ChartCurrent):
-        total, err = 0.0, 0.0
-        chart = T.chart
-        for (p, q) in T.boundary_edges_2d():
-            p = np.asarray(p, dtype=float)
-            q = np.asarray(q, dtype=float)
-            d = q - p
-
-            def pt(t, p=p, d=d):
-                u = p + t * d
-                return np.array([u[0], u[1], float(chart.psi(u[0], u[1]))])
-
-            def tan(t, p=p, d=d):
-                u = p + t * d
-                dz = (float(chart.dpsi_dx(u[0], u[1])) * d[0]
-                      + float(chart.dpsi_dy(u[0], u[1])) * d[1])
-                return np.array([d[0], d[1], dz])
-
-            res = _line_integral(omega, pt, tan, 0.0, 1.0, tol)
-            total += res.value
-            err += res.error
-        return QuadResult(T.theta * total, abs(T.theta) * err, 0)
-    if isinstance(T, SurfaceCurrent):
-        model = T.model
-        total, err = 0.0, 0.0
-        for kind, data in T.boundary_curves():
-            if kind == "horizontal":
-                y, xa, xb = data
-
-                def pt(x, y=y):
-                    return np.array([x, y, float(model.psi(x, y))])
-
-                def tan(x, y=y):
-                    return np.array([1.0, 0.0, float(model.dpsi_dx(x, y))])
-
-                res = _line_integral(omega, pt, tan, xa, xb, tol)
-            else:
-                x, ya, yb = data
-
-                def pt(y, x=x):
-                    return np.array([x, y, float(model.psi(x, y))])
-
-                def tan(y, x=x):
-                    return np.array([0.0, 1.0, float(model.dpsi_dy(x, y))])
-
-                res = _line_integral(omega, pt, tan, ya, yb, tol)
-            total += res.value
-            err += res.error
-        return QuadResult(T.theta * total, abs(T.theta) * err, 0)
-    raise CurrentError(f"boundary integrals unsupported for {type(T).__name__}")
+    return _summed((_line_integral(omega, point, tangent, t0, t1, tol)
+                    for point, tangent, t0, t1 in T.boundary_curves()), T.theta)
 
 
 def coarea_slice_check(T: Current, E: ExceptionalSet, radii: Sequence[float]) -> dict:

@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
-from .currents import ChartCurrent, Current, SurfaceCurrent, TopDimCurrent
-from .dyadic import CubeSet, ExceptionalSet
-from .quadrature import QuadResult, integrate_2d
+from .currents import Current
+from .dyadic import ExceptionalSet
+from .quadrature import QuadResult
 
 __all__ = [
     "ContentProfile",
@@ -79,94 +79,9 @@ class ExcisabilityEvidence:
         }
 
 
-def _cube_ball_overlap(cube_lo, cube_hi, elem_lo, elem_hi, r: float) -> tuple[float, float]:
-    """Planar measure of  cube  intersected with {dist(., element box) < r}.
-
-    Exact up to an adaptive 1-D quadrature of the vertical section length,
-    which is piecewise smooth in x.
-    """
-    from .quadrature import integrate_1d
-
-    ex0, ey0 = elem_lo
-    ex1, ey1 = elem_hi
-    cx0, cy0 = cube_lo
-    cx1, cy1 = cube_hi
-    a = max(cx0, ex0 - r)
-    b = min(cx1, ex1 + r)
-    if b <= a:
-        return 0.0, 0.0
-
-    def section(xs):
-        dx = np.maximum(ex0 - xs, 0.0) + np.maximum(xs - ex1, 0.0)
-        w = np.sqrt(np.maximum(r * r - dx * dx, 0.0))
-        lo = np.maximum(ey0 - w, cy0)
-        hi = np.minimum(ey1 + w, cy1)
-        return np.where(dx < r, np.maximum(hi - lo, 0.0), 0.0)
-
-    res = integrate_1d(section, a, b, tol=1e-12, max_panels=2048)
-    return res.value, res.error
-
-
-def _cube_region_measure_in_ball(region: CubeSet, E: ExceptionalSet, r: float,
-                                 rel_tol: float = 1e-4) -> tuple[float, float]:
-    """Lebesgue measure of region intersected with B(E, r), with a bound.
-
-    Single-element sets use exact per-cube section integrals; unions fall
-    back to a dyadic refinement sandwich (the balls may overlap).
-    """
-    if len(E.elements) == 1 and region.m == 2:
-        (elo, ehi) = E.elements[0]
-        total, err = 0.0, 0.0
-        for q in region.cubes:
-            lo, hi = q.bounds()
-            v, e = _cube_ball_overlap(lo, hi, elo, ehi, r)
-            total += v
-            err += e
-        return total, err
-    inside = 0.0
-    budget = rel_tol * max(region.measure(), 1e-12)
-    pending = list(region.cubes)
-    max_generation = 26
-    while True:
-        straddlers = []
-        for q in pending:
-            if E.cube_min_distance(q) >= r:
-                continue
-            if E.cube_max_distance_bound(q) < r:
-                inside += q.measure()
-            else:
-                straddlers.append(q)
-        layer = math.fsum(q.measure() for q in straddlers)
-        if layer <= budget or not straddlers or straddlers[0].generation >= max_generation:
-            return inside + 0.5 * layer, 0.5 * layer
-        pending = [c for q in straddlers for c in q.subdivide()]
-
-
 def neighborhood_mass(T: Current, E: ExceptionalSet, r: float) -> QuadResult:
-    """||T||(B(E, r)) with a certificate."""
-    if isinstance(T, TopDimCurrent):
-        val, err = _cube_region_measure_in_ball(T.region, E, r)
-        return QuadResult(abs(T.theta) * val, abs(T.theta) * err, 0)
-    if isinstance(T, SurfaceCurrent):
-        target = T.model.singular_set()
-        if E.elements != target.elements:
-            raise ValueError("surface neighbourhood masses are implemented for the singular set")
-        y_from = max(T.y_lo, T.model.y_infinity - r)
-        res = T.model.mass_between(y_from, T.y_hi)
-        return QuadResult(abs(T.theta) * res.value, abs(T.theta) * res.error, res.panels)
-    if isinstance(T, ChartCurrent):
-        total, err = 0.0, 0.0
-        for rect in T._domain_rects():
-            def dens(x, y):
-                pts3 = T.chart.point(x, y)
-                inside = E.distance_many(pts3) < r
-                return T.chart.area_element(x, y) * inside
-            res = integrate_2d(dens, rect.x0, rect.x1, rect.y0, rect.y1,
-                               tol=1e-7, max_panels=2048)
-            total += res.value
-            err += res.error
-        return QuadResult(abs(T.theta) * total, abs(T.theta) * err, 0)
-    raise ValueError(f"neighbourhood mass unsupported for {type(T).__name__}")
+    """||T||(B(E, r)) with an error estimate."""
+    return T.neighborhood_mass(E, r)
 
 
 def _classify(radii: np.ndarray, values: np.ndarray) -> tuple[str, dict]:

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature with certified absolute errors.
+"""Adaptive Gauss-Legendre quadrature with estimated absolute errors.
 
 Integrands receive numpy arrays of sample points and must return arrays of
 values.  Panel errors are estimated by comparing each panel against its
@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["QuadResult", "QuadratureError", "integrate_1d", "integrate_2d", "gauss_rule"]
+__all__ = ["QuadResult", "QuadratureError", "integrate_1d", "integrate_2d", "gauss_rule",
+           "composite_nodes"]
 
 
 class QuadratureError(RuntimeError):
@@ -23,7 +24,11 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value of an integral together with a certified absolute error bound."""
+    """Value of an integral together with an estimate of its absolute error.
+
+    The error is |fine - coarse| summed over the panels: an a-posteriori
+    estimate, not a rigorous bound.
+    """
 
     value: float
     error: float
@@ -38,6 +43,22 @@ def gauss_rule(order: int):
     """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
+
+
+def composite_nodes(lo, hi, panels: int, order: int = 12):
+    """Nodes and panel half-widths of the composite Gauss rule on [lo, hi].
+
+    [lo, hi] is cut into ``panels`` equal panels; lo and hi may be arrays of
+    a common shape S, giving nodes of shape S + (panels, order) and
+    half-widths of shape S + (panels,).  The integral of f is the sum over
+    panels of half-width times the weights of :func:`gauss_rule` dotted
+    with f at the panel's nodes.
+    """
+    nodes, _ = gauss_rule(order)
+    edges = np.linspace(lo, hi, panels + 1, axis=-1)
+    mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    halves = 0.5 * np.diff(edges, axis=-1)
+    return mids[..., None] + halves[..., None] * nodes, halves
 
 
 def _panel_1d(f, a, b, nodes, weights):

@@ -1,6 +1,6 @@
 import json
 
-from stokeslab.cli import EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
+from stokeslab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_UNDECIDED, EXIT_USAGE, main
 
 
 def _write_config(tmp_path, name, payload):
@@ -148,3 +148,24 @@ def test_cylindrical_experimental_report(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "experimental"
     assert abs(report["circulation"] - 1.0) < 1e-6
+
+
+def test_stalled_quadrature_is_a_resource_exit(tmp_path):
+    # the ball indicator around a point on the graph is discontinuous, so the
+    # adaptive chart quadrature runs out of panels
+    cfg = _write_config(tmp_path, "m.json", {
+        "current": {"kind": "parabolic_graph"},
+        "exceptional_set": {"kind": "point", "at": [0.5, 0.5, 0.25]},
+    })
+    assert main(["minkowski", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
+
+
+def test_eta_above_cube_regularity_is_refused(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", {
+        "current": {"kind": "unit_square"},
+        "gauge": {"kind": "constant", "value": 0.1},
+        "epsilon": 1e-3,
+        "eta": 0.5,
+    })
+    assert main(["cousin", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "not below the cube regularity" in capsys.readouterr().err

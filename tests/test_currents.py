@@ -228,3 +228,124 @@ def test_descriptor_round_trip_region():
     assert d["type"] == "top_dim"
     back = CubeSet.from_json(json.dumps(d["region"]))
     assert back == UNIT.region
+
+
+# -- the current protocol: boundary curves and tangent planes -------------------
+
+
+def _protocol_current(kind):
+    """A current of each kind with its boundary as (point(t), tangent(t), t0, t1) per point."""
+    if kind == "cube_square":
+        edges = [(np.asarray(p, dtype=float), np.asarray(q, dtype=float) - p)
+                 for p, q in Rect(0.0, 1.0, 0.0, 1.0).boundary_edges()]
+        return UNIT, [(lambda t, p=p, d=d: p + t * d, lambda t, d=d: d, 0.0, 1.0)
+                      for p, d in edges]
+    if kind == "parabolic_chart":
+        chart = ChartMap(psi=lambda x, y: 0.25 * (np.asarray(x) ** 2 + np.asarray(y)),
+                         dpsi_dx=lambda x, y: 0.5 * np.asarray(x, dtype=float),
+                         dpsi_dy=lambda x, y: 0.25 * np.ones_like(np.asarray(x, dtype=float)),
+                         lip_upper=1.2, name="parabolic")
+        T = ChartCurrent(Rect(0.0, 1.0, 0.0, 1.0), chart)
+        curves = []
+        for p, q in Rect(0.0, 1.0, 0.0, 1.0).boundary_edges():
+            p = np.asarray(p, dtype=float)
+            d = np.asarray(q, dtype=float) - p
+
+            def point(t, p=p, d=d):
+                u = p + t * d
+                return np.array([u[0], u[1], float(chart.psi(u[0], u[1]))])
+
+            def tangent(t, p=p, d=d):
+                u = p + t * d
+                return np.array([d[0], d[1], float(chart.dpsi_dx(u[0], u[1])) * d[0]
+                                 + float(chart.dpsi_dy(u[0], u[1])) * d[1]])
+
+            curves.append((point, tangent, 0.0, 1.0))
+        return T, curves
+    from stokeslab.counterexample import Params, SurfaceModel
+    from stokeslab.currents import SurfaceCurrent
+
+    model = SurfaceModel(Params.default())
+    T = SurfaceCurrent(model, 0.1, 0.4)
+    curves = []
+    for y, xa, xb in ((0.1, 0.0, math.pi), (0.4, math.pi, 0.0)):
+        curves.append((lambda x, y=y: np.array([x, y, float(model.psi(x, y))]),
+                       lambda x, y=y: np.array([1.0, 0.0, float(model.dpsi_dx(x, y))]), xa, xb))
+    for x, ya, yb in ((math.pi, 0.1, 0.4), (0.0, 0.4, 0.1)):
+        curves.append((lambda y, x=x: np.array([x, y, float(model.psi(x, y))]),
+                       lambda y, x=x: np.array([0.0, 1.0, float(model.dpsi_dy(x, y))]), ya, yb))
+    return T, curves
+
+
+def _form(n, coeffs):
+    """A 1-form on R^n from a map of (N, n) points to (N, n) coefficients."""
+    return forms.FormField(n, 1, evaluate=lambda p: forms.KCovector(n, 1, coeffs(p[None, :])[0]),
+                           evaluate_batch=coeffs)
+
+
+def _smooth_form(n):
+    if n == 2:
+        return _form(2, lambda P: np.stack([P[:, 0] ** 2 * P[:, 1], np.sin(P[:, 0]) + P[:, 1]], 1))
+    return _form(3, lambda P: np.stack([P[:, 1] * P[:, 2] ** 2, np.cos(P[:, 0]) + P[:, 2],
+                                        P[:, 0] * P[:, 1] ** 2], 1))
+
+
+def _exact_form(n):
+    """d(xy) in the plane and d(xyz) in space."""
+    if n == 2:
+        return _form(2, lambda P: np.stack([P[:, 1], P[:, 0]], 1))
+    return _form(3, lambda P: np.stack([P[:, 1] * P[:, 2], P[:, 0] * P[:, 2],
+                                        P[:, 0] * P[:, 1]], 1))
+
+
+KINDS = ["cube_square", "parabolic_chart", "surface_window"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_boundary_curves_match_per_point_reference(kind):
+    from stokeslab.quadrature import integrate_1d
+
+    T, curves = _protocol_current(kind)
+    omega = _smooth_form(T.n)
+    ref = 0.0
+    for point, tangent, t0, t1 in curves:
+        def integrand(ts, point=point, tangent=tangent):
+            return np.array([float(np.dot(omega(point(t)).coeffs, tangent(t))) for t in ts])
+
+        ref += integrate_1d(integrand, t0, t1, tol=1e-10, max_panels=2048).value
+    res = boundary_form_integral(T, omega)
+    assert abs(ref) > 1e-3
+    assert res.value == pytest.approx(T.theta * ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_form_has_zero_circulation(kind):
+    T, _ = _protocol_current(kind)
+    res = boundary_form_integral(T, _exact_form(T.n))
+    assert abs(res.value) <= res.error + 1e-13
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_graph_tangent_is_the_frame_wedge(kind):
+    T, _ = _protocol_current(kind)
+    rng = np.random.default_rng(7)
+    u = np.stack([rng.uniform(0.05, 0.95, 25) * (math.pi if kind == "surface_window" else 1.0),
+                  rng.uniform(0.11, 0.39, 25)], axis=1)
+    if kind == "cube_square":
+        points, frames = u, [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))] * len(u)
+    elif kind == "parabolic_chart":
+        points = T.lift(u)
+        px, py = T.chart.dpsi_dx(u[:, 0], u[:, 1]), T.chart.dpsi_dy(u[:, 0], u[:, 1])
+        # the frame of SurfaceModel.tangent_frame, built from the chart's partials
+        n1, n2 = np.sqrt(1.0 + px ** 2), np.sqrt(1.0 + px ** 2 + py ** 2)
+        n12 = n1 * n2
+        frames = zip(np.stack([1.0 / n1, 0.0 * px, px / n1], 1),
+                     np.stack([-px * py / n12, (1.0 + px ** 2) / n12, py / n12], 1))
+    else:
+        points = T.model.point(u[:, 0], u[:, 1])
+        t1, t2, _ = T.model.tangent_frame(u[:, 0], u[:, 1])
+        frames = zip(t1, t2)
+    w, length = T.tangent_plane(points)
+    vec = forms.KVector.from_vector
+    wedges = np.array([forms.wedge(vec(a), vec(b)).coeffs for a, b in frames])
+    np.testing.assert_allclose(w / length[:, None], wedges, rtol=0.0, atol=1e-14)
