@@ -17,6 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .counterexample import ParamsError
+from .cousin import DecompositionRefusal, ResourceBudgetError
+from .dyadic import DepthError
 from .quadrature import QuadratureError
 
 SCHEMA_VERSION = 1
@@ -177,9 +180,7 @@ def _build_gauge(desc: dict, E=None):
 def run_cousin(config: dict) -> int:
     """Decompose a current into a fine, regular, full tagged family."""
     from . import certify, reports
-    from .cousin import (DecompositionRefusal, RegularityFn, ResourceBudgetError,
-                         SubadditiveFn, gauge_decompose)
-    from .dyadic import DepthError
+    from .cousin import RegularityFn, SubadditiveFn, gauge_decompose
 
     out = Path(config["out_dir"])
     T = _build_current(config.get("current", {}))
@@ -188,14 +189,7 @@ def run_cousin(config: dict) -> int:
     eta = RegularityFn.constant(float(config.get("eta", 0.05)))
     eps = float(config.get("epsilon", 1e-3))
     G = SubadditiveFn.mass()
-    try:
-        family = gauge_decompose(T, E, delta, eta, G, eps)
-    except DecompositionRefusal as exc:
-        reports.write_json(out / "report.json", {"status": "refused", "reason": str(exc)})
-        return EXIT_UNDECIDED
-    except (DepthError, ResourceBudgetError) as exc:
-        reports.write_json(out / "report.json", {"status": "resource", "reason": str(exc)})
-        return EXIT_RESOURCE
+    family = gauge_decompose(T, E, delta, eta, G, eps)
     check = certify.check_family(family, delta, eta, G)
     reports.family_to_csv(family, out / "family.csv")
     reports.write_json(out / "pieces.json",
@@ -216,6 +210,8 @@ def run_stokes(config: dict) -> int:
     out = Path(config["out_dir"])
     T = _build_current(config.get("current", {}))
     omega = _build_form(config.get("form", {}), T)
+    if omega.n != T.n:
+        raise UsageError(f"form {omega.name!r} lives in R^{omega.n}, the current in R^{T.n}")
     E = _build_exceptional(config.get("exceptional_set", {"kind": "empty"}), T)
     tol = config.get("tol")
     report = integration.stokes_check(T, omega, E, tol=tol,
@@ -233,16 +229,12 @@ def run_stokes(config: dict) -> int:
 def run_counterexample(config: dict) -> int:
     """Demonstrate the failure surface: circulation 1 against vanishing curl."""
     from . import reports
-    from .counterexample import ParamsError, cylindrical_variant, verify_failure
+    from .counterexample import cylindrical_variant, verify_failure
 
     out = Path(config["out_dir"])
     params = _params_from(config.get("current", config))
     if config.get("cylindrical", False):
-        try:
-            model = cylindrical_variant(params)
-        except ParamsError as exc:
-            reports.write_json(out / "report.json", {"status": "refused", "reason": str(exc)})
-            return EXIT_UNDECIDED
+        model = cylindrical_variant(params)
         areas = [dict(zip(("area", "bound"), model.annulus_area(k))) | {"k": k}
                  for k in range(0, int(config.get("n_strips", 8)))]
         payload = {
@@ -257,18 +249,14 @@ def run_counterexample(config: dict) -> int:
         reports.write_json(out / "report.json", payload)
         reports.write_csv(out / "annuli.csv", areas, ["k", "area", "bound"])
         return EXIT_OK
-    try:
-        report = verify_failure(
-            params,
-            n_tangent_samples=int(config.get("n_tangent_samples", 400)),
-            n_strips=int(config.get("n_strips", 12)),
-            seed=int(config.get("seed", 0)),
-            tail_cut=float(config.get("tail_cut", 1e-12)),
-            panels_per_osc=int(config.get("panels_per_osc", 8)),
-        )
-    except ParamsError as exc:
-        reports.write_json(out / "report.json", {"status": "refused", "reason": str(exc)})
-        return EXIT_UNDECIDED
+    report = verify_failure(
+        params,
+        n_tangent_samples=int(config.get("n_tangent_samples", 400)),
+        n_strips=int(config.get("n_strips", 12)),
+        seed=int(config.get("seed", 0)),
+        tail_cut=float(config.get("tail_cut", 1e-12)),
+        panels_per_osc=int(config.get("panels_per_osc", 8)),
+    )
     reports.write_json(out / "report.json", report)
     reports.write_csv(out / "strips.csv", report["strip_areas"],
                       ["k", "area", "bound", "section_length", "sup_omega",
@@ -378,15 +366,23 @@ def main(argv=None) -> int:
         config = _load_config(args)
         np.random.seed(config.get("seed", 0) % (2 ** 32))
         return runner(config)
-    except UsageError as exc:
+    except (ParamsError, DecompositionRefusal) as exc:
+        return _stopped(config, "refused", exc, EXIT_UNDECIDED)
+    except (DepthError, ResourceBudgetError, QuadratureError) as exc:
+        return _stopped(config, "resource", exc, EXIT_RESOURCE)
+    except (KeyError, TypeError, ValueError) as exc:  # UsageError among them
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QuadratureError as exc:
-        print(f"resource exhausted: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+
+
+def _stopped(config: dict, status: str, exc: Exception, code: int) -> int:
+    """Report a run that was refused or ran out of a resource."""
+    from . import reports
+
+    print(f"{status}: {exc}", file=sys.stderr)
+    reports.write_json(Path(config["out_dir"]) / "report.json",
+                       {"status": status, "reason": str(exc)})
+    return code
 
 
 if __name__ == "__main__":

@@ -1,14 +1,20 @@
 """The oscillating-surface construction that defeats the boundary identity.
 
-A strip model glues the graphs of f_k(x) = h^k sin(x / lambda^k) over
-horizontal strips [y_k, y_{k+1}] whose widths shrink geometrically; the
-normalized-arclength coordinate u(x, y) along horizontal sections yields a
-closed 1-form on the surface whose continuous ambient extension has
-circulation 1 around the boundary while its tangential differential
-vanishes on the smooth part.  Three parameter conditions drive the
-demonstration: finite area (h * a < lambda_ratio ... stored as flags on
-:class:`Params`), section lengths blowing up, and decay of the form near
-the singular segment.
+One strip model (:class:`StripModel`) glues the graphs of
+f_k(x) = h^k sin(x / lambda^k) over strips whose widths shrink
+geometrically; the normalized-arclength coordinate u along the sections
+yields a closed 1-form on the surface whose continuous ambient extension
+has circulation 1 around the boundary while its tangential differential
+vanishes on the smooth part.  The model runs on two ladders of strips:
+
+* :class:`SurfaceModel`, the Cartesian one: strips [y_k, y_{k+1}) with
+  y_k = y_inf (1 - a^k) collapse onto a segment of finite H^1 measure;
+* :class:`CylindricalModel`, the polar one (experimental): annuli
+  (r_{k+1}, r_k] with r_k = a^k collapse onto a point, of null H^1 measure.
+
+Three parameter conditions drive the demonstration: finite area
+(h * a < lambda_ratio ... stored as flags on :class:`Params`), section
+lengths blowing up, and decay of the form near the singular set.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .quadrature import QuadResult, composite_nodes, gauss_rule
 __all__ = [
     "Params",
     "TransitionFn",
+    "StripModel",
     "SurfaceModel",
     "CylindricalModel",
     "ParamsError",
@@ -177,7 +184,7 @@ def _gl_composite(f, lengths, panels: int, order: int = 12) -> np.ndarray:
     return np.sum(halves * (vals @ weights), axis=-1)
 
 
-# Points per evaluation block of SurfaceModel._row_integrals.  The strip
+# Points per evaluation block of StripModel._row_integrals.  The strip
 # evaluators build a dozen temporaries of the block's size, so this bounds
 # the extra memory a batch of rows needs.
 ROW_BLOCK_POINTS = 1 << 14
@@ -195,56 +202,44 @@ def default_transition() -> TransitionFn:
 # ---------------------------------------------------------------------------
 
 
-class SurfaceModel:
-    """Evaluators for the strip surface, its section lengths, and the form.
+class StripModel:
+    """Oscillating strips on a ladder y_0, y_1, ...: the graph over them and its integrals.
 
-    All point evaluators are vectorized over numpy arrays.  x runs over
-    [0, pi]; y over [0, y_infinity]; strips are indexed so that strip k
-    covers [y_k, y_{k+1}) and interpolates f_k -> f_{k+1}.
+    Strip k covers [y_k, y_{k+1}) in the direction the ladder runs and
+    blends f_k into f_{k+1} across it.  A subclass supplies the ladder, the
+    signed strip widths, the section extent [0, x_hi] and its chart's
+    integrands ``_speed``, ``_dy_speed`` (the derivative of the speed along
+    the ladder) and ``_area_density``, each a function of (x, y): x runs
+    along the sections and y is the ladder coordinate (r on the polar
+    ladder).  All point evaluators are vectorized over numpy arrays.
     """
 
     K_TABLE = 60
 
-    def __init__(self, params: Params, transition: Optional[TransitionFn] = None,
-                 tail_cut: float = 1e-12, panels_per_osc: int = 8):
+    def __init__(self, params: Params, ladder: np.ndarray, width: np.ndarray, x_hi: float,
+                 transition: Optional[TransitionFn], panels_per_osc: int):
         self.params = params
         self.transition = transition or default_transition()
-        self.x_lo, self.x_hi = 0.0, math.pi
-        self.y_infinity = params.y_infinity
+        self.x_lo, self.x_hi = 0.0, x_hi
         self.panels_per_osc = panels_per_osc
-        a = params.a
-        self.k_cut = max(2, math.ceil(math.log(tail_cut) / math.log(a))) if a > 0 else 2
-        self._y_table = np.array([params.y_k(k) for k in range(self.K_TABLE + 1)])
+        self._ladder = ladder
+        self._width = width
+        self._sign = math.copysign(1.0, width[0])
+        self._keys = self._sign * ladder  # ascending, for searchsorted
         self._periods = np.array([self._x_period(k) for k in range(self.K_TABLE)])
         # per-strip constants, looked up by strip index so that a value never
         # depends on the shape of the array it is evaluated in
         ks = np.arange(self.K_TABLE + 1)
         self._amp = np.where(ks == 0, 0.0, params.h ** ks)
         self._freq = params.lam ** (-ks.astype(float))
-        self._width = params.a ** (ks + 1.0)
         self._sup_dphi = self.transition.sup_derivative()
-        self._scalar_cache: dict = {}
-
-    # -- strip bookkeeping --------------------------------------------------
 
     def strip_index(self, y):
         y = np.asarray(y, dtype=float)
-        k = np.searchsorted(self._y_table, y, side="right") - 1
+        k = np.searchsorted(self._keys, self._sign * y, side="right") - 1
         return np.clip(k, 0, self.K_TABLE - 1)
 
-    def strip_junctions(self) -> np.ndarray:
-        ks = np.arange(1, self.k_cut + 1)
-        return self._y_table[ks]
-
-    def singular_set(self) -> ExceptionalSet:
-        return ExceptionalSet.box((0.0, self.y_infinity, -1.0),
-                                  (math.pi, self.y_infinity, 1.0))
-
-    def descriptor(self) -> dict:
-        p = self.params
-        return {"a": p.a, "h": p.h, "lambda_inverse": p.lam_inverse, "k_cut": self.k_cut}
-
-    # -- pointwise surface data ----------------------------------------------
+    # -- the graph over the strips ---------------------------------------------
 
     def _f(self, k, x):
         """f_k(x) stacked for integer array k and float array x."""
@@ -254,57 +249,29 @@ class SurfaceModel:
         freq = self._freq[k]
         return self._amp[k] * freq * np.cos(np.asarray(x, dtype=float) * freq)
 
-    def _strip_data(self, x, y):
+    def _blend(self, x, y):
         """psi and its partials px, py, pxy on broadcastable arrays x and y.
 
-        Per-strip work (strip index, transition weights) is done on y's
-        shape, so a (rows, 1) column of heights pays it once per row.
+        In strip k, s = (y - y_k) / width_k runs from 0 to 1 and
+        psi = (1 - phi(s)) f_k + phi(s) f_{k+1}; the width is signed, so
+        py is a derivative along the ladder coordinate whichever way the
+        ladder runs.  Per-strip work (strip index, transition weights) is
+        done on y's shape, so a (rows, 1) column of heights pays it once per
+        row.
         """
-        x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if self.params.h == 0.0:
-            # every f_k vanishes: the surface is the flat rectangle
-            zero = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-            return zero, zero, zero, zero
         k = self.strip_index(y)
         width = self._width[k]
-        s = (y - self._y_table[k]) / width
-        theta = self.transition(s)
-        dtheta = self.transition.derivative(s) / width
+        s = (y - self._ladder[k]) / width
+        w = self.transition(s)
+        dw = self.transition.derivative(s) / width
         fk, fk1 = self._f(k, x), self._f(k + 1, x)
         gk, gk1 = self._fprime(k, x), self._fprime(k + 1, x)
-        psi = (1.0 - theta) * fk + theta * fk1
-        px = (1.0 - theta) * gk + theta * gk1
-        py = dtheta * (fk1 - fk)
-        pxy = dtheta * (gk1 - gk)
+        psi = (1.0 - w) * fk + w * fk1
+        px = (1.0 - w) * gk + w * gk1
+        py = dw * (fk1 - fk)
+        pxy = dw * (gk1 - gk)
         return psi, px, py, pxy
-
-    def _graph_data(self, i: int, x, y):
-        """Entry i of :meth:`_strip_data`, zero on the flat limit y >= y_infinity."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        flat = y >= self.y_infinity
-        return np.where(flat, 0.0, self._strip_data(x, np.where(flat, 0.0, y))[i])
-
-    def psi(self, x, y):
-        return self._graph_data(0, x, y)
-
-    def dpsi_dx(self, x, y):
-        return self._graph_data(1, x, y)
-
-    def dpsi_dy(self, x, y):
-        return self._graph_data(2, x, y)
-
-    def point(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.stack(np.broadcast_arrays(x, y, self.psi(x, y)), axis=-1)
-
-    def sup_abs_psi(self, y_from: float) -> float:
-        if y_from >= self.y_infinity:
-            return 0.0
-        k = int(self.strip_index(y_from))
-        return 2.0 * self.params.h ** max(k, 0) if self.params.h > 0 else 0.0
 
     # -- periodized x-integrals ----------------------------------------------
 
@@ -353,6 +320,128 @@ class SurfaceModel:
                                              lengths[s:s + block], panels)
         return out
 
+    def _lengths_at(self, x, y):
+        """L(y), dL/dy(y), L(x, y) and dL(x, y)/dy at points (x, y) of the strips.
+
+        Section rows (x_hi) and partial rows share one kernel call per
+        integrand, so each distinct height pays for one whole period.
+        """
+        heights, h_of = np.unique(y, return_inverse=True)
+        pairs, p_of = np.unique(np.stack([x, y], axis=-1), axis=0, return_inverse=True)
+        row_y = np.concatenate([heights, pairs[:, 1]])
+        row_x = np.concatenate([np.full(len(heights), self.x_hi), pairs[:, 0]])
+        h_of, p_of = h_of.ravel(), len(heights) + p_of.ravel()
+        speed = self._row_integrals(self._speed, row_y, row_x)
+        dy_speed = self._row_integrals(self._dy_speed, row_y, row_x)
+        L = self._row_integrals(self._speed, heights, self.x_hi, scale=2)
+        return L[h_of], dy_speed[h_of], speed[p_of], dy_speed[p_of]
+
+    def _frame_coeffs(self, x, y, p_along, p_across):
+        """Coefficients (c1, c2) of du, u = L(x, y) / L(y), in the unit frame of the surface.
+
+        ``p_along`` and ``p_across`` are the slopes of the graph per unit
+        length along and across the sections at the points (x, y).
+        """
+        L, dyL, Lxy, dyLxy = self._lengths_at(x, y)
+        n1 = np.sqrt(1.0 + p_along * p_along)
+        n2 = np.sqrt(1.0 + p_along * p_along + p_across * p_across)
+        Y = (L * dyLxy - Lxy * dyL) / (L * L)
+        return 1.0 / L, -p_along * p_across / (L * n2) + Y * n1 / n2
+
+    # -- areas over ladder intervals -------------------------------------------
+
+    def _mass_rows(self, y0: float, y1: float, tol: float = 1e-10) -> QuadResult:
+        """Integral over [0, x_hi] x [y0, y1] of the area element; single strip."""
+        if y1 <= y0:
+            return QuadResult(0.0, 0.0, 0)
+        panels = 8
+        total1 = self._y_composite(y0, y1, panels)
+        total2 = self._y_composite(y0, y1, 2 * panels)
+        return QuadResult(total2, abs(total2 - total1) + tol, 2 * panels)
+
+    def _y_composite(self, y0: float, y1: float, panels: int) -> float:
+        """Composite Gauss rule in y over full-width rows, all rows in one kernel call."""
+        _, weights = gauss_rule(12)
+        ys, halves = composite_nodes(y0, y1, panels)
+        rows = self._row_integrals(self._area_density, ys.ravel(), self.x_hi).reshape(ys.shape)
+        total = 0.0
+        for half, row in zip(halves, rows):
+            total += half * float(np.dot(weights, row))
+        return total
+
+
+class SurfaceModel(StripModel):
+    """The Cartesian strip surface over [0, pi] x [0, y_infinity], and its form.
+
+    Strip k covers [y_k, y_{k+1}) and interpolates f_k -> f_{k+1}, with
+    y_k = y_infinity (1 - a^k) and width a^(k+1).
+    """
+
+    def __init__(self, params: Params, transition: Optional[TransitionFn] = None,
+                 tail_cut: float = 1e-12, panels_per_osc: int = 8):
+        super().__init__(params, np.array([params.y_k(k) for k in range(self.K_TABLE + 1)]),
+                         params.a ** (np.arange(self.K_TABLE + 1) + 1.0), math.pi,
+                         transition, panels_per_osc)
+        self.y_infinity = params.y_infinity
+        a = params.a
+        self.k_cut = max(2, math.ceil(math.log(tail_cut) / math.log(a))) if a > 0 else 2
+        self._scalar_cache: dict = {}
+
+    # -- strip bookkeeping --------------------------------------------------
+
+    def strip_junctions(self) -> np.ndarray:
+        ks = np.arange(1, self.k_cut + 1)
+        return self._ladder[ks]
+
+    def singular_set(self) -> ExceptionalSet:
+        return ExceptionalSet.box((0.0, self.y_infinity, -1.0),
+                                  (math.pi, self.y_infinity, 1.0))
+
+    def descriptor(self) -> dict:
+        p = self.params
+        return {"a": p.a, "h": p.h, "lambda_inverse": p.lam_inverse, "k_cut": self.k_cut}
+
+    # -- pointwise surface data ----------------------------------------------
+
+    def _strip_data(self, x, y):
+        """psi and its partials px, py, pxy on broadcastable arrays x and y."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if self.params.h == 0.0:
+            # every f_k vanishes: the surface is the flat rectangle
+            zero = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+            return zero, zero, zero, zero
+        return self._blend(x, y)
+
+    def _graph_data(self, i: int, x, y):
+        """Entry i of :meth:`_strip_data`, zero on the flat limit y >= y_infinity."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        flat = y >= self.y_infinity
+        return np.where(flat, 0.0, self._strip_data(x, np.where(flat, 0.0, y))[i])
+
+    def psi(self, x, y):
+        return self._graph_data(0, x, y)
+
+    def dpsi_dx(self, x, y):
+        return self._graph_data(1, x, y)
+
+    def dpsi_dy(self, x, y):
+        return self._graph_data(2, x, y)
+
+    def point(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return np.stack(np.broadcast_arrays(x, y, self.psi(x, y)), axis=-1)
+
+    def sup_abs_psi(self, y_from: float) -> float:
+        if y_from >= self.y_infinity:
+            return 0.0
+        k = int(self.strip_index(y_from))
+        return 2.0 * self.params.h ** max(k, 0) if self.params.h > 0 else 0.0
+
+    # -- section lengths -------------------------------------------------------
+
     def _speed(self, xs, ys):
         return np.sqrt(1.0 + self._strip_data(xs, ys)[1] ** 2)
 
@@ -398,26 +487,10 @@ class SurfaceModel:
             return 0.0
         return float(self._row_integrals(self._dy_speed, y, x)[0])
 
-    def _lengths_at(self, x, y):
-        """L(y), dL/dy(y), L(x, y) and dL(x, y)/dy at points with y < y_infinity.
-
-        Section rows (x_hi = pi) and partial rows share one kernel call per
-        integrand, so each distinct height pays for one whole period.
-        """
-        heights, h_of = np.unique(y, return_inverse=True)
-        pairs, p_of = np.unique(np.stack([x, y], axis=-1), axis=0, return_inverse=True)
-        row_y = np.concatenate([heights, pairs[:, 1]])
-        row_x = np.concatenate([np.full(len(heights), math.pi), pairs[:, 0]])
-        h_of, p_of = h_of.ravel(), len(heights) + p_of.ravel()
-        speed = self._row_integrals(self._speed, row_y, row_x)
-        dy_speed = self._row_integrals(self._dy_speed, row_y, row_x)
-        L = self._row_integrals(self._speed, heights, math.pi, scale=2)
-        return L[h_of], dy_speed[h_of], speed[p_of], dy_speed[p_of]
-
     # -- strip areas and windowed mass ----------------------------------------
 
     def strip_bounds_y(self, k: int) -> tuple[float, float]:
-        return float(self._y_table[k]), float(self._y_table[k + 1])
+        return float(self._ladder[k]), float(self._ladder[k + 1])
 
     def strip_area(self, k: int, tol: float = 1e-10) -> tuple[QuadResult, float]:
         """Area over strip k with its closed-form upper bound."""
@@ -429,25 +502,6 @@ class SurfaceModel:
             + 4.0 * p.h ** (2 * k) * p.a ** (-2 * k)
         )
         return res, bound
-
-    def _mass_rows(self, y0: float, y1: float, tol: float = 1e-10) -> QuadResult:
-        """Integral over [0, pi] x [y0, y1] of the area element; single strip."""
-        if y1 <= y0:
-            return QuadResult(0.0, 0.0, 0)
-        panels = 8
-        total1 = self._y_composite(y0, y1, panels)
-        total2 = self._y_composite(y0, y1, 2 * panels)
-        return QuadResult(total2, abs(total2 - total1) + tol, 2 * panels)
-
-    def _y_composite(self, y0: float, y1: float, panels: int) -> float:
-        """Composite Gauss rule in y over full-width rows, all rows in one kernel call."""
-        _, weights = gauss_rule(12)
-        ys, halves = composite_nodes(y0, y1, panels)
-        rows = self._row_integrals(self._area_density, ys.ravel(), math.pi).reshape(ys.shape)
-        total = 0.0
-        for half, row in zip(halves, rows):
-            total += half * float(np.dot(weights, row))
-        return total
 
     def tail_area_bound(self, k_from: int) -> float:
         """Geometric bound on the area of all strips with k >= k_from."""
@@ -498,7 +552,7 @@ class SurfaceModel:
             total += res.value
             err += res.error
             panels += res.panels
-        if y1 > self._y_table[self.k_cut + 1]:
+        if y1 > self._ladder[self.k_cut + 1]:
             err += self.tail_area_bound(self.k_cut + 1)
         return QuadResult(total, err, panels)
 
@@ -541,12 +595,7 @@ class SurfaceModel:
         if inner.any():
             x, y = x[inner], y[inner]
             _, px, py, _ = self._strip_data(x, y)
-            L, dyL, Lxy, dyLxy = self._lengths_at(x, y)
-            n1 = np.sqrt(1.0 + px * px)
-            n2 = np.sqrt(1.0 + px * px + py * py)
-            Y = (L * dyLxy - Lxy * dyL) / (L * L)
-            c1[inner] = 1.0 / L
-            c2[inner] = -px * py / (L * n2) + Y * n1 / n2
+            c1[inner], c2[inner] = self._frame_coeffs(x, y, px, py)
         return c1.reshape(shape), c2.reshape(shape)
 
     def omega_at_surface(self, x, y) -> np.ndarray:
@@ -596,7 +645,7 @@ class SurfaceModel:
 
     def sup_omega_on_section(self, k: int, samples_per_period: int = 64) -> float:
         """sup over x of |omega(Psi(x, y_k))| via one-period sampling."""
-        y = float(self._y_table[k])
+        y = float(self._ladder[k])
         if y >= self.y_infinity:
             return 0.0
         P = self._x_period(int(self.strip_index(y)))
@@ -615,7 +664,7 @@ class SurfaceModel:
         p = self.params
         xs, ys, steps = [], [], []
         while len(xs) < n_points:
-            y = rng.uniform(0.0, self._y_table[min(max_strip, self.k_cut)])
+            y = rng.uniform(0.0, self._ladder[min(max_strip, self.k_cut)])
             k = int(self.strip_index(y))
             step = 5e-6 * p.lam ** k
             y0, y1 = self.strip_bounds_y(k)
@@ -771,123 +820,43 @@ def verify_failure(params: Optional[Params] = None, n_tangent_samples: int = 100
 # collapsing to a single singular point at the origin.
 
 
-class CylindricalModel:
-    """Disk-based analogue: strips are annuli r in [r_{k+1}, r_k], r_k = a^k.
+class CylindricalModel(StripModel):
+    """Disk-based analogue: the strips are annuli (r_{k+1}, r_k], r_k = a^k.
 
-    The surface is the graph of psi(r, theta) over the unit disk; sections
-    are circles, and the normalized-arclength form has circulation 1 around
-    the boundary circle.  The area condition re-derived for the polar area
-    element is a*h/lambda < 1 (the ratio of the dominant term of the annulus
-    area bound  2*pi*a^k*(1-a)*sup|d_theta psi| ).
+    The surface is the graph of psi(r, theta) over the unit disk; theta runs
+    along the sections, which are circles, and the ladder runs inward in r.
+    The junction circle r_k opens annulus k, as y_k opens Cartesian strip k.
+    The normalized-arclength form has circulation 1 around the boundary
+    circle.  The area condition re-derived for the polar area element is
+    a*h/lambda < 1 (the ratio of the dominant term of the annulus area bound
+    2*pi*a^k*(1-a)*sup|d_theta psi| ).
     """
 
-    K_TABLE = 60
-
     def __init__(self, params: Params, transition: Optional[TransitionFn] = None,
-                 tail_cut: float = 1e-12, panels_per_osc: int = 8):
-        self.params = params
-        self.transition = transition or default_transition()
-        self.panels_per_osc = panels_per_osc
-        a = params.a
-        self.k_cut = max(2, math.ceil(math.log(tail_cut) / math.log(a)))
-        self._r_table = np.array([a ** k for k in range(self.K_TABLE + 1)])
-        self._sup_dphi = self.transition.sup_derivative()
+                 panels_per_osc: int = 8):
+        radii = np.array([params.a ** k for k in range(self.K_TABLE + 1)])
+        super().__init__(params, radii, np.diff(radii), 2.0 * math.pi, transition,
+                         panels_per_osc)
 
-    def strip_index(self, r):
-        r = np.asarray(r, dtype=float)
-        # strip k covers (r_{k+1}, r_k]
-        k = np.searchsorted(-self._r_table, -r, side="left")
-        return np.clip(k - 1, 0, self.K_TABLE - 1)
+    # -- polar integrands: theta along the circles, r along the ladder -----------
 
-    def singular_set(self) -> ExceptionalSet:
-        return ExceptionalSet.box((0.0, 0.0, -1.0), (0.0, 0.0, 1.0))
+    def _speed(self, theta, r):
+        return np.sqrt(r ** 2 + self._blend(theta, r)[1] ** 2)
 
-    def _f(self, k, theta):
-        p = self.params
-        k = np.asarray(k)
-        hk = np.where(k == 0, 0.0, p.h ** k)
-        freq = p.lam ** (-k.astype(float))
-        return hk * np.sin(np.asarray(theta, dtype=float) * freq)
+    def _dy_speed(self, theta, r):
+        """d/dr of the speed: (r + p_theta p_theta_r) / speed."""
+        _, pt, _, ptr = self._blend(theta, r)
+        return (r + pt * ptr) / np.sqrt(r ** 2 + pt ** 2)
 
-    def _fprime(self, k, theta):
-        p = self.params
-        k = np.asarray(k)
-        hk = np.where(k == 0, 0.0, p.h ** k)
-        freq = p.lam ** (-k.astype(float))
-        return hk * freq * np.cos(np.asarray(theta, dtype=float) * freq)
-
-    def _strip_data(self, r, theta):
-        p = self.params
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        k = self.strip_index(r)
-        r_out = self._r_table[k]
-        r_in = self._r_table[k + 1]
-        s = (r - r_in) / (r_out - r_in)
-        w = self.transition(s)
-        dw = self.transition.derivative(s) / (r_out - r_in)
-        fk, fk1 = self._f(k, theta), self._f(k + 1, theta)
-        gk, gk1 = self._fprime(k, theta), self._fprime(k + 1, theta)
-        psi = w * fk + (1.0 - w) * fk1
-        ptheta = w * gk + (1.0 - w) * gk1
-        pr = dw * (fk - fk1)
-        return psi, ptheta, pr, k
-
-    def psi(self, r, theta):
-        r = np.asarray(r, dtype=float)
-        center = r <= 0.0
-        val = self._strip_data(np.where(center, self._r_table[1], r), theta)[0]
-        return np.where(center, 0.0, val)
-
-    def _panels_per_period(self) -> int:
-        return 2 * self.panels_per_osc * self.params.lam_inverse
-
-    def _periodized_theta_integral(self, integrand, r: float, theta_hi: float) -> float:
-        k = int(self.strip_index(r))
-        P = 2.0 * math.pi * self.params.lam ** k
-        panels = self._panels_per_period()
-
-        def block(b, n):
-            return float(_gl_composite(lambda th: integrand(np.full_like(th[0], r), th[0]),
-                                       [b], n)[0])
-
-        n_full = int(math.floor(theta_hi / P + 1e-12))
-        rem = max(theta_hi - n_full * P, 0.0)
-        per = block(P, panels) if n_full else 0.0
-        tail = block(rem, max(2, int(math.ceil(panels * rem / P)))) if rem > 1e-15 else 0.0
-        return n_full * per + tail
-
-    def section_length(self, r: float) -> float:
-        """Circumference of the section circle at radius r."""
-        if r <= 0.0:
-            return 0.0
-
-        def speed(rr, th):
-            _, ptheta, _, _ = self._strip_data(rr, th)
-            return np.sqrt(rr ** 2 + ptheta ** 2)
-
-        return self._periodized_theta_integral(speed, float(r), 2.0 * math.pi)
+    def _area_density(self, theta, r):
+        _, pt, pr, _ = self._blend(theta, r)
+        return np.sqrt(r ** 2 + pt ** 2 + (r * pr) ** 2)
 
     def annulus_area(self, k: int) -> tuple[float, float]:
         """Area over annulus k, with its derived upper bound."""
         p = self.params
-        r_out, r_in = p.a ** k, p.a ** (k + 1)
-
-        def density_row(r: float) -> float:
-            def dens(rr, th):
-                _, ptheta, pr, _ = self._strip_data(rr, th)
-                return np.sqrt(rr ** 2 + ptheta ** 2 + (rr * pr) ** 2)
-
-            return self._periodized_theta_integral(dens, r, 2.0 * math.pi)
-
-        nodes, weights = gauss_rule(12)
-        panels = 8
-        edges = np.linspace(r_in, r_out, panels + 1)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            for node, wt in zip(nodes, weights):
-                total += half * wt * density_row(float(mid + half * node))
+        r_out, r_in = float(self._ladder[k]), float(self._ladder[k + 1])
+        area = self._y_composite(r_in, r_out, 8)
         if p.h == 0.0:
             ptheta_max = 0.0
         else:
@@ -896,57 +865,30 @@ class CylindricalModel:
         bound = 2.0 * math.pi * (r_out - r_in) * math.sqrt(
             r_out ** 2 + ptheta_max ** 2 + rpr_max ** 2
         )
-        return total, bound
+        return area, bound
 
-    def omega_surface_coeffs(self, r: float, theta: float) -> tuple[float, float]:
-        """Frame coefficients of the form at the surface point (polar frame)."""
-        L = self.section_length(r)
-
-        def speed(rr, th):
-            _, ptheta, _, _ = self._strip_data(rr, th)
-            return np.sqrt(rr ** 2 + ptheta ** 2)
-
-        Lrt = self._periodized_theta_integral(speed, r, theta)
-        dr = 1e-7 * max(r, 1e-6)
-        # keep the difference stencil inside one strip: mixing strips mixes
-        # quadrature panelizations and their independent errors blow up /dr
-        k = int(self.strip_index(r))
-        r_out, r_in = float(self._r_table[k]), float(self._r_table[k + 1])
-        r_eval = min(max(r, r_in + 4 * dr), r_out - 4 * dr)
-        dL = (self.section_length(r_eval + dr) - self.section_length(r_eval - dr)) / (2 * dr)
-        dLrt = (
-            self._periodized_theta_integral(speed, r_eval + dr, theta)
-            - self._periodized_theta_integral(speed, r_eval - dr, theta)
-        ) / (2 * dr)
-        Yterm = (L * dLrt - Lrt * dL) / (L * L)
-        _, ptheta, pr, _ = (float(v) for v in self._strip_data(r, theta))
-        n1 = math.sqrt(1.0 + (ptheta / r) ** 2)
-        n2 = math.sqrt(1.0 + (ptheta / r) ** 2 + pr ** 2)
-        c1 = 1.0 / L * 1.0  # pairing with tau1 (angular direction)
-        c2 = -(ptheta / r) * pr / (L * n2) + Yterm * n1 / n2
-        return c1, c2
+    def omega_surface_coeffs(self, r, theta):
+        """Frame coefficients (c1, c2) of the form at the surface points over (r, theta), r > 0."""
+        r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+        shape = r.shape
+        r, theta = r.ravel(), theta.ravel()
+        _, pt, pr, _ = self._blend(theta, r)
+        c1, c2 = self._frame_coeffs(theta, r, pt / r, pr)
+        return c1.reshape(shape), c2.reshape(shape)
 
     def sup_omega_on_circle(self, k: int, samples: int = 64) -> float:
-        r = float(self._r_table[k])
-        P = 2.0 * math.pi * self.params.lam ** k
-        best = 0.0
-        for theta in np.linspace(0.0, P, samples, endpoint=False):
-            c1, c2 = self.omega_surface_coeffs(r, float(theta))
-            best = max(best, math.hypot(c1, c2))
-        return best
+        """sup over theta of |omega| on the circle r = r_k, by one-period sampling."""
+        thetas = np.linspace(0.0, self._x_period(k), samples, endpoint=False)
+        c1, c2 = self.omega_surface_coeffs(self._ladder[k], thetas)
+        return float(np.hypot(c1, c2).max())
 
     def boundary_circulation(self) -> float:
         """Circulation of the form around the positively oriented unit circle."""
-        def integrand(rr, th):
-            out = np.empty_like(th)
-            for i, t in enumerate(np.atleast_1d(th)):
-                c1, _ = self.omega_surface_coeffs(1.0, float(t))
-                _, ptheta, _, _ = (float(v) for v in self._strip_data(1.0, t))
-                # tangent to the lifted circle: speed sqrt(r^2 + ptheta^2)
-                out[i] = c1 * math.sqrt(1.0 + ptheta ** 2)
-            return out
+        def integrand(theta, r):
+            # c1 pairs with the unit tangent of the lifted circle
+            return self.omega_surface_coeffs(r, theta)[0] * self._speed(theta, r)
 
-        return self._periodized_theta_integral(integrand, 1.0, 2.0 * math.pi)
+        return float(self._row_integrals(integrand, 1.0, 2.0 * math.pi)[0])
 
 
 def cylindrical_variant(params: Optional[Params] = None) -> CylindricalModel:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stokeslab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_UNDECIDED, EXIT_USAGE, main
 
 
@@ -158,6 +160,8 @@ def test_stalled_quadrature_is_a_resource_exit(tmp_path):
         "exceptional_set": {"kind": "point", "at": [0.5, 0.5, 0.25]},
     })
     assert main(["minkowski", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RESOURCE
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "resource"
 
 
 def test_eta_above_cube_regularity_is_refused(tmp_path, capsys):
@@ -169,3 +173,23 @@ def test_eta_above_cube_regularity_is_refused(tmp_path, capsys):
     })
     assert main(["cousin", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert "not below the cube regularity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("current, form", [("unit_square", "xz_dy"), ("parabolic_graph", "x_dy")])
+def test_form_and_current_dimensions_must_agree(tmp_path, capsys, current, form):
+    # a 3-dimensional form on a planar current used to end in an IndexError (exit 1)
+    cfg = _write_config(tmp_path, "d.json", {"current": {"kind": current}, "form": {"kind": form}})
+    assert main(["stokes", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "the current in R^" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stokes", "counterexample"])
+def test_refused_parameters_exit_alike_in_every_subcommand(tmp_path, command):
+    # h * a / lambda = 1.2 breaks the area condition; stokes used to exit 64
+    cfg = _write_config(tmp_path, "a.json", {
+        "current": {"kind": "counterexample", "a": 0.9},
+        "form": {"kind": "counterexample_omega"},
+    })
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_UNDECIDED
+    assert json.loads((out / "report.json").read_text())["status"] == "refused"

@@ -1,9 +1,13 @@
+import functools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from stokeslab.cli import EXIT_OK, main
 from stokeslab.counterexample import (
+    CylindricalModel,
     Params,
     ParamsError,
     SurfaceModel,
@@ -368,7 +372,7 @@ def _ref_curl_points(model, n_points, rng, max_strip=10):
     """The sample points of the per-point curl loop, in its draw order."""
     points = []
     while len(points) < n_points:
-        y = rng.uniform(0.0, model._y_table[min(max_strip, model.k_cut)])
+        y = rng.uniform(0.0, model._ladder[min(max_strip, model.k_cut)])
         k = int(model.strip_index(y))
         step = 5e-6 * model.params.lam ** k
         y0, y1 = model.strip_bounds_y(k)
@@ -379,7 +383,7 @@ def _ref_curl_points(model, n_points, rng, max_strip=10):
 
 
 def _strip_points(rng, per_strip=3):
-    ys = np.concatenate([rng.uniform(MODEL._y_table[k], MODEL._y_table[k + 1], per_strip)
+    ys = np.concatenate([rng.uniform(MODEL._ladder[k], MODEL._ladder[k + 1], per_strip)
                          for k in range(0, 11)])
     return rng.uniform(0.0, math.pi, len(ys)), ys
 
@@ -436,7 +440,7 @@ def test_batched_omega_matches_per_point_reference():
 
 def test_batched_sup_omega_matches_per_point_reference():
     for k in range(1, 11):
-        y = float(MODEL._y_table[k])
+        y = float(MODEL._ladder[k])
         P = MODEL._x_period(int(MODEL.strip_index(y)))
         xs = np.linspace(0.0, min(P, math.pi), 64, endpoint=False)
         ref = max(float(np.linalg.norm(_ref_omega_at_surface(MODEL, float(x), y))) for x in xs)
@@ -649,3 +653,121 @@ def test_cylindrical_annulus_areas_summable(cyl):
     p = PARAMS
     ratio = p.a * p.h / p.lam
     assert ratio < 1.0
+
+
+def test_cylindrical_strip_k_holds_its_outer_circle(cyl):
+    # annulus k is (r_{k+1}, r_k]
+    ks = np.arange(cyl.K_TABLE)
+    radii = cyl._ladder
+    assert np.array_equal(cyl.strip_index(radii[:-1]), ks)
+    assert np.array_equal(cyl.strip_index(0.5 * (radii[:-1] + radii[1:])), ks)
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_polar_blend(model, r):
+    """The annulus k that holds r, the blend weight of f_{k+1} and its r-derivative."""
+    p = model.params
+    k = next(j for j in range(model.K_TABLE) if p.a ** (j + 1) < r <= p.a ** j)
+    r_out, r_in = p.a ** k, p.a ** (k + 1)
+    s = (r_out - r) / (r_out - r_in)
+    return k, float(model.transition(s)), -float(model.transition.derivative(s)) / (r_out - r_in)
+
+
+def _ref_polar_slopes(model, theta, r):
+    """p_theta, its r-derivative and p_r at one point."""
+    p = model.params
+    k, w, dw = _ref_polar_blend(model, r)
+
+    def f(j):
+        return (p.h ** j if j else 0.0) * math.sin(theta / p.lam ** j)
+
+    def g(j):
+        return (p.h ** j if j else 0.0) / p.lam ** j * math.cos(theta / p.lam ** j)
+
+    return (1.0 - w) * g(k) + w * g(k + 1), dw * (g(k + 1) - g(k)), dw * (f(k + 1) - f(k))
+
+
+def _ref_polar_integrand(model, dr):
+    """The speed sqrt(r^2 + p_theta^2) of a circle, or its r-derivative, point by point."""
+    def f(thetas, rs):
+        out = []
+        for theta, r in zip(thetas, rs):
+            pt, ptr, _ = _ref_polar_slopes(model, float(theta), float(r))
+            speed = math.sqrt(r * r + pt * pt)
+            out.append((r + pt * ptr) / speed if dr else speed)
+        return np.array(out)
+
+    return f
+
+
+def _ref_polar_coeffs(model, theta, r, lengths):
+    """(c1, c2) at one point from its lengths L, dL/dr, L(theta), dL(theta)/dr."""
+    L, dL, Lrt, dLrt = lengths
+    pt, _, pr = _ref_polar_slopes(model, theta, r)
+    n1 = math.sqrt(1.0 + (pt / r) ** 2)
+    n2 = math.sqrt(1.0 + (pt / r) ** 2 + pr ** 2)
+    Y = (L * dLrt - Lrt * dL) / (L * L)
+    return 1.0 / L, -(pt / r) * pr / (L * n2) + Y * n1 / n2
+
+
+def test_polar_rows_and_form_match_per_point_reference(cyl):
+    rng = np.random.default_rng(21)
+    rs = np.concatenate([rng.uniform(cyl._ladder[k + 1], cyl._ladder[k], 2) for k in range(10)])
+    # the outer circles of the annuli, where the blend starts
+    rs = np.concatenate([rs, cyl._ladder[1:5]])
+    thetas = rng.uniform(0.0, 2.0 * math.pi, len(rs))
+    speed, dr_speed = _ref_polar_integrand(cyl, False), _ref_polar_integrand(cyl, True)
+    two_pi = 2.0 * math.pi
+    ref = np.array([(_ref_row(cyl, speed, r, two_pi, scale=2), _ref_row(cyl, dr_speed, r, two_pi),
+                     _ref_row(cyl, speed, r, t), _ref_row(cyl, dr_speed, r, t))
+                    for t, r in zip(thetas, rs)])
+    np.testing.assert_allclose(np.stack(cyl._lengths_at(thetas, rs), axis=1), ref,
+                               rtol=REL, atol=0.0)
+    ref_c = np.array([_ref_polar_coeffs(cyl, t, r, row) for t, r, row in zip(thetas, rs, ref)])
+    c = np.stack(cyl.omega_surface_coeffs(rs, thetas), axis=1)
+    # relative to the size of each covector: c2 can cancel to ~0
+    assert np.all(np.abs(c - ref_c) <= REL * np.abs(ref_c).max(axis=1, keepdims=True))
+
+
+def test_polar_dl_dr_is_the_derivative_of_the_section_length(cyl):
+    # mid-annulus, where the blend moves fastest.  Within one annulus the rule
+    # keeps its theta nodes, so the r-derivative of the rule's L is the rule
+    # applied to the exact d/dr of the speed, up to the difference error.
+    for k in range(1, 7):
+        r = 0.5 * (cyl._ladder[k] + cyl._ladder[k + 1])
+        step = 1e-7 * r
+        _, dL, _, _ = cyl._lengths_at(np.array([0.0]), np.array([r]))
+        L_hi, L_lo = cyl._row_integrals(cyl._speed, [r + step, r - step], 2.0 * math.pi)
+        assert dL[0] == pytest.approx((L_hi - L_lo) / (2.0 * step), rel=1e-8)
+
+
+# The {"cylindrical": true, "n_strips": 8} report before the polar surface
+# moved onto the shared strip model.  Circulation and areas are unchanged to
+# rounding.  sup_omega is taken on the circles r = r_k, which the old code
+# put in annulus k-1 and integrated on that annulus's 4x coarser theta rule:
+# off by up to 7.6e-7 against a rule with 8x the panels, where the values now
+# are within 1.4e-8 of it.
+CYLINDRICAL_AREAS = [3.9948916909876067, 1.4002711914304256, 0.5532687149967898,
+                     0.2427271840547356, 0.10775837118975787, 0.04788838740260828,
+                     0.021283587260145925, 0.009459367695267836]
+CYLINDRICAL_SUP_OMEGA = [0.17052786963992964, 0.1393628370989052, 0.10539101754995372,
+                         0.07909713809527717, 0.059325951560492966, 0.04449461852198992,
+                         0.0333709711927357]
+
+
+def test_cylindrical_report_is_pinned(tmp_path):
+    cfg = tmp_path / "cyl.json"
+    cfg.write_text(json.dumps({"cylindrical": True, "n_strips": 8}))
+    assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert abs(report["circulation"] - 1.0) <= 1e-12
+    areas = [row["area"] for row in report["annulus_areas"]]
+    sups = [row["sup_omega"] for row in report["sup_omega_per_circle"]]
+    np.testing.assert_allclose(areas, CYLINDRICAL_AREAS, rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(sups, CYLINDRICAL_SUP_OMEGA, rtol=1e-6, atol=0.0)
+
+
+def test_cylindrical_sup_omega_is_converged_on_its_circle(cyl):
+    finer = CylindricalModel(PARAMS, panels_per_osc=32)
+    for k in range(1, 8):
+        assert cyl.sup_omega_on_circle(k) == pytest.approx(finer.sup_omega_on_circle(k), rel=1e-7)
