@@ -20,6 +20,8 @@ from .quadrature import integrate_1d, integrate_2d
 __all__ = ["CertificateReport", "check_family"]
 
 _CHECK_ORDER = 10  # builder integrates at order 12; the checker re-derives at 10
+_OVERLAP_BLOCK_ROWS = 128  # footprint rows tested against all others at once
+_MAX_OVERLAPS = 8  # ordered overlapping pairs examined before the check stops
 
 
 @dataclass
@@ -116,6 +118,28 @@ def _tag_in_support(piece, tag: np.ndarray) -> bool:
     return False
 
 
+def _overlapping_pairs(boxes) -> list[tuple[int, int]]:
+    """The first _MAX_OVERLAPS ordered pairs i != j of overlapping footprints.
+
+    Pairs come in row-major order, both (i, j) and (j, i); the test runs
+    _OVERLAP_BLOCK_ROWS rows at a time, so memory stays O(block * n).
+    """
+    arr = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    x0, x1, y0, y1 = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    pairs: list[tuple[int, int]] = []
+    for r0 in range(0, len(arr), _OVERLAP_BLOCK_ROWS):
+        rows = slice(r0, r0 + _OVERLAP_BLOCK_ROWS)
+        ox = np.minimum(x1[rows, None], x1[None, :]) - np.maximum(x0[rows, None], x0[None, :])
+        oy = np.minimum(y1[rows, None], y1[None, :]) - np.maximum(y0[rows, None], y0[None, :])
+        overlap = (ox > 1e-12) & (oy > 1e-12)
+        band = np.arange(len(overlap))
+        overlap[band, r0 + band] = False
+        pairs.extend((r0 + int(i), int(j)) for i, j in np.argwhere(overlap))
+        if len(pairs) >= _MAX_OVERLAPS:
+            break
+    return pairs[:_MAX_OVERLAPS]
+
+
 def check_family(family, delta, eta, G=None) -> CertificateReport:
     """Re-verify fineness, regularity, nonoverlap, tags, and fullness."""
     report = CertificateReport(passed=True, pieces=len(family.pairs))
@@ -157,17 +181,9 @@ def check_family(family, delta, eta, G=None) -> CertificateReport:
         boxes.append(_footprint(piece))
 
     # pairwise nonoverlap of parameter-domain footprints
-    if boxes:
-        arr = np.asarray(boxes)
-        x0, x1, y0, y1 = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-        ox = np.minimum(x1[:, None], x1[None, :]) - np.maximum(x0[:, None], x0[None, :])
-        oy = np.minimum(y1[:, None], y1[None, :]) - np.maximum(y0[:, None], y0[None, :])
-        overlap = (ox > 1e-12) & (oy > 1e-12)
-        np.fill_diagonal(overlap, False)
-        bad = np.argwhere(overlap)
-        for i, j in bad[: 8]:
-            if i < j:
-                report.add(f"pieces {i} and {j}: interiors overlap")
+    for i, j in _overlapping_pairs(boxes):
+        if i < j:
+            report.add(f"pieces {i} and {j}: interiors overlap")
 
     # fullness re-check
     if G is not None:

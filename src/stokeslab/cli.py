@@ -4,7 +4,7 @@ Each run is a pure function of its JSON config (plus --seed/--tol/--out
 overrides) and writes report.json and CSV tables to the output directory.
 
 Exit codes: 0 identity holds / all checks pass, 1 fails, 2 undecided or
-refused, 3 resource exhausted, 64 usage error.
+refused, 3 resource exhausted, 64 usage error, 70 internal error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_UNDECIDED = 2
 EXIT_RESOURCE = 3
-EXIT_USAGE = 64
+EXIT_USAGE = 64  # EX_USAGE
+EXIT_INTERNAL = 70  # EX_SOFTWARE: an unexpected exception, never reported as 1
 
 
 class UsageError(ValueError):
@@ -101,6 +102,8 @@ def _params_from(desc: dict):
     a = float(desc.get("a", 1.0 / 3.0))
     h = float(desc.get("h", 1.0 / 3.0))
     lam_inv = int(desc.get("lambda_inverse", 4))
+    if lam_inv < 1:
+        raise ParamsError("lambda_inverse must be a positive integer")
     return Params(a=a, h=h, lam=1.0 / lam_inv)
 
 
@@ -373,6 +376,9 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, ValueError) as exc:  # UsageError among them
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _stopped(config: dict, status: str, exc: Exception, code: int) -> int:

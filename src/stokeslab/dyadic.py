@@ -330,25 +330,27 @@ class CubeSet:
         return CubeSet(self.root, tuple(picked))
 
     def difference(self, other: "CubeSet") -> "CubeSet":
+        """Set difference in O((|self| + 2^m |other|) * G), G the finest generation."""
         self._check_grid(other)
         removed = {q.key() for q in other.cubes}
-        max_gen = max((q.generation for q in other.cubes), default=0)
+        # a kept cube must split iff some removed cube lies strictly inside it
+        split = {q.ancestor_key(g) for q in other.cubes for g in range(q.generation)}
         out: list[DyadicCube] = []
 
         def push(q: DyadicCube):
-            if any(q.ancestor_key(g) in removed for g in range(q.generation + 1)):
+            # q's strict ancestors are already known not to be removed
+            key = q.key()
+            if key in removed:
                 return
-            if q.generation >= max_gen or not any(
-                o.generation > q.generation and o.ancestor_key(q.generation) == q.key()
-                for o in other.cubes
-            ):
+            if key not in split:
                 out.append(q)
                 return
             for child in q.subdivide():
                 push(child)
 
         for q in self.cubes:
-            push(q)
+            if not any(q.ancestor_key(g) in removed for g in range(q.generation)):
+                push(q)
         return CubeSet(self.root, tuple(out))
 
     def restrict_half_space(self, axis: int, threshold: float, keep_below: bool,

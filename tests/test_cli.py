@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from stokeslab.cli import EXIT_OK, EXIT_RESOURCE, EXIT_UNDECIDED, EXIT_USAGE, main
+from stokeslab import cli
+from stokeslab.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_UNDECIDED, EXIT_USAGE, main
 
 
 def _write_config(tmp_path, name, payload):
@@ -193,3 +194,25 @@ def test_refused_parameters_exit_alike_in_every_subcommand(tmp_path, command):
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_UNDECIDED
     assert json.loads((out / "report.json").read_text())["status"] == "refused"
+
+
+@pytest.mark.parametrize("command", ["stokes", "counterexample"])
+def test_zero_lambda_inverse_is_refused(tmp_path, command):
+    # 1 / lambda_inverse used to raise ZeroDivisionError before Params saw it (exit 1)
+    cfg = _write_config(tmp_path, "z.json", {
+        "current": {"kind": "counterexample", "lambda_inverse": 0},
+        "form": {"kind": "counterexample_omega"},
+    })
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_UNDECIDED
+    assert json.loads((out / "report.json").read_text())["status"] == "refused"
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "slice", (broken, "always raises"))
+    assert main(["slice", "--out", str(tmp_path / "out")]) == EXIT_INTERNAL == 70
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
