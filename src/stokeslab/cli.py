@@ -58,13 +58,23 @@ def _load_config(args) -> dict:
     return config
 
 
+def _integer(desc: dict, key: str, default: int) -> int:
+    """desc[key] as an int; a fractional or non-numeric value is a usage error."""
+    value = desc.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise UsageError(f"{key} must be an integer, not {value!r}")
+
+
 def _build_current(desc: dict):
     from .counterexample import Params, build_surface_current
     from .currents import ChartCurrent, ChartMap, Rect, TopDimCurrent
     from .dyadic import CubeSet, RootBox
 
     kind = desc.get("kind", "unit_square")
-    theta = int(desc.get("theta", 1))
+    theta = _integer(desc, "theta", 1)
     if kind == "unit_square":
         return TopDimCurrent(CubeSet.whole(RootBox((0.0, 0.0), 1.0)), theta)
     if kind == "cube_set":
@@ -101,7 +111,7 @@ def _params_from(desc: dict):
 
     a = float(desc.get("a", 1.0 / 3.0))
     h = float(desc.get("h", 1.0 / 3.0))
-    lam_inv = int(desc.get("lambda_inverse", 4))
+    lam_inv = _integer(desc, "lambda_inverse", 4)
     if lam_inv < 1:
         raise ParamsError("lambda_inverse must be a positive integer")
     return Params(a=a, h=h, lam=1.0 / lam_inv)
@@ -239,13 +249,13 @@ def run_counterexample(config: dict) -> int:
     if config.get("cylindrical", False):
         model = cylindrical_variant(params)
         areas = [dict(zip(("area", "bound"), model.annulus_area(k))) | {"k": k}
-                 for k in range(0, int(config.get("n_strips", 8)))]
+                 for k in range(0, _integer(config, "n_strips", 8))]
         payload = {
             "status": "experimental",
             "circulation": model.boundary_circulation(),
             "sup_omega_per_circle": [
                 {"k": k, "sup_omega": model.sup_omega_on_circle(k)}
-                for k in range(1, int(config.get("n_strips", 8)))
+                for k in range(1, _integer(config, "n_strips", 8))
             ],
             "annulus_areas": areas,
         }
@@ -254,11 +264,11 @@ def run_counterexample(config: dict) -> int:
         return EXIT_OK
     report = verify_failure(
         params,
-        n_tangent_samples=int(config.get("n_tangent_samples", 400)),
-        n_strips=int(config.get("n_strips", 12)),
-        seed=int(config.get("seed", 0)),
+        n_tangent_samples=_integer(config, "n_tangent_samples", 400),
+        n_strips=_integer(config, "n_strips", 12),
+        seed=_integer(config, "seed", 0),
         tail_cut=float(config.get("tail_cut", 1e-12)),
-        panels_per_osc=int(config.get("panels_per_osc", 8)),
+        panels_per_osc=_integer(config, "panels_per_osc", 8),
     )
     reports.write_json(out / "report.json", report)
     reports.write_csv(out / "strips.csv", report["strip_areas"],
@@ -283,7 +293,7 @@ def run_minkowski(config: dict) -> int:
     grid = config.get("grid", {})
     r0 = float(grid.get("r0", 0.2))
     q = float(grid.get("q", 0.7))
-    steps = int(grid.get("steps", 12))
+    steps = _integer(grid, "steps", 12)
     evidence = minkowski.excisability_evidence(T, E, r0, q, steps)
     reports.write_json(out / "report.json", evidence.as_dict())
     if evidence.profile is not None:
@@ -307,7 +317,7 @@ def run_slice(config: dict) -> int:
     grid = config.get("grid", {})
     r_min = float(grid.get("r_min", 0.02))
     r_max = float(grid.get("r_max", 0.7))
-    steps = int(grid.get("steps", 24))
+    steps = _integer(grid, "steps", 24)
     radii = np.linspace(r_min, r_max, steps)
     result = coarea_slice_check(T, E, radii)
     reports.slice_table_to_csv(result["radii"], result["slice_masses"], out / "slices.csv")
@@ -331,7 +341,7 @@ def run_saks_henstock(config: dict) -> int:
         return c0 + cx * pts[:, 0] + cy * pts[:, 1] + cxx * pts[:, 0] ** 2
 
     eps1 = float(config.get("eps1", 1e-4))
-    j_hi = int(config.get("max_j", 6))
+    j_hi = _integer(config, "max_j", 6)
     result = integration.saks_henstock_test(f, T, eps1, j_range=range(0, j_hi + 1))
     reports.error_curve_to_csv(result["curve"], out / "curve.csv")
     reports.write_json(out / "report.json", result)

@@ -158,7 +158,7 @@ def _summed(results, factor: float = 1.0) -> QuadResult:
         total += res.value
         err += res.error
         panels += res.panels
-    return QuadResult(factor * total, abs(factor) * err, panels)
+    return QuadResult(total, err, panels).scaled(factor)
 
 
 def _rects(domain) -> list[Rect]:
@@ -431,7 +431,7 @@ class TopDimCurrent(Current):
 
     def neighborhood_mass(self, E: ExceptionalSet, r: float) -> QuadResult:
         res = _cube_region_measure_in_ball(self.region, E, r)
-        return QuadResult(abs(self.theta) * res.value, abs(self.theta) * res.error, res.panels)
+        return res.scaled(abs(self.theta))
 
     def support_samples(self, n: int, rng) -> np.ndarray:
         cubes = self.region.cubes
@@ -478,7 +478,7 @@ class TopDimCurrent(Current):
     def tangent_integral(self, zeta, tol: float) -> QuadResult:
         res = TopDimCurrent(self.region, 1).scalar_integral(
             lambda pts: np.array([zeta(p).coeffs[0] for p in pts]), tol)
-        return QuadResult(self.theta * res.value, abs(self.theta) * res.error, res.panels)
+        return res.scaled(self.theta)
 
     def square_at(self, u, side: float):
         root = RootBox((u[0] - side / 2.0, u[1] - side / 2.0), side)
@@ -677,7 +677,7 @@ class SurfaceCurrent(Current):
 
     def mass(self) -> QuadResult:
         res = self.model.mass_between(self.y_lo, self.y_hi)
-        return QuadResult(abs(self.theta) * res.value, abs(self.theta) * res.error, res.panels)
+        return res.scaled(abs(self.theta))
 
     def boundary_mass(self) -> QuadResult:
         bottom = self.model.section_length(self.y_lo)
@@ -742,7 +742,7 @@ class SurfaceCurrent(Current):
         y = self.model.y_infinity - rr
         L = self.model.section_length(y)
         return Slice(self.descriptor(), E, rr, r,
-                     QuadResult(abs(self.theta) * L.value, abs(self.theta) * L.error, L.panels),
+                     L.scaled(abs(self.theta)),
                      (("section", y),))
 
     def neighborhood_mass(self, E: ExceptionalSet, r: float) -> QuadResult:
@@ -750,7 +750,7 @@ class SurfaceCurrent(Current):
             raise ValueError("surface neighbourhood masses are implemented for the singular set")
         y_from = max(self.y_lo, self.model.y_infinity - r)
         res = self.model.mass_between(y_from, self.y_hi)
-        return QuadResult(abs(self.theta) * res.value, abs(self.theta) * res.error, res.panels)
+        return res.scaled(abs(self.theta))
 
     def support_clearance(self, E: ExceptionalSet) -> Optional[float]:
         return self.model.y_infinity - self.y_hi if self.is_singular_set(E) else None

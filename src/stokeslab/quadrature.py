@@ -1,14 +1,17 @@
 """Adaptive Gauss-Legendre quadrature with estimated absolute errors.
 
 Integrands receive numpy arrays of sample points and must return arrays of
-values.  Panel errors are estimated by comparing each panel against its
-refinement into halves (1-D) or quadrants (2-D); panels with the largest
-estimated error are split first.
+values.  One kernel serves intervals and rectangles.  A panel's error is
+estimated as |fine - coarse|: its Gauss value against the sum of those of its
+2**d children, the halves (1-D) or quadrants (2-D).  Panels with the largest
+estimated error are split first.  Each panel is evaluated once: a split
+reuses the children's values, taken for the estimate, as their coarse values.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +40,10 @@ class QuadResult:
     def __float__(self):
         return self.value
 
+    def scaled(self, factor: float) -> "QuadResult":
+        """This result times factor: the value scales by factor, the error by |factor|."""
+        return QuadResult(factor * self.value, abs(factor) * self.error, self.panels)
+
 
 @lru_cache(maxsize=None)
 def gauss_rule(order: int):
@@ -61,110 +68,82 @@ def composite_nodes(lo, hi, panels: int, order: int = 12):
     return mids[..., None] + halves[..., None] * nodes, halves
 
 
-def _panel_1d(f, a, b, nodes, weights):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(weights, f(mid + half * nodes)))
+@lru_cache(maxsize=None)
+def _unit_nodes(order: int, d: int):
+    """The order**d tensor Gauss nodes on [-1, 1]^d, one flat array per axis, x-major."""
+    nodes, _ = gauss_rule(order)
+    return tuple(u.ravel() for u in np.meshgrid(*[nodes] * d, indexing="ij"))
 
 
-def integrate_1d(f, a: float, b: float, tol: float = 1e-10, order: int = 12,
-                 max_panels: int = 4096, min_panels: int = 1) -> QuadResult:
-    """Adaptive integral of a vectorized scalar function over [a, b]."""
-    if a == b:
-        return QuadResult(0.0, 0.0, 0)
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
-    nodes, weights = gauss_rule(order)
-
-    def refine(lo, hi):
+def _children(box):
+    """The 2**d halves of a box, x-major."""
+    halves = []
+    for lo, hi in box:
         mid = 0.5 * (lo + hi)
-        coarse = _panel_1d(f, lo, hi, nodes, weights)
-        left = _panel_1d(f, lo, mid, nodes, weights)
-        right = _panel_1d(f, mid, hi, nodes, weights)
-        fine = left + right
-        return fine, abs(fine - coarse)
+        halves.append(((lo, mid), (mid, hi)))
+    return itertools.product(*halves)
 
-    heap = []
-    count = 0
-    width = (b - a) / min_panels
-    for i in range(min_panels):
-        lo = a + i * width
-        hi = b if i == min_panels - 1 else lo + width
-        val, err = refine(lo, hi)
-        heapq.heappush(heap, (-err, count, lo, hi, val))
-        count += 1
 
+def _adaptive(f, box, tol: float, order: int, max_panels: int) -> QuadResult:
+    """Adaptive integral of f over a box ((lo, hi),) or ((x0, x1), (y0, y1))."""
+    d = len(box)
+    if any(lo == hi for lo, hi in box):
+        return QuadResult(0.0, 0.0, 0)
+    unit = _unit_nodes(order, d)
+    _, weights = gauss_rule(order)
+    shape = (order,) * d
+
+    def gauss(panel):
+        points, scale = [], 1
+        for (lo, hi), u in zip(panel, unit):
+            half = 0.5 * (hi - lo)
+            points.append(0.5 * (lo + hi) + half * u)
+            scale *= half
+        vals = np.asarray(f(*points)).reshape(shape)
+        for _ in range(d):
+            vals = weights @ vals
+        return scale * float(vals)
+
+    heap, tick = [], itertools.count()
+
+    def push(panel, coarse):
+        # the children's values give this panel's estimate now and serve as
+        # their own coarse values once it is split
+        kids = [(child, gauss(child)) for child in _children(panel)]
+        fine = kids[0][1]
+        for _, value in kids[1:]:
+            fine += value
+        heapq.heappush(heap, (-abs(fine - coarse), next(tick), fine, kids))
+
+    push(box, gauss(box))
     while True:
         total_err = -sum(item[0] for item in heap)
         if total_err <= tol:
-            value = sign * sum(item[4] for item in heap)
-            return QuadResult(value, total_err, len(heap))
+            return QuadResult(sum(item[2] for item in heap), total_err, len(heap))
         if len(heap) >= max_panels:
             raise QuadratureError(
-                f"1-D quadrature stalled at {len(heap)} panels with error {total_err:.3e} > tol {tol:.3e}"
+                f"{d}-D quadrature stalled at {len(heap)} panels with error {total_err:.3e} > tol {tol:.3e}"
             )
-        _, _, lo, hi, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for (l2, h2) in ((lo, mid), (mid, hi)):
-            val, err = refine(l2, h2)
-            heapq.heappush(heap, (-err, count, l2, h2, val))
-            count += 1
+        for child, coarse in heapq.heappop(heap)[3]:
+            push(child, coarse)
 
 
-def _panel_2d(f, x0, x1, y0, y1, nodes, weights):
-    mx, hx = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-    my, hy = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
-    xs = mx + hx * nodes
-    ys = my + hy * nodes
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = f(X.ravel(), Y.ravel()).reshape(X.shape)
-    return hx * hy * float(weights @ vals @ weights)
+def integrate_1d(f, a: float, b: float, tol: float = 1e-10, order: int = 12,
+                 max_panels: int = 4096) -> QuadResult:
+    """Adaptive integral of a vectorized scalar function over [a, b]."""
+    if b < a:
+        return _adaptive(f, ((b, a),), tol, order, max_panels).scaled(-1.0)
+    return _adaptive(f, ((a, b),), tol, order, max_panels)
 
 
 def integrate_2d(f, x0: float, x1: float, y0: float, y1: float, tol: float = 1e-10,
-                 order: int = 12, max_panels: int = 4096,
-                 min_cells: tuple[int, int] = (1, 1)) -> QuadResult:
+                 order: int = 12, max_panels: int = 4096) -> QuadResult:
     """Adaptive tensor-product integral of f(x, y) over a rectangle.
 
     ``f`` maps flat coordinate arrays to a flat array of values.
     """
-    if x0 == x1 or y0 == y1:
-        return QuadResult(0.0, 0.0, 0)
-    nodes, weights = gauss_rule(order)
-
-    def refine(a, b, c, d):
-        coarse = _panel_2d(f, a, b, c, d, nodes, weights)
-        mx, my = 0.5 * (a + b), 0.5 * (c + d)
-        fine = 0.0
-        for (p, q) in ((a, mx), (mx, b)):
-            for (r, s) in ((c, my), (my, d)):
-                fine += _panel_2d(f, p, q, r, s, nodes, weights)
-        return fine, abs(fine - coarse)
-
-    heap = []
-    count = 0
-    nx, ny = min_cells
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    for i in range(nx):
-        for j in range(ny):
-            val, err = refine(xs[i], xs[i + 1], ys[j], ys[j + 1])
-            heapq.heappush(heap, (-err, count, xs[i], xs[i + 1], ys[j], ys[j + 1], val))
-            count += 1
-
-    while True:
-        total_err = -sum(item[0] for item in heap)
-        if total_err <= tol:
-            return QuadResult(sum(item[6] for item in heap), total_err, len(heap))
-        if len(heap) >= max_panels:
-            raise QuadratureError(
-                f"2-D quadrature stalled at {len(heap)} panels with error {total_err:.3e} > tol {tol:.3e}"
-            )
-        _, _, a, b, c, d, _ = heapq.heappop(heap)
-        mx, my = 0.5 * (a + b), 0.5 * (c + d)
-        for (p, q) in ((a, mx), (mx, b)):
-            for (r, s) in ((c, my), (my, d)):
-                val, err = refine(p, q, r, s)
-                heapq.heappush(heap, (-err, count, p, q, r, s, val))
-                count += 1
-
+    # numpy corners keep every 2-D panel value a numpy float, so the heap
+    # sums stay plain left-to-right sums on every Python version (3.12's
+    # sum() compensates built-in floats only)
+    box = ((np.float64(x0), np.float64(x1)), (np.float64(y0), np.float64(y1)))
+    return _adaptive(f, box, tol, order, max_panels)

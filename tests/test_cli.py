@@ -216,3 +216,22 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys
     assert main(["slice", "--out", str(tmp_path / "out")]) == EXIT_INTERNAL == 70
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("counterexample", {"current": {"kind": "counterexample", "lambda_inverse": 4.5}},
+     "lambda_inverse"),
+    ("saks-henstock", {"current": {"kind": "unit_square"}, "max_j": 2.5}, "max_j"),
+])
+def test_fractional_integer_value_is_usage_error(tmp_path, capsys, command, payload, key):
+    # int() used to truncate: lambda_inverse 4.5 ran as lambda = 1/4 (exit 0)
+    cfg = _write_config(tmp_path, "f.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_is_accepted_as_integer(tmp_path):
+    cfg = _write_config(tmp_path, "i.json", {"current": {"kind": "unit_square"}, "max_j": 2.0})
+    assert main(["saks-henstock", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    curve = json.loads((tmp_path / "out" / "report.json").read_text())["curve"]
+    assert [row["j"] for row in curve] == [0, 1, 2]
