@@ -23,6 +23,7 @@ from .currents import (
     SurfaceCurrent,
     TopDimCurrent,
     boundary_form_integral,
+    chart_masses,
     complement_within,
     slice_current,
 )
@@ -411,7 +412,7 @@ def _decompose_square_chart(square: Rect, chart, theta: int, delta: Gauge,
         image = chart.point(float(u[0]), float(u[1]))
         return delta(image) / lip
 
-    pairs: list[TaggedPair] = []
+    accepted = []
     stack = [DyadicCube(root, 0, (0, 0))]
     while stack:
         cube = stack.pop()
@@ -425,12 +426,17 @@ def _decompose_square_chart(square: Rect, chart, theta: int, delta: Gauge,
         if accept is None:
             stack.extend(cube.subdivide(max_generation))
             continue
-        pre_tag, _ = accept
-        lo, hi = cube.bounds()
-        piece = ChartCurrent(Rect(lo[0], hi[0], lo[1], hi[1]), chart, theta, tol=1e-11)
+        accepted.append((cube, diam, accept[0]))
+
+    pieces = [ChartCurrent(Rect(lo[0], hi[0], lo[1], hi[1]), chart, theta, tol=1e-11)
+              for lo, hi in (cube.bounds() for cube, _, _ in accepted)]
+    # all pieces of the square share one quadrature sweep per kind of mass
+    masses = chart_masses(pieces)
+    boundary_masses = chart_masses(pieces, boundary=True)
+    pairs: list[TaggedPair] = []
+    for (cube, diam, pre_tag), piece, mres, bres in zip(accepted, pieces, masses,
+                                                         boundary_masses):
         tag3 = chart.point(float(pre_tag[0]), float(pre_tag[1]))
-        mres = piece.mass()
-        bres = piece.boundary_mass()
         diam_push = lip * diam  # Lipschitz upper bound, certified
         reg = mres.value / (bres.value * diam_push)
         pairs.append(TaggedPair(

@@ -31,8 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import CubeSet, DyadicCube, ExceptionalSet, RootBox
-from .quadrature import QuadResult, integrate_1d, integrate_2d
+from .dyadic import CubeSet, DepthError, DyadicCube, ExceptionalSet, RootBox
+from .quadrature import QuadResult, integrate_1d, integrate_2d, integrate_boxes
 
 __all__ = [
     "Rect",
@@ -44,6 +44,7 @@ __all__ = [
     "HalfSpace",
     "Slice",
     "graph_tangent",
+    "chart_masses",
     "mass",
     "boundary_mass",
     "restrict",
@@ -199,6 +200,20 @@ def _planar_curves(segments) -> list:
             for b, d, t0, t1 in segments]
 
 
+def _lifted_tangent(graph, base, direction, t):
+    """Tangent (d0, d1, psi_x(u) d0 + psi_y(u) d1) of the lift of u = base + t * direction.
+
+    ``base`` and ``direction`` end in an axis of length 2 and broadcast
+    against ``t[..., None]``; the tangents have shape t.shape + (3,).
+    """
+    t = np.asarray(t, dtype=float)
+    u = base + t[..., None] * direction
+    x, y = u[..., 0], u[..., 1]
+    d0, d1 = direction[..., 0], direction[..., 1]
+    dz = graph.dpsi_dx(x, y) * d0 + graph.dpsi_dy(x, y) * d1
+    return np.stack(np.broadcast_arrays(d0, d1, dz), axis=-1)
+
+
 def _lifted_curves(graph, segments) -> list:
     """Planar segments lifted through a graph with psi, dpsi_dx and dpsi_dy.
 
@@ -212,11 +227,7 @@ def _lifted_curves(graph, segments) -> list:
             return np.column_stack([u, graph.psi(u[:, 0], u[:, 1])])
 
         def tangent(t, b=b, d=d):
-            x, y = (b + np.multiply.outer(t, d)).T
-            out = np.empty((len(t), 3))
-            out[:, :2] = d
-            out[:, 2] = graph.dpsi_dx(x, y) * d[0] + graph.dpsi_dy(x, y) * d[1]
-            return out
+            return _lifted_tangent(graph, b, d, t)
 
         curves.append((point, tangent, t0, t1))
     return curves
@@ -443,7 +454,10 @@ class TopDimCurrent(Current):
     def restrict_outside(self, E: ExceptionalSet, r: float, layer_budget: float) -> Current:
         """Dyadic restriction: cubes straddling the sphere are refined until the
         dropped layer fits the budget, so the support provably clears the open
-        ball while the extra removed mass stays below ``layer_budget``."""
+        ball while the extra removed mass stays below ``layer_budget``.
+
+        Raises :class:`DepthError` when that needs cubes past generation 26.
+        """
         kept: list[DyadicCube] = []
         pending = list(self.region.cubes)
         while True:
@@ -459,9 +473,14 @@ class TopDimCurrent(Current):
             # the side <= r/4 floor keeps the staircase perimeter of the removed
             # region within the mean-value constant of the excision bound
             fine_enough = not straddlers or straddlers[0].side <= 0.25 * r
-            if not straddlers or (layer <= layer_budget and fine_enough) \
-                    or straddlers[0].generation >= 26:
+            if not straddlers or (layer <= layer_budget and fine_enough):
                 break
+            if straddlers[0].generation >= 26:
+                raise DepthError(
+                    f"restriction outside radius {r:.3e} needs cubes past generation 26: "
+                    f"the dropped layer {layer:.3e} is above the budget {layer_budget:.3e} "
+                    f"or its cubes are wider than r/4"
+                )
             pending = [c for q in straddlers for c in q.subdivide()]
         return TopDimCurrent(CubeSet(self.region.root, tuple(kept)), self.theta)
 
@@ -540,18 +559,14 @@ class ChartCurrent(Current):
                         for r in self.domain_rects()), factor)
 
     def mass(self) -> QuadResult:
-        return self._integrate(self.chart.area_element, self.tol, abs(self.theta))
+        return chart_masses([self])[0]
 
     def planar_edges(self) -> list:
         """Counterclockwise planar boundary edges (start, end) of the domain."""
         return _planar_edges(self.domain)
 
     def boundary_mass(self) -> QuadResult:
-        def speed(tangent):
-            return lambda t: np.sqrt((tangent(t) ** 2).sum(axis=-1))
-
-        return _summed((integrate_1d(speed(tangent), t0, t1, tol=self.tol)
-                        for _, tangent, t0, t1 in self.boundary_curves()), abs(self.theta))
+        return chart_masses([self], boundary=True)[0]
 
     def boundary_curves(self) -> list:
         return _lifted_curves(self.chart, _segments(self.planar_edges()))
@@ -637,6 +652,43 @@ class ChartCurrent(Current):
             "chart": self.chart.name or "anonymous",
             "domain": dom,
         }
+
+
+def chart_masses(pieces: Sequence[ChartCurrent], boundary: bool = False) -> list[QuadResult]:
+    """Masses of chart pieces on one chart, or with ``boundary`` their boundary masses.
+
+    One :func:`~stokeslab.quadrature.integrate_boxes` run integrates the
+    area element over the rectangles of all the domains, or the speed of
+    all the lifted edges over t in [0, 1]; each rectangle or edge is held to
+    its piece's tol.  A piece's result is the same alone as in any batch.
+    """
+    if not pieces:
+        return []
+    chart = pieces[0].chart
+    if any(p.chart is not chart for p in pieces):
+        raise CurrentError("chart_masses needs pieces on one chart")
+    if boundary:
+        parts = [(i, seg) for i, p in enumerate(pieces) for seg in _segments(p.planar_edges())]
+        base = np.array([b for _, (b, _, _, _) in parts]).reshape(-1, 2)
+        direction = np.array([d for _, (_, d, _, _) in parts]).reshape(-1, 2)
+        lo, hi = np.zeros((len(parts), 1)), np.ones((len(parts), 1))
+
+        def density(box, t):
+            tangent = _lifted_tangent(chart, base[box, None], direction[box, None], t)
+            return np.sqrt((tangent ** 2).sum(axis=-1))
+    else:
+        parts = [(i, r) for i, p in enumerate(pieces) for r in p.domain_rects()]
+        lo = np.array([(r.x0, r.y0) for _, r in parts]).reshape(-1, 2)
+        hi = np.array([(r.x1, r.y1) for _, r in parts]).reshape(-1, 2)
+
+        def density(box, x, y):
+            return chart.area_element(x, y)
+
+    results = integrate_boxes(density, lo, hi, tol=[pieces[i].tol for i, _ in parts])
+    grouped = [[] for _ in pieces]
+    for (i, _), res in zip(parts, results):
+        grouped[i].append(res)
+    return [_summed(group, abs(p.theta)) for group, p in zip(grouped, pieces)]
 
 
 @dataclass(frozen=True)

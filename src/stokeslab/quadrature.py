@@ -6,6 +6,17 @@ estimated as |fine - coarse|: its Gauss value against the sum of those of its
 2**d children, the halves (1-D) or quadrants (2-D).  Panels with the largest
 estimated error are split first.  Each panel is evaluated once: a split
 reuses the children's values, taken for the estimate, as their coarse values.
+
+:func:`integrate_boxes` runs this kernel on many boxes in lockstep, in the
+manner of DCUHRE (Berntsen, Espelid & Genz, ACM TOMS 17, 1991).  Each box
+keeps its own heap and estimate, and in each round every box above its
+tolerance splits its worst panel.  The new panels of all boxes go to the
+integrand together, in blocks of at most ``BLOCK_POINTS`` points, and each
+panel is reduced on its own row.  So a box's result does not depend on the
+other boxes, on its position in the batch or on where a block ends.  It
+agrees with :func:`integrate_1d` and :func:`integrate_2d` in panels and
+stall messages; its values differ from theirs only by rounding, because
+they reduce a panel with a BLAS dot product.
 """
 
 from __future__ import annotations
@@ -17,8 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["QuadResult", "QuadratureError", "integrate_1d", "integrate_2d", "gauss_rule",
-           "composite_nodes"]
+__all__ = ["QuadResult", "QuadratureError", "integrate_1d", "integrate_2d", "integrate_boxes",
+           "gauss_rule", "composite_nodes"]
+
+BLOCK_POINTS = 1 << 14  # most integrand points in one call of integrate_boxes
 
 
 class QuadratureError(RuntimeError):
@@ -147,3 +160,106 @@ def integrate_2d(f, x0: float, x1: float, y0: float, y1: float, tol: float = 1e-
     # sum() compensates built-in floats only)
     box = ((np.float64(x0), np.float64(x1)), (np.float64(y0), np.float64(y1)))
     return _adaptive(f, box, tol, order, max_panels)
+
+
+def _split(panels):
+    """The 2**d halves of panels (..., d, 2), x-major, as (..., 2**d, d, 2)."""
+    lo, hi = panels[..., 0], panels[..., 1]
+    mid = 0.5 * (lo + hi)
+    halves = np.stack([np.stack([lo, mid], axis=-1), np.stack([mid, hi], axis=-1)], axis=-3)
+    d = panels.shape[-2]
+    bits = np.array(list(itertools.product((0, 1), repeat=d)))
+    return halves[..., bits, np.arange(d), :]
+
+
+def integrate_boxes(f, lo, hi, tol) -> list[QuadResult]:
+    """Adaptive integrals of f over B boxes at once, one result per box.
+
+    ``lo`` and ``hi`` are the (B, d) corners of the boxes, d = 1 or 2, with
+    lo <= hi, and ``tol`` holds one tolerance per box.  The integrand is
+    called as ``f(box, *coords)``: ``box`` holds the box index of each of N
+    panels, and ``coords`` one (N, 12**d) array of node coordinates per
+    axis.  It returns the (N, 12**d) values.  Each box runs the heap and
+    estimate of :func:`integrate_1d` and :func:`integrate_2d` with their
+    default order and panel budget, and reports a zero error as +0.0.  A
+    box that runs out of panels raises the :class:`QuadratureError` they
+    would raise.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    n_boxes, d = lo.shape
+    order, max_panels = 12, 4096  # the defaults of integrate_1d and integrate_2d
+    unit = _unit_nodes(order, d)
+    _, weights = gauss_rule(order)
+    step = max(1, BLOCK_POINTS // order ** d)
+    n_kids = 2 ** d
+
+    def gauss(boxes, panels):
+        """Gauss values of panels (P, d, 2) of the given boxes (P,), in point blocks."""
+        mids = 0.5 * (panels[..., 0] + panels[..., 1])
+        halves = 0.5 * (panels[..., 1] - panels[..., 0])
+        sums = np.empty(len(panels))
+        for start in range(0, len(panels), step):
+            rows = slice(start, start + step)
+            coords = [mids[rows, a, None] + halves[rows, a, None] * unit[a] for a in range(d)]
+            vals = np.asarray(f(boxes[rows], *coords), dtype=float)
+            vals = vals.reshape((len(coords[0]),) + (order,) * d)
+            # contract x, then y, by running sums along each panel's own
+            # nodes: no panel's bits depend on the others, and exact products
+            # (a constant integrand) add up left to right, as in the short
+            # dot products of _adaptive
+            for _ in range(d):
+                w = weights.reshape((order,) + (1,) * (vals.ndim - 2))
+                vals = np.cumsum(vals * w, axis=1)[:, -1]
+            sums[rows] = vals
+        return halves.prod(axis=-1) * sums
+
+    def estimate(boxes, panels, coarse=None):
+        """Kids, kid values, fine values and errors of panels.
+
+        Without coarse values, the panels are evaluated with their kids.
+        """
+        kids = _split(panels)
+        todo = kids if coarse is not None else np.concatenate([panels[:, None], kids], axis=1)
+        vals = gauss(np.repeat(boxes, todo.shape[1]), todo.reshape(-1, d, 2))
+        vals = vals.reshape(todo.shape[:2])
+        if coarse is None:
+            coarse, vals = vals[:, 0], vals[:, 1:]
+        fine = vals[:, 0].copy()
+        for c in range(1, n_kids):
+            fine += vals[:, c]
+        return kids, vals, fine, np.abs(fine - coarse)
+
+    results = [QuadResult(0.0, 0.0, 0)] * n_boxes
+    owners = np.flatnonzero((lo != hi).all(axis=1))
+    panels, coarse = np.stack([lo[owners], hi[owners]], axis=-1), None
+    heaps = {box: [] for box in owners.tolist()}
+    tick = itertools.count()
+    while heaps:
+        # the kids of each new panel, evaluated for its estimate, are the
+        # panels its split makes, with their coarse values
+        kids, kid_vals, fine, err = estimate(owners, panels, coarse)
+        for j, box in enumerate(owners.tolist()):
+            heapq.heappush(heaps[box], (-err[j], next(tick), fine[j], kids[j], kid_vals[j]))
+        worst = []
+        for box in list(heaps):
+            # the heap holds numpy floats, whose sum() is a plain left-to-right
+            # sum on every Python version (3.12 compensates built-in floats)
+            heap = heaps[box]
+            total_err = sum(-item[0] for item in heap)
+            if total_err <= tol[box]:
+                results[box] = QuadResult(sum(item[2] for item in heap), total_err, len(heap))
+                del heaps[box]
+            elif len(heap) >= max_panels:
+                raise QuadratureError(
+                    f"{d}-D quadrature stalled at {len(heap)} panels with error "
+                    f"{total_err:.3e} > tol {tol[box]:.3e}"
+                )
+            else:
+                worst.append((box, heapq.heappop(heap)))
+        # every box above its tol splits its worst panel in the next round
+        if worst:
+            owners = np.repeat([box for box, _ in worst], n_kids)
+            panels = np.concatenate([entry[3] for _, entry in worst])
+            coarse = np.concatenate([entry[4] for _, entry in worst])
+    return results

@@ -249,3 +249,38 @@ def test_subadditive_functionals():
     assert M.of_current(both) == pytest.approx(
         max(MASS.of_current(both), F.of_current(both)), rel=1e-12
     )
+
+
+def test_chart_pieces_share_one_quadrature_sweep(monkeypatch):
+    from stokeslab import cli, quadrature
+
+    T = cli._build_current({"kind": "parabolic_graph"})
+    calls = []
+    area_element = ChartMap.area_element
+
+    def counted(chart, x, y):
+        calls.append(np.size(x))
+        return area_element(chart, x, y)
+
+    def decompose():
+        calls.clear()
+        return gauge_decompose(T, ExceptionalSet.empty(), Gauge.constant(0.1),
+                               RegularityFn.constant(0.0), MASS, 1e-3)
+
+    monkeypatch.setattr(ChartMap, "area_element", counted)
+    # one square of 1024 pieces whose masses all stop at the first estimate:
+    # one refinement round, so one call when a point block holds it all
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "BLOCK_POINTS", 1 << 30, raising=False)
+        fam = decompose()
+    assert len(fam.pairs) == 1024
+    assert len({p.meta["pre_square"] for p in fam.pairs}) == 1
+    assert calls == [5 * 1024 * 144]
+    # and one call per block of the 5 panels of 144 points of each piece
+    decompose()
+    assert sum(calls) == 5 * 1024 * 144
+    assert len(calls) == -(-5 * 1024 // (quadrature.BLOCK_POINTS // 144))
+    for p in fam.pairs:
+        assert p.mass == pytest.approx(p.piece.mass().value, rel=1e-14, abs=0.0)
+        assert p.boundary_mass == pytest.approx(p.piece.boundary_mass().value, rel=1e-14,
+                                                abs=0.0)

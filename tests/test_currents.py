@@ -18,7 +18,7 @@ from stokeslab.currents import (
     restrict,
     slice_current,
 )
-from stokeslab.dyadic import CubeSet, DyadicCube, ExceptionalSet, RootBox
+from stokeslab.dyadic import CubeSet, DepthError, DyadicCube, ExceptionalSet, RootBox
 
 ROOT = RootBox((0.0, 0.0), 1.0)
 UNIT = TopDimCurrent(CubeSet.whole(ROOT))
@@ -91,6 +91,12 @@ def test_restrict_composition_is_intersection():
         two_step = restrict(restrict(UNIT, A), B)
         direct = restrict(UNIT, A.intersection(B))
         assert two_step.region == direct.region
+
+
+def test_restrict_outside_refuses_to_stop_above_its_budget():
+    # the dropped layer around the point stays far above 1e-300 at generation 26
+    with pytest.raises(DepthError, match="generation 26"):
+        UNIT.restrict_outside(ExceptionalSet.points([(0.3, 0.3)]), 1e-7, 1e-300)
 
 
 def test_mass_additivity_halves():
