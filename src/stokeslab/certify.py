@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .currents import ChartCurrent, Rect, SurfaceCurrent, TopDimCurrent
-from .quadrature import integrate_1d, integrate_2d
+from .quadrature import integrate_2d, integrate_boxes
 
 __all__ = ["CertificateReport", "check_family"]
 
@@ -47,21 +47,21 @@ def _chart_mass(piece: ChartCurrent) -> tuple[float, float]:
 
 
 def _chart_boundary_mass(piece: ChartCurrent) -> tuple[float, float]:
-    total, err = 0.0, 0.0
     chart = piece.chart
-    for (p, q) in piece.planar_edges():
-        p = np.asarray(p)
-        q = np.asarray(q)
-        d = q - p
-        length = float(np.linalg.norm(d))
+    edges = np.asarray(piece.planar_edges(), dtype=float).reshape(-1, 2, 2)
+    p, d = edges[:, 0], edges[:, 1] - edges[:, 0]
+    length = np.linalg.norm(d, axis=1)
 
-        def speed(t, p=p, d=d, length=length):
-            pts = p[None, :] + np.outer(t, d)
-            dz = (chart.dpsi_dx(pts[:, 0], pts[:, 1]) * d[0]
-                  + chart.dpsi_dy(pts[:, 0], pts[:, 1]) * d[1])
-            return np.sqrt(length ** 2 + dz ** 2)
+    def speed(edge, t):
+        x = p[edge, 0, None] + t * d[edge, 0, None]
+        y = p[edge, 1, None] + t * d[edge, 1, None]
+        dz = chart.dpsi_dx(x, y) * d[edge, 0, None] + chart.dpsi_dy(x, y) * d[edge, 1, None]
+        return np.sqrt(length[edge, None] ** 2 + dz ** 2)
 
-        res = integrate_1d(speed, 0.0, 1.0, tol=1e-9, order=_CHECK_ORDER)
+    n = len(edges)
+    total, err = 0.0, 0.0
+    for res in integrate_boxes(speed, np.zeros((n, 1)), np.ones((n, 1)), [1e-9] * n,
+                               order=_CHECK_ORDER):
         total += res.value
         err += res.error
     return abs(piece.theta) * total, abs(piece.theta) * err

@@ -1,22 +1,21 @@
 """Adaptive Gauss-Legendre quadrature with estimated absolute errors.
 
 Integrands receive numpy arrays of sample points and must return arrays of
-values.  One kernel serves intervals and rectangles.  A panel's error is
-estimated as |fine - coarse|: its Gauss value against the sum of those of its
-2**d children, the halves (1-D) or quadrants (2-D).  Panels with the largest
+values.  One kernel, :func:`integrate_boxes`, serves intervals and
+rectangles, many at a time.  A panel's error is estimated as
+|fine - coarse|: its Gauss value against the sum of those of its 2**d
+children, the halves (1-D) or quadrants (2-D).  Panels with the largest
 estimated error are split first.  Each panel is evaluated once: a split
 reuses the children's values, taken for the estimate, as their coarse values.
 
-:func:`integrate_boxes` runs this kernel on many boxes in lockstep, in the
-manner of DCUHRE (Berntsen, Espelid & Genz, ACM TOMS 17, 1991).  Each box
-keeps its own heap and estimate, and in each round every box above its
-tolerance splits its worst panel.  The new panels of all boxes go to the
-integrand together, in blocks of at most ``BLOCK_POINTS`` points, and each
-panel is reduced on its own row.  So a box's result does not depend on the
-other boxes, on its position in the batch or on where a block ends.  It
-agrees with :func:`integrate_1d` and :func:`integrate_2d` in panels and
-stall messages; its values differ from theirs only by rounding, because
-they reduce a panel with a BLAS dot product.
+The boxes run in lockstep, in the manner of DCUHRE (Berntsen, Espelid &
+Genz, ACM TOMS 17, 1991).  Each box keeps its own heap and estimate, and in
+each round every box above its tolerance splits its worst panel.  The new
+panels of all boxes go to the integrand together, in blocks of at most
+``BLOCK_POINTS`` points, and each panel is reduced on its own row.  So a
+box's result does not depend on the other boxes, on its position in the
+batch or on where a block ends.  :func:`integrate_1d` and
+:func:`integrate_2d` are its one-box entry points.
 """
 
 from __future__ import annotations
@@ -88,107 +87,32 @@ def _unit_nodes(order: int, d: int):
     return tuple(u.ravel() for u in np.meshgrid(*[nodes] * d, indexing="ij"))
 
 
-def _children(box):
-    """The 2**d halves of a box, x-major."""
-    halves = []
-    for lo, hi in box:
-        mid = 0.5 * (lo + hi)
-        halves.append(((lo, mid), (mid, hi)))
-    return itertools.product(*halves)
-
-
-def _adaptive(f, box, tol: float, order: int, max_panels: int) -> QuadResult:
-    """Adaptive integral of f over a box ((lo, hi),) or ((x0, x1), (y0, y1))."""
-    d = len(box)
-    if any(lo == hi for lo, hi in box):
-        return QuadResult(0.0, 0.0, 0)
-    unit = _unit_nodes(order, d)
-    _, weights = gauss_rule(order)
-    shape = (order,) * d
-
-    def gauss(panel):
-        points, scale = [], 1
-        for (lo, hi), u in zip(panel, unit):
-            half = 0.5 * (hi - lo)
-            points.append(0.5 * (lo + hi) + half * u)
-            scale *= half
-        vals = np.asarray(f(*points)).reshape(shape)
-        for _ in range(d):
-            vals = weights @ vals
-        return scale * float(vals)
-
-    heap, tick = [], itertools.count()
-
-    def push(panel, coarse):
-        # the children's values give this panel's estimate now and serve as
-        # their own coarse values once it is split
-        kids = [(child, gauss(child)) for child in _children(panel)]
-        fine = kids[0][1]
-        for _, value in kids[1:]:
-            fine += value
-        heapq.heappush(heap, (-abs(fine - coarse), next(tick), fine, kids))
-
-    push(box, gauss(box))
-    while True:
-        total_err = -sum(item[0] for item in heap)
-        if total_err <= tol:
-            return QuadResult(sum(item[2] for item in heap), total_err, len(heap))
-        if len(heap) >= max_panels:
-            raise QuadratureError(
-                f"{d}-D quadrature stalled at {len(heap)} panels with error {total_err:.3e} > tol {tol:.3e}"
-            )
-        for child, coarse in heapq.heappop(heap)[3]:
-            push(child, coarse)
-
-
-def integrate_1d(f, a: float, b: float, tol: float = 1e-10, order: int = 12,
-                 max_panels: int = 4096) -> QuadResult:
-    """Adaptive integral of a vectorized scalar function over [a, b]."""
-    if b < a:
-        return _adaptive(f, ((b, a),), tol, order, max_panels).scaled(-1.0)
-    return _adaptive(f, ((a, b),), tol, order, max_panels)
-
-
-def integrate_2d(f, x0: float, x1: float, y0: float, y1: float, tol: float = 1e-10,
-                 order: int = 12, max_panels: int = 4096) -> QuadResult:
-    """Adaptive tensor-product integral of f(x, y) over a rectangle.
-
-    ``f`` maps flat coordinate arrays to a flat array of values.
-    """
-    # numpy corners keep every 2-D panel value a numpy float, so the heap
-    # sums stay plain left-to-right sums on every Python version (3.12's
-    # sum() compensates built-in floats only)
-    box = ((np.float64(x0), np.float64(x1)), (np.float64(y0), np.float64(y1)))
-    return _adaptive(f, box, tol, order, max_panels)
-
-
 def _split(panels):
     """The 2**d halves of panels (..., d, 2), x-major, as (..., 2**d, d, 2)."""
     lo, hi = panels[..., 0], panels[..., 1]
-    mid = 0.5 * (lo + hi)
-    halves = np.stack([np.stack([lo, mid], axis=-1), np.stack([mid, hi], axis=-1)], axis=-3)
+    ends = np.stack([lo, 0.5 * (lo + hi), hi], axis=-1)
     d = panels.shape[-2]
+    # on axis k, child c spans ends[k, b:b + 2], where b is bit k of c
     bits = np.array(list(itertools.product((0, 1), repeat=d)))
-    return halves[..., bits, np.arange(d), :]
+    return ends[..., np.arange(d)[:, None], bits[..., None] + [0, 1]]
 
 
-def integrate_boxes(f, lo, hi, tol) -> list[QuadResult]:
+def integrate_boxes(f, lo, hi, tol, order: int = 12,
+                    max_panels: int = 4096) -> list[QuadResult]:
     """Adaptive integrals of f over B boxes at once, one result per box.
 
     ``lo`` and ``hi`` are the (B, d) corners of the boxes, d = 1 or 2, with
     lo <= hi, and ``tol`` holds one tolerance per box.  The integrand is
     called as ``f(box, *coords)``: ``box`` holds the box index of each of N
-    panels, and ``coords`` one (N, 12**d) array of node coordinates per
-    axis.  It returns the (N, 12**d) values.  Each box runs the heap and
-    estimate of :func:`integrate_1d` and :func:`integrate_2d` with their
-    default order and panel budget, and reports a zero error as +0.0.  A
-    box that runs out of panels raises the :class:`QuadratureError` they
-    would raise.
+    panels, and ``coords`` one (N, order**d) array of node coordinates per
+    axis.  It returns the (N, order**d) values.  Each box splits its panels
+    until its summed estimate is at most its tol, and reports a zero error
+    as +0.0.  A box that reaches ``max_panels`` first raises a
+    :class:`QuadratureError`.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     n_boxes, d = lo.shape
-    order, max_panels = 12, 4096  # the defaults of integrate_1d and integrate_2d
     unit = _unit_nodes(order, d)
     _, weights = gauss_rule(order)
     step = max(1, BLOCK_POINTS // order ** d)
@@ -206,8 +130,7 @@ def integrate_boxes(f, lo, hi, tol) -> list[QuadResult]:
             vals = vals.reshape((len(coords[0]),) + (order,) * d)
             # contract x, then y, by running sums along each panel's own
             # nodes: no panel's bits depend on the others, and exact products
-            # (a constant integrand) add up left to right, as in the short
-            # dot products of _adaptive
+            # (a constant integrand) add up left to right
             for _ in range(d):
                 w = weights.reshape((order,) + (1,) * (vals.ndim - 2))
                 vals = np.cumsum(vals * w, axis=1)[:, -1]
@@ -263,3 +186,29 @@ def integrate_boxes(f, lo, hi, tol) -> list[QuadResult]:
             panels = np.concatenate([entry[3] for _, entry in worst])
             coarse = np.concatenate([entry[4] for _, entry in worst])
     return results
+
+
+def integrate_1d(f, a: float, b: float, tol: float = 1e-10, order: int = 12,
+                 max_panels: int = 4096) -> QuadResult:
+    """Adaptive integral of a vectorized scalar function over [a, b]."""
+    if b < a:
+        return integrate_1d(f, b, a, tol, order, max_panels).scaled(-1.0)
+    return _one_box(f, [a], [b], tol, order, max_panels)
+
+
+def integrate_2d(f, x0: float, x1: float, y0: float, y1: float, tol: float = 1e-10,
+                 order: int = 12, max_panels: int = 4096) -> QuadResult:
+    """Adaptive tensor-product integral of f(x, y) over a rectangle.
+
+    ``f`` maps flat coordinate arrays to a flat array of values.
+    """
+    return _one_box(f, [x0, y0], [x1, y1], tol, order, max_panels)
+
+
+def _one_box(f, lo, hi, tol, order, max_panels) -> QuadResult:
+    """integrate_boxes of f over one box, f taking flat coordinate arrays."""
+    def flat(box, *coords):
+        return np.reshape(f(*(c.ravel() for c in coords)), coords[0].shape)
+
+    (res,) = integrate_boxes(flat, [lo], [hi], [tol], order, max_panels)
+    return res

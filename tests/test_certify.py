@@ -108,3 +108,31 @@ def test_clean_chart_family_reports_no_violation():
     assert len(family.pairs) > 256
     report = certify.check_family(family, Gauge.constant(0.15), eta, MASS)
     assert report.passed and report.violations == []
+
+
+def _chart_pieces():
+    """A parabolic rectangle, a parabolic staircase of several rectangles and a strip piece."""
+    from stokeslab.cli import _build_current
+    from stokeslab.counterexample import build_surface_current
+
+    parabolic = _build_current({"kind": "parabolic_graph"})
+    cubes = [DyadicCube(ROOT, 2, (0, j)) for j in range(4)] + \
+        [DyadicCube(ROOT, 2, (1, j)) for j in range(3)] + [DyadicCube(ROOT, 3, (4, 0))]
+    staircase = ChartCurrent(CubeSet(ROOT, tuple(cubes)), parabolic.chart)
+    model = build_surface_current().model
+    _, lo, hi = model.strip_windows(0.0, model.y_infinity)[1]
+    strip = ChartCurrent(Rect(model.x_lo, model.x_lo + 0.1, lo, lo + 0.5 * (hi - lo)),
+                         model.strip_chart(1))
+    return {"parabolic": parabolic, "staircase": staircase, "strip": strip}
+
+
+@pytest.mark.parametrize("name", ["parabolic", "staircase", "strip"])
+def test_chart_masses_agree_with_the_engine(name):
+    # within 1e-9 relative, or within the two error estimates: the checker
+    # integrates to 1e-9 absolute, which is 1e-7 of the strip piece's mass
+    piece = _chart_pieces()[name]
+    if name == "staircase":
+        assert len(piece.domain_rects()) > 4 and len(piece.planar_edges()) > 4
+    for (value, error), ref in ((certify._chart_mass(piece), piece.mass()),
+                                (certify._chart_boundary_mass(piece), piece.boundary_mass())):
+        assert abs(value - ref.value) <= max(1e-9 * ref.value, error + ref.error)
