@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_quadrature import (_integrands, _lifted, _lower, _reference_1d, _reference_2d, _run,
-                             _width)
+from test_quadrature import (_assert_matches_reference, _integrands, _lifted, _lower,
+                             _reference_1d, _reference_2d, _run, _width)
 
 from stokeslab import quadrature
 from stokeslab.quadrature import QuadratureError, integrate_1d, integrate_2d, integrate_boxes
@@ -43,6 +43,22 @@ def _tol(tol, d):
 def _outcome(res):
     """A result as exact bits."""
     return res.value.hex(), res.error.hex(), res.panels
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]), box=st.tuples(_lower, _width, _lower, _width),
+       tol=st.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_each_box_matches_the_single_box_kernel(data, d, box, tol):
+    # the single-box kernel is the reference loop; unlike
+    # test_kernel_matches_the_reference_loops, this runs the default order and
+    # the whole 4,096-panel budget
+    x0, wx, y0, wy = box
+    lo, hi = [x0, y0][:d], [x0 + wx, y0 + wy][:d]
+    f = _lifted(data.draw(_integrands(x0, wx)), d)
+    tol = _tol(tol, d)
+    new = _batched([f], [lo], [hi], [tol])
+    _assert_matches_reference(new if isinstance(new, str) else new[0], _alone(f, lo, hi, tol),
+                              f, lo, hi)
 
 
 @settings(max_examples=150, deadline=None)
