@@ -378,11 +378,12 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         np.random.seed(config.get("seed", 0) % (2 ** 32))
-        return runner(config)
-    except (ParamsError, DecompositionRefusal) as exc:
-        return _stopped(config, "refused", exc, EXIT_UNDECIDED)
-    except (DepthError, ResourceBudgetError, QuadratureError) as exc:
-        return _stopped(config, "resource", exc, EXIT_RESOURCE)
+        try:
+            return runner(config)
+        except (ParamsError, DecompositionRefusal) as exc:
+            return _stopped(config, "refused", exc, EXIT_UNDECIDED)
+        except (DepthError, ResourceBudgetError, QuadratureError) as exc:
+            return _stopped(config, "resource", exc, EXIT_RESOURCE)
     except (KeyError, TypeError, ValueError) as exc:  # UsageError among them
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,7 @@ chart by chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -252,6 +252,34 @@ def _cube_test_points(cube: DyadicCube) -> list[np.ndarray]:
     return [cube.center()] + [c for c in cube.corners()]
 
 
+def _fine_cubes(root: DyadicCube, fineness: Callable, max_generation: int) -> list[tuple]:
+    """Cousin subdivision of root: (cube, diameter, tag, fineness at tag) per piece.
+
+    A cube is accepted at its first test point (centre, then corners) where
+    fineness exceeds its diameter, and split otherwise.
+    """
+    accepted = []
+    stack = [root]
+    while stack:
+        cube = stack.pop()
+        diam = cube.diameter()
+        for p in _cube_test_points(cube):
+            val = fineness(p)
+            if val > diam:
+                accepted.append((cube, diam, p, val))
+                break
+        else:
+            try:
+                stack.extend(cube.subdivide(max_generation))
+            except DepthError as exc:
+                lo, hi = cube.bounds()
+                raise DepthError(
+                    f"gauge forces subdivision past generation {max_generation} "
+                    f"near the region [{lo.tolist()}, {hi.tolist()}]"
+                ) from exc
+    return accepted
+
+
 def cousin_decompose(domain: DyadicCube, delta: Gauge, eta: float,
                      max_generation: int = 40, theta: int = 1) -> TaggedFamily:
     """Tagged dyadic tiling of a cube: every piece is delta-fine at its tag.
@@ -269,30 +297,10 @@ def cousin_decompose(domain: DyadicCube, delta: Gauge, eta: float,
         raise ValueError("cousin subdivision needs a gauge positive on the domain; "
                          "excise the zero set first")
     pairs = []
-    stack = [domain]
-    while stack:
-        cube = stack.pop()
-        diam = cube.diameter()
-        tag = None
-        for p in _cube_test_points(cube):
-            val = delta(p)
-            if val > diam:
-                tag = (tuple(float(v) for v in p), val)
-                break
-        if tag is None:
-            try:
-                stack.extend(cube.subdivide(max_generation))
-            except DepthError as exc:
-                lo, hi = cube.bounds()
-                raise DepthError(
-                    f"gauge forces subdivision past generation {max_generation} "
-                    f"near the region [{lo.tolist()}, {hi.tolist()}]"
-                ) from exc
-            continue
+    for cube, diam, point, val in _fine_cubes(domain, delta, max_generation):
         piece = TopDimCurrent(CubeSet(cube.root, (cube,)), theta)
-        point, val = tag
         pairs.append(TaggedPair(
-            tag=point,
+            tag=tuple(float(v) for v in point),
             piece=piece,
             diam=diam,
             mass=piece.mass().value,
@@ -367,7 +375,6 @@ def _tile_rect_with_squares(rect: Rect, min_fraction: float = 0.999,
     decays geometrically.
     """
     squares: list[Rect] = []
-    leftovers: list[Rect] = []
     pending = [rect]
     for _ in range(max_rounds):
         if not pending:
@@ -396,62 +403,7 @@ def _tile_rect_with_squares(rect: Rect, min_fraction: float = 0.999,
         done = sum(s.measure() for s in squares)
         if done >= min_fraction * rect.measure():
             break
-    leftovers = pending
-    return squares, leftovers
-
-
-def _decompose_square_chart(square: Rect, chart, theta: int, delta: Gauge,
-                            eta_fn: RegularityFn, max_generation: int) -> list[TaggedPair]:
-    """Cousin-decompose a square chart domain and push the cubes forward."""
-    root = RootBox((square.x0, square.y0), square.x1 - square.x0)
-    lip = chart.lip_upper
-
-    def pulled(u):
-        # fineness transfers through the chart: pieces of planar diameter
-        # below delta(image)/Lip push forward to delta-fine pieces
-        image = chart.point(float(u[0]), float(u[1]))
-        return delta(image) / lip
-
-    accepted = []
-    stack = [DyadicCube(root, 0, (0, 0))]
-    while stack:
-        cube = stack.pop()
-        diam = cube.diameter()
-        accept = None
-        for p in _cube_test_points(cube):
-            val = pulled(p)
-            if val > diam:
-                accept = (p, val)
-                break
-        if accept is None:
-            stack.extend(cube.subdivide(max_generation))
-            continue
-        accepted.append((cube, diam, accept[0]))
-
-    pieces = [ChartCurrent(Rect(lo[0], hi[0], lo[1], hi[1]), chart, theta, tol=1e-11)
-              for lo, hi in (cube.bounds() for cube, _, _ in accepted)]
-    # all pieces of the square share one quadrature sweep per kind of mass
-    masses = chart_masses(pieces)
-    boundary_masses = chart_masses(pieces, boundary=True)
-    pairs: list[TaggedPair] = []
-    for (cube, diam, pre_tag), piece, mres, bres in zip(accepted, pieces, masses,
-                                                         boundary_masses):
-        tag3 = chart.point(float(pre_tag[0]), float(pre_tag[1]))
-        diam_push = lip * diam  # Lipschitz upper bound, certified
-        reg = mres.value / (bres.value * diam_push)
-        pairs.append(TaggedPair(
-            tag=tuple(float(v) for v in tag3),
-            piece=piece,
-            diam=diam_push,
-            mass=mres.value,
-            boundary_mass=bres.value,
-            reg=reg,
-            gauge_at_tag=delta(tag3),
-            eta_at_tag=eta_fn(tag3),
-            meta={"pre_square": (square.x0, square.y0, square.x1 - square.x0),
-                  "pre_cube": cube.key(), "pre_tag": tuple(map(float, pre_tag))},
-        ))
-    return pairs
+    return squares, pending
 
 
 def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
@@ -492,18 +444,16 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
     if not E_T.is_empty() and _needs_excision(T, E_T):
         r0 = _initial_excision_radius(T, E_T)
         for _ in range(40):
-            ball = neighborhood_mass(T, E_T, r0)
-            if ball.value + ball.error < eps:
-                try:
-                    candidate, _, _ = excise(T, E_T, eps, r0)
-                except (ValueError, RuntimeError):
-                    r0 *= 0.5
-                    continue
-                cap = complement_within(T, candidate)
-                if G.of_pieces(cap) < eps / 2.0:
-                    work = candidate
-                    remainder.extend(cap)
-                    break
+            try:
+                candidate, _, _ = excise(T, E_T, eps, r0)
+            except (ValueError, RuntimeError):
+                r0 *= 0.5
+                continue
+            cap = complement_within(T, candidate)
+            if G.of_pieces(cap) < eps / 2.0:
+                work = candidate
+                remainder.extend(cap)
+                break
             r0 *= 0.5
         else:
             raise DecompositionRefusal(
@@ -573,20 +523,21 @@ def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
             # one constant eta per cube: its largest value at the test points
             fam = cousin_decompose(q, delta, max(eta(p) for p in _cube_test_points(q)),
                                    max_generation, theta=T.theta)
-            for p in fam.pairs:
-                pairs.append(TaggedPair(
-                    tag=p.tag, piece=p.piece, diam=p.diam,
-                    mass=p.mass, boundary_mass=p.boundary_mass, reg=p.reg,
-                    gauge_at_tag=p.gauge_at_tag, eta_at_tag=eta(np.asarray(p.tag)),
-                    meta=p.meta,
-                ))
+            pairs.extend(replace(p, eta_at_tag=eta(np.asarray(p.tag))) for p in fam.pairs)
             if len(pairs) > piece_budget:
                 raise ResourceBudgetError(
                     f"decomposition exceeded the piece budget ({piece_budget})"
                 )
         return pairs, []
     chart = T.chart
-    pairs: list[TaggedPair] = []
+    lip = chart.lip_upper
+
+    def pulled(u):
+        # fineness transfers through the chart: pieces of planar diameter
+        # below delta(image)/Lip push forward to delta-fine pieces
+        return delta(chart.point(float(u[0]), float(u[1]))) / lip
+
+    accepted = []  # (square, cube, diam, pre_tag) over every square of every rect
     leftovers: list[Current] = []
     for rect in T.domain_rects():
         squares, rest = _tile_rect_with_squares(rect)
@@ -611,10 +562,35 @@ def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
                 f"({piece_budget}); decompose a smaller window or raise the budget"
             )
         for square in squares:
-            pairs.extend(_decompose_square_chart(square, chart, T.theta, delta, eta,
-                                                 max_generation))
-            if len(pairs) > piece_budget:
+            root = RootBox((square.x0, square.y0), square.x1 - square.x0)
+            for cube, diam, pre_tag, _ in _fine_cubes(DyadicCube(root, 0, (0, 0)), pulled,
+                                                      max_generation):
+                accepted.append((square, cube, diam, pre_tag))
+            if len(accepted) > piece_budget:
                 raise ResourceBudgetError(
                     f"decomposition exceeded the piece budget ({piece_budget})"
                 )
+
+    pieces = [ChartCurrent(Rect(lo[0], hi[0], lo[1], hi[1]), chart, T.theta, tol=1e-11)
+              for lo, hi in (cube.bounds() for _, cube, _, _ in accepted)]
+    # all pieces of the chart piece share one quadrature sweep per kind of mass
+    masses = chart_masses(pieces)
+    boundary_masses = chart_masses(pieces, boundary=True)
+    pairs: list[TaggedPair] = []
+    for (square, cube, diam, pre_tag), piece, mres, bres in zip(accepted, pieces, masses,
+                                                                 boundary_masses):
+        tag3 = chart.point(float(pre_tag[0]), float(pre_tag[1]))
+        diam_push = lip * diam  # Lipschitz upper bound, certified
+        pairs.append(TaggedPair(
+            tag=tuple(float(v) for v in tag3),
+            piece=piece,
+            diam=diam_push,
+            mass=mres.value,
+            boundary_mass=bres.value,
+            reg=mres.value / (bres.value * diam_push),
+            gauge_at_tag=delta(tag3),
+            eta_at_tag=eta(tag3),
+            meta={"pre_square": (square.x0, square.y0, square.x1 - square.x0),
+                  "pre_cube": cube.key(), "pre_tag": tuple(map(float, pre_tag))},
+        ))
     return pairs, leftovers

@@ -125,11 +125,6 @@ class DyadicCube:
     def key(self) -> tuple:
         return (self.generation, self.index)
 
-    def contains_cube(self, other: "DyadicCube") -> bool:
-        if other.generation < self.generation or self.root != other.root:
-            return False
-        return other.ancestor_key(self.generation) == self.key()
-
 
 def _canonicalize(root: RootBox, cubes: Iterable[DyadicCube]) -> tuple[DyadicCube, ...]:
     seen: dict[tuple, DyadicCube] = {}

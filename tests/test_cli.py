@@ -235,3 +235,19 @@ def test_integral_float_is_accepted_as_integer(tmp_path):
     assert main(["saks-henstock", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
     curve = json.loads((tmp_path / "out" / "report.json").read_text())["curve"]
     assert [row["j"] for row in curve] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("command, payload, status", [
+    ("counterexample", {"current": {"kind": "counterexample", "lambda_inverse": 0}}, "refused"),
+    ("minkowski", {"current": {"kind": "parabolic_graph"},
+                   "exceptional_set": {"kind": "point", "at": [0.5, 0.5, 0.25]}}, "resource"),
+])
+def test_unwritable_stop_report_is_an_internal_error(tmp_path, capsys, command, payload, status):
+    # a stop report under a regular file used to end in a traceback (exit 1)
+    cfg = _write_config(tmp_path, "s.json", payload)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main([command, "--config", cfg, "--out", str(blocker / "out")]) == EXIT_INTERNAL
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"{status}: ")
+    assert [line for line in err if line.startswith("internal error: ")] == err[-1:]

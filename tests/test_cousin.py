@@ -187,10 +187,13 @@ def test_gauge_decompose_chart_pushforward_regularity():
     assert report.passed, report.violations
 
 
-def test_gauge_decompose_flat_graph_demo():
+def _flat_chart_current(rect: Rect) -> ChartCurrent:
     zeros = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    chart = ChartMap(psi=zeros, dpsi_dx=zeros, dpsi_dy=zeros, lip_upper=1.0)
-    C = ChartCurrent(Rect(0.0, math.pi, 0.0, 0.5), chart)
+    return ChartCurrent(rect, ChartMap(psi=zeros, dpsi_dx=zeros, dpsi_dy=zeros, lip_upper=1.0))
+
+
+def test_gauge_decompose_flat_graph_demo():
+    C = _flat_chart_current(Rect(0.0, math.pi, 0.0, 0.5))
     eta = RegularityFn.constant(0.05)
     fam = gauge_decompose(C, ExceptionalSet.empty(), Gauge.constant(0.3), eta,
                           MASS, 1e-3)
@@ -284,3 +287,36 @@ def test_chart_pieces_share_one_quadrature_sweep(monkeypatch):
         assert p.mass == pytest.approx(p.piece.mass().value, rel=1e-14, abs=0.0)
         assert p.boundary_mass == pytest.approx(p.piece.boundary_mass().value, rel=1e-14,
                                                 abs=0.0)
+
+
+def test_chart_piece_takes_its_masses_from_two_sweeps(monkeypatch):
+    from stokeslab import cousin
+
+    C = _flat_chart_current(Rect(0.0, math.pi, 0.0, 0.5))
+    sweeps = []
+    chart_masses = cousin.chart_masses
+
+    def counted(pieces, boundary=False):
+        sweeps.append((len(pieces), boundary))
+        return chart_masses(pieces, boundary)
+
+    monkeypatch.setattr(cousin, "chart_masses", counted)
+    fam = gauge_decompose(C, ExceptionalSet.empty(), Gauge.constant(0.3),
+                          RegularityFn.constant(0.05), MASS, 1e-3)
+    assert len({p.meta["pre_square"] for p in fam.pairs}) == 166
+    # one sweep per kind of mass for the whole chart piece, not two per square
+    assert sweeps == [(256, False), (256, True)]
+    for p in fam.pairs:
+        assert p.mass == pytest.approx(p.piece.mass().value, rel=1e-14, abs=0.0)
+        assert p.boundary_mass == pytest.approx(p.piece.boundary_mass().value, rel=1e-14,
+                                                abs=0.0)
+
+
+def test_chart_depth_error_names_region():
+    C = _flat_chart_current(Rect(0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(DepthError) as err:
+        gauge_decompose(C, ExceptionalSet.empty(), Gauge.constant(1e-4),
+                        RegularityFn.constant(0.05), MASS, 1e-3, max_generation=6)
+    # the last child is split first, so the top-right cube of generation 6 fails
+    assert str(err.value) == ("gauge forces subdivision past generation 6 near the region "
+                              "[[0.984375, 0.984375], [1.0, 1.0]]")
