@@ -357,7 +357,7 @@ def excise(T: Current, E: ExceptionalSet, eps: float, r0: float,
                 "removed_mass": removed,
                 "neighborhood_mass": ball.value,
             }
-    raise RuntimeError(
+    raise ValueError(
         f"no radius in ({r0/2}, {r0}) met the slice bound {bound:.3e}; "
         f"minimum slice mass found was {best[0]:.3e}"
     )
@@ -446,7 +446,7 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
         for _ in range(40):
             try:
                 candidate, _, _ = excise(T, E_T, eps, r0)
-            except (ValueError, RuntimeError):
+            except ValueError:
                 r0 *= 0.5
                 continue
             cap = complement_within(T, candidate)

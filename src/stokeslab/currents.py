@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import CubeSet, DepthError, DyadicCube, ExceptionalSet, RootBox
+from .dyadic import CubeSet, DepthError, DyadicCube, ExceptionalSet, RootBox, refine
 from .quadrature import QuadResult, integrate_1d, integrate_2d, integrate_boxes
 
 __all__ = [
@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+# deepest generation of the dyadic excision and of the ball-measure sandwich
+_EXCISION_GENERATION = 26
 
 
 class CurrentError(ValueError):
@@ -458,30 +460,21 @@ class TopDimCurrent(Current):
 
         Raises :class:`DepthError` when that needs cubes past generation 26.
         """
-        kept: list[DyadicCube] = []
-        pending = list(self.region.cubes)
-        while True:
-            straddlers = []
-            for q in pending:
-                if E.cube_min_distance(q) >= r:
-                    kept.append(q)
-                elif E.cube_max_distance_bound(q) < r:
-                    continue
-                else:
-                    straddlers.append(q)
-            layer = math.fsum(q.measure() for q in straddlers)
+        def fits(straddlers) -> bool:
             # the side <= r/4 floor keeps the staircase perimeter of the removed
             # region within the mean-value constant of the excision bound
-            fine_enough = not straddlers or straddlers[0].side <= 0.25 * r
-            if not straddlers or (layer <= layer_budget and fine_enough):
-                break
-            if straddlers[0].generation >= 26:
-                raise DepthError(
-                    f"restriction outside radius {r:.3e} needs cubes past generation 26: "
-                    f"the dropped layer {layer:.3e} is above the budget {layer_budget:.3e} "
-                    f"or its cubes are wider than r/4"
-                )
-            pending = [c for q in straddlers for c in q.subdivide()]
+            return (math.fsum(q.measure() for q in straddlers) <= layer_budget
+                    and max(q.side for q in straddlers) <= 0.25 * r)
+
+        kept, _, straddlers = refine(self.region.cubes, _ball_side(E, r), fits,
+                                     _EXCISION_GENERATION)
+        if straddlers and not fits(straddlers):
+            layer = math.fsum(q.measure() for q in straddlers)
+            raise DepthError(
+                f"restriction outside radius {r:.3e} needs cubes past generation "
+                f"{_EXCISION_GENERATION}: the dropped layer {layer:.3e} is above the budget "
+                f"{layer_budget:.3e} or its cubes are wider than r/4"
+            )
         return TopDimCurrent(CubeSet(self.region.root, tuple(kept)), self.theta)
 
     def scalar_integral(self, f, tol: float) -> QuadResult:
@@ -982,33 +975,34 @@ def _cube_ball_overlap(cube_lo, cube_hi, elem_lo, elem_hi, r: float) -> QuadResu
     return integrate_1d(section, a, b, tol=1e-12, max_panels=2048)
 
 
-def _cube_region_measure_in_ball(region: CubeSet, E: ExceptionalSet, r: float,
-                                 rel_tol: float = 1e-4) -> QuadResult:
+def _ball_side(E: ExceptionalSet, r: float):
+    """``refine``'s side for B(E, r): 1 for cubes clear of the open ball, -1 inside it."""
+    def side(q: DyadicCube) -> int:
+        if E.cube_min_distance(q) >= r:
+            return 1
+        return -1 if E.cube_max_distance_bound(q) < r else 0
+    return side
+
+
+def _cube_region_measure_in_ball(region: CubeSet, E: ExceptionalSet, r: float) -> QuadResult:
     """Lebesgue measure of region intersected with B(E, r), with a bound.
 
     Single-element sets use exact per-cube section integrals; unions fall
-    back to a dyadic refinement sandwich (the balls may overlap).
+    back to a dyadic refinement sandwich (the balls may overlap), refined
+    until the layer of straddling cubes is within 1e-4 of the region's
+    measure.  The sandwich is a rigorous bound at any depth, so at the
+    generation cap it is returned as it stands.
     """
     if len(E.elements) == 1 and region.m == 2:
         (elo, ehi) = E.elements[0]
         return _summed(_cube_ball_overlap(*q.bounds(), elo, ehi, r) for q in region.cubes)
-    inside = 0.0
-    budget = rel_tol * max(region.measure(), 1e-12)
-    pending = list(region.cubes)
-    max_generation = 26
-    while True:
-        straddlers = []
-        for q in pending:
-            if E.cube_min_distance(q) >= r:
-                continue
-            if E.cube_max_distance_bound(q) < r:
-                inside += q.measure()
-            else:
-                straddlers.append(q)
-        layer = math.fsum(q.measure() for q in straddlers)
-        if layer <= budget or not straddlers or straddlers[0].generation >= max_generation:
-            return QuadResult(inside + 0.5 * layer, 0.5 * layer, 0)
-        pending = [c for q in straddlers for c in q.subdivide()]
+    budget = 1e-4 * max(region.measure(), 1e-12)
+    _, inside, straddlers = refine(
+        region.cubes, _ball_side(E, r),
+        lambda straddlers: math.fsum(q.measure() for q in straddlers) <= budget,
+        _EXCISION_GENERATION)
+    layer = math.fsum(q.measure() for q in straddlers)
+    return QuadResult(math.fsum(q.measure() for q in inside) + 0.5 * layer, 0.5 * layer, 0)
 
 
 def _line_integral(omega, point, tangent, t0: float, t1: float,

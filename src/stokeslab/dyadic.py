@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,6 +25,7 @@ __all__ = [
     "DepthError",
     "GridError",
     "MAX_GENERATION",
+    "refine",
 ]
 
 MAX_GENERATION = 40
@@ -161,6 +163,30 @@ def _canonicalize(root: RootBox, cubes: Iterable[DyadicCube]) -> tuple[DyadicCub
     return tuple(kept[k] for k in sorted(kept))
 
 
+def refine(cubes: Iterable[DyadicCube], side, done, max_generation: int):
+    """File each cube as kept, dropped or straddling, and split the straddlers.
+
+    ``side(q)`` is 1 to keep q, -1 to drop it and 0 when it straddles.  Each
+    round splits every straddler into its children, until no straddler is
+    left, ``done(straddlers)`` holds or a straddler has reached
+    ``max_generation``.  Returns ``(kept, dropped, straddlers)``: the cubes
+    kept and dropped in every round, in the order filed, and the straddlers
+    of the last round; the caller decides what a cap means.
+    """
+    kept: list[DyadicCube] = []
+    dropped: list[DyadicCube] = []
+    pending = list(cubes)
+    while True:
+        straddlers = []
+        for q in pending:
+            s = side(q)
+            (kept if s > 0 else dropped if s < 0 else straddlers).append(q)
+        if (not straddlers or done(straddlers)
+                or max(q.generation for q in straddlers) >= max_generation):
+            return kept, dropped, straddlers
+        pending = [c for q in straddlers for c in q.subdivide(max_generation)]
+
+
 @dataclass(frozen=True)
 class CubeSet:
     """Finite union of pairwise nonoverlapping dyadic cubes, in canonical form."""
@@ -195,12 +221,15 @@ class CubeSet:
         if not self.cubes:
             raise ValueError("diameter of the empty set is undefined")
         pts = np.unique(np.vstack([q.corners() for q in self.cubes]), axis=0)
+        if self.m == 1:
+            # sqrt(d * d) == |d| in IEEE arithmetic: the pairwise maximum below
+            return float(np.ptp(pts))
         if len(pts) > 1500:
-            try:
-                from scipy.spatial import ConvexHull
+            from scipy.spatial import ConvexHull, QhullError
 
+            try:
                 pts = pts[ConvexHull(pts).vertices]
-            except Exception:
+            except QhullError:
                 pass
         diff = pts[:, None, :] - pts[None, :, :]
         return float(np.sqrt((diff ** 2).sum(axis=2)).max())
@@ -208,40 +237,37 @@ class CubeSet:
     def _finest_generation(self) -> int:
         return max((q.generation for q in self.cubes), default=0)
 
-    def _facets(self):
-        """Oriented facets at integer coordinates of the finest generation.
+    def _boundary_cells(self):
+        """Uncancelled oriented facet pieces at integer coordinates of the finest generation.
 
         Yields (axis, coord, orientation, lo_tuple, hi_tuple) where the lo/hi
-        tuples span the remaining m-1 axes, all in finest-grid integers.
+        tuples span the remaining m-1 axes; a facet shared by two cubes of the
+        set cancels, and pieces of opposite orientation never overlap.
         """
         G = self._finest_generation()
+        rests = [tuple(d for d in range(self.m) if d != axis) for axis in range(self.m)]
+        groups: dict[tuple, tuple[list, list]] = {}
         for q in self.cubes:
             scale = 1 << (G - q.generation)
             lo = tuple(i * scale for i in q.index)
             hi = tuple(l + scale for l in lo)
-            for axis in range(self.m):
-                rest = [d for d in range(self.m) if d != axis]
-                box_lo = tuple(lo[d] for d in rest)
-                box_hi = tuple(hi[d] for d in rest)
-                yield (axis, lo[axis], -1, box_lo, box_hi)
-                yield (axis, hi[axis], +1, box_lo, box_hi)
+            for axis, rest in enumerate(rests):
+                box = (tuple(lo[d] for d in rest), tuple(hi[d] for d in rest))
+                groups.setdefault((axis, lo[axis]), ([], []))[1].append(box)
+                groups.setdefault((axis, hi[axis]), ([], []))[0].append(box)
+        for (axis, coord), (plus, minus) in groups.items():
+            for orient, own, other in ((+1, plus, minus), (-1, minus, plus)):
+                for blo, bhi in own:
+                    pieces = _box_difference(blo, bhi, other) if other else ((blo, bhi),)
+                    for piece_lo, piece_hi in pieces:
+                        yield axis, coord, orient, piece_lo, piece_hi
 
     def perimeter(self) -> float:
         """Total boundary measure with shared facets cancelled; exact."""
-        G = self._finest_generation()
-        unit = self.root.side * 2.0 ** (-G)
-        groups: dict[tuple, list] = {}
-        for axis, coord, orient, blo, bhi in self._facets():
-            groups.setdefault((axis, coord), []).append((orient, blo, bhi))
-        total_cells = 0
-        for (_, _), facets in groups.items():
-            plus = [(blo, bhi) for o, blo, bhi in facets if o > 0]
-            minus = [(blo, bhi) for o, blo, bhi in facets if o < 0]
-            cells = _boxes_volume(plus) + _boxes_volume(minus) - 2 * _boxes_overlap(plus, minus)
-            total_cells += cells
-        if self.m == 1:
-            return float(total_cells)
-        return total_cells * unit ** (self.m - 1)
+        unit = self.root.side * 2.0 ** (-self._finest_generation())
+        cells = sum(math.prod(b - a for a, b in zip(lo, hi))
+                    for _, _, _, lo, hi in self._boundary_cells())
+        return cells * unit ** (self.m - 1)
 
     def boundary_segments(self):
         """Uncancelled oriented boundary facets in real coordinates.
@@ -250,27 +276,18 @@ class CubeSet:
         lo/hi bound the facet on the remaining axes; pieces from opposite
         orientations never overlap.  Only meaningful for m <= 2.
         """
-        G = self._finest_generation()
-        unit = self.root.side * 2.0 ** (-G)
+        unit = self.root.side * 2.0 ** (-self._finest_generation())
         corner = np.asarray(self.root.corner)
-        groups: dict[tuple, list] = {}
-        for axis, coord, orient, blo, bhi in self._facets():
-            groups.setdefault((axis, coord), []).append((orient, blo, bhi))
         out = []
-        for (axis, coord), facets in groups.items():
-            plus = [(blo, bhi) for o, blo, bhi in facets if o > 0]
-            minus = [(blo, bhi) for o, blo, bhi in facets if o < 0]
-            for orient, own, other in ((+1, plus, minus), (-1, minus, plus)):
-                for blo, bhi in own:
-                    for piece_lo, piece_hi in _box_difference(blo, bhi, other):
-                        rest = [d for d in range(self.m) if d != axis]
-                        lo = [0.0] * self.m
-                        hi = [0.0] * self.m
-                        lo[axis] = hi[axis] = corner[axis] + coord * unit
-                        for j, d in enumerate(rest):
-                            lo[d] = corner[d] + piece_lo[j] * unit
-                            hi[d] = corner[d] + piece_hi[j] * unit
-                        out.append((axis, lo[axis], orient, tuple(lo), tuple(hi)))
+        for axis, coord, orient, piece_lo, piece_hi in self._boundary_cells():
+            rest = [d for d in range(self.m) if d != axis]
+            lo = [0.0] * self.m
+            hi = [0.0] * self.m
+            lo[axis] = hi[axis] = corner[axis] + coord * unit
+            for j, d in enumerate(rest):
+                lo[d] = corner[d] + piece_lo[j] * unit
+                hi[d] = corner[d] + piece_hi[j] * unit
+            out.append((axis, lo[axis], orient, tuple(lo), tuple(hi)))
         return out
 
     # -- membership and line queries -------------------------------------------
@@ -330,53 +347,43 @@ class CubeSet:
         removed = {q.key() for q in other.cubes}
         # a kept cube must split iff some removed cube lies strictly inside it
         split = {q.ancestor_key(g) for q in other.cubes for g in range(q.generation)}
-        out: list[DyadicCube] = []
 
-        def push(q: DyadicCube):
-            # q's strict ancestors are already known not to be removed
+        def side(q: DyadicCube) -> int:
             key = q.key()
-            if key in removed:
-                return
-            if key not in split:
-                out.append(q)
-                return
-            for child in q.subdivide():
-                push(child)
+            return -1 if key in removed else 0 if key in split else 1
 
-        for q in self.cubes:
-            if not any(q.ancestor_key(g) in removed for g in range(q.generation)):
-                push(q)
-        return CubeSet(self.root, tuple(out))
+        # a straddler has a removed cube strictly inside, so it never reaches the cap
+        kept, _, _ = refine(
+            (q for q in self.cubes
+             if not any(q.ancestor_key(g) in removed for g in range(q.generation))),
+            side, lambda straddlers: False, MAX_GENERATION)
+        return CubeSet(self.root, tuple(kept))
 
     def restrict_half_space(self, axis: int, threshold: float, keep_below: bool,
                             max_generation: int = MAX_GENERATION) -> "CubeSet":
         """Intersection with {x_axis <= threshold} (or >=); threshold must be dyadic."""
-        kept: list[DyadicCube] = []
+        sign = 1 if keep_below else -1
 
-        def push(q: DyadicCube):
-            lo, hi = q.bounds()
-            if keep_below:
-                if hi[axis] <= threshold:
-                    kept.append(q)
-                    return
-                if lo[axis] >= threshold:
-                    return
-            else:
-                if lo[axis] >= threshold:
-                    kept.append(q)
-                    return
-                if hi[axis] <= threshold:
-                    return
-            if q.generation + 1 > max_generation:
-                raise GridError(
-                    f"threshold {threshold} is not aligned with the dyadic grid "
-                    f"within generation {max_generation}"
-                )
-            for child in q.subdivide(max_generation):
-                push(child)
+        def cut(a: int):
+            def side(q: DyadicCube) -> int:
+                lo, hi = q.bounds()
+                return sign if hi[a] <= threshold else -sign if lo[a] >= threshold else 0
+            return side
 
-        for q in self.cubes:
-            push(q)
+        # Whether a cube straddles depends on its extent along the axis alone, so
+        # the shadows of the cubes on that axis reach the cap iff the cubes do;
+        # they do so in O(|self| * max_generation) work, where the cubes would
+        # multiply by 2^(m-1) a generation before an off-grid threshold is found.
+        line = RootBox((self.root.corner[axis],), self.root.side)
+        shadows = {DyadicCube(line, q.generation, (q.index[axis],)) for q in self.cubes}
+        _, _, off_grid = refine(shadows, cut(0), lambda straddlers: False, max_generation)
+        kept, _, straddlers = refine(self.cubes, cut(axis), lambda straddlers: bool(off_grid),
+                                     max_generation)
+        if straddlers:
+            raise GridError(
+                f"threshold {threshold} is not aligned with the dyadic grid "
+                f"within generation {max_generation}"
+            )
         return CubeSet(self.root, tuple(kept))
 
     def _check_grid(self, other: "CubeSet"):
@@ -418,39 +425,13 @@ def _merged_length(intervals: Sequence[tuple[float, float]]) -> float:
     return total + (cur_b - cur_a)
 
 
-def _boxes_volume(boxes) -> int:
-    """Total integer volume of disjoint integer boxes ((), point boxes count 1)."""
-    total = 0
-    for lo, hi in boxes:
-        v = 1
-        for a, b in zip(lo, hi):
-            v *= b - a
-        total += v
-    return total
-
-
-def _boxes_overlap(plus, minus) -> int:
-    total = 0
-    for plo, phi in plus:
-        for mlo, mhi in minus:
-            v = 1
-            for a, b, c, d in zip(plo, phi, mlo, mhi):
-                w = min(b, d) - max(a, c)
-                if w <= 0:
-                    v = 0
-                    break
-                v *= w
-            total += v
-    return total
-
-
 def _box_difference(lo, hi, others):
     """Integer box minus a list of integer boxes, as a list of disjoint boxes."""
     pieces = [(tuple(lo), tuple(hi))]
     for olo, ohi in others:
         nxt = []
         for plo, phi in pieces:
-            if any(phi[d] <= olo[d] or plo[d] >= ohi[d] for d in range(len(plo))):
+            if not (all(map(operator.lt, olo, phi)) and all(map(operator.lt, plo, ohi))):
                 nxt.append((plo, phi))
                 continue
             cur_lo, cur_hi = list(plo), list(phi)

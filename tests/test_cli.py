@@ -251,3 +251,18 @@ def test_unwritable_stop_report_is_an_internal_error(tmp_path, capsys, command, 
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith(f"{status}: ")
     assert [line for line in err if line.startswith("internal error: ")] == err[-1:]
+
+
+def test_depth_stop_during_excision_is_a_resource_exit(tmp_path, capsys):
+    # the excision retry loop used to swallow DepthError and report a refusal (exit 2)
+    cfg = _write_config(tmp_path, "e.json", {
+        "current": {"kind": "unit_square"},
+        "exceptional_set": {"kind": "point", "at": [0.5, 0.5]},
+        "gauge": {"kind": "constant", "value": 0.3},
+        "epsilon": 1e-18,
+    })
+    out = tmp_path / "out"
+    assert main(["cousin", "--config", cfg, "--out", str(out)]) == EXIT_RESOURCE
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "resource"
+    assert "past generation 26" in report["reason"]

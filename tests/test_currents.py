@@ -99,6 +99,16 @@ def test_restrict_outside_refuses_to_stop_above_its_budget():
         UNIT.restrict_outside(ExceptionalSet.points([(0.3, 0.3)]), 1e-7, 1e-300)
 
 
+def test_restrict_outside_caps_at_the_deepest_straddler():
+    # a generation-26 cube beside a coarse one used to be split on, to generation 40
+    fine = DyadicCube(ROOT, 26, (2 ** 25, 2 ** 25))
+    region = TopDimCurrent(CubeSet(ROOT, (DyadicCube(ROOT, 1, (0, 0)), fine)))
+    E = ExceptionalSet.points([(0.5, 0.5)])
+    r = math.hypot(*(fine.center() - 0.5))
+    with pytest.raises(DepthError, match="generation 26"):
+        region.restrict_outside(E, r, 0.0)
+
+
 def test_mass_additivity_halves():
     left = restrict(UNIT, HalfSpace(0, 0.5, below=True))
     rep = mass_additivity_check(UNIT, left)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,3 +272,73 @@ def test_difference_matches_the_per_cube_scan(pair):
     assert rest == _difference_by_scan(a, b)
     # dyadic measures down to generation 6 add without rounding
     assert rest.measure() + a.intersection(b).measure() == a.measure()
+
+
+
+def test_diameter_of_many_intervals_stays_small():
+    # a 1-D set used to fall back from the hull to an n x n difference array
+    # (572 MiB at 2,500 intervals)
+    root = RootBox((0.0,), 1.0)
+    intervals = CubeSet(root, tuple(DyadicCube(root, 13, (2 * i,)) for i in range(2500)))
+    tracemalloc.start()
+    try:
+        diameter = intervals.diameter()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diameter == 4999 / 8192
+    assert peak < 8 * 2 ** 20
+
+
+SHALLOW = 4  # cell references enumerate 2^(m * SHALLOW) cells at most
+
+
+def _cells(s: CubeSet) -> set:
+    """Integer corners of the generation-SHALLOW cells covered by s."""
+    cells = set()
+    for q in s.cubes:
+        scale = 1 << (SHALLOW - q.generation)
+        cells.update(itertools.product(*(range(i * scale, (i + 1) * scale) for i in q.index)))
+    return cells
+
+
+def _unit_cell_perimeter(s: CubeSet) -> float:
+    cells = _cells(s)
+    facets = sum(
+        tuple(c + (d == axis) * step for d, c in enumerate(cell)) not in cells
+        for cell in cells for axis in range(s.m) for step in (-1, 1)
+    )
+    return facets * (2.0 ** -SHALLOW) ** (s.m - 1)
+
+
+@given(_cube_set_pairs(max_generation=SHALLOW))
+@settings(max_examples=200, deadline=None)
+def test_perimeter_matches_the_unit_cell_count(pair):
+    for s in pair:
+        assert s.perimeter() == _unit_cell_perimeter(s)
+        if s.m <= 2:
+            lengths = [math.prod(b - a for d, (a, b) in enumerate(zip(lo, hi)) if d != axis)
+                       for axis, _, _, lo, hi in s.boundary_segments()]
+            assert math.fsum(lengths) == s.perimeter()
+
+
+@given(_cube_set_pairs(max_generation=SHALLOW), st.integers(0, 2), st.integers(-1, 2 ** SHALLOW + 1),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_half_space_cut_matches_the_cell_reference(pair, axis, k, keep_below):
+    s = pair[0]
+    axis %= s.m
+    threshold = k * 2.0 ** -SHALLOW
+    cut = s.restrict_half_space(axis, threshold, keep_below)
+    below = {c for c in _cells(s) if (c[axis] < k) == keep_below}
+    expected = CubeSet(s.root, tuple(DyadicCube(s.root, SHALLOW, c) for c in below))
+    assert cut == expected
+    # an off-grid threshold raises iff some cube straddles it
+    third = 1.0 / 3.0
+    bounds = [(q, *q.bounds()) for q in s.cubes]
+    if any(lo[axis] < third < hi[axis] for _, lo, hi in bounds):
+        with pytest.raises(GridError):
+            s.restrict_half_space(axis, third, keep_below)
+    else:
+        whole = tuple(q for q, _, hi in bounds if (hi[axis] <= third) == keep_below)
+        assert s.restrict_half_space(axis, third, keep_below) == CubeSet(s.root, whole)
