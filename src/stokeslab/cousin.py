@@ -29,6 +29,7 @@ from .currents import (
 )
 from .dyadic import CubeSet, DyadicCube, DepthError, ExceptionalSet, RootBox
 from .minkowski import ExcisabilityEvidence, excisability_evidence, neighborhood_mass
+from .quadrature import QuadratureError
 
 __all__ = [
     "Gauge",
@@ -443,9 +444,16 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
     work = T
     if not E_T.is_empty() and _needs_excision(T, E_T):
         r0 = _initial_excision_radius(T, E_T)
+        stopped: Optional[RuntimeError] = None
         for _ in range(40):
             try:
                 candidate, _, _ = excise(T, E_T, eps, r0)
+            except (DepthError, QuadratureError) as exc:
+                # a smaller radius may fit its layer; if none does, this is
+                # a resource stop rather than a refusal
+                stopped = exc
+                r0 *= 0.5
+                continue
             except ValueError:
                 r0 *= 0.5
                 continue
@@ -456,6 +464,8 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
                 break
             r0 *= 0.5
         else:
+            if stopped is not None:
+                raise stopped
             raise DecompositionRefusal(
                 "excision could not reach the functional budget eps/2"
             )

@@ -466,8 +466,8 @@ class TopDimCurrent(Current):
             return (math.fsum(q.measure() for q in straddlers) <= layer_budget
                     and max(q.side for q in straddlers) <= 0.25 * r)
 
-        kept, _, straddlers = refine(self.region.cubes, _ball_side(E, r), fits,
-                                     _EXCISION_GENERATION)
+        kept, straddlers = refine(self.region.cubes, _ball_side(E, r), fits,
+                                  _EXCISION_GENERATION)
         if straddlers and not fits(straddlers):
             layer = math.fsum(q.measure() for q in straddlers)
             raise DepthError(
@@ -997,8 +997,9 @@ def _cube_region_measure_in_ball(region: CubeSet, E: ExceptionalSet, r: float) -
         (elo, ehi) = E.elements[0]
         return _summed(_cube_ball_overlap(*q.bounds(), elo, ehi, r) for q in region.cubes)
     budget = 1e-4 * max(region.measure(), 1e-12)
-    _, inside, straddlers = refine(
-        region.cubes, _ball_side(E, r),
+    outside = _ball_side(E, r)
+    inside, straddlers = refine(
+        region.cubes, lambda q: -outside(q),
         lambda straddlers: math.fsum(q.measure() for q in straddlers) <= budget,
         _EXCISION_GENERATION)
     layer = math.fsum(q.measure() for q in straddlers)

@@ -169,21 +169,23 @@ def refine(cubes: Iterable[DyadicCube], side, done, max_generation: int):
     ``side(q)`` is 1 to keep q, -1 to drop it and 0 when it straddles.  Each
     round splits every straddler into its children, until no straddler is
     left, ``done(straddlers)`` holds or a straddler has reached
-    ``max_generation``.  Returns ``(kept, dropped, straddlers)``: the cubes
-    kept and dropped in every round, in the order filed, and the straddlers
-    of the last round; the caller decides what a cap means.
+    ``max_generation``.  Returns ``(kept, straddlers)``: the cubes kept in
+    every round, in the order filed, and the straddlers of the last round;
+    the caller decides what a cap means.
     """
     kept: list[DyadicCube] = []
-    dropped: list[DyadicCube] = []
     pending = list(cubes)
     while True:
         straddlers = []
         for q in pending:
             s = side(q)
-            (kept if s > 0 else dropped if s < 0 else straddlers).append(q)
+            if s > 0:
+                kept.append(q)
+            elif s == 0:
+                straddlers.append(q)
         if (not straddlers or done(straddlers)
                 or max(q.generation for q in straddlers) >= max_generation):
-            return kept, dropped, straddlers
+            return kept, straddlers
         pending = [c for q in straddlers for c in q.subdivide(max_generation)]
 
 
@@ -353,7 +355,7 @@ class CubeSet:
             return -1 if key in removed else 0 if key in split else 1
 
         # a straddler has a removed cube strictly inside, so it never reaches the cap
-        kept, _, _ = refine(
+        kept, _ = refine(
             (q for q in self.cubes
              if not any(q.ancestor_key(g) in removed for g in range(q.generation))),
             side, lambda straddlers: False, MAX_GENERATION)
@@ -376,14 +378,13 @@ class CubeSet:
         # multiply by 2^(m-1) a generation before an off-grid threshold is found.
         line = RootBox((self.root.corner[axis],), self.root.side)
         shadows = {DyadicCube(line, q.generation, (q.index[axis],)) for q in self.cubes}
-        _, _, off_grid = refine(shadows, cut(0), lambda straddlers: False, max_generation)
-        kept, _, straddlers = refine(self.cubes, cut(axis), lambda straddlers: bool(off_grid),
-                                     max_generation)
-        if straddlers:
+        _, off_grid = refine(shadows, cut(0), lambda straddlers: False, max_generation)
+        if off_grid:
             raise GridError(
                 f"threshold {threshold} is not aligned with the dyadic grid "
                 f"within generation {max_generation}"
             )
+        kept, _ = refine(self.cubes, cut(axis), lambda straddlers: False, max_generation)
         return CubeSet(self.root, tuple(kept))
 
     def _check_grid(self, other: "CubeSet"):

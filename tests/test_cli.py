@@ -254,7 +254,8 @@ def test_unwritable_stop_report_is_an_internal_error(tmp_path, capsys, command, 
 
 
 def test_depth_stop_during_excision_is_a_resource_exit(tmp_path, capsys):
-    # the excision retry loop used to swallow DepthError and report a refusal (exit 2)
+    # every radius down to the retry limit stops at the depth cap, so the run
+    # ends on that stop instead of a refusal (exit 2)
     cfg = _write_config(tmp_path, "e.json", {
         "current": {"kind": "unit_square"},
         "exceptional_set": {"kind": "point", "at": [0.5, 0.5]},
@@ -266,3 +267,35 @@ def test_depth_stop_during_excision_is_a_resource_exit(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "resource"
     assert "past generation 26" in report["reason"]
+
+
+def test_excision_retries_a_smaller_radius_after_a_depth_stop(tmp_path, monkeypatch):
+    # at r0 = 7.6e-7 the ball holds 1.83e-12 of eps = 1.9e-12, so the dropped
+    # layer cannot fit the rest by generation 26; at r0/2 the ball mass falls
+    # about 4x and the layer fits
+    from stokeslab import cousin
+    from stokeslab.dyadic import DepthError
+
+    depth_stops = []
+    excise = cousin.excise
+
+    def logged(*args, **kwargs):
+        try:
+            return excise(*args, **kwargs)
+        except DepthError as exc:
+            depth_stops.append(exc)
+            raise
+
+    monkeypatch.setattr(cousin, "excise", logged)
+    cfg = _write_config(tmp_path, "e.json", {
+        "current": {"kind": "unit_square"},
+        "exceptional_set": {"kind": "point", "at": [0.5, 0.5]},
+        "gauge": {"kind": "constant", "value": 0.3},
+        "epsilon": 1.9e-12,
+    })
+    out = tmp_path / "out"
+    assert main(["cousin", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert len(depth_stops) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "decomposed"
+    assert report["certificates_pass"]
