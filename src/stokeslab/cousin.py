@@ -11,7 +11,7 @@ chart by chart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -91,14 +91,16 @@ class Gauge:
         terms = tuple((kind, s * factor, o * factor, E) for kind, s, o, E in self.terms)
         return Gauge(terms)
 
-    def __call__(self, x) -> float:
-        best = math.inf
+    def many(self, points) -> np.ndarray:
+        """The gauge at each row of an (n, m) array of points."""
+        pts = np.asarray(points, dtype=float)
+        best = np.full(len(pts), np.inf)
         for kind, s, o, E in self.terms:
-            if kind == "const":
-                best = min(best, s)
-            else:
-                best = min(best, s * E.distance(x) + o)
+            best = np.minimum(best, s if kind == "const" else s * E.distance_many(pts) + o)
         return best
+
+    def __call__(self, x) -> float:
+        return float(self.many(np.asarray(x, dtype=float)[None])[0])
 
     @property
     def zero_set(self) -> ExceptionalSet:
@@ -249,69 +251,173 @@ class TaggedFamily:
 # ---------------------------------------------------------------------------
 
 
-def _cube_test_points(cube: DyadicCube) -> list[np.ndarray]:
-    return [cube.center()] + [c for c in cube.corners()]
+def _root_arrays(roots: Sequence[DyadicCube]) -> tuple[np.ndarray, ...]:
+    """Root-box corners and sides, generations and indices of the cubes, as arrays."""
+    corner = np.array([q.root.corner for q in roots], dtype=float)
+    root_side = np.array([q.root.side for q in roots], dtype=float)
+    gen = np.array([q.generation for q in roots], dtype=np.int64)
+    index = np.array([q.index for q in roots], dtype=np.int64).reshape(len(roots), -1)
+    return corner, root_side, gen, index
 
 
-def _fine_cubes(root: DyadicCube, fineness: Callable, max_generation: int) -> list[tuple]:
-    """Cousin subdivision of root: (cube, diameter, tag, fineness at tag) per piece.
+def _test_points(corner: np.ndarray, side: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Centre, then corners in mask order, of each cube: an (n, 1 + 2^m, m) array."""
+    lo = corner + side[:, None] * index
+    hi = lo + side[:, None]
+    m = index.shape[1]
+    # filled in place: a generation's broadcast temporaries would each be as
+    # large as the result, and freeing them raises glibc's mmap threshold
+    pts = np.empty((len(lo), 1 + (1 << m), m))
+    pts[:, 0] = 0.5 * (lo + hi)
+    for mask in range(1 << m):
+        for d in range(m):
+            pts[:, 1 + mask, d] = hi[:, d] if (mask >> d) & 1 else lo[:, d]
+    return pts
 
-    A cube is accepted at its first test point (centre, then corners) where
-    fineness exceeds its diameter, and split otherwise.
+
+def _depth_first_order(rid: np.ndarray, gen: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Permutation putting disjoint cubes root by root in depth-first order.
+
+    A stack that pushes the children of a cube in mask order pops them in
+    descending Morton order of their lower corners at the deepest generation,
+    the bit of axis m-1 above that of axis 0.  The Morton key is cut into
+    chunks of at most 62 bits, most significant first.
     """
+    m = index.shape[1]
+    deepest = int(gen.max(initial=0))
+    scaled = index << (deepest - gen)[:, None]
+    keys = [np.zeros(len(gen), dtype=np.int64)]
+    width = 0
+    for bit in range(deepest - 1, -1, -1):
+        for d in range(m - 1, -1, -1):
+            if width == 62:
+                keys.append(np.zeros(len(gen), dtype=np.int64))
+                width = 0
+            keys[-1] = (keys[-1] << 1) | ((scaled[:, d] >> bit) & 1)
+            width += 1
+    return np.lexsort([-k for k in reversed(keys)] + [rid])
+
+
+def _fine_cubes(roots: Sequence[DyadicCube], fineness: Callable, max_generation: int,
+                max_pieces: int) -> tuple[np.ndarray, ...]:
+    """Cousin subdivision of every root, one generation at a time.
+
+    ``fineness`` maps an (n, m) array of points to their n values.  A cube is
+    accepted at its first test point (centre, then corners) where fineness
+    exceeds its diameter, and split into its 2^m children otherwise.  Returns
+    the arrays (root, generation, index, diameter, tag, fineness at tag) of
+    the accepted cubes, generation by generation; ``_depth_first_order``
+    puts them in the order of a depth-first run.  A cube that still fails at ``max_generation`` raises ``DepthError``, for
+    the cube a depth-first run over the roots in order would reach first; a
+    generation that would take the accepted and pending cubes past
+    ``max_pieces`` raises ``ResourceBudgetError`` before it is built.
+    """
+    m = roots[0].m
+    if max_generation > 62:
+        raise ValueError("Cousin subdivision holds indices in 64-bit integers: "
+                         "max_generation must be at most 62")
+    corner, root_side, gen, idx = _root_arrays(roots)
+    rid = np.arange(len(roots))
+    masks = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
     accepted = []
-    stack = [root]
-    while stack:
-        cube = stack.pop()
-        diam = cube.diameter()
-        for p in _cube_test_points(cube):
-            val = fineness(p)
-            if val > diam:
-                accepted.append((cube, diam, p, val))
-                break
-        else:
-            try:
-                stack.extend(cube.subdivide(max_generation))
-            except DepthError as exc:
-                lo, hi = cube.bounds()
-                raise DepthError(
-                    f"gauge forces subdivision past generation {max_generation} "
-                    f"near the region [{lo.tolist()}, {hi.tolist()}]"
-                ) from exc
-    return accepted
+    n_accepted = 0
+    stop, stop_cube = len(roots), None  # first root that failed at the cap
+    while len(rid):
+        side = np.ldexp(root_side[rid], -gen)
+        diam = side * math.sqrt(m)
+        pts = _test_points(corner[rid], side, idx)
+        vals = fineness(pts.reshape(-1, m)).reshape(len(rid), -1)
+        fine = vals > diam[:, None]
+        ok = fine.any(axis=1)
+        rows, first = np.flatnonzero(ok), fine.argmax(axis=1)[ok]
+        accepted.append((rid[ok], gen[ok], idx[ok], diam[ok], pts[rows, first],
+                         vals[rows, first]))
+        n_accepted += len(rows)
+        capped = ~ok & (gen >= max_generation)
+        if capped.any():
+            # every cube of one root in this generation is at the cap; roots after
+            # the first failing one would never be reached depth-first
+            stop = int(rid[capped].min())
+            mine = np.flatnonzero(capped & (rid == stop))
+            at = mine[_depth_first_order(rid[mine], gen[mine], idx[mine])[0]]
+            stop_cube = DyadicCube(roots[stop].root, int(gen[at]), tuple(idx[at].tolist()))
+        split = ~ok & (rid < stop)
+        if n_accepted + (int(split.sum()) << m) > max_pieces:
+            raise ResourceBudgetError(
+                f"decomposition exceeded the piece budget ({max_pieces})"
+            )
+        rid = np.repeat(rid[split], 1 << m)
+        gen = np.repeat(gen[split] + 1, 1 << m)
+        idx = (2 * idx[split][:, None, :] + masks).reshape(-1, m)
+    if stop_cube is not None:
+        lo, hi = stop_cube.bounds()
+        raise DepthError(
+            f"gauge forces subdivision past generation {max_generation} "
+            f"near the region [{lo.tolist()}, {hi.tolist()}]"
+        )
+    return tuple(np.concatenate(parts) for parts in zip(*accepted))
+
+
+def _check_roots(roots: Sequence[DyadicCube], delta: Gauge, etas: Sequence[float]):
+    """Refuse a root whose eta reaches the cube regularity or that meets the gauge's zeros."""
+    zeros = delta.zero_set
+    for q, eta in zip(roots, etas):
+        if eta >= CUBE_REGULARITY(q.m):
+            raise ValueError(
+                f"eta {eta} is not below the cube regularity {CUBE_REGULARITY(q.m)}"
+            )
+        if not zeros.is_empty() and zeros.cube_min_distance(q) <= 0.0:
+            raise ValueError("cousin subdivision needs a gauge positive on the domain; "
+                             "excise the zero set first")
+
+
+def _cube_masses(side: float, m: int, theta: int) -> tuple[float, float]:
+    """Mass |theta| side^m and boundary mass |theta| 2m side^(m-1) of a one-cube piece.
+
+    These are the bits of ``TopDimCurrent.mass()`` and ``boundary_mass()`` on
+    a one-cube set: ``CubeSet.measure()`` is the fsum of the one term side^m,
+    and ``perimeter()`` counts 2m unit facets at the cube's own generation.
+    """
+    return abs(theta) * side ** m, abs(theta) * (2 * m * side ** (m - 1))
+
+
+def _cube_pairs(roots: Sequence[DyadicCube], delta: Gauge, eta: Callable, theta: int,
+                max_generation: int, max_pieces: int) -> list[TaggedPair]:
+    """Tagged Cousin pieces of the roots, root by root in (generation, index) order."""
+    rid, gen, idx, diam, tags, vals = _fine_cubes(roots, delta.many, max_generation,
+                                                  max_pieces)
+    m = roots[0].m
+    pairs = []
+    for k in np.lexsort((*idx.T[::-1], gen, rid)):
+        root = roots[rid[k]].root
+        cube = DyadicCube(root, int(gen[k]), tuple(idx[k].tolist()))
+        mass, boundary_mass = _cube_masses(cube.side, m, theta)
+        pairs.append(TaggedPair(
+            tag=tuple(tags[k].tolist()),
+            piece=TopDimCurrent(CubeSet(root, (cube,)), theta),
+            diam=float(diam[k]),
+            mass=mass,
+            boundary_mass=boundary_mass,
+            reg=CUBE_REGULARITY(m),
+            gauge_at_tag=float(vals[k]),
+            eta_at_tag=eta(tags[k]),
+            meta={"cube": cube.key()},
+        ))
+    return pairs
 
 
 def cousin_decompose(domain: DyadicCube, delta: Gauge, eta: float,
-                     max_generation: int = 40, theta: int = 1) -> TaggedFamily:
+                     max_generation: int = 40, theta: int = 1,
+                     max_pieces: int = 50_000) -> TaggedFamily:
     """Tagged dyadic tiling of a cube: every piece is delta-fine at its tag.
 
     The gauge must be positive on the closed cube; eta must stay below the
     cube regularity 0.5 * m^(-3/2).  The family tiles the cube exactly, so
     the remainder is zero for every functional.
     """
-    m = domain.m
-    if eta >= CUBE_REGULARITY(m):
-        raise ValueError(
-            f"eta {eta} is not below the cube regularity {CUBE_REGULARITY(m)}"
-        )
-    if delta.vanishes_somewhere() and delta.zero_set.cube_min_distance(domain) <= 0.0:
-        raise ValueError("cousin subdivision needs a gauge positive on the domain; "
-                         "excise the zero set first")
-    pairs = []
-    for cube, diam, point, val in _fine_cubes(domain, delta, max_generation):
-        piece = TopDimCurrent(CubeSet(cube.root, (cube,)), theta)
-        pairs.append(TaggedPair(
-            tag=tuple(float(v) for v in point),
-            piece=piece,
-            diam=diam,
-            mass=piece.mass().value,
-            boundary_mass=piece.boundary_mass().value,
-            reg=CUBE_REGULARITY(m),
-            gauge_at_tag=val,
-            eta_at_tag=eta,
-            meta={"cube": cube.key()},
-        ))
-    pairs.sort(key=lambda p: p.meta["cube"])
+    _check_roots([domain], delta, [eta])
+    pairs = _cube_pairs([domain], delta, lambda point: eta, theta, max_generation,
+                        max_pieces)
     parent = TopDimCurrent(CubeSet(domain.root, (domain,)), theta)
     return TaggedFamily(parent, tuple(pairs), (), 0.0, "mass", 0.0)
 
@@ -524,29 +630,31 @@ def _chart_atlas(T: Current) -> tuple[list[Current], list[Current]]:
     return pieces, []
 
 
+def _chart_fineness(chart, delta: Gauge) -> Callable:
+    """The gauge pulled back to the chart domain, for an (n, 2) array of points.
+
+    Fineness transfers through the chart: pieces of planar diameter below
+    delta(image)/Lip push forward to delta-fine pieces.
+    """
+    lip = chart.lip_upper
+    return lambda pts: delta.many(chart.point(pts[:, 0], pts[:, 1])) / lip
+
+
 def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
                            G: SubadditiveFn, budget: float, max_generation: int,
                            piece_budget: int) -> tuple[list[TaggedPair], list[Current]]:
     if isinstance(T, TopDimCurrent):
-        pairs = []
-        for q in T.region.cubes:
-            # one constant eta per cube: its largest value at the test points
-            fam = cousin_decompose(q, delta, max(eta(p) for p in _cube_test_points(q)),
-                                   max_generation, theta=T.theta)
-            pairs.extend(replace(p, eta_at_tag=eta(np.asarray(p.tag))) for p in fam.pairs)
-            if len(pairs) > piece_budget:
-                raise ResourceBudgetError(
-                    f"decomposition exceeded the piece budget ({piece_budget})"
-                )
-        return pairs, []
+        roots = list(T.region.cubes)
+        if not roots:
+            return [], []
+        corner, root_side, gen, index = _root_arrays(roots)
+        # one constant eta per cube: its largest value at the test points
+        _check_roots(roots, delta, [
+            max(eta(p) for p in pts)
+            for pts in _test_points(corner, np.ldexp(root_side, -gen), index)])
+        return _cube_pairs(roots, delta, eta, T.theta, max_generation, piece_budget), []
     chart = T.chart
     lip = chart.lip_upper
-
-    def pulled(u):
-        # fineness transfers through the chart: pieces of planar diameter
-        # below delta(image)/Lip push forward to delta-fine pieces
-        return delta(chart.point(float(u[0]), float(u[1]))) / lip
-
     accepted = []  # (square, cube, diam, pre_tag) over every square of every rect
     leftovers: list[Current] = []
     for rect in T.domain_rects():
@@ -571,15 +679,13 @@ def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
                 f"chart tiling needs {len(squares)} squares, over the piece budget "
                 f"({piece_budget}); decompose a smaller window or raise the budget"
             )
-        for square in squares:
-            root = RootBox((square.x0, square.y0), square.x1 - square.x0)
-            for cube, diam, pre_tag, _ in _fine_cubes(DyadicCube(root, 0, (0, 0)), pulled,
-                                                      max_generation):
-                accepted.append((square, cube, diam, pre_tag))
-            if len(accepted) > piece_budget:
-                raise ResourceBudgetError(
-                    f"decomposition exceeded the piece budget ({piece_budget})"
-                )
+        roots = [DyadicCube(RootBox((sq.x0, sq.y0), sq.x1 - sq.x0), 0, (0, 0))
+                 for sq in squares]
+        rid, gen, idx, diam, pre_tags, _ = _fine_cubes(
+            roots, _chart_fineness(chart, delta), max_generation, piece_budget - len(accepted))
+        for k in _depth_first_order(rid, gen, idx):
+            cube = DyadicCube(roots[rid[k]].root, int(gen[k]), tuple(idx[k].tolist()))
+            accepted.append((squares[rid[k]], cube, float(diam[k]), pre_tags[k]))
 
     pieces = [ChartCurrent(Rect(lo[0], hi[0], lo[1], hi[1]), chart, T.theta, tol=1e-11)
               for lo, hi in (cube.bounds() for _, cube, _, _ in accepted)]

@@ -13,6 +13,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,6 +135,8 @@ def _canonicalize(root: RootBox, cubes: Iterable[DyadicCube]) -> tuple[DyadicCub
         if q.root != root:
             raise GridError("all cubes of a CubeSet must share the root box")
         seen[q.key()] = q
+    if len(seen) == 1:
+        return tuple(seen.values())
     # drop any cube covered by an ancestor already in the set
     gens = sorted({g for g, _ in seen})
     kept: dict[tuple, DyadicCube] = {}
@@ -254,13 +257,18 @@ class CubeSet:
             lo = tuple(i * scale for i in q.index)
             hi = tuple(l + scale for l in lo)
             for axis, rest in enumerate(rests):
-                box = (tuple(lo[d] for d in rest), tuple(hi[d] for d in rest))
-                groups.setdefault((axis, lo[axis]), ([], []))[1].append(box)
-                groups.setdefault((axis, hi[axis]), ([], []))[0].append(box)
+                facet = (q.generation, tuple(lo[d] for d in rest), tuple(hi[d] for d in rest))
+                groups.setdefault((axis, lo[axis]), ([], []))[1].append(facet)
+                groups.setdefault((axis, hi[axis]), ([], []))[0].append(facet)
         for (axis, coord), (plus, minus) in groups.items():
             for orient, own, other in ((+1, plus, minus), (-1, minus, plus)):
-                for blo, bhi in own:
-                    pieces = _box_difference(blo, bhi, other) if other else ((blo, bhi),)
+                if not (own and other):
+                    # a line with one orientation only needs no index
+                    for _, blo, bhi in own:
+                        yield axis, coord, orient, blo, bhi
+                    continue
+                for (_, blo, bhi), boxes in zip(own, _overlapping_facets(own, other, G)):
+                    pieces = _box_difference(blo, bhi, boxes) if boxes else ((blo, bhi),)
                     for piece_lo, piece_hi in pieces:
                         yield axis, coord, orient, piece_lo, piece_hi
 
@@ -426,6 +434,35 @@ def _merged_length(intervals: Sequence[tuple[float, float]]) -> float:
     return total + (cur_b - cur_a)
 
 
+def _overlapping_facets(own, other, G: int) -> list[list[tuple]]:
+    """For each facet of ``own``, the boxes of the facets of ``other`` that overlap it.
+
+    Facets are (generation, lo, hi) dyadic cells of one line, at the integer
+    coordinates of generation G.  Cells are nested or disjoint, so the facets
+    overlapping a cell are the one cell of ``other`` that equals or contains
+    it, found by exact-cell lookups of its ancestors, or the cells of
+    ``other`` inside it, filed under their ancestor at each generation of
+    ``own``.  The boxes come in the order of ``other``.
+    """
+    def cell(h: int, lo: tuple) -> tuple:
+        return h, tuple(l >> (G - h) for l in lo)
+
+    cells = {cell(g, lo): j for j, (g, lo, _) in enumerate(other)}
+    other_gens = {g for g, _, _ in other}
+    own_gens = {g for g, _, _ in own}
+    inside: dict[tuple, list[int]] = {}
+    for j, (g, lo, _) in enumerate(other):
+        for h in own_gens:
+            if h < g:
+                inside.setdefault(cell(h, lo), []).append(j)
+    out = []
+    for g, lo, _ in own:
+        hits = [j for j in (cells.get(cell(h, lo)) for h in other_gens if h <= g)
+                if j is not None]
+        out.append([other[j][1:] for j in sorted(hits + inside.get(cell(g, lo), []))])
+    return out
+
+
 def _box_difference(lo, hi, others):
     """Integer box minus a list of integer boxes, as a list of disjoint boxes."""
     pieces = [(tuple(lo), tuple(hi))]
@@ -506,47 +543,44 @@ class ExceptionalSet:
     def is_empty(self) -> bool:
         return not self.elements
 
-    def distance(self, point) -> float:
-        x = np.asarray(point, dtype=float)
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper element corners as (k, 1, m) arrays, against rows of points."""
+        lo = np.array([lo for lo, _ in self.elements], dtype=float)
+        hi = np.array([hi for _, hi in self.elements], dtype=float)
+        return lo[:, None, :], hi[:, None, :]
+
+    def _nearest(self, n: int, dev) -> np.ndarray:
+        """Row-wise min over the elements of |dev(lo, hi)|, where dev gives n rows.
+
+        The one distance evaluator of the set: sqrt(vecdot) reproduces the bits
+        of np.linalg.norm on each row, so a point gets the same distance alone
+        and in a batch.
+        """
         if not self.elements:
-            return math.inf
-        best = math.inf
-        for lo, hi in self.elements:
-            dev = np.maximum(np.asarray(lo) - x, 0.0) + np.maximum(x - np.asarray(hi), 0.0)
-            best = min(best, float(np.linalg.norm(dev)))
-        return best
+            return np.full(n, np.inf)
+        d = dev(*self._bounds)
+        return np.sqrt(np.vecdot(d, d)).min(axis=0)
+
+    def distance(self, point) -> float:
+        return float(self.distance_many(np.asarray(point, dtype=float)[None])[0])
 
     def distance_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        if not self.elements:
-            return np.full(len(pts), np.inf)
-        dists = np.full(len(pts), np.inf)
-        for lo, hi in self.elements:
-            dev = np.maximum(np.asarray(lo) - pts, 0.0) + np.maximum(pts - np.asarray(hi), 0.0)
-            dists = np.minimum(dists, np.sqrt((dev ** 2).sum(axis=1)))
-        return dists
+        return self._nearest(
+            len(pts), lambda lo, hi: np.maximum(lo - pts, 0.0) + np.maximum(pts - hi, 0.0))
 
     def cube_min_distance(self, cube: DyadicCube) -> float:
         """Exact min over the closed cube of the distance to the set."""
         lo, hi = cube.bounds()
-        if not self.elements:
-            return math.inf
-        best = math.inf
-        for elo, ehi in self.elements:
-            dev = np.maximum(np.asarray(elo) - hi, 0.0) + np.maximum(lo - np.asarray(ehi), 0.0)
-            best = min(best, float(np.linalg.norm(dev)))
-        return best
+        return float(self._nearest(
+            1, lambda elo, ehi: np.maximum(elo - hi, 0.0) + np.maximum(lo - ehi, 0.0))[0])
 
     def cube_max_distance_bound(self, cube: DyadicCube) -> float:
         """Upper bound for max over the cube of the distance (min over elements)."""
         lo, hi = cube.bounds()
-        if not self.elements:
-            return math.inf
-        best = math.inf
-        for elo, ehi in self.elements:
-            dev = np.maximum(np.maximum(np.asarray(elo) - lo, hi - np.asarray(ehi)), 0.0)
-            best = min(best, float(np.linalg.norm(dev)))
-        return best
+        return float(self._nearest(
+            1, lambda elo, ehi: np.maximum(np.maximum(elo - lo, hi - ehi), 0.0))[0])
 
 
 def neighborhood_indicator(E: ExceptionalSet, r: float, x) -> bool:

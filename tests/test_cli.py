@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,3 +303,21 @@ def test_excision_retries_a_smaller_radius_after_a_depth_stop(tmp_path, monkeypa
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "decomposed"
     assert report["certificates_pass"]
+
+
+def test_over_budget_cousin_run_exits_promptly(tmp_path):
+    # a constant gauge of 1e-3 needs about 4.2M pieces of the unit square
+    # against the 50,000-piece budget; the run must stop, not build them all
+    cfg = _write_config(tmp_path, "c.json", {
+        "current": {"kind": "unit_square"},
+        "gauge": {"kind": "constant", "value": 1e-3},
+    })
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stokeslab.cli", "cousin", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == EXIT_RESOURCE
+    assert "decomposition exceeded the piece budget (50000)" in proc.stderr

@@ -1,7 +1,10 @@
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokeslab import certify
 from stokeslab.cousin import (
@@ -9,7 +12,13 @@ from stokeslab.cousin import (
     DecompositionRefusal,
     Gauge,
     RegularityFn,
+    ResourceBudgetError,
     SubadditiveFn,
+    _chart_fineness,
+    _cube_masses,
+    _depth_first_order,
+    _fine_cubes,
+    _tile_rect_with_squares,
     cousin_decompose,
     excise,
     gauge_decompose,
@@ -320,3 +329,208 @@ def test_chart_depth_error_names_region():
     # the last child is split first, so the top-right cube of generation 6 fails
     assert str(err.value) == ("gauge forces subdivision past generation 6 near the region "
                               "[[0.984375, 0.984375], [1.0, 1.0]]")
+
+
+# -- the generation-at-a-time loop against the depth-first stack -------------
+
+
+def _cube_test_points(cube: DyadicCube) -> list[np.ndarray]:
+    return [cube.center()] + [c for c in cube.corners()]
+
+
+def _fine_cubes_by_stack(root: DyadicCube, fineness: Callable, max_generation: int) -> list[tuple]:
+    """Cousin subdivision of root: (cube, diameter, tag, fineness at tag) per piece.
+
+    A cube is accepted at its first test point (centre, then corners) where
+    fineness exceeds its diameter, and split otherwise.
+    """
+    accepted = []
+    stack = [root]
+    while stack:
+        cube = stack.pop()
+        diam = cube.diameter()
+        for p in _cube_test_points(cube):
+            val = fineness(p)
+            if val > diam:
+                accepted.append((cube, diam, p, val))
+                break
+        else:
+            try:
+                stack.extend(cube.subdivide(max_generation))
+            except DepthError as exc:
+                lo, hi = cube.bounds()
+                raise DepthError(
+                    f"gauge forces subdivision past generation {max_generation} "
+                    f"near the region [{lo.tolist()}, {hi.tolist()}]"
+                ) from exc
+    return accepted
+
+
+def _distance_by_norm(E: ExceptionalSet, x) -> float:
+    best = math.inf
+    for lo, hi in E.elements:
+        dev = np.maximum(np.asarray(lo) - x, 0.0) + np.maximum(x - np.asarray(hi), 0.0)
+        best = min(best, float(np.linalg.norm(dev)))
+    return best
+
+
+def _gauge_by_norm(gauge: Gauge, x) -> float:
+    """The gauge at one point, one np.linalg.norm per element of each distance term."""
+    best = math.inf
+    for kind, s, o, E in gauge.terms:
+        if kind == "const":
+            best = min(best, s)
+        else:
+            best = min(best, s * _distance_by_norm(E, x) + o)
+    return best
+
+
+def _assert_same_pieces(roots, fineness_many, fineness_one, max_generation):
+    """The loop gives the stack's pieces and bits, and the stack's order once sorted."""
+    try:
+        expected = [piece for q in roots
+                    for piece in _fine_cubes_by_stack(q, fineness_one, max_generation)]
+    except DepthError as exc:
+        with pytest.raises(DepthError) as err:
+            _fine_cubes(roots, fineness_many, max_generation, 10 ** 9)
+        assert str(err.value) == str(exc)
+        return
+    pieces = _fine_cubes(roots, fineness_many, max_generation, 10 ** 9)
+    rid, gen, idx, diam, tags, vals = (a[_depth_first_order(*pieces[:3])] for a in pieces)
+    got = [DyadicCube(roots[r].root, g, tuple(i)) for r, g, i in zip(rid, gen, idx.tolist())]
+    assert got == [cube for cube, _, _, _ in expected]
+    assert diam.tobytes() == np.array([d for _, d, _, _ in expected]).tobytes()
+    assert tags.tobytes() == np.array([p for _, _, p, _ in expected]).tobytes()
+    assert vals.tobytes() == np.array([v for _, _, _, v in expected]).tobytes()
+
+
+_DEPTH = {1: 8.0, 2: 5.0, 3: 3.0}  # levels below a unit root box, so the stack stays quick
+
+
+@st.composite
+def _roots_and_gauges(draw):
+    m = draw(st.integers(1, 3))
+    side = draw(st.sampled_from([1.0, 0.3, math.pi]))
+    corner = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(m))
+    box = RootBox(corner, side)
+    roots = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.integers(0, 3))
+        roots.append(DyadicCube(box, g, tuple(draw(st.integers(0, 2 ** g - 1))
+                                              for _ in range(m))))
+    top = min(q.generation for q in roots)
+    floor = side * math.sqrt(m) * 2.0 ** -(top + draw(st.floats(0.0, _DEPTH[m])))
+
+    def anchor():
+        lo = [c + side * draw(st.floats(-0.25, 1.25)) for c in corner]
+        kind = draw(st.sampled_from(["point", "segment", "box"]))
+        hi = list(lo)
+        if kind != "point":
+            for d in range(m) if kind == "box" else [draw(st.integers(0, m - 1))]:
+                hi[d] += side * draw(st.floats(0.0, 0.5))
+        return ExceptionalSet.box(lo, hi)
+
+    constant = Gauge.constant(floor * draw(st.floats(1.0, 4.0)))
+    distance = Gauge.distance_to(anchor(), draw(st.floats(0.3, 2.0)), floor)
+    gauge = draw(st.sampled_from([
+        constant, distance, distance.min_with(constant),
+        distance.min_with(Gauge.distance_to(anchor(), draw(st.floats(0.3, 2.0)), floor)),
+    ]))
+    max_generation = draw(st.one_of(st.just(40), st.integers(top, top + 5)))
+    return roots, gauge, max_generation
+
+
+@given(_roots_and_gauges())
+@settings(max_examples=250, deadline=None)
+def test_generation_loop_matches_the_depth_first_stack(case):
+    roots, gauge, max_generation = case
+    _assert_same_pieces(roots, gauge.many, lambda p: _gauge_by_norm(gauge, p), max_generation)
+
+
+def test_depth_stop_names_the_first_root_to_fail_depth_first():
+    # the deeper root reaches the cap three generations before the first one,
+    # yet a depth-first run over the roots in order fails in the first root
+    roots = [UNIT_CUBE, DyadicCube(ROOT, 3, (5, 2))]
+    gauge = Gauge.constant(1e-3)
+    _assert_same_pieces(roots, gauge.many, lambda p: _gauge_by_norm(gauge, p), 5)
+    with pytest.raises(DepthError, match=r"\[\[0\.96875, 0\.96875\], \[1\.0, 1\.0\]\]"):
+        _fine_cubes(roots, gauge.many, 5, 10 ** 9)
+
+
+def _chart_squares(name):
+    from stokeslab.cli import _build_current
+    from stokeslab.counterexample import build_surface_current
+
+    if name == "parabolic":
+        C = _build_current({"kind": "parabolic_graph"})
+        return C.chart, _tile_rect_with_squares(C.domain)[0]
+    model = build_surface_current().model
+    _, lo, hi = model.strip_windows(0.0, model.y_infinity)[1]
+    squares, _ = _tile_rect_with_squares(Rect(model.x_lo, model.x_lo + 0.4, lo, hi))
+    return model.strip_chart(1), squares
+
+
+@pytest.mark.parametrize("name", ["parabolic", "strip"])
+@given(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-0.2, 0.6)),
+       st.floats(0.3, 2.0), st.floats(0.02, 0.2), st.integers(3, 40))
+@settings(max_examples=25, deadline=None)
+def test_chart_squares_match_the_depth_first_stack(name, anchor, scale, offset,
+                                                   max_generation):
+    chart, squares = _chart_squares(name)
+    gauge = Gauge.distance_to(ExceptionalSet.points([anchor]), scale, offset)
+    roots = [DyadicCube(RootBox((sq.x0, sq.y0), sq.x1 - sq.x0), 0, (0, 0)) for sq in squares]
+    lip = chart.lip_upper
+    _assert_same_pieces(
+        roots, _chart_fineness(chart, gauge),
+        lambda u: _gauge_by_norm(gauge, chart.point(float(u[0]), float(u[1]))) / lip,
+        max_generation)
+
+
+def test_chart_pieces_come_out_in_depth_first_order():
+    C = _flat_chart_current(Rect(0.0, 1.0, 0.0, 1.0))
+    gauge = Gauge.distance_to(ExceptionalSet.points([(0.3, 0.7, 0.0)]), 0.5, 0.02)
+    fam = gauge_decompose(C, ExceptionalSet.empty(), gauge, RegularityFn.constant(0.05),
+                          MASS, 1e-3)
+    root = DyadicCube(RootBox((0.0, 0.0), 1.0), 0, (0, 0))
+    expected = _fine_cubes_by_stack(root, lambda u: _gauge_by_norm(gauge, C.chart.point(
+        float(u[0]), float(u[1]))), 40)
+    assert len({cube.generation for cube, _, _, _ in expected}) > 3
+    assert [p.meta["pre_cube"] for p in fam.pairs] == [cube.key() for cube, _, _, _ in expected]
+
+
+def test_the_loop_stops_at_the_piece_budget():
+    fineness = Gauge.constant(0.4).many
+    assert len(_fine_cubes([UNIT_CUBE], fineness, 40, 16)[0]) == 16
+    with pytest.raises(ResourceBudgetError, match=r"piece budget \(15\)"):
+        _fine_cubes([UNIT_CUBE], fineness, 40, 15)
+    # the frontier is refused before it is built: 4.2M pieces, stopped at 65,536
+    with pytest.raises(ResourceBudgetError):
+        cousin_decompose(UNIT_CUBE, Gauge.constant(1e-3), 0.1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_cube_piece_masses_are_the_cube_set_bits(m):
+    for side in (1.0, 0.3, math.pi):
+        root = RootBox((0.25,) * m, side)
+        for g in range(41):
+            cube = DyadicCube(root, g, ((1 << g) - 1,) * m)
+            region = CubeSet(root, (cube,))
+            for theta in (1, -1, 3, -3):
+                piece = TopDimCurrent(region, theta)
+                mass, boundary_mass = _cube_masses(cube.side, m, theta)
+                assert mass.hex() == piece.mass().value.hex()
+                assert boundary_mass.hex() == piece.boundary_mass().value.hex()
+
+
+def test_cube_pieces_carry_their_eta_and_masses():
+    E = ExceptionalSet.points([(0.0, 0.0)])
+    g = Gauge.distance_to(E, 0.75, 0.05).min_with(Gauge.constant(0.8))
+    eta = RegularityFn.from_callable(lambda x: 0.01 + 0.01 * x[0])
+    fam = gauge_decompose(TopDimCurrent(CubeSet.whole(ROOT), 3), ExceptionalSet.empty(), g,
+                          eta, MASS, 1e-3)
+    keys = [p.meta["cube"] for p in fam.pairs]
+    assert keys == sorted(keys)
+    for p in fam.pairs:
+        assert p.eta_at_tag == eta(np.asarray(p.tag))
+        assert p.gauge_at_tag == _gauge_by_norm(g, np.asarray(p.tag))
+        assert (p.mass, p.boundary_mass) == (p.piece.mass().value, p.piece.boundary_mass().value)

@@ -1,12 +1,15 @@
 import itertools
 import math
 import tracemalloc
+from time import perf_counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokeslab.cousin import Gauge
+from stokeslab.currents import TopDimCurrent
 from stokeslab.dyadic import (
     CubeSet,
     DepthError,
@@ -14,6 +17,7 @@ from stokeslab.dyadic import (
     ExceptionalSet,
     GridError,
     RootBox,
+    _box_difference,
     neighborhood_indicator,
 )
 
@@ -342,3 +346,89 @@ def test_half_space_cut_matches_the_cell_reference(pair, axis, k, keep_below):
     else:
         whole = tuple(q for q, _, hi in bounds if (hi[axis] <= third) == keep_below)
         assert s.restrict_half_space(axis, third, keep_below) == CubeSet(s.root, whole)
+
+
+def _boundary_cells_by_scan(self):
+    """Uncancelled oriented facet pieces at integer coordinates of the finest generation.
+
+    The all-pairs reference: each facet is cut by every opposite facet on its line.
+    """
+    G = self._finest_generation()
+    rests = [tuple(d for d in range(self.m) if d != axis) for axis in range(self.m)]
+    groups: dict[tuple, tuple[list, list]] = {}
+    for q in self.cubes:
+        scale = 1 << (G - q.generation)
+        lo = tuple(i * scale for i in q.index)
+        hi = tuple(l + scale for l in lo)
+        for axis, rest in enumerate(rests):
+            box = (tuple(lo[d] for d in rest), tuple(hi[d] for d in rest))
+            groups.setdefault((axis, lo[axis]), ([], []))[1].append(box)
+            groups.setdefault((axis, hi[axis]), ([], []))[0].append(box)
+    for (axis, coord), (plus, minus) in groups.items():
+        for orient, own, other in ((+1, plus, minus), (-1, minus, plus)):
+            for blo, bhi in own:
+                pieces = _box_difference(blo, bhi, other) if other else ((blo, bhi),)
+                for piece_lo, piece_hi in pieces:
+                    yield axis, coord, orient, piece_lo, piece_hi
+
+
+@given(_cube_set_pairs())
+@settings(max_examples=300, deadline=None)
+def test_facet_cancellation_matches_the_all_pairs_scan(pair):
+    a, b = pair
+    # the whole root minus b is rich in coarse facets cut by several fine ones
+    for s in (a, b, a.union(b), a.difference(b), CubeSet.whole(a.root).difference(b)):
+        assert list(s._boundary_cells()) == list(_boundary_cells_by_scan(s))
+
+
+def test_perimeter_of_an_excised_square_is_not_quadratic():
+    # 6,904 cubes around a segment; all-pairs facet cancellation took 4-5 s
+    E = ExceptionalSet.segment((0.5, 0.0), (0.5, 1.0))
+    region = TopDimCurrent(UNIT).restrict_outside(E, 0.01, 1e-3).region
+    assert len(region.cubes) == 6904
+    t0 = perf_counter()
+    perimeter = region.perimeter()
+    elapsed = perf_counter() - t0
+    assert perimeter == 5.958984375
+    assert elapsed < 1.5
+
+
+def _distance_by_norm(lo, hi, x) -> float:
+    dev = np.maximum(np.asarray(lo) - x, 0.0) + np.maximum(x - np.asarray(hi), 0.0)
+    return float(np.linalg.norm(dev))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["points", "segments", "boxes"])
+def test_every_distance_row_has_the_bits_of_the_norm(m, shape):
+    rng = np.random.default_rng(10 * m + len(shape))
+    elements = []
+    for _ in range(3):
+        lo = rng.uniform(-1.0, 1.0, m)
+        hi = lo.copy()
+        if shape == "segments":
+            hi[rng.integers(m)] += rng.uniform(0.0, 1.0)
+        elif shape == "boxes":
+            hi += rng.uniform(0.0, 1.0, m)
+        elements.append((tuple(lo), tuple(hi)))
+    E = ExceptionalSet(tuple(elements))
+    pts = rng.uniform(-3.0, 3.0, (3000, m)) * rng.uniform(0.0, 10.0, (3000, 1))
+    expected = [min(_distance_by_norm(lo, hi, x) for lo, hi in E.elements) for x in pts]
+    assert E.distance_many(pts).tolist() == expected
+    assert [E.distance(x) for x in pts] == expected
+    gauge = Gauge.distance_to(E, 0.7, 0.01).min_with(Gauge.constant(2.5))
+    assert gauge.many(pts).tolist() == [gauge(x) for x in pts]
+    assert gauge.many(pts).tolist() == [min(2.5, 0.7 * d + 0.01) for d in expected]
+    root = RootBox(tuple(rng.uniform(-2.0, 0.0, m)), 3.0)
+    for _ in range(300):
+        g = int(rng.integers(0, 8))
+        q = DyadicCube(root, g, tuple(int(i) for i in rng.integers(0, 2 ** g, m)))
+        lo, hi = q.bounds()
+        assert E.cube_min_distance(q) == min(
+            float(np.linalg.norm(np.maximum(np.asarray(elo) - hi, 0.0)
+                                 + np.maximum(lo - np.asarray(ehi), 0.0)))
+            for elo, ehi in E.elements)
+        assert E.cube_max_distance_bound(q) == min(
+            float(np.linalg.norm(np.maximum(np.maximum(np.asarray(elo) - lo,
+                                                       hi - np.asarray(ehi)), 0.0)))
+            for elo, ehi in E.elements)

@@ -1,0 +1,56 @@
+"""Print the sha256 of every output file of every benchmark workload run.
+
+    PYTHONPATH=src python tools/report_hashes.py [--seed N]
+
+Each run of ``perfbench/workloads.py`` is made once at the given seed
+(default 1) through ``stokeslab.cli.main``, in a temporary directory, and
+every file it writes is hashed.  The output is a Markdown table, one row per
+file, so that two commits whose reports should be byte-identical can be
+compared line by line (and CI can append it to its job summary).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    from stokeslab import cli
+
+    print("| workload | run | command | exit | file | sha256 |")
+    print("|---|---|---|---|---|---|")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload in WORKLOADS.items():
+            for i, run in enumerate(workload(args.seed)):
+                work = Path(tmp) / name / f"run{i}"
+                work.mkdir(parents=True)
+                config = work / "config.json"
+                config.write_text(json.dumps(run.config))
+                out = work / "out"
+                with contextlib.redirect_stdout(sys.stderr):
+                    code = cli.main([run.command, "--config", str(config), "--out", str(out),
+                                     "--seed", str(run.seed)])
+                for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    print(f"| {name} | {i} | {run.command} | {code} "
+                          f"| {path.relative_to(out)} | {digest} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
