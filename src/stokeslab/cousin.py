@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 
+MAX_PIECES = 50_000  # default piece budget of a decomposition
+
+
 def CUBE_REGULARITY(m: int) -> float:
     """Regularity of any cube of dimension m: 0.5 * m^(-3/2)."""
     return 0.5 * m ** (-1.5)
@@ -307,10 +310,11 @@ def _fine_cubes(roots: Sequence[DyadicCube], fineness: Callable, max_generation:
     exceeds its diameter, and split into its 2^m children otherwise.  Returns
     the arrays (root, generation, index, diameter, tag, fineness at tag) of
     the accepted cubes, generation by generation; ``_depth_first_order``
-    puts them in the order of a depth-first run.  A cube that still fails at ``max_generation`` raises ``DepthError``, for
-    the cube a depth-first run over the roots in order would reach first; a
-    generation that would take the accepted and pending cubes past
-    ``max_pieces`` raises ``ResourceBudgetError`` before it is built.
+    puts them in the order of a depth-first run.  A cube that still fails at
+    ``max_generation`` raises ``DepthError``, for the cube a depth-first run
+    over the roots in order would reach first; a generation that would take
+    the accepted and pending cubes past ``max_pieces`` raises
+    ``ResourceBudgetError`` before it is built.
     """
     m = roots[0].m
     if max_generation > 62:
@@ -407,8 +411,7 @@ def _cube_pairs(roots: Sequence[DyadicCube], delta: Gauge, eta: Callable, theta:
 
 
 def cousin_decompose(domain: DyadicCube, delta: Gauge, eta: float,
-                     max_generation: int = 40, theta: int = 1,
-                     max_pieces: int = 50_000) -> TaggedFamily:
+                     max_generation: int = 40, theta: int = 1) -> TaggedFamily:
     """Tagged dyadic tiling of a cube: every piece is delta-fine at its tag.
 
     The gauge must be positive on the closed cube; eta must stay below the
@@ -417,7 +420,7 @@ def cousin_decompose(domain: DyadicCube, delta: Gauge, eta: float,
     """
     _check_roots([domain], delta, [eta])
     pairs = _cube_pairs([domain], delta, lambda point: eta, theta, max_generation,
-                        max_pieces)
+                        MAX_PIECES)
     parent = TopDimCurrent(CubeSet(domain.root, (domain,)), theta)
     return TaggedFamily(parent, tuple(pairs), (), 0.0, "mass", 0.0)
 
@@ -516,7 +519,7 @@ def _tile_rect_with_squares(rect: Rect, min_fraction: float = 0.999,
 def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
                     eta: RegularityFn, G: SubadditiveFn, eps: float,
                     evidence: Optional[ExcisabilityEvidence] = None,
-                    max_generation: int = 40, max_pieces: int = 50_000) -> TaggedFamily:
+                    max_generation: int = 40, max_pieces: int = MAX_PIECES) -> TaggedFamily:
     """Fine, regular, G-full tagged family in T.
 
     The singular set is excised first (needs excisability evidence unless
