@@ -68,6 +68,20 @@ def _integer(desc: dict, key: str, default: int) -> int:
     raise UsageError(f"{key} must be an integer, not {value!r}")
 
 
+def _surface_options(config: dict) -> dict:
+    """config["surface_options"] as integers, each at or above its least value."""
+    desc = config.get("surface_options", {})
+    least = {"max_strip": 0, "y_panels": 1, "x_panels": 1, "order": 1}
+    if not isinstance(desc, dict) or not set(desc) <= set(least):
+        raise UsageError(f"surface_options must be an object with keys among "
+                         f"{', '.join(least)}, not {desc!r}")
+    options = {key: _integer(desc, key, 0) for key in desc}
+    for key, value in options.items():
+        if value < least[key]:
+            raise UsageError(f"surface_options {key} must be at least {least[key]}, not {value}")
+    return options
+
+
 def _build_current(desc: dict):
     from .counterexample import Params, build_surface_current
     from .currents import ChartCurrent, ChartMap, Rect, TopDimCurrent
@@ -227,8 +241,10 @@ def run_stokes(config: dict) -> int:
         raise UsageError(f"form {omega.name!r} lives in R^{omega.n}, the current in R^{T.n}")
     E = _build_exceptional(config.get("exceptional_set", {"kind": "empty"}), T)
     tol = config.get("tol")
+    if tol is not None and not (type(tol) in (int, float) and 0.0 < tol < math.inf):
+        raise UsageError(f"tol must be a finite positive number, not {tol!r}")
     report = integration.stokes_check(T, omega, E, tol=tol,
-                                      surface_options=config.get("surface_options"))
+                                      surface_options=_surface_options(config))
     reports.write_json(out / "report.json", report.as_dict())
     if report.refinement_curve:
         reports.error_curve_to_csv(report.refinement_curve, out / "refinement.csv")

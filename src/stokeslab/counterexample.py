@@ -681,25 +681,16 @@ class SurfaceModel(StripModel):
     def tangential_curls(self, x, y, step, omega=None) -> np.ndarray:
         """<d omega, tau1 ^ tau2> at the surface points Psi(x, y), by central differences.
 
-        ``omega`` maps an (N, 3) array of points to (N, 3) coefficients and
-        defaults to this model's form.  The six stencil points of every
-        surface point go to it in one call.
+        ``omega`` is a :class:`~stokeslab.forms.FormField` and defaults to
+        this model's form; its :meth:`~stokeslab.forms.FormField.d_many`
+        differentiates with ``step``, a scalar or one step per point.
         """
-        omega = omega or self.omega_coeffs
+        omega = omega if omega is not None else self.omega_field()
         x, y, step = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
                                            for v in (x, y, step)))
-        base = np.stack([x, y, self.psi(x, y)], axis=-1)[:, None, :]
-        shift = step[:, None, None] * np.eye(3)
-        stencil = np.concatenate([base + shift, base - shift], axis=1)
-        values = omega(stencil.reshape(-1, 3)).reshape(len(x), 2, 3, 3)
-        partial = (values[:, 0] - values[:, 1]) / (2.0 * step)[:, None, None]
-        # two-form coefficients over (e12, e13, e23)
-        d12 = partial[:, 0, 1] - partial[:, 1, 0]
-        d13 = partial[:, 0, 2] - partial[:, 2, 0]
-        d23 = partial[:, 1, 2] - partial[:, 2, 1]
         _, px, py, _ = self._strip_data(x, y)
         w, area = graph_tangent(px, py)
-        return np.vecdot(np.stack([d12, d13, d23], axis=-1), w) / area
+        return np.vecdot(omega.d_many(self.point(x, y), step), w) / area
 
     # -- chart atlas for the decomposition engine -------------------------------
 

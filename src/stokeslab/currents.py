@@ -318,8 +318,8 @@ class Current:
         """Integral of f d||T|| for f mapping points (N, n) to values (N,)."""
         self._unsupported("scalar integrals")
 
-    def tangent_integral(self, zeta, tol: float) -> QuadResult:
-        """Integral of <zeta(x), unit tangent plane(x)> d||T|| for a 2-covector field."""
+    def tangent_integral(self, omega, tol: float) -> QuadResult:
+        """Integral of <d omega(x), unit tangent plane(x)> d||T||, d omega by ``omega.d_many``."""
         self._unsupported("tangent integrals")
 
     def square_at(self, u, side: float):
@@ -487,9 +487,9 @@ class TopDimCurrent(Current):
                        for q in self.region.cubes for lo, hi in [q.bounds()])
         return _summed(results, abs(self.theta))
 
-    def tangent_integral(self, zeta, tol: float) -> QuadResult:
+    def tangent_integral(self, omega, tol: float) -> QuadResult:
         res = TopDimCurrent(self.region, 1).scalar_integral(
-            lambda pts: np.array([zeta(p).coeffs[0] for p in pts]), tol)
+            lambda pts: omega.d_many(pts)[:, 0], tol)
         return res.scaled(self.theta)
 
     def square_at(self, u, side: float):
@@ -615,11 +615,11 @@ class ChartCurrent(Current):
             lambda x, y: f(self.chart.point(x, y)) * self.chart.area_element(x, y),
             tol, abs(self.theta))
 
-    def tangent_integral(self, zeta, tol: float) -> QuadResult:
+    def tangent_integral(self, omega, tol: float) -> QuadResult:
         def dens(xs, ys):
             points = self.chart.point(xs, ys)
             w, _ = self.tangent_plane(points)
-            return np.vecdot(np.array([zeta(p).coeffs for p in points]), w)
+            return np.vecdot(omega.d_many(points), w)
 
         return self._integrate(dens, tol, self.theta, max_panels=1024)
 

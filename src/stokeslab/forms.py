@@ -8,7 +8,7 @@ basis of Lambda_k, ordered lexicographically.  Only the ambient dimensions
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -202,8 +202,8 @@ class FormField:
     """A continuous degree-k covector field on R^n, evaluated pointwise.
 
     ``differential`` is the analytic exterior derivative when available;
-    otherwise :func:`numeric_differential` supplies a central-difference
-    substitute.  ``exceptional_set`` is any object with a ``distance(x)``
+    otherwise :meth:`d_many` differentiates by central differences.
+    ``exceptional_set`` is any object with a ``distance_many(points)``
     method describing where the field loses smoothness (None means smooth
     everywhere); ``sup_norm`` is an optional known bound on |omega|.
     ``evaluate_batch`` maps an (N, n) array of points to their (N, dim)
@@ -232,35 +232,53 @@ class FormField:
         return np.array([self.evaluate(p).coeffs for p in points],
                         dtype=float).reshape(len(points), dim)
 
-    def d(self, x, step: float = DIFFERENTIAL_STEP) -> KCovector:
-        """Exterior derivative at x: analytic when provided, else numeric."""
-        x = np.asarray(x, dtype=float)
+    def d_many(self, points, step=DIFFERENTIAL_STEP) -> np.ndarray:
+        """Exterior derivative at every row of an (N, n) point array, as an (N, dim) array.
+
+        The analytic differential point by point when the field carries one;
+        otherwise central differences (exact up to rounding for coefficients
+        of degree <= 2 in each variable) with ``step``, a scalar or one per
+        point, from one :meth:`evaluate_many` call on every point's stencil.
+        The coefficient over e_t is d_{t0} omega_{t-t0} - d_{t1} omega_{t-t1}
+        (+ ...), in that order.  A point within its step of the exceptional
+        set raises :class:`DomainError`.
+        """
+        points = np.asarray(points, dtype=float)
+        n, k = self.n, self.k
+        targets = basis_tuples(n, k + 1)
         if self.differential is not None:
-            return self.differential(x)
-        return numeric_differential(self, x, step)
+            return np.array([self.differential(p).coeffs for p in points],
+                            dtype=float).reshape(len(points), len(targets))
+        step = np.broadcast_to(np.asarray(step, dtype=float), (len(points),))
+        if self.exceptional_set is not None:
+            dist = self.exceptional_set.distance_many(points)
+            near = np.flatnonzero(dist <= step)
+            if near.size:
+                i = near[0]
+                raise DomainError(f"point {points[i].tolist()} is within step={step[i]} "
+                                  f"of the exceptional set (dist={dist[i]})")
+        shift = step[:, None, None] * np.eye(n)
+        stencil = np.stack([points[:, None, :] + shift, points[:, None, :] - shift], axis=1)
+        values = self.evaluate_many(stencil.reshape(-1, n)).reshape(
+            len(points), 2, n, len(basis_tuples(n, k)))
+        # partial[:, i, j]: the derivative along axis i of coefficient j
+        partial = (values[:, 0] - values[:, 1]) / (2.0 * step)[:, None, None]
+        index = _BASIS_INDEX[(n, k)]
+        columns = []
+        for t in targets:
+            column = partial[:, t[0], index[t[1:]]]
+            for pos in range(1, len(t)):
+                term = partial[:, t[pos], index[t[:pos] + t[pos + 1:]]]
+                column = column - term if pos % 2 else column + term
+            columns.append(column)
+        return np.stack(columns, axis=-1)
+
+    def d(self, x, step: float = DIFFERENTIAL_STEP) -> KCovector:
+        """Exterior derivative at x: the one-point call of :meth:`d_many`."""
+        x = np.asarray(x, dtype=float)
+        return KCovector(self.n, self.k + 1, self.d_many(x[None, :], step)[0])
 
 
 def numeric_differential(omega: FormField, x, step: float = DIFFERENTIAL_STEP) -> KCovector:
-    """Central-difference exterior derivative of a field at an interior point.
-
-    Exact (up to rounding) whenever every coefficient is polynomial of
-    degree <= 2 in each variable.
-    """
-    x = np.asarray(x, dtype=float)
-    if omega.exceptional_set is not None:
-        d = omega.exceptional_set.distance(x)
-        if d <= step:
-            raise DomainError(
-                f"point {x.tolist()} is within step={step} of the exceptional set (dist={d})"
-            )
-    n, k = omega.n, omega.k
-    out = None
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        hi = omega.evaluate(x + e)
-        lo = omega.evaluate(x - e)
-        partial = KCovector(n, k, (hi.coeffs - lo.coeffs) / (2.0 * step))
-        term = wedge(KCovector.basis(n, (i,)), partial)
-        out = term if out is None else out + term
-    return out
+    """Central-difference d omega at one point, even for a field with an analytic differential."""
+    return replace(omega, differential=None).d(x, step)

@@ -2,9 +2,11 @@
 
 Reference integrals come from an adaptive tensor Gauss-Legendre oracle that
 is independent of the Riemann-sum route; circulation is an adaptive
-boundary line integral.  ``stokes_check`` compares the two sides of the
-boundary identity and corroborates the left side with gauge decompositions
-when the singular set admits them.
+boundary line integral.  Every tangential density <d omega, tau> here, at
+quadrature nodes, at family tags or at one test point, takes d omega from
+:meth:`~stokeslab.forms.FormField.d_many`.  ``stokes_check`` compares the
+two sides of the boundary identity and corroborates the left side with
+Riemann sums over gauge decompositions when the singular set admits them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .cousin import (
 )
 from .currents import Current, CurrentError, SurfaceCurrent, boundary_form_integral
 from .dyadic import ExceptionalSet
-from .forms import DIFFERENTIAL_STEP, DomainError
 from .quadrature import QuadResult, composite_nodes, gauss_rule
 
 __all__ = [
@@ -47,8 +48,11 @@ UNDECIDED = "UNDECIDED-BY-DECOMPOSITION"
 
 
 def riemann_sum(f: Callable, family: TaggedFamily) -> float:
-    """sigma(f, P) = sum of f(tag) * mass(piece) over the family."""
-    return math.fsum(f(np.asarray(p.tag)) * p.mass for p in family.pairs)
+    """sigma(f, P) = sum of f(tag) * mass(piece); f maps the (N, n) tags to (N,) values at once."""
+    if not family.pairs:
+        return 0.0
+    values = f(np.array([p.tag for p in family.pairs], dtype=float))
+    return math.fsum(v * p.mass for v, p in zip(values, family.pairs))
 
 
 def circulation(omega, S: Current, tol: float = 1e-10) -> QuadResult:
@@ -64,23 +68,16 @@ def scalar_integral_oracle(T: Current, f: Callable, tol: float = 1e-10) -> QuadR
     return T.scalar_integral(f, tol)
 
 
-def form_tangent_integral(T: Current, zeta: Callable, tol: float = 1e-9,
-                          surface_options: Optional[dict] = None,
-                          omega=None) -> QuadResult:
-    """integral of <zeta(x), unit tangent plane(x)> d||T|| for a 2-covector field.
+def form_tangent_integral(T: Current, omega, tol: float = 1e-9,
+                          surface_options: Optional[dict] = None) -> QuadResult:
+    """integral of <d omega(x), unit tangent plane(x)> d||T|| for a 1-form field omega.
 
-    ``zeta`` maps a point to a degree-2 KCovector (typically the exterior
-    derivative of a 1-form).  Surface currents need the 1-form itself
-    (``omega``) so the differential can be finite-differenced with
-    strip-adapted steps.
+    Surface currents are sampled strip by strip, so that the differential
+    is finite-differenced with strip-adapted steps.
     """
     if isinstance(T, SurfaceCurrent):
-        if omega is None:
-            raise NotImplementedError(
-                "surface tangent integrals need the 1-form itself (omega=...)"
-            )
         return _surface_tangent_integral(T, omega, surface_options or {})
-    return T.tangent_integral(zeta, tol)
+    return T.tangent_integral(omega, tol)
 
 
 def _surface_tangent_integral(T: SurfaceCurrent, omega, options: dict) -> QuadResult:
@@ -116,8 +113,7 @@ def _surface_tangent_integral(T: SurfaceCurrent, omega, options: dict) -> QuadRe
         ys, wy = composite(lo + margin, hi - margin, y_panels)
         xs, wx = composite(0.0, P, x_panels)
         X, Y = np.meshgrid(xs, ys)
-        curl = model.tangential_curls(X.ravel(), Y.ravel(), step,
-                                      omega.evaluate_many).reshape(X.shape)
+        curl = model.tangential_curls(X.ravel(), Y.ravel(), step, omega).reshape(X.shape)
         dens = model._area_density(X, Y)
         total += float(wy @ (curl * dens) @ wx) * n_periods
         abs_total += float(wy @ (np.abs(curl) * dens) @ wx) * n_periods
@@ -155,7 +151,7 @@ def saks_henstock_test(f: Callable, T: Current, eps1: float,
         except (DecompositionRefusal, ResourceBudgetError) as exc:
             curve.append({"j": j, "error": None, "note": str(exc)})
             continue
-        sigma = riemann_sum(lambda p: float(f(p[None, :])[0]), family)
+        sigma = riemann_sum(f, family)
         err = abs(oracle.value - sigma)
         curve.append({
             "j": j,
@@ -189,11 +185,8 @@ def differentiation_test(omega, T: Current, x, eta: float, eps2: float,
     threshold diameter on.
     """
     x = np.asarray(x, dtype=float)
-    if getattr(omega, "exceptional_set", None) is not None:
-        d = omega.exceptional_set.distance(x)
-        if d <= 1e-9:
-            return {"applicable": False,
-                    "reason": "form is not differentiable at the test point"}
+    if omega.exceptional_set is not None and omega.exceptional_set.distance(x) <= 1e-9:
+        return {"applicable": False, "reason": "form is not differentiable at the test point"}
     try:
         rects = T.domain_rects()
     except CurrentError:
@@ -206,10 +199,7 @@ def differentiation_test(omega, T: Current, x, eta: float, eps2: float,
         where = "a cube" if planar else "the domain"
         return {"applicable": False, "reason": f"point is not interior to {where}"}
     s0 = 2.0 * float(inner) * start_fraction
-    p = T.lift(u)
-    w, area = T.tangent_plane(p[None, :])
-    target = float(np.vecdot(omega.d(p).coeffs, w[0])) / float(area[0]) \
-        * (1 if T.theta > 0 else -1)
+    target = float(_tangent_densities(T, omega, T.lift(u)[None, :])[0])
     rows = []
     threshold = None
     for j in range(steps):
@@ -284,8 +274,7 @@ def stokes_check(T: Current, omega, E_T: Optional[ExceptionalSet] = None,
     if tol is None:
         tol = 1e-6 if analytic else 1e-3
 
-    zeta = lambda p: omega.d(p)
-    lhs = form_tangent_integral(T, zeta, surface_options=surface_options, omega=omega)
+    lhs = form_tangent_integral(T, omega, surface_options=surface_options)
     rhs = circulation(omega, T)
     gap = lhs.value - rhs.value
 
@@ -303,9 +292,7 @@ def stokes_check(T: Current, omega, E_T: Optional[ExceptionalSet] = None,
                 delta = Gauge.constant(2.0 ** (-j))
                 family = gauge_decompose(T, E_T, delta, eta, G, max(tol / 3.0, 1e-9),
                                          evidence=evidence)
-                tags = np.array([p.tag for p in family.pairs], dtype=float)
-                densities = _tangent_densities(T, omega, tags)
-                sigma = math.fsum(d * p.mass for d, p in zip(densities, family.pairs))
+                sigma = riemann_sum(lambda tags: _tangent_densities(T, omega, tags), family)
                 curve.append({
                     "j": j,
                     "max_diam": family.max_diameter(),
@@ -348,22 +335,6 @@ def stokes_check(T: Current, omega, E_T: Optional[ExceptionalSet] = None,
 
 
 def _tangent_densities(T: Current, omega, tags: np.ndarray) -> np.ndarray:
-    """<d omega(p), unit tangent plane at p> at every tag, for Riemann sums over families.
-
-    On the surface, a form without an analytic differential is
-    differentiated by the model's batched curl, with the step of
-    :meth:`FormField.d`.
-    """
-    sign = 1 if T.theta > 0 else -1
-    if isinstance(T, SurfaceCurrent) and omega.differential is None:
-        E = omega.exceptional_set
-        if E is not None and float(E.distance_many(tags).min()) <= DIFFERENTIAL_STEP:
-            raise DomainError(
-                f"a tag lies within step={DIFFERENTIAL_STEP} of the form's exceptional set"
-            )
-        curls = T.model.tangential_curls(tags[:, 0], tags[:, 1], DIFFERENTIAL_STEP,
-                                         omega.evaluate_many)
-        return curls * sign
-    dw = np.array([omega.d(p).coeffs for p in tags])
+    """<d omega(p), unit tangent plane at p> at every row p of tags, with the orientation's sign."""
     w, area = T.tangent_plane(tags)
-    return np.vecdot(dw, w) / area * sign
+    return np.vecdot(omega.d_many(tags), w) / area * (1 if T.theta > 0 else -1)

@@ -321,3 +321,59 @@ def test_over_budget_cousin_run_exits_promptly(tmp_path):
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == EXIT_RESOURCE
     assert "decomposition exceeded the piece budget (50000)" in proc.stderr
+
+
+FLAT_XZ_DY = {"current": {"kind": "flat_graph"}, "form": {"kind": "xz_dy"}}
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])
+def test_stokes_refuses_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys, tol):
+    # the identity holds here, yet -1 and nan used to exit 1 and inf held on any data
+    cfg = _write_config(tmp_path, "t.json", FLAT_XZ_DY)
+    out = tmp_path / "out"
+    assert main(["stokes", "--config", cfg, "--out", str(out), "--tol", tol]) == EXIT_USAGE
+    assert "tol must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", [True, "1e-3"])
+def test_stokes_refuses_a_tolerance_that_is_not_a_number(tmp_path, capsys, tol):
+    # true used to count as a tolerance of 1
+    cfg = _write_config(tmp_path, "t.json", {**FLAT_XZ_DY, "tol": tol})
+    assert main(["stokes", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "tol must be a finite positive number" in capsys.readouterr().err
+
+
+def test_stokes_accepts_a_finite_positive_tolerance(tmp_path):
+    cfg = _write_config(tmp_path, "t.json", FLAT_XZ_DY)
+    out = tmp_path / "out"
+    assert main(["stokes", "--config", cfg, "--out", str(out), "--tol", "1e-6"]) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["tolerance"] == 1e-6
+
+
+@pytest.mark.parametrize("options, message", [
+    ([1, 2], "surface_options must be an object with keys among"),
+    ({"x_panel": 3}, "not {'x_panel': 3}"),
+    ({"y_panels": -1}, "surface_options y_panels must be at least 1"),
+    ({"x_panels": 0}, "surface_options x_panels must be at least 1"),
+    ({"order": 0}, "surface_options order must be at least 1"),
+    ({"max_strip": -1}, "surface_options max_strip must be at least 0"),
+    ({"order": 2.5}, "order must be an integer"),
+    ({"y_panels": True}, "y_panels must be an integer"),
+])
+def test_stokes_refuses_bad_surface_options(tmp_path, capsys, options, message):
+    # a list used to end in an AttributeError (exit 70); the rest ran silently to exit 1
+    cfg = _write_config(tmp_path, "o.json", {
+        "current": {"kind": "counterexample"},
+        "form": {"kind": "counterexample_omega"},
+        "surface_options": options,
+    })
+    assert main(["stokes", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_integral_surface_options_are_accepted(tmp_path):
+    cfg = _write_config(tmp_path, "o.json", {
+        **FLAT_XZ_DY, "surface_options": {"max_strip": 0, "order": 4.0, "x_panels": 1},
+    })
+    assert main(["stokes", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK

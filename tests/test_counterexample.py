@@ -16,7 +16,7 @@ from stokeslab.counterexample import (
     cylindrical_variant,
     default_transition,
 )
-from stokeslab.currents import HalfSpace, restrict
+from stokeslab.currents import HalfSpace, graph_tangent, restrict
 
 PARAMS = Params.default()
 MODEL = SurfaceModel(PARAMS)
@@ -460,6 +460,71 @@ def test_curl_samples_keep_their_points(seed):
     assert seen == _ref_curl_points(MODEL, 400, np.random.default_rng(seed))
 
 
+def _ref_stencil_differential(model, x, y, step, omega=None):
+    """The six-point surface stencil that FormField.d_many replaced, kept as a reference.
+
+    Returns the (N, 3) two-form coefficients over (e12, e13, e23).
+    """
+    omega = omega or model.omega_coeffs
+    x, y, step = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                       for v in (x, y, step)))
+    base = np.stack([x, y, model.psi(x, y)], axis=-1)[:, None, :]
+    shift = step[:, None, None] * np.eye(3)
+    stencil = np.concatenate([base + shift, base - shift], axis=1)
+    values = omega(stencil.reshape(-1, 3)).reshape(len(x), 2, 3, 3)
+    partial = (values[:, 0] - values[:, 1]) / (2.0 * step)[:, None, None]
+    # two-form coefficients over (e12, e13, e23)
+    d12 = partial[:, 0, 1] - partial[:, 1, 0]
+    d13 = partial[:, 0, 2] - partial[:, 2, 0]
+    d23 = partial[:, 1, 2] - partial[:, 2, 1]
+    return np.stack([d12, d13, d23], axis=-1)
+
+
+def _ref_tangential_curls(model, x, y, step, omega=None):
+    """The stencil curl <d omega, tau1 ^ tau2> before FormField.d_many, kept as a reference."""
+    x, y, step = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                       for v in (x, y, step)))
+    _, px, py, _ = model._strip_data(x, y)
+    w, area = graph_tangent(px, py)
+    return np.vecdot(_ref_stencil_differential(model, x, y, step, omega), w) / area
+
+
+def _strip_stencil_points(rng, strips=range(0, 9), per_strip=40):
+    """Points inside strips 0-8 with their strip-adapted steps, two steps off the junctions."""
+    xs, ys, steps = [], [], []
+    for k in strips:
+        step = 5e-6 * PARAMS.lam ** k
+        y0, y1 = MODEL.strip_bounds_y(k)
+        ys.append(rng.uniform(y0 + 2 * step, y1 - 2 * step, per_strip))
+        xs.append(rng.uniform(0.0, math.pi, per_strip))
+        steps.append(np.full(per_strip, step))
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(steps)
+
+
+def test_d_many_keeps_the_bits_of_the_surface_stencil():
+    x, y, steps = _strip_stencil_points(np.random.default_rng(21))
+    omega = MODEL.omega_field()
+    for step in (steps, 1e-5):
+        ref = _ref_stencil_differential(MODEL, x, y, step)
+        got = omega.d_many(MODEL.point(x, y), step)
+        assert got.tobytes() == ref.tobytes()
+        curls = MODEL.tangential_curls(x, y, step)
+        assert curls.tobytes() == _ref_tangential_curls(MODEL, x, y, step).tobytes()
+
+
+def test_tangential_curls_refuse_points_within_the_step_of_the_singular_segment():
+    from stokeslab.forms import DomainError
+
+    step = 1e-5
+    x, y = 1.0, MODEL.y_infinity - 0.5 * step
+    # the stencil alone would return a value here
+    assert np.isfinite(_ref_tangential_curls(MODEL, x, y, step)).all()
+    with pytest.raises(DomainError):
+        MODEL.tangential_curls(x, y, step)
+    with pytest.raises(DomainError):
+        MODEL.tangential_curls([0.5, x], [0.25, y], [step, step])
+
+
 # -- the failure report -------------------------------------------------------
 
 
@@ -608,10 +673,10 @@ def test_riemann_sum_of_tangential_density_vanishes_on_families():
     omega = S.model.omega_field()
 
     def density(p):
-        x, y = float(p[0]), float(p[1])
-        k = int(S.model.strip_index(y))
+        x, y = p[:, 0], p[:, 1]
+        k = S.model.strip_index(y)
         step = 5e-6 * PARAMS.lam ** k
-        return S.model.tangential_curl_at(x, y, step)
+        return np.abs(S.model.tangential_curls(x, y, step))
 
     sigma = integration.riemann_sum(density, fam)
     assert abs(sigma) <= 1e-3 * window.mass().value

@@ -174,3 +174,81 @@ def test_analytic_vs_numeric_on_random_points():
         numeric = numeric_differential(om, x, 1e-5)
         bound = 1e-6 * (1.0 + float(np.linalg.norm(analytic.coeffs)))
         assert float(np.abs(analytic.coeffs - numeric.coeffs).max()) <= bound
+
+
+def _ref_numeric_differential(omega, x, step):
+    """The wedge-loop central difference that FormField.d_many replaced, kept as a reference."""
+    x = np.asarray(x, dtype=float)
+    if omega.exceptional_set is not None:
+        d = omega.exceptional_set.distance(x)
+        if d <= step:
+            raise DomainError(
+                f"point {x.tolist()} is within step={step} of the exceptional set (dist={d})"
+            )
+    n, k = omega.n, omega.k
+    out = None
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = step
+        hi = omega.evaluate(x + e)
+        lo = omega.evaluate(x - e)
+        partial = KCovector(n, k, (hi.coeffs - lo.coeffs) / (2.0 * step))
+        term = wedge(KCovector.basis(n, (i,)), partial)
+        out = term if out is None else out + term
+    return out
+
+
+def _random_field(n, k, rng):
+    """A smooth field whose coefficients mix a sine and a square of random affine maps."""
+    dim = len(forms.basis_tuples(n, k))
+    a, b, c = rng.normal(size=(dim, n)), rng.normal(size=dim), rng.normal(size=(dim, n))
+    return FormField(n, k, evaluate=lambda p: KCovector(n, k, np.sin(a @ p + b) + (c @ p) ** 2))
+
+
+@pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_d_many_keeps_the_bits_of_the_wedge_loop(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    om = _random_field(n, k, rng)
+    points = rng.uniform(-1.0, 1.0, (25, n))
+    steps = rng.uniform(1e-6, 1e-4, len(points))
+    for step in (steps, 1e-5):
+        ref = np.array([_ref_numeric_differential(om, p, s).coeffs
+                        for p, s in zip(points, np.broadcast_to(step, len(points)))])
+        assert om.d_many(points, step).tobytes() == ref.tobytes()
+        one = np.array([numeric_differential(om, p, s).coeffs
+                        for p, s in zip(points, np.broadcast_to(step, len(points)))])
+        assert one.tobytes() == ref.tobytes()
+
+
+def test_d_many_of_a_top_degree_form_is_a_degree_error_like_the_wedge_loop():
+    om = _random_field(2, 2, np.random.default_rng(0))
+    with pytest.raises(DegreeError):
+        _ref_numeric_differential(om, np.array([0.1, 0.2]), 1e-5)
+    with pytest.raises(DegreeError):
+        om.d_many(np.array([[0.1, 0.2]]))
+
+
+def test_d_many_checks_each_point_against_its_own_step():
+    from stokeslab.dyadic import ExceptionalSet
+
+    om = FormField(
+        2, 1,
+        evaluate=lambda p: KCovector(2, 1, [0.0, p[0]]),
+        exceptional_set=ExceptionalSet.points([(0.5, 0.5)]),
+    )
+    points = np.array([[0.1, 0.1], [0.5, 0.5 + 3e-5]])
+    np.testing.assert_allclose(om.d_many(points, [1e-5, 1e-5]), [[1.0], [1.0]], atol=1e-9)
+    with pytest.raises(DomainError):
+        om.d_many(points, [1e-5, 1e-4])
+
+
+def test_d_many_uses_the_analytic_differential_point_by_point():
+    om = FormField(
+        3, 1,
+        evaluate=lambda p: KCovector(3, 1, [p[1] * p[2], p[0] ** 2, p[0] * p[1]]),
+        differential=lambda p: KCovector(3, 2, [2 * p[0] - p[2], 0.0, p[0]]),
+    )
+    points = np.random.default_rng(4).uniform(-1, 1, (7, 3))
+    expected = np.array([om.differential(p).coeffs for p in points])
+    assert om.d_many(points).tobytes() == expected.tobytes()
+    assert om.d_many(np.empty((0, 3))).shape == (0, 3)

@@ -46,23 +46,23 @@ def _xz_dy():
 
 def test_riemann_sum_of_one_is_mass():
     fam = cousin_decompose(UNIT_CUBE, Gauge.constant(0.4), 0.1)
-    assert integration.riemann_sum(lambda p: 1.0, fam) == 1.0
+    assert integration.riemann_sum(lambda p: np.ones(len(p)), fam) == 1.0
 
 
 def test_riemann_sum_of_zero():
     fam = cousin_decompose(UNIT_CUBE, Gauge.constant(0.4), 0.1)
-    assert integration.riemann_sum(lambda p: 0.0, fam) == 0.0
+    assert integration.riemann_sum(lambda p: np.zeros(len(p)), fam) == 0.0
 
 
 def test_riemann_midpoint_exact_for_linear():
     fam = cousin_decompose(UNIT_CUBE, Gauge.constant(0.4), 0.1)
-    assert integration.riemann_sum(lambda p: p[0], fam) == pytest.approx(0.5, abs=0.0)
+    assert integration.riemann_sum(lambda p: p[:, 0], fam) == pytest.approx(0.5, abs=0.0)
 
 
 def test_riemann_linear_in_integrand():
     fam = cousin_decompose(UNIT_CUBE, Gauge.constant(0.4), 0.1)
-    f = lambda p: p[0]
-    g = lambda p: p[1] ** 2
+    f = lambda p: p[:, 0]
+    g = lambda p: p[:, 1] ** 2
     lhs = integration.riemann_sum(lambda p: 2 * f(p) + 3 * g(p), fam)
     rhs = 2 * integration.riemann_sum(f, fam) + 3 * integration.riemann_sum(g, fam)
     assert lhs == pytest.approx(rhs, rel=1e-14)
@@ -74,7 +74,7 @@ def test_riemann_additive_over_disjoint_family_unions():
     left = cousin_decompose(DyadicCube(ROOT, 1, (0, 0)), Gauge.constant(0.3), 0.1)
     right = cousin_decompose(DyadicCube(ROOT, 1, (1, 0)), Gauge.constant(0.3), 0.1)
     merged = replace(left, pairs=left.pairs + right.pairs)
-    f = lambda p: p[0] + 2 * p[1]
+    f = lambda p: p[:, 0] + 2 * p[:, 1]
     assert integration.riemann_sum(f, merged) == pytest.approx(
         integration.riemann_sum(f, left) + integration.riemann_sum(f, right), rel=1e-14
     )
