@@ -174,19 +174,28 @@ class TransitionFn:
 def _gl_composite(f, lengths, panels: int, order: int = 12) -> np.ndarray:
     """Composite Gauss-Legendre values over [0, b] for each length b.
 
-    Each interval is cut into ``panels`` equal panels.  ``f`` maps the
-    (len(lengths), panels * order) array of nodes to values of that shape.
+    Each interval is cut into ``panels`` equal panels.  ``f(X, rows)`` maps
+    nodes X to the values, one row each, on the rows ``rows`` (a mask): once
+    per length that rows share, with X its one (1, panels * order) node
+    row, and once for the other rows, with X their own node rows.
     """
     _, weights = gauss_rule(order)
-    lengths = np.asarray(lengths, dtype=float)
-    pts, halves = composite_nodes(0.0, lengths, panels, order)
-    vals = np.asarray(f(pts.reshape(len(lengths), -1))).reshape(len(lengths), panels, order)
-    return np.sum(halves * (vals @ weights), axis=-1)
+    distinct, row_of, count = np.unique(np.asarray(lengths, dtype=float), return_inverse=True,
+                                        return_counts=True)
+    pts, halves = composite_nodes(0.0, distinct, panels, order)
+    pts = pts.reshape(len(distinct), 1, -1)
+    vals = np.empty((len(row_of), pts.shape[-1]))
+    alone = count[row_of] == 1
+    shared = [(pts[j], row_of == j) for j in np.flatnonzero(count > 1)]
+    for X, rows in [(pts[row_of[alone], 0], alone)] + shared:
+        if rows.any():
+            vals[rows] = f(X, rows)
+    return np.sum(halves[row_of] * (vals.reshape(-1, panels, order) @ weights), axis=-1)
 
 
 # Points per evaluation block of StripModel._row_integrals.  The strip
 # evaluators build a dozen temporaries of the block's size, so this bounds
-# the extra memory a batch of rows needs.
+# the extra memory a batch of rows needs; a shared node row is tabled once per block.
 ROW_BLOCK_POINTS = 1 << 14
 
 _DEFAULT_TRANSITION: Optional[TransitionFn] = None
@@ -200,6 +209,47 @@ def default_transition() -> TransitionFn:
 
 
 # ---------------------------------------------------------------------------
+
+
+class _Blend:
+    """psi and its partials px, py, pxy at the points (x, y), each computed when first read.
+
+    In strip k, s = (y - y_k) / width_k runs from 0 to 1 and
+    psi = (1 - phi(s)) f_k + phi(s) f_{k+1}; the width is signed, so py is
+    a derivative along the ladder coordinate whichever way the ladder runs.
+    phi(s) and its y-derivative are per height.  For a (1, n) node row x and
+    a (rows, 1) column y, f_j and f_j' are tabled on the row once for each
+    strip j from the least k to the greatest k + 1 and gathered to the rows;
+    other points pay their own.  psi and py read only f, px and pxy only f'.
+    """
+
+    def __init__(self, model: "StripModel", x, y):
+        self._model, self._x, self._k = model, np.asarray(x, dtype=float), model.strip_index(y)
+        self._width = model._width[self._k]
+        self._s = (np.asarray(y, dtype=float) - model._ladder[self._k]) / self._width
+        self._w = model.transition(self._s)
+        self._pairs, self._dw = {}, None
+
+    def _pair(self, fn):
+        x, k = self._x, self._k
+        if x.ndim == 2 and len(x) == 1 and k.shape[1:] == (1,) and len(k) > 1:
+            lo = k.min()
+            table = fn(np.arange(lo, k.max() + 2)[:, None], x)
+            return table[k[:, 0] - lo], table[k[:, 0] + 1 - lo]
+        return fn(k, x), fn(k + 1, x)
+
+    def __getitem__(self, i: int):
+        if i % 2 not in self._pairs:
+            self._pairs[i % 2] = self._pair((self._model._f, self._model._fprime)[i % 2])
+        fk, fk1 = self._pairs[i % 2]
+        if i < 2:
+            return (1.0 - self._w) * fk + self._w * fk1
+        if self._dw is None:
+            self._dw = self._model.transition.derivative(self._s) / self._width
+        return self._dw * (fk1 - fk)
+
+    def __iter__(self):
+        return (self[i] for i in range(4))
 
 
 class StripModel:
@@ -249,30 +299,6 @@ class StripModel:
         freq = self._freq[k]
         return self._amp[k] * freq * np.cos(np.asarray(x, dtype=float) * freq)
 
-    def _blend(self, x, y):
-        """psi and its partials px, py, pxy on broadcastable arrays x and y.
-
-        In strip k, s = (y - y_k) / width_k runs from 0 to 1 and
-        psi = (1 - phi(s)) f_k + phi(s) f_{k+1}; the width is signed, so
-        py is a derivative along the ladder coordinate whichever way the
-        ladder runs.  Per-strip work (strip index, transition weights) is
-        done on y's shape, so a (rows, 1) column of heights pays it once per
-        row.
-        """
-        y = np.asarray(y, dtype=float)
-        k = self.strip_index(y)
-        width = self._width[k]
-        s = (y - self._ladder[k]) / width
-        w = self.transition(s)
-        dw = self.transition.derivative(s) / width
-        fk, fk1 = self._f(k, x), self._f(k + 1, x)
-        gk, gk1 = self._fprime(k, x), self._fprime(k + 1, x)
-        psi = (1.0 - w) * fk + w * fk1
-        px = (1.0 - w) * gk + w * gk1
-        py = dw * (fk1 - fk)
-        pxy = dw * (gk1 - gk)
-        return psi, px, py, pxy
-
     # -- periodized x-integrals ----------------------------------------------
 
     def _x_period(self, k: int) -> float:
@@ -316,7 +342,7 @@ class StripModel:
         block = max(1, ROW_BLOCK_POINTS // (12 * panels))
         for s in range(0, len(ys), block):
             Y = ys[s:s + block, None]
-            out[s:s + block] = _gl_composite(lambda X: integrand(X, Y),
+            out[s:s + block] = _gl_composite(lambda X, rows: integrand(X, Y[rows]),
                                              lengths[s:s + block], panels)
         return out
 
@@ -405,13 +431,11 @@ class SurfaceModel(StripModel):
 
     def _strip_data(self, x, y):
         """psi and its partials px, py, pxy on broadcastable arrays x and y."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         if self.params.h == 0.0:
             # every f_k vanishes: the surface is the flat rectangle
-            zero = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+            zero = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
             return zero, zero, zero, zero
-        return self._blend(x, y)
+        return _Blend(self, x, y)
 
     def _graph_data(self, i: int, x, y):
         """Entry i of :meth:`_strip_data`, zero on the flat limit y >= y_infinity."""
@@ -446,12 +470,13 @@ class SurfaceModel(StripModel):
         return np.sqrt(1.0 + self._strip_data(xs, ys)[1] ** 2)
 
     def _area_density(self, xs, ys):
-        _, px, py, _ = self._strip_data(xs, ys)
-        return np.sqrt(1.0 + px ** 2 + py ** 2)
+        data = self._strip_data(xs, ys)
+        return np.sqrt(1.0 + data[1] ** 2 + data[2] ** 2)
 
     def _dy_speed(self, xs, ys):
-        _, px, _, pxy = self._strip_data(xs, ys)
-        return px * pxy / np.sqrt(1.0 + px ** 2)
+        data = self._strip_data(xs, ys)
+        px = data[1]
+        return px * data[3] / np.sqrt(1.0 + px ** 2)
 
     def _memo(self, key, compute):
         cache = self._scalar_cache
@@ -832,16 +857,17 @@ class CylindricalModel(StripModel):
     # -- polar integrands: theta along the circles, r along the ladder -----------
 
     def _speed(self, theta, r):
-        return np.sqrt(r ** 2 + self._blend(theta, r)[1] ** 2)
+        return np.sqrt(r ** 2 + _Blend(self, theta, r)[1] ** 2)
 
     def _dy_speed(self, theta, r):
         """d/dr of the speed: (r + p_theta p_theta_r) / speed."""
-        _, pt, _, ptr = self._blend(theta, r)
-        return (r + pt * ptr) / np.sqrt(r ** 2 + pt ** 2)
+        data = _Blend(self, theta, r)
+        pt = data[1]
+        return (r + pt * data[3]) / np.sqrt(r ** 2 + pt ** 2)
 
     def _area_density(self, theta, r):
-        _, pt, pr, _ = self._blend(theta, r)
-        return np.sqrt(r ** 2 + pt ** 2 + (r * pr) ** 2)
+        data = _Blend(self, theta, r)
+        return np.sqrt(r ** 2 + data[1] ** 2 + (r * data[2]) ** 2)
 
     def annulus_area(self, k: int) -> tuple[float, float]:
         """Area over annulus k, with its derived upper bound."""
@@ -863,7 +889,7 @@ class CylindricalModel(StripModel):
         r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
         shape = r.shape
         r, theta = r.ravel(), theta.ravel()
-        _, pt, pr, _ = self._blend(theta, r)
+        _, pt, pr, _ = _Blend(self, theta, r)
         c1, c2 = self._frame_coeffs(theta, r, pt / r, pr)
         return c1.reshape(shape), c2.reshape(shape)
 

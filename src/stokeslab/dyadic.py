@@ -225,6 +225,9 @@ class CubeSet:
     def diameter(self) -> float:
         if not self.cubes:
             raise ValueError("diameter of the empty set is undefined")
+        if len(self.cubes) == 1:  # the pairwise maximum below, at opposite corners
+            lo, hi = self.cubes[0].bounds()
+            return float(np.sqrt(((hi - lo) ** 2).sum()))
         pts = np.unique(np.vstack([q.corners() for q in self.cubes]), axis=0)
         if self.m == 1:
             # sqrt(d * d) == |d| in IEEE arithmetic: the pairwise maximum below

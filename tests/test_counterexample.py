@@ -7,6 +7,7 @@ import pytest
 
 from stokeslab.cli import EXIT_OK, main
 from stokeslab.counterexample import (
+    ROW_BLOCK_POINTS,
     CylindricalModel,
     Params,
     ParamsError,
@@ -417,6 +418,71 @@ def test_batched_mass_rows_match_per_row_reference():
                     for y in mid + half * nodes]
             ref += half * float(np.dot(weights, rows))
         assert MODEL._y_composite(y0, y1, panels) == pytest.approx(ref, rel=REL)
+
+
+FLAT = Params(a=1 / 3, h=0.0, lam=0.25)
+
+
+def _mixed_rows(model):
+    """Rows (y, x_hi) of one row block: strips 0-3, whole periods and tails, shared and own.
+
+    The three heights of each of strips 0-2 share the strip's whole
+    periods, where it has any, and their sections share a tail, where a
+    section is no whole number of periods; the one height of strip 3 has
+    its whole periods alone, and the partial rows have tails of their own.
+    """
+    ts = np.array([0.2, 0.5, 0.8])
+    ys = np.concatenate([model._ladder[k] + ts * model._width[k] for k in range(3)])
+    partial = model.x_hi * np.array([0.99, 0.6, 0.3, 0.45, 0.7, 0.2, 0.55, 0.8, 0.35])
+    ys = np.concatenate([ys, ys, [ys[4], model._ladder[3] + 0.4 * model._width[3]]])
+    xs = np.concatenate([np.full(9, model.x_hi), partial, [model.x_hi, model.x_hi]])
+    return ys, xs
+
+
+@pytest.mark.parametrize("model", [SurfaceModel(PARAMS), CylindricalModel(PARAMS),
+                                   SurfaceModel(FLAT), CylindricalModel(FLAT)],
+                         ids=["surface", "cylindrical", "surface-flat", "cylindrical-flat"])
+def test_shared_node_rows_keep_the_bits_of_one_row_calls(model):
+    ys, xs = _mixed_rows(model)
+    # one row block at scale 1
+    assert len(ys) <= ROW_BLOCK_POINTS // (12 * model._panels_per_period())
+    for integrand in (model._speed, model._dy_speed, model._area_density):
+        for scale in (1, 2):
+            batched = model._row_integrals(integrand, ys, xs, scale)
+            alone = [model._row_integrals(integrand, [y], [x], scale)[0] for y, x in zip(ys, xs)]
+            assert np.array_equal(batched, alone)
+
+
+def _trig_elements(model, call) -> int:
+    """The sin and cos elements that ``call`` evaluates through model._f and model._fprime."""
+    count = 0
+
+    def counted(fn):
+        def wrapper(k, x):
+            nonlocal count
+            out = fn(k, x)
+            count += out.size
+            return out
+        return wrapper
+
+    model._f, model._fprime = counted(model._f), counted(model._fprime)
+    try:
+        call()
+    finally:
+        del model._f, model._fprime
+    return count
+
+
+def test_y_composite_pays_its_sin_and_cos_per_node_row_not_per_height():
+    model = SurfaceModel(PARAMS)
+    for k in range(4):
+        y0, y1 = model.strip_bounds_y(k)
+        one_row = _trig_elements(model, lambda: model._row_integrals(
+            model._area_density, [0.5 * (y0 + y1)], math.pi))
+        # 12 heights of strip k, one row block: as many as one height
+        assert _trig_elements(model, lambda: model._y_composite(y0, y1, 1)) == one_row
+        # 96 heights: once per row block of at most 21 heights
+        assert _trig_elements(model, lambda: model._y_composite(y0, y1, 8)) <= 5 * one_row
 
 
 def test_batched_omega_matches_per_point_reference():

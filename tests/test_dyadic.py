@@ -87,6 +87,39 @@ def test_diameter_empty_raises():
         CubeSet.empty(ROOT).diameter()
 
 
+def _pairwise_diameter(s: CubeSet) -> float:
+    """CubeSet.diameter before its one-cube shortcut, verbatim."""
+    pts = np.unique(np.vstack([q.corners() for q in s.cubes]), axis=0)
+    if s.m == 1:
+        # sqrt(d * d) == |d| in IEEE arithmetic: the pairwise maximum below
+        return float(np.ptp(pts))
+    if len(pts) > 1500:
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            pts = pts[ConvexHull(pts).vertices]
+        except QhullError:
+            pass
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+
+
+@st.composite
+def _one_cube_sets(draw):
+    m = draw(st.integers(1, 3))
+    corner = tuple(draw(st.floats(-1e3, 1e3)) for _ in range(m))
+    root = RootBox(corner, draw(st.floats(1e-3, 1e3)))
+    generation = draw(st.integers(0, 40))
+    index = tuple(draw(st.integers(0, 2 ** generation - 1)) for _ in range(m))
+    return CubeSet(root, (DyadicCube(root, generation, index),))
+
+
+@given(_one_cube_sets())
+@settings(max_examples=400, deadline=None)
+def test_one_cube_diameter_keeps_the_bits_of_the_pairwise_maximum(s):
+    assert s.diameter().hex() == _pairwise_diameter(s).hex()
+
+
 def test_subdivide_children():
     kids = UNIT.cubes[0].subdivide()
     assert len(kids) == 4
