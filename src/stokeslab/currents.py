@@ -497,13 +497,7 @@ class TopDimCurrent(Current):
         return TopDimCurrent(CubeSet.whole(root), self.theta), side * math.sqrt(2)
 
     def descriptor(self) -> dict:
-        import json
-
-        return {
-            "type": "top_dim",
-            "theta": self.theta,
-            "region": json.loads(self.region.to_json()),
-        }
+        return {"type": "top_dim", "theta": self.theta, "region": self.region.payload()}
 
 
 @dataclass(frozen=True)
@@ -632,12 +626,10 @@ class ChartCurrent(Current):
         return self.chart, self.domain_measure()
 
     def descriptor(self) -> dict:
-        import json
-
         dom = (
             {"rect": [self.domain.x0, self.domain.x1, self.domain.y0, self.domain.y1]}
             if isinstance(self.domain, Rect)
-            else json.loads(self.domain.to_json())
+            else self.domain.payload()
         )
         return {
             "type": "chart",

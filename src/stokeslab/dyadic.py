@@ -404,12 +404,15 @@ class CubeSet:
 
     # -- serialization ----------------------------------------------------------
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The set as plain JSON values: what to_json writes and descriptors embed."""
+        return {
             "root": {"corner": list(self.root.corner), "side": self.root.side},
             "cubes": [{"generation": q.generation, "corner": list(q.index)} for q in self.cubes],
         }
-        return json.dumps(payload)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload())
 
     @classmethod
     def from_json(cls, text: str) -> "CubeSet":

@@ -33,6 +33,22 @@ def test_cousin_unit_square_demo(tmp_path):
     assert len(csv_text.splitlines()) == 17
 
 
+def test_cousin_certifies_a_cube_of_stacked_cubes(tmp_path):
+    # eight cubes, four pairs of them stacked in z: none may overlap another
+    cfg = _write_config(tmp_path, "c.json", {
+        "current": {"kind": "cube_set", "region": {
+            "root": {"corner": [0.0, 0.0, 0.0], "side": 1.0},
+            "cubes": [{"generation": 0, "corner": [0, 0, 0]}]}},
+        "gauge": {"kind": "constant", "value": 1.0},
+        "eta": 0.01,
+    })
+    out = tmp_path / "out"
+    assert main(["cousin", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"]["pieces"] == 8
+    assert report["certificates_pass"] is True and report["violations"] == []
+
+
 def test_cousin_refuses_divergent_set(tmp_path):
     cfg = _write_config(tmp_path, "c.json", {
         "current": {"kind": "counterexample"},

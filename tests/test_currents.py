@@ -244,6 +244,8 @@ def test_descriptor_round_trip_region():
     assert d["type"] == "top_dim"
     back = CubeSet.from_json(json.dumps(d["region"]))
     assert back == UNIT.region
+    chart = ChartCurrent(UNIT.region, _tilt_chart()).descriptor()
+    assert chart["domain"] == d["region"] == json.loads(UNIT.region.to_json())
 
 
 # -- the current protocol: boundary curves and tangent planes -------------------
