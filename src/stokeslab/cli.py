@@ -262,30 +262,24 @@ def run_counterexample(config: dict) -> int:
 
     out = Path(config["out_dir"])
     params = _params_from(config.get("current", config))
+    options = _counterexample_options(config)
     if config.get("cylindrical", False):
         model = cylindrical_variant(params)
         areas = [dict(zip(("area", "bound"), model.annulus_area(k))) | {"k": k}
-                 for k in range(0, _integer(config, "n_strips", 8))]
+                 for k in range(0, options["n_strips"])]
         payload = {
             "status": "experimental",
             "circulation": model.boundary_circulation(),
             "sup_omega_per_circle": [
                 {"k": k, "sup_omega": model.sup_omega_on_circle(k)}
-                for k in range(1, _integer(config, "n_strips", 8))
+                for k in range(1, options["n_strips"])
             ],
             "annulus_areas": areas,
         }
         reports.write_json(out / "report.json", payload)
         reports.write_csv(out / "annuli.csv", areas, ["k", "area", "bound"])
         return EXIT_OK
-    report = verify_failure(
-        params,
-        n_tangent_samples=_integer(config, "n_tangent_samples", 400),
-        n_strips=_integer(config, "n_strips", 12),
-        seed=_integer(config, "seed", 0),
-        tail_cut=float(config.get("tail_cut", 1e-12)),
-        panels_per_osc=_integer(config, "panels_per_osc", 8),
-    )
+    report = verify_failure(params, seed=_integer(config, "seed", 0), **options)
     reports.write_json(out / "report.json", report)
     reports.write_csv(out / "strips.csv", report["strip_areas"],
                       ["k", "area", "bound", "section_length", "sup_omega",
@@ -297,6 +291,31 @@ def run_counterexample(config: dict) -> int:
         and abs(report["boundary_mass"]["value"] - report["boundary_mass"]["expected"]) < 1e-6
     )
     return EXIT_OK if ok else EXIT_FAIL
+
+
+def _counterexample_options(config: dict) -> dict:
+    """The counterexample keys of config, each checked against its range.
+
+    n_strips (default 8 on the polar ladder, else 12) must lie within the
+    model's strip table; the polar run reads no other key.
+    """
+    from .counterexample import StripModel
+
+    cylindrical = config.get("cylindrical", False)
+    options = {"n_strips": _integer(config, "n_strips", 8 if cylindrical else 12)}
+    if not 0 <= options["n_strips"] <= StripModel.K_TABLE:
+        raise UsageError(f"n_strips must lie in [0, {StripModel.K_TABLE}], the strips of the "
+                         f"model's table, not {options['n_strips']}")
+    if cylindrical:
+        return options
+    for key, default in (("n_tangent_samples", 400), ("panels_per_osc", 8)):
+        options[key] = _integer(config, key, default)
+        if options[key] < 1:
+            raise UsageError(f"{key} must be at least 1, not {options[key]}")
+    tail_cut = options["tail_cut"] = config.get("tail_cut", 1e-12)
+    if not (type(tail_cut) in (int, float) and 0.0 < tail_cut < 1.0):
+        raise UsageError(f"tail_cut must be a number strictly between 0 and 1, not {tail_cut!r}")
+    return options
 
 
 def run_minkowski(config: dict) -> int:

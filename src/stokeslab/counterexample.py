@@ -171,31 +171,29 @@ class TransitionFn:
         return float(self.derivative(t).max())
 
 
-def _gl_composite(f, lengths, panels: int, order: int = 12) -> np.ndarray:
-    """Composite Gauss-Legendre values over [0, b] for each length b.
+def _gl_composite(f, lengths, panels, order: int = 12) -> np.ndarray:
+    """Composite Gauss-Legendre values over [0, lengths[i]] on panels[i] equal panels.
 
-    Each interval is cut into ``panels`` equal panels.  ``f(X, rows)`` maps
-    nodes X to the values, one row each, on the rows ``rows`` (a mask): once
-    per length that rows share, with X its one (1, panels * order) node
-    row, and once for the other rows, with X their own node rows.
+    Rows of equal panel counts are adjacent.  One call ``f(X, rows)`` maps
+    the nodes X of all rows, end to end, and rows[j], the row of X[j], to
+    values on the last axis, leading axes kept.  Each row is reduced by its
+    own (panels, order) @ weights and sum of half-widths times panel sums.
     """
     _, weights = gauss_rule(order)
-    distinct, row_of, count = np.unique(np.asarray(lengths, dtype=float), return_inverse=True,
-                                        return_counts=True)
-    pts, halves = composite_nodes(0.0, distinct, panels, order)
-    pts = pts.reshape(len(distinct), 1, -1)
-    vals = np.empty((len(row_of), pts.shape[-1]))
-    alone = count[row_of] == 1
-    shared = [(pts[j], row_of == j) for j in np.flatnonzero(count > 1)]
-    for X, rows in [(pts[row_of[alone], 0], alone)] + shared:
-        if rows.any():
-            vals[rows] = f(X, rows)
-    return np.sum(halves[row_of] * (vals.reshape(-1, panels, order) @ weights), axis=-1)
+    cuts = np.flatnonzero(np.r_[True, panels[1:] != panels[:-1], True])
+    nodes = [composite_nodes(0.0, lengths[a:z], int(panels[a]), order)
+             for a, z in zip(cuts[:-1], cuts[1:])]
+    vals = f(np.concatenate([x.ravel() for x, _ in nodes]),
+             np.repeat(np.arange(len(lengths)), order * panels))
+    segs = np.split(vals.reshape(-1, vals.shape[-1]), np.cumsum([x.size for x, _ in nodes[:-1]]),
+                    axis=-1)
+    return np.concatenate([np.sum(halves * (seg.reshape((len(seg),) + x.shape) @ weights), axis=-1)
+                           for (x, halves), seg in zip(nodes, segs)], axis=-1)
 
 
-# Points per evaluation block of StripModel._row_integrals.  The strip
-# evaluators build a dozen temporaries of the block's size, so this bounds
-# the extra memory a batch of rows needs; a shared node row is tabled once per block.
+# Values per evaluation block of StripModel._row_integrals, channels counted.
+# The strip evaluators build a dozen temporaries of the block's size, so
+# this bounds the extra memory a batch of rows needs.
 ROW_BLOCK_POINTS = 1 << 14
 
 _DEFAULT_TRANSITION: Optional[TransitionFn] = None
@@ -217,17 +215,23 @@ class _Blend:
     In strip k, s = (y - y_k) / width_k runs from 0 to 1 and
     psi = (1 - phi(s)) f_k + phi(s) f_{k+1}; the width is signed, so py is
     a derivative along the ladder coordinate whichever way the ladder runs.
-    phi(s) and its y-derivative are per height.  For a (1, n) node row x and
-    a (rows, 1) column y, f_j and f_j' are tabled on the row once for each
+    The strip index, s, phi(s) and phi'(s) / width are per height; y may be
+    a pair (heights, rows), rows[i] the row of x[i], and then they are
+    gathered to the nodes, as ``y`` is.  For a (1, n) node row x and a
+    (rows, 1) column y, f_j and f_j' are tabled on the row once for each
     strip j from the least k to the greatest k + 1 and gathered to the rows;
     other points pay their own.  psi and py read only f, px and pxy only f'.
     """
 
     def __init__(self, model: "StripModel", x, y):
-        self._model, self._x, self._k = model, np.asarray(x, dtype=float), model.strip_index(y)
-        self._width = model._width[self._k]
-        self._s = (np.asarray(y, dtype=float) - model._ladder[self._k]) / self._width
-        self._w = model.transition(self._s)
+        y, self._rows = y if isinstance(y, tuple) else (y, ...)
+        y = np.asarray(y, dtype=float)
+        k = model.strip_index(y)
+        self._width = model._width[k]
+        self._s = (y - model._ladder[k]) / self._width
+        self._model, self._x = model, np.asarray(x, dtype=float)
+        self._k, self.y = k[self._rows], y[self._rows]
+        self._w = model.transition(self._s)[self._rows]
         self._pairs, self._dw = {}, None
 
     def _pair(self, fn):
@@ -245,7 +249,7 @@ class _Blend:
         if i < 2:
             return (1.0 - self._w) * fk + self._w * fk1
         if self._dw is None:
-            self._dw = self._model.transition.derivative(self._s) / self._width
+            self._dw = (self._model.transition.derivative(self._s) / self._width)[self._rows]
         return self._dw * (fk1 - fk)
 
     def __iter__(self):
@@ -258,10 +262,11 @@ class StripModel:
     Strip k covers [y_k, y_{k+1}) in the direction the ladder runs and
     blends f_k into f_{k+1} across it.  A subclass supplies the ladder, the
     signed strip widths, the section extent [0, x_hi] and its chart's
-    integrands ``_speed``, ``_dy_speed`` (the derivative of the speed along
-    the ladder) and ``_area_density``, each a function of (x, y): x runs
-    along the sections and y is the ladder coordinate (r on the polar
-    ladder).  All point evaluators are vectorized over numpy arrays.
+    integrands ``_speed``, ``_speeds`` (the speed and its derivative along
+    the ladder, as two channels) and ``_area_density``, each a function of
+    (x, y) as :class:`_Blend` takes them: x runs along the sections and y
+    is the ladder coordinate (r on the polar ladder).  All point
+    evaluators are vectorized over numpy arrays.
     """
 
     K_TABLE = 60
@@ -307,13 +312,14 @@ class StripModel:
     def _panels_per_period(self) -> int:
         return 2 * self.panels_per_osc * self.params.lam_inverse
 
-    def _row_integrals(self, integrand, ys, x_his, scale: int = 1) -> np.ndarray:
+    def _row_integrals(self, integrand, ys, x_his, scale: int = 1, channels: int = 1) -> np.ndarray:
         """Integral of ``integrand(x, y)`` over x in [0, x_hi], for every row (y, x_hi).
 
         Each row is a count of whole periods of its strip plus a tail, on
         ``scale`` times the usual panels.  The whole-period integral is
-        computed once per distinct height, and rows with equal panel counts
-        are evaluated together, ROW_BLOCK_POINTS points at a time.
+        computed once per distinct height, and the whole periods and the
+        tails go through one :meth:`_gl_rows` pass.  An integrand of
+        ``channels`` > 1 returns them on a leading axis, and so does this.
         """
         ys, x_his = np.broadcast_arrays(np.atleast_1d(np.asarray(ys, dtype=float)),
                                         np.asarray(x_his, dtype=float))
@@ -322,43 +328,58 @@ class StripModel:
         n_full = np.floor(x_his / P + 1e-12)
         rem = x_his - n_full * P
         rem[rem < 1e-15 * np.maximum(1.0, x_his)] = 0.0
-        out = np.zeros(ys.shape)
-        full = n_full != 0
-        if full.any():
-            heights, row_of = np.unique(ys[full], return_inverse=True)
-            per = self._gl_rows(integrand, heights, self._periods[self.strip_index(heights)],
-                                scale * panels)
-            out[full] = n_full[full] * per[row_of.ravel()]
-        tail = rem > 0
-        tail_panels = scale * np.maximum(2, np.ceil(panels * rem / P)).astype(int)
-        for n in np.unique(tail_panels[tail]):
-            rows = tail & (tail_panels == n)
-            out[rows] += self._gl_rows(integrand, ys[rows], rem[rows], int(n))
+        full, tail = n_full != 0, rem > 0
+        heights, row_of = np.unique(ys[full], return_inverse=True)
+        tail_panels = scale * np.maximum(2, np.ceil(panels * rem[tail] / P[tail])).astype(int)
+        vals = self._gl_rows(integrand, np.concatenate([heights, ys[tail]]),
+                             np.concatenate([self._periods[self.strip_index(heights)], rem[tail]]),
+                             np.concatenate([np.full(len(heights), scale * panels), tail_panels]),
+                             channels)
+        out = np.zeros(vals.shape[:-1] + ys.shape)
+        out[..., full] = n_full[full] * vals[..., row_of.ravel()]
+        out[..., tail] += vals[..., len(heights):]
         return out
 
-    def _gl_rows(self, integrand, ys, lengths, panels: int) -> np.ndarray:
-        """Composite Gauss values over [0, lengths[i]] at heights ys[i], blockwise."""
-        out = np.empty(len(ys))
-        block = max(1, ROW_BLOCK_POINTS // (12 * panels))
-        for s in range(0, len(ys), block):
-            Y = ys[s:s + block, None]
-            out[s:s + block] = _gl_composite(lambda X, rows: integrand(X, Y[rows]),
-                                             lengths[s:s + block], panels)
-        return out
+    def _gl_rows(self, integrand, ys, lengths, panels, channels: int) -> np.ndarray:
+        """Composite Gauss values over [0, lengths[i]] on panels[i] panels at heights ys[i].
+
+        Rows that share their length and panel count share one (1, n) node
+        row.  The other rows go end to end, in order of panel count, into one
+        ``integrand(x, (heights, rows))`` call per block (see :class:`_Blend`).
+        A call takes at most ROW_BLOCK_POINTS values plus one row.
+        """
+        order = np.lexsort((lengths, panels))
+        n, b = panels[order], lengths[order]
+        first = np.flatnonzero(np.r_[True, (n[1:] != n[:-1]) | (b[1:] != b[:-1])])
+        size = np.diff(np.r_[first, len(order)])
+        out = np.empty((channels, len(ys)))
+        for a, m in zip(first[size > 1], size[size > 1]):
+            step = max(1, ROW_BLOCK_POINTS // (channels * 12 * n[a]))
+            for rows in np.split(order[a:a + m], np.arange(step, m, step)):
+                out[:, rows] = _gl_composite(lambda X, _: integrand(X[None], ys[rows, None]),
+                                             b[a:a + 1], n[a:a + 1]).reshape(channels, -1)
+        alone = order[np.repeat(size == 1, size)]
+        points = channels * 12 * panels[alone]
+        block_of = (np.cumsum(points) - points) // ROW_BLOCK_POINTS
+        for rows in np.split(alone, np.flatnonzero(np.diff(block_of)) + 1):
+            if len(rows):
+                out[:, rows] = _gl_composite(lambda X, at: integrand(X, (ys[rows], at)),
+                                             lengths[rows], panels[rows]).reshape(channels, -1)
+        return out if channels > 1 else out[0]
 
     def _lengths_at(self, x, y):
         """L(y), dL/dy(y), L(x, y) and dL(x, y)/dy at points (x, y) of the strips.
 
-        Section rows (x_hi) and partial rows share one kernel call per
-        integrand, so each distinct height pays for one whole period.
+        Section rows (x_hi) and partial rows share one pass of the
+        two-channel integrand ``_speeds``, so each distinct height pays for
+        one whole period, and L(y) takes one more pass at twice the panels.
         """
         heights, h_of = np.unique(y, return_inverse=True)
         pairs, p_of = np.unique(np.stack([x, y], axis=-1), axis=0, return_inverse=True)
         row_y = np.concatenate([heights, pairs[:, 1]])
         row_x = np.concatenate([np.full(len(heights), self.x_hi), pairs[:, 0]])
         h_of, p_of = h_of.ravel(), len(heights) + p_of.ravel()
-        speed = self._row_integrals(self._speed, row_y, row_x)
-        dy_speed = self._row_integrals(self._dy_speed, row_y, row_x)
+        speed, dy_speed = self._row_integrals(self._speeds, row_y, row_x, channels=2)
         L = self._row_integrals(self._speed, heights, self.x_hi, scale=2)
         return L[h_of], dy_speed[h_of], speed[p_of], dy_speed[p_of]
 
@@ -411,6 +432,9 @@ class SurfaceModel(StripModel):
         self.y_infinity = params.y_infinity
         a = params.a
         self.k_cut = max(2, math.ceil(math.log(tail_cut) / math.log(a))) if a > 0 else 2
+        if self.k_cut >= self.K_TABLE:
+            raise ParamsError(f"tail_cut {tail_cut} needs strips up to {self.k_cut}, past the "
+                              f"{self.K_TABLE} of the strip table")
         self._scalar_cache: dict = {}
 
     # -- strip bookkeeping --------------------------------------------------
@@ -430,28 +454,35 @@ class SurfaceModel(StripModel):
     # -- pointwise surface data ----------------------------------------------
 
     def _strip_data(self, x, y):
-        """psi and its partials px, py, pxy on broadcastable arrays x and y."""
+        """psi and its partials px, py, pxy at the points (x, y) as :class:`_Blend` takes them."""
         if self.params.h == 0.0:
             # every f_k vanishes: the surface is the flat rectangle
-            zero = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            zero = np.zeros(np.shape(x) if isinstance(y, tuple) else
+                            np.broadcast_shapes(np.shape(x), np.shape(y)))
             return zero, zero, zero, zero
         return _Blend(self, x, y)
 
-    def _graph_data(self, i: int, x, y):
-        """Entry i of :meth:`_strip_data`, zero on the flat limit y >= y_infinity."""
+    def _graph_data(self, x, y, *entries):
+        """The entries of :meth:`_strip_data`, zero on the flat limit y >= y_infinity."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         flat = y >= self.y_infinity
-        return np.where(flat, 0.0, self._strip_data(x, np.where(flat, 0.0, y))[i])
+        data = self._strip_data(x, np.where(flat, 0.0, y))
+        return [np.where(flat, 0.0, data[i]) for i in entries]
 
     def psi(self, x, y):
-        return self._graph_data(0, x, y)
+        return self._graph_data(x, y, 0)[0]
 
     def dpsi_dx(self, x, y):
-        return self._graph_data(1, x, y)
+        return self._graph_data(x, y, 1)[0]
 
     def dpsi_dy(self, x, y):
-        return self._graph_data(2, x, y)
+        return self._graph_data(x, y, 2)[0]
+
+    def area_element(self, x, y):
+        """sqrt(1 + px^2 + py^2), both partials from one strip-data evaluation."""
+        px, py = self._graph_data(x, y, 1, 2)
+        return np.sqrt(1.0 + px ** 2 + py ** 2)
 
     def point(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -473,10 +504,11 @@ class SurfaceModel(StripModel):
         data = self._strip_data(xs, ys)
         return np.sqrt(1.0 + data[1] ** 2 + data[2] ** 2)
 
-    def _dy_speed(self, xs, ys):
+    def _speeds(self, xs, ys):
         data = self._strip_data(xs, ys)
         px = data[1]
-        return px * data[3] / np.sqrt(1.0 + px ** 2)
+        speed = np.sqrt(1.0 + px ** 2)
+        return np.stack([speed, px * data[3] / speed])
 
     def _memo(self, key, compute):
         cache = self._scalar_cache
@@ -504,13 +536,13 @@ class SurfaceModel(StripModel):
         y = float(y)
         if y >= self.y_infinity:
             return 0.0
-        return float(self._row_integrals(self._dy_speed, y, math.pi)[0])
+        return float(self._row_integrals(self._speeds, y, math.pi, channels=2)[1, 0])
 
     def dy_partial_length(self, x: float, y: float) -> float:
         x, y = float(x), float(y)
         if y >= self.y_infinity:
             return 0.0
-        return float(self._row_integrals(self._dy_speed, y, x)[0])
+        return float(self._row_integrals(self._speeds, y, x, channels=2)[1, 0])
 
     # -- strip areas and windowed mass ----------------------------------------
 
@@ -740,6 +772,7 @@ class SurfaceModel(StripModel):
             psi=self.psi,
             dpsi_dx=self.dpsi_dx,
             dpsi_dy=self.dpsi_dy,
+            area=self.area_element,
             lip_upper=self.strip_lip_upper(k),
             lip_inverse=1.0,
             name=f"strip-{k}",
@@ -857,16 +890,19 @@ class CylindricalModel(StripModel):
     # -- polar integrands: theta along the circles, r along the ladder -----------
 
     def _speed(self, theta, r):
-        return np.sqrt(r ** 2 + _Blend(self, theta, r)[1] ** 2)
-
-    def _dy_speed(self, theta, r):
-        """d/dr of the speed: (r + p_theta p_theta_r) / speed."""
         data = _Blend(self, theta, r)
-        pt = data[1]
-        return (r + pt * data[3]) / np.sqrt(r ** 2 + pt ** 2)
+        return np.sqrt(data.y ** 2 + data[1] ** 2)
+
+    def _speeds(self, theta, r):
+        """The speed and its d/dr, (r + p_theta p_theta_r) / speed."""
+        data = _Blend(self, theta, r)
+        r, pt = data.y, data[1]
+        speed = np.sqrt(r ** 2 + pt ** 2)
+        return np.stack([speed, (r + pt * data[3]) / speed])
 
     def _area_density(self, theta, r):
         data = _Blend(self, theta, r)
+        r = data.y
         return np.sqrt(r ** 2 + data[1] ** 2 + (r * data[2]) ** 2)
 
     def annulus_area(self, k: int) -> tuple[float, float]:
@@ -903,7 +939,8 @@ class CylindricalModel(StripModel):
         """Circulation of the form around the positively oriented unit circle."""
         def integrand(theta, r):
             # c1 pairs with the unit tangent of the lifted circle
-            return self.omega_surface_coeffs(r, theta)[0] * self._speed(theta, r)
+            at = r[0][r[1]] if isinstance(r, tuple) else r
+            return self.omega_surface_coeffs(at, theta)[0] * self._speed(theta, r)
 
         return float(self._row_integrals(integrand, 1.0, 2.0 * math.pi)[0])
 

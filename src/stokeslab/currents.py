@@ -111,6 +111,7 @@ class ChartMap:
     ``lip_upper`` must dominate sup sqrt(1 + |grad psi|^2) over the domain of
     use; ``lip_inverse`` bounds the Lipschitz constant of the inverse, which
     for graphs is exactly 1 (the projection), so stored values must be >= 1.
+    ``area``, when given, is the area element from one evaluation of both partials.
     """
 
     psi: callable
@@ -119,6 +120,7 @@ class ChartMap:
     lip_upper: float
     lip_inverse: float = 1.0
     name: str = ""
+    area: Optional[callable] = None
 
     def __post_init__(self):
         if self.lip_upper < 1.0:
@@ -132,6 +134,8 @@ class ChartMap:
         return np.stack([x, y, self.psi(x, y)], axis=-1)
 
     def area_element(self, x, y):
+        if self.area is not None:
+            return self.area(x, y)
         return np.sqrt(1.0 + self.dpsi_dx(x, y) ** 2 + self.dpsi_dy(x, y) ** 2)
 
     def verify_lip_upper(self, domain_bounds, samples: int = 2000, rng=None) -> bool:

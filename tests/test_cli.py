@@ -228,6 +228,38 @@ def test_zero_lambda_inverse_is_refused(tmp_path, command):
     assert json.loads((out / "report.json").read_text())["status"] == "refused"
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"panels_per_osc": 0}, "panels_per_osc must be at least 1, not 0"),
+    ({"tail_cut": 2}, "tail_cut must be a number strictly between 0 and 1, not 2"),
+    ({"tail_cut": 0.0}, "tail_cut must be a number strictly between 0 and 1, not 0.0"),
+    ({"tail_cut": "1e-9"}, "tail_cut must be a number strictly between 0 and 1, not '1e-9'"),
+    ({"n_tangent_samples": 0}, "n_tangent_samples must be at least 1, not 0"),
+    ({"n_strips": -1}, "n_strips must lie in [0, 60], the strips of the model's table, not -1"),
+    ({"cylindrical": True, "n_strips": 70}, "n_strips must lie in [0, 60]"),
+])
+def test_counterexample_options_out_of_range_are_usage_errors(tmp_path, capsys, payload, message):
+    # panels_per_osc 0 and the polar n_strips 70 used to end in a
+    # ZeroDivisionError and an IndexError (exit 70), tail_cut 2 ran to exit 1
+    # and n_strips -1 to exit 0
+    cfg = _write_config(tmp_path, "r.json", payload)
+    assert main(["counterexample", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    {"tail_cut": 1e-40},
+    {"current": {"kind": "counterexample", "a": 0.9, "h": 0.26}},
+])
+def test_tail_cut_past_the_strip_table_is_refused(tmp_path, payload):
+    # the strips that the tail cut needs (85 and 264 here) lie past the
+    # model's table of 60: an IndexError (exit 70) after the circulation ran
+    cfg = _write_config(tmp_path, "t.json", payload)
+    out = tmp_path / "out"
+    assert main(["counterexample", "--config", cfg, "--out", str(out)]) == EXIT_UNDECIDED
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "refused" and "past the 60 of the strip table" in report["reason"]
+
+
 def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
     def broken(config):
         raise RuntimeError("boom")

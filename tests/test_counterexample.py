@@ -13,6 +13,7 @@ from stokeslab.counterexample import (
     ParamsError,
     SurfaceModel,
     TransitionFn,
+    _Blend,
     build_surface_current,
     cylindrical_variant,
     default_transition,
@@ -331,10 +332,11 @@ def _ref_row(model, integrand, y, x_hi, scale=1):
 
 def _ref_lengths(model, x, y):
     """L(y), dL/dy(y), L(x, y), dL(x, y)/dy."""
-    return (_ref_row(model, model._speed, y, math.pi, scale=2),
-            _ref_row(model, model._dy_speed, y, math.pi),
-            _ref_row(model, model._speed, y, x),
-            _ref_row(model, model._dy_speed, y, x))
+    before = _RowsBefore.of(model)
+    return (_ref_row(model, before._speed, y, math.pi, scale=2),
+            _ref_row(model, before._dy_speed, y, math.pi),
+            _ref_row(model, before._speed, y, x),
+            _ref_row(model, before._dy_speed, y, x))
 
 
 def _ref_omega_at_surface(model, x, y):
@@ -446,11 +448,223 @@ def test_shared_node_rows_keep_the_bits_of_one_row_calls(model):
     ys, xs = _mixed_rows(model)
     # one row block at scale 1
     assert len(ys) <= ROW_BLOCK_POINTS // (12 * model._panels_per_period())
-    for integrand in (model._speed, model._dy_speed, model._area_density):
+    for integrand, channels in ((model._speed, 1), (model._speeds, 2), (model._area_density, 1)):
         for scale in (1, 2):
-            batched = model._row_integrals(integrand, ys, xs, scale)
-            alone = [model._row_integrals(integrand, [y], [x], scale)[0] for y, x in zip(ys, xs)]
-            assert np.array_equal(batched, alone)
+            batched = model._row_integrals(integrand, ys, xs, scale, channels)
+            alone = [model._row_integrals(integrand, [y], [x], scale, channels)[..., 0]
+                     for y, x in zip(ys, xs)]
+            assert np.array_equal(batched, np.stack(alone, axis=-1))
+
+
+# -- the row quadrature before its one pass per call, kept verbatim ----------------
+#
+# _RowsBefore runs _row_integrals, _gl_rows and _lengths_at as they were when
+# each distinct tail panel count was a pass of its own and _lengths_at made
+# three passes, with _gl_composite (here _gl_composite_before) and the
+# integrands of that time; the model supplies the strip data.  The one-pass
+# rows must keep its bits.
+
+
+def _gl_composite_before(f, lengths, panels: int, order: int = 12) -> np.ndarray:
+    from stokeslab.quadrature import composite_nodes, gauss_rule
+
+    _, weights = gauss_rule(order)
+    distinct, row_of, count = np.unique(np.asarray(lengths, dtype=float), return_inverse=True,
+                                        return_counts=True)
+    pts, halves = composite_nodes(0.0, distinct, panels, order)
+    pts = pts.reshape(len(distinct), 1, -1)
+    vals = np.empty((len(row_of), pts.shape[-1]))
+    alone = count[row_of] == 1
+    shared = [(pts[j], row_of == j) for j in np.flatnonzero(count > 1)]
+    for X, rows in [(pts[row_of[alone], 0], alone)] + shared:
+        if rows.any():
+            vals[rows] = f(X, rows)
+    return np.sum(halves[row_of] * (vals.reshape(-1, panels, order) @ weights), axis=-1)
+
+
+class _RowsBefore:
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    @staticmethod
+    def of(model):
+        polar = isinstance(model, CylindricalModel)
+        return (_PolarRowsBefore if polar else _SurfaceRowsBefore)(model)
+
+    def _row_integrals(self, integrand, ys, x_his, scale: int = 1) -> np.ndarray:
+        ys, x_his = np.broadcast_arrays(np.atleast_1d(np.asarray(ys, dtype=float)),
+                                        np.asarray(x_his, dtype=float))
+        P = self._periods[self.strip_index(ys)]
+        panels = self._panels_per_period()
+        n_full = np.floor(x_his / P + 1e-12)
+        rem = x_his - n_full * P
+        rem[rem < 1e-15 * np.maximum(1.0, x_his)] = 0.0
+        out = np.zeros(ys.shape)
+        full = n_full != 0
+        if full.any():
+            heights, row_of = np.unique(ys[full], return_inverse=True)
+            per = self._gl_rows(integrand, heights, self._periods[self.strip_index(heights)],
+                                scale * panels)
+            out[full] = n_full[full] * per[row_of.ravel()]
+        tail = rem > 0
+        tail_panels = scale * np.maximum(2, np.ceil(panels * rem / P)).astype(int)
+        for n in np.unique(tail_panels[tail]):
+            rows = tail & (tail_panels == n)
+            out[rows] += self._gl_rows(integrand, ys[rows], rem[rows], int(n))
+        return out
+
+    def _gl_rows(self, integrand, ys, lengths, panels: int) -> np.ndarray:
+        out = np.empty(len(ys))
+        block = max(1, ROW_BLOCK_POINTS // (12 * panels))
+        for s in range(0, len(ys), block):
+            Y = ys[s:s + block, None]
+            out[s:s + block] = _gl_composite_before(lambda X, rows: integrand(X, Y[rows]),
+                                                    lengths[s:s + block], panels)
+        return out
+
+    def _lengths_at(self, x, y):
+        heights, h_of = np.unique(y, return_inverse=True)
+        pairs, p_of = np.unique(np.stack([x, y], axis=-1), axis=0, return_inverse=True)
+        row_y = np.concatenate([heights, pairs[:, 1]])
+        row_x = np.concatenate([np.full(len(heights), self.x_hi), pairs[:, 0]])
+        h_of, p_of = h_of.ravel(), len(heights) + p_of.ravel()
+        speed = self._row_integrals(self._speed, row_y, row_x)
+        dy_speed = self._row_integrals(self._dy_speed, row_y, row_x)
+        L = self._row_integrals(self._speed, heights, self.x_hi, scale=2)
+        return L[h_of], dy_speed[h_of], speed[p_of], dy_speed[p_of]
+
+
+class _SurfaceRowsBefore(_RowsBefore):
+    def _speed(self, xs, ys):
+        return np.sqrt(1.0 + self._strip_data(xs, ys)[1] ** 2)
+
+    def _area_density(self, xs, ys):
+        data = self._strip_data(xs, ys)
+        return np.sqrt(1.0 + data[1] ** 2 + data[2] ** 2)
+
+    def _dy_speed(self, xs, ys):
+        data = self._strip_data(xs, ys)
+        px = data[1]
+        return px * data[3] / np.sqrt(1.0 + px ** 2)
+
+
+class _PolarRowsBefore(_RowsBefore):
+    def _speed(self, theta, r):
+        return np.sqrt(r ** 2 + _Blend(self, theta, r)[1] ** 2)
+
+    def _dy_speed(self, theta, r):
+        data = _Blend(self, theta, r)
+        pt = data[1]
+        return (r + pt * data[3]) / np.sqrt(r ** 2 + pt ** 2)
+
+    def _area_density(self, theta, r):
+        data = _Blend(self, theta, r)
+        return np.sqrt(r ** 2 + data[1] ** 2 + (r * data[2]) ** 2)
+
+
+def _rows_across_strips(model, rng):
+    """Rows (y, x_hi) in strips 0-8: shared and own lengths, whole periods and tails.
+
+    Three heights of each strip share its whole periods and their sections
+    share a tail; a fourth height has its whole periods alone.  Partial rows
+    are tails only (x below the period), whole periods only (x a multiple
+    of it) or both, and a repeated x makes some tails shared.
+    """
+    ys, xs = [], []
+    for k in range(9):
+        P = min(model._periods[k], model.x_hi)
+        heights = model._ladder[k] + np.array([0.2, 0.5, 0.8, rng.uniform()]) * model._width[k]
+        partial = [rng.uniform(0.0, P), 0.3 * P, 3 * P if 3 * P <= model.x_hi else P,
+                   rng.uniform(P, model.x_hi)]
+        for y in heights:
+            ys += [y] * 5
+            xs += [model.x_hi] + partial
+    return np.array(ys), np.array(xs)
+
+
+@pytest.mark.parametrize("model", [SurfaceModel(PARAMS), CylindricalModel(PARAMS)],
+                         ids=["surface", "cylindrical"])
+def test_one_pass_rows_keep_the_bits_of_the_passes_before(model):
+    ys, xs = _rows_across_strips(model, np.random.default_rng(31))
+    before = _RowsBefore.of(model)
+    assert np.any(xs < model._periods[model.strip_index(ys)])
+    for scale in (1, 2):
+        for now, then in ((model._speed, before._speed),
+                          (model._area_density, before._area_density)):
+            assert np.array_equal(model._row_integrals(now, ys, xs, scale),
+                                  before._row_integrals(then, ys, xs, scale))
+        assert np.array_equal(model._row_integrals(model._speeds, ys, xs, scale, channels=2),
+                              [before._row_integrals(before._speed, ys, xs, scale),
+                               before._row_integrals(before._dy_speed, ys, xs, scale)])
+    for now, then in zip(model._lengths_at(xs, ys), before._lengths_at(xs, ys)):
+        assert np.array_equal(now, then)
+
+
+def _blends(monkeypatch, call) -> int:
+    """The _Blend constructions that ``call`` makes."""
+    from stokeslab import counterexample
+
+    count = 0
+    init = counterexample._Blend.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(counterexample._Blend, "__init__", counted)
+        call()
+    return count
+
+
+def test_lengths_at_one_height_build_a_blend_per_block_not_per_tail_panel_count(monkeypatch):
+    # the 64 points of sup_omega_on_section: one period of a section, so 64
+    # tails of 2 to 64 panels; each distinct panel count was a pass of its own
+    model = SurfaceModel(PARAMS)
+    y = float(model._ladder[3])
+    xs = np.linspace(0.0, model._periods[3], 64, endpoint=False)
+    blends = _blends(monkeypatch, lambda: model._lengths_at(xs, np.full(64, y)))
+    # the two-channel pass: the section row and the tails hold
+    # 2 * 12 * (64 + 2 + 2 + 3 + ... + 63) = 49,944 values, and no row starts
+    # past 3 * 16,384, so three blocks; then one for L(y) at twice the panels
+    assert blends <= 4
+
+
+def test_ragged_row_blocks_bound_the_memory_of_many_rows():
+    import tracemalloc
+
+    # the heights of the 400-sample curl run and its six-point stencils
+    rng = np.random.default_rng(41)
+    model = SurfaceModel(PARAMS)
+    ys = rng.uniform(0.0, model._ladder[10], 2400)
+    xs = rng.uniform(0.0, math.pi, 2400)
+    tracemalloc.start()
+    try:
+        model._lengths_at(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1.7 MiB in blocks of 16,384 values; 75 MiB in one block
+    assert peak < 8 << 20
+
+
+def test_strip_chart_area_element_is_one_blend_with_the_bits_of_the_partials(monkeypatch):
+    model = SurfaceModel(PARAMS)
+    chart = model.strip_chart(3)
+    rng = np.random.default_rng(51)
+    x = rng.uniform(0.0, math.pi, 200)
+    # heights in strips 0-9 and on the flat limit y >= y_infinity
+    y = np.concatenate([rng.uniform(0.0, model._ladder[10], 190),
+                        model.y_infinity + rng.uniform(0.0, 0.1, 10)])
+    area = []
+    assert _blends(monkeypatch, lambda: area.append(chart.area_element(x, y))) == 1
+    two_calls = np.sqrt(1.0 + chart.dpsi_dx(x, y) ** 2 + chart.dpsi_dy(x, y) ** 2)
+    assert np.array_equal(area[0], two_calls)
+    assert np.all(area[0][-10:] == 1.0)
 
 
 def _trig_elements(model, call) -> int:

@@ -4,9 +4,11 @@
 
 Each run of ``perfbench/workloads.py`` is made once at the given seed
 (default 1) through ``stokeslab.cli.main``, in a temporary directory, and
-every file it writes is hashed.  The output is a Markdown table, one row per
-file, so that two commits whose reports should be byte-identical can be
-compared line by line (and CI can append it to its job summary).
+every file it writes is hashed; so is each run of ``EXTRA_RUNS``, which no
+workload makes (the polar ladder of the counterexample).  The output is a
+Markdown table, one row per file, so that two commits whose reports should
+be byte-identical can be compared line by line (and CI can append it to
+its job summary).
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
+# (name, command, config, CLI seed) of runs hashed beside the workloads
+EXTRA_RUNS = [("cylindrical", "counterexample", {"cylindrical": True, "n_strips": 8}, 0)]
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -34,21 +39,24 @@ def main(argv=None) -> int:
 
     print("| workload | run | command | exit | file | sha256 |")
     print("|---|---|---|---|---|---|")
+    runs = [(name, i, run.command, run.config, run.seed)
+            for name, workload in WORKLOADS.items()
+            for i, run in enumerate(workload(args.seed))]
+    runs += [(name, 0, command, config, seed) for name, command, config, seed in EXTRA_RUNS]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, workload in WORKLOADS.items():
-            for i, run in enumerate(workload(args.seed)):
-                work = Path(tmp) / name / f"run{i}"
-                work.mkdir(parents=True)
-                config = work / "config.json"
-                config.write_text(json.dumps(run.config))
-                out = work / "out"
-                with contextlib.redirect_stdout(sys.stderr):
-                    code = cli.main([run.command, "--config", str(config), "--out", str(out),
-                                     "--seed", str(run.seed)])
-                for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    print(f"| {name} | {i} | {run.command} | {code} "
-                          f"| {path.relative_to(out)} | {digest} |")
+        for name, i, command, run_config, seed in runs:
+            work = Path(tmp) / name / f"run{i}"
+            work.mkdir(parents=True)
+            config = work / "config.json"
+            config.write_text(json.dumps(run_config))
+            out = work / "out"
+            with contextlib.redirect_stdout(sys.stderr):
+                code = cli.main([command, "--config", str(config), "--out", str(out),
+                                 "--seed", str(seed)])
+            for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"| {name} | {i} | {command} | {code} "
+                      f"| {path.relative_to(out)} | {digest} |")
     return 0
 
 
