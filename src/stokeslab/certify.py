@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import ChartCurrent, Rect, TopDimCurrent
-from .quadrature import integrate_2d, integrate_boxes
+from .dyadic import CubeSet, DyadicCube, RootBox
+# integrate_2d is unused here, but perfbench/test_tracer.py checks that the tracer rebinds it
+from .quadrature import integrate_2d, integrate_boxes  # noqa: F401
 
 __all__ = ["CertificateReport", "check_family"]
 
@@ -40,100 +41,118 @@ class CertificateReport:
         self.passed = False
 
 
-def _chart_mass(piece: ChartCurrent) -> tuple[float, float]:
-    total, err = 0.0, 0.0
-    for r in piece.domain_rects():
-        res = integrate_2d(lambda x, y: piece.chart.area_element(x, y),
-                           r.x0, r.x1, r.y0, r.y1, tol=1e-9, order=_CHECK_ORDER)
-        total += res.value
-        err += res.error
-    return abs(piece.theta) * total, abs(piece.theta) * err
+def _footprints(owner: np.ndarray, lo: np.ndarray, hi: np.ndarray, points: np.ndarray):
+    """The pieces of cells (owner, box lo, box hi) and facts of each piece's boxes.
+
+    Returns the pieces, the first cell and the cell count of each, whether
+    its point lies in one of its closed boxes, and its footprint, the
+    bounding box (lo_0, hi_0, lo_1, hi_1, ...) of its boxes.
+    """
+    ids, first, counts = np.unique(owner, return_index=True, return_counts=True)
+    at = points[owner]
+    inside = np.logical_or.reduceat(np.all((lo <= at) & (at <= hi), axis=1), first)
+    boxes = np.stack([np.minimum.reduceat(lo, first), np.maximum.reduceat(hi, first)], axis=2)
+    return ids, first, counts, inside, boxes.reshape(len(ids), -1)
 
 
-def _chart_boundary_mass(piece: ChartCurrent) -> tuple[float, float]:
-    chart = piece.chart
-    edges = np.asarray(piece.planar_edges(), dtype=float).reshape(-1, 2, 2)
-    p, d = edges[:, 0], edges[:, 1] - edges[:, 0]
-    length = np.linalg.norm(d, axis=1)
-
-    def speed(edge, t):
-        x = p[edge, 0, None] + t * d[edge, 0, None]
-        y = p[edge, 1, None] + t * d[edge, 1, None]
-        dz = chart.dpsi_dx(x, y) * d[edge, 0, None] + chart.dpsi_dy(x, y) * d[edge, 1, None]
-        return np.sqrt(length[edge, None] ** 2 + dz ** 2)
-
-    n = len(edges)
-    total, err = 0.0, 0.0
-    for res in integrate_boxes(speed, np.zeros((n, 1)), np.ones((n, 1)), [1e-9] * n,
-                               order=_CHECK_ORDER):
-        total += res.value
-        err += res.error
-    return abs(piece.theta) * total, abs(piece.theta) * err
+def _runs(values: np.ndarray, first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each run values[first:first + count], left to right."""
+    out = values[first].copy()
+    for j in range(1, int(counts.max(initial=1))):
+        more = counts > j
+        out[more] += values[first[more] + j]
+    return out
 
 
-def _chart_geometry(pieces, tags):
+def _per_chart(charts, chart_of, f):
+    """An integrand of integrate_boxes: f(chart, box, *coords) on the rows of each box's chart."""
+    def integrand(box, *coords):
+        out, of = np.empty(coords[0].shape), chart_of[box]
+        for c in np.unique(of).tolist():
+            rows = of == c
+            out[rows] = f(charts[c], box[rows], *(u[rows] for u in coords))
+        return out
+    return integrand
+
+
+def _chart_geometry(pairs, tags):
     """Tag test, diameter bound, masses with their errors and footprint of chart pieces.
 
-    The diameter bound is the planar diameter of the footprint times the
-    chart's Lipschitz constant; the footprint is the bounding box
-    (x0, x1, y0, y1) of the planar domain.
+    Reads the rectangle and edge cells.  One integrate_boxes run at order
+    _CHECK_ORDER integrates the area element over every rectangle, and one
+    the speed of every lifted edge, each to 1e-9; a piece's masses are the
+    sums of its cells', left to right.  The tag must lie in one of the
+    piece's closed rectangles and within 1e-9 of the graph there.  The
+    diameter bound is the planar diameter of the footprint (x0, x1, y0, y1)
+    times the chart's Lipschitz constant.
     """
-    rows = []
-    for piece, tag in zip(pieces, tags):
-        rects = piece.domain_rects()
-        box = (min(r.x0 for r in rects), max(r.x1 for r in rects),
-               min(r.y0 for r in rects), max(r.y1 for r in rects))
-        x, y = float(tag[0]), float(tag[1])
-        inside = (piece.domain.contains(x, y) if isinstance(piece.domain, Rect)
-                  else piece.domain.contains((x, y)))
-        inside = inside and abs(float(piece.chart.psi(x, y)) - float(tag[2])) <= 1e-9
-        diam = piece.chart.lip_upper * math.hypot(box[1] - box[0], box[3] - box[2])
-        rows.append((inside, diam, *_chart_mass(piece), *_chart_boundary_mass(piece), box))
-    inside, *columns, boxes = zip(*rows)
-    return (np.array(inside, dtype=bool), *(np.array(c, dtype=float) for c in columns),
-            np.array(boxes, dtype=float))
+    charts = pairs.charts
+    owner, lo, hi = pairs.rects
+    ids, first, counts, inside, boxes = _footprints(owner, lo, hi, tags[:, :2])
+    which = pairs.chart[ids]
+    for c in np.unique(which).tolist():
+        rows = np.flatnonzero((which == c) & inside)
+        x, y, z = tags[ids[rows]].T
+        inside[rows] = np.abs(charts[c].psi(x, y) - z) <= 1e-9
+    diam = np.array([charts[c].lip_upper * math.hypot(x1 - x0, y1 - y0)
+                     for c, (x0, x1, y0, y1) in zip(which.tolist(), boxes.tolist())])
+
+    areas = integrate_boxes(
+        _per_chart(charts, pairs.chart[owner], lambda chart, box, x, y: chart.area_element(x, y)),
+        lo, hi, np.full(len(lo), 1e-9), order=_CHECK_ORDER)
+    edge_owner, start, end = pairs.edges
+    d = end - start
+    length = np.linalg.norm(d, axis=1)
+
+    def speed(chart, edge, t):
+        px, py = chart.gradient(start[edge, 0, None] + t * d[edge, 0, None],
+                                start[edge, 1, None] + t * d[edge, 1, None])
+        dz = px * d[edge, 0, None] + py * d[edge, 1, None]
+        return np.sqrt(length[edge, None] ** 2 + dz ** 2)
+
+    speeds = integrate_boxes(_per_chart(charts, pairs.chart[edge_owner], speed),
+                             np.zeros((len(d), 1)), np.ones((len(d), 1)), np.full(len(d), 1e-9),
+                             order=_CHECK_ORDER)
+    _, edge_first, edge_counts = np.unique(edge_owner, return_index=True, return_counts=True)
+    theta = np.abs(pairs.theta[ids]).astype(float)
+    sums = [theta * _runs(np.array([getattr(res, part) for res in results]), *runs)
+            for results, runs in ((areas, (first, counts)), (speeds, (edge_first, edge_counts)))
+            for part in ("value", "error")]
+    return ids, inside, diam, *sums, boxes
 
 
-def _cube_geometry(pieces, tags):
+def _cube_geometry(pairs, tags):
     """Tag test, diameter, masses with their errors and footprint of cube pieces.
 
-    Every cube of every piece goes into one set of arrays, and its bounds are
-    those of DyadicCube.bounds: lo = corner + side * index and hi = lo + side,
-    with side = root side * 2**-generation.  The tag of a piece is in its
-    support when it lies in one of its closed cubes.  A one-cube piece has
-    diameter |hi - lo|, measure side**m and perimeter 2m side**(m-1); a piece
-    of several cubes sums its cube measures with fsum and asks its region
-    for perimeter and diameter.  The footprint is the m-dimensional bounding
-    box (lo_0, hi_0, lo_1, hi_1, ...) of the piece's cubes.
+    Reads the cube cells.  The bounds of a cube are those of
+    DyadicCube.bounds: lo = corner + side * index and hi = lo + side, with
+    side = root side * 2**-generation.  A one-cube piece has diameter
+    |hi - lo|, measure side**m and perimeter 2m side**(m-1); a piece of
+    several cubes sums its cube measures with fsum and asks the CubeSet of
+    its cubes for perimeter and diameter.
     """
-    regions = [p.region for p in pieces]
-    m = regions[0].m
-    counts = np.array([len(r.cubes) for r in regions])
-    first = np.cumsum(counts) - counts
-    owner = np.repeat(np.arange(len(regions)), counts)
-    cubes = [q for r in regions for q in r.cubes]
-    side = np.ldexp(np.array([r.root.side for r in regions], dtype=float)[owner],
-                    -np.array([q.generation for q in cubes], dtype=np.int64))
-    index = np.array([q.index for q in cubes], dtype=float).reshape(len(cubes), m)
-    lo = np.array([r.root.corner for r in regions], dtype=float)[owner] + side[:, None] * index
+    owner, corner, root_side, gen, index = pairs.cubes
+    m = corner.shape[1]
+    side = np.ldexp(root_side, -gen)
+    lo = corner + side[:, None] * index
     hi = lo + side[:, None]
-
-    inside = np.zeros(len(regions), dtype=bool)
-    inside[owner[np.all((lo <= tags[owner]) & (tags[owner] <= hi), axis=1)]] = True
+    ids, first, counts, inside, boxes = _footprints(owner, lo, hi, tags)
     # Python's float power, as DyadicCube.measure and CubeSet.perimeter take it
     measure = np.array([s ** m for s in side.tolist()])
     mass = measure[first]
     perimeter = 2 * m * np.array([s ** (m - 1) for s in side[first].tolist()])
     diam = np.sqrt(((hi - lo) ** 2).sum(axis=1))[first]
     for k in np.flatnonzero(counts != 1).tolist():
-        mass[k] = math.fsum(measure[first[k]:first[k] + counts[k]].tolist())
-        perimeter[k] = regions[k].perimeter()
-        diam[k] = regions[k].diameter()
-    theta = np.array([abs(p.theta) for p in pieces], dtype=float)
-    boxes = np.stack([np.minimum.reduceat(lo, first, axis=0),
-                      np.maximum.reduceat(hi, first, axis=0)], axis=2).reshape(len(regions), 2 * m)
-    zeros = np.zeros(len(regions))
-    return inside, diam, theta * mass, zeros, theta * perimeter, zeros, boxes
+        run = slice(first[k], first[k] + counts[k])
+        root = RootBox(tuple(corner[first[k]].tolist()), float(root_side[first[k]]))
+        region = CubeSet(root, tuple(DyadicCube(root, g, tuple(i))
+                                     for g, i in zip(gen[run].tolist(), index[run].tolist())))
+        mass[k] = math.fsum(measure[run].tolist())
+        perimeter[k] = region.perimeter()
+        diam[k] = region.diameter()
+    theta = np.abs(pairs.theta[ids]).astype(float)
+    zeros = np.zeros(len(ids))
+    return ids, inside, diam, theta * mass, zeros, theta * perimeter, zeros, boxes
 
 
 def _sweep(lo: np.ndarray, hi: np.ndarray, a: int, b: int):
@@ -202,19 +221,16 @@ def _overlapping_pairs(boxes) -> list[tuple[int, int]]:
 def _check_pieces(pairs, delta, eta, report: CertificateReport) -> float:
     """Add the violations of each piece, then the overlaps; return the body mass."""
     n = len(pairs)
-    tags = np.stack([np.asarray(pair.tag, dtype=float) for pair in pairs])
-    rows, parts = [], []
-    for kind, geometry in ((TopDimCurrent, _cube_geometry), (ChartCurrent, _chart_geometry)):
-        ids = [i for i, pair in enumerate(pairs) if isinstance(pair.piece, kind)]
-        if ids:
-            rows += ids
-            parts.append(geometry([pairs[i].piece for i in ids], tags[ids]))
+    tags = pairs.tags
+    parts = [geometry(pairs, tags) for cells, geometry in
+             ((pairs.cubes, _cube_geometry), (pairs.rects, _chart_geometry)) if len(cells[0])]
+    rows = np.concatenate([part[0] for part in parts]) if parts else np.empty(0, dtype=int)
     if len(rows) < n:
-        other = next(p.piece for p in pairs if not isinstance(p.piece, (TopDimCurrent, ChartCurrent)))
+        other = pairs[int(np.setdiff1d(np.arange(n), rows)[0])].piece
         raise TypeError(f"cannot bound the diameter of {type(other).__name__}")
     order = np.argsort(rows)
     inside, diam, m_val, m_err, b_val, b_err, boxes = (
-        np.concatenate(column)[order] for column in zip(*parts))
+        np.concatenate(column)[order] for column in list(zip(*parts))[1:])
 
     dval = delta.many(tags)
     eta_val = np.array([float(eta(t)) for t in tags]) if callable(eta) else np.full(n, float(eta))
@@ -241,7 +257,7 @@ def _check_pieces(pairs, delta, eta, report: CertificateReport) -> float:
 def check_family(family, delta, eta, G=None) -> CertificateReport:
     """Re-verify fineness, regularity, nonoverlap, tags, and fullness."""
     report = CertificateReport(passed=True, pieces=len(family.pairs))
-    total_mass = _check_pieces(family.pairs, delta, eta, report) if family.pairs else 0.0
+    total_mass = _check_pieces(family.pairs, delta, eta, report) if len(family.pairs) else 0.0
 
     # fullness re-check
     if G is not None:

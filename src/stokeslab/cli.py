@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401 -- loaded here, not lazily inside the first run's seed
 
 from .counterexample import ParamsError
 from .cousin import DecompositionRefusal, ResourceBudgetError
@@ -393,7 +394,7 @@ _SUBCOMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stokeslab",
         description="Verification experiments for boundary identities on integral currents.",
@@ -405,6 +406,14 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    return parser
+
+
+_PARSER = _parser()  # built with the module, so that no run pays for it
+
+
+def main(argv=None) -> int:
+    parser = _PARSER
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

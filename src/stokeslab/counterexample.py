@@ -479,10 +479,9 @@ class SurfaceModel(StripModel):
     def dpsi_dy(self, x, y):
         return self._graph_data(x, y, 2)[0]
 
-    def area_element(self, x, y):
-        """sqrt(1 + px^2 + py^2), both partials from one strip-data evaluation."""
-        px, py = self._graph_data(x, y, 1, 2)
-        return np.sqrt(1.0 + px ** 2 + py ** 2)
+    def gradient(self, x, y):
+        """The partials (px, py), both from one strip-data evaluation."""
+        return self._graph_data(x, y, 1, 2)
 
     def point(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -772,7 +771,7 @@ class SurfaceModel(StripModel):
             psi=self.psi,
             dpsi_dx=self.dpsi_dx,
             dpsi_dy=self.dpsi_dy,
-            area=self.area_element,
+            gradient=self.gradient,
             lip_upper=self.strip_lip_upper(k),
             lip_inverse=1.0,
             name=f"strip-{k}",

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from collections.abc import Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -139,6 +140,12 @@ class RegularityFn:
             return float(self.fn(x))
         return float(self.value)
 
+    def many(self, points) -> np.ndarray:
+        """The threshold at each row of an (n, m) array of points."""
+        if self.fn is not None:
+            return np.array([float(self.fn(x)) for x in points])
+        return np.full(len(points), float(self.value))
+
 
 class SubadditiveFn:
     """Nonnegative subadditive functional on subcurrents: mass, |circulation|, max."""
@@ -208,23 +215,117 @@ class TaggedPair:
     meta: dict = field(default_factory=dict)
 
 
+_COLUMNS = ("diam", "mass", "boundary_mass", "reg", "gauge_at_tag", "eta_at_tag")
+
+
+@dataclass(frozen=True, eq=False)
+class PieceTable(Sequence):
+    """The tagged pieces of a family as columns, one row per piece.
+
+    Per piece: ``tags`` (n, N), the engine-recorded columns of TaggedPair,
+    ``theta`` and ``chart``, an index into ``charts`` (-1 for cube pieces).
+    The cells, tuples of arrays led by the owner piece, in piece order:
+    ``cubes`` (owner, root corner, root side, generation, index) of cube
+    pieces, ``rects`` (owner, lo, hi) and counterclockwise ``edges`` (owner,
+    start, end) of chart pieces.  As a sequence the table holds TaggedPair
+    views, which ``view(table, k)`` builds only when one is read.
+    """
+
+    tags: np.ndarray
+    diam: np.ndarray
+    mass: np.ndarray
+    boundary_mass: np.ndarray
+    reg: np.ndarray
+    gauge_at_tag: np.ndarray
+    eta_at_tag: np.ndarray
+    theta: np.ndarray
+    chart: np.ndarray
+    charts: tuple
+    cubes: tuple
+    rects: tuple
+    edges: tuple
+    view: Callable
+
+    def __len__(self) -> int:
+        return len(self.mass)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(len(self))[k])
+        return self.pair(range(len(self))[k])
+
+    def __add__(self, other) -> tuple:
+        return tuple(self) + tuple(other)
+
+    def pair(self, k: int) -> TaggedPair:
+        """The TaggedPair view of piece k."""
+        return self.view(self, k)
+
+    def _pair(self, k: int, piece: Current, meta: dict) -> TaggedPair:
+        """The view of piece k with the given piece and meta."""
+        return TaggedPair(tuple(self.tags[k].tolist()), piece,
+                          *(float(getattr(self, name)[k]) for name in _COLUMNS), meta)
+
+    @classmethod
+    def gather(cls, pairs: Sequence[TaggedPair]) -> "PieceTable":
+        """The table of a sequence of pairs, gathered once; its views are the pairs."""
+        pairs = tuple(pairs)
+        charts: dict = {}  # id -> (index, chart)
+        cubes, rects, edges, chart = [], [], [], []
+        for k, piece in enumerate(p.piece for p in pairs):
+            if isinstance(piece, ChartCurrent):
+                chart.append(charts.setdefault(id(piece.chart), (len(charts), piece.chart))[0])
+                rects += [(k, (r.x0, r.y0), (r.x1, r.y1)) for r in piece.domain_rects()]
+                edges += [(k, *edge) for edge in piece.planar_edges()]
+                continue
+            chart.append(-1)
+            if isinstance(piece, TopDimCurrent):
+                root = piece.region.root
+                cubes += [(k, root.corner, root.side, q.generation, q.index)
+                          for q in piece.region.cubes]
+        tags = np.array([p.tag for p in pairs], dtype=float).reshape(len(pairs), -1 if pairs else 2)
+        m = tags.shape[1]
+        return cls(tags, *(np.array([getattr(p, c) for p in pairs], dtype=float) for c in _COLUMNS),
+                   np.array([getattr(p.piece, "theta", 1) for p in pairs], dtype=np.int64),
+                   np.array(chart, dtype=np.int64), tuple(c for _, c in charts.values()),
+                   _cells(cubes, (float, m), (float,), (np.int64,), (np.int64, m)),
+                   _cells(rects, (float, 2), (float, 2)), _cells(edges, (float, 2), (float, 2)),
+                   lambda table, k: pairs[k])
+
+
+def _cells(rows, *specs) -> tuple:
+    """Cell rows (owner, *fields) as arrays, one per field of spec (dtype, *shape)."""
+    columns = list(zip(*rows)) or [()] * (1 + len(specs))
+    return tuple(np.array(values, dtype=dtype).reshape((-1, *shape))
+                 for values, (dtype, *shape) in zip(columns, ((np.int64,),) + specs))
+
+
+_EMPTY = PieceTable.gather(())
+
+
 @dataclass(frozen=True)
 class TaggedFamily:
+    """A tagged family; ``pairs`` given as a sequence of TaggedPairs is gathered into a table."""
+
     parent: Current
-    pairs: tuple[TaggedPair, ...]
+    pairs: PieceTable
     remainder_pieces: tuple[Current, ...]
     remainder_value: float
     functional_name: str
     epsilon: float
 
+    def __post_init__(self):
+        if not isinstance(self.pairs, PieceTable):
+            object.__setattr__(self, "pairs", PieceTable.gather(self.pairs))
+
     def body_mass(self) -> float:
-        return math.fsum(p.mass for p in self.pairs)
+        return math.fsum(self.pairs.mass.tolist())
 
     def min_regularity(self) -> float:
-        return min((p.reg for p in self.pairs), default=math.inf)
+        return min(self.pairs.reg.tolist(), default=math.inf)
 
     def max_diameter(self) -> float:
-        return max((p.diam for p in self.pairs), default=0.0)
+        return max(self.pairs.diam.tolist(), default=0.0)
 
     def summary(self) -> dict:
         return {
@@ -238,17 +339,10 @@ class TaggedFamily:
         }
 
     def rows(self):
-        for i, p in enumerate(self.pairs):
-            yield {
-                "piece_id": i,
-                "tag": list(p.tag),
-                "diam": p.diam,
-                "mass": p.mass,
-                "boundary_mass": p.boundary_mass,
-                "reg": p.reg,
-                "delta_at_tag": p.gauge_at_tag,
-                "eta_at_tag": p.eta_at_tag,
-            }
+        names = ("diam", "mass", "boundary_mass", "reg", "delta_at_tag", "eta_at_tag")
+        columns = (getattr(self.pairs, name).tolist() for name in _COLUMNS)
+        for i, (tag, *values) in enumerate(zip(self.pairs.tags.tolist(), *columns)):
+            yield {"piece_id": i, "tag": tag, **dict(zip(names, values))}
 
 
 # ---------------------------------------------------------------------------
@@ -385,29 +479,35 @@ def _cube_masses(side: float, m: int, theta: int) -> tuple[float, float]:
     return abs(theta) * side ** m, abs(theta) * (2 * m * side ** (m - 1))
 
 
-def _cube_pairs(roots: Sequence[DyadicCube], delta: Gauge, eta: Callable, theta: int,
-                max_generation: int, max_pieces: int) -> list[TaggedPair]:
-    """Tagged Cousin pieces of the roots, root by root in (generation, index) order."""
-    rid, gen, idx, diam, tags, vals = _fine_cubes(roots, delta.many, max_generation,
-                                                  max_pieces)
+def _cube_table(roots: Sequence[DyadicCube], delta: Gauge, eta: RegularityFn, theta: int,
+                max_generation: int, max_pieces: int) -> PieceTable:
+    """Tagged Cousin pieces of the roots, root by root in (generation, index) order.
+
+    Each root is checked first, with eta at its largest value at the root's test points.
+    """
+    if not roots:
+        return _EMPTY
+    corner, root_side, gen, index = _root_arrays(roots)
+    _check_roots(roots, delta, [max(eta(p) for p in pts) for pts in
+                                _test_points(corner, np.ldexp(root_side, -gen), index)])
+    pieces = _fine_cubes(roots, delta.many, max_generation, max_pieces)
+    order = np.lexsort((*pieces[2].T[::-1], pieces[1], pieces[0]))  # by root, generation, index
+    rid, gen, idx, diam, tags, vals = (a[order] for a in pieces)
     m = roots[0].m
-    pairs = []
-    for k in np.lexsort((*idx.T[::-1], gen, rid)):
-        root = roots[rid[k]].root
-        cube = DyadicCube(root, int(gen[k]), tuple(idx[k].tolist()))
-        mass, boundary_mass = _cube_masses(cube.side, m, theta)
-        pairs.append(TaggedPair(
-            tag=tuple(tags[k].tolist()),
-            piece=TopDimCurrent(CubeSet(root, (cube,)), theta),
-            diam=float(diam[k]),
-            mass=mass,
-            boundary_mass=boundary_mass,
-            reg=CUBE_REGULARITY(m),
-            gauge_at_tag=float(vals[k]),
-            eta_at_tag=eta(tags[k]),
-            meta={"cube": cube.key()},
-        ))
-    return pairs
+    # a piece's side is one of few: one _cube_masses call per distinct side
+    sides, which = np.unique(np.ldexp(root_side[rid], -gen), return_inverse=True)
+    masses = np.array([_cube_masses(s, m, theta) for s in sides.tolist()]).reshape(-1, 2)[which]
+
+    def view(table, k):
+        cube = DyadicCube(roots[rid[k]].root, int(gen[k]), tuple(idx[k].tolist()))
+        return table._pair(k, TopDimCurrent(CubeSet(cube.root, (cube,)), theta),
+                          {"cube": cube.key()})
+
+    n = len(rid)
+    return PieceTable(tags, diam, masses[:, 0], masses[:, 1], np.full(n, CUBE_REGULARITY(m)),
+                      vals, eta.many(tags), np.full(n, theta), np.full(n, -1), (),
+                      (np.arange(n), corner[rid], root_side[rid], gen, idx), _EMPTY.rects,
+                      _EMPTY.edges, view)
 
 
 def cousin_decompose(domain: DyadicCube, delta: Gauge, eta: float,
@@ -418,11 +518,10 @@ def cousin_decompose(domain: DyadicCube, delta: Gauge, eta: float,
     cube regularity 0.5 * m^(-3/2).  The family tiles the cube exactly, so
     the remainder is zero for every functional.
     """
-    _check_roots([domain], delta, [eta])
-    pairs = _cube_pairs([domain], delta, lambda point: eta, theta, max_generation,
+    table = _cube_table([domain], delta, RegularityFn(value=eta), theta, max_generation,
                         MAX_PIECES)
     parent = TopDimCurrent(CubeSet(domain.root, (domain,)), theta)
-    return TaggedFamily(parent, tuple(pairs), (), 0.0, "mass", 0.0)
+    return TaggedFamily(parent, table, (), 0.0, "mass", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -585,22 +684,26 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
     p_count = max(len(charts), 1)
     per_chart_budget = eps / (2.0 * p_count)
 
-    pairs: list[TaggedPair] = []
-    for chart_piece in charts:
-        new_pairs, leftovers = _decompose_chart_piece(
-            chart_piece, delta, eta, G, per_chart_budget, max_generation,
-            piece_budget=max_pieces - len(pairs),
-        )
-        pairs.extend(new_pairs)
-        remainder.extend(leftovers)
+    if isinstance(work, TopDimCurrent):
+        table = _cube_table(work.region.cubes, delta, eta, work.theta, max_generation,
+                            max_pieces)
+    else:
+        # every chart piece is tiled before any piece's masses are swept
+        cells = []
+        for i, chart_piece in enumerate(charts):
+            part, leftovers = _chart_cells(i, chart_piece, delta, G, per_chart_budget,
+                                           max_generation,
+                                           max_pieces - sum(len(c[0]) for c in cells))
+            cells += part
+            remainder.extend(leftovers)
+        table = _chart_table(charts, cells, delta, eta)
 
     remainder_value = G.of_pieces(remainder)
     if remainder_value >= eps:
         raise DecompositionRefusal(
             f"remainder functional value {remainder_value:.3e} >= eps {eps:.3e}"
         )
-    return TaggedFamily(T, tuple(pairs), tuple(remainder), remainder_value,
-                        G.name, eps)
+    return TaggedFamily(T, table, tuple(remainder), remainder_value, G.name, eps)
 
 
 def _needs_excision(T: Current, E: ExceptionalSet) -> bool:
@@ -643,22 +746,18 @@ def _chart_fineness(chart, delta: Gauge) -> Callable:
     return lambda pts: delta.many(chart.point(pts[:, 0], pts[:, 1])) / lip
 
 
-def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
-                           G: SubadditiveFn, budget: float, max_generation: int,
-                           piece_budget: int) -> tuple[list[TaggedPair], list[Current]]:
-    if isinstance(T, TopDimCurrent):
-        roots = list(T.region.cubes)
-        if not roots:
-            return [], []
-        corner, root_side, gen, index = _root_arrays(roots)
-        # one constant eta per cube: its largest value at the test points
-        _check_roots(roots, delta, [
-            max(eta(p) for p in pts)
-            for pts in _test_points(corner, np.ldexp(root_side, -gen), index)])
-        return _cube_pairs(roots, delta, eta, T.theta, max_generation, piece_budget), []
+def _chart_cells(i: int, T: ChartCurrent, delta: Gauge, G: SubadditiveFn, budget: float,
+                 max_generation: int, piece_budget: int) -> tuple[list, list[Current]]:
+    """The Cousin cells of chart piece i, T, and the leftovers of its tiling.
+
+    Each rectangle of the domain is tiled by squares until the functional of
+    the leftovers is below ``budget``, and the squares are subdivided with
+    the gauge pulled back through the chart.  Each rectangle gives one tuple
+    of arrays (i, square corner, square side, generation, index, planar
+    diameter, planar tag), its cells in depth-first order.
+    """
     chart = T.chart
-    lip = chart.lip_upper
-    accepted = []  # (square, cube, diam, pre_tag) over every square of every rect
+    cells: list = []
     leftovers: list[Current] = []
     for rect in T.domain_rects():
         squares, rest = _tile_rect_with_squares(rect)
@@ -684,32 +783,55 @@ def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
             )
         roots = [DyadicCube(RootBox((sq.x0, sq.y0), sq.x1 - sq.x0), 0, (0, 0))
                  for sq in squares]
+        corner, side, _, _ = _root_arrays(roots)
         rid, gen, idx, diam, pre_tags, _ = _fine_cubes(
-            roots, _chart_fineness(chart, delta), max_generation, piece_budget - len(accepted))
-        for k in _depth_first_order(rid, gen, idx):
-            cube = DyadicCube(roots[rid[k]].root, int(gen[k]), tuple(idx[k].tolist()))
-            accepted.append((squares[rid[k]], cube, float(diam[k]), pre_tags[k]))
+            roots, _chart_fineness(chart, delta), max_generation,
+            piece_budget - sum(len(c[0]) for c in cells))
+        k = _depth_first_order(rid, gen, idx)
+        cells.append((np.full(len(k), i), corner[rid[k]], side[rid[k]], gen[k], idx[k], diam[k],
+                      pre_tags[k]))
+    return cells, leftovers
 
-    pieces = [ChartCurrent(Rect(lo[0], hi[0], lo[1], hi[1]), chart, T.theta, tol=1e-11)
-              for lo, hi in (cube.bounds() for _, cube, _, _ in accepted)]
-    # all pieces of the chart piece share one quadrature sweep per kind of mass
-    masses = chart_masses(pieces)
-    boundary_masses = chart_masses(pieces, boundary=True)
-    pairs: list[TaggedPair] = []
-    for (square, cube, diam, pre_tag), piece, mres, bres in zip(accepted, pieces, masses,
-                                                                 boundary_masses):
-        tag3 = chart.point(float(pre_tag[0]), float(pre_tag[1]))
-        diam_push = lip * diam  # Lipschitz upper bound, certified
-        pairs.append(TaggedPair(
-            tag=tuple(float(v) for v in tag3),
-            piece=piece,
-            diam=diam_push,
-            mass=mres.value,
-            boundary_mass=bres.value,
-            reg=mres.value / (bres.value * diam_push),
-            gauge_at_tag=delta(tag3),
-            eta_at_tag=eta(tag3),
-            meta={"pre_square": (square.x0, square.y0, square.x1 - square.x0),
-                  "pre_cube": cube.key(), "pre_tag": tuple(map(float, pre_tag))},
-        ))
-    return pairs, leftovers
+
+def _chart_table(pieces: Sequence[ChartCurrent], cells: list, delta: Gauge,
+                 eta: RegularityFn) -> PieceTable:
+    """The table of the Cousin cells of the chart pieces."""
+    if not cells:
+        return _EMPTY
+    of, corner, side, gen, idx, diam, pre_tags = (np.concatenate(a) for a in zip(*cells))
+    # the bounds of each DyadicCube: lo = corner + side * index, hi = lo + side
+    cube_side = np.ldexp(side, -gen)[:, None]
+    lo = corner + cube_side * idx
+    hi = lo + cube_side
+    # the counterclockwise edges a -> b -> c -> d -> a of each piece, as Rect.boundary_edges
+    ring = np.stack([lo, np.column_stack([hi[:, 0], lo[:, 1]]), hi,
+                     np.column_stack([lo[:, 0], hi[:, 1]])], axis=1)
+    start, end = ring.reshape(-1, 2), np.roll(ring, -1, axis=1).reshape(-1, 2)
+    n = len(lo)
+    theta = np.array([T.theta for T in pieces])[of]
+    mass, edge, tags = np.empty(n), np.empty((n, 4)), np.empty((n, 3))
+    for i in np.unique(of).tolist():
+        chart, k = pieces[i].chart, np.flatnonzero(of == i)
+        # one quadrature sweep per kind of mass for all pieces of a chart piece
+        mass[k] = [r.value for r in chart_masses(chart, lo[k], hi[k], [1e-11] * len(k))]
+        e = (4 * k[:, None] + np.arange(4)).ravel()
+        edge[k] = np.reshape([r.value for r in chart_masses(
+            chart, start[e], end[e], [1e-11] * len(e), boundary=True)], (-1, 4))
+        tags[k] = chart.point(pre_tags[k, 0], pre_tags[k, 1])
+    mass = np.abs(theta) * mass
+    boundary_mass = np.abs(theta) * (((edge[:, 0] + edge[:, 1]) + edge[:, 2]) + edge[:, 3])
+    # Lipschitz upper bound, certified
+    diam = np.array([T.chart.lip_upper for T in pieces])[of] * diam
+
+    def view(table, k):
+        T = pieces[of[k]]
+        piece = ChartCurrent(Rect(lo[k, 0], hi[k, 0], lo[k, 1], hi[k, 1]), T.chart, T.theta,
+                             tol=1e-11)
+        return table._pair(k, piece, {"pre_square": (*corner[k].tolist(), float(side[k])),
+                                     "pre_cube": (int(gen[k]), tuple(idx[k].tolist())),
+                                     "pre_tag": tuple(pre_tags[k].tolist())})
+
+    return PieceTable(tags, diam, mass, boundary_mass, mass / (boundary_mass * diam),
+                      delta.many(tags), eta.many(tags), theta, of, tuple(T.chart for T in pieces),
+                      _EMPTY.cubes, (np.arange(n), lo, hi),
+                      (np.repeat(np.arange(n), 4), start, end), view)

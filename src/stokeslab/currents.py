@@ -26,7 +26,7 @@ whose error is |fine - coarse|, not a rigorous bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -111,7 +111,8 @@ class ChartMap:
     ``lip_upper`` must dominate sup sqrt(1 + |grad psi|^2) over the domain of
     use; ``lip_inverse`` bounds the Lipschitz constant of the inverse, which
     for graphs is exactly 1 (the projection), so stored values must be >= 1.
-    ``area``, when given, is the area element from one evaluation of both partials.
+    ``gradient(x, y)`` returns both partials (psi_x, psi_y); it defaults to
+    the two calls, and a chart whose partials share work passes one call.
     """
 
     psi: callable
@@ -120,13 +121,16 @@ class ChartMap:
     lip_upper: float
     lip_inverse: float = 1.0
     name: str = ""
-    area: Optional[callable] = None
+    gradient: Optional[callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.lip_upper < 1.0:
             raise ValueError("lip_upper below 1 is impossible for a graph map")
         if self.lip_inverse < 1.0:
             raise ValueError("graph inverses are 1-Lipschitz at best; bound must be >= 1")
+        if self.gradient is None:
+            object.__setattr__(self, "gradient",
+                               lambda x, y: (self.dpsi_dx(x, y), self.dpsi_dy(x, y)))
 
     def point(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -134,9 +138,8 @@ class ChartMap:
         return np.stack([x, y, self.psi(x, y)], axis=-1)
 
     def area_element(self, x, y):
-        if self.area is not None:
-            return self.area(x, y)
-        return np.sqrt(1.0 + self.dpsi_dx(x, y) ** 2 + self.dpsi_dy(x, y) ** 2)
+        px, py = self.gradient(x, y)
+        return np.sqrt(1.0 + px ** 2 + py ** 2)
 
     def verify_lip_upper(self, domain_bounds, samples: int = 2000, rng=None) -> bool:
         rng = rng or np.random.default_rng(0)
@@ -216,12 +219,13 @@ def _lifted_tangent(graph, base, direction, t):
     u = base + t[..., None] * direction
     x, y = u[..., 0], u[..., 1]
     d0, d1 = direction[..., 0], direction[..., 1]
-    dz = graph.dpsi_dx(x, y) * d0 + graph.dpsi_dy(x, y) * d1
+    px, py = graph.gradient(x, y)
+    dz = px * d0 + py * d1
     return np.stack(np.broadcast_arrays(d0, d1, dz), axis=-1)
 
 
 def _lifted_curves(graph, segments) -> list:
-    """Planar segments lifted through a graph with psi, dpsi_dx and dpsi_dy.
+    """Planar segments lifted through a graph with psi and gradient.
 
     The point u = base + t * direction lifts to (u, psi(u)) with tangent
     (d0, d1, psi_x(u) d0 + psi_y(u) d1).
@@ -550,21 +554,25 @@ class ChartCurrent(Current):
                         for r in self.domain_rects()), factor)
 
     def mass(self) -> QuadResult:
-        return chart_masses([self])[0]
+        rects = self.domain_rects()
+        return _summed(chart_masses(self.chart, [(r.x0, r.y0) for r in rects],
+                                    [(r.x1, r.y1) for r in rects], [self.tol] * len(rects)),
+                       abs(self.theta))
 
     def planar_edges(self) -> list:
         """Counterclockwise planar boundary edges (start, end) of the domain."""
         return _planar_edges(self.domain)
 
     def boundary_mass(self) -> QuadResult:
-        return chart_masses([self], boundary=True)[0]
+        edges = np.array(self.planar_edges(), dtype=float).reshape(-1, 2, 2)
+        return _summed(chart_masses(self.chart, edges[:, 0], edges[:, 1], [self.tol] * len(edges),
+                                    boundary=True), abs(self.theta))
 
     def boundary_curves(self) -> list:
         return _lifted_curves(self.chart, _segments(self.planar_edges()))
 
     def tangent_plane(self, points):
-        x, y = points[:, 0], points[:, 1]
-        return graph_tangent(self.chart.dpsi_dx(x, y), self.chart.dpsi_dy(x, y))
+        return graph_tangent(*self.chart.gradient(points[:, 0], points[:, 1]))
 
     def support_diameter(self) -> float:
         pts = []
@@ -643,41 +651,26 @@ class ChartCurrent(Current):
         }
 
 
-def chart_masses(pieces: Sequence[ChartCurrent], boundary: bool = False) -> list[QuadResult]:
-    """Masses of chart pieces on one chart, or with ``boundary`` their boundary masses.
+def chart_masses(chart: ChartMap, lo, hi, tol, boundary: bool = False) -> list[QuadResult]:
+    """Integrals of a chart's area element over rectangles, or of its lifted speed over segments.
 
-    One :func:`~stokeslab.quadrature.integrate_boxes` run integrates the
-    area element over the rectangles of all the domains, or the speed of
-    all the lifted edges over t in [0, 1]; each rectangle or edge is held to
-    its piece's tol.  A piece's result is the same alone as in any batch.
+    ``lo`` and ``hi`` are (R, 2): the corners of R rectangles, or with
+    ``boundary`` the start and end points of R planar segments, each lifted
+    through the chart and integrated over t in [0, 1].  One
+    :func:`~stokeslab.quadrature.integrate_boxes` run takes them all, each
+    held to its entry of ``tol``; a result is the same alone as in any batch.
     """
-    if not pieces:
-        return []
-    chart = pieces[0].chart
-    if any(p.chart is not chart for p in pieces):
-        raise CurrentError("chart_masses needs pieces on one chart")
-    if boundary:
-        parts = [(i, seg) for i, p in enumerate(pieces) for seg in _segments(p.planar_edges())]
-        base = np.array([b for _, (b, _, _, _) in parts]).reshape(-1, 2)
-        direction = np.array([d for _, (_, d, _, _) in parts]).reshape(-1, 2)
-        lo, hi = np.zeros((len(parts), 1)), np.ones((len(parts), 1))
+    lo = np.asarray(lo, dtype=float).reshape(-1, 2)
+    hi = np.asarray(hi, dtype=float).reshape(-1, 2)
+    if not boundary:
+        return integrate_boxes(lambda box, x, y: chart.area_element(x, y), lo, hi, tol)
+    direction = hi - lo
 
-        def density(box, t):
-            tangent = _lifted_tangent(chart, base[box, None], direction[box, None], t)
-            return np.sqrt((tangent ** 2).sum(axis=-1))
-    else:
-        parts = [(i, r) for i, p in enumerate(pieces) for r in p.domain_rects()]
-        lo = np.array([(r.x0, r.y0) for _, r in parts]).reshape(-1, 2)
-        hi = np.array([(r.x1, r.y1) for _, r in parts]).reshape(-1, 2)
+    def speed(box, t):
+        tangent = _lifted_tangent(chart, lo[box, None], direction[box, None], t)
+        return np.sqrt((tangent ** 2).sum(axis=-1))
 
-        def density(box, x, y):
-            return chart.area_element(x, y)
-
-    results = integrate_boxes(density, lo, hi, tol=[pieces[i].tol for i, _ in parts])
-    grouped = [[] for _ in pieces]
-    for (i, _), res in zip(parts, results):
-        grouped[i].append(res)
-    return [_summed(group, abs(p.theta)) for group, p in zip(grouped, pieces)]
+    return integrate_boxes(speed, np.zeros((len(lo), 1)), np.ones((len(lo), 1)), tol)
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,9 @@ UNDECIDED = "UNDECIDED-BY-DECOMPOSITION"
 
 def riemann_sum(f: Callable, family: TaggedFamily) -> float:
     """sigma(f, P) = sum of f(tag) * mass(piece); f maps the (N, n) tags to (N,) values at once."""
-    if not family.pairs:
+    if not len(family.pairs):
         return 0.0
-    values = f(np.array([p.tag for p in family.pairs], dtype=float))
-    return math.fsum(v * p.mass for v, p in zip(values, family.pairs))
+    return math.fsum((f(family.pairs.tags) * family.pairs.mass).tolist())
 
 
 def circulation(omega, S: Current, tol: float = 1e-10) -> QuadResult:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .currents import Current
 from .dyadic import ExceptionalSet
@@ -84,6 +83,12 @@ def neighborhood_mass(T: Current, E: ExceptionalSet, r: float) -> QuadResult:
     return T.neighborhood_mass(E, r)
 
 
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y on x, by the formula of scipy.stats.linregress."""
+    ssxm, ssxym, _, _ = np.cov(x, y, bias=1).flat
+    return float(ssxym / ssxm)
+
+
 def _classify(radii: np.ndarray, values: np.ndarray) -> tuple[str, dict]:
     n = len(values)
     tail = values[-5:] if n >= 5 else values
@@ -92,7 +97,7 @@ def _classify(radii: np.ndarray, values: np.ndarray) -> tuple[str, dict]:
     vwin, rwin = values[-window:], radii[-window:]
     slope = None
     if np.all(vwin > 0) and len(vwin) >= 3:
-        slope = float(stats.linregress(np.log(1.0 / rwin), np.log(vwin)).slope)
+        slope = _slope(np.log(1.0 / rwin), np.log(vwin))
         detail["fitted_slope"] = slope
     if len(tail) >= 3:
         ratios = tail[1:] / np.maximum(tail[:-1], 1e-300)

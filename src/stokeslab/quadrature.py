@@ -107,7 +107,8 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12,
     panels, and ``coords`` one (N, order**d) array of node coordinates per
     axis.  It returns the (N, order**d) values.  Each box splits its panels
     until its summed estimate is at most its tol, and reports a zero error
-    as +0.0.  A box that reaches ``max_panels`` first raises a
+    as +0.0; a box whose first estimate meets its tol finishes in the first
+    round, with no heap.  A box that reaches ``max_panels`` first raises a
     :class:`QuadratureError`.
     """
     lo = np.asarray(lo, dtype=float)
@@ -155,13 +156,18 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12,
 
     results = [QuadResult(0.0, 0.0, 0)] * n_boxes
     owners = np.flatnonzero((lo != hi).all(axis=1))
-    panels, coarse = np.stack([lo[owners], hi[owners]], axis=-1), None
+    # the kids of each new panel, evaluated for its estimate, are the panels
+    # its split makes, with their coarse values
+    kids, kid_vals, fine, err = estimate(owners, np.stack([lo[owners], hi[owners]], axis=-1))
+    # a box whose first estimate meets its tol finishes without a heap, with
+    # the bits of a one-panel heap, whose value sum starts from 0 (-0.0 + 0 is +0.0)
+    first = err <= np.asarray(tol, dtype=float)[owners]
+    for box, value, error in zip(owners[first].tolist(), fine[first] + 0.0, err[first]):
+        results[box] = QuadResult(value, error, 1)
+    owners, kids, kid_vals, fine, err = (a[~first] for a in (owners, kids, kid_vals, fine, err))
     heaps = {box: [] for box in owners.tolist()}
     tick = itertools.count()
     while heaps:
-        # the kids of each new panel, evaluated for its estimate, are the
-        # panels its split makes, with their coarse values
-        kids, kid_vals, fine, err = estimate(owners, panels, coarse)
         for j, box in enumerate(owners.tolist()):
             heapq.heappush(heaps[box], (-err[j], next(tick), fine[j], kids[j], kid_vals[j]))
         worst = []
@@ -183,8 +189,9 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12,
         # every box above its tol splits its worst panel in the next round
         if worst:
             owners = np.repeat([box for box, _ in worst], n_kids)
-            panels = np.concatenate([entry[3] for _, entry in worst])
-            coarse = np.concatenate([entry[4] for _, entry in worst])
+            kids, kid_vals, fine, err = estimate(
+                owners, np.concatenate([entry[3] for _, entry in worst]),
+                np.concatenate([entry[4] for _, entry in worst]))
     return results
 
 

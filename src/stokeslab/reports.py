@@ -11,6 +11,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 
 def write_json(path, payload) -> Path:
     path = Path(path)
@@ -20,19 +22,8 @@ def write_json(path, payload) -> Path:
 
 
 def _coerce(obj):
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return float(obj)
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-    except ImportError:
-        pass
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
@@ -48,22 +39,11 @@ def write_csv(path, rows: Iterable[Mapping], columns: Sequence[str]) -> Path:
 
 
 def _cell(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return repr(float(value))
-    try:
-        import numpy as np
-
-        if isinstance(value, (np.floating,)):
-            return repr(float(value))
-        if isinstance(value, (np.integer,)):
-            return int(value)
-    except ImportError:
-        pass
     if isinstance(value, (list, tuple)):
         return ";".join(repr(float(v)) for v in value)
-    return value
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return int(value) if isinstance(value, np.integer) else value
 
 
 def family_to_csv(family, path) -> Path:

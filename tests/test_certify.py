@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokeslab import certify
-from stokeslab.certify import CertificateReport, _chart_boundary_mass, _chart_mass
-from stokeslab.cousin import Gauge, RegularityFn, SubadditiveFn, cousin_decompose, gauge_decompose
+from stokeslab.certify import _CHECK_ORDER, CertificateReport
+from stokeslab.quadrature import integrate_2d, integrate_boxes
+from stokeslab.cousin import (Gauge, PieceTable, RegularityFn, SubadditiveFn, TaggedPair,
+                              cousin_decompose, gauge_decompose)
 from stokeslab.currents import ChartCurrent, ChartMap, Rect, SurfaceCurrent, TopDimCurrent
 from stokeslab.dyadic import CubeSet, DyadicCube, ExceptionalSet, RootBox
 
@@ -143,9 +145,29 @@ def test_chart_masses_agree_with_the_engine(name):
     piece = _chart_pieces()[name]
     if name == "staircase":
         assert len(piece.domain_rects()) > 4 and len(piece.planar_edges()) > 4
-    for (value, error), ref in ((certify._chart_mass(piece), piece.mass()),
-                                (certify._chart_boundary_mass(piece), piece.boundary_mass())):
+    for (value, error), ref in ((_chart_mass(piece), piece.mass()),
+                                (_chart_boundary_mass(piece), piece.boundary_mass())):
         assert abs(value - ref.value) <= max(1e-9 * ref.value, error + ref.error)
+
+
+def _tagged(piece):
+    """A pair of the piece tagged at the lift of its first rectangle's lower corner."""
+    r = piece.domain_rects()[0]
+    return TaggedPair(tuple(piece.lift(np.array([r.x0, r.y0])).tolist()), piece,
+                      0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_batched_chart_geometry_has_the_bits_of_the_per_piece_references(batch):
+    # the parabolic, staircase and strip pieces one at a time, and all in one run
+    pieces = list(_chart_pieces().values())
+    for group in [pieces] if batch else [[piece] for piece in pieces]:
+        table = PieceTable.gather([_tagged(piece) for piece in group])
+        _, inside, _, *columns, _ = certify._chart_geometry(table, table.tags)
+        assert inside.all()
+        for k, piece in enumerate(group):
+            expected = (*_chart_mass(piece), *_chart_boundary_mass(piece))
+            assert [float(c[k]).hex() for c in columns] == [float(v).hex() for v in expected]
 
 
 # -- the checker as it was before it made one pass over the family -----------
@@ -159,6 +181,37 @@ def test_chart_masses_agree_with_the_engine(name):
 
 def _overlapping_pairs(boxes):
     return _dense_pairs(boxes)
+
+
+def _chart_mass(piece: ChartCurrent) -> tuple[float, float]:
+    total, err = 0.0, 0.0
+    for r in piece.domain_rects():
+        res = integrate_2d(lambda x, y: piece.chart.area_element(x, y),
+                           r.x0, r.x1, r.y0, r.y1, tol=1e-9, order=_CHECK_ORDER)
+        total += res.value
+        err += res.error
+    return abs(piece.theta) * total, abs(piece.theta) * err
+
+
+def _chart_boundary_mass(piece: ChartCurrent) -> tuple[float, float]:
+    chart = piece.chart
+    edges = np.asarray(piece.planar_edges(), dtype=float).reshape(-1, 2, 2)
+    p, d = edges[:, 0], edges[:, 1] - edges[:, 0]
+    length = np.linalg.norm(d, axis=1)
+
+    def speed(edge, t):
+        x = p[edge, 0, None] + t * d[edge, 0, None]
+        y = p[edge, 1, None] + t * d[edge, 1, None]
+        dz = chart.dpsi_dx(x, y) * d[edge, 0, None] + chart.dpsi_dy(x, y) * d[edge, 1, None]
+        return np.sqrt(length[edge, None] ** 2 + dz ** 2)
+
+    n = len(edges)
+    total, err = 0.0, 0.0
+    for res in integrate_boxes(speed, np.zeros((n, 1)), np.ones((n, 1)), [1e-9] * n,
+                               order=_CHECK_ORDER):
+        total += res.value
+        err += res.error
+    return abs(piece.theta) * total, abs(piece.theta) * err
 
 
 def _footprint(piece) -> tuple[float, float, float, float]:

@@ -1116,3 +1116,24 @@ def test_cylindrical_sup_omega_is_converged_on_its_circle(cyl):
     finer = CylindricalModel(PARAMS, panels_per_osc=32)
     for k in range(1, 8):
         assert cyl.sup_omega_on_circle(k) == pytest.approx(finer.sup_omega_on_circle(k), rel=1e-7)
+
+
+def test_lifted_tangent_and_tangent_plane_make_one_blend_with_the_bits_of_the_partials(
+        monkeypatch):
+    from stokeslab.currents import ChartCurrent, Rect, _lifted_tangent
+
+    model = SurfaceModel(PARAMS)
+    chart = model.strip_chart(3)
+    base = np.array([0.1, model._ladder[3]])
+    direction = np.array([2.5, model._ladder[4] - model._ladder[3]])
+    t = np.linspace(0.0, 1.0, 97)
+    out = []
+    assert _blends(monkeypatch, lambda: out.append(_lifted_tangent(chart, base, direction, t))) == 1
+    u = base + t[:, None] * direction
+    px, py = chart.dpsi_dx(u[:, 0], u[:, 1]), chart.dpsi_dy(u[:, 0], u[:, 1])
+    assert np.array_equal(out[0][:, 2], px * direction[0] + py * direction[1])
+    piece = ChartCurrent(Rect(0.0, 1.0, model._ladder[3], model._ladder[4]), chart)
+    points = chart.point(u[:, 0], u[:, 1])
+    assert _blends(monkeypatch, lambda: out.append(piece.tangent_plane(points))) == 1
+    for got, expected in zip(out[1], graph_tangent(px, py)):
+        assert np.array_equal(got, expected)

@@ -1,36 +1,46 @@
+import json
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokeslab import certify
+from stokeslab import certify, cousin
 from stokeslab.cousin import (
     CUBE_REGULARITY,
+    MAX_PIECES,
     DecompositionRefusal,
     Gauge,
     RegularityFn,
     ResourceBudgetError,
     SubadditiveFn,
+    TaggedPair,
+    _check_roots,
     _chart_fineness,
     _cube_masses,
     _depth_first_order,
     _fine_cubes,
+    _root_arrays,
+    _test_points,
     _tile_rect_with_squares,
     cousin_decompose,
     excise,
     gauge_decompose,
     regularity,
 )
-from stokeslab.currents import ChartCurrent, ChartMap, Rect, TopDimCurrent
+from stokeslab.currents import (ChartCurrent, ChartMap, Current, CurrentError, Rect,
+                                TopDimCurrent, _lifted_tangent, _segments, _summed)
+from stokeslab.integration import riemann_sum
+from stokeslab.quadrature import QuadResult, integrate_boxes
 from stokeslab.dyadic import CubeSet, DepthError, DyadicCube, ExceptionalSet, RootBox
 
 ROOT = RootBox((0.0, 0.0), 1.0)
 UNIT_CUBE = DyadicCube(ROOT, 0, (0, 0))
 UNIT = TopDimCurrent(CubeSet.whole(ROOT))
 MASS = SubadditiveFn.mass()
+ETA = RegularityFn.constant(0.05)
 
 
 def test_square_regularity_is_exact():
@@ -305,16 +315,17 @@ def test_chart_piece_takes_its_masses_from_two_sweeps(monkeypatch):
     sweeps = []
     chart_masses = cousin.chart_masses
 
-    def counted(pieces, boundary=False):
-        sweeps.append((len(pieces), boundary))
-        return chart_masses(pieces, boundary)
+    def counted(chart, lo, hi, tol, boundary=False):
+        sweeps.append((len(lo), boundary))
+        return chart_masses(chart, lo, hi, tol, boundary)
 
     monkeypatch.setattr(cousin, "chart_masses", counted)
     fam = gauge_decompose(C, ExceptionalSet.empty(), Gauge.constant(0.3),
                           RegularityFn.constant(0.05), MASS, 1e-3)
     assert len({p.meta["pre_square"] for p in fam.pairs}) == 166
-    # one sweep per kind of mass for the whole chart piece, not two per square
-    assert sweeps == [(256, False), (256, True)]
+    # one sweep per kind of mass for the whole chart piece, not two per square:
+    # the 256 rectangles, then their 1,024 edges
+    assert sweeps == [(256, False), (1024, True)]
     for p in fam.pairs:
         assert p.mass == pytest.approx(p.piece.mass().value, rel=1e-14, abs=0.0)
         assert p.boundary_mass == pytest.approx(p.piece.boundary_mass().value, rel=1e-14,
@@ -534,3 +545,221 @@ def test_cube_pieces_carry_their_eta_and_masses():
         assert p.eta_at_tag == eta(np.asarray(p.tag))
         assert p.gauge_at_tag == _gauge_by_norm(g, np.asarray(p.tag))
         assert (p.mass, p.boundary_mass) == (p.piece.mass().value, p.piece.boundary_mass().value)
+
+
+# -- the family as one object per piece, before the piece table ----------------
+# _cube_pairs and _decompose_chart_piece below are the engine's per-piece
+# loops, and chart_masses the sweep they called, verbatim; the piece table's
+# views must carry their fields bit for bit, and the family's sums and rows
+# must keep the bits these pairs give.
+
+
+def _cube_pairs(roots: Sequence[DyadicCube], delta: Gauge, eta: Callable, theta: int,
+                max_generation: int, max_pieces: int) -> list[TaggedPair]:
+    """Tagged Cousin pieces of the roots, root by root in (generation, index) order."""
+    rid, gen, idx, diam, tags, vals = _fine_cubes(roots, delta.many, max_generation,
+                                                  max_pieces)
+    m = roots[0].m
+    pairs = []
+    for k in np.lexsort((*idx.T[::-1], gen, rid)):
+        root = roots[rid[k]].root
+        cube = DyadicCube(root, int(gen[k]), tuple(idx[k].tolist()))
+        mass, boundary_mass = _cube_masses(cube.side, m, theta)
+        pairs.append(TaggedPair(
+            tag=tuple(tags[k].tolist()),
+            piece=TopDimCurrent(CubeSet(root, (cube,)), theta),
+            diam=float(diam[k]),
+            mass=mass,
+            boundary_mass=boundary_mass,
+            reg=CUBE_REGULARITY(m),
+            gauge_at_tag=float(vals[k]),
+            eta_at_tag=eta(tags[k]),
+            meta={"cube": cube.key()},
+        ))
+    return pairs
+
+
+def chart_masses(pieces: Sequence[ChartCurrent], boundary: bool = False) -> list[QuadResult]:
+    """Masses of chart pieces on one chart, or with ``boundary`` their boundary masses.
+
+    One :func:`~stokeslab.quadrature.integrate_boxes` run integrates the
+    area element over the rectangles of all the domains, or the speed of
+    all the lifted edges over t in [0, 1]; each rectangle or edge is held to
+    its piece's tol.  A piece's result is the same alone as in any batch.
+    """
+    if not pieces:
+        return []
+    chart = pieces[0].chart
+    if any(p.chart is not chart for p in pieces):
+        raise CurrentError("chart_masses needs pieces on one chart")
+    if boundary:
+        parts = [(i, seg) for i, p in enumerate(pieces) for seg in _segments(p.planar_edges())]
+        base = np.array([b for _, (b, _, _, _) in parts]).reshape(-1, 2)
+        direction = np.array([d for _, (_, d, _, _) in parts]).reshape(-1, 2)
+        lo, hi = np.zeros((len(parts), 1)), np.ones((len(parts), 1))
+
+        def density(box, t):
+            tangent = _lifted_tangent(chart, base[box, None], direction[box, None], t)
+            return np.sqrt((tangent ** 2).sum(axis=-1))
+    else:
+        parts = [(i, r) for i, p in enumerate(pieces) for r in p.domain_rects()]
+        lo = np.array([(r.x0, r.y0) for _, r in parts]).reshape(-1, 2)
+        hi = np.array([(r.x1, r.y1) for _, r in parts]).reshape(-1, 2)
+
+        def density(box, x, y):
+            return chart.area_element(x, y)
+
+    results = integrate_boxes(density, lo, hi, tol=[pieces[i].tol for i, _ in parts])
+    grouped = [[] for _ in pieces]
+    for (i, _), res in zip(parts, results):
+        grouped[i].append(res)
+    return [_summed(group, abs(p.theta)) for group, p in zip(grouped, pieces)]
+
+
+def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
+                           G: SubadditiveFn, budget: float, max_generation: int,
+                           piece_budget: int) -> tuple[list[TaggedPair], list[Current]]:
+    if isinstance(T, TopDimCurrent):
+        roots = list(T.region.cubes)
+        if not roots:
+            return [], []
+        corner, root_side, gen, index = _root_arrays(roots)
+        # one constant eta per cube: its largest value at the test points
+        _check_roots(roots, delta, [
+            max(eta(p) for p in pts)
+            for pts in _test_points(corner, np.ldexp(root_side, -gen), index)])
+        return _cube_pairs(roots, delta, eta, T.theta, max_generation, piece_budget), []
+    chart = T.chart
+    lip = chart.lip_upper
+    accepted = []  # (square, cube, diam, pre_tag) over every square of every rect
+    leftovers: list[Current] = []
+    for rect in T.domain_rects():
+        squares, rest = _tile_rect_with_squares(rect)
+        while True:
+            rest_currents = [ChartCurrent(rr, chart, T.theta, tol=1e-9) for rr in rest]
+            rest_value = G.of_pieces(rest_currents)
+            if rest_value < budget or not rest:
+                leftovers.extend(rest_currents)
+                break
+            deeper = []
+            for rr in rest:
+                sq, lv = _tile_rect_with_squares(rr, min_fraction=0.9999)
+                squares.extend(sq)
+                deeper.extend(lv)
+            if not deeper:
+                leftovers.extend(rest_currents)
+                break
+            rest = deeper
+        if len(squares) > piece_budget:
+            raise ResourceBudgetError(
+                f"chart tiling needs {len(squares)} squares, over the piece budget "
+                f"({piece_budget}); decompose a smaller window or raise the budget"
+            )
+        roots = [DyadicCube(RootBox((sq.x0, sq.y0), sq.x1 - sq.x0), 0, (0, 0))
+                 for sq in squares]
+        rid, gen, idx, diam, pre_tags, _ = _fine_cubes(
+            roots, _chart_fineness(chart, delta), max_generation, piece_budget - len(accepted))
+        for k in _depth_first_order(rid, gen, idx):
+            cube = DyadicCube(roots[rid[k]].root, int(gen[k]), tuple(idx[k].tolist()))
+            accepted.append((squares[rid[k]], cube, float(diam[k]), pre_tags[k]))
+
+    pieces = [ChartCurrent(Rect(lo[0], hi[0], lo[1], hi[1]), chart, T.theta, tol=1e-11)
+              for lo, hi in (cube.bounds() for _, cube, _, _ in accepted)]
+    # all pieces of the chart piece share one quadrature sweep per kind of mass
+    masses = chart_masses(pieces)
+    boundary_masses = chart_masses(pieces, boundary=True)
+    pairs: list[TaggedPair] = []
+    for (square, cube, diam, pre_tag), piece, mres, bres in zip(accepted, pieces, masses,
+                                                                 boundary_masses):
+        tag3 = chart.point(float(pre_tag[0]), float(pre_tag[1]))
+        diam_push = lip * diam  # Lipschitz upper bound, certified
+        pairs.append(TaggedPair(
+            tag=tuple(float(v) for v in tag3),
+            piece=piece,
+            diam=diam_push,
+            mass=mres.value,
+            boundary_mass=bres.value,
+            reg=mres.value / (bres.value * diam_push),
+            gauge_at_tag=delta(tag3),
+            eta_at_tag=eta(tag3),
+            meta={"pre_square": (square.x0, square.y0, square.x1 - square.x0),
+                  "pre_cube": cube.key(), "pre_tag": tuple(map(float, pre_tag))},
+        ))
+    return pairs, leftovers
+
+
+def _per_piece_family(monkeypatch, T, E, gauge, eps):
+    """gauge_decompose's family and the reference pairs of the chart pieces it decomposed."""
+    charts = []
+    atlas = cousin._chart_atlas
+
+    def recorded(work):
+        out = atlas(work)
+        charts.extend(out[0])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(cousin, "_chart_atlas", recorded)
+        family = gauge_decompose(T, E, gauge, ETA, MASS, eps)
+    return family, [pair for piece in charts for pair in _decompose_chart_piece(
+        piece, gauge, ETA, MASS, eps / (2.0 * len(charts)), 40, MAX_PIECES)[0]]
+
+
+def _bits(value):
+    """value with every float as its hex string, through tuples, lists and dicts."""
+    if isinstance(value, float):
+        return float(value).hex()
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return value
+
+
+def _square_density(tags):
+    return 0.5 + tags[:, 0] * tags[:, 1] ** 2 - np.sin(3.0 * tags[:, -1])
+
+
+def _reference_families():
+    """(current, singular set, gauge, epsilon) of each gauge_decompose family compared."""
+    from stokeslab.cli import _build_current
+
+    segment = ExceptionalSet.segment((0.5, 0.0), (0.5, 1.0))
+    cases = {f"unit-square-{j}": (UNIT, ExceptionalSet.empty(), Gauge.constant(2.0 ** -j), 1e-6)
+             for j in range(7)}
+    cases["excise-segment"] = (
+        UNIT, segment, Gauge.distance_to(segment, 0.5).min_with(Gauge.constant(0.2)), 5e-2)
+    for name, gauge in (("parabolic_graph", 0.1), ("flat_graph", 2.0 ** -4)):
+        cases[name] = (_build_current({"kind": name}), ExceptionalSet.empty(),
+                       Gauge.constant(gauge), 1e-3)
+    return cases
+
+
+@pytest.mark.parametrize("name", [*_reference_families(), "cube-3d"])
+def test_piece_table_views_carry_the_bits_of_the_per_piece_engine(monkeypatch, name):
+    if name == "cube-3d":
+        domain = DyadicCube(RootBox((0.0, 0.0, 0.0), 1.0), 0, (0, 0, 0))
+        gauge = Gauge.distance_to(ExceptionalSet.points([(0.1, 0.2, 0.3)]), 0.5, 0.05)
+        family = cousin_decompose(domain, gauge, 0.05, theta=-2)
+        reference = _cube_pairs([domain], gauge, lambda point: 0.05, -2, 40, MAX_PIECES)
+    else:
+        family, reference = _per_piece_family(monkeypatch, *_reference_families()[name])
+    assert len(family.pairs) == len(reference) > 0
+    fields = ("tag", "diam", "mass", "boundary_mass", "reg", "gauge_at_tag", "eta_at_tag", "meta")
+    for view, pair in zip(family.pairs, reference):
+        assert _bits([getattr(view, f) for f in fields]) == _bits([getattr(pair, f) for f in fields])
+        assert _bits(view.piece.descriptor()) == _bits(pair.piece.descriptor())
+
+    # the sums and rows of the family as TaggedFamily computed them from the pairs
+    tags = np.array([p.tag for p in reference], dtype=float)
+    values = _square_density(tags)
+    assert riemann_sum(_square_density, family).hex() == math.fsum(
+        v * p.mass for v, p in zip(values, reference)).hex()
+    summary = family.summary()
+    assert _bits([summary[k] for k in ("pieces", "body_mass", "min_regularity", "max_diameter")]) \
+        == _bits([len(reference), math.fsum(p.mass for p in reference),
+                  min(p.reg for p in reference), max(p.diam for p in reference)])
+    rows = [{"piece_id": i, "tag": list(p.tag), "diam": p.diam, "mass": p.mass,
+             "boundary_mass": p.boundary_mass, "reg": p.reg, "delta_at_tag": p.gauge_at_tag,
+             "eta_at_tag": p.eta_at_tag} for i, p in enumerate(reference)]
+    assert json.dumps(_bits(list(family.rows()))) == json.dumps(_bits(rows))

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokeslab import minkowski
 from stokeslab.currents import TopDimCurrent
@@ -101,3 +107,25 @@ def test_neighborhood_mass_strip_exact():
 def test_neighborhood_mass_disk():
     res = minkowski.neighborhood_mass(UNIT, CENTER, 0.3)
     assert res.value == pytest.approx(math.pi * 0.09, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # x so close that ssxm underflows
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6, allow_subnormal=False),
+                          st.floats(-1e6, 1e6, allow_subnormal=False)),
+                min_size=2, max_size=30, unique_by=lambda p: p[0]))
+def test_slope_has_the_bits_of_linregress(points):
+    from scipy import stats
+
+    x, y = np.array(points).T
+    assert minkowski._slope(x, y).hex() == float(stats.linregress(x, y).slope).hex()
+
+
+def test_the_cli_imports_without_scipy_stats():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, stokeslab.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
+    assert proc.stdout.strip() == "False"
