@@ -189,7 +189,10 @@ def _overlapping_pairs(boxes) -> list[tuple[int, int]]:
     min(hi) - max(lo) > 1e-12 on every axis.  The candidate pairs come from
     the sort and sweep (:func:`_sweep`) along the axis with fewest of them,
     after I-COLLIDE (Cohen, Lin, Manocha & Ponamgi, 1995), and are tested
-    _SWEEP_CHUNK at a time, so memory stays linear in the boxes.
+    _SWEEP_CHUNK at a time, box by box, so memory stays linear in the boxes.
+    Once _MAX_OVERLAPS pairs are found, a pair whose boxes both lie past the
+    row of the last of them cannot enter, so the boxes past that row keep only
+    their candidates at or before it, and the sweep ends when none is left.
     """
     arr = np.asarray(boxes, dtype=float)
     n = len(arr)
@@ -199,14 +202,25 @@ def _overlapping_pairs(boxes) -> list[tuple[int, int]]:
     m = lo.shape[1]
     order, start, count = min((_sweep(lo, hi, a, (a + 1) % m) for a in range(m)),
                               key=lambda sweep: sweep[2].sum())
-    ends = np.cumsum(count)
+    box = np.arange(len(count)) // 2  # two runs per box
     found = np.empty(0, dtype=np.int64)
-    run = 0
+    row = n  # the boxes past this row keep only their candidates at or before it
+    run, ends = 0, np.cumsum(count)
     while run < len(count):
+        last = int(found[-1]) // n if len(found) == _MAX_OVERLAPS else n
+        if last < row and box[run] > last:
+            row = last
+            low = np.flatnonzero(order <= row)  # sweep positions of the boxes up to the row
+            first = np.searchsorted(low, start[run:])
+            count = np.searchsorted(low, start[run:] + count[run:]) - first
+            keep = count > 0
+            order, box, start, count = order[low], box[run:][keep], first[keep], count[keep]
+            run, ends = 0, np.cumsum(count)
+            continue
         done = ends[run - 1] if run else 0
         stop = max(run + 1, int(np.searchsorted(ends, done + _SWEEP_CHUNK, side="right")))
         c = count[run:stop]
-        i = np.repeat(np.arange(run, stop) // 2, c)  # two runs per box
+        i = np.repeat(box[run:stop], c)
         j = order[np.arange(len(i)) + np.repeat(start[run:stop] - (ends[run:stop] - c - done), c)]
         hit = np.all(np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j]) > 1e-12, axis=1)
         i, j = i[hit], j[hit]

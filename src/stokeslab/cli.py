@@ -220,8 +220,7 @@ def run_cousin(config: dict) -> int:
     family = gauge_decompose(T, E, delta, eta, G, eps)
     check = certify.check_family(family, delta, eta, G)
     reports.family_to_csv(family, out / "family.csv")
-    reports.write_json(out / "pieces.json",
-                       [p.piece.descriptor() for p in family.pairs])
+    reports.write_json(out / "pieces.json", family.pairs.descriptors())
     reports.write_json(out / "report.json", {
         "status": "decomposed",
         "summary": family.summary(),

@@ -24,11 +24,13 @@ from .currents import (
     SurfaceCurrent,
     TopDimCurrent,
     boundary_form_integral,
+    chart_descriptor,
     chart_masses,
     complement_within,
     slice_current,
+    top_dim_descriptor,
 )
-from .dyadic import CubeSet, DyadicCube, DepthError, ExceptionalSet, RootBox
+from .dyadic import CubeSet, DyadicCube, DepthError, ExceptionalSet, RootBox, cubes_payload
 from .minkowski import ExcisabilityEvidence, excisability_evidence, neighborhood_mass
 from .quadrature import QuadratureError
 
@@ -223,8 +225,10 @@ class PieceTable(Sequence):
     """The tagged pieces of a family as columns, one row per piece.
 
     Per piece: ``tags`` (n, N), the engine-recorded columns of TaggedPair,
-    ``theta`` and ``chart``, an index into ``charts`` (-1 for cube pieces).
-    The cells, tuples of arrays led by the owner piece, in piece order:
+    ``theta``, ``chart``, an index into ``charts`` (-1 for cube pieces), and
+    ``root``, an index into ``roots`` of the root box of a piece over a cube
+    set, a cube piece's region or a chart piece's domain (-1 for other
+    pieces).  The cells, tuples of arrays led by the owner piece, in piece order:
     ``cubes`` (owner, root corner, root side, generation, index) of cube
     pieces, ``rects`` (owner, lo, hi) and counterclockwise ``edges`` (owner,
     start, end) of chart pieces.  As a sequence the table holds TaggedPair
@@ -240,7 +244,9 @@ class PieceTable(Sequence):
     eta_at_tag: np.ndarray
     theta: np.ndarray
     chart: np.ndarray
+    root: np.ndarray
     charts: tuple
+    roots: tuple
     cubes: tuple
     rects: tuple
     edges: tuple
@@ -266,13 +272,42 @@ class PieceTable(Sequence):
         return TaggedPair(tuple(self.tags[k].tolist()), piece,
                           *(float(getattr(self, name)[k]) for name in _COLUMNS), meta)
 
+    def descriptors(self) -> list[dict]:
+        """Every piece's descriptor(), formatted from the cells without views.
+
+        A cube piece is described by its root box and its cube cells, a chart
+        piece over a Rect by its chart's name and its one rect cell; any other
+        piece is refused, since the table does not hold its descriptor.
+        """
+        cubes = [([], []) for _ in range(len(self))]
+        owner, _, _, gen, index = self.cubes
+        for k, g, i in zip(owner.tolist(), gen.tolist(), index.tolist()):
+            cubes[k][0].append(g)
+            cubes[k][1].append(i)
+        rects = {k: Rect(lo[0], hi[0], lo[1], hi[1])
+                 for k, lo, hi in zip(*(a.tolist() for a in self.rects))}
+        out = []
+        for k, (theta, chart, root) in enumerate(zip(self.theta.tolist(), self.chart.tolist(),
+                                                     self.root.tolist())):
+            if chart < 0 and root >= 0:
+                out.append(top_dim_descriptor(theta, cubes_payload(self.roots[root], *cubes[k])))
+            elif chart >= 0 and root < 0:
+                out.append(chart_descriptor(theta, self.charts[chart].name, rects[k].payload()))
+            else:
+                raise ValueError(f"piece {k} is neither a cube piece nor a chart piece over a Rect")
+        return out
+
     @classmethod
     def gather(cls, pairs: Sequence[TaggedPair]) -> "PieceTable":
         """The table of a sequence of pairs, gathered once; its views are the pairs."""
         pairs = tuple(pairs)
         charts: dict = {}  # id -> (index, chart)
-        cubes, rects, edges, chart = [], [], [], []
+        roots: dict = {}  # id -> (index, root box)
+        cubes, rects, edges, chart, root = [], [], [], [], []
         for k, piece in enumerate(p.piece for p in pairs):
+            region = getattr(piece, "region", getattr(piece, "domain", None))
+            box = region.root if isinstance(region, CubeSet) else None
+            root.append(-1 if box is None else roots.setdefault(id(box), (len(roots), box))[0])
             if isinstance(piece, ChartCurrent):
                 chart.append(charts.setdefault(id(piece.chart), (len(charts), piece.chart))[0])
                 rects += [(k, (r.x0, r.y0), (r.x1, r.y1)) for r in piece.domain_rects()]
@@ -280,14 +315,14 @@ class PieceTable(Sequence):
                 continue
             chart.append(-1)
             if isinstance(piece, TopDimCurrent):
-                root = piece.region.root
-                cubes += [(k, root.corner, root.side, q.generation, q.index)
+                cubes += [(k, box.corner, box.side, q.generation, q.index)
                           for q in piece.region.cubes]
         tags = np.array([p.tag for p in pairs], dtype=float).reshape(len(pairs), -1 if pairs else 2)
         m = tags.shape[1]
         return cls(tags, *(np.array([getattr(p, c) for p in pairs], dtype=float) for c in _COLUMNS),
                    np.array([getattr(p.piece, "theta", 1) for p in pairs], dtype=np.int64),
-                   np.array(chart, dtype=np.int64), tuple(c for _, c in charts.values()),
+                   np.array(chart, dtype=np.int64), np.array(root, dtype=np.int64),
+                   tuple(c for _, c in charts.values()), tuple(b for _, b in roots.values()),
                    _cells(cubes, (float, m), (float,), (np.int64,), (np.int64, m)),
                    _cells(rects, (float, 2), (float, 2)), _cells(edges, (float, 2), (float, 2)),
                    lambda table, k: pairs[k])
@@ -456,15 +491,20 @@ def _fine_cubes(roots: Sequence[DyadicCube], fineness: Callable, max_generation:
     return tuple(np.concatenate(parts) for parts in zip(*accepted))
 
 
-def _check_roots(roots: Sequence[DyadicCube], delta: Gauge, etas: Sequence[float]):
-    """Refuse a root whose eta reaches the cube regularity or that meets the gauge's zeros."""
-    zeros = delta.zero_set
-    for q, eta in zip(roots, etas):
-        if eta >= CUBE_REGULARITY(q.m):
+def _check_roots(roots: Sequence[DyadicCube], pts: np.ndarray, delta: Gauge, eta: RegularityFn):
+    """Refuse a root whose eta reaches the cube regularity or that meets the gauge's zeros.
+
+    pts are the roots' _test_points: eta is taken at its largest there, and the
+    first and last corner are the bounds of the root.
+    """
+    touches = delta.zero_set.cube_distances(pts[:, 1], pts[:, -1])[0] <= 0.0
+    for q, row, touch in zip(roots, pts, touches.tolist()):
+        top = max(eta(p) for p in row)
+        if top >= CUBE_REGULARITY(q.m):
             raise ValueError(
-                f"eta {eta} is not below the cube regularity {CUBE_REGULARITY(q.m)}"
+                f"eta {top} is not below the cube regularity {CUBE_REGULARITY(q.m)}"
             )
-        if not zeros.is_empty() and zeros.cube_min_distance(q) <= 0.0:
+        if touch:
             raise ValueError("cousin subdivision needs a gauge positive on the domain; "
                              "excise the zero set first")
 
@@ -488,8 +528,7 @@ def _cube_table(roots: Sequence[DyadicCube], delta: Gauge, eta: RegularityFn, th
     if not roots:
         return _EMPTY
     corner, root_side, gen, index = _root_arrays(roots)
-    _check_roots(roots, delta, [max(eta(p) for p in pts) for pts in
-                                _test_points(corner, np.ldexp(root_side, -gen), index)])
+    _check_roots(roots, _test_points(corner, np.ldexp(root_side, -gen), index), delta, eta)
     pieces = _fine_cubes(roots, delta.many, max_generation, max_pieces)
     order = np.lexsort((*pieces[2].T[::-1], pieces[1], pieces[0]))  # by root, generation, index
     rid, gen, idx, diam, tags, vals = (a[order] for a in pieces)
@@ -505,7 +544,8 @@ def _cube_table(roots: Sequence[DyadicCube], delta: Gauge, eta: RegularityFn, th
 
     n = len(rid)
     return PieceTable(tags, diam, masses[:, 0], masses[:, 1], np.full(n, CUBE_REGULARITY(m)),
-                      vals, eta.many(tags), np.full(n, theta), np.full(n, -1), (),
+                      vals, eta.many(tags), np.full(n, theta), np.full(n, -1), rid,
+                      (), tuple(q.root for q in roots),
                       (np.arange(n), corner[rid], root_side[rid], gen, idx), _EMPTY.rects,
                       _EMPTY.edges, view)
 
@@ -832,6 +872,6 @@ def _chart_table(pieces: Sequence[ChartCurrent], cells: list, delta: Gauge,
                                      "pre_tag": tuple(pre_tags[k].tolist())})
 
     return PieceTable(tags, diam, mass, boundary_mass, mass / (boundary_mass * diam),
-                      delta.many(tags), eta.many(tags), theta, of, tuple(T.chart for T in pieces),
-                      _EMPTY.cubes, (np.arange(n), lo, hi),
+                      delta.many(tags), eta.many(tags), theta, of, np.full(n, -1),
+                      tuple(T.chart for T in pieces), (), _EMPTY.cubes, (np.arange(n), lo, hi),
                       (np.repeat(np.arange(n), 4), start, end), view)

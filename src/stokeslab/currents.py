@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import CubeSet, DepthError, DyadicCube, ExceptionalSet, RootBox, refine
+from .dyadic import CubeSet, DepthError, ExceptionalSet, RootBox, refine
 from .quadrature import QuadResult, integrate_1d, integrate_2d, integrate_boxes
 
 __all__ = [
@@ -93,6 +93,10 @@ class Rect:
 
     def contains(self, x: float, y: float) -> bool:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
+
+    def payload(self) -> dict:
+        """The rectangle as plain JSON values, as chart descriptors embed it."""
+        return {"rect": [self.x0, self.x1, self.y0, self.y1]}
 
 
 @dataclass(frozen=True)
@@ -251,6 +255,16 @@ def _sample_boxes(boxes, weights, n: int, rng) -> np.ndarray:
     for i, ci in enumerate(idx):
         out[i] = rng.uniform(*boxes[ci])
     return out
+
+
+def top_dim_descriptor(theta: int, region: dict) -> dict:
+    """The descriptor of a TopDimCurrent: theta on the cube set of payload region."""
+    return {"type": "top_dim", "theta": theta, "region": region}
+
+
+def chart_descriptor(theta: int, name: str, domain: dict) -> dict:
+    """The descriptor of a ChartCurrent: theta on the named chart over the domain payload."""
+    return {"type": "chart", "theta": theta, "chart": name or "anonymous", "domain": domain}
 
 
 class Current:
@@ -413,12 +427,13 @@ class TopDimCurrent(Current):
                         count += 1
             return Slice(self.descriptor(), E, r, r,
                          QuadResult(abs(self.theta) * float(count), 0.0, 0))
-        far = max((E.cube_max_distance_bound(q) for q in self.region.cubes), default=0.0)
-        if r >= far:
+        lo, hi = self.region.bounds()
+        if r >= E.cube_distances(lo, hi)[1].max(initial=0.0):
             return Slice(self.descriptor(), E, r, r, QuadResult(0.0, 0.0, 0))
-        rr = _regular_radius(
-            lambda rad, tol: all(abs(E.distance(corner) - rad) > tol
-                                 for q in self.region.cubes for corner in q.corners()), r)
+        # the corners of each cube in mask order, as DyadicCube.corners
+        masks = ((np.arange(1 << self.m)[:, None] >> np.arange(self.m)) & 1).astype(bool)
+        corners = E.distance_many(np.where(masks, hi[:, None], lo[:, None]).reshape(-1, self.m))
+        rr = _regular_radius(lambda rad, tol: bool(np.all(np.abs(corners - rad) > tol)), r)
         total, err = 0.0, 0.0
         pieces = []
         multi = len(E.elements) > 1
@@ -459,7 +474,7 @@ class TopDimCurrent(Current):
         return _sample_boxes([q.bounds() for q in cubes], [q.measure() for q in cubes], n, rng)
 
     def support_clearance(self, E: ExceptionalSet) -> Optional[float]:
-        return min((E.cube_min_distance(q) for q in self.region.cubes), default=math.inf)
+        return float(E.cube_distances(*self.region.bounds())[0].min(initial=math.inf))
 
     def restrict_outside(self, E: ExceptionalSet, r: float, layer_budget: float) -> Current:
         """Dyadic restriction: cubes straddling the sphere are refined until the
@@ -468,22 +483,25 @@ class TopDimCurrent(Current):
 
         Raises :class:`DepthError` when that needs cubes past generation 26.
         """
-        def fits(straddlers) -> bool:
+        root = self.region.root
+
+        def fits(gen, index) -> bool:
             # the side <= r/4 floor keeps the staircase perimeter of the removed
             # region within the mean-value constant of the excision bound
-            return (math.fsum(q.measure() for q in straddlers) <= layer_budget
-                    and max(q.side for q in straddlers) <= 0.25 * r)
+            return (math.fsum(root.measures(gen)) <= layer_budget
+                    and root.side * 2.0 ** (-int(gen.min())) <= 0.25 * r)
 
-        kept, straddlers = refine(self.region.cubes, _ball_side(E, r), fits,
-                                  _EXCISION_GENERATION)
-        if straddlers and not fits(straddlers):
-            layer = math.fsum(q.measure() for q in straddlers)
+        kept_gen, kept_index, gen, index = refine(root, *self.region.arrays,
+                                                  _ball_side(E, r, root), fits,
+                                                  _EXCISION_GENERATION)
+        if len(gen) and not fits(gen, index):
+            layer = math.fsum(root.measures(gen))
             raise DepthError(
                 f"restriction outside radius {r:.3e} needs cubes past generation "
                 f"{_EXCISION_GENERATION}: the dropped layer {layer:.3e} is above the budget "
                 f"{layer_budget:.3e} or its cubes are wider than r/4"
             )
-        return TopDimCurrent(CubeSet(self.region.root, tuple(kept)), self.theta)
+        return TopDimCurrent(CubeSet.of(root, kept_gen, kept_index), self.theta)
 
     def scalar_integral(self, f, tol: float) -> QuadResult:
         if self.m == 1:
@@ -505,7 +523,7 @@ class TopDimCurrent(Current):
         return TopDimCurrent(CubeSet.whole(root), self.theta), side * math.sqrt(2)
 
     def descriptor(self) -> dict:
-        return {"type": "top_dim", "theta": self.theta, "region": self.region.payload()}
+        return top_dim_descriptor(self.theta, self.region.payload())
 
 
 @dataclass(frozen=True)
@@ -638,17 +656,7 @@ class ChartCurrent(Current):
         return self.chart, self.domain_measure()
 
     def descriptor(self) -> dict:
-        dom = (
-            {"rect": [self.domain.x0, self.domain.x1, self.domain.y0, self.domain.y1]}
-            if isinstance(self.domain, Rect)
-            else self.domain.payload()
-        )
-        return {
-            "type": "chart",
-            "theta": self.theta,
-            "chart": self.chart.name or "anonymous",
-            "domain": dom,
-        }
+        return chart_descriptor(self.theta, self.chart.name, self.domain.payload())
 
 
 def chart_masses(chart: ChartMap, lo, hi, tol, boundary: bool = False) -> list[QuadResult]:
@@ -964,12 +972,11 @@ def _cube_ball_overlap(cube_lo, cube_hi, elem_lo, elem_hi, r: float) -> QuadResu
     return integrate_1d(section, a, b, tol=1e-12, max_panels=2048)
 
 
-def _ball_side(E: ExceptionalSet, r: float):
-    """``refine``'s side for B(E, r): 1 for cubes clear of the open ball, -1 inside it."""
-    def side(q: DyadicCube) -> int:
-        if E.cube_min_distance(q) >= r:
-            return 1
-        return -1 if E.cube_max_distance_bound(q) < r else 0
+def _ball_side(E: ExceptionalSet, r: float, root: RootBox):
+    """``refine``'s side for B(E, r) on root: 1 for cubes clear of the open ball, -1 inside it."""
+    def side(gen, index):
+        nearest, farthest = E.cube_distances(*root.bounds(gen, index))
+        return np.where(nearest >= r, 1, np.where(farthest < r, -1, 0))
     return side
 
 
@@ -986,13 +993,13 @@ def _cube_region_measure_in_ball(region: CubeSet, E: ExceptionalSet, r: float) -
         (elo, ehi) = E.elements[0]
         return _summed(_cube_ball_overlap(*q.bounds(), elo, ehi, r) for q in region.cubes)
     budget = 1e-4 * max(region.measure(), 1e-12)
-    outside = _ball_side(E, r)
-    inside, straddlers = refine(
-        region.cubes, lambda q: -outside(q),
-        lambda straddlers: math.fsum(q.measure() for q in straddlers) <= budget,
-        _EXCISION_GENERATION)
-    layer = math.fsum(q.measure() for q in straddlers)
-    return QuadResult(math.fsum(q.measure() for q in inside) + 0.5 * layer, 0.5 * layer, 0)
+    root = region.root
+    outside = _ball_side(E, r, root)
+    inside_gen, _, gen, _ = refine(
+        root, *region.arrays, lambda *cubes: -outside(*cubes),
+        lambda gen, index: math.fsum(root.measures(gen)) <= budget, _EXCISION_GENERATION)
+    layer = math.fsum(root.measures(gen))
+    return QuadResult(math.fsum(root.measures(inside_gen)) + 0.5 * layer, 0.5 * layer, 0)
 
 
 def _line_integral(omega, point, tangent, t0: float, t1: float,

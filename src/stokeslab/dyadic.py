@@ -26,10 +26,15 @@ __all__ = [
     "DepthError",
     "GridError",
     "MAX_GENERATION",
+    "MAX_REFINE_CUBES",
+    "cubes_payload",
     "refine",
 ]
 
 MAX_GENERATION = 40
+# cubes one round of ``refine`` may hold: more than 100 times any round that a
+# workload, demo or test builds (13,096 cubes), and a few hundred MiB of arrays
+MAX_REFINE_CUBES = 1 << 21
 
 
 class DepthError(RuntimeError):
@@ -55,6 +60,17 @@ class RootBox:
     @property
     def m(self) -> int:
         return len(self.corner)
+
+    def bounds(self, gen: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners (n, m) of cubes (generation, index): DyadicCube.bounds."""
+        side = np.ldexp(self.side, -gen)[:, None]
+        lo = np.asarray(self.corner) + side * index
+        return lo, lo + side
+
+    def measures(self, gen: np.ndarray) -> list[float]:
+        """DyadicCube.measure of each cube of these generations, as Python floats."""
+        table = [(self.side * 2.0 ** (-g)) ** self.m for g in range(int(gen.max(initial=0)) + 1)]
+        return [table[g] for g in gen.tolist()]
 
 
 @dataclass(frozen=True)
@@ -129,67 +145,73 @@ class DyadicCube:
         return (self.generation, self.index)
 
 
+def cubes_payload(root: RootBox, gens: list[int], indices: list[list[int]]) -> dict:
+    """The cubes (generation, index) of root as plain JSON values: CubeSet.payload."""
+    return {
+        "root": {"corner": list(root.corner), "side": root.side},
+        "cubes": [{"generation": g, "corner": i} for g, i in zip(gens, indices)],
+    }
+
+
 def _canonicalize(root: RootBox, cubes: Iterable[DyadicCube]) -> tuple[DyadicCube, ...]:
-    seen: dict[tuple, DyadicCube] = {}
-    for q in cubes:
-        if q.root != root:
-            raise GridError("all cubes of a CubeSet must share the root box")
-        seen[q.key()] = q
-    if len(seen) == 1:
-        return tuple(seen.values())
-    # drop any cube covered by an ancestor already in the set
-    gens = sorted({g for g, _ in seen})
-    kept: dict[tuple, DyadicCube] = {}
-    for key in sorted(seen):
-        q = seen[key]
-        covered = any(
-            g < q.generation and q.ancestor_key(g) in kept for g in gens if g < q.generation
-        )
-        if not covered:
-            kept[key] = q
-    # merge complete sibling groups into parents, deepest first
-    changed = True
-    while changed:
-        changed = False
-        by_parent: dict[tuple, list[DyadicCube]] = {}
-        for q in kept.values():
-            if q.generation == 0:
-                continue
-            by_parent.setdefault(q.ancestor_key(q.generation - 1), []).append(q)
-        for pkey, group in by_parent.items():
-            if len(group) == (1 << root.m):
-                for q in group:
-                    del kept[q.key()]
-                g, idx = pkey
-                kept[pkey] = DyadicCube(root, g, idx)
-                changed = True
-    return tuple(kept[k] for k in sorted(kept))
-
-
-def refine(cubes: Iterable[DyadicCube], side, done, max_generation: int):
-    """File each cube as kept, dropped or straddling, and split the straddlers.
-
-    ``side(q)`` is 1 to keep q, -1 to drop it and 0 when it straddles.  Each
-    round splits every straddler into its children, until no straddler is
-    left, ``done(straddlers)`` holds or a straddler has reached
-    ``max_generation``.  Returns ``(kept, straddlers)``: the cubes kept in
-    every round, in the order filed, and the straddlers of the last round;
-    the caller decides what a cap means.
-    """
-    kept: list[DyadicCube] = []
-    pending = list(cubes)
+    cubes = tuple(cubes)
+    if any(q.root != root for q in cubes):
+        raise GridError("all cubes of a CubeSet must share the root box")
+    if len(cubes) < 2:
+        return cubes
+    gen = np.array([q.generation for q in cubes], dtype=np.int64)
+    index = np.array([q.index for q in cubes], dtype=np.int64)
+    # one cube per key, and none covered by an ancestor in the set
+    keys, first = np.unique(_keys(gen, index), return_index=True)
+    rows = first[~_inside(gen[first], index[first], keys)]
+    cubes, gen, index = [cubes[i] for i in rows.tolist()], gen[rows], index[rows]
+    # merge complete sibling groups into their parents, until none is left
     while True:
-        straddlers = []
-        for q in pending:
-            s = side(q)
-            if s > 0:
-                kept.append(q)
-            elif s == 0:
-                straddlers.append(q)
-        if (not straddlers or done(straddlers)
-                or max(q.generation for q in straddlers) >= max_generation):
-            return kept, straddlers
-        pending = [c for q in straddlers for c in q.subdivide(max_generation)]
+        _, group, size = np.unique(_keys(gen - 1, index >> 1), return_inverse=True,
+                                   return_counts=True)
+        full = size[group] == 1 << root.m
+        if not full.any():
+            break
+        lead = full & ~(index & 1).any(axis=1)  # the first child stands for the parent
+        gen[lead], index[lead] = gen[lead] - 1, index[lead] >> 1
+        for k in np.flatnonzero(lead).tolist():
+            cubes[k] = DyadicCube(root, int(gen[k]), tuple(index[k].tolist()))
+        keep = np.flatnonzero(~full | lead)
+        cubes, gen, index = [cubes[i] for i in keep.tolist()], gen[keep], index[keep]
+    return tuple(cubes[i] for i in np.lexsort((*index.T[::-1], gen)).tolist())
+
+
+def refine(root: RootBox, gen: np.ndarray, index: np.ndarray, side, done,
+           max_generation: int):
+    """File cubes of ``root`` as kept, dropped or straddling, and split the straddlers.
+
+    Cubes go in and come out as a pair of arrays, generations (n,) and
+    indices (n, m).  ``side(gen, index)`` is 1 for each cube to keep,
+    -1 for each to drop and 0 for each that straddles.  Each round splits
+    every straddler into its 2^m children, until no straddler is left,
+    ``done(gen, index)`` holds for the straddlers or one of them has reached
+    ``max_generation``.  Returns ``(kept_gen, kept_index, gen, index)``: the
+    cubes kept in every round and the straddlers of the last round; the caller
+    decides what a cap means.  A round that would hold more than
+    ``MAX_REFINE_CUBES`` cubes raises ``DepthError`` before it is built.
+    """
+    m = root.m
+    masks = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    kept = [(gen[:0], index[:0])]
+    while True:
+        s = side(gen, index)
+        kept.append((gen[s > 0], index[s > 0]))
+        gen, index = gen[s == 0], index[s == 0]
+        if not len(gen) or (done is not None and done(gen, index)) \
+                or gen.max() >= max_generation:
+            return (*(np.concatenate(part) for part in zip(*kept)), gen, index)
+        if len(gen) << m > MAX_REFINE_CUBES:
+            raise DepthError(
+                f"refinement needs {len(gen) << m} cubes at generation {int(gen.max()) + 1}, "
+                f"over the cap of {MAX_REFINE_CUBES}"
+            )
+        gen = np.repeat(gen + 1, 1 << m)
+        index = (2 * index[:, None, :] + masks).reshape(-1, m)
 
 
 @dataclass(frozen=True)
@@ -209,6 +231,22 @@ class CubeSet:
     @classmethod
     def empty(cls, root: RootBox) -> "CubeSet":
         return cls(root, ())
+
+    @classmethod
+    def of(cls, root: RootBox, gen: np.ndarray, index: np.ndarray) -> "CubeSet":
+        """The set of the cubes (generation, index) of root."""
+        return cls(root, tuple(DyadicCube(root, g, tuple(i))
+                               for g, i in zip(gen.tolist(), index.tolist())))
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Generations (n,) and indices (n, m) of the cubes, as int64 arrays."""
+        return (np.array([q.generation for q in self.cubes], dtype=np.int64),
+                np.array([q.index for q in self.cubes], dtype=np.int64).reshape(-1, self.m))
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners (n, m) of the cubes, the bits of DyadicCube.bounds."""
+        return self.root.bounds(*self.arrays)
 
     @property
     def m(self) -> int:
@@ -357,30 +395,30 @@ class CubeSet:
     def difference(self, other: "CubeSet") -> "CubeSet":
         """Set difference in O((|self| + 2^m |other|) * G), G the finest generation."""
         self._check_grid(other)
-        removed = {q.key() for q in other.cubes}
+        removed = _keys(*other.arrays)
         # a kept cube must split iff some removed cube lies strictly inside it
-        split = {q.ancestor_key(g) for q in other.cubes for g in range(q.generation)}
+        split = np.unique(_ancestors(*other.arrays)[1])
 
-        def side(q: DyadicCube) -> int:
-            key = q.key()
-            return -1 if key in removed else 0 if key in split else 1
+        def side(gen, index):
+            key = _keys(gen, index)
+            return np.where(np.isin(key, removed), -1, np.where(np.isin(key, split), 0, 1))
 
+        gen, index = self.arrays
+        free = ~_inside(gen, index, removed)  # the cubes no removed cube contains
         # a straddler has a removed cube strictly inside, so it never reaches the cap
-        kept, _ = refine(
-            (q for q in self.cubes
-             if not any(q.ancestor_key(g) in removed for g in range(q.generation))),
-            side, lambda straddlers: False, MAX_GENERATION)
-        return CubeSet(self.root, tuple(kept))
+        kept = refine(self.root, gen[free], index[free], side, None, MAX_GENERATION)
+        return CubeSet.of(self.root, *kept[:2])
 
     def restrict_half_space(self, axis: int, threshold: float, keep_below: bool,
                             max_generation: int = MAX_GENERATION) -> "CubeSet":
         """Intersection with {x_axis <= threshold} (or >=); threshold must be dyadic."""
         sign = 1 if keep_below else -1
 
-        def cut(a: int):
-            def side(q: DyadicCube) -> int:
-                lo, hi = q.bounds()
-                return sign if hi[a] <= threshold else -sign if lo[a] >= threshold else 0
+        def cut(root: RootBox, a: int):
+            def side(gen, index):
+                lo, hi = root.bounds(gen, index)
+                return np.where(hi[:, a] <= threshold, sign,
+                                np.where(lo[:, a] >= threshold, -sign, 0))
             return side
 
         # Whether a cube straddles depends on its extent along the axis alone, so
@@ -388,15 +426,17 @@ class CubeSet:
         # they do so in O(|self| * max_generation) work, where the cubes would
         # multiply by 2^(m-1) a generation before an off-grid threshold is found.
         line = RootBox((self.root.corner[axis],), self.root.side)
-        shadows = {DyadicCube(line, q.generation, (q.index[axis],)) for q in self.cubes}
-        _, off_grid = refine(shadows, cut(0), lambda straddlers: False, max_generation)
-        if off_grid:
+        gen, index = self.arrays
+        shadows = np.unique(np.column_stack([gen, index[:, axis]]), axis=0)
+        off_grid = refine(line, shadows[:, 0], shadows[:, 1:], cut(line, 0), None,
+                          max_generation)[2]
+        if len(off_grid):
             raise GridError(
                 f"threshold {threshold} is not aligned with the dyadic grid "
                 f"within generation {max_generation}"
             )
-        kept, _ = refine(self.cubes, cut(axis), lambda straddlers: False, max_generation)
-        return CubeSet(self.root, tuple(kept))
+        kept = refine(self.root, gen, index, cut(self.root, axis), None, max_generation)
+        return CubeSet.of(self.root, *kept[:2])
 
     def _check_grid(self, other: "CubeSet"):
         if self.root != other.root:
@@ -406,10 +446,7 @@ class CubeSet:
 
     def payload(self) -> dict:
         """The set as plain JSON values: what to_json writes and descriptors embed."""
-        return {
-            "root": {"corner": list(self.root.corner), "side": self.root.side},
-            "cubes": [{"generation": q.generation, "corner": list(q.index)} for q in self.cubes],
-        }
+        return cubes_payload(self.root, *(a.tolist() for a in self.arrays))
 
     def to_json(self) -> str:
         return json.dumps(self.payload())
@@ -423,6 +460,25 @@ class CubeSet:
             for entry in payload["cubes"]
         )
         return cls(root, cubes)
+
+
+def _keys(gen: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each cube (generation, index) as one opaque value, equal iff the cubes are."""
+    rows = np.ascontiguousarray(np.column_stack([gen, index]), dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _ancestors(gen: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cube and the key of every proper ancestor of each cube (generation, index)."""
+    owner = np.repeat(np.arange(len(gen)), gen)
+    up = np.arange(len(owner)) - np.repeat(np.cumsum(gen) - gen, gen)
+    return owner, _keys(up, index[owner] >> (gen[owner] - up)[:, None])
+
+
+def _inside(gen: np.ndarray, index: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each cube (generation, index) has a proper ancestor among the keys."""
+    owner, up = _ancestors(gen, index)
+    return np.bincount(owner[np.isin(up, keys)], minlength=len(gen)) > 0
 
 
 def _merged_length(intervals: Sequence[tuple[float, float]]) -> float:
@@ -576,17 +632,26 @@ class ExceptionalSet:
         return self._nearest(
             len(pts), lambda lo, hi: np.maximum(lo - pts, 0.0) + np.maximum(pts - hi, 0.0))
 
+    def cube_distances(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distances of n closed boxes (lo, hi), each (n, m), to the set.
+
+        Returns the exact min over each box of the distance, and an upper
+        bound for its max (the min over the elements of each element's
+        farthest distance); every row has the bits of a one-box call.
+        """
+        nearest = self._nearest(
+            len(lo), lambda elo, ehi: np.maximum(elo - hi, 0.0) + np.maximum(lo - ehi, 0.0))
+        farthest = self._nearest(
+            len(lo), lambda elo, ehi: np.maximum(np.maximum(elo - lo, hi - ehi), 0.0))
+        return nearest, farthest
+
     def cube_min_distance(self, cube: DyadicCube) -> float:
         """Exact min over the closed cube of the distance to the set."""
-        lo, hi = cube.bounds()
-        return float(self._nearest(
-            1, lambda elo, ehi: np.maximum(elo - hi, 0.0) + np.maximum(lo - ehi, 0.0))[0])
+        return float(self.cube_distances(*(b[None] for b in cube.bounds()))[0][0])
 
     def cube_max_distance_bound(self, cube: DyadicCube) -> float:
         """Upper bound for max over the cube of the distance (min over elements)."""
-        lo, hi = cube.bounds()
-        return float(self._nearest(
-            1, lambda elo, ehi: np.maximum(np.maximum(elo - lo, hi - ehi), 0.0))[0])
+        return float(self.cube_distances(*(b[None] for b in cube.bounds()))[1][0])
 
 
 def neighborhood_indicator(E: ExceptionalSet, r: float, x) -> bool:

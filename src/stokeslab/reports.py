@@ -17,7 +17,10 @@ import numpy as np
 def write_json(path, payload) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_coerce) + "\n")
+    with path.open("w") as fh:
+        # streamed: the text of a large payload is never held whole in memory
+        json.dump(payload, fh, sort_keys=True, indent=2, default=_coerce)
+        fh.write("\n")
     return path
 
 
@@ -47,9 +50,17 @@ def _cell(value):
 
 
 def family_to_csv(family, path) -> Path:
-    return write_csv(path, family.rows(),
-                     ["piece_id", "tag", "diam", "mass", "boundary_mass",
-                      "reg", "delta_at_tag", "eta_at_tag"])
+    """family.csv from the columns of the family's piece table: write_csv of family.rows()."""
+    table = family.pairs
+    columns = [[";".join(map(repr, tag)) for tag in table.tags.tolist()]] + [
+        list(map(repr, getattr(table, name).tolist()))
+        for name in ("diam", "mass", "boundary_mass", "reg", "gauge_at_tag", "eta_at_tag")]
+    lines = ["piece_id,tag,diam,mass,boundary_mass,reg,delta_at_tag,eta_at_tag"]
+    lines += [f"{i},{','.join(row)}" for i, row in enumerate(zip(*columns))]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def slice_table_to_csv(radii, masses, path) -> Path:

@@ -521,3 +521,22 @@ def test_overlap_sweep_scales_to_fifty_thousand_squares():
     assert pairs == []
     assert elapsed < 1.0
     assert peak < 64 * len(boxes) * 8  # linear in n: 64 doubles per box; n x n would be 20 GB
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_overlap_sweep_stops_once_its_pairs_are_fixed(where):
+    # 8,000 identical boxes are 32M candidate pairs; the first eight ordered
+    # pairs are fixed by the boxes of the first rows, after a few thousand
+    n = 8_000
+    boxes = np.tile([0.0, 1.0, 0.0, 1.0], (n, 1))
+    if where == "last":
+        # the others spread out: only the last two boxes overlap, each other
+        boxes[:-2] += 2.0 * np.arange(1, n - 1)[:, None]
+    start = time.perf_counter()
+    pairs = certify._overlapping_pairs(boxes)
+    elapsed = time.perf_counter() - start
+    if where == "first":
+        assert pairs == [(0, j) for j in range(1, 9)]
+    else:
+        assert pairs == [(n - 2, n - 1), (n - 1, n - 2)]
+    assert elapsed < 1.0

@@ -371,6 +371,33 @@ def test_over_budget_cousin_run_exits_promptly(tmp_path):
     assert "decomposition exceeded the piece budget (50000)" in proc.stderr
 
 
+def test_three_dimensional_point_excision_stops_at_the_cube_cap(tmp_path):
+    # the 3-D ball sandwich around a point would refine some 10^7 cubes a round;
+    # it ran for minutes and past 5 GB before refine capped its rounds
+    point = {"kind": "point", "at": [0.5, 0.5, 0.5]}
+    cfg = _write_config(tmp_path, "c.json", {
+        "current": {"kind": "cube_set", "region": {
+            "root": {"corner": [0.0, 0.0, 0.0], "side": 1.0},
+            "cubes": [{"generation": 0, "corner": [0, 0, 0]}]}},
+        "exceptional_set": point,
+        "gauge": {"kind": "distance", "to": point, "scale": 0.5, "cap": 0.2},
+        "epsilon": 0.05,
+    })
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # one BLAS thread, so that the address-space cap measures the refine and not
+    # the stacks and buffers of a thread pool sized to the host
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p),
+        OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{limit}; from stokeslab.cli import main; raise SystemExit(main())",
+         "cousin", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == EXIT_RESOURCE, proc.stderr
+    assert "over the cap" in proc.stderr
+
+
 FLAT_XZ_DY = {"current": {"kind": "flat_graph"}, "form": {"kind": "xz_dy"}}
 
 

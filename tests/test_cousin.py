@@ -625,9 +625,7 @@ def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
             return [], []
         corner, root_side, gen, index = _root_arrays(roots)
         # one constant eta per cube: its largest value at the test points
-        _check_roots(roots, delta, [
-            max(eta(p) for p in pts)
-            for pts in _test_points(corner, np.ldexp(root_side, -gen), index)])
+        _check_roots(roots, _test_points(corner, np.ldexp(root_side, -gen), index), delta, eta)
         return _cube_pairs(roots, delta, eta, T.theta, max_generation, piece_budget), []
     chart = T.chart
     lip = chart.lip_upper

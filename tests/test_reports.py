@@ -1,0 +1,137 @@
+"""pieces.json and family.csv written from the piece table, byte for byte.
+
+The reference bytes are those of ``write_json`` on the descriptor of every
+piece (``json.dumps(..., indent=2, sort_keys=True)``) and of ``write_csv`` on
+``family.rows()``, which read the pieces one TaggedPair view at a time; the
+table's own are ``write_json`` on ``PieceTable.descriptors()`` and
+``family_to_csv``.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stokeslab import reports
+from stokeslab.cli import _build_current
+from stokeslab.cousin import (
+    Gauge,
+    RegularityFn,
+    SubadditiveFn,
+    TaggedFamily,
+    TaggedPair,
+    cousin_decompose,
+    gauge_decompose,
+)
+from stokeslab.currents import ChartCurrent, ChartMap, Rect, TopDimCurrent
+from stokeslab.dyadic import CubeSet, DyadicCube, ExceptionalSet, RootBox
+
+COLUMNS = ["piece_id", "tag", "diam", "mass", "boundary_mass", "reg", "delta_at_tag",
+           "eta_at_tag"]
+
+
+def _assert_same_bytes(family, tmp_path):
+    reports.write_json(tmp_path / "pieces.json", family.pairs.descriptors())
+    reports.write_json(tmp_path / "expected.json", [p.piece.descriptor() for p in family.pairs])
+    assert (tmp_path / "pieces.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+    reports.family_to_csv(family, tmp_path / "family.csv")
+    reports.write_csv(tmp_path / "expected.csv", family.rows(), COLUMNS)
+    assert (tmp_path / "family.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def _engine_family(name: str):
+    unit = _build_current({"kind": "unit_square"})
+    eta, mass = RegularityFn.constant(0.05), SubadditiveFn.mass()
+    if name == "excise_segment":
+        segment = ExceptionalSet.segment((0.5, 0.0), (0.5, 1.0))
+        gauge = Gauge.distance_to(segment, 0.5).min_with(Gauge.constant(0.2))
+        return gauge_decompose(unit, segment, gauge, eta, mass, 5e-2)
+    if name == "parabolic_graph":
+        return gauge_decompose(_build_current({"kind": name}), ExceptionalSet.empty(),
+                               Gauge.constant(0.1), eta, mass, 1e-3)
+    if name == "cube-3d":
+        domain = DyadicCube(RootBox((0.0, 0.0, 0.0), 1.0), 0, (0, 0, 0))
+        gauge = Gauge.distance_to(ExceptionalSet.points([(0.1, 0.2, 0.3)]), 0.5, 0.05)
+        return cousin_decompose(domain, gauge, 0.05, theta=-2)
+    j = int(name.rsplit("-", 1)[1])
+    return gauge_decompose(unit, ExceptionalSet.empty(), Gauge.constant(2.0 ** -j), eta, mass,
+                           1e-6)
+
+
+@pytest.mark.parametrize("name", ["excise_segment", "parabolic_graph", "cube-3d",
+                                  *(f"unit-square-{j}" for j in range(7))])
+def test_engine_families_write_the_bytes_of_their_descriptors_and_rows(tmp_path, name):
+    family = _engine_family(name)
+    assert len(family.pairs) > 0
+    _assert_same_bytes(family, tmp_path)
+
+
+def test_an_empty_family_writes_empty_files(tmp_path):
+    family = TaggedFamily(_build_current({"kind": "unit_square"}), (), (), 0.0, "mass", 0.0)
+    _assert_same_bytes(family, tmp_path)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _cube_pairs(draw):
+    """Gathered cube pieces: several cubes to a piece, on roots of their own."""
+    m = draw(st.integers(1, 3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        corner = tuple(draw(st.floats(-1e3, 1e3)) for _ in range(m))
+        root = RootBox(corner, draw(st.sampled_from([1, 0.5, 3.0, 1e-3, 2.5e7])))
+        cubes = []
+        for _ in range(draw(st.integers(1, 5))):
+            g = draw(st.integers(0, 5))
+            cubes.append(DyadicCube(root, g, tuple(draw(st.integers(0, 2 ** g - 1))
+                                                   for _ in range(m))))
+        piece = TopDimCurrent(CubeSet(root, tuple(cubes)), draw(st.sampled_from([1, -1, 3])))
+        tag = tuple(draw(_FLOATS) for _ in range(m))
+        pairs.append(TaggedPair(tag, piece, *(draw(_FLOATS) for _ in range(6))))
+    return pairs
+
+
+def _chart(name: str) -> ChartMap:
+    return ChartMap(lambda x, y: 0.0 * x, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x, 1.0,
+                    name=name)
+
+
+@st.composite
+def _chart_pairs(draw):
+    """Gathered chart pieces over rectangles, on charts with names to escape."""
+    charts = [_chart(name) for name in ("", "flat", 'quote " and \\ é')]
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        x0, y0 = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+        w, h = draw(st.floats(1e-3, 5.0)), draw(st.sampled_from([1, 0.25, 1.5]))
+        piece = ChartCurrent(Rect(x0, x0 + w, y0, y0 + h), draw(st.sampled_from(charts)),
+                             draw(st.sampled_from([1, -2])))
+        pairs.append(TaggedPair(tuple(draw(_FLOATS) for _ in range(3)), piece,
+                                *(draw(_FLOATS) for _ in range(6))))
+    return pairs
+
+
+@given(st.one_of(_cube_pairs(), _chart_pairs()))
+@settings(max_examples=150, deadline=None)
+def test_gathered_families_write_the_bytes_of_their_descriptors_and_rows(tmp_path_factory, pairs):
+    family = TaggedFamily(_build_current({"kind": "unit_square"}), pairs, (), 0.0, "mass", 0.0)
+    _assert_same_bytes(family, tmp_path_factory.mktemp("family"))
+
+
+def test_an_integer_root_side_is_written_as_given(tmp_path):
+    domain = DyadicCube(RootBox((0, 0), 1), 0, (0, 0))
+    family = cousin_decompose(domain, Gauge.constant(0.3), 0.05)
+    _assert_same_bytes(family, tmp_path)
+    assert '"side": 1\n' in (tmp_path / "pieces.json").read_text()
+
+
+def test_a_chart_piece_over_a_cube_set_is_refused():
+    root = RootBox((0.0, 0.0), 1.0)
+    square = ChartCurrent(CubeSet(root, (DyadicCube(root, 1, (0, 1)),)), _chart("flat"))
+    pair = TaggedPair((0.25, 0.75, 0.0), square, *([math.pi] * 6))
+    family = TaggedFamily(square, [pair], (), 0.0, "mass", 0.0)
+    with pytest.raises(ValueError, match="piece 0"):
+        family.pairs.descriptors()

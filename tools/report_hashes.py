@@ -5,7 +5,7 @@
 Each run of ``perfbench/workloads.py`` is made once at the given seed
 (default 1) through ``stokeslab.cli.main``, in a temporary directory, and
 every file it writes is hashed; so is each run of ``EXTRA_RUNS``, which no
-workload makes (the polar ladder of the counterexample).  The output is a
+workload makes.  The output is a
 Markdown table, one row per file, so that two commits whose reports should
 be byte-identical can be compared line by line (and CI can append it to
 its job summary).
@@ -26,8 +26,17 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
-# (name, command, config, CLI seed) of runs hashed beside the workloads
-EXTRA_RUNS = [("cylindrical", "counterexample", {"cylindrical": True, "n_strips": 8}, 0)]
+# (name, command, config, CLI seed) of runs hashed beside the workloads: the polar
+# ladder of the counterexample, and a point excised from the unit square, whose
+# refine follows the arcs of a ball
+POINT = {"kind": "point", "at": [0.5, 0.5]}
+EXTRA_RUNS = [
+    ("cylindrical", "counterexample", {"cylindrical": True, "n_strips": 8}, 0),
+    ("excise_point", "cousin", {
+        "current": {"kind": "unit_square"}, "exceptional_set": POINT,
+        "gauge": {"kind": "distance", "to": POINT, "scale": 0.5, "cap": 0.2}, "epsilon": 0.05,
+    }, 0),
+]
 
 
 def main(argv=None) -> int:
