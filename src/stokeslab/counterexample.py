@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import forms
 from .currents import SurfaceCurrent, graph_tangent
 from .dyadic import ExceptionalSet
-from .quadrature import QuadResult, composite_nodes, gauss_rule
+from .quadrature import QuadResult, gauss_rule, ragged_panels
 
 __all__ = [
     "Params",
@@ -171,26 +172,6 @@ class TransitionFn:
         return float(self.derivative(t).max())
 
 
-def _gl_composite(f, lengths, panels, order: int = 12) -> np.ndarray:
-    """Composite Gauss-Legendre values over [0, lengths[i]] on panels[i] equal panels.
-
-    Rows of equal panel counts are adjacent.  One call ``f(X, rows)`` maps
-    the nodes X of all rows, end to end, and rows[j], the row of X[j], to
-    values on the last axis, leading axes kept.  Each row is reduced by its
-    own (panels, order) @ weights and sum of half-widths times panel sums.
-    """
-    _, weights = gauss_rule(order)
-    cuts = np.flatnonzero(np.r_[True, panels[1:] != panels[:-1], True])
-    nodes = [composite_nodes(0.0, lengths[a:z], int(panels[a]), order)
-             for a, z in zip(cuts[:-1], cuts[1:])]
-    vals = f(np.concatenate([x.ravel() for x, _ in nodes]),
-             np.repeat(np.arange(len(lengths)), order * panels))
-    segs = np.split(vals.reshape(-1, vals.shape[-1]), np.cumsum([x.size for x, _ in nodes[:-1]]),
-                    axis=-1)
-    return np.concatenate([np.sum(halves * (seg.reshape((len(seg),) + x.shape) @ weights), axis=-1)
-                           for (x, halves), seg in zip(nodes, segs)], axis=-1)
-
-
 # Values per evaluation block of StripModel._row_integrals, channels counted.
 # The strip evaluators build a dozen temporaries of the block's size, so
 # this bounds the extra memory a batch of rows needs.
@@ -209,47 +190,82 @@ def default_transition() -> TransitionFn:
 # ---------------------------------------------------------------------------
 
 
+class _Heights:
+    """The blend data of heights y: strip index k, s, phi(s) and phi'(s) / width.
+
+    phi'(s) / width is computed when first read.  :meth:`StripModel._gl_rows`
+    makes one for all the heights of a call, and its blocks read it through
+    :class:`_Blend`.  A (1, n) node row that a group of heights shares is
+    registered with :meth:`share`; the group's blocks then read f_j and f_j'
+    on it from :meth:`table`, each built once, when first read, for each
+    strip j from the group's least k to its greatest k + 1.
+    """
+
+    def __init__(self, model: "StripModel", y):
+        self.y = np.asarray(y, dtype=float)
+        self.k = model.strip_index(self.y)
+        self.s = (self.y - model._ladder[self.k]) / model._width[self.k]
+        self.w = model.transition(self.s)
+        self._model, self.row = model, None
+
+    @cached_property
+    def dw(self):
+        return self._model.transition.derivative(self.s) / self._model._width[self.k]
+
+    def share(self, x, rows):
+        """Register x as the (1, n) node row that the heights ``rows`` share."""
+        k = self.k[rows]
+        self.row, self.k_lo, self._k_hi, self._tables = x, k.min(), k.max(), {}
+
+    def table(self, i: int):
+        """f_j (i = 0) or f_j' (i = 1) on the shared node row, one row per strip j."""
+        if i not in self._tables:
+            fn = (self._model._f, self._model._fprime)[i]
+            self._tables[i] = fn(np.arange(self.k_lo, self._k_hi + 2)[:, None], self.row)
+        return self._tables[i]
+
+
 class _Blend:
     """psi and its partials px, py, pxy at the points (x, y), each computed when first read.
 
     In strip k, s = (y - y_k) / width_k runs from 0 to 1 and
     psi = (1 - phi(s)) f_k + phi(s) f_{k+1}; the width is signed, so py is
     a derivative along the ladder coordinate whichever way the ladder runs.
-    The strip index, s, phi(s) and phi'(s) / width are per height; y may be
-    a pair (heights, rows), rows[i] the row of x[i], and then they are
-    gathered to the nodes, as ``y`` is.  For a (1, n) node row x and a
-    (rows, 1) column y, f_j and f_j' are tabled on the row once for each
-    strip j from the least k to the greatest k + 1 and gathered to the rows;
-    other points pay their own.  psi and py read only f, px and pxy only f'.
+    The blend data per height come from :class:`_Heights`.  y may be a pair
+    (heights, rows) of a :class:`_Heights` and the index of the height of
+    each point, broadcast against x, and then they are gathered to the
+    points.  On the node row that the heights share, f_j and f_j' come from
+    its tables: as (1, n) rows when all the points' heights lie in one
+    strip, else gathered to the rows.  Other points pay their own.  psi and
+    py read only f, px and pxy only f'.
     """
 
     def __init__(self, model: "StripModel", x, y):
-        y, self._rows = y if isinstance(y, tuple) else (y, ...)
-        y = np.asarray(y, dtype=float)
-        k = model.strip_index(y)
-        self._width = model._width[k]
-        self._s = (y - model._ladder[k]) / self._width
+        self._heights, self._rows = y if isinstance(y, tuple) else (_Heights(model, y), ...)
+        heights, rows = self._heights, self._rows
         self._model, self._x = model, np.asarray(x, dtype=float)
-        self._k, self.y = k[self._rows], y[self._rows]
-        self._w = model.transition(self._s)[self._rows]
+        self._k, self.y, self._w = heights.k[rows], heights.y[rows], heights.w[rows]
         self._pairs, self._dw = {}, None
 
-    def _pair(self, fn):
-        x, k = self._x, self._k
-        if x.ndim == 2 and len(x) == 1 and k.shape[1:] == (1,) and len(k) > 1:
-            lo = k.min()
-            table = fn(np.arange(lo, k.max() + 2)[:, None], x)
-            return table[k[:, 0] - lo], table[k[:, 0] + 1 - lo]
-        return fn(k, x), fn(k + 1, x)
+    def _pair(self, i: int):
+        heights, k = self._heights, self._k
+        if self._x is heights.row:
+            j = k[:, 0] - heights.k_lo
+            if j.min() == j.max():
+                j = j[:1]
+            table = heights.table(i)
+            return table[j], table[j + 1]
+        fn = (self._model._f, self._model._fprime)[i]
+        return fn(k, self._x), fn(k + 1, self._x)
 
     def __getitem__(self, i: int):
         if i % 2 not in self._pairs:
-            self._pairs[i % 2] = self._pair((self._model._f, self._model._fprime)[i % 2])
+            self._pairs[i % 2] = self._pair(i % 2)
         fk, fk1 = self._pairs[i % 2]
         if i < 2:
             return (1.0 - self._w) * fk + self._w * fk1
         if self._dw is None:
-            self._dw = (self._model.transition.derivative(self._s) / self._width)[self._rows]
+            self._dw = self._heights.dw[self._rows]
         return self._dw * (fk1 - fk)
 
     def __iter__(self):
@@ -343,28 +359,56 @@ class StripModel:
     def _gl_rows(self, integrand, ys, lengths, panels, channels: int) -> np.ndarray:
         """Composite Gauss values over [0, lengths[i]] on panels[i] panels at heights ys[i].
 
-        Rows that share their length and panel count share one (1, n) node
-        row.  The other rows go end to end, in order of panel count, into one
-        ``integrand(x, (heights, rows))`` call per block (see :class:`_Blend`).
-        A call takes at most ROW_BLOCK_POINTS values plus one row.
+        A call builds its panels in one :func:`ragged_panels` pass and the
+        blend data of all its heights in one :class:`_Heights`.  Rows that
+        share their length and panel count share one (1, n) node row, whose
+        strip tables are built once for the group.  The other rows go end to
+        end, in order of panel count.  Each block is one
+        ``integrand(x, (heights, rows))`` call (see :class:`_Blend`) of at
+        most ROW_BLOCK_POINTS values plus one row, and each row is reduced
+        by its own (panels, order) @ weights and sum of half-widths times
+        panel sums.
         """
         order = np.lexsort((lengths, panels))
         n, b = panels[order], lengths[order]
         first = np.flatnonzero(np.r_[True, (n[1:] != n[:-1]) | (b[1:] != b[:-1])])
         size = np.diff(np.r_[first, len(order)])
+        # one node row per group that shares it, then the rows alone
+        node_rows = np.concatenate([order[first[size > 1]], order[np.repeat(size == 1, size)]])
+        mids, halves = ragged_panels(0.0, lengths[node_rows], panels[node_rows])
+        edges = np.r_[0, np.cumsum(panels[node_rows])]
+        nodes, weights = gauss_rule(12)
+        heights = _Heights(self, ys)
         out = np.empty((channels, len(ys)))
-        for a, m in zip(first[size > 1], size[size > 1]):
-            step = max(1, ROW_BLOCK_POINTS // (channels * 12 * n[a]))
+
+        def node_row(a, z):
+            """The Gauss nodes of the panels a:z, end to end."""
+            return (mids[a:z, None] + halves[a:z, None] * nodes).ravel()
+
+        def sums(vals, a, z, p):
+            """Each row's sum of half-widths times Gauss sums, for rows of p panels a:z."""
+            vals = vals.reshape(channels, -1, p, 12) @ weights
+            return np.sum(halves[a:z].reshape(-1, p) * vals, axis=-1)
+
+        for g, (a, m) in enumerate(zip(first[size > 1], size[size > 1])):
+            x = node_row(edges[g], edges[g + 1])[None]
+            heights.share(x, order[a:a + m])
+            step = max(1, ROW_BLOCK_POINTS // (channels * x.size))
             for rows in np.split(order[a:a + m], np.arange(step, m, step)):
-                out[:, rows] = _gl_composite(lambda X, _: integrand(X[None], ys[rows, None]),
-                                             b[a:a + 1], n[a:a + 1]).reshape(channels, -1)
-        alone = order[np.repeat(size == 1, size)]
-        points = channels * 12 * panels[alone]
+                out[:, rows] = sums(integrand(x, (heights, rows[:, None])),
+                                    edges[g], edges[g + 1], n[a])
+        alone = np.arange((size > 1).sum(), len(node_rows))
+        points = channels * 12 * panels[node_rows[alone]]
         block_of = (np.cumsum(points) - points) // ROW_BLOCK_POINTS
-        for rows in np.split(alone, np.flatnonzero(np.diff(block_of)) + 1):
-            if len(rows):
-                out[:, rows] = _gl_composite(lambda X, at: integrand(X, (ys[rows], at)),
-                                             lengths[rows], panels[rows]).reshape(channels, -1)
+        for block in np.split(alone, np.flatnonzero(np.diff(block_of)) + 1) if len(alone) else []:
+            rows, at = node_rows[block], edges[block[0]:block[-1] + 2]
+            vals = integrand(node_row(at[0], at[-1]),
+                             (heights, np.repeat(rows, 12 * panels[rows]))).reshape(channels, -1)
+            # each run of equal panel counts is reduced on its own
+            runs = np.flatnonzero(np.r_[True, np.diff(panels[rows]) != 0, True])
+            for a, z in zip(runs[:-1], runs[1:]):
+                out[:, rows[a:z]] = sums(vals[:, 12 * (at[a] - at[0]):12 * (at[z] - at[0])],
+                                         at[a], at[z], panels[rows[a]])
         return out if channels > 1 else out[0]
 
     def _lengths_at(self, x, y):
@@ -402,19 +446,26 @@ class StripModel:
         if y1 <= y0:
             return QuadResult(0.0, 0.0, 0)
         panels = 8
-        total1 = self._y_composite(y0, y1, panels)
-        total2 = self._y_composite(y0, y1, 2 * panels)
+        total1, total2 = self._y_composite(y0, y1, panels, 2 * panels)
         return QuadResult(total2, abs(total2 - total1) + tol, 2 * panels)
 
-    def _y_composite(self, y0: float, y1: float, panels: int) -> float:
-        """Composite Gauss rule in y over full-width rows, all rows in one kernel call."""
-        _, weights = gauss_rule(12)
-        ys, halves = composite_nodes(y0, y1, panels)
+    def _y_composite(self, y0: float, y1: float, *panels: int):
+        """Composite Gauss rules in y over full-width rows, the rows of all rules in one pass.
+
+        One total per panel count, each summed panel by panel; a single
+        panel count gives its total alone.
+        """
+        nodes, weights = gauss_rule(12)
+        mids, halves = ragged_panels(y0, y1, panels)
+        ys = mids[:, None] + halves[:, None] * nodes
         rows = self._row_integrals(self._area_density, ys.ravel(), self.x_hi).reshape(ys.shape)
-        total = 0.0
-        for half, row in zip(halves, rows):
-            total += half * float(np.dot(weights, row))
-        return total
+        totals, cuts = [], np.cumsum(panels)[:-1]
+        for rule_halves, rule_rows in zip(np.split(halves, cuts), np.split(rows, cuts)):
+            total = 0.0
+            for half, row in zip(rule_halves, rule_rows):
+                total += half * float(np.dot(weights, row))
+            totals.append(total)
+        return totals if len(totals) > 1 else totals[0]
 
 
 class SurfaceModel(StripModel):
@@ -457,8 +508,8 @@ class SurfaceModel(StripModel):
         """psi and its partials px, py, pxy at the points (x, y) as :class:`_Blend` takes them."""
         if self.params.h == 0.0:
             # every f_k vanishes: the surface is the flat rectangle
-            zero = np.zeros(np.shape(x) if isinstance(y, tuple) else
-                            np.broadcast_shapes(np.shape(x), np.shape(y)))
+            zero = np.zeros(np.broadcast_shapes(np.shape(x),
+                                                np.shape(y[1] if isinstance(y, tuple) else y)))
             return zero, zero, zero, zero
         return _Blend(self, x, y)
 
@@ -938,7 +989,7 @@ class CylindricalModel(StripModel):
         """Circulation of the form around the positively oriented unit circle."""
         def integrand(theta, r):
             # c1 pairs with the unit tangent of the lifted circle
-            at = r[0][r[1]] if isinstance(r, tuple) else r
+            at = _Blend(self, theta, r).y
             return self.omega_surface_coeffs(at, theta)[0] * self._speed(theta, r)
 
         return float(self._row_integrals(integrand, 1.0, 2.0 * math.pi)[0])

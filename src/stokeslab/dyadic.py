@@ -258,7 +258,8 @@ class CubeSet:
     # -- exact scalar geometry ------------------------------------------------
 
     def measure(self) -> float:
-        return math.fsum(q.measure() for q in self.cubes)
+        """The exact fsum of the cubes' DyadicCube.measure, from the generation table."""
+        return math.fsum(self.root.measures(self.arrays[0]))
 
     def diameter(self) -> float:
         if not self.cubes:

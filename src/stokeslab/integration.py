@@ -29,7 +29,7 @@ from .cousin import (
 )
 from .currents import Current, CurrentError, SurfaceCurrent, boundary_form_integral
 from .dyadic import ExceptionalSet
-from .quadrature import QuadResult, composite_nodes, gauss_rule
+from .quadrature import QuadResult, gauss_rule, ragged_panels
 
 __all__ = [
     "StokesReport",
@@ -92,12 +92,7 @@ def _surface_tangent_integral(T: SurfaceCurrent, omega, options: dict) -> QuadRe
     y_panels = options.get("y_panels", 2)
     x_panels = options.get("x_panels", 4)
     order = options.get("order", 8)
-    _, weights = gauss_rule(order)
-
-    def composite(lo, hi, panels):
-        """Nodes and weights of the composite Gauss rule on [lo, hi]."""
-        nodes, halves = composite_nodes(lo, hi, panels, order)
-        return nodes.ravel(), (halves[:, None] * weights).ravel()
+    nodes, weights = gauss_rule(order)
 
     total = 0.0
     abs_total = 0.0
@@ -109,8 +104,11 @@ def _surface_tangent_integral(T: SurfaceCurrent, omega, options: dict) -> QuadRe
         n_periods = model.x_hi / P
         step = 5e-6 * model.params.lam ** k
         margin = 2 * step
-        ys, wy = composite(lo + margin, hi - margin, y_panels)
-        xs, wx = composite(0.0, P, x_panels)
+        # the y rule and the x rule as two ragged rows
+        mids, halves = ragged_panels([lo + margin, 0.0], [hi - margin, P], [y_panels, x_panels])
+        grid = (mids[:, None] + halves[:, None] * nodes).ravel()
+        grid_weights = (halves[:, None] * weights).ravel()
+        (ys, xs), (wy, wx) = (np.split(a, [y_panels * order]) for a in (grid, grid_weights))
         X, Y = np.meshgrid(xs, ys)
         curl = model.tangential_curls(X.ravel(), Y.ravel(), step, omega).reshape(X.shape)
         dens = model._area_density(X, Y)

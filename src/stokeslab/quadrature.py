@@ -16,6 +16,13 @@ panels of all boxes go to the integrand together, in blocks of at most
 box's result does not depend on the other boxes, on its position in the
 batch or on where a block ends.  :func:`integrate_1d` and
 :func:`integrate_2d` are its one-box entry points.
+
+The fixed-panel composites of the package take their panels from one ragged
+rule, :func:`ragged_panels`: rows of their own intervals and panel counts,
+built in one vectorized pass with the bits of :func:`composite_nodes` row by
+row.  A caller expands the panels it needs into Gauss nodes and reduces a
+row by its (panels, order) @ weights and a sum of half-widths times panel
+sums.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["QuadResult", "QuadratureError", "integrate_1d", "integrate_2d", "integrate_boxes",
-           "gauss_rule", "composite_nodes"]
+           "gauss_rule", "composite_nodes", "ragged_panels"]
 
 BLOCK_POINTS = 1 << 14  # most integrand points in one call of integrate_boxes
 
@@ -78,6 +85,33 @@ def composite_nodes(lo, hi, panels: int, order: int = 12):
     mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
     halves = 0.5 * np.diff(edges, axis=-1)
     return mids[..., None] + halves[..., None] * nodes, halves
+
+
+def ragged_panels(lo, hi, panels):
+    """Midpoints and half-widths (T,) of the equal panels of ragged rows, end to end.
+
+    Row i is [lo[i], hi[i]] cut into panels[i] >= 1 panels; lo, hi and panels
+    broadcast to one row axis, and all T = sum(panels) panels are built in
+    one pass.  Edge j of a row is j * ((hi - lo) / panels) + lo and its last
+    edge is hi, as in ``np.linspace``, so the Gauss nodes of panel t,
+    ``mids[t] + halves[t] * gauss_rule(order)[0]``, have the bits of
+    :func:`composite_nodes` on the row alone.
+    """
+    lo, hi, panels = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                         np.asarray(hi, dtype=float), np.atleast_1d(panels))
+    ends = np.cumsum(panels)
+    # in place: one call may hold the panels of thousands of rows
+    left = np.arange(panels.sum(), dtype=float) - np.repeat(ends - panels, panels)
+    right = left + 1.0
+    for edge in (left, right):
+        edge *= np.repeat((hi - lo) / panels, panels)
+        edge += np.repeat(lo, panels)
+    right[ends - 1] = hi
+    mids = left + right
+    halves = np.subtract(right, left, out=right)
+    mids *= 0.5
+    halves *= 0.5
+    return mids, halves
 
 
 @lru_cache(maxsize=None)

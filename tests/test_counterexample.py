@@ -603,6 +603,35 @@ def test_one_pass_rows_keep_the_bits_of_the_passes_before(model):
         assert np.array_equal(now, then)
 
 
+@pytest.mark.parametrize("model", [SurfaceModel(PARAMS), CylindricalModel(PARAMS)],
+                         ids=["surface", "cylindrical"])
+def test_row_bits_do_not_depend_on_the_block_size(model, monkeypatch):
+    from stokeslab import counterexample
+
+    ys, xs = _rows_across_strips(model, np.random.default_rng(37))
+    # and a tail of 1e-7 at every height: one node row of two panels shared
+    # across strips 0-8, whose blocks gather its strip tables
+    tiny = np.full(len(ys), 1e-7)
+    ys, xs = np.r_[ys, ys], np.r_[xs, tiny]
+    cases = [(integrand, channels, scale)
+             for integrand, channels in ((model._speed, 1), (model._speeds, 2),
+                                         (model._area_density, 1))
+             for scale in (1, 2)]
+    passes = []
+    # a few rows per block; the default; every row of a call in one block
+    for block in (1 << 9, 1 << 14, 1 << 18):
+        monkeypatch.setattr(counterexample, "ROW_BLOCK_POINTS", block)
+        passes.append([model._row_integrals(integrand, ys, xs, scale, channels)
+                       for integrand, channels, scale in cases])
+    for other in passes[1:]:
+        for now, then in zip(other, passes[0]):
+            assert np.array_equal(now, then)
+    for (integrand, channels, scale), then in zip(cases, passes[0]):
+        alone = [model._row_integrals(integrand, [y], [1e-7], scale, channels)[..., 0]
+                 for y in ys[:len(tiny)]]
+        assert np.array_equal(np.stack(alone, axis=-1), then[..., len(tiny):])
+
+
 def _blends(monkeypatch, call) -> int:
     """The _Blend constructions that ``call`` makes."""
     from stokeslab import counterexample

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokeslab.quadrature import (QuadratureError, QuadResult, composite_nodes, gauss_rule,
-                                  integrate_1d, integrate_2d)
+                                  integrate_1d, integrate_2d, ragged_panels)
 
 
 def test_polynomial_exact():
@@ -271,3 +271,40 @@ def test_kernel_matches_the_reference_loops(data, d, order, box, reverse, tol, m
         new = _run(integrate_2d, f, *limits, **options)
         ref = _run(_reference_2d, f, *limits, **options)
     _assert_matches_reference(new, ref, f, lo, hi)
+
+
+# -- the ragged rule ----------------------------------------------------------------
+
+
+@st.composite
+def _ragged_rows(draw):
+    """lo (0.0 or one per row), hi and panel counts of 1 to 8 rows, all equal or mixed."""
+    n = draw(st.integers(1, 8))
+    ends = st.floats(-1e3, 1e3)
+    lo = draw(st.one_of(st.just(0.0), st.lists(ends, min_size=n, max_size=n).map(np.array)))
+    lengths = np.array(draw(st.lists(st.floats(1e-9, 1e3), min_size=n, max_size=n)))
+    counts = st.integers(1, 300)
+    if draw(st.booleans()):
+        panels = np.full(n, draw(counts))
+    else:
+        panels = np.array(draw(st.lists(counts, min_size=n, max_size=n)))
+    return lo, lo + lengths, panels
+
+
+@given(_ragged_rows(), st.sampled_from([8, 12]))
+@settings(max_examples=300, deadline=None)
+def test_ragged_panels_have_the_bits_of_composite_nodes_row_by_row(rows, order):
+    lo, hi, panels = rows
+    mids, halves = ragged_panels(lo, hi, panels)
+    nodes = mids[:, None] + halves[:, None] * gauss_rule(order)[0]
+    assert nodes.shape == (panels.sum(), order)
+    rows_nodes = np.split(nodes, np.cumsum(panels)[:-1])
+    rows_halves = np.split(halves, np.cumsum(panels)[:-1])
+    for a, b, p, x, h in zip(np.broadcast_to(lo, hi.shape), hi, panels, rows_nodes, rows_halves):
+        ref_x, ref_h = composite_nodes(a, b, int(p), order)
+        assert np.array_equal(x, ref_x) and np.array_equal(h, ref_h)
+    if np.all(panels == panels[0]):
+        # equal counts: one composite_nodes call on array endpoints
+        ref_x, ref_h = composite_nodes(lo, hi, int(panels[0]), order)
+        assert np.array_equal(nodes, ref_x.reshape(-1, order))
+        assert np.array_equal(halves, ref_h.ravel())

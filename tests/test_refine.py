@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokeslab import currents, dyadic
+from stokeslab.cli import _build_current
+from stokeslab.cousin import Gauge, RegularityFn, SubadditiveFn, gauge_decompose
 from stokeslab.currents import TopDimCurrent, _ball_side, _cube_region_measure_in_ball
 from stokeslab.dyadic import (
     MAX_GENERATION,
@@ -375,3 +377,34 @@ def test_refine_refuses_a_round_over_the_cube_cap(monkeypatch):
     assert len(refine(root, *unit.arrays, side, None, 4)[2]) == 36
     with pytest.raises(DepthError, match="needs 144 cubes at generation 5, over the cap of 143"):
         refine(root, *unit.arrays, side, None, 5)
+
+
+def _fsum_of_cube_measures(s: CubeSet) -> float:
+    """CubeSet.measure as it was: the fsum of each cube's DyadicCube.measure."""
+    return math.fsum(q.measure() for q in s.cubes)
+
+
+def test_cube_set_measure_is_the_per_cube_fsum_on_the_excision_sets(monkeypatch):
+    measure, sizes = CubeSet.measure, []
+
+    def checked(self):
+        value = measure(self)
+        assert value.hex() == _fsum_of_cube_measures(self).hex()
+        sizes.append(len(self.cubes))
+        return value
+
+    monkeypatch.setattr(CubeSet, "measure", checked)
+    # the excise_segment benchmark run: a segment cut out of the unit square
+    segment = ExceptionalSet.segment((0.5, 0.0), (0.5, 1.0))
+    gauge = Gauge.distance_to(segment, 0.5).min_with(Gauge.constant(0.2))
+    gauge_decompose(_build_current({"kind": "unit_square"}), segment, gauge,
+                    RegularityFn.constant(0.05), SubadditiveFn.mass(), 5e-2)
+    assert max(sizes) > 2000
+
+
+@given(_cube_lists())
+@settings(max_examples=300, deadline=None)
+def test_cube_set_measure_is_the_per_cube_fsum(case):
+    root, cubes = case
+    s = CubeSet(root, tuple(cubes))
+    assert s.measure().hex() == _fsum_of_cube_measures(s).hex()

@@ -27,11 +27,16 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 # (name, command, config, CLI seed) of runs hashed beside the workloads: the polar
-# ladder of the counterexample, and a point excised from the unit square, whose
-# refine follows the arcs of a ball
+# ladder of the counterexample; the Stokes check on the counterexample surface,
+# whose left side goes through the tangent grid of the surface integral; and a
+# point excised from the unit square, whose refine follows the arcs of a ball
 POINT = {"kind": "point", "at": [0.5, 0.5]}
 EXTRA_RUNS = [
     ("cylindrical", "counterexample", {"cylindrical": True, "n_strips": 8}, 0),
+    ("stokes_surface", "stokes", {
+        "current": {"kind": "counterexample"}, "form": {"kind": "counterexample_omega"},
+        "exceptional_set": {"kind": "singular_set"},
+    }, 0),
     ("excise_point", "cousin", {
         "current": {"kind": "unit_square"}, "exceptional_set": POINT,
         "gauge": {"kind": "distance", "to": POINT, "scale": 0.5, "cap": 0.2}, "epsilon": 0.05,
