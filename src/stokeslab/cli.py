@@ -263,7 +263,7 @@ def run_counterexample(config: dict) -> int:
     out = Path(config["out_dir"])
     params = _params_from(config.get("current", config))
     options = _counterexample_options(config)
-    if config.get("cylindrical", False):
+    if options.pop("cylindrical"):
         model = cylindrical_variant(params)
         areas = [dict(zip(("area", "bound"), model.annulus_area(k))) | {"k": k}
                  for k in range(0, options["n_strips"])]
@@ -296,13 +296,17 @@ def run_counterexample(config: dict) -> int:
 def _counterexample_options(config: dict) -> dict:
     """The counterexample keys of config, each checked against its range.
 
-    n_strips (default 8 on the polar ladder, else 12) must lie within the
-    model's strip table; the polar run reads no other key.
+    cylindrical must be a JSON boolean.  n_strips (default 8 on the polar
+    ladder, else 12) must lie within the model's strip table; the polar run
+    reads no other key.
     """
     from .counterexample import StripModel
 
     cylindrical = config.get("cylindrical", False)
-    options = {"n_strips": _integer(config, "n_strips", 8 if cylindrical else 12)}
+    if not isinstance(cylindrical, bool):
+        raise UsageError(f"cylindrical must be true or false, not {cylindrical!r}")
+    options = {"cylindrical": cylindrical,
+               "n_strips": _integer(config, "n_strips", 8 if cylindrical else 12)}
     if not 0 <= options["n_strips"] <= StripModel.K_TABLE:
         raise UsageError(f"n_strips must lie in [0, {StripModel.K_TABLE}], the strips of the "
                          f"model's table, not {options['n_strips']}")

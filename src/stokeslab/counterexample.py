@@ -123,13 +123,52 @@ def _smooth_step(u, p: float = 1.0):
     return np.where(u >= 1.0, 1.0, out)
 
 
+def _clamped_spline(x, y):
+    """Power-form coefficients c, shaped (4, n - 1), of the clamped cubic spline through (x, y).
+
+    These are the floats of scipy's ``CubicSpline(x, y, bc_type="clamped").c``:
+    the knot slopes s solve its tridiagonal system by the steps of LAPACK
+    ``dgtsv`` without row interchanges, which it never makes on uniform knots
+    in [0, 1] (each pivot, 1 or at least 3.7 dx, exceeds its sub-diagonal dx).
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d = [1.0, *(2 * (dx[:-1] + dx[1:])).tolist(), 1.0]
+    b = [0.0, *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(), 0.0]
+    du, dl = [0.0, *dx[:-1].tolist()], [*dx[1:].tolist(), 0.0]
+    n = len(d)
+    for i in range(n - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        b[i + 1] -= fact * b[i]
+    s = b
+    s[-1] /= d[-1]
+    s[-2] = (s[-2] - du[-1] * s[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        s[i] = (s[i] - du[i] * s[i + 1]) / d[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+
+def _spline_values(x, c, u):
+    """The piecewise cubic (x, c) at u, with the floats of scipy's ``PPoly``: u lies
+    in interval i, x[i] <= u < x[i + 1] clipped to the end intervals, the powers of
+    z = u - x[i] are repeated products, and the sum starts at 0.0."""
+    i = np.searchsorted(x[1:-1], u, side="right")
+    c, z = c[:, i], u - x[i]
+    z2 = z * z
+    return 0.0 + c[3] + c[2] * z + c[1] * z2 + c[0] * (z2 * z)
+
+
 class TransitionFn:
     """Normalized integrated bump: 0 on [0, 1/8], 1 on [7/8, 1], slope < 2.
 
     The derivative profile is a plateau bump (smooth ramps of relative width
     ``ramp``), which keeps sup phi' = 1/(0.75 * (1 - ramp)) ~ 1.905 for the
-    default ramp of 0.3.  Values come from a dense cumulative-Simpson table;
-    the derivative is closed-form.
+    default ramp of 0.3.  Values come from a dense cumulative-Simpson table
+    through the clamped cubic spline of :func:`_clamped_spline` and
+    :func:`_spline_values`, which give scipy's floats; the derivative is closed-form.
     """
 
     LO = 0.125
@@ -146,9 +185,7 @@ class TransitionFn:
         self._norm = cum[-1]
         self._u_grid = grid[::2]
         self._cum = cum / self._norm
-        from scipy.interpolate import CubicSpline
-
-        self._spline = CubicSpline(self._u_grid, self._cum, bc_type="clamped")
+        self._coeffs = _clamped_spline(self._u_grid, self._cum)
 
     def _bump(self, u):
         return _smooth_step(u / self.ramp) * _smooth_step((1.0 - u) / self.ramp)
@@ -156,7 +193,7 @@ class TransitionFn:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         u = (t - self.LO) / self.width
-        val = np.clip(self._spline(np.clip(u, 0.0, 1.0)), 0.0, 1.0)
+        val = np.clip(_spline_values(self._u_grid, self._coeffs, np.clip(u, 0.0, 1.0)), 0.0, 1.0)
         val = np.where(u <= 0.0, 0.0, val)
         return np.where(u >= 1.0, 1.0, val)
 

@@ -236,11 +236,15 @@ def test_zero_lambda_inverse_is_refused(tmp_path, command):
     ({"n_tangent_samples": 0}, "n_tangent_samples must be at least 1, not 0"),
     ({"n_strips": -1}, "n_strips must lie in [0, 60], the strips of the model's table, not -1"),
     ({"cylindrical": True, "n_strips": 70}, "n_strips must lie in [0, 60]"),
+    ({"cylindrical": "false"}, "cylindrical must be true or false, not 'false'"),
+    ({"cylindrical": 1}, "cylindrical must be true or false, not 1"),
+    ({"cylindrical": None}, "cylindrical must be true or false, not None"),
 ])
 def test_counterexample_options_out_of_range_are_usage_errors(tmp_path, capsys, payload, message):
     # panels_per_osc 0 and the polar n_strips 70 used to end in a
     # ZeroDivisionError and an IndexError (exit 70), tail_cut 2 ran to exit 1
-    # and n_strips -1 to exit 0
+    # and n_strips -1 to exit 0; cylindrical was read by truthiness, so
+    # "false" ran the polar ladder to exit 0
     cfg = _write_config(tmp_path, "r.json", payload)
     assert main(["counterexample", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert message in capsys.readouterr().err
@@ -369,6 +373,27 @@ def test_over_budget_cousin_run_exits_promptly(tmp_path):
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == EXIT_RESOURCE
     assert "decomposition exceeded the piece budget (50000)" in proc.stderr
+
+
+def test_the_cli_runs_the_counterexample_without_scipy(tmp_path):
+    # scipy.stats fitted one slope and scipy.interpolate one spline; the
+    # package now computes both, so scipy waits for a large cube set's hull
+    cfg = _write_config(tmp_path, "c.json", {"n_strips": 3, "n_tangent_samples": 5})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys\n"
+        "from stokeslab import cli\n"
+        "from stokeslab.counterexample import default_transition\n"
+        "default_transition()\n"
+        f"code = cli.main(['counterexample', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env, check=True)
+    assert proc.stdout.split(maxsplit=1) == [str(EXIT_OK), "[]\n"]
+    assert (tmp_path / "out" / "strips.csv").exists()
 
 
 def test_three_dimensional_point_excision_stops_at_the_cube_cap(tmp_path):

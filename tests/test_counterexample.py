@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stokeslab.cli import EXIT_OK, main
 from stokeslab.counterexample import (
@@ -14,6 +16,8 @@ from stokeslab.counterexample import (
     SurfaceModel,
     TransitionFn,
     _Blend,
+    _clamped_spline,
+    _spline_values,
     build_surface_current,
     cylindrical_variant,
     default_transition,
@@ -75,6 +79,50 @@ def test_transition_interpolates_cleanly():
     tr = TransitionFn()
     mid = tr(0.5)
     assert 0.0 < mid < 1.0
+
+
+def _scipy_spline(x, y):
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(x, y, bc_type="clamped")
+
+
+def _knots_and_neighbours(x):
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+def test_transition_spline_coefficients_have_the_bits_of_cubic_spline():
+    tr = default_transition()
+    assert tr._coeffs.tobytes() == _scipy_spline(tr._u_grid, tr._cum).c.tobytes()
+
+
+def test_transition_values_have_the_bits_of_cubic_spline():
+    tr = default_transition()
+    spline = _scipy_spline(tr._u_grid, tr._cum)
+    u = np.concatenate([_knots_and_neighbours(tr._u_grid),
+                        np.random.default_rng(3).random(100_000), [0.0, 1.0]])
+    u = np.clip(u, 0.0, 1.0)
+    assert _spline_values(tr._u_grid, tr._coeffs, u).tobytes() == spline(u).tobytes()
+    # the call as it was with the scipy spline, on t in and around [1/8, 7/8]
+    t = np.concatenate([tr.LO + tr.width * u, np.linspace(-0.5, 1.5, 4001)])
+    s = (t - tr.LO) / tr.width
+    expected = np.clip(spline(np.clip(s, 0.0, 1.0)), 0.0, 1.0)
+    expected = np.where(s >= 1.0, 1.0, np.where(s <= 0.0, 0.0, expected))
+    assert tr(t).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 256).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-1e100, 1e100), min_size=n, max_size=n),
+    st.lists(st.floats(0.0, 1.0), max_size=20))))
+@example(([0.0, -0.0, -1.0, -3.0], []))  # PPoly's sum from 0.0 turns -0.0 at x[1] into +0.0
+def test_clamped_spline_has_the_bits_of_cubic_spline(case):
+    values, points = case
+    x, y = np.linspace(0.0, 1.0, len(values)), np.array(values)
+    spline, coeffs = _scipy_spline(x, y), _clamped_spline(x, y)
+    assert [v.hex() for v in coeffs.ravel()] == [v.hex() for v in spline.c.ravel()]
+    u = np.concatenate([_knots_and_neighbours(x), points])
+    assert [v.hex() for v in _spline_values(x, coeffs, u)] == [v.hex() for v in spline(u)]
 
 
 # -- surface geometry ---------------------------------------------------------

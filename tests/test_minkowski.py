@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,13 +115,3 @@ def test_slope_has_the_bits_of_linregress(points):
 
     x, y = np.array(points).T
     assert minkowski._slope(x, y).hex() == float(stats.linregress(x, y).slope).hex()
-
-
-def test_the_cli_imports_without_scipy_stats():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, stokeslab.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env=env, check=True)
-    assert proc.stdout.strip() == "False"
