@@ -59,14 +59,24 @@ def _load_config(args) -> dict:
     return config
 
 
-def _integer(desc: dict, key: str, default: int) -> int:
-    """desc[key] as an int; a fractional or non-numeric value is a usage error."""
+def _integer(desc: dict, key: str, default: int, least: float = -math.inf) -> int:
+    """desc[key] as an int, at least least; a fractional or non-numeric value is a usage error."""
     value = desc.get(key, default)
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise UsageError(f"{key} must be an integer, not {value!r}")
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{key} must be an integer, not {value!r}")
+    if value < least:
+        raise UsageError(f"{key} must be at least {least}, not {value}")
+    return value
+
+
+def _positive(config: dict, key: str, default=None):
+    """config[key], a finite positive number and not a bool; anything else is a usage error."""
+    value = config.get(key, default)
+    if not (type(value) in (int, float) and 0.0 < value < math.inf):
+        raise UsageError(f"{key} must be a finite positive number, not {value!r}")
+    return value
 
 
 def _surface_options(config: dict) -> dict:
@@ -97,12 +107,8 @@ def _build_current(desc: dict):
     if kind == "flat_graph":
         w = float(desc.get("width", math.pi))
         h = float(desc.get("height", 0.5))
-        chart = ChartMap(
-            psi=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-            dpsi_dx=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-            dpsi_dy=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-            lip_upper=1.0, name="flat",
-        )
+        zeros = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+        chart = ChartMap(psi=zeros, dpsi_dx=zeros, dpsi_dy=zeros, lip_upper=1.0, name="flat")
         return ChartCurrent(Rect(0.0, w, 0.0, h), chart, theta)
     if kind == "parabolic_graph":
         scale = float(desc.get("scale", 0.25))
@@ -215,12 +221,12 @@ def run_cousin(config: dict) -> int:
     E = _build_exceptional(config.get("exceptional_set", {"kind": "empty"}), T)
     delta = _build_gauge(config.get("gauge", {"kind": "constant", "value": 0.4}), E)
     eta = RegularityFn.constant(float(config.get("eta", 0.05)))
-    eps = float(config.get("epsilon", 1e-3))
+    eps = float(_positive(config, "epsilon", 1e-3))
     G = SubadditiveFn.mass()
     family = gauge_decompose(T, E, delta, eta, G, eps)
     check = certify.check_family(family, delta, eta, G)
     reports.family_to_csv(family, out / "family.csv")
-    reports.write_json(out / "pieces.json", family.pairs.descriptors())
+    reports.family_to_json(family, out / "pieces.json")
     reports.write_json(out / "report.json", {
         "status": "decomposed",
         "summary": family.summary(),
@@ -240,9 +246,7 @@ def run_stokes(config: dict) -> int:
     if omega.n != T.n:
         raise UsageError(f"form {omega.name!r} lives in R^{omega.n}, the current in R^{T.n}")
     E = _build_exceptional(config.get("exceptional_set", {"kind": "empty"}), T)
-    tol = config.get("tol")
-    if tol is not None and not (type(tol) in (int, float) and 0.0 < tol < math.inf):
-        raise UsageError(f"tol must be a finite positive number, not {tol!r}")
+    tol = None if config.get("tol") is None else _positive(config, "tol")
     report = integration.stokes_check(T, omega, E, tol=tol,
                                       surface_options=_surface_options(config))
     reports.write_json(out / "report.json", report.as_dict())
@@ -313,9 +317,7 @@ def _counterexample_options(config: dict) -> dict:
     if cylindrical:
         return options
     for key, default in (("n_tangent_samples", 400), ("panels_per_osc", 8)):
-        options[key] = _integer(config, key, default)
-        if options[key] < 1:
-            raise UsageError(f"{key} must be at least 1, not {options[key]}")
+        options[key] = _integer(config, key, default, least=1)
     tail_cut = options["tail_cut"] = config.get("tail_cut", 1e-12)
     if not (type(tail_cut) in (int, float) and 0.0 < tail_cut < 1.0):
         raise UsageError(f"tail_cut must be a number strictly between 0 and 1, not {tail_cut!r}")
@@ -379,8 +381,8 @@ def run_saks_henstock(config: dict) -> int:
     def f(pts):
         return c0 + cx * pts[:, 0] + cy * pts[:, 1] + cxx * pts[:, 0] ** 2
 
-    eps1 = float(config.get("eps1", 1e-4))
-    j_hi = _integer(config, "max_j", 6)
+    eps1 = float(_positive(config, "eps1", 1e-4))
+    j_hi = _integer(config, "max_j", 6, least=0)
     result = integration.saks_henstock_test(f, T, eps1, j_range=range(0, j_hi + 1))
     reports.error_curve_to_csv(result["curve"], out / "curve.csv")
     reports.write_json(out / "report.json", result)

@@ -24,13 +24,11 @@ from .currents import (
     SurfaceCurrent,
     TopDimCurrent,
     boundary_form_integral,
-    chart_descriptor,
     chart_masses,
     complement_within,
     slice_current,
-    top_dim_descriptor,
 )
-from .dyadic import CubeSet, DyadicCube, DepthError, ExceptionalSet, RootBox, cubes_payload
+from .dyadic import CubeSet, DyadicCube, DepthError, ExceptionalSet, RootBox
 from .minkowski import ExcisabilityEvidence, excisability_evidence, neighborhood_mass
 from .quadrature import QuadratureError
 
@@ -115,9 +113,6 @@ class Gauge:
             if kind == "dist" and o == 0.0 and E is not None:
                 out = out.union(E)
         return out
-
-    def vanishes_somewhere(self) -> bool:
-        return not self.zero_set.is_empty()
 
 
 @dataclass(frozen=True)
@@ -271,31 +266,6 @@ class PieceTable(Sequence):
         """The view of piece k with the given piece and meta."""
         return TaggedPair(tuple(self.tags[k].tolist()), piece,
                           *(float(getattr(self, name)[k]) for name in _COLUMNS), meta)
-
-    def descriptors(self) -> list[dict]:
-        """Every piece's descriptor(), formatted from the cells without views.
-
-        A cube piece is described by its root box and its cube cells, a chart
-        piece over a Rect by its chart's name and its one rect cell; any other
-        piece is refused, since the table does not hold its descriptor.
-        """
-        cubes = [([], []) for _ in range(len(self))]
-        owner, _, _, gen, index = self.cubes
-        for k, g, i in zip(owner.tolist(), gen.tolist(), index.tolist()):
-            cubes[k][0].append(g)
-            cubes[k][1].append(i)
-        rects = {k: Rect(lo[0], hi[0], lo[1], hi[1])
-                 for k, lo, hi in zip(*(a.tolist() for a in self.rects))}
-        out = []
-        for k, (theta, chart, root) in enumerate(zip(self.theta.tolist(), self.chart.tolist(),
-                                                     self.root.tolist())):
-            if chart < 0 and root >= 0:
-                out.append(top_dim_descriptor(theta, cubes_payload(self.roots[root], *cubes[k])))
-            elif chart >= 0 and root < 0:
-                out.append(chart_descriptor(theta, self.charts[chart].name, rects[k].payload()))
-            else:
-                raise ValueError(f"piece {k} is neither a cube piece nor a chart piece over a Rect")
-        return out
 
     @classmethod
     def gather(cls, pairs: Sequence[TaggedPair]) -> "PieceTable":
@@ -636,17 +606,13 @@ def _tile_rect_with_squares(rect: Rect, min_fraction: float = 0.999,
                 continue
             if w < h:
                 n = int(h // w)
-                for j in range(n):
-                    squares.append(Rect(r.x0, r.x1, r.y0 + j * w, r.y0 + (j + 1) * w))
-                rem = h - n * w
-                if rem > 1e-14 * h:
+                squares += [Rect(r.x0, r.x1, r.y0 + j * w, r.y0 + (j + 1) * w) for j in range(n)]
+                if h - n * w > 1e-14 * h:
                     nxt.append(Rect(r.x0, r.x1, r.y0 + n * w, r.y1))
             else:
                 n = int(w // h)
-                for j in range(n):
-                    squares.append(Rect(r.x0 + j * h, r.x0 + (j + 1) * h, r.y0, r.y1))
-                rem = w - n * h
-                if rem > 1e-14 * w:
+                squares += [Rect(r.x0 + j * h, r.x0 + (j + 1) * h, r.y0, r.y1) for j in range(n)]
+                if w - n * h > 1e-14 * w:
                     nxt.append(Rect(r.x0 + n * h, r.x1, r.y0, r.y1))
         pending = nxt
         done = sum(s.measure() for s in squares)
@@ -673,18 +639,12 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
             raise DecompositionRefusal(
                 f"singular set lacks excisability evidence: {evidence.reason}"
             )
-    if delta.vanishes_somewhere():
-        # every gauge zero must be inside the excised set
-        for (lo, hi) in delta.zero_set.elements:
-            contained = any(
-                all(zl >= el and zh <= eh for zl, zh, el, eh in zip(lo, hi, elo, ehi))
-                for (elo, ehi) in E_T.elements
-            )
-            if not contained:
-                raise ValueError(
-                    "gauge vanishes outside the declared singular set; "
-                    "fineness cannot be certified there"
-                )
+    # every gauge zero must be inside the excised set
+    for lo, hi in delta.zero_set.elements:
+        if not any(all(zl >= el and zh <= eh for zl, zh, el, eh in zip(lo, hi, elo, ehi))
+                   for elo, ehi in E_T.elements):
+            raise ValueError("gauge vanishes outside the declared singular set; "
+                             "fineness cannot be certified there")
 
     remainder: list[Current] = []
 

@@ -247,14 +247,11 @@ def _lifted_curves(graph, segments) -> list:
     return curves
 
 
-def _sample_boxes(boxes, weights, n: int, rng) -> np.ndarray:
-    """n points uniform on a union of boxes (lo, hi), box chosen by weight."""
+def _sample_boxes(lo, hi, weights, n: int, rng) -> np.ndarray:
+    """n points uniform on a union of boxes, rows of lo and hi (k, m), box chosen by weight."""
     weights = np.asarray(weights, dtype=float)
-    idx = rng.choice(len(boxes), size=n, p=weights / weights.sum())
-    out = np.empty((n, len(boxes[0][0])))
-    for i, ci in enumerate(idx):
-        out[i] = rng.uniform(*boxes[ci])
-    return out
+    idx = rng.choice(len(weights), size=n, p=weights / weights.sum())
+    return rng.uniform(np.asarray(lo, dtype=float)[idx], np.asarray(hi, dtype=float)[idx])
 
 
 def top_dim_descriptor(theta: int, region: dict) -> dict:
@@ -470,8 +467,8 @@ class TopDimCurrent(Current):
         return res.scaled(abs(self.theta))
 
     def support_samples(self, n: int, rng) -> np.ndarray:
-        cubes = self.region.cubes
-        return _sample_boxes([q.bounds() for q in cubes], [q.measure() for q in cubes], n, rng)
+        region = self.region
+        return _sample_boxes(*region.bounds(), region.root.measures(region.arrays[0]), n, rng)
 
     def support_clearance(self, E: ExceptionalSet) -> Optional[float]:
         return float(E.cube_distances(*self.region.bounds())[0].min(initial=math.inf))
@@ -630,7 +627,7 @@ class ChartCurrent(Current):
 
     def support_samples(self, n: int, rng) -> np.ndarray:
         rects = self.domain_rects()
-        u = _sample_boxes([((r.x0, r.y0), (r.x1, r.y1)) for r in rects],
+        u = _sample_boxes([(r.x0, r.y0) for r in rects], [(r.x1, r.y1) for r in rects],
                           [r.measure() for r in rects], n, rng)
         return self.lift(u)
 

@@ -145,10 +145,10 @@ class DyadicCube:
         return (self.generation, self.index)
 
 
-def cubes_payload(root: RootBox, gens: list[int], indices: list[list[int]]) -> dict:
-    """The cubes (generation, index) of root as plain JSON values: CubeSet.payload."""
+def cubes_payload(corner, side, gens: list[int], indices: list[list[int]]) -> dict:
+    """The cubes (generation, index) of a root box as plain JSON values: CubeSet.payload."""
     return {
-        "root": {"corner": list(root.corner), "side": root.side},
+        "root": {"corner": list(corner), "side": side},
         "cubes": [{"generation": g, "corner": i} for g, i in zip(gens, indices)],
     }
 
@@ -345,12 +345,7 @@ class CubeSet:
     # -- membership and line queries -------------------------------------------
 
     def contains(self, point) -> bool:
-        x = np.asarray(point, dtype=float)
-        for q in self.cubes:
-            lo, hi = q.bounds()
-            if np.all(lo <= x) and np.all(x <= hi):
-                return True
-        return False
+        return bool(self.contains_many(np.asarray(point, dtype=float)[None])[0])
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -384,13 +379,9 @@ class CubeSet:
         self._check_grid(other)
         mine = {q.key() for q in self.cubes}
         theirs = {q.key() for q in other.cubes}
-        picked = []
-        for q in other.cubes:
-            if any(q.ancestor_key(g) in mine for g in range(q.generation + 1)):
-                picked.append(q)
-        for q in self.cubes:
-            if any(q.ancestor_key(g) in theirs for g in range(q.generation + 1)):
-                picked.append(q)
+        # the cubes of each set inside a cube of the other, in this order
+        picked = (q for cubes, keys in ((other.cubes, mine), (self.cubes, theirs)) for q in cubes
+                  if any(q.ancestor_key(g) in keys for g in range(q.generation + 1)))
         return CubeSet(self.root, tuple(picked))
 
     def difference(self, other: "CubeSet") -> "CubeSet":
@@ -447,7 +438,7 @@ class CubeSet:
 
     def payload(self) -> dict:
         """The set as plain JSON values: what to_json writes and descriptors embed."""
-        return cubes_payload(self.root, *(a.tolist() for a in self.arrays))
+        return cubes_payload(self.root.corner, self.root.side, *(a.tolist() for a in self.arrays))
 
     def to_json(self) -> str:
         return json.dumps(self.payload())

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -237,18 +237,8 @@ class StokesReport:
     refinement_curve: tuple = ()
 
     def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "lhs_error": self.lhs_error,
-            "rhs": self.rhs,
-            "rhs_error": self.rhs_error,
-            "gap": self.gap,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "decomposition": self.decomposition,
-            "family_stats": self.family_stats,
-            "refinement_curve": list(self.refinement_curve),
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "refinement_curve": list(self.refinement_curve)}
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, **kwargs)

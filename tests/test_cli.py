@@ -477,3 +477,30 @@ def test_integral_surface_options_are_accepted(tmp_path):
         **FLAT_XZ_DY, "surface_options": {"max_strip": 0, "order": 4.0, "x_panels": 1},
     })
     assert main(["stokes", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), -1, 0, float("inf"), True])
+def test_cousin_refuses_a_budget_that_is_not_finite_and_positive(tmp_path, capsys, epsilon):
+    # nan used to certify any family (exit 0), since no remainder is ever >= nan;
+    # -1 and 0 were refused by the engine (exit 2), as if the current were at fault
+    cfg = _write_config(tmp_path, "e.json", {"current": {"kind": "unit_square"},
+                                             "epsilon": epsilon})
+    out = tmp_path / "out"
+    assert main(["cousin", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert "epsilon must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"eps1": float("nan")}, "eps1 must be a finite positive number"),
+    ({"eps1": -1}, "eps1 must be a finite positive number"),
+    ({"eps1": float("inf")}, "eps1 must be a finite positive number"),
+    ({"max_j": -2}, "max_j must be at least 0, not -2"),
+])
+def test_saks_henstock_refuses_a_bad_budget_or_curve(tmp_path, capsys, payload, message):
+    # each used to exit 1, "fails"; max_j -2 ran an empty curve
+    cfg = _write_config(tmp_path, "s.json", {"current": {"kind": "unit_square"}, **payload})
+    out = tmp_path / "out"
+    assert main(["saks-henstock", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()

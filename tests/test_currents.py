@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokeslab import forms
 from stokeslab.currents import (
@@ -11,6 +13,7 @@ from stokeslab.currents import (
     HalfSpace,
     Rect,
     TopDimCurrent,
+    _sample_boxes,
     boundary_form_integral,
     coarea_slice_check,
     mass_additivity_check,
@@ -367,3 +370,56 @@ def test_graph_tangent_is_the_frame_wedge(kind):
     vec = forms.KVector.from_vector
     wedges = np.array([forms.wedge(vec(a), vec(b)).coeffs for a, b in frames])
     np.testing.assert_allclose(w / length[:, None], wedges, rtol=0.0, atol=1e-14)
+
+
+def _sample_boxes_per_point(boxes, weights, n, rng):
+    """The reference: one rng.uniform draw per sample, box chosen by weight."""
+    weights = np.asarray(weights, dtype=float)
+    idx = rng.choice(len(boxes), size=n, p=weights / weights.sum())
+    out = np.empty((n, len(boxes[0][0])))
+    for i, ci in enumerate(idx):
+        out[i] = rng.uniform(*boxes[ci])
+    return out
+
+
+@st.composite
+def _boxes(draw):
+    """Boxes (lo, hi) of dimension 1 to 3, some of them degenerate, with positive weights."""
+    m = draw(st.integers(1, 3))
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = [draw(st.floats(-1e3, 1e3)) for _ in range(m)]
+        hi = [x + draw(st.sampled_from([0.0, 1e-9, 0.5, 7.25])) for x in lo]
+        boxes.append((np.array(lo), np.array(hi)))
+    weights = [draw(st.floats(1e-6, 10.0)) for _ in boxes]
+    return boxes, weights
+
+
+@given(_boxes(), st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_box_sampling_draws_the_bits_of_one_draw_per_sample(boxes_weights, n, seed):
+    boxes, weights = boxes_weights
+    expected = _sample_boxes_per_point(boxes, weights, n, np.random.default_rng(seed))
+    lo, hi = np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes])
+    got = _sample_boxes(lo, hi, weights, n, np.random.default_rng(seed))
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("current", [
+    TopDimCurrent(CubeSet(ROOT, (DyadicCube(ROOT, 2, (0, 1)), DyadicCube(ROOT, 1, (1, 1)),
+                                 DyadicCube(ROOT, 3, (5, 0))))),
+    ChartCurrent(Rect(0.0, 2.0, -1.0, 0.5), _tilt_chart()),
+], ids=["cube-set", "chart"])
+def test_support_samples_are_the_bits_of_one_draw_per_sample(current):
+    if isinstance(current, TopDimCurrent):
+        cubes = current.region.cubes
+        boxes, weights = [q.bounds() for q in cubes], [q.measure() for q in cubes]
+    else:
+        rects = current.domain_rects()
+        boxes = [(np.array([r.x0, r.y0]), np.array([r.x1, r.y1])) for r in rects]
+        weights = [r.measure() for r in rects]
+    expected = _sample_boxes_per_point(boxes, weights, 512, np.random.default_rng(0))
+    if isinstance(current, ChartCurrent):
+        expected = current.lift(expected)
+    assert current.support_samples(512, np.random.default_rng(0)).tobytes() == expected.tobytes()

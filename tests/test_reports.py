@@ -3,8 +3,7 @@
 The reference bytes are those of ``write_json`` on the descriptor of every
 piece (``json.dumps(..., indent=2, sort_keys=True)``) and of ``write_csv`` on
 ``family.rows()``, which read the pieces one TaggedPair view at a time; the
-table's own are ``write_json`` on ``PieceTable.descriptors()`` and
-``family_to_csv``.
+table's own are ``family_to_json`` and ``family_to_csv``.
 """
 
 import math
@@ -32,7 +31,7 @@ COLUMNS = ["piece_id", "tag", "diam", "mass", "boundary_mass", "reg", "delta_at_
 
 
 def _assert_same_bytes(family, tmp_path):
-    reports.write_json(tmp_path / "pieces.json", family.pairs.descriptors())
+    reports.family_to_json(family, tmp_path / "pieces.json")
     reports.write_json(tmp_path / "expected.json", [p.piece.descriptor() for p in family.pairs])
     assert (tmp_path / "pieces.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
     reports.family_to_csv(family, tmp_path / "family.csv")
@@ -70,6 +69,7 @@ def test_engine_families_write_the_bytes_of_their_descriptors_and_rows(tmp_path,
 def test_an_empty_family_writes_empty_files(tmp_path):
     family = TaggedFamily(_build_current({"kind": "unit_square"}), (), (), 0.0, "mass", 0.0)
     _assert_same_bytes(family, tmp_path)
+    assert (tmp_path / "pieces.json").read_text() == "[]\n"
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)
@@ -128,10 +128,75 @@ def test_an_integer_root_side_is_written_as_given(tmp_path):
     assert '"side": 1\n' in (tmp_path / "pieces.json").read_text()
 
 
-def test_a_chart_piece_over_a_cube_set_is_refused():
+def test_a_chart_piece_over_a_cube_set_is_refused(tmp_path):
     root = RootBox((0.0, 0.0), 1.0)
     square = ChartCurrent(CubeSet(root, (DyadicCube(root, 1, (0, 1)),)), _chart("flat"))
     pair = TaggedPair((0.25, 0.75, 0.0), square, *([math.pi] * 6))
     family = TaggedFamily(square, [pair], (), 0.0, "mass", 0.0)
-    with pytest.raises(ValueError, match="piece 0"):
-        family.pairs.descriptors()
+    with pytest.raises(ValueError, match="piece 0 is neither"):
+        reports.family_to_json(family, tmp_path / "pieces.json")
+    assert not (tmp_path / "pieces.json").exists()
+
+
+def _family(pairs) -> TaggedFamily:
+    return TaggedFamily(_build_current({"kind": "unit_square"}), pairs, (), 0.0, "mass", 0.0)
+
+
+def _diagonal_piece(m: int, n: int, root=None, theta: int = 1) -> TopDimCurrent:
+    """n cubes of generation 4 on every other step of the diagonal of an m-cube: none merges."""
+    root = root or RootBox((0.5,) * m, 2.0)
+    cubes = tuple(DyadicCube(root, 4, (2 * j,) * m) for j in range(n))
+    return TopDimCurrent(CubeSet(root, cubes), theta)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pieces_of_one_to_five_cubes_write_the_bytes_of_their_descriptors(tmp_path, m):
+    pieces = [_diagonal_piece(m, n, theta=(-1) ** n * n) for n in (3, 1, 5, 2, 4, 1, 5)]
+    assert sorted({len(piece.region.cubes) for piece in pieces}) == [1, 2, 3, 4, 5]
+    pairs = [TaggedPair((0.125 * k,) * m, piece, *([0.5 + k] * 6))
+             for k, piece in enumerate(pieces)]
+    _assert_same_bytes(_family(pairs), tmp_path)
+
+
+def test_non_finite_root_corners_and_sides_are_spelled_as_json_spells_them(tmp_path):
+    roots = [RootBox((math.nan, -math.inf, 1.5), math.inf),
+             RootBox((math.inf, 0.0, -2.0), math.nan), RootBox((-0.0, 1e300, 5e-324), 3)]
+    pairs = [TaggedPair((math.nan, math.inf, -math.inf), _diagonal_piece(3, 2, root), *([1.0] * 6))
+             for root in roots]
+    _assert_same_bytes(_family(pairs), tmp_path)
+    text = (tmp_path / "pieces.json").read_text()
+    assert all(word in text for word in ("NaN", "-Infinity", "\"side\": Infinity", "\"side\": 3\n"))
+
+
+@pytest.mark.parametrize("name", ["", 'quote " and \\ é', "{0} and {1}", "1", "@0@"])
+def test_chart_names_are_written_as_their_descriptors_write_them(tmp_path, name):
+    pairs = [TaggedPair((0.0, 0.5, -1.0), ChartCurrent(rect, _chart(name), theta), *([2.0] * 6))
+             for rect, theta in ((Rect(0.0, 1.0, 0.0, 0.5), 1), (Rect(-3.0, 2.5, 1e-9, 7.0), -2))]
+    _assert_same_bytes(_family(pairs), tmp_path)
+
+
+@st.composite
+def _mixed_pairs(draw):
+    """Cube pieces of dimension 3 and chart pieces in one table, in any order."""
+    charts = [_chart(name) for name in ("", 'quote " and \\ é')]
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        tag = tuple(draw(_FLOATS) for _ in range(3))
+        if draw(st.booleans()):
+            x0, y0 = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+            piece = ChartCurrent(Rect(x0, x0 + draw(st.floats(1e-3, 5.0)), y0, y0 + 0.5),
+                                 draw(st.sampled_from(charts)), draw(st.sampled_from([1, -2])))
+        else:
+            root = RootBox(tuple(draw(st.floats(-1e3, 1e3)) for _ in range(3)),
+                           draw(st.sampled_from([1, 0.5, 2.5e7])))
+            theta = draw(st.sampled_from([1, -1]))
+            piece = _diagonal_piece(3, draw(st.integers(1, 5)), root, theta)
+        pairs.append(TaggedPair(tag, piece, *(draw(_FLOATS) for _ in range(6))))
+    return pairs
+
+
+@given(_mixed_pairs())
+@settings(max_examples=100, deadline=None)
+def test_tables_of_cube_and_chart_pieces_write_the_bytes_of_their_descriptors(tmp_path_factory,
+                                                                              pairs):
+    _assert_same_bytes(_family(pairs), tmp_path_factory.mktemp("family"))

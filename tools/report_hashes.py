@@ -28,8 +28,9 @@ from workloads import WORKLOADS  # noqa: E402
 
 # (name, command, config, CLI seed) of runs hashed beside the workloads: the polar
 # ladder of the counterexample; the Stokes check on the counterexample surface,
-# whose left side goes through the tangent grid of the surface integral; and a
-# point excised from the unit square, whose refine follows the arcs of a ball
+# whose left side goes through the tangent grid of the surface integral; a
+# point excised from the unit square, whose refine follows the arcs of a ball; and
+# the console-script run of CI, a 3-D cube set whose pieces.json holds m = 3 cubes
 POINT = {"kind": "point", "at": [0.5, 0.5]}
 EXTRA_RUNS = [
     ("cylindrical", "counterexample", {"cylindrical": True, "n_strips": 8}, 0),
@@ -40,6 +41,12 @@ EXTRA_RUNS = [
     ("excise_point", "cousin", {
         "current": {"kind": "unit_square"}, "exceptional_set": POINT,
         "gauge": {"kind": "distance", "to": POINT, "scale": 0.5, "cap": 0.2}, "epsilon": 0.05,
+    }, 0),
+    ("cube_3d", "cousin", {
+        "current": {"kind": "cube_set", "region": {
+            "root": {"corner": [0.0, 0.0, 0.0], "side": 1.0},
+            "cubes": [{"generation": 0, "corner": [0, 0, 0]}]}},
+        "gauge": {"kind": "constant", "value": 1.0}, "eta": 0.01,
     }, 0),
 ]
 
