@@ -332,8 +332,8 @@ def run_minkowski(config: dict) -> int:
     T = _build_current(config.get("current", {}))
     E = _build_exceptional(config.get("exceptional_set", {"kind": "empty"}), T)
     grid = config.get("grid", {})
-    r0 = float(grid.get("r0", 0.2))
-    q = float(grid.get("q", 0.7))
+    r0 = float(_positive(grid, "r0", 0.2))
+    q = float(_positive(grid, "q", 0.7))
     steps = _integer(grid, "steps", 12)
     evidence = minkowski.excisability_evidence(T, E, r0, q, steps)
     reports.write_json(out / "report.json", evidence.as_dict())

@@ -77,8 +77,8 @@ class Gauge:
 
     @classmethod
     def constant(cls, c: float) -> "Gauge":
-        if c <= 0:
-            raise ValueError("constant gauges must be positive")
+        if not 0 < c < math.inf:
+            raise ValueError(f"constant gauges must be positive and finite, not {c!r}")
         return cls((("const", c, 0.0, None),))
 
     @classmethod
@@ -124,8 +124,8 @@ class RegularityFn:
 
     @classmethod
     def constant(cls, value: float) -> "RegularityFn":
-        if value < 0:
-            raise ValueError("regularity thresholds are nonnegative")
+        if not 0 <= value < math.inf:
+            raise ValueError(f"regularity thresholds are finite and nonnegative, not {value!r}")
         return cls(value=value)
 
     @classmethod
@@ -285,8 +285,8 @@ class PieceTable(Sequence):
                 continue
             chart.append(-1)
             if isinstance(piece, TopDimCurrent):
-                cubes += [(k, box.corner, box.side, q.generation, q.index)
-                          for q in piece.region.cubes]
+                cubes += [(k, box.corner, box.side, g, i)
+                          for g, i in zip(*(a.tolist() for a in piece.region.arrays))]
         tags = np.array([p.tag for p in pairs], dtype=float).reshape(len(pairs), -1 if pairs else 2)
         m = tags.shape[1]
         return cls(tags, *(np.array([getattr(p, c) for p in pairs], dtype=float) for c in _COLUMNS),
@@ -353,15 +353,6 @@ class TaggedFamily:
 # ---------------------------------------------------------------------------
 
 
-def _root_arrays(roots: Sequence[DyadicCube]) -> tuple[np.ndarray, ...]:
-    """Root-box corners and sides, generations and indices of the cubes, as arrays."""
-    corner = np.array([q.root.corner for q in roots], dtype=float)
-    root_side = np.array([q.root.side for q in roots], dtype=float)
-    gen = np.array([q.generation for q in roots], dtype=np.int64)
-    index = np.array([q.index for q in roots], dtype=np.int64).reshape(len(roots), -1)
-    return corner, root_side, gen, index
-
-
 def _test_points(corner: np.ndarray, side: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Centre, then corners in mask order, of each cube: an (n, 1 + 2^m, m) array."""
     lo = corner + side[:, None] * index
@@ -400,13 +391,15 @@ def _depth_first_order(rid: np.ndarray, gen: np.ndarray, index: np.ndarray) -> n
     return np.lexsort([-k for k in reversed(keys)] + [rid])
 
 
-def _fine_cubes(roots: Sequence[DyadicCube], fineness: Callable, max_generation: int,
-                max_pieces: int) -> tuple[np.ndarray, ...]:
+def _fine_cubes(corner: np.ndarray, root_side: np.ndarray, gen: np.ndarray, idx: np.ndarray,
+                fineness: Callable, max_generation: int, max_pieces: int) -> tuple[np.ndarray, ...]:
     """Cousin subdivision of every root, one generation at a time.
 
-    ``fineness`` maps an (n, m) array of points to their n values.  A cube is
-    accepted at its first test point (centre, then corners) where fineness
-    exceeds its diameter, and split into its 2^m children otherwise.  Returns
+    The roots are cubes (``gen``, ``idx``) of root boxes with corners
+    ``corner`` (n, m) and sides ``root_side`` (n,).  ``fineness`` maps an
+    (n, m) array of points to their n values.  A cube is accepted at its
+    first test point (centre, then corners) where fineness exceeds its
+    diameter, and split into its 2^m children otherwise.  Returns
     the arrays (root, generation, index, diameter, tag, fineness at tag) of
     the accepted cubes, generation by generation; ``_depth_first_order``
     puts them in the order of a depth-first run.  A cube that still fails at
@@ -415,16 +408,15 @@ def _fine_cubes(roots: Sequence[DyadicCube], fineness: Callable, max_generation:
     the accepted and pending cubes past ``max_pieces`` raises
     ``ResourceBudgetError`` before it is built.
     """
-    m = roots[0].m
+    m = idx.shape[1]
     if max_generation > 62:
         raise ValueError("Cousin subdivision holds indices in 64-bit integers: "
                          "max_generation must be at most 62")
-    corner, root_side, gen, idx = _root_arrays(roots)
-    rid = np.arange(len(roots))
+    rid = np.arange(len(gen))
     masks = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
     accepted = []
     n_accepted = 0
-    stop, stop_cube = len(roots), None  # first root that failed at the cap
+    stop, stop_bounds = len(gen), None  # first root that failed at the cap
     while len(rid):
         side = np.ldexp(root_side[rid], -gen)
         diam = side * math.sqrt(m)
@@ -443,7 +435,9 @@ def _fine_cubes(roots: Sequence[DyadicCube], fineness: Callable, max_generation:
             stop = int(rid[capped].min())
             mine = np.flatnonzero(capped & (rid == stop))
             at = mine[_depth_first_order(rid[mine], gen[mine], idx[mine])[0]]
-            stop_cube = DyadicCube(roots[stop].root, int(gen[at]), tuple(idx[at].tolist()))
+            # the bounds of the cube, as DyadicCube.bounds
+            lo = corner[stop] + side[at] * idx[at].astype(float)
+            stop_bounds = lo, lo + side[at]
         split = ~ok & (rid < stop)
         if n_accepted + (int(split.sum()) << m) > max_pieces:
             raise ResourceBudgetError(
@@ -452,8 +446,8 @@ def _fine_cubes(roots: Sequence[DyadicCube], fineness: Callable, max_generation:
         rid = np.repeat(rid[split], 1 << m)
         gen = np.repeat(gen[split] + 1, 1 << m)
         idx = (2 * idx[split][:, None, :] + masks).reshape(-1, m)
-    if stop_cube is not None:
-        lo, hi = stop_cube.bounds()
+    if stop_bounds is not None:
+        lo, hi = stop_bounds
         raise DepthError(
             f"gauge forces subdivision past generation {max_generation} "
             f"near the region [{lo.tolist()}, {hi.tolist()}]"
@@ -461,22 +455,25 @@ def _fine_cubes(roots: Sequence[DyadicCube], fineness: Callable, max_generation:
     return tuple(np.concatenate(parts) for parts in zip(*accepted))
 
 
-def _check_roots(roots: Sequence[DyadicCube], pts: np.ndarray, delta: Gauge, eta: RegularityFn):
-    """Refuse a root whose eta reaches the cube regularity or that meets the gauge's zeros.
+def _check_roots(corner: np.ndarray, root_side: np.ndarray, gen: np.ndarray, idx: np.ndarray,
+                 delta: Gauge, eta: RegularityFn):
+    """Refuse the first root whose eta reaches the cube regularity or that meets the gauge's zeros.
 
-    pts are the roots' _test_points: eta is taken at its largest there, and the
-    first and last corner are the bounds of the root.
+    The roots are given as to _fine_cubes.  eta is taken at its largest at
+    the root's _test_points, whose first and last corner are its bounds.
     """
+    m = idx.shape[1]
+    pts = _test_points(corner, np.ldexp(root_side, -gen), idx)
+    top = eta.many(pts.reshape(-1, m)).reshape(len(pts), -1).max(axis=1)
     touches = delta.zero_set.cube_distances(pts[:, 1], pts[:, -1])[0] <= 0.0
-    for q, row, touch in zip(roots, pts, touches.tolist()):
-        top = max(eta(p) for p in row)
-        if top >= CUBE_REGULARITY(q.m):
+    high = top >= CUBE_REGULARITY(m)
+    for k in np.flatnonzero(high | touches)[:1].tolist():
+        if high[k]:
             raise ValueError(
-                f"eta {top} is not below the cube regularity {CUBE_REGULARITY(q.m)}"
+                f"eta {float(top[k])} is not below the cube regularity {CUBE_REGULARITY(m)}"
             )
-        if touch:
-            raise ValueError("cousin subdivision needs a gauge positive on the domain; "
-                             "excise the zero set first")
+        raise ValueError("cousin subdivision needs a gauge positive on the domain; "
+                         "excise the zero set first")
 
 
 def _cube_masses(side: float, m: int, theta: int) -> tuple[float, float]:
@@ -489,33 +486,36 @@ def _cube_masses(side: float, m: int, theta: int) -> tuple[float, float]:
     return abs(theta) * side ** m, abs(theta) * (2 * m * side ** (m - 1))
 
 
-def _cube_table(roots: Sequence[DyadicCube], delta: Gauge, eta: RegularityFn, theta: int,
-                max_generation: int, max_pieces: int) -> PieceTable:
-    """Tagged Cousin pieces of the roots, root by root in (generation, index) order.
+def _cube_table(root: RootBox, gen: np.ndarray, index: np.ndarray, delta: Gauge,
+                eta: RegularityFn, theta: int, max_generation: int,
+                max_pieces: int) -> PieceTable:
+    """Tagged Cousin pieces of the cubes (generation, index) of root, as _fine_cubes roots.
 
-    Each root is checked first, with eta at its largest value at the root's test points.
+    The pieces come root by root in (generation, index) order.  Each root is
+    checked first, with eta at its largest value at the root's test points.
     """
-    if not roots:
+    if not len(gen):
         return _EMPTY
-    corner, root_side, gen, index = _root_arrays(roots)
-    _check_roots(roots, _test_points(corner, np.ldexp(root_side, -gen), index), delta, eta)
-    pieces = _fine_cubes(roots, delta.many, max_generation, max_pieces)
+    m = root.m
+    corner = np.broadcast_to(np.asarray(root.corner), (len(gen), m))
+    root_side = np.full(len(gen), root.side)
+    _check_roots(corner, root_side, gen, index, delta, eta)
+    pieces = _fine_cubes(corner, root_side, gen, index, delta.many, max_generation, max_pieces)
     order = np.lexsort((*pieces[2].T[::-1], pieces[1], pieces[0]))  # by root, generation, index
     rid, gen, idx, diam, tags, vals = (a[order] for a in pieces)
-    m = roots[0].m
     # a piece's side is one of few: one _cube_masses call per distinct side
-    sides, which = np.unique(np.ldexp(root_side[rid], -gen), return_inverse=True)
+    sides, which = np.unique(np.ldexp(root.side, -gen), return_inverse=True)
     masses = np.array([_cube_masses(s, m, theta) for s in sides.tolist()]).reshape(-1, 2)[which]
 
     def view(table, k):
-        cube = DyadicCube(roots[rid[k]].root, int(gen[k]), tuple(idx[k].tolist()))
-        return table._pair(k, TopDimCurrent(CubeSet(cube.root, (cube,)), theta),
-                          {"cube": cube.key()})
+        key = (int(gen[k]), tuple(idx[k].tolist()))
+        return table._pair(k, TopDimCurrent(CubeSet.of(root, gen[k:k + 1], idx[k:k + 1]), theta),
+                           {"cube": key})
 
     n = len(rid)
     return PieceTable(tags, diam, masses[:, 0], masses[:, 1], np.full(n, CUBE_REGULARITY(m)),
-                      vals, eta.many(tags), np.full(n, theta), np.full(n, -1), rid,
-                      (), tuple(q.root for q in roots),
+                      vals, eta.many(tags), np.full(n, theta), np.full(n, -1),
+                      np.zeros(n, dtype=np.int64), (), (root,),
                       (np.arange(n), corner[rid], root_side[rid], gen, idx), _EMPTY.rects,
                       _EMPTY.edges, view)
 
@@ -528,9 +528,10 @@ def cousin_decompose(domain: DyadicCube, delta: Gauge, eta: float,
     cube regularity 0.5 * m^(-3/2).  The family tiles the cube exactly, so
     the remainder is zero for every functional.
     """
-    table = _cube_table([domain], delta, RegularityFn(value=eta), theta, max_generation,
-                        MAX_PIECES)
-    parent = TopDimCurrent(CubeSet(domain.root, (domain,)), theta)
+    region = CubeSet.of(domain.root, [domain.generation], [domain.index])
+    table = _cube_table(domain.root, *region.arrays, delta, RegularityFn(value=eta), theta,
+                        max_generation, MAX_PIECES)
+    parent = TopDimCurrent(region, theta)
     return TaggedFamily(parent, table, (), 0.0, "mass", 0.0)
 
 
@@ -685,8 +686,8 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
     per_chart_budget = eps / (2.0 * p_count)
 
     if isinstance(work, TopDimCurrent):
-        table = _cube_table(work.region.cubes, delta, eta, work.theta, max_generation,
-                            max_pieces)
+        table = _cube_table(work.region.root, *work.region.arrays, delta, eta, work.theta,
+                            max_generation, max_pieces)
     else:
         # every chart piece is tiled before any piece's masses are swept
         cells = []
@@ -781,11 +782,12 @@ def _chart_cells(i: int, T: ChartCurrent, delta: Gauge, G: SubadditiveFn, budget
                 f"chart tiling needs {len(squares)} squares, over the piece budget "
                 f"({piece_budget}); decompose a smaller window or raise the budget"
             )
-        roots = [DyadicCube(RootBox((sq.x0, sq.y0), sq.x1 - sq.x0), 0, (0, 0))
-                 for sq in squares]
-        corner, side, _, _ = _root_arrays(roots)
+        # each square is the cube of generation 0 of its own root box
+        corner = np.array([(sq.x0, sq.y0) for sq in squares], dtype=float).reshape(-1, 2)
+        side = np.array([sq.x1 - sq.x0 for sq in squares], dtype=float)
         rid, gen, idx, diam, pre_tags, _ = _fine_cubes(
-            roots, _chart_fineness(chart, delta), max_generation,
+            corner, side, np.zeros(len(side), dtype=np.int64), np.zeros_like(corner, np.int64),
+            _chart_fineness(chart, delta), max_generation,
             piece_budget - sum(len(c[0]) for c in cells))
         k = _depth_first_order(rid, gen, idx)
         cells.append((np.full(len(k), i), corner[rid[k]], side[rid[k]], gen[k], idx[k], diam[k],

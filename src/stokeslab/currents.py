@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import CubeSet, DepthError, ExceptionalSet, RootBox, refine
+from .dyadic import CubeSet, DepthError, ExceptionalSet, RootBox, _corners, refine
 from .quadrature import QuadResult, integrate_1d, integrate_2d, integrate_boxes
 
 __all__ = [
@@ -179,7 +179,7 @@ def _rects(domain) -> list[Rect]:
     """A Rect, or the cubes of a planar CubeSet, as rectangles."""
     if isinstance(domain, Rect):
         return [domain]
-    return [Rect(lo[0], hi[0], lo[1], hi[1]) for lo, hi in (q.bounds() for q in domain.cubes)]
+    return [Rect(lo[0], hi[0], lo[1], hi[1]) for lo, hi in zip(*domain.bounds())]
 
 
 def _planar_edges(domain) -> list:
@@ -427,9 +427,7 @@ class TopDimCurrent(Current):
         lo, hi = self.region.bounds()
         if r >= E.cube_distances(lo, hi)[1].max(initial=0.0):
             return Slice(self.descriptor(), E, r, r, QuadResult(0.0, 0.0, 0))
-        # the corners of each cube in mask order, as DyadicCube.corners
-        masks = ((np.arange(1 << self.m)[:, None] >> np.arange(self.m)) & 1).astype(bool)
-        corners = E.distance_many(np.where(masks, hi[:, None], lo[:, None]).reshape(-1, self.m))
+        corners = E.distance_many(_corners(lo, hi).reshape(-1, self.m))
         rr = _regular_radius(lambda rad, tol: bool(np.all(np.abs(corners - rad) > tol)), r)
         total, err = 0.0, 0.0
         pieces = []
@@ -501,13 +499,15 @@ class TopDimCurrent(Current):
         return TopDimCurrent(CubeSet.of(root, kept_gen, kept_index), self.theta)
 
     def scalar_integral(self, f, tol: float) -> QuadResult:
+        bounds = zip(*self.region.bounds())
         if self.m == 1:
             results = (integrate_1d(lambda x: f(x[:, None]), lo[0], hi[0], tol=tol)
-                       for lo, hi in (q.bounds() for q in self.region.cubes))
+                       for lo, hi in bounds)
         else:
+            measures = self.region.root.measures(self.region.arrays[0])
             results = (integrate_2d(lambda x, y: f(np.stack([x, y], axis=-1)),
-                                    lo[0], hi[0], lo[1], hi[1], tol=tol * q.measure())
-                       for q in self.region.cubes for lo, hi in [q.bounds()])
+                                    lo[0], hi[0], lo[1], hi[1], tol=tol * measure)
+                       for (lo, hi), measure in zip(bounds, measures))
         return _summed(results, abs(self.theta))
 
     def tangent_integral(self, omega, tol: float) -> QuadResult:
@@ -988,7 +988,7 @@ def _cube_region_measure_in_ball(region: CubeSet, E: ExceptionalSet, r: float) -
     """
     if len(E.elements) == 1 and region.m == 2:
         (elo, ehi) = E.elements[0]
-        return _summed(_cube_ball_overlap(*q.bounds(), elo, ehi, r) for q in region.cubes)
+        return _summed(_cube_ball_overlap(lo, hi, elo, ehi, r) for lo, hi in zip(*region.bounds()))
     budget = 1e-4 * max(region.measure(), 1e-12)
     root = region.root
     outside = _ball_side(E, r, root)

@@ -5,6 +5,11 @@ measure, perimeter and diameter are exact, every set is closed, and set
 operations (union, difference, intersection, half-space cuts) stay inside
 the class because two dyadic cubes on a common root box are either nested
 or have disjoint interiors.
+
+A CubeSet is its root box and canonical arrays: int64 generations (n,) and
+indices (n, m), without repeats, covered cubes or full sibling groups, sorted
+by generation, then index.  ``CubeSet.cubes`` is a DyadicCube view built when
+first read; the certifier builds its regions from DyadicCube objects on purpose.
 """
 
 from __future__ import annotations
@@ -104,38 +109,8 @@ class DyadicCube:
         lo = np.asarray(self.root.corner) + s * np.asarray(self.index, dtype=float)
         return lo, lo + s
 
-    def center(self) -> np.ndarray:
-        lo, hi = self.bounds()
-        return 0.5 * (lo + hi)
-
-    def corners(self) -> np.ndarray:
-        lo, hi = self.bounds()
-        m = self.m
-        pts = np.empty((1 << m, m))
-        for mask in range(1 << m):
-            for d in range(m):
-                pts[mask, d] = hi[d] if (mask >> d) & 1 else lo[d]
-        return pts
-
-    def diameter(self) -> float:
-        return self.side * math.sqrt(self.m)
-
     def measure(self) -> float:
         return self.side ** self.m
-
-    def subdivide(self, max_generation: int = MAX_GENERATION) -> list["DyadicCube"]:
-        """The 2^m children, one generation deeper."""
-        if self.generation + 1 > max_generation:
-            raise DepthError(
-                f"cube at generation {self.generation} (index {self.index}) cannot be "
-                f"subdivided past generation {max_generation}"
-            )
-        children = []
-        base = tuple(2 * i for i in self.index)
-        for mask in range(1 << self.m):
-            idx = tuple(base[d] + ((mask >> d) & 1) for d in range(self.m))
-            children.append(DyadicCube(self.root, self.generation + 1, idx))
-        return children
 
     def ancestor_key(self, generation: int) -> tuple:
         shift = self.generation - generation
@@ -153,32 +128,42 @@ def cubes_payload(corner, side, gens: list[int], indices: list[list[int]]) -> di
     }
 
 
-def _canonicalize(root: RootBox, cubes: Iterable[DyadicCube]) -> tuple[DyadicCube, ...]:
-    cubes = tuple(cubes)
-    if any(q.root != root for q in cubes):
-        raise GridError("all cubes of a CubeSet must share the root box")
-    if len(cubes) < 2:
-        return cubes
-    gen = np.array([q.generation for q in cubes], dtype=np.int64)
-    index = np.array([q.index for q in cubes], dtype=np.int64)
-    # one cube per key, and none covered by an ancestor in the set
-    keys, first = np.unique(_keys(gen, index), return_index=True)
-    rows = first[~_inside(gen[first], index[first], keys)]
-    cubes, gen, index = [cubes[i] for i in rows.tolist()], gen[rows], index[rows]
-    # merge complete sibling groups into their parents, until none is left
-    while True:
-        _, group, size = np.unique(_keys(gen - 1, index >> 1), return_inverse=True,
-                                   return_counts=True)
-        full = size[group] == 1 << root.m
-        if not full.any():
-            break
-        lead = full & ~(index & 1).any(axis=1)  # the first child stands for the parent
-        gen[lead], index[lead] = gen[lead] - 1, index[lead] >> 1
-        for k in np.flatnonzero(lead).tolist():
-            cubes[k] = DyadicCube(root, int(gen[k]), tuple(index[k].tolist()))
-        keep = np.flatnonzero(~full | lead)
-        cubes, gen, index = [cubes[i] for i in keep.tolist()], gen[keep], index[keep]
-    return tuple(cubes[i] for i in np.lexsort((*index.T[::-1], gen)).tolist())
+def _canonicalize(m: int, gen: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical arrays of the cubes (generation, index) of a root box of dimension m."""
+    gen = np.array(gen, dtype=np.int64).reshape(-1)
+    index = np.array(index, dtype=np.int64).reshape(len(gen), m)
+    if len(gen) > 1:
+        # one cube per key, and none covered by an ancestor in the set
+        keys, first = np.unique(_keys(gen, index), return_index=True)
+        rows = first[~_inside(gen[first], index[first], keys)]
+        gen, index = gen[rows], index[rows]
+        # merge complete sibling groups into their parents, until none is left
+        while True:
+            _, group, size = np.unique(_keys(gen - 1, index >> 1), return_inverse=True,
+                                       return_counts=True)
+            full = size[group] == 1 << m
+            if not full.any():
+                break
+            lead = full & ~(index & 1).any(axis=1)  # the first child stands for the parent
+            gen[lead], index[lead] = gen[lead] - 1, index[lead] >> 1
+            keep = np.flatnonzero(~full | lead)
+            gen, index = gen[keep], index[keep]
+        order = np.lexsort((*index.T[::-1], gen))
+        gen, index = gen[order], index[order]
+    gen.flags.writeable = index.flags.writeable = False
+    return gen, index
+
+
+def _check_cubes(m: int, gen: np.ndarray, index: np.ndarray):
+    """Raise DyadicCube's ValueError for the first cube (generation, index) it would refuse."""
+    negative, arity = gen < 0, index.shape[1] == m
+    outside = (index < 0).any(axis=1) | (index >> np.maximum(gen, 0)[:, None] != 0).any(axis=1)
+    for k in np.flatnonzero(negative | (not arity) | outside)[:1].tolist():
+        if negative[k] or not arity:
+            raise ValueError("generation must be nonnegative" if negative[k]
+                             else "index arity does not match the root dimension")
+        raise ValueError(f"index {tuple(index[k].tolist())} outside the root box "
+                         f"at generation {int(gen[k])}")
 
 
 def refine(root: RootBox, gen: np.ndarray, index: np.ndarray, side, done,
@@ -214,35 +199,58 @@ def refine(root: RootBox, gen: np.ndarray, index: np.ndarray, side, done,
         index = (2 * index[:, None, :] + masks).reshape(-1, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CubeSet:
-    """Finite union of pairwise nonoverlapping dyadic cubes, in canonical form."""
+    """Finite union of pairwise nonoverlapping dyadic cubes, held as its canonical arrays.
+
+    Built from DyadicCube objects, ``CubeSet(root, cubes)``, or from arrays,
+    ``CubeSet.of(root, gen, index)``; equal iff the roots and canonical cubes are.
+    """
 
     root: RootBox
-    cubes: tuple[DyadicCube, ...]
+    arrays: tuple[np.ndarray, np.ndarray]
 
-    def __post_init__(self):
-        object.__setattr__(self, "cubes", _canonicalize(self.root, self.cubes))
+    def __init__(self, root: RootBox, cubes: Iterable[DyadicCube] = ()):
+        cubes = tuple(cubes)
+        if any(q.root != root for q in cubes):
+            raise GridError("all cubes of a CubeSet must share the root box")
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "arrays", _canonicalize(
+            root.m, [q.generation for q in cubes], [q.index for q in cubes]))
 
     @classmethod
     def whole(cls, root: RootBox) -> "CubeSet":
-        return cls(root, (DyadicCube(root, 0, (0,) * root.m),))
+        return cls.of(root, [0], [(0,) * root.m])
 
     @classmethod
     def empty(cls, root: RootBox) -> "CubeSet":
-        return cls(root, ())
+        return cls(root)
 
     @classmethod
     def of(cls, root: RootBox, gen: np.ndarray, index: np.ndarray) -> "CubeSet":
-        """The set of the cubes (generation, index) of root."""
-        return cls(root, tuple(DyadicCube(root, g, tuple(i))
-                               for g, i in zip(gen.tolist(), index.tolist())))
+        """The set of the cubes (generation, index) of root, checked as DyadicCube checks one."""
+        gen = np.asarray(gen, dtype=np.int64).reshape(-1)
+        index = np.asarray(index, dtype=np.int64).reshape(len(gen), -1 if len(gen) else root.m)
+        _check_cubes(root.m, gen, index)
+        out = cls.__new__(cls)
+        object.__setattr__(out, "root", root)
+        object.__setattr__(out, "arrays", _canonicalize(root.m, gen, index))
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, CubeSet):
+            return NotImplemented
+        return self.root == other.root and all(
+            np.array_equal(a, b) for a, b in zip(self.arrays, other.arrays))
+
+    def __hash__(self):
+        return hash((self.root, *(a.tobytes() for a in self.arrays)))
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Generations (n,) and indices (n, m) of the cubes, as int64 arrays."""
-        return (np.array([q.generation for q in self.cubes], dtype=np.int64),
-                np.array([q.index for q in self.cubes], dtype=np.int64).reshape(-1, self.m))
+    def cubes(self) -> tuple[DyadicCube, ...]:
+        """The cubes as DyadicCube objects, in canonical order: a view built when first read."""
+        return tuple(DyadicCube(self.root, g, tuple(i))
+                     for g, i in zip(*(a.tolist() for a in self.arrays)))
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper corners (n, m) of the cubes, the bits of DyadicCube.bounds."""
@@ -253,7 +261,7 @@ class CubeSet:
         return self.root.m
 
     def is_empty(self) -> bool:
-        return not self.cubes
+        return not len(self.arrays[0])
 
     # -- exact scalar geometry ------------------------------------------------
 
@@ -262,12 +270,12 @@ class CubeSet:
         return math.fsum(self.root.measures(self.arrays[0]))
 
     def diameter(self) -> float:
-        if not self.cubes:
+        if self.is_empty():
             raise ValueError("diameter of the empty set is undefined")
-        if len(self.cubes) == 1:  # the pairwise maximum below, at opposite corners
-            lo, hi = self.cubes[0].bounds()
-            return float(np.sqrt(((hi - lo) ** 2).sum()))
-        pts = np.unique(np.vstack([q.corners() for q in self.cubes]), axis=0)
+        lo, hi = self.bounds()
+        if len(lo) == 1:  # the pairwise maximum below, at opposite corners
+            return float(np.sqrt(((hi[0] - lo[0]) ** 2).sum()))
+        pts = np.unique(_corners(lo, hi).reshape(-1, self.m), axis=0)
         if self.m == 1:
             # sqrt(d * d) == |d| in IEEE arithmetic: the pairwise maximum below
             return float(np.ptp(pts))
@@ -282,7 +290,7 @@ class CubeSet:
         return float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
     def _finest_generation(self) -> int:
-        return max((q.generation for q in self.cubes), default=0)
+        return int(self.arrays[0].max(initial=0))
 
     def _boundary_cells(self):
         """Uncancelled oriented facet pieces at integer coordinates of the finest generation.
@@ -294,12 +302,12 @@ class CubeSet:
         G = self._finest_generation()
         rests = [tuple(d for d in range(self.m) if d != axis) for axis in range(self.m)]
         groups: dict[tuple, tuple[list, list]] = {}
-        for q in self.cubes:
-            scale = 1 << (G - q.generation)
-            lo = tuple(i * scale for i in q.index)
+        for g, index in zip(*(a.tolist() for a in self.arrays)):
+            scale = 1 << (G - g)
+            lo = tuple(i * scale for i in index)
             hi = tuple(l + scale for l in lo)
             for axis, rest in enumerate(rests):
-                facet = (q.generation, tuple(lo[d] for d in rest), tuple(hi[d] for d in rest))
+                facet = (g, tuple(lo[d] for d in rest), tuple(hi[d] for d in rest))
                 groups.setdefault((axis, lo[axis]), ([], []))[1].append(facet)
                 groups.setdefault((axis, hi[axis]), ([], []))[0].append(facet)
         for (axis, coord), (plus, minus) in groups.items():
@@ -350,8 +358,7 @@ class CubeSet:
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         out = np.zeros(len(pts), dtype=bool)
-        for q in self.cubes:
-            lo, hi = q.bounds()
+        for lo, hi in zip(*self.bounds()):
             out |= np.all((pts >= lo) & (pts <= hi), axis=1)
         return out
 
@@ -361,8 +368,7 @@ class CubeSet:
             raise GridError("line queries are only supported in the plane")
         other = 1 - axis
         intervals = []
-        for q in self.cubes:
-            lo, hi = q.bounds()
+        for lo, hi in zip(*self.bounds()):
             if lo[other] <= coordinate <= hi[other]:
                 a, b = max(t0, lo[axis]), min(t1, hi[axis])
                 if a < b:
@@ -373,16 +379,17 @@ class CubeSet:
 
     def union(self, other: "CubeSet") -> "CubeSet":
         self._check_grid(other)
-        return CubeSet(self.root, self.cubes + other.cubes)
+        return CubeSet.of(self.root, *map(np.concatenate, zip(self.arrays, other.arrays)))
 
     def intersection(self, other: "CubeSet") -> "CubeSet":
         self._check_grid(other)
-        mine = {q.key() for q in self.cubes}
-        theirs = {q.key() for q in other.cubes}
-        # the cubes of each set inside a cube of the other, in this order
-        picked = (q for cubes, keys in ((other.cubes, mine), (self.cubes, theirs)) for q in cubes
-                  if any(q.ancestor_key(g) in keys for g in range(q.generation + 1)))
-        return CubeSet(self.root, tuple(picked))
+        # the cubes of each set equal to or inside a cube of the other
+        picked = []
+        for (gen, index), (g, i) in ((other.arrays, self.arrays), (self.arrays, other.arrays)):
+            keys = _keys(g, i)
+            within = np.isin(_keys(gen, index), keys) | _inside(gen, index, keys)
+            picked.append((gen[within], index[within]))
+        return CubeSet.of(self.root, *map(np.concatenate, zip(*picked)))
 
     def difference(self, other: "CubeSet") -> "CubeSet":
         """Set difference in O((|self| + 2^m |other|) * G), G the finest generation."""
@@ -447,11 +454,9 @@ class CubeSet:
     def from_json(cls, text: str) -> "CubeSet":
         payload = json.loads(text)
         root = RootBox(tuple(payload["root"]["corner"]), payload["root"]["side"])
-        cubes = tuple(
-            DyadicCube(root, entry["generation"], tuple(entry["corner"]))
-            for entry in payload["cubes"]
-        )
-        return cls(root, cubes)
+        cubes = payload["cubes"]
+        return cls.of(root, [entry["generation"] for entry in cubes],
+                      [entry["corner"] for entry in cubes])
 
 
 def _keys(gen: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -471,6 +476,12 @@ def _inside(gen: np.ndarray, index: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Whether each cube (generation, index) has a proper ancestor among the keys."""
     owner, up = _ancestors(gen, index)
     return np.bincount(owner[np.isin(up, keys)], minlength=len(gen)) > 0
+
+
+def _corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The corners (n, 2^m, m) of boxes (lo, hi): bit d of a corner's number picks hi on axis d."""
+    masks = ((np.arange(1 << lo.shape[1])[:, None] >> np.arange(lo.shape[1])) & 1).astype(bool)
+    return np.where(masks, hi[:, None], lo[:, None])
 
 
 def _merged_length(intervals: Sequence[tuple[float, float]]) -> float:
@@ -636,18 +647,3 @@ class ExceptionalSet:
         farthest = self._nearest(
             len(lo), lambda elo, ehi: np.maximum(np.maximum(elo - lo, hi - ehi), 0.0))
         return nearest, farthest
-
-    def cube_min_distance(self, cube: DyadicCube) -> float:
-        """Exact min over the closed cube of the distance to the set."""
-        return float(self.cube_distances(*(b[None] for b in cube.bounds()))[0][0])
-
-    def cube_max_distance_bound(self, cube: DyadicCube) -> float:
-        """Upper bound for max over the cube of the distance (min over elements)."""
-        return float(self.cube_distances(*(b[None] for b in cube.bounds()))[1][0])
-
-
-def neighborhood_indicator(E: ExceptionalSet, r: float, x) -> bool:
-    """True iff x lies in the open r-neighbourhood of E."""
-    if r <= 0:
-        raise ValueError("neighbourhood radius must be positive")
-    return E.distance(x) < r

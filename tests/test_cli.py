@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stokeslab import cli
+from stokeslab import certify, cli, dyadic
 from stokeslab.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_UNDECIDED, EXIT_USAGE, main
 
 
@@ -504,3 +504,76 @@ def test_saks_henstock_refuses_a_bad_budget_or_curve(tmp_path, capsys, payload, 
     assert main(["saks-henstock", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"eta": float("nan")}, "regularity thresholds are finite and nonnegative, not nan"),
+    ({"eta": float("inf")}, "regularity thresholds are finite and nonnegative, not inf"),
+    ({"gauge": {"kind": "constant", "value": float("nan")}},
+     "constant gauges must be positive and finite, not nan"),
+    ({"gauge": {"kind": "constant", "value": float("inf")}},
+     "constant gauges must be positive and finite, not inf"),
+    ({"gauge": {"kind": "distance", "to": {"kind": "point", "at": [0.5, 0.5]},
+                "cap": float("nan")}}, "constant gauges must be positive and finite, not nan"),
+])
+def test_cousin_refuses_a_threshold_or_gauge_that_is_not_finite(tmp_path, capsys, payload,
+                                                                message):
+    # eta nan used to exit 1, failing every regularity check of the certificate,
+    # and a constant gauge of value nan exited 3
+    cfg = _write_config(tmp_path, "c.json", {"current": {"kind": "unit_square"}, **payload})
+    out = tmp_path / "out"
+    assert main(["cousin", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, key", [
+    ({"r0": -1}, "r0"), ({"r0": 0}, "r0"), ({"r0": float("nan")}, "r0"),
+    ({"r0": float("inf")}, "r0"), ({"r0": True}, "r0"), ({"q": float("nan")}, "q"),
+    ({"q": -0.5}, "q"),
+])
+def test_minkowski_refuses_a_grid_that_is_not_finite_and_positive(tmp_path, capsys, grid, key):
+    # r0 -1 used to exit 0 with accepted: true and trend VANISHING, from a profile
+    # on negative radii, and r0 nan exited 2 with an all-nan profile
+    cfg = _write_config(tmp_path, "m.json", {
+        "current": {"kind": "unit_square"},
+        "exceptional_set": {"kind": "point", "at": [0.5, 0.5]},
+        "grid": grid,
+    })
+    out = tmp_path / "out"
+    assert main(["minkowski", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert f"{key} must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_excision_run_builds_no_cube_object_outside_the_certifier(tmp_path, monkeypatch):
+    # the excise_segment benchmark run: cube sets are arrays from the excision to
+    # the Cousin table, where this run used to build 6,137 DyadicCube objects
+    segment = {"kind": "segment", "from": [0.5, 0], "to": [0.5, 1]}
+    cfg = _write_config(tmp_path, "c.json", {
+        "current": {"kind": "unit_square"},
+        "exceptional_set": segment,
+        "gauge": {"kind": "distance", "to": segment, "scale": 0.5, "cap": 0.2},
+        "epsilon": 5e-2,
+    })
+    built = {"engine": 0, "certifier": 0}
+    checking = [False]
+    init, check = dyadic.DyadicCube.__post_init__, certify.check_family
+
+    def counted(self):
+        built["certifier" if checking[0] else "engine"] += 1
+        init(self)
+
+    def checked(*args, **kwargs):
+        checking[0] = True
+        try:
+            return check(*args, **kwargs)
+        finally:
+            checking[0] = False
+
+    monkeypatch.setattr(dyadic.DyadicCube, "__post_init__", counted)
+    monkeypatch.setattr(certify, "check_family", checked)
+    out = tmp_path / "out"
+    assert main(["cousin", "--config", cfg, "--out", str(out), "--seed", "1"]) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["summary"]["pieces"] > 1000
+    assert built["engine"] == 0

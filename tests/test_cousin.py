@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cube_refs import center, corners, cube_min_distance, diameter, subdivide
+
 from stokeslab import certify, cousin
 from stokeslab.cousin import (
     CUBE_REGULARITY,
@@ -22,7 +24,6 @@ from stokeslab.cousin import (
     _cube_masses,
     _depth_first_order,
     _fine_cubes,
-    _root_arrays,
     _test_points,
     _tile_rect_with_squares,
     cousin_decompose,
@@ -152,7 +153,7 @@ def test_excise_center_point_circle_bounds():
     assert info["removed_mass"] < 0.1
     assert info["slice_mass"] <= 2.0 * math.pi * 0.15 + 1e-6
     # support clears the excised ball
-    assert all(E.cube_min_distance(q) >= r - 1e-12 for q in T_eps.region.cubes)
+    assert all(cube_min_distance(E, q) >= r - 1e-12 for q in T_eps.region.cubes)
 
 
 def test_excise_disjoint_set_is_trivial():
@@ -346,7 +347,7 @@ def test_chart_depth_error_names_region():
 
 
 def _cube_test_points(cube: DyadicCube) -> list[np.ndarray]:
-    return [cube.center()] + [c for c in cube.corners()]
+    return [center(cube)] + [c for c in corners(cube)]
 
 
 def _fine_cubes_by_stack(root: DyadicCube, fineness: Callable, max_generation: int) -> list[tuple]:
@@ -359,7 +360,7 @@ def _fine_cubes_by_stack(root: DyadicCube, fineness: Callable, max_generation: i
     stack = [root]
     while stack:
         cube = stack.pop()
-        diam = cube.diameter()
+        diam = diameter(cube)
         for p in _cube_test_points(cube):
             val = fineness(p)
             if val > diam:
@@ -367,7 +368,7 @@ def _fine_cubes_by_stack(root: DyadicCube, fineness: Callable, max_generation: i
                 break
         else:
             try:
-                stack.extend(cube.subdivide(max_generation))
+                stack.extend(subdivide(cube, max_generation))
             except DepthError as exc:
                 lo, hi = cube.bounds()
                 raise DepthError(
@@ -396,6 +397,15 @@ def _gauge_by_norm(gauge: Gauge, x) -> float:
     return best
 
 
+def _root_arrays(roots: Sequence[DyadicCube]) -> tuple[np.ndarray, ...]:
+    """Root-box corners and sides, generations and indices of the cubes, as arrays."""
+    corner = np.array([q.root.corner for q in roots], dtype=float)
+    root_side = np.array([q.root.side for q in roots], dtype=float)
+    gen = np.array([q.generation for q in roots], dtype=np.int64)
+    index = np.array([q.index for q in roots], dtype=np.int64).reshape(len(roots), -1)
+    return corner, root_side, gen, index
+
+
 def _assert_same_pieces(roots, fineness_many, fineness_one, max_generation):
     """The loop gives the stack's pieces and bits, and the stack's order once sorted."""
     try:
@@ -403,10 +413,10 @@ def _assert_same_pieces(roots, fineness_many, fineness_one, max_generation):
                     for piece in _fine_cubes_by_stack(q, fineness_one, max_generation)]
     except DepthError as exc:
         with pytest.raises(DepthError) as err:
-            _fine_cubes(roots, fineness_many, max_generation, 10 ** 9)
+            _fine_cubes(*_root_arrays(roots), fineness_many, max_generation, 10 ** 9)
         assert str(err.value) == str(exc)
         return
-    pieces = _fine_cubes(roots, fineness_many, max_generation, 10 ** 9)
+    pieces = _fine_cubes(*_root_arrays(roots), fineness_many, max_generation, 10 ** 9)
     rid, gen, idx, diam, tags, vals = (a[_depth_first_order(*pieces[:3])] for a in pieces)
     got = [DyadicCube(roots[r].root, g, tuple(i)) for r, g, i in zip(rid, gen, idx.tolist())]
     assert got == [cube for cube, _, _, _ in expected]
@@ -458,6 +468,45 @@ def test_generation_loop_matches_the_depth_first_stack(case):
     _assert_same_pieces(roots, gauge.many, lambda p: _gauge_by_norm(gauge, p), max_generation)
 
 
+def _check_roots_by_root(roots: Sequence[DyadicCube], pts: np.ndarray, delta: Gauge,
+                         eta: RegularityFn):
+    """Refuse a root whose eta reaches the cube regularity or that meets the gauge's zeros.
+
+    pts are the roots' _test_points: eta is taken at its largest there, and the
+    first and last corner are the bounds of the root.
+    """
+    touches = delta.zero_set.cube_distances(pts[:, 1], pts[:, -1])[0] <= 0.0
+    for q, row, touch in zip(roots, pts, touches.tolist()):
+        top = max(eta(p) for p in row)
+        if top >= CUBE_REGULARITY(q.m):
+            raise ValueError(
+                f"eta {top} is not below the cube regularity {CUBE_REGULARITY(q.m)}"
+            )
+        if touch:
+            raise ValueError("cousin subdivision needs a gauge positive on the domain; "
+                             "excise the zero set first")
+
+
+@given(_roots_and_gauges(), st.floats(0.0, 0.2), st.floats(-0.1, 0.1), st.booleans())
+@settings(max_examples=250, deadline=None)
+def test_root_checks_refuse_the_roots_the_per_root_loop_refuses(case, level, slope, touching):
+    roots, gauge, _ = case
+    corner, root_side, gen, index = _root_arrays(roots)
+    if touching:  # a zero of the gauge at the lower corner of the last root
+        lo = corner[-1] + np.ldexp(root_side[-1], -gen[-1]) * index[-1]
+        gauge = gauge.min_with(Gauge.distance_to(ExceptionalSet.points([tuple(lo)])))
+    eta = RegularityFn.from_callable(lambda x: level + slope * float(np.sum(x)))
+    try:
+        _check_roots_by_root(roots, _test_points(corner, np.ldexp(root_side, -gen), index),
+                             gauge, eta)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            _check_roots(corner, root_side, gen, index, gauge, eta)
+        assert str(err.value) == str(exc)
+        return
+    _check_roots(corner, root_side, gen, index, gauge, eta)
+
+
 def test_depth_stop_names_the_first_root_to_fail_depth_first():
     # the deeper root reaches the cap three generations before the first one,
     # yet a depth-first run over the roots in order fails in the first root
@@ -465,7 +514,7 @@ def test_depth_stop_names_the_first_root_to_fail_depth_first():
     gauge = Gauge.constant(1e-3)
     _assert_same_pieces(roots, gauge.many, lambda p: _gauge_by_norm(gauge, p), 5)
     with pytest.raises(DepthError, match=r"\[\[0\.96875, 0\.96875\], \[1\.0, 1\.0\]\]"):
-        _fine_cubes(roots, gauge.many, 5, 10 ** 9)
+        _fine_cubes(*_root_arrays(roots), gauge.many, 5, 10 ** 9)
 
 
 def _chart_squares(name):
@@ -511,9 +560,9 @@ def test_chart_pieces_come_out_in_depth_first_order():
 
 def test_the_loop_stops_at_the_piece_budget():
     fineness = Gauge.constant(0.4).many
-    assert len(_fine_cubes([UNIT_CUBE], fineness, 40, 16)[0]) == 16
+    assert len(_fine_cubes(*_root_arrays([UNIT_CUBE]), fineness, 40, 16)[0]) == 16
     with pytest.raises(ResourceBudgetError, match=r"piece budget \(15\)"):
-        _fine_cubes([UNIT_CUBE], fineness, 40, 15)
+        _fine_cubes(*_root_arrays([UNIT_CUBE]), fineness, 40, 15)
     # the frontier is refused before it is built: 4.2M pieces, stopped at 65,536
     with pytest.raises(ResourceBudgetError):
         cousin_decompose(UNIT_CUBE, Gauge.constant(1e-3), 0.1)
@@ -557,7 +606,7 @@ def test_cube_pieces_carry_their_eta_and_masses():
 def _cube_pairs(roots: Sequence[DyadicCube], delta: Gauge, eta: Callable, theta: int,
                 max_generation: int, max_pieces: int) -> list[TaggedPair]:
     """Tagged Cousin pieces of the roots, root by root in (generation, index) order."""
-    rid, gen, idx, diam, tags, vals = _fine_cubes(roots, delta.many, max_generation,
+    rid, gen, idx, diam, tags, vals = _fine_cubes(*_root_arrays(roots), delta.many, max_generation,
                                                   max_pieces)
     m = roots[0].m
     pairs = []
@@ -623,9 +672,8 @@ def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
         roots = list(T.region.cubes)
         if not roots:
             return [], []
-        corner, root_side, gen, index = _root_arrays(roots)
         # one constant eta per cube: its largest value at the test points
-        _check_roots(roots, _test_points(corner, np.ldexp(root_side, -gen), index), delta, eta)
+        _check_roots(*_root_arrays(roots), delta, eta)
         return _cube_pairs(roots, delta, eta, T.theta, max_generation, piece_budget), []
     chart = T.chart
     lip = chart.lip_upper
@@ -656,7 +704,8 @@ def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
         roots = [DyadicCube(RootBox((sq.x0, sq.y0), sq.x1 - sq.x0), 0, (0, 0))
                  for sq in squares]
         rid, gen, idx, diam, pre_tags, _ = _fine_cubes(
-            roots, _chart_fineness(chart, delta), max_generation, piece_budget - len(accepted))
+            *_root_arrays(roots), _chart_fineness(chart, delta), max_generation,
+            piece_budget - len(accepted))
         for k in _depth_first_order(rid, gen, idx):
             cube = DyadicCube(roots[rid[k]].root, int(gen[k]), tuple(idx[k].tolist()))
             accepted.append((squares[rid[k]], cube, float(diam[k]), pre_tags[k]))

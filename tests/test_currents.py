@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cube_refs import center
+
 from stokeslab import forms
 from stokeslab.currents import (
     ChartCurrent,
@@ -107,7 +109,7 @@ def test_restrict_outside_caps_at_the_deepest_straddler():
     fine = DyadicCube(ROOT, 26, (2 ** 25, 2 ** 25))
     region = TopDimCurrent(CubeSet(ROOT, (DyadicCube(ROOT, 1, (0, 0)), fine)))
     E = ExceptionalSet.points([(0.5, 0.5)])
-    r = math.hypot(*(fine.center() - 0.5))
+    r = math.hypot(*(center(fine) - 0.5))
     with pytest.raises(DepthError, match="generation 26"):
         region.restrict_outside(E, r, 0.0)
 

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cube_refs import (cube_max_distance_bound, cube_min_distance, corners,
+                       neighborhood_indicator, subdivide)
+
 from stokeslab.cousin import Gauge
 from stokeslab.currents import TopDimCurrent
 from stokeslab.dyadic import (
@@ -18,7 +21,6 @@ from stokeslab.dyadic import (
     GridError,
     RootBox,
     _box_difference,
-    neighborhood_indicator,
 )
 
 ROOT = RootBox((0.0, 0.0), 1.0)
@@ -63,7 +65,7 @@ def test_perimeter_one_dimensional():
     root = RootBox((0.0,), 1.0)
     whole = CubeSet.whole(root)
     assert whole.perimeter() == 2.0
-    halves = CubeSet(root, tuple(whole.cubes[0].subdivide()))
+    halves = CubeSet(root, tuple(subdivide(whole.cubes[0])))
     assert halves.perimeter() == 2.0  # interior endpoint cancels
 
 
@@ -89,7 +91,7 @@ def test_diameter_empty_raises():
 
 def _pairwise_diameter(s: CubeSet) -> float:
     """CubeSet.diameter before its one-cube shortcut, verbatim."""
-    pts = np.unique(np.vstack([q.corners() for q in s.cubes]), axis=0)
+    pts = np.unique(np.vstack([corners(q) for q in s.cubes]), axis=0)
     if s.m == 1:
         # sqrt(d * d) == |d| in IEEE arithmetic: the pairwise maximum below
         return float(np.ptp(pts))
@@ -121,22 +123,22 @@ def test_one_cube_diameter_keeps_the_bits_of_the_pairwise_maximum(s):
 
 
 def test_subdivide_children():
-    kids = UNIT.cubes[0].subdivide()
+    kids = subdivide(UNIT.cubes[0])
     assert len(kids) == 4
     assert math.fsum(k.measure() for k in kids) == 1.0
-    grandkid = kids[0].subdivide()[0]
+    grandkid = subdivide(kids[0])[0]
     assert grandkid.side == 0.25
 
 
 def test_subdivide_interval():
     root = RootBox((0.0,), 1.0)
-    kids = CubeSet.whole(root).cubes[0].subdivide()
+    kids = subdivide(CubeSet.whole(root).cubes[0])
     assert len(kids) == 2
 
 
 def test_subdivide_depth_guard():
     with pytest.raises(DepthError):
-        _cube(2, 0, 0).subdivide(max_generation=2)
+        subdivide(_cube(2, 0, 0), max_generation=2)
 
 
 def test_neighborhood_indicator_point():
@@ -153,8 +155,8 @@ def test_neighborhood_indicator_thin_box_clamps():
 
 
 def test_canonicalization_merges_and_dedups():
-    kids = UNIT.cubes[0].subdivide()
-    redundant = CubeSet(ROOT, tuple(kids) + (kids[0],) + tuple(kids[1].subdivide()))
+    kids = subdivide(UNIT.cubes[0])
+    redundant = CubeSet(ROOT, tuple(kids) + (kids[0],) + tuple(subdivide(kids[1])))
     assert redundant == UNIT
     assert CubeSet(ROOT, redundant.cubes) == redundant
 
@@ -197,7 +199,7 @@ def test_subdivision_preserves_measure_exactly(seed):
     g = int(rng.integers(0, 5))
     idx = tuple(int(v) for v in rng.integers(0, 2 ** g, size=2))
     q = DyadicCube(ROOT, g, idx)
-    assert math.fsum(c.measure() for c in q.subdivide()) == q.measure()
+    assert math.fsum(c.measure() for c in subdivide(q)) == q.measure()
 
 
 def _random_complex(rng, max_cubes=12):
@@ -258,8 +260,8 @@ def test_exceptional_set_segment_validation():
 def test_cube_min_max_distance():
     E = ExceptionalSet.points([(0.0, 0.0)])
     q = _cube(1, 1, 1)  # [0.5, 1]^2
-    assert E.cube_min_distance(q) == pytest.approx(math.hypot(0.5, 0.5), abs=1e-15)
-    assert E.cube_max_distance_bound(q) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert cube_min_distance(E, q) == pytest.approx(math.hypot(0.5, 0.5), abs=1e-15)
+    assert cube_max_distance_bound(E, q) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 def _difference_by_scan(a, b):
@@ -277,7 +279,7 @@ def _difference_by_scan(a, b):
         ):
             out.append(q)
             return
-        for child in q.subdivide():
+        for child in subdivide(q):
             push(child)
 
     for q in a.cubes:
@@ -457,11 +459,11 @@ def test_every_distance_row_has_the_bits_of_the_norm(m, shape):
         g = int(rng.integers(0, 8))
         q = DyadicCube(root, g, tuple(int(i) for i in rng.integers(0, 2 ** g, m)))
         lo, hi = q.bounds()
-        assert E.cube_min_distance(q) == min(
+        assert cube_min_distance(E, q) == min(
             float(np.linalg.norm(np.maximum(np.asarray(elo) - hi, 0.0)
                                  + np.maximum(lo - np.asarray(ehi), 0.0)))
             for elo, ehi in E.elements)
-        assert E.cube_max_distance_bound(q) == min(
+        assert cube_max_distance_bound(E, q) == min(
             float(np.linalg.norm(np.maximum(np.maximum(np.asarray(elo) - lo,
                                                        hi - np.asarray(ehi)), 0.0)))
             for elo, ehi in E.elements)

@@ -1,13 +1,15 @@
 """The array ``refine`` and its callers against the object-by-object code they replaced.
 
 The references below are the per-cube ``refine``, ``_ball_side``,
-``_canonicalize``, ``CubeSet.difference``, ``CubeSet.restrict_half_space``,
+``_canonicalize``, ``CubeSet.of``, ``CubeSet.from_json``,
+``CubeSet.intersection``, ``CubeSet.difference``, ``CubeSet.restrict_half_space``,
 the ball sandwich of ``_cube_region_measure_in_ball`` and the per-cube
 cube-to-set distances, kept as they were written before the array versions;
 each array version must give equal sets, fsums with the same bits and the
 same straddlers in the same order.
 """
 
+import json
 import math
 import re
 
@@ -15,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from cube_refs import cube_max_distance_bound, cube_min_distance, subdivide
 
 from stokeslab import currents, dyadic
 from stokeslab.cli import _build_current
@@ -28,6 +32,7 @@ from stokeslab.dyadic import (
     ExceptionalSet,
     GridError,
     RootBox,
+    cubes_payload,
     refine,
 )
 
@@ -57,7 +62,7 @@ def _refine_objects(cubes, side, done, max_generation: int):
         if (not straddlers or done(straddlers)
                 or max(q.generation for q in straddlers) >= max_generation):
             return kept, straddlers
-        pending = [c for q in straddlers for c in q.subdivide(max_generation)]
+        pending = [c for q in straddlers for c in subdivide(q, max_generation)]
 
 
 def _cube_min_distance(E: ExceptionalSet, cube: DyadicCube) -> float:
@@ -118,6 +123,32 @@ def _canonicalize_objects(root: RootBox, cubes) -> tuple[DyadicCube, ...]:
                 kept[pkey] = DyadicCube(root, g, idx)
                 changed = True
     return tuple(kept[k] for k in sorted(kept))
+
+
+def _of_objects(root: RootBox, gen: np.ndarray, index: np.ndarray) -> CubeSet:
+    """The set of the cubes (generation, index) of root."""
+    return CubeSet(root, tuple(DyadicCube(root, g, tuple(i))
+                               for g, i in zip(gen.tolist(), index.tolist())))
+
+
+def _from_json_objects(text: str) -> CubeSet:
+    payload = json.loads(text)
+    root = RootBox(tuple(payload["root"]["corner"]), payload["root"]["side"])
+    cubes = tuple(
+        DyadicCube(root, entry["generation"], tuple(entry["corner"]))
+        for entry in payload["cubes"]
+    )
+    return CubeSet(root, cubes)
+
+
+def _intersection_objects(self: CubeSet, other: CubeSet) -> CubeSet:
+    self._check_grid(other)
+    mine = {q.key() for q in self.cubes}
+    theirs = {q.key() for q in other.cubes}
+    # the cubes of each set inside a cube of the other, in this order
+    picked = (q for cubes, keys in ((other.cubes, mine), (self.cubes, theirs)) for q in cubes
+              if any(q.ancestor_key(g) in keys for g in range(q.generation + 1)))
+    return CubeSet(self.root, tuple(picked))
 
 
 def _difference_objects(self: CubeSet, other: CubeSet) -> CubeSet:
@@ -308,7 +339,7 @@ def _cube_lists(draw):
         q = DyadicCube(root, g, tuple(draw(st.integers(0, 2 ** g - 1)) for _ in range(m)))
         family = [q]
         for _ in range(draw(st.integers(0, 2))):  # split one cube of the family
-            family += family.pop(draw(st.integers(0, len(family) - 1))).subdivide()
+            family += subdivide(family.pop(draw(st.integers(0, len(family) - 1))))
         cubes += draw(st.permutations(family))[:len(family) - draw(st.integers(0, 1))]
         if cubes:
             cubes += draw(st.lists(st.sampled_from(cubes), max_size=2))
@@ -323,6 +354,60 @@ def test_array_canonical_form_has_the_cubes_of_the_dict_one(case):
         [q.key() for q in _canonicalize_objects(root, cubes)]
 
 
+@given(_cube_lists())
+@settings(max_examples=300, deadline=None)
+def test_cube_sets_of_arrays_equal_the_sets_of_objects(case):
+    root, cubes = case
+    gen = np.array([q.generation for q in cubes], dtype=np.int64)
+    index = np.array([q.index for q in cubes], dtype=np.int64).reshape(len(cubes), root.m)
+    s = CubeSet.of(root, gen, index)
+    expected = _of_objects(root, gen, index)
+    assert s == expected == CubeSet(root, tuple(cubes))
+    assert hash(s) == hash(expected)
+    assert s.cubes == expected.cubes == _canonicalize_objects(root, cubes)
+    g, i = s.arrays
+    assert g.dtype == i.dtype == np.int64 and i.shape == (len(s.cubes), root.m)
+    assert (g.tolist(), i.tolist()) == ([q.generation for q in s.cubes],
+                                        [list(q.index) for q in s.cubes])
+    text = s.to_json()
+    assert CubeSet.from_json(text) == _from_json_objects(text) == s
+    assert CubeSet.from_json(text).to_json() == text
+    if cubes:
+        other = RootBox(root.corner, 2.0 * root.side)
+        with pytest.raises(GridError):
+            CubeSet(root, (*cubes, DyadicCube(other, 0, (0,) * root.m)))
+
+
+@st.composite
+def _cube_arrays(draw):
+    """Generations and indices of a root box, some of them refused by DyadicCube."""
+    m = draw(st.integers(1, 3))
+    root = draw(_roots(m))
+    arity = draw(st.sampled_from([m, m, m, m + 1, max(m - 1, 1)]))
+    gen, index = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        gen.append(draw(st.integers(-1, 4)))
+        top = 1 << max(gen[-1], 0)
+        index.append([draw(st.integers(-1, top)) for _ in range(arity)])
+    return root, np.array(gen, dtype=np.int64), np.array(index, dtype=np.int64).reshape(-1, arity)
+
+
+@given(_cube_arrays())
+@settings(max_examples=400, deadline=None)
+def test_cube_sets_of_arrays_refuse_what_the_objects_refuse(case):
+    root, gen, index = case
+    text = json.dumps(cubes_payload(root.corner, root.side, gen.tolist(), index.tolist()))
+    try:
+        expected = _of_objects(root, gen, index)
+    except ValueError as exc:
+        for build in (lambda: CubeSet.of(root, gen, index), lambda: CubeSet.from_json(text)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        return
+    assert CubeSet.of(root, gen, index) == expected == CubeSet.from_json(text)
+
+
 @given(_regions(max_generation=6, max_cubes=8), st.data())
 @settings(max_examples=300, deadline=None)
 def test_difference_keeps_the_sets_of_the_object_refine(a, data):
@@ -330,6 +415,16 @@ def test_difference_keeps_the_sets_of_the_object_refine(a, data):
     b = CubeSet(a.root, tuple(DyadicCube(a.root, q.generation, q.index) for q in b.cubes))
     for x, y in ((a, b), (b, a), (CubeSet.whole(a.root), b), (a, a)):
         assert x.difference(y) == _difference_objects(x, y)
+
+
+@given(_regions(max_generation=6, max_cubes=8), st.data())
+@settings(max_examples=300, deadline=None)
+def test_intersection_and_union_keep_the_sets_of_the_object_code(a, data):
+    b = data.draw(_regions(a.m, max_generation=6, max_cubes=8))
+    b = CubeSet(a.root, tuple(DyadicCube(a.root, q.generation, q.index) for q in b.cubes))
+    for x, y in ((a, b), (b, a), (CubeSet.whole(a.root), b), (a, a), (CubeSet.empty(a.root), a)):
+        assert x.intersection(y) == _intersection_objects(x, y)
+        assert x.union(y) == CubeSet(x.root, x.cubes + y.cubes)
 
 
 @given(_regions(max_generation=4), st.integers(0, 2), st.integers(-1, 17), st.booleans(),
@@ -359,8 +454,8 @@ def test_batched_distances_carry_the_bits_of_the_per_cube_distances(region, data
     nearest, farthest = E.cube_distances(*region.bounds())
     assert nearest.tolist() == [_cube_min_distance(E, q) for q in region.cubes]
     assert farthest.tolist() == [_cube_max_distance_bound(E, q) for q in region.cubes]
-    assert [E.cube_min_distance(q) for q in region.cubes] == nearest.tolist()
-    assert [E.cube_max_distance_bound(q) for q in region.cubes] == farthest.tolist()
+    assert [cube_min_distance(E, q) for q in region.cubes] == nearest.tolist()
+    assert [cube_max_distance_bound(E, q) for q in region.cubes] == farthest.tolist()
     lo, hi = region.bounds()
     for q, a, b in zip(region.cubes, lo, hi):
         assert [a.tolist(), b.tolist()] == [v.tolist() for v in q.bounds()]
