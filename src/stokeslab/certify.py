@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import CubeSet, DyadicCube, RootBox
+from .dyadic import CubeSet, RootBox
 # integrate_2d is unused here, but perfbench/test_tracer.py checks that the tracer rebinds it
 from .quadrature import integrate_2d, integrate_boxes  # noqa: F401
 
@@ -145,8 +145,7 @@ def _cube_geometry(pairs, tags):
     for k in np.flatnonzero(counts != 1).tolist():
         run = slice(first[k], first[k] + counts[k])
         root = RootBox(tuple(corner[first[k]].tolist()), float(root_side[first[k]]))
-        region = CubeSet(root, tuple(DyadicCube(root, g, tuple(i))
-                                     for g, i in zip(gen[run].tolist(), index[run].tolist())))
+        region = CubeSet.of(root, gen[run], index[run])
         mass[k] = math.fsum(measure[run].tolist())
         perimeter[k] = region.perimeter()
         diam[k] = region.diameter()

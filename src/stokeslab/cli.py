@@ -334,7 +334,7 @@ def run_minkowski(config: dict) -> int:
     grid = config.get("grid", {})
     r0 = float(_positive(grid, "r0", 0.2))
     q = float(_positive(grid, "q", 0.7))
-    steps = _integer(grid, "steps", 12)
+    steps = _integer(grid, "steps", 12, least=3)  # the tail that _classify reads
     evidence = minkowski.excisability_evidence(T, E, r0, q, steps)
     reports.write_json(out / "report.json", evidence.as_dict())
     if evidence.profile is not None:
@@ -358,7 +358,7 @@ def run_slice(config: dict) -> int:
     grid = config.get("grid", {})
     r_min = float(grid.get("r_min", 0.02))
     r_max = float(grid.get("r_max", 0.7))
-    steps = _integer(grid, "steps", 24)
+    steps = _integer(grid, "steps", 24, least=2)  # the fewest radii of the trapezoid rule
     radii = np.linspace(r_min, r_max, steps)
     result = coarea_slice_check(T, E, radii)
     reports.slice_table_to_csv(result["radii"], result["slice_masses"], out / "slices.csv")
@@ -373,6 +373,10 @@ def run_saks_henstock(config: dict) -> int:
     out = Path(config["out_dir"])
     T = _build_current(config.get("current", {}))
     coeffs = config.get("polynomial", {"x": 1.0})
+    if not (isinstance(coeffs, dict) and set(coeffs) <= {"x", "y", "xx", "const"}
+            and all(type(v) in (int, float) and math.isfinite(v) for v in coeffs.values())):
+        raise UsageError(f"polynomial must be an object of finite numbers with keys among "
+                         f"x, y, xx and const, not {coeffs!r}")
     cx = float(coeffs.get("x", 0.0))
     cy = float(coeffs.get("y", 0.0))
     cxx = float(coeffs.get("xx", 0.0))

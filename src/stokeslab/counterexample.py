@@ -702,18 +702,6 @@ class SurfaceModel(StripModel):
 
     # -- normalized arclength and the form -------------------------------------
 
-    def u_and_du(self, x: float, y: float):
-        """u = L(x,y)/L(y) and its differential as a planar 1-covector."""
-        x, y = float(x), float(y)
-        L = self.section_length(y).value
-        Lxy = self.partial_length(x, y)
-        dyL = self.dy_section_length(y)
-        dyLxy = self.dy_partial_length(x, y)
-        px = float(self.dpsi_dx(x, y))
-        ux = math.sqrt(1.0 + px * px) / L
-        uy = (L * dyLxy - Lxy * dyL) / (L * L)
-        return Lxy / L, forms.KCovector(2, 1, np.array([ux, uy]))
-
     def tangent_frame(self, x, y):
         """Orthonormal frame (tau1, tau2, tau3); tau3 is the upward normal."""
         x = np.asarray(x, dtype=float)
@@ -845,12 +833,6 @@ class SurfaceModel(StripModel):
         px_max = max((p.h / p.lam) ** k, (p.h / p.lam) ** (k + 1))
         py_max = self._sup_dphi * (p.h ** k + p.h ** (k + 1)) / p.a ** (k + 1)
         return math.sqrt(1.0 + px_max ** 2 + py_max ** 2)
-
-    def max_regularity(self, y: float) -> float:
-        """Per-strip maximal regularity from the chart Lipschitz constants."""
-        k = int(self.strip_index(y))
-        lip = self.strip_lip_upper(k)
-        return lip ** (-2) * 2.0 ** (-1) * 2.0 ** (-1.5)
 
     def strip_chart(self, k: int):
         from .currents import ChartMap

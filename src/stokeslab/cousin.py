@@ -84,8 +84,9 @@ class Gauge:
     @classmethod
     def distance_to(cls, E: ExceptionalSet, scale: float = 1.0,
                     offset: float = 0.0) -> "Gauge":
-        if scale <= 0 or offset < 0:
-            raise ValueError("distance gauges need scale > 0 and offset >= 0")
+        if not (0 < scale < math.inf and 0 <= offset < math.inf):
+            raise ValueError(f"distance gauges need a finite scale > 0 and offset >= 0, "
+                             f"not scale {scale!r} and offset {offset!r}")
         return cls((("dist", scale, offset, E),))
 
     def min_with(self, other: "Gauge") -> "Gauge":
@@ -127,10 +128,6 @@ class RegularityFn:
         if not 0 <= value < math.inf:
             raise ValueError(f"regularity thresholds are finite and nonnegative, not {value!r}")
         return cls(value=value)
-
-    @classmethod
-    def from_callable(cls, fn: Callable) -> "RegularityFn":
-        return cls(fn=fn)
 
     def __call__(self, x) -> float:
         if self.fn is not None:

@@ -145,13 +145,6 @@ class ChartMap:
         px, py = self.gradient(x, y)
         return np.sqrt(1.0 + px ** 2 + py ** 2)
 
-    def verify_lip_upper(self, domain_bounds, samples: int = 2000, rng=None) -> bool:
-        rng = rng or np.random.default_rng(0)
-        (x0, x1, y0, y1) = domain_bounds
-        xs = rng.uniform(x0, x1, samples)
-        ys = rng.uniform(y0, y1, samples)
-        return bool(np.all(self.area_element(xs, ys) <= self.lip_upper + 1e-12))
-
 
 def graph_tangent(px, py):
     """Tangent 2-vector of a graph with partials (px, py), and its length.

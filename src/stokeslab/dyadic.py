@@ -8,15 +8,14 @@ or have disjoint interiors.
 
 A CubeSet is its root box and canonical arrays: int64 generations (n,) and
 indices (n, m), without repeats, covered cubes or full sibling groups, sorted
-by generation, then index.  ``CubeSet.cubes`` is a DyadicCube view built when
-first read; the certifier builds its regions from DyadicCube objects on purpose.
+by generation, then index.  The boundary comes from them by one refinement
+over facets, and ``CubeSet.cubes`` is a DyadicCube view built when first read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -229,8 +228,12 @@ class CubeSet:
     @classmethod
     def of(cls, root: RootBox, gen: np.ndarray, index: np.ndarray) -> "CubeSet":
         """The set of the cubes (generation, index) of root, checked as DyadicCube checks one."""
-        gen = np.asarray(gen, dtype=np.int64).reshape(-1)
-        index = np.asarray(index, dtype=np.int64).reshape(len(gen), -1 if len(gen) else root.m)
+        try:
+            gen = np.asarray(gen, dtype=np.int64).reshape(-1)
+            index = np.asarray(index, dtype=np.int64).reshape(len(gen), -1 if len(gen) else root.m)
+        except OverflowError:
+            big = max((v for a in (gen, index) for v in np.array(a, dtype=object).flat), key=abs)
+            raise ValueError(f"cube generation or index {big} does not fit in int64") from None
         _check_cubes(root.m, gen, index)
         out = cls.__new__(cls)
         object.__setattr__(out, "root", root)
@@ -289,45 +292,49 @@ class CubeSet:
         diff = pts[:, None, :] - pts[None, :, :]
         return float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
-    def _finest_generation(self) -> int:
-        return int(self.arrays[0].max(initial=0))
+    def _boundary_facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The uncancelled facet pieces (axis, orientation, generation, index) as arrays.
 
-    def _boundary_cells(self):
-        """Uncancelled oriented facet pieces at integer coordinates of the finest generation.
-
-        Yields (axis, coord, orientation, lo_tuple, hi_tuple) where the lo/hi
-        tuples span the remaining m-1 axes; a facet shared by two cubes of the
-        set cancels, and pieces of opposite orientation never overlap.
+        A piece is the face of the cube (generation, index) on its high
+        (orientation +1) or low (-1) side along the axis; each cube of the set
+        starts with its 2m faces, low then high, axis by axis.  The cell across
+        a piece decides it: a piece is dropped when that cell is in the set or
+        inside a set cube, kept when it lies outside the root box or holds no
+        set cube, and otherwise split into its 2^(m-1) children on the face.
+        The pieces are pairwise disjoint and come in rounds of generation.
         """
-        G = self._finest_generation()
-        rests = [tuple(d for d in range(self.m) if d != axis) for axis in range(self.m)]
-        groups: dict[tuple, tuple[list, list]] = {}
-        for g, index in zip(*(a.tolist() for a in self.arrays)):
-            scale = 1 << (G - g)
-            lo = tuple(i * scale for i in index)
-            hi = tuple(l + scale for l in lo)
-            for axis, rest in enumerate(rests):
-                facet = (g, tuple(lo[d] for d in rest), tuple(hi[d] for d in rest))
-                groups.setdefault((axis, lo[axis]), ([], []))[1].append(facet)
-                groups.setdefault((axis, hi[axis]), ([], []))[0].append(facet)
-        for (axis, coord), (plus, minus) in groups.items():
-            for orient, own, other in ((+1, plus, minus), (-1, minus, plus)):
-                if not (own and other):
-                    # a line with one orientation only needs no index
-                    for _, blo, bhi in own:
-                        yield axis, coord, orient, blo, bhi
-                    continue
-                for (_, blo, bhi), boxes in zip(own, _overlapping_facets(own, other, G)):
-                    pieces = _box_difference(blo, bhi, boxes) if boxes else ((blo, bhi),)
-                    for piece_lo, piece_hi in pieces:
-                        yield axis, coord, orient, piece_lo, piece_hi
+        m, (gen, index) = self.m, self.arrays
+        keys, split = _keys(gen, index), np.unique(_ancestors(gen, index)[1])
+        masks = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+        # faces[axis, high]: the masks of the children on that face
+        faces = np.array([[masks[masks[:, a] == h] for h in (0, 1)] for a in range(m)])
+        axis = np.tile(np.repeat(np.arange(m), 2), len(gen))
+        orient = np.tile([-1, 1], m * len(gen))
+        gen, index = np.repeat(gen, 2 * m), np.repeat(index, 2 * m, axis=0)
+        kept = []
+        while True:
+            across = index.copy()
+            across[np.arange(len(gen)), axis] += orient
+            key = _keys(gen, across)
+            # a split cell holds a set cube, so no set cube holds its children: only
+            # a cell across a face of a set cube itself can lie inside one
+            drop = np.isin(key, keys) | (not kept and _inside(gen, across, keys))
+            # a cell outside the root box matches no key of the set
+            go = ~drop & np.isin(key, split)
+            keep = ~drop & ~go
+            kept.append((axis[keep], orient[keep], gen[keep], index[keep]))
+            if not go.any():
+                return tuple(np.concatenate(part) for part in zip(*kept))
+            children = faces[axis[go], (orient[go] > 0).astype(int)]
+            index = (2 * index[go, None, :] + children).reshape(-1, m)
+            axis, orient, gen = (np.repeat(a[go], 1 << (m - 1)) for a in (axis, orient, gen + 1))
 
     def perimeter(self) -> float:
         """Total boundary measure with shared facets cancelled; exact."""
-        unit = self.root.side * 2.0 ** (-self._finest_generation())
-        cells = sum(math.prod(b - a for a, b in zip(lo, hi))
-                    for _, _, _, lo, hi in self._boundary_cells())
-        return cells * unit ** (self.m - 1)
+        m, G = self.m, int(self.arrays[0].max(initial=0))
+        gens, counts = np.unique(self._boundary_facets()[2], return_counts=True)
+        cells = sum(c << ((G - g) * (m - 1)) for g, c in zip(gens.tolist(), counts.tolist()))
+        return cells * (self.root.side * 2.0 ** (-G)) ** (m - 1)
 
     def boundary_segments(self):
         """Uncancelled oriented boundary facets in real coordinates.
@@ -336,19 +343,14 @@ class CubeSet:
         lo/hi bound the facet on the remaining axes; pieces from opposite
         orientations never overlap.  Only meaningful for m <= 2.
         """
-        unit = self.root.side * 2.0 ** (-self._finest_generation())
-        corner = np.asarray(self.root.corner)
-        out = []
-        for axis, coord, orient, piece_lo, piece_hi in self._boundary_cells():
-            rest = [d for d in range(self.m) if d != axis]
-            lo = [0.0] * self.m
-            hi = [0.0] * self.m
-            lo[axis] = hi[axis] = corner[axis] + coord * unit
-            for j, d in enumerate(rest):
-                lo[d] = corner[d] + piece_lo[j] * unit
-                hi[d] = corner[d] + piece_hi[j] * unit
-            out.append((axis, lo[axis], orient, tuple(lo), tuple(hi)))
-        return out
+        axis, orient, gen, index = self._boundary_facets()
+        rows, hi = np.arange(len(gen)), index + 1
+        # on the axis both corners take the face's coordinate, the cell's high side
+        # on a high face and its low side on a low one
+        index[rows, axis] = hi[rows, axis] = index[rows, axis] + (orient > 0)
+        lo, hi = (self.root.bounds(gen, corner)[0].tolist() for corner in (index, hi))
+        return [(a, l[a], o, tuple(l), tuple(h))
+                for a, o, l, h in zip(axis.tolist(), orient.tolist(), lo, hi)]
 
     # -- membership and line queries -------------------------------------------
 
@@ -454,6 +456,8 @@ class CubeSet:
     def from_json(cls, text: str) -> "CubeSet":
         payload = json.loads(text)
         root = RootBox(tuple(payload["root"]["corner"]), payload["root"]["side"])
+        if not all(map(math.isfinite, (*root.corner, root.side))):
+            raise ValueError(f"root box corner {root.corner} and side {root.side} must be finite")
         cubes = payload["cubes"]
         return cls.of(root, [entry["generation"] for entry in cubes],
                       [entry["corner"] for entry in cubes])
@@ -499,60 +503,6 @@ def _merged_length(intervals: Sequence[tuple[float, float]]) -> float:
     return total + (cur_b - cur_a)
 
 
-def _overlapping_facets(own, other, G: int) -> list[list[tuple]]:
-    """For each facet of ``own``, the boxes of the facets of ``other`` that overlap it.
-
-    Facets are (generation, lo, hi) dyadic cells of one line, at the integer
-    coordinates of generation G.  Cells are nested or disjoint, so the facets
-    overlapping a cell are the one cell of ``other`` that equals or contains
-    it, found by exact-cell lookups of its ancestors, or the cells of
-    ``other`` inside it, filed under their ancestor at each generation of
-    ``own``.  The boxes come in the order of ``other``.
-    """
-    def cell(h: int, lo: tuple) -> tuple:
-        return h, tuple(l >> (G - h) for l in lo)
-
-    cells = {cell(g, lo): j for j, (g, lo, _) in enumerate(other)}
-    other_gens = {g for g, _, _ in other}
-    own_gens = {g for g, _, _ in own}
-    inside: dict[tuple, list[int]] = {}
-    for j, (g, lo, _) in enumerate(other):
-        for h in own_gens:
-            if h < g:
-                inside.setdefault(cell(h, lo), []).append(j)
-    out = []
-    for g, lo, _ in own:
-        hits = [j for j in (cells.get(cell(h, lo)) for h in other_gens if h <= g)
-                if j is not None]
-        out.append([other[j][1:] for j in sorted(hits + inside.get(cell(g, lo), []))])
-    return out
-
-
-def _box_difference(lo, hi, others):
-    """Integer box minus a list of integer boxes, as a list of disjoint boxes."""
-    pieces = [(tuple(lo), tuple(hi))]
-    for olo, ohi in others:
-        nxt = []
-        for plo, phi in pieces:
-            if not (all(map(operator.lt, olo, phi)) and all(map(operator.lt, plo, ohi))):
-                nxt.append((plo, phi))
-                continue
-            cur_lo, cur_hi = list(plo), list(phi)
-            for d in range(len(plo)):
-                if cur_lo[d] < olo[d]:
-                    a, b = list(cur_lo), list(cur_hi)
-                    b[d] = olo[d]
-                    nxt.append((tuple(a), tuple(b)))
-                    cur_lo[d] = olo[d]
-                if cur_hi[d] > ohi[d]:
-                    a, b = list(cur_lo), list(cur_hi)
-                    a[d] = ohi[d]
-                    nxt.append((tuple(a), tuple(b)))
-                    cur_hi[d] = ohi[d]
-        pieces = nxt
-    return [(lo_, hi_) for lo_, hi_ in pieces if all(a < b for a, b in zip(lo_, hi_))]
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -575,8 +525,8 @@ class ExceptionalSet:
             hi = tuple(float(v) for v in hi)
             if len(lo) != len(hi):
                 raise ValueError("element lo/hi arity mismatch")
-            if any(a > b for a, b in zip(lo, hi)):
-                raise ValueError("element has lo > hi")
+            if not all(-math.inf < a <= b < math.inf for a, b in zip(lo, hi)):
+                raise ValueError(f"element {lo}, {hi} needs finite coordinates with lo <= hi")
             elems.append((lo, hi))
         object.__setattr__(self, "elements", tuple(elems))
 

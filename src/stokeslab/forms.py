@@ -81,11 +81,6 @@ class KVector:
         coeffs[_BASIS_INDEX[(n, k)][tuple(indices)]] = 1.0
         return cls(n, k, coeffs)
 
-    @classmethod
-    def from_vector(cls, v) -> "KVector":
-        v = np.asarray(v, dtype=float)
-        return cls(len(v), 1, v)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_refs import from_callable
+
 from stokeslab import certify
 from stokeslab.certify import _CHECK_ORDER, CertificateReport
 from stokeslab.quadrature import integrate_2d, integrate_boxes
@@ -382,7 +384,7 @@ def _family_cases(m):
     """(family, delta, eta): clean and corrupted cube families in m dimensions."""
     gauge = Gauge.constant({1: 0.1, 2: 0.15, 3: 0.5}[m])  # 16, 256 and 64 cubes
     clean = _cube_family(m, gauge)
-    high_eta = RegularityFn.from_callable(lambda x: 1.0 if x[0] > 0.5 else 0.01)
+    high_eta = from_callable(RegularityFn, lambda x: 1.0 if x[0] > 0.5 else 0.01)
     eta = RegularityFn.constant(0.01)
     return {
         "clean": (clean, gauge, eta),
@@ -412,6 +414,15 @@ def test_one_pass_checker_equals_the_per_piece_loop_on_cube_families(m, case):
     old = check_family(family, delta, eta, MASS)
     _assert_same_report(new, old)
     assert (case == "clean") == new.passed
+
+
+def test_the_checker_builds_no_cube_object_for_multi_cube_pieces(monkeypatch):
+    family, delta, eta = _family_cases(2)["multi-cube"]
+    built = []
+    init = DyadicCube.__post_init__
+    monkeypatch.setattr(DyadicCube, "__post_init__", lambda self: built.append(self) or init(self))
+    certify.check_family(family, delta, eta, MASS)
+    assert built == []
 
 
 def test_one_pass_checker_equals_the_per_piece_loop_on_a_chart_family():

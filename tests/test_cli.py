@@ -577,3 +577,49 @@ def test_excision_run_builds_no_cube_object_outside_the_certifier(tmp_path, monk
     assert main(["cousin", "--config", cfg, "--out", str(out), "--seed", "1"]) == EXIT_OK
     assert json.loads((out / "report.json").read_text())["summary"]["pieces"] > 1000
     assert built["engine"] == 0
+
+
+POINT = {"kind": "point", "at": [0.5, 0.5]}
+
+
+def _cube_region(corner, generation, index):
+    return {"kind": "cube_set", "region": {"root": {"corner": corner, "side": 1.0},
+                                           "cubes": [{"generation": generation, "corner": index}]}}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("minkowski", {"exceptional_set": {"kind": "point", "at": [float("nan"), 0.5]}},
+     "element (nan, 0.5), (nan, 0.5) needs finite coordinates"),
+    ("cousin", {"exceptional_set": {"kind": "segment", "from": [0.5, 0.0],
+                                    "to": [0.5, float("inf")]}},
+     "element (0.5, 0.0), (0.5, inf) needs finite coordinates"),
+    ("cousin", {"current": _cube_region([float("nan"), 0.0], 0, [0, 0])},
+     "root box corner (nan, 0.0) and side 1.0 must be finite"),
+    ("cousin", {"exceptional_set": POINT, "gauge": {"kind": "distance", "to": POINT,
+                                                     "scale": float("nan")}},
+     "not scale nan and offset 0.0"),
+    ("cousin", {"current": _cube_region([0.0, 0.0], 70, [2 ** 70 - 1, 0])},
+     f"cube generation or index {2 ** 70 - 1} does not fit in int64"),
+    ("minkowski", {"exceptional_set": POINT, "grid": {"steps": 1}},
+     "steps must be at least 3, not 1"),
+    ("minkowski", {"exceptional_set": POINT, "grid": {"steps": 2}},
+     "steps must be at least 3, not 2"),
+    ("slice", {"grid": {"steps": 0}}, "steps must be at least 2, not 0"),
+    ("slice", {"grid": {"steps": 1}}, "steps must be at least 2, not 1"),
+    ("saks-henstock", {"polynomial": [1, 2]}, "polynomial must be an object of finite numbers"),
+    ("saks-henstock", {"polynomial": {"x": float("nan")}}, "not {'x': nan}"),
+    ("saks-henstock", {"polynomial": {"x": True}}, "not {'x': True}"),
+    ("saks-henstock", {"polynomial": {"z": 1.0}}, "with keys among x, y, xx and const"),
+])
+def test_non_finite_geometry_and_counts_out_of_range_are_usage_errors(tmp_path, capsys, command,
+                                                                       payload, message):
+    # the nan point exited 0 with accepted: true and an all-zero profile, the
+    # infinite segment and the nan scale exited 3 on the piece budget, the nan
+    # corner exited 1 and the index past int64 exited 70 on an OverflowError;
+    # one minkowski radius exited 0 with a BOUNDED verdict, no slice radius exited
+    # 0 with an empty table, a list of coefficients exited 70 and a nan one 3
+    cfg = _write_config(tmp_path, "c.json", {"current": {"kind": "unit_square"}, **payload})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()

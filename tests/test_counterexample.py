@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from model_refs import from_callable, max_regularity, u_and_du
+
 from stokeslab.cli import EXIT_OK, main
 from stokeslab.counterexample import (
     ROW_BLOCK_POINTS,
@@ -242,8 +244,8 @@ def test_flat_degenerate_strip_area_exact():
 
 def test_u_normalization():
     for y in (0.0, 0.1, 0.21, PARAMS.y_k(2), 0.4):
-        u0, _ = MODEL.u_and_du(0.0, y)
-        u1, _ = MODEL.u_and_du(math.pi, y)
+        u0, _ = u_and_du(MODEL, 0.0, y)
+        u1, _ = u_and_du(MODEL, math.pi, y)
         assert u0 == 0.0
         assert u1 == pytest.approx(1.0, rel=1e-12)
 
@@ -251,12 +253,12 @@ def test_u_normalization():
 def test_u_strictly_increasing_in_x():
     xs = np.linspace(0.1, math.pi - 0.1, 20)
     y = 0.3
-    us = [MODEL.u_and_du(float(x), y)[0] for x in xs]
+    us = [u_and_du(MODEL, float(x), y)[0] for x in xs]
     assert all(b > a for a, b in zip(us, us[1:]))
 
 
 def test_du_at_flat_bottom():
-    u, du = MODEL.u_and_du(1.0, 0.0)
+    u, du = u_and_du(MODEL, 1.0, 0.0)
     assert u == pytest.approx(1.0 / math.pi, rel=1e-12)
     assert du.coeffs[0] == pytest.approx(1.0 / math.pi, rel=1e-12)
     assert du.coeffs[1] == pytest.approx(0.0, abs=1e-12)
@@ -276,10 +278,10 @@ def test_du_is_closed():
         s = min(1e-5, 0.02 * (y1 - y0))
         if y - s <= y0 or y + s >= y1:
             continue
-        ux_hi = MODEL.u_and_du(x, y + s)[1].coeffs[0]
-        ux_lo = MODEL.u_and_du(x, y - s)[1].coeffs[0]
-        uy_hi = MODEL.u_and_du(x + s, y)[1].coeffs[1]
-        uy_lo = MODEL.u_and_du(x - s, y)[1].coeffs[1]
+        ux_hi = u_and_du(MODEL, x, y + s)[1].coeffs[0]
+        ux_lo = u_and_du(MODEL, x, y - s)[1].coeffs[0]
+        uy_hi = u_and_du(MODEL, x + s, y)[1].coeffs[1]
+        uy_lo = u_and_du(MODEL, x - s, y)[1].coeffs[1]
         curl = (uy_hi - uy_lo) / (2 * s) - (ux_hi - ux_lo) / (2 * s)
         worst = max(worst, abs(curl))
         checked += 1
@@ -1024,7 +1026,7 @@ def test_riemann_sum_of_tangential_density_vanishes_on_families():
 
     S = build_surface_current(PARAMS)
     window = SurfaceCurrent(S.model, 0.0, PARAMS.y_k(2), 1)
-    eta = RegularityFn.from_callable(lambda p: 0.5 * S.model.max_regularity(float(p[1])))
+    eta = from_callable(RegularityFn, lambda p: 0.5 * max_regularity(S.model, float(p[1])))
     fam = gauge_decompose(window, ExceptionalSet.empty(), Gauge.constant(0.6),
                           eta, SubadditiveFn.mass(), 1e-2)
     omega = S.model.omega_field()

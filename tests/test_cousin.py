@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cube_refs import center, corners, cube_min_distance, diameter, subdivide
+from model_refs import from_callable
 
 from stokeslab import certify, cousin
 from stokeslab.cousin import (
@@ -495,7 +496,7 @@ def test_root_checks_refuse_the_roots_the_per_root_loop_refuses(case, level, slo
     if touching:  # a zero of the gauge at the lower corner of the last root
         lo = corner[-1] + np.ldexp(root_side[-1], -gen[-1]) * index[-1]
         gauge = gauge.min_with(Gauge.distance_to(ExceptionalSet.points([tuple(lo)])))
-    eta = RegularityFn.from_callable(lambda x: level + slope * float(np.sum(x)))
+    eta = from_callable(RegularityFn, lambda x: level + slope * float(np.sum(x)))
     try:
         _check_roots_by_root(roots, _test_points(corner, np.ldexp(root_side, -gen), index),
                              gauge, eta)
@@ -585,7 +586,7 @@ def test_cube_piece_masses_are_the_cube_set_bits(m):
 def test_cube_pieces_carry_their_eta_and_masses():
     E = ExceptionalSet.points([(0.0, 0.0)])
     g = Gauge.distance_to(E, 0.75, 0.05).min_with(Gauge.constant(0.8))
-    eta = RegularityFn.from_callable(lambda x: 0.01 + 0.01 * x[0])
+    eta = from_callable(RegularityFn, lambda x: 0.01 + 0.01 * x[0])
     fam = gauge_decompose(TopDimCurrent(CubeSet.whole(ROOT), 3), ExceptionalSet.empty(), g,
                           eta, MASS, 1e-3)
     keys = [p.meta["cube"] for p in fam.pairs]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import tracemalloc
 from time import perf_counter
 
@@ -20,7 +21,6 @@ from stokeslab.dyadic import (
     ExceptionalSet,
     GridError,
     RootBox,
-    _box_difference,
 )
 
 ROOT = RootBox((0.0, 0.0), 1.0)
@@ -383,12 +383,41 @@ def test_half_space_cut_matches_the_cell_reference(pair, axis, k, keep_below):
         assert s.restrict_half_space(axis, third, keep_below) == CubeSet(s.root, whole)
 
 
+def _finest_generation(self) -> int:
+    return int(self.arrays[0].max(initial=0))
+
+
+def _box_difference(lo, hi, others):
+    """Integer box minus a list of integer boxes, as a list of disjoint boxes."""
+    pieces = [(tuple(lo), tuple(hi))]
+    for olo, ohi in others:
+        nxt = []
+        for plo, phi in pieces:
+            if not (all(map(operator.lt, olo, phi)) and all(map(operator.lt, plo, ohi))):
+                nxt.append((plo, phi))
+                continue
+            cur_lo, cur_hi = list(plo), list(phi)
+            for d in range(len(plo)):
+                if cur_lo[d] < olo[d]:
+                    a, b = list(cur_lo), list(cur_hi)
+                    b[d] = olo[d]
+                    nxt.append((tuple(a), tuple(b)))
+                    cur_lo[d] = olo[d]
+                if cur_hi[d] > ohi[d]:
+                    a, b = list(cur_lo), list(cur_hi)
+                    a[d] = ohi[d]
+                    nxt.append((tuple(a), tuple(b)))
+                    cur_hi[d] = ohi[d]
+        pieces = nxt
+    return [(lo_, hi_) for lo_, hi_ in pieces if all(a < b for a, b in zip(lo_, hi_))]
+
+
 def _boundary_cells_by_scan(self):
     """Uncancelled oriented facet pieces at integer coordinates of the finest generation.
 
     The all-pairs reference: each facet is cut by every opposite facet on its line.
     """
-    G = self._finest_generation()
+    G = _finest_generation(self)
     rests = [tuple(d for d in range(self.m) if d != axis) for axis in range(self.m)]
     groups: dict[tuple, tuple[list, list]] = {}
     for q in self.cubes:
@@ -407,13 +436,58 @@ def _boundary_cells_by_scan(self):
                     yield axis, coord, orient, piece_lo, piece_hi
 
 
+def _boundary_cells(s: CubeSet):
+    """The pieces of ``_boundary_facets`` in the layout of the scan, at generation G."""
+    G = _finest_generation(s)
+    for axis, orient, g, index in zip(*(a.tolist() for a in s._boundary_facets())):
+        lo, hi = [i << (G - g) for i in index], [(i + 1) << (G - g) for i in index]
+        rest = [d for d in range(s.m) if d != axis]
+        yield (axis, (hi if orient > 0 else lo)[axis], orient,
+               tuple(lo[d] for d in rest), tuple(hi[d] for d in rest))
+
+
+def _unit_facets(m: int, pieces) -> np.ndarray:
+    """The oriented unit facets (axis, coordinate, orientation, cell) of pieces, sorted.
+
+    Every entry lies in [-1, 64] at generation 6 at most, so each facet is one
+    int64 whose base-256 digits are its entries.
+    """
+    rows = [np.empty((0, m + 2), dtype=np.int64)]
+    for axis, coord, orient, lo, hi in pieces:
+        shape = [b - a for a, b in zip(lo, hi)]
+        cells = np.indices(shape).reshape(m - 1, math.prod(shape)).T + np.array(lo, dtype=int)
+        rows.append(np.column_stack([np.tile((axis, coord, orient), (len(cells), 1)), cells]))
+    return np.sort(np.concatenate(rows) @ (1 << 8 * np.arange(m + 2)))
+
+
 @given(_cube_set_pairs())
 @settings(max_examples=300, deadline=None)
 def test_facet_cancellation_matches_the_all_pairs_scan(pair):
     a, b = pair
     # the whole root minus b is rich in coarse facets cut by several fine ones
     for s in (a, b, a.union(b), a.difference(b), CubeSet.whole(a.root).difference(b)):
-        assert list(s._boundary_cells()) == list(_boundary_cells_by_scan(s))
+        pieces = _unit_facets(s.m, _boundary_cells(s))
+        assert np.array_equal(pieces, _unit_facets(s.m, _boundary_cells_by_scan(s)))
+        assert (np.diff(pieces) > 0).all()  # pairwise disjoint
+
+
+@given(st.integers(1, 2), st.integers(0, 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_cube_has_the_segments_low_then_high_axis_by_axis(m, g, data):
+    corner = tuple(data.draw(st.floats(-1e3, 1e3)) for _ in range(m))
+    side = data.draw(st.sampled_from([1.0, 0.3, 2.5e7]))
+    index = tuple(data.draw(st.integers(0, 2 ** g - 1)) for _ in range(m))
+    unit = side * 2.0 ** -g
+    lo = [corner[d] + index[d] * unit for d in range(m)]
+    hi = [corner[d] + (index[d] + 1) * unit for d in range(m)]
+    expected = []
+    for axis in range(m):
+        for orient, coord in ((-1, lo[axis]), (1, hi[axis])):
+            face_lo, face_hi = list(lo), list(hi)
+            face_lo[axis] = face_hi[axis] = coord
+            expected.append((axis, coord, orient, tuple(face_lo), tuple(face_hi)))
+    root = RootBox(corner, side)
+    assert CubeSet.of(root, [g], [index]).boundary_segments() == expected
 
 
 def test_perimeter_of_an_excised_square_is_not_quadratic():

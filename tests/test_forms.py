@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model_refs import from_vector
+
 from stokeslab import forms
 from stokeslab.forms import (
     DegreeError,
@@ -128,7 +130,7 @@ def test_numeric_differential_of_contracted_translation_field():
     x0 = np.array([0.2, -0.1, 0.4])
     om = FormField(
         3, 1,
-        evaluate=lambda p: interior_product(KVector.from_vector(p - x0), xi),
+        evaluate=lambda p: interior_product(from_vector(KVector, p - x0), xi),
     )
     d = numeric_differential(om, np.array([0.5, 0.3, 0.9]), 1e-5)
     assert np.allclose(d.coeffs, _euler_contraction_oracle(xi.coeffs), atol=1e-8)
