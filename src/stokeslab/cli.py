@@ -47,36 +47,52 @@ def _load_config(args) -> dict:
             raise UsageError(f"cannot read config: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError("config must be a JSON object")
-    version = config.get("schema_version", SCHEMA_VERSION)
+    version = _number(config, "schema_version", SCHEMA_VERSION, integer=True)
     if version != SCHEMA_VERSION:
         raise UsageError(f"unsupported schema_version {version}")
     if args.seed is not None:
         config["seed"] = args.seed
     if args.tol is not None:
         config["tol"] = args.tol
-    config.setdefault("seed", 0)
+    config["seed"] = _number(config, "seed", 0, integer=True)
     config["out_dir"] = args.out or config.get("out_dir", "out")
     return config
 
 
-def _integer(desc: dict, key: str, default: int, least: float = -math.inf) -> int:
-    """desc[key] as an int, at least least; a fractional or non-numeric value is a usage error."""
-    value = desc.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError(f"{key} must be an integer, not {value!r}")
-    if value < least:
-        raise UsageError(f"{key} must be at least {least}, not {value}")
-    return value
+def _number(desc: dict, key, default=None, lo=None, hi=math.inf, *, integer=False,
+            where: str = "", why: str = ""):
+    """desc[key], or default where desc has no key: a JSON number, else a usage error naming key.
+
+    An integer may be written as an integral float and must lie in [lo, hi].  A real
+    is returned as a float; given lo, it must be finite and lie in (lo, hi), and without
+    lo the constructor it goes to checks it.  where names the object desc, why the bounds.
+    """
+    if not isinstance(desc, dict):
+        raise UsageError(f"{where} must be an object, not {desc!r}")
+    if key not in desc:
+        return default
+    value, name = desc[key], f"{where} {key}".lstrip()
+    if integer:
+        if type(value) is float and value.is_integer():
+            value = int(value)
+        if type(value) is not int:
+            raise UsageError(f"{name} must be an integer, not {value!r}")
+        if lo is not None and not lo <= value <= hi:
+            bound = f"be at least {lo}" if hi == math.inf else f"lie in [{lo}, {hi}]{why}"
+            raise UsageError(f"{name} must {bound}, not {value}")
+        return value
+    rule = ("a number" if lo is None else f"a number strictly between {lo} and {hi}"
+            if hi < math.inf else "a finite positive number" if lo == 0
+            else "a finite number" if lo == -math.inf else f"a finite number above {lo}")
+    if type(value) not in (int, float) or lo is not None and not lo < value < hi:
+        raise UsageError(f"{name} must be {rule}, not {value!r}")
+    return float(value)
 
 
-def _positive(config: dict, key: str, default=None):
-    """config[key], a finite positive number and not a bool; anything else is a usage error."""
-    value = config.get(key, default)
-    if not (type(value) in (int, float) and 0.0 < value < math.inf):
-        raise UsageError(f"{key} must be a finite positive number, not {value!r}")
-    return value
+def _point(desc: dict, key: str) -> tuple:
+    """desc[key], a list of JSON numbers; ExceptionalSet checks that they are finite."""
+    coords = dict(enumerate(desc[key]))
+    return tuple(_number(coords, i, where=key) for i in coords)
 
 
 def _surface_options(config: dict) -> dict:
@@ -86,34 +102,36 @@ def _surface_options(config: dict) -> dict:
     if not isinstance(desc, dict) or not set(desc) <= set(least):
         raise UsageError(f"surface_options must be an object with keys among "
                          f"{', '.join(least)}, not {desc!r}")
-    options = {key: _integer(desc, key, 0) for key in desc}
-    for key, value in options.items():
-        if value < least[key]:
-            raise UsageError(f"surface_options {key} must be at least {least[key]}, not {value}")
-    return options
+    return {key: _number(desc, key, lo=least[key], integer=True, where="surface_options")
+            for key in desc}
 
 
 def _build_current(desc: dict):
-    from .counterexample import Params, build_surface_current
+    from .counterexample import build_surface_current
     from .currents import ChartCurrent, ChartMap, Rect, TopDimCurrent
     from .dyadic import CubeSet, RootBox
 
     kind = desc.get("kind", "unit_square")
-    theta = _integer(desc, "theta", 1)
+    theta = _number(desc, "theta", 1, integer=True)
     if kind == "unit_square":
         return TopDimCurrent(CubeSet.whole(RootBox((0.0, 0.0), 1.0)), theta)
     if kind == "cube_set":
         return TopDimCurrent(CubeSet.from_json(json.dumps(desc["region"])), theta)
     if kind == "flat_graph":
-        w = float(desc.get("width", math.pi))
-        h = float(desc.get("height", 0.5))
+        w = _number(desc, "width", math.pi, 0)
+        h = _number(desc, "height", 0.5, 0)
         zeros = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
         chart = ChartMap(psi=zeros, dpsi_dx=zeros, dpsi_dy=zeros, lip_upper=1.0, name="flat")
         return ChartCurrent(Rect(0.0, w, 0.0, h), chart, theta)
     if kind == "parabolic_graph":
-        scale = float(desc.get("scale", 0.25))
-        side = float(desc.get("side", 1.0))
-        lip = math.sqrt(1.0 + (2 * scale * side) ** 2 + scale ** 2)
+        scale = _number(desc, "scale", 0.25, -math.inf)
+        side = _number(desc, "side", 1.0, 0)
+        try:
+            lip = math.sqrt(1.0 + (2 * scale * side) ** 2 + scale ** 2)
+        except OverflowError:
+            lip = math.inf
+        if lip == math.inf:
+            raise UsageError(f"scale {scale!r} with side {side!r} overflows the Lipschitz bound")
         chart = ChartMap(
             psi=lambda x, y: scale * (np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float)),
             dpsi_dx=lambda x, y: 2.0 * scale * np.asarray(x, dtype=float),
@@ -130,39 +148,29 @@ def _build_current(desc: dict):
 def _params_from(desc: dict):
     from .counterexample import Params
 
-    a = float(desc.get("a", 1.0 / 3.0))
-    h = float(desc.get("h", 1.0 / 3.0))
-    lam_inv = _integer(desc, "lambda_inverse", 4)
+    a = _number(desc, "a", 1.0 / 3.0, -math.inf)
+    h = _number(desc, "h", 1.0 / 3.0, -math.inf)
+    lam_inv = _number(desc, "lambda_inverse", 4, integer=True)
     if lam_inv < 1:
         raise ParamsError("lambda_inverse must be a positive integer")
     return Params(a=a, h=h, lam=1.0 / lam_inv)
+
+
+_FORMS = {  # kind: dimension, coefficients at p, those of the differential at p, name
+    "x_dy": (2, lambda p: [0.0, p[0]], lambda p: [1.0], "x dy"),
+    "constant_dy": (2, lambda p: [0.0, 1.0], lambda p: [0.0], "dy"),
+    "xz_dy": (3, lambda p: [0.0, p[0] * p[2], 0.0], lambda p: [p[2], 0.0, -p[0]], "x z dy"),
+}
 
 
 def _build_form(desc: dict, current=None):
     from . import forms
 
     kind = desc.get("kind", "x_dy")
-    if kind == "x_dy":
-        return forms.FormField(
-            2, 1,
-            evaluate=lambda p: forms.KCovector(2, 1, [0.0, p[0]]),
-            differential=lambda p: forms.KCovector(2, 2, [1.0]),
-            name="x dy",
-        )
-    if kind == "constant_dy":
-        return forms.FormField(
-            2, 1,
-            evaluate=lambda p: forms.KCovector(2, 1, [0.0, 1.0]),
-            differential=lambda p: forms.KCovector(2, 2, [0.0]),
-            name="dy",
-        )
-    if kind == "xz_dy":
-        return forms.FormField(
-            3, 1,
-            evaluate=lambda p: forms.KCovector(3, 1, [0.0, p[0] * p[2], 0.0]),
-            differential=lambda p: forms.KCovector(3, 2, [p[2], 0.0, -p[0]]),
-            name="x z dy",
-        )
+    if kind in _FORMS:
+        n, form, d, name = _FORMS[kind]
+        return forms.FormField(n, 1, evaluate=lambda p: forms.KCovector(n, 1, form(p)),
+                               differential=lambda p: forms.KCovector(n, 2, d(p)), name=name)
     if kind == "counterexample_omega":
         from .currents import SurfaceCurrent
 
@@ -180,11 +188,11 @@ def _build_exceptional(desc: dict, current=None):
     if kind == "empty":
         return ExceptionalSet.empty()
     if kind == "point":
-        return ExceptionalSet.points([tuple(desc["at"])])
+        return ExceptionalSet.points([_point(desc, "at")])
     if kind == "segment":
-        return ExceptionalSet.segment(tuple(desc["from"]), tuple(desc["to"]))
+        return ExceptionalSet.segment(_point(desc, "from"), _point(desc, "to"))
     if kind == "box":
-        return ExceptionalSet.box(tuple(desc["lo"]), tuple(desc["hi"]))
+        return ExceptionalSet.box(_point(desc, "lo"), _point(desc, "hi"))
     if kind == "singular_set":
         if not isinstance(current, SurfaceCurrent):
             raise UsageError("singular_set refers to a counterexample current")
@@ -192,19 +200,17 @@ def _build_exceptional(desc: dict, current=None):
     raise UsageError(f"unknown exceptional-set kind {kind!r}")
 
 
-def _build_gauge(desc: dict, E=None):
+def _build_gauge(desc: dict, E):
+    """The gauge of desc; a distance gauge measures the distance to E, the run's exceptional set."""
     from .cousin import Gauge
 
     kind = desc.get("kind", "constant")
     if kind == "constant":
-        return Gauge.constant(float(desc.get("value", 0.4)))
+        return Gauge.constant(_number(desc, "value", 0.4))
     if kind == "distance":
-        if E is None:
-            E = _build_exceptional(desc["to"])
-        g = Gauge.distance_to(E, float(desc.get("scale", 1.0)), float(desc.get("offset", 0.0)))
-        if "cap" in desc:
-            g = g.min_with(Gauge.constant(float(desc["cap"])))
-        return g
+        g = Gauge.distance_to(E, _number(desc, "scale", 1.0), _number(desc, "offset", 0.0))
+        cap = _number(desc, "cap")
+        return g if cap is None else g.min_with(Gauge.constant(cap))
     raise UsageError(f"unknown gauge kind {kind!r}")
 
 
@@ -220,8 +226,8 @@ def run_cousin(config: dict) -> int:
     T = _build_current(config.get("current", {}))
     E = _build_exceptional(config.get("exceptional_set", {"kind": "empty"}), T)
     delta = _build_gauge(config.get("gauge", {"kind": "constant", "value": 0.4}), E)
-    eta = RegularityFn.constant(float(config.get("eta", 0.05)))
-    eps = float(_positive(config, "epsilon", 1e-3))
+    eta = RegularityFn.constant(_number(config, "eta", 0.05))
+    eps = _number(config, "epsilon", 1e-3, 0)
     G = SubadditiveFn.mass()
     family = gauge_decompose(T, E, delta, eta, G, eps)
     check = certify.check_family(family, delta, eta, G)
@@ -246,7 +252,7 @@ def run_stokes(config: dict) -> int:
     if omega.n != T.n:
         raise UsageError(f"form {omega.name!r} lives in R^{omega.n}, the current in R^{T.n}")
     E = _build_exceptional(config.get("exceptional_set", {"kind": "empty"}), T)
-    tol = None if config.get("tol") is None else _positive(config, "tol")
+    tol = _number(config, "tol", None, 0)
     report = integration.stokes_check(T, omega, E, tol=tol,
                                       surface_options=_surface_options(config))
     reports.write_json(out / "report.json", report.as_dict())
@@ -283,7 +289,7 @@ def run_counterexample(config: dict) -> int:
         reports.write_json(out / "report.json", payload)
         reports.write_csv(out / "annuli.csv", areas, ["k", "area", "bound"])
         return EXIT_OK
-    report = verify_failure(params, seed=_integer(config, "seed", 0), **options)
+    report = verify_failure(params, seed=config["seed"], **options)
     reports.write_json(out / "report.json", report)
     reports.write_csv(out / "strips.csv", report["strip_areas"],
                       ["k", "area", "bound", "section_length", "sup_omega",
@@ -298,30 +304,23 @@ def run_counterexample(config: dict) -> int:
 
 
 def _counterexample_options(config: dict) -> dict:
-    """The counterexample keys of config, each checked against its range.
-
-    cylindrical must be a JSON boolean.  n_strips (default 8 on the polar
-    ladder, else 12) must lie within the model's strip table; the polar run
-    reads no other key.
-    """
+    """The counterexample keys of config, each checked; the polar run reads only n_strips."""
     from .counterexample import StripModel
 
     cylindrical = config.get("cylindrical", False)
     if not isinstance(cylindrical, bool):
         raise UsageError(f"cylindrical must be true or false, not {cylindrical!r}")
     options = {"cylindrical": cylindrical,
-               "n_strips": _integer(config, "n_strips", 8 if cylindrical else 12)}
-    if not 0 <= options["n_strips"] <= StripModel.K_TABLE:
-        raise UsageError(f"n_strips must lie in [0, {StripModel.K_TABLE}], the strips of the "
-                         f"model's table, not {options['n_strips']}")
+               "n_strips": _number(config, "n_strips", 8 if cylindrical else 12, 0,
+                                   StripModel.K_TABLE, integer=True,
+                                   why=", the strips of the model's table")}
     if cylindrical:
         return options
-    for key, default in (("n_tangent_samples", 400), ("panels_per_osc", 8)):
-        options[key] = _integer(config, key, default, least=1)
-    tail_cut = options["tail_cut"] = config.get("tail_cut", 1e-12)
-    if not (type(tail_cut) in (int, float) and 0.0 < tail_cut < 1.0):
-        raise UsageError(f"tail_cut must be a number strictly between 0 and 1, not {tail_cut!r}")
-    return options
+    return options | {
+        "n_tangent_samples": _number(config, "n_tangent_samples", 400, 1, integer=True),
+        "panels_per_osc": _number(config, "panels_per_osc", 8, 1, integer=True),
+        "tail_cut": _number(config, "tail_cut", 1e-12, 0, 1),
+    }
 
 
 def run_minkowski(config: dict) -> int:
@@ -332,9 +331,9 @@ def run_minkowski(config: dict) -> int:
     T = _build_current(config.get("current", {}))
     E = _build_exceptional(config.get("exceptional_set", {"kind": "empty"}), T)
     grid = config.get("grid", {})
-    r0 = float(_positive(grid, "r0", 0.2))
-    q = float(_positive(grid, "q", 0.7))
-    steps = _integer(grid, "steps", 12, least=3)  # the tail that _classify reads
+    r0 = _number(grid, "r0", 0.2, 0, where="grid")
+    q = _number(grid, "q", 0.7, 0, where="grid")
+    steps = _number(grid, "steps", 12, 3, integer=True, where="grid")  # the tail _classify reads
     evidence = minkowski.excisability_evidence(T, E, r0, q, steps)
     reports.write_json(out / "report.json", evidence.as_dict())
     if evidence.profile is not None:
@@ -356,9 +355,9 @@ def run_slice(config: dict) -> int:
     T = _build_current(config.get("current", {}))
     E = _build_exceptional(config.get("exceptional_set", {"kind": "point", "at": [0.5, 0.5]}), T)
     grid = config.get("grid", {})
-    r_min = float(grid.get("r_min", 0.02))
-    r_max = float(grid.get("r_max", 0.7))
-    steps = _integer(grid, "steps", 24, least=2)  # the fewest radii of the trapezoid rule
+    r_min = _number(grid, "r_min", 0.02, 0, where="grid")
+    r_max = _number(grid, "r_max", 0.7, r_min, where="grid")
+    steps = _number(grid, "steps", 24, 2, integer=True, where="grid")  # the trapezoid's fewest
     radii = np.linspace(r_min, r_max, steps)
     result = coarea_slice_check(T, E, radii)
     reports.slice_table_to_csv(result["radii"], result["slice_masses"], out / "slices.csv")
@@ -372,21 +371,20 @@ def run_saks_henstock(config: dict) -> int:
 
     out = Path(config["out_dir"])
     T = _build_current(config.get("current", {}))
-    coeffs = config.get("polynomial", {"x": 1.0})
-    if not (isinstance(coeffs, dict) and set(coeffs) <= {"x", "y", "xx", "const"}
-            and all(type(v) in (int, float) and math.isfinite(v) for v in coeffs.values())):
+    coeffs, terms = config.get("polynomial", {"x": 1.0}), ("x", "y", "xx", "const")
+    try:
+        if not (isinstance(coeffs, dict) and set(coeffs) <= set(terms)):
+            raise UsageError
+        cx, cy, cxx, c0 = (_number(coeffs, t, 0.0, -math.inf) for t in terms)
+    except UsageError:
         raise UsageError(f"polynomial must be an object of finite numbers with keys among "
-                         f"x, y, xx and const, not {coeffs!r}")
-    cx = float(coeffs.get("x", 0.0))
-    cy = float(coeffs.get("y", 0.0))
-    cxx = float(coeffs.get("xx", 0.0))
-    c0 = float(coeffs.get("const", 0.0))
+                         f"x, y, xx and const, not {coeffs!r}") from None
 
     def f(pts):
         return c0 + cx * pts[:, 0] + cy * pts[:, 1] + cxx * pts[:, 0] ** 2
 
-    eps1 = float(_positive(config, "eps1", 1e-4))
-    j_hi = _integer(config, "max_j", 6, least=0)
+    eps1 = _number(config, "eps1", 1e-4, 0)
+    j_hi = _number(config, "max_j", 6, 0, integer=True)
     result = integration.saks_henstock_test(f, T, eps1, j_range=range(0, j_hi + 1))
     reports.error_curve_to_csv(result["curve"], out / "curve.csv")
     reports.write_json(out / "report.json", result)
@@ -430,7 +428,7 @@ def main(argv=None) -> int:
     runner, _ = _SUBCOMMANDS[args.command]
     try:
         config = _load_config(args)
-        np.random.seed(config.get("seed", 0) % (2 ** 32))
+        np.random.seed(config["seed"] % (2 ** 32))
         try:
             return runner(config)
         except (ParamsError, DecompositionRefusal) as exc:

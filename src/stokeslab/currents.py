@@ -492,15 +492,14 @@ class TopDimCurrent(Current):
         return TopDimCurrent(CubeSet.of(root, kept_gen, kept_index), self.theta)
 
     def scalar_integral(self, f, tol: float) -> QuadResult:
-        bounds = zip(*self.region.bounds())
-        if self.m == 1:
-            results = (integrate_1d(lambda x: f(x[:, None]), lo[0], hi[0], tol=tol)
-                       for lo, hi in bounds)
-        else:
-            measures = self.region.root.measures(self.region.arrays[0])
-            results = (integrate_2d(lambda x, y: f(np.stack([x, y], axis=-1)),
-                                    lo[0], hi[0], lo[1], hi[1], tol=tol * measure)
-                       for (lo, hi), measure in zip(bounds, measures))
+        def values(box, *coords):
+            return np.reshape(f(np.stack([c.ravel() for c in coords], axis=-1)), coords[0].shape)
+
+        # the tolerance of an interval is absolute, that of a square or cube relative to its measure
+        tols = [tol if self.m == 1 else tol * measure
+                for measure in self.region.root.measures(self.region.arrays[0])]
+        results = (integrate_boxes(values, [lo], [hi], [t])[0]
+                   for lo, hi, t in zip(*self.region.bounds(), tols))
         return _summed(results, abs(self.theta))
 
     def tangent_integral(self, omega, tol: float) -> QuadResult:

@@ -541,6 +541,8 @@ class ExceptionalSet:
     @classmethod
     def segment(cls, p0, p1) -> "ExceptionalSet":
         p0, p1 = tuple(map(float, p0)), tuple(map(float, p1))
+        if not all(map(math.isfinite, p0 + p1)):  # min and max below would drop a nan
+            raise ValueError(f"element {p0}, {p1} needs finite coordinates")
         moving = [d for d in range(len(p0)) if p0[d] != p1[d]]
         if len(moving) > 1:
             raise ValueError("segments must be axis-aligned")

@@ -1,12 +1,12 @@
 """Adaptive Gauss-Legendre quadrature with estimated absolute errors.
 
 Integrands receive numpy arrays of sample points and must return arrays of
-values.  One kernel, :func:`integrate_boxes`, serves intervals and
-rectangles, many at a time.  A panel's error is estimated as
-|fine - coarse|: its Gauss value against the sum of those of its 2**d
-children, the halves (1-D) or quadrants (2-D).  Panels with the largest
-estimated error are split first.  Each panel is evaluated once: a split
-reuses the children's values, taken for the estimate, as their coarse values.
+values.  One kernel, :func:`integrate_boxes`, serves boxes of any dimension
+d, many at a time.  A panel's error is estimated as |fine - coarse|: its
+Gauss value against the sum of those of its 2**d children, which halve it
+along every axis.  Panels with the largest estimated error are split
+first.  Each panel is evaluated once: a split reuses the children's
+values, taken for the estimate, as their coarse values.
 
 The boxes run in lockstep, in the manner of DCUHRE (Berntsen, Espelid &
 Genz, ACM TOMS 17, 1991).  Each box keeps its own heap and estimate, and in
@@ -135,7 +135,7 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12,
                     max_panels: int = 4096) -> list[QuadResult]:
     """Adaptive integrals of f over B boxes at once, one result per box.
 
-    ``lo`` and ``hi`` are the (B, d) corners of the boxes, d = 1 or 2, with
+    ``lo`` and ``hi`` are the (B, d) corners of the boxes, any d >= 1, with
     lo <= hi, and ``tol`` holds one tolerance per box.  The integrand is
     called as ``f(box, *coords)``: ``box`` holds the box index of each of N
     panels, and ``coords`` one (N, order**d) array of node coordinates per

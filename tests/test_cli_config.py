@@ -1,0 +1,182 @@
+"""Every number of a CLI config is read through one checked reader.
+
+A malformed value is a usage error (exit 64) that names its key, never a
+run that ends in a verdict, a resource stop or an internal error.
+"""
+
+import contextlib
+import copy
+import importlib.util
+import io
+import json
+import math
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stokeslab.cli import EXIT_INTERNAL, EXIT_USAGE, main
+
+ROOT = Path(__file__).resolve().parents[1]
+CUBE = {"kind": "cube_set", "region": {"root": {"corner": [0.0, 0.0, 0.0], "side": 1.0},
+                                       "cubes": [{"generation": 1, "corner": [0, 0, 0]}]}}
+POINT = {"kind": "point", "at": [0.5, 0.5]}
+FLAT = {"current": {"kind": "flat_graph"}, "form": {"kind": "xz_dy"}}
+PARABOLIC = {"current": {"kind": "parabolic_graph"}, "form": {"kind": "xz_dy"}}
+
+
+def _run(tmp_path, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("command, config, key", [
+    # exit 3, "2-D quadrature stalled ... error nan"
+    ("stokes", {**FLAT, "current": {"kind": "flat_graph", "width": math.nan}}, "width"),
+    ("stokes", {**FLAT, "current": {"kind": "flat_graph", "height": math.inf}}, "height"),
+    ("stokes", {**PARABOLIC, "current": {"kind": "parabolic_graph", "scale": math.nan}}, "scale"),
+    ("stokes", {**PARABOLIC, "current": {"kind": "parabolic_graph", "side": math.nan}}, "side"),
+    # exit 0
+    ("stokes", {**FLAT, "current": {"kind": "flat_graph", "width": True}}, "width"),
+    ("stokes", {**FLAT, "current": {"kind": "flat_graph", "width": "3"}}, "width"),
+    # exit 70 on an OverflowError of the chart's Lipschitz bound
+    ("stokes", {**PARABOLIC, "current": {"kind": "parabolic_graph", "scale": 1e308}}, "scale"),
+    # exit 2, "a must lie in (0, 1)"; h "0.3" ran
+    ("counterexample", {"current": {"kind": "counterexample", "a": math.nan}}, "a"),
+    ("counterexample", {"current": {"kind": "counterexample", "a": True}}, "a"),
+    ("counterexample", {"current": {"kind": "counterexample", "h": "0.3"}}, "h"),
+    # exit 0
+    ("slice", {"grid": {"r_min": 0.5, "r_max": 0.1}}, "r_max"),
+    ("slice", {"grid": {"r_max": True}}, "r_max"),
+    ("slice", {"grid": {"r_min": "0.1"}}, "r_min"),
+    ("cousin", {"gauge": {"kind": "constant", "value": True}}, "value"),
+    ("cousin", {"gauge": {"kind": "constant", "value": "0.4"}}, "value"),
+    ("cousin", {"exceptional_set": POINT, "gauge": {"kind": "distance", "cap": True}}, "cap"),
+    ("cousin", {"exceptional_set": POINT, "gauge": {"kind": "distance", "scale": True}}, "scale"),
+    ("cousin", {"exceptional_set": {"kind": "point", "at": [True, 0.5]}}, "at"),
+    # exit 70 on an AttributeError
+    ("minkowski", {"grid": [0.2, 0.7]}, "grid"),
+])
+def test_a_malformed_value_is_a_usage_error_naming_its_key(tmp_path, capsys, command, config,
+                                                           key):
+    assert _run(tmp_path, command, config) == EXIT_USAGE
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale, side", [(1e308, 1.0), (1e200, 1.0), (1.0, 1e308)])
+def test_an_overflowing_lipschitz_bound_is_a_usage_error(tmp_path, capsys, scale, side):
+    # (2 * scale * side) ** 2 raised an OverflowError (exit 70), or with an
+    # infinite product gave an infinite bound
+    config = {**PARABOLIC, "current": {"kind": "parabolic_graph", "scale": scale, "side": side}}
+    assert _run(tmp_path, "stokes", config) == EXIT_USAGE
+    assert "scale" in capsys.readouterr().err
+
+
+def test_a_nan_segment_end_is_refused(tmp_path, capsys):
+    # min and max dropped the nan, so the segment became the point (0.5, 0) (exit 0)
+    segment = {"kind": "segment", "from": [0.5, 0.0], "to": [0.5, math.nan]}
+    assert _run(tmp_path, "cousin", {"exceptional_set": segment}) == EXIT_USAGE
+    assert "(0.5, nan) needs finite coordinates" in capsys.readouterr().err
+
+
+def test_saks_henstock_integrates_a_cube_set_over_all_three_axes(tmp_path):
+    # the oracle integrated over the x-y face of each cube, 0.25 for the mass
+    # 0.125 of [0, 1/2]^3, so the Riemann sums failed it at every j (exit 1)
+    config = {"current": CUBE, "polynomial": {"const": 1}, "max_j": 2}
+    assert _run(tmp_path, "saks-henstock", config) == 0
+    curve = json.loads((tmp_path / "out" / "report.json").read_text())["curve"]
+    assert [row["oracle"] for row in curve] == [pytest.approx(0.125, abs=1e-15)] * 3
+
+
+# -- fuzz of the README and benchmark configs ----------------------------------------
+
+
+def _readme_config() -> dict:
+    text = (ROOT / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
+def _workload_runs():
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [run for make in module.WORKLOADS.values() for run in make(1)]
+
+
+def _numbers(node, path=()):
+    """The path of every number in a JSON tree, list items among them."""
+    if type(node) in (int, float):
+        yield path
+    elif isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _numbers(child, path + (key,))
+
+
+# cousin measures a distance gauge to the run's exceptional set, so the gauge's
+# own "to" is not read
+UNREAD = {("gauge", "to")}
+TARGETS = [(command, config, path)
+           for command, config in [("counterexample", _readme_config())]
+           + [(run.command, run.config) for run in _workload_runs()]
+           for path in _numbers(config) if path[:2] not in UNREAD]
+MALFORMED = [math.nan, math.inf, -math.inf, True, "0.5", None, [1.0]]
+# the library constructors that check these keys' values keep their messages,
+# which show a non-finite value instead of the key
+CONSTRUCTOR_CHECKED = {"value", "cap", "from", "to", "at"}
+
+
+def _mutated(config, path, value):
+    config = copy.deepcopy(config)
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return config
+
+
+def _key(path):
+    return next(key for key in reversed(path) if isinstance(key, str))
+
+
+def test_the_fuzz_reaches_every_benchmark_and_readme_key():
+    keys = {_key(path) for _, _, path in TARGETS}
+    assert keys >= {"schema_version", "a", "h", "lambda_inverse", "n_strips", "seed", "from",
+                    "to", "scale", "cap", "epsilon", "value", "x", "y", "const", "eps1", "max_j"}
+
+
+def _fuzz_run(command, config):
+    """main's exit code and stderr on config, in a fresh directory."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = _run(Path(tmp), command, config)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(target=st.sampled_from(TARGETS), value=st.sampled_from(MALFORMED))
+def test_a_malformed_number_anywhere_exits_64_naming_its_key(target, value):
+    command, config, path = target
+    code, err = _fuzz_run(command, _mutated(config, path, value))
+    assert code == EXIT_USAGE, (path, value, err)
+    key = _key(path)
+    shown = key in CONSTRUCTOR_CHECKED and isinstance(value, float) and repr(value) in err
+    assert re.search(rf"\b{key}\b", err) or shown, (path, value, err)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(target=st.sampled_from(TARGETS), sign=st.sampled_from([0, -1]))
+def test_a_zero_or_negative_number_exits_with_a_documented_code(target, sign):
+    command, config, path = target
+    node = config
+    for key in path:
+        node = node[key]
+    code, err = _fuzz_run(command, _mutated(config, path, sign * node))
+    assert code in (0, 1, 2, 3, EXIT_USAGE) and code != EXIT_INTERNAL, (path, sign, err)

@@ -427,3 +427,44 @@ def test_support_samples_are_the_bits_of_one_draw_per_sample(current):
     if isinstance(current, ChartCurrent):
         expected = current.lift(expected)
     assert current.support_samples(512, np.random.default_rng(0)).tobytes() == expected.tobytes()
+
+
+CUBE_3D = RootBox((0.0, 0.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("f, exact", [
+    (lambda pts: np.ones(len(pts)), 0.125),
+    (lambda pts: 1.0 + pts[:, 0] * pts[:, 1] * pts[:, 2], 0.126953125),
+])
+def test_a_cube_set_integral_runs_over_all_three_axes(f, exact):
+    # only the x-y face of each cube was integrated: 0.25 for the mass 0.125 of [0, 1/2]^3
+    T = TopDimCurrent(CubeSet.of(CUBE_3D, [1], [[0, 0, 0]]))
+    assert T.scalar_integral(f, 1e-12).value == pytest.approx(exact, abs=1e-15)
+
+
+def _one_box_reference(T, f, tol):
+    """The one-box kernels per cube: the 1-D tolerance absolute, the 2-D one per unit measure."""
+    from stokeslab.quadrature import integrate_1d, integrate_2d
+
+    total = 0.0
+    measures = T.region.root.measures(T.region.arrays[0])
+    for lo, hi, measure in zip(*T.region.bounds(), measures):
+        if T.m == 1:
+            total += integrate_1d(lambda x: f(x[:, None]), lo[0], hi[0], tol=tol).value
+        else:
+            total += integrate_2d(lambda x, y: f(np.stack([x, y], axis=-1)),
+                                  lo[0], hi[0], lo[1], hi[1], tol=tol * measure).value
+    return total
+
+
+@pytest.mark.parametrize("root, gen, index", [
+    (RootBox((0.25,), 1.5), [0], [[0]]),
+    (RootBox((0.25,), 1.5), [2, 3, 1], [[1], [0], [1]]),
+    (ROOT, [0], [[0, 0]]),
+    (ROOT, [1, 2, 2], [[1, 1], [0, 1], [3, 0]]),
+])
+def test_a_planar_or_linear_cube_set_integral_keeps_the_bits_of_the_one_box_kernels(root, gen,
+                                                                                      index):
+    f = lambda pts: np.exp(pts[:, 0]) * np.cos(3.0 * pts[:, -1]) + pts[:, 0] ** 2
+    T = TopDimCurrent(CubeSet.of(root, gen, index))
+    assert T.scalar_integral(f, 1e-10).value == _one_box_reference(T, f, 1e-10)

@@ -4,7 +4,10 @@
         [--base HEAD] [--workload NAME ...] [--seed 1]
 
 The base commit's committed files are exported with ``git archive`` into a
-temporary directory.
+temporary directory, and the working tree is copied beside it: its tracked
+files with their content in the working tree, and its untracked files that
+git does not ignore, such as a new module.  So both sides run from fresh
+directories of the same kind, and only the code differs between them.
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in the base tree and once in the working tree, the base
 first in even pairs and the working tree first in odd ones, so that a drift
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -35,6 +40,16 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def export_working_tree(dest: Path) -> None:
+    """Copy the working tree's tracked files and its untracked, unignored ones into dest."""
+    listing = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                             cwd=ROOT, check=True, capture_output=True).stdout
+    for name in map(os.fsdecode, filter(None, listing.split(b"\0"))):
+        if (ROOT / name).is_file():  # a tracked file deleted in the working tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def summary(values: list[float]) -> dict:
@@ -85,18 +100,21 @@ def main(argv=None) -> int:
         base_dir = Path(tmp) / "base"
         base_dir.mkdir()
         subprocess.run(["tar", "-x", "-C", str(base_dir)], input=archive, check=True)
+        head_dir = Path(tmp) / "head"
+        export_working_tree(head_dir)
         report = {"base": revision, "head": "working tree", "pairs": args.pairs,
                   "seconds": args.seconds, "seed": args.seed, "workloads": {}}
         for workload in workloads:
             results = []
             for i in range(args.pairs):
-                trees = (base_dir, ROOT) if i % 2 == 0 else (ROOT, base_dir)
+                trees = (base_dir, head_dir) if i % 2 == 0 else (head_dir, base_dir)
                 runs = {tree: run_bench(tree, workload, args.seed, args.seconds)
                         for tree in trees}
-                results.append((runs[base_dir], runs[ROOT]))
+                results.append((runs[base_dir], runs[head_dir]))
                 print(f"{workload} pair {i + 1}/{args.pairs}: batch_wall_ref "
                       f"{runs[base_dir]['metrics']['batch_wall_ref']['value']:.4g} -> "
-                      f"{runs[ROOT]['metrics']['batch_wall_ref']['value']:.4g}", file=sys.stderr)
+                      f"{runs[head_dir]['metrics']['batch_wall_ref']['value']:.4g}",
+                      file=sys.stderr)
             report["workloads"][workload] = compare(results, spec["end_to_end"])
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
