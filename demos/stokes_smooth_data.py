@@ -19,8 +19,8 @@ print("== flat square, omega = x dy: both sides equal the area")
 square = TopDimCurrent(CubeSet.whole(RootBox((0.0, 0.0), 1.0)))
 x_dy = forms.FormField(
     2, 1,
-    evaluate=lambda p: forms.KCovector(2, 1, [0.0, p[0]]),
-    differential=lambda p: forms.KCovector(2, 2, [1.0]),
+    coeffs=lambda p: np.column_stack([np.zeros(len(p)), p[:, 0]]),
+    differential=lambda p: np.ones((len(p), 1)),
     name="x dy",
 )
 report = integration.stokes_check(square, x_dy)
@@ -32,16 +32,16 @@ print("== parabolic graph with a polynomial form in space")
 scale = 0.25
 chart = ChartMap(
     psi=lambda x, y: scale * (np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float)),
-    dpsi_dx=lambda x, y: 2 * scale * np.asarray(x, dtype=float),
-    dpsi_dy=lambda x, y: scale * np.ones_like(np.asarray(x, dtype=float)),
+    gradient=lambda x, y: (2 * scale * np.asarray(x, dtype=float),
+                           scale * np.ones_like(np.asarray(x, dtype=float))),
     lip_upper=math.sqrt(1 + (2 * scale) ** 2 + scale ** 2),
     name="parabolic",
 )
 graph = ChartCurrent(Rect(0.0, 1.0, 0.0, 1.0), chart)
 xz_dy = forms.FormField(
     3, 1,
-    evaluate=lambda p: forms.KCovector(3, 1, [0.0, p[0] * p[2], 0.0]),
-    differential=lambda p: forms.KCovector(3, 2, [p[2], 0.0, -p[0]]),
+    coeffs=lambda p: np.column_stack([np.zeros(len(p)), p[:, 0] * p[:, 2], np.zeros(len(p))]),
+    differential=lambda p: np.column_stack([p[:, 2], np.zeros(len(p)), -p[:, 0]]),
     name="x z dy",
 )
 report = integration.stokes_check(graph, xz_dy)

@@ -246,7 +246,7 @@ def _check_pieces(pairs, delta, eta, report: CertificateReport) -> float:
         np.concatenate(column)[order] for column in list(zip(*parts))[1:])
 
     dval = delta.many(tags)
-    eta_val = np.array([float(eta(t)) for t in tags]) if callable(eta) else np.full(n, float(eta))
+    eta_val = eta.many(tags)
     with np.errstate(divide="ignore", invalid="ignore"):
         reg_lower = (m_val - m_err) / ((b_val + b_err) * diam)
     flagged = ~inside | (dval <= 0) | ~(diam < dval) | ~(reg_lower > eta_val)

@@ -59,6 +59,13 @@ def _load_config(args) -> dict:
     return config
 
 
+def _object(desc, where: str) -> dict:
+    """desc, which must be a JSON object, else a usage error naming where."""
+    if not isinstance(desc, dict):
+        raise UsageError(f"{where} must be an object, not {desc!r}")
+    return desc
+
+
 def _number(desc: dict, key, default=None, lo=None, hi=math.inf, *, integer=False,
             where: str = "", why: str = ""):
     """desc[key], or default where desc has no key: a JSON number, else a usage error naming key.
@@ -67,9 +74,7 @@ def _number(desc: dict, key, default=None, lo=None, hi=math.inf, *, integer=Fals
     is returned as a float; given lo, it must be finite and lie in (lo, hi), and without
     lo the constructor it goes to checks it.  where names the object desc, why the bounds.
     """
-    if not isinstance(desc, dict):
-        raise UsageError(f"{where} must be an object, not {desc!r}")
-    if key not in desc:
+    if key not in _object(desc, where):
         return default
     value, name = desc[key], f"{where} {key}".lstrip()
     if integer:
@@ -84,9 +89,13 @@ def _number(desc: dict, key, default=None, lo=None, hi=math.inf, *, integer=Fals
     rule = ("a number" if lo is None else f"a number strictly between {lo} and {hi}"
             if hi < math.inf else "a finite positive number" if lo == 0
             else "a finite number" if lo == -math.inf else f"a finite number above {lo}")
-    if type(value) not in (int, float) or lo is not None and not lo < value < hi:
+    try:  # an integer past the float range is no number
+        number = float(value) if type(value) in (int, float) else None
+    except OverflowError:
+        number = None
+    if number is None or lo is not None and not lo < number < hi:
         raise UsageError(f"{name} must be {rule}, not {value!r}")
-    return float(value)
+    return number
 
 
 def _point(desc: dict, key: str) -> tuple:
@@ -111,7 +120,7 @@ def _build_current(desc: dict):
     from .currents import ChartCurrent, ChartMap, Rect, TopDimCurrent
     from .dyadic import CubeSet, RootBox
 
-    kind = desc.get("kind", "unit_square")
+    kind = _object(desc, "current").get("kind", "unit_square")
     theta = _number(desc, "theta", 1, integer=True)
     if kind == "unit_square":
         return TopDimCurrent(CubeSet.whole(RootBox((0.0, 0.0), 1.0)), theta)
@@ -121,7 +130,7 @@ def _build_current(desc: dict):
         w = _number(desc, "width", math.pi, 0)
         h = _number(desc, "height", 0.5, 0)
         zeros = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-        chart = ChartMap(psi=zeros, dpsi_dx=zeros, dpsi_dy=zeros, lip_upper=1.0, name="flat")
+        chart = ChartMap(zeros, lambda x, y: (zeros(x, y), zeros(x, y)), 1.0, "flat")
         return ChartCurrent(Rect(0.0, w, 0.0, h), chart, theta)
     if kind == "parabolic_graph":
         scale = _number(desc, "scale", 0.25, -math.inf)
@@ -134,8 +143,8 @@ def _build_current(desc: dict):
             raise UsageError(f"scale {scale!r} with side {side!r} overflows the Lipschitz bound")
         chart = ChartMap(
             psi=lambda x, y: scale * (np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float)),
-            dpsi_dx=lambda x, y: 2.0 * scale * np.asarray(x, dtype=float),
-            dpsi_dy=lambda x, y: scale * np.ones_like(np.asarray(x, dtype=float)),
+            gradient=lambda x, y: (2.0 * scale * np.asarray(x, dtype=float),
+                                   scale * np.ones_like(np.asarray(x, dtype=float))),
             lip_upper=lip, name="parabolic",
         )
         return ChartCurrent(Rect(0.0, side, 0.0, side), chart, theta)
@@ -153,24 +162,32 @@ def _params_from(desc: dict):
     lam_inv = _number(desc, "lambda_inverse", 4, integer=True)
     if lam_inv < 1:
         raise ParamsError("lambda_inverse must be a positive integer")
-    return Params(a=a, h=h, lam=1.0 / lam_inv)
+    try:
+        lam = 1.0 / lam_inv
+    except OverflowError:
+        raise UsageError(f"lambda_inverse {lam_inv} is past the float range") from None
+    return Params(a=a, h=h, lam=lam)
 
 
-_FORMS = {  # kind: dimension, coefficients at p, those of the differential at p, name
-    "x_dy": (2, lambda p: [0.0, p[0]], lambda p: [1.0], "x dy"),
-    "constant_dy": (2, lambda p: [0.0, 1.0], lambda p: [0.0], "dy"),
-    "xz_dy": (3, lambda p: [0.0, p[0] * p[2], 0.0], lambda p: [p[2], 0.0, -p[0]], "x z dy"),
+_FORMS = {  # kind: dimension, coefficient columns and those of the differential at x, name
+    "x_dy": (2, lambda x: [0.0, x[0]], lambda x: [1.0], "x dy"),
+    "constant_dy": (2, lambda x: [0.0, 1.0], lambda x: [0.0], "dy"),
+    "xz_dy": (3, lambda x: [0.0, x[0] * x[2], 0.0], lambda x: [x[2], 0.0, -x[0]], "x z dy"),
 }
+
+
+def _columns(f):
+    """The array field of f, which gives each column from the coordinate rows x of the points."""
+    return lambda points: np.column_stack([np.broadcast_to(c, len(points)) for c in f(points.T)])
 
 
 def _build_form(desc: dict, current=None):
     from . import forms
 
-    kind = desc.get("kind", "x_dy")
+    kind = _object(desc, "form").get("kind", "x_dy")
     if kind in _FORMS:
         n, form, d, name = _FORMS[kind]
-        return forms.FormField(n, 1, evaluate=lambda p: forms.KCovector(n, 1, form(p)),
-                               differential=lambda p: forms.KCovector(n, 2, d(p)), name=name)
+        return forms.FormField(n, 1, _columns(form), _columns(d), name=name)
     if kind == "counterexample_omega":
         from .currents import SurfaceCurrent
 
@@ -180,11 +197,11 @@ def _build_form(desc: dict, current=None):
     raise UsageError(f"unknown form kind {kind!r}")
 
 
-def _build_exceptional(desc: dict, current=None):
+def _build_exceptional(desc: dict, current=None, where: str = "exceptional_set"):
     from .currents import SurfaceCurrent
     from .dyadic import ExceptionalSet
 
-    kind = desc.get("kind", "empty")
+    kind = _object(desc, where).get("kind", "empty")
     if kind == "empty":
         return ExceptionalSet.empty()
     if kind == "point":
@@ -200,15 +217,16 @@ def _build_exceptional(desc: dict, current=None):
     raise UsageError(f"unknown exceptional-set kind {kind!r}")
 
 
-def _build_gauge(desc: dict, E):
-    """The gauge of desc; a distance gauge measures the distance to E, the run's exceptional set."""
+def _build_gauge(desc: dict, E, current):
+    """The gauge of desc; a distance gauge measures the distance to its set "to", by default E."""
     from .cousin import Gauge
 
-    kind = desc.get("kind", "constant")
+    kind = _object(desc, "gauge").get("kind", "constant")
     if kind == "constant":
         return Gauge.constant(_number(desc, "value", 0.4))
     if kind == "distance":
-        g = Gauge.distance_to(E, _number(desc, "scale", 1.0), _number(desc, "offset", 0.0))
+        to = _build_exceptional(desc["to"], current, "to") if "to" in desc else E
+        g = Gauge.distance_to(to, _number(desc, "scale", 1.0), _number(desc, "offset", 0.0))
         cap = _number(desc, "cap")
         return g if cap is None else g.min_with(Gauge.constant(cap))
     raise UsageError(f"unknown gauge kind {kind!r}")
@@ -225,7 +243,7 @@ def run_cousin(config: dict) -> int:
     out = Path(config["out_dir"])
     T = _build_current(config.get("current", {}))
     E = _build_exceptional(config.get("exceptional_set", {"kind": "empty"}), T)
-    delta = _build_gauge(config.get("gauge", {"kind": "constant", "value": 0.4}), E)
+    delta = _build_gauge(config.get("gauge", {"kind": "constant", "value": 0.4}), E, T)
     eta = RegularityFn.constant(_number(config, "eta", 0.05))
     eps = _number(config, "epsilon", 1e-3, 0)
     G = SubadditiveFn.mass()
@@ -271,7 +289,7 @@ def run_counterexample(config: dict) -> int:
     from .counterexample import cylindrical_variant, verify_failure
 
     out = Path(config["out_dir"])
-    params = _params_from(config.get("current", config))
+    params = _params_from(_object(config.get("current", config), "current"))
     options = _counterexample_options(config)
     if options.pop("cylindrical"):
         model = cylindrical_variant(params)

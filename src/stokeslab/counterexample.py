@@ -561,12 +561,6 @@ class SurfaceModel(StripModel):
     def psi(self, x, y):
         return self._graph_data(x, y, 0)[0]
 
-    def dpsi_dx(self, x, y):
-        return self._graph_data(x, y, 1)[0]
-
-    def dpsi_dy(self, x, y):
-        return self._graph_data(x, y, 2)[0]
-
     def gradient(self, x, y):
         """The partials (px, py), both from one strip-data evaluation."""
         return self._graph_data(x, y, 1, 2)
@@ -762,16 +756,8 @@ class SurfaceModel(StripModel):
         return out.reshape(pts.shape)
 
     def omega_field(self) -> forms.FormField:
-        model = self
-
-        def evaluate(p):
-            return forms.KCovector(3, 1, model.omega_coeffs(p))
-
-        return forms.FormField(
-            n=3, k=1, evaluate=evaluate, evaluate_batch=model.omega_coeffs,
-            exceptional_set=self.singular_set(),
-            name="normalized-arclength form",
-        )
+        return forms.FormField(3, 1, self.omega_coeffs, exceptional_set=self.singular_set(),
+                               name="normalized-arclength form")
 
     # -- derived diagnostics ----------------------------------------------------
 
@@ -837,15 +823,7 @@ class SurfaceModel(StripModel):
     def strip_chart(self, k: int):
         from .currents import ChartMap
 
-        return ChartMap(
-            psi=self.psi,
-            dpsi_dx=self.dpsi_dx,
-            dpsi_dy=self.dpsi_dy,
-            gradient=self.gradient,
-            lip_upper=self.strip_lip_upper(k),
-            lip_inverse=1.0,
-            name=f"strip-{k}",
-        )
+        return ChartMap(self.psi, self.gradient, self.strip_lip_upper(k), f"strip-{k}")
 
 
 def build_surface_current(params: Optional[Params] = None,

@@ -118,7 +118,7 @@ class Gauge:
 
 @dataclass(frozen=True)
 class RegularityFn:
-    """Regularity threshold: a constant or a per-point callable."""
+    """Regularity threshold: a constant, or ``fn`` from an (N, m) array of points to N values."""
 
     value: Optional[float] = None
     fn: Optional[Callable] = None
@@ -129,15 +129,10 @@ class RegularityFn:
             raise ValueError(f"regularity thresholds are finite and nonnegative, not {value!r}")
         return cls(value=value)
 
-    def __call__(self, x) -> float:
-        if self.fn is not None:
-            return float(self.fn(x))
-        return float(self.value)
-
     def many(self, points) -> np.ndarray:
         """The threshold at each row of an (n, m) array of points."""
         if self.fn is not None:
-            return np.array([float(self.fn(x)) for x in points])
+            return np.asarray(self.fn(np.asarray(points, dtype=float)), dtype=float)
         return np.full(len(points), float(self.value))
 
 
@@ -526,7 +521,7 @@ def cousin_decompose(domain: DyadicCube, delta: Gauge, eta: float,
     the remainder is zero for every functional.
     """
     region = CubeSet.of(domain.root, [domain.generation], [domain.index])
-    table = _cube_table(domain.root, *region.arrays, delta, RegularityFn(value=eta), theta,
+    table = _cube_table(domain.root, *region.arrays, delta, RegularityFn.constant(eta), theta,
                         max_generation, MAX_PIECES)
     parent = TopDimCurrent(region, theta)
     return TaggedFamily(parent, table, (), 0.0, "mass", 0.0)

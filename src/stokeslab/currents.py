@@ -26,7 +26,7 @@ whose error is |fine - coarse|, not a rigorous bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,31 +110,21 @@ class HalfSpace:
 
 @dataclass(frozen=True)
 class ChartMap:
-    """Graph map (x, y) -> (x, y, psi(x, y)) with analytic partials.
+    """Graph map (x, y) -> (x, y, psi(x, y)) with its analytic gradient.
 
-    ``lip_upper`` must dominate sup sqrt(1 + |grad psi|^2) over the domain of
-    use; ``lip_inverse`` bounds the Lipschitz constant of the inverse, which
-    for graphs is exactly 1 (the projection), so stored values must be >= 1.
-    ``gradient(x, y)`` returns both partials (psi_x, psi_y); it defaults to
-    the two calls, and a chart whose partials share work passes one call.
+    ``gradient(x, y)`` returns both partials (psi_x, psi_y).  ``lip_upper``
+    must dominate sup sqrt(1 + |grad psi|^2) over the domain of use; the
+    inverse of a graph map, the projection, is 1-Lipschitz.
     """
 
     psi: callable
-    dpsi_dx: callable
-    dpsi_dy: callable
+    gradient: callable
     lip_upper: float
-    lip_inverse: float = 1.0
     name: str = ""
-    gradient: Optional[callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.lip_upper < 1.0:
             raise ValueError("lip_upper below 1 is impossible for a graph map")
-        if self.lip_inverse < 1.0:
-            raise ValueError("graph inverses are 1-Lipschitz at best; bound must be >= 1")
-        if self.gradient is None:
-            object.__setattr__(self, "gradient",
-                               lambda x, y: (self.dpsi_dx(x, y), self.dpsi_dy(x, y)))
 
     def point(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -855,7 +845,7 @@ def pushforward_mass_bounds(T) -> dict:
     strip chart provides the Lipschitz data there).
     """
     chart, area = T.pushforward_data()
-    lower = abs(T.theta) * (chart.lip_inverse ** (-T.m)) * area
+    lower = abs(T.theta) * area  # the inverse of a graph map is 1-Lipschitz
     upper = abs(T.theta) * (chart.lip_upper ** T.m) * area
     mres = T.mass()
     slack = mres.error + 1e-12 * max(1.0, upper)
@@ -1002,9 +992,9 @@ def _line_integral(omega, point, tangent, t0: float, t1: float,
 def boundary_form_integral(T: Current, omega, tol: float = 1e-10) -> QuadResult:
     """Integral of a degree-(m-1) form over the oriented boundary of T."""
     if T.m == 1:
-        total = 0.0
-        for coord, orient in T.boundary_points_signed():
-            total += orient * float(omega(np.array([coord])))
+        signed = T.boundary_points_signed()
+        values = omega.evaluate_many(np.array([c for c, _ in signed]).reshape(-1, 1))[:, 0]
+        total = sum((o * v for (_, o), v in zip(signed, values.tolist())), 0.0)
         return QuadResult(T.theta * total, 0.0, 0)
     return _summed((_line_integral(omega, point, tangent, t0, t1, tol)
                     for point, tangent, t0, t1 in T.boundary_curves()), T.theta)

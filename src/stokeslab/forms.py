@@ -194,56 +194,43 @@ def interior_product(v: KVector, xi: KCovector) -> KCovector:
 
 @dataclass
 class FormField:
-    """A continuous degree-k covector field on R^n, evaluated pointwise.
+    """A continuous degree-k covector field on R^n, evaluated on arrays of points.
 
-    ``differential`` is the analytic exterior derivative when available;
-    otherwise :meth:`d_many` differentiates by central differences.
+    ``coeffs`` maps an (N, n) array of points to their (N, C(n, k))
+    coefficients; ``differential``, the analytic exterior derivative when
+    available, maps them to (N, C(n, k+1)) coefficients, and without it
+    :meth:`d_many` differentiates by central differences.
     ``exceptional_set`` is any object with a ``distance_many(points)``
     method describing where the field loses smoothness (None means smooth
-    everywhere); ``sup_norm`` is an optional known bound on |omega|.
-    ``evaluate_batch`` maps an (N, n) array of points to their (N, dim)
-    coefficients at once; without it :meth:`evaluate_many` loops over
-    ``evaluate``.
+    everywhere).
     """
 
     n: int
     k: int
-    evaluate: Callable[[np.ndarray], KCovector]
-    differential: Optional[Callable[[np.ndarray], KCovector]] = None
+    coeffs: Callable[[np.ndarray], np.ndarray]
+    differential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     exceptional_set: object = None
-    sup_norm: Optional[float] = None
     name: str = ""
-    evaluate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __call__(self, x) -> KCovector:
-        return self.evaluate(np.asarray(x, dtype=float))
 
     def evaluate_many(self, points) -> np.ndarray:
         """Coefficients at every row of an (N, n) point array, as an (N, dim) array."""
-        points = np.asarray(points, dtype=float)
-        if self.evaluate_batch is not None:
-            return np.asarray(self.evaluate_batch(points), dtype=float)
-        dim = len(basis_tuples(self.n, self.k))
-        return np.array([self.evaluate(p).coeffs for p in points],
-                        dtype=float).reshape(len(points), dim)
+        return np.asarray(self.coeffs(np.asarray(points, dtype=float)), dtype=float)
 
     def d_many(self, points, step=DIFFERENTIAL_STEP) -> np.ndarray:
         """Exterior derivative at every row of an (N, n) point array, as an (N, dim) array.
 
-        The analytic differential point by point when the field carries one;
-        otherwise central differences (exact up to rounding for coefficients
-        of degree <= 2 in each variable) with ``step``, a scalar or one per
+        The analytic differential when the field carries one; otherwise
+        central differences (exact up to rounding for coefficients of
+        degree <= 2 in each variable) with ``step``, a scalar or one per
         point, from one :meth:`evaluate_many` call on every point's stencil.
         The coefficient over e_t is d_{t0} omega_{t-t0} - d_{t1} omega_{t-t1}
         (+ ...), in that order.  A point within its step of the exceptional
         set raises :class:`DomainError`.
         """
         points = np.asarray(points, dtype=float)
-        n, k = self.n, self.k
-        targets = basis_tuples(n, k + 1)
         if self.differential is not None:
-            return np.array([self.differential(p).coeffs for p in points],
-                            dtype=float).reshape(len(points), len(targets))
+            return np.asarray(self.differential(points), dtype=float)
+        n, k = self.n, self.k
         step = np.broadcast_to(np.asarray(step, dtype=float), (len(points),))
         if self.exceptional_set is not None:
             dist = self.exceptional_set.distance_many(points)
@@ -260,7 +247,7 @@ class FormField:
         partial = (values[:, 0] - values[:, 1]) / (2.0 * step)[:, None, None]
         index = _BASIS_INDEX[(n, k)]
         columns = []
-        for t in targets:
+        for t in basis_tuples(n, k + 1):
             column = partial[:, t[0], index[t[1:]]]
             for pos in range(1, len(t)):
                 term = partial[:, t[pos], index[t[:pos] + t[pos + 1:]]]

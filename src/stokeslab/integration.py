@@ -257,7 +257,7 @@ def stokes_check(T: Current, omega, E_T: Optional[ExceptionalSet] = None,
     reported alongside.
     """
     E_T = E_T or ExceptionalSet.empty()
-    analytic = getattr(omega, "differential", None) is not None
+    analytic = omega.differential is not None
     if tol is None:
         tol = 1e-6 if analytic else 1e-3
 

@@ -5,7 +5,9 @@
 ``currents.ChartMap``, ``from_callable`` a classmethod of
 ``cousin.RegularityFn`` and ``from_vector`` a classmethod of
 ``forms.KVector``; each keeps its body, with its object or class as the
-first argument ``self`` or ``cls``.
+first argument ``self`` or ``cls``.  ``u_and_du`` reads psi_x from the
+model's ``gradient``, since the model's one-partial methods are gone, and
+``from_callable`` takes an ``fn`` from an (N, m) array of points to N values.
 """
 
 import math
@@ -26,7 +28,7 @@ def u_and_du(self: SurfaceModel, x: float, y: float):
     Lxy = self.partial_length(x, y)
     dyL = self.dy_section_length(y)
     dyLxy = self.dy_partial_length(x, y)
-    px = float(self.dpsi_dx(x, y))
+    px = float(self.gradient(x, y)[0])
     ux = math.sqrt(1.0 + px * px) / L
     uy = (L * dyLxy - Lxy * dyL) / (L * L)
     return Lxy / L, forms.KCovector(2, 1, np.array([ux, uy]))

@@ -81,7 +81,7 @@ def test_criterion_02_cousin_tiling_50_random_gauges():
         for t in terms[1:]:
             gauge = gauge.min_with(t)
         eta = RegularityFn.constant(float(rng.uniform(0.01, 0.17)))
-        family = cousin_decompose(UNIT_CUBE, gauge, eta(np.zeros(2)))
+        family = cousin_decompose(UNIT_CUBE, gauge, eta.value)
         total = math.fsum(p.mass for p in family.pairs)
         check = certify.check_family(family, gauge, eta, SubadditiveFn.mass())
         if total != 1.0 or not check.passed:
@@ -92,23 +92,23 @@ def test_criterion_02_cousin_tiling_50_random_gauges():
 def test_criterion_03_stokes_holds_on_smooth_data():
     om2 = forms.FormField(
         2, 1,
-        evaluate=lambda p: forms.KCovector(2, 1, [0.0, p[0]]),
-        differential=lambda p: forms.KCovector(2, 2, [1.0]),
+        coeffs=lambda p: np.column_stack([np.zeros(len(p)), p[:, 0]]),
+        differential=lambda p: np.ones((len(p), 1)),
     )
     flat = integration.stokes_check(UNIT, om2)
     scale = 0.25
     lip = math.sqrt(1.0 + (2 * scale) ** 2 + scale ** 2)
     chart = ChartMap(
         psi=lambda x, y: scale * (np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float)),
-        dpsi_dx=lambda x, y: 2 * scale * np.asarray(x, dtype=float),
-        dpsi_dy=lambda x, y: scale * np.ones_like(np.asarray(x, dtype=float)),
+        gradient=lambda x, y: (2 * scale * np.asarray(x, dtype=float),
+                               scale * np.ones_like(np.asarray(x, dtype=float))),
         lip_upper=lip,
     )
     C = ChartCurrent(Rect(0.0, 1.0, 0.0, 1.0), chart)
     om3 = forms.FormField(
         3, 1,
-        evaluate=lambda p: forms.KCovector(3, 1, [0.0, p[0] * p[2], 0.0]),
-        differential=lambda p: forms.KCovector(3, 2, [p[2], 0.0, -p[0]]),
+        coeffs=lambda p: np.column_stack([np.zeros(len(p)), p[:, 0] * p[:, 2], np.zeros(len(p))]),
+        differential=lambda p: np.column_stack([p[:, 2], np.zeros(len(p)), -p[:, 0]]),
     )
     graph = integration.stokes_check(C, om3)
     ok = (flat.verdict == integration.HOLDS and abs(flat.gap) < 1e-9
@@ -232,17 +232,17 @@ def test_criterion_11_saks_henstock_convergence():
 def test_criterion_12_pushforward_bounds(surface):
     reports = []
     zeros = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    slope = lambda x, y: (np.ones_like(np.asarray(x, dtype=float)), zeros(x, y))
     charts = [
         ChartCurrent(Rect(0.0, math.pi, 0.0, 0.5),
-                     ChartMap(psi=zeros, dpsi_dx=zeros, dpsi_dy=zeros, lip_upper=1.0)),
+                     ChartMap(psi=zeros, gradient=lambda x, y: (zeros(x, y), zeros(x, y)),
+                              lip_upper=1.0)),
         ChartCurrent(Rect(0.0, 1.0, 0.0, 1.0),
                      ChartMap(psi=lambda x, y: np.asarray(x, dtype=float),
-                              dpsi_dx=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-                              dpsi_dy=zeros, lip_upper=math.sqrt(2.0)), theta=1),
+                              gradient=slope, lip_upper=math.sqrt(2.0)), theta=1),
         ChartCurrent(Rect(0.0, 1.0, 0.0, 1.0),
                      ChartMap(psi=lambda x, y: np.asarray(x, dtype=float),
-                              dpsi_dx=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-                              dpsi_dy=zeros, lip_upper=math.sqrt(2.0)), theta=3),
+                              gradient=slope, lip_upper=math.sqrt(2.0)), theta=3),
     ]
     from stokeslab.currents import SurfaceCurrent
 

@@ -115,7 +115,7 @@ def test_clean_cube_family_reports_no_violation():
 
 def test_clean_chart_family_reports_no_violation():
     zeros = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    chart = ChartMap(psi=zeros, dpsi_dx=zeros, dpsi_dy=zeros, lip_upper=1.0)
+    chart = ChartMap(psi=zeros, gradient=lambda x, y: (zeros(x, y), zeros(x, y)), lip_upper=1.0)
     C = ChartCurrent(Rect(0.0, math.pi, 0.0, 0.5), chart)
     eta = RegularityFn.constant(0.05)
     family = gauge_decompose(C, ExceptionalSet.empty(), Gauge.constant(0.15), eta, MASS, 1e-3)
@@ -204,7 +204,8 @@ def _chart_boundary_mass(piece: ChartCurrent) -> tuple[float, float]:
     def speed(edge, t):
         x = p[edge, 0, None] + t * d[edge, 0, None]
         y = p[edge, 1, None] + t * d[edge, 1, None]
-        dz = chart.dpsi_dx(x, y) * d[edge, 0, None] + chart.dpsi_dy(x, y) * d[edge, 1, None]
+        px, py = chart.gradient(x, y)
+        dz = px * d[edge, 0, None] + py * d[edge, 1, None]
         return np.sqrt(length[edge, None] ** 2 + dz ** 2)
 
     n = len(edges)
@@ -298,7 +299,7 @@ def check_family(family, delta, eta, G=None) -> CertificateReport:
             b_val, b_err = _chart_boundary_mass(piece)
         total_mass += m_val
 
-        eta_val = float(eta(tag)) if callable(eta) else float(eta)
+        eta_val = float(eta.many(np.asarray(tag, dtype=float)[None])[0])
         reg_lower = (m_val - m_err) / ((b_val + b_err) * diam_upper)
         if not reg_lower > eta_val:
             report.add(
@@ -384,7 +385,7 @@ def _family_cases(m):
     """(family, delta, eta): clean and corrupted cube families in m dimensions."""
     gauge = Gauge.constant({1: 0.1, 2: 0.15, 3: 0.5}[m])  # 16, 256 and 64 cubes
     clean = _cube_family(m, gauge)
-    high_eta = from_callable(RegularityFn, lambda x: 1.0 if x[0] > 0.5 else 0.01)
+    high_eta = from_callable(RegularityFn, lambda x: np.where(x[:, 0] > 0.5, 1.0, 0.01))
     eta = RegularityFn.constant(0.01)
     return {
         "clean": (clean, gauge, eta),
@@ -392,7 +393,7 @@ def _family_cases(m):
         "gauge-zero": (clean, _vanishing_gauge(clean), eta),
         "diameter-too-large": (clean, Gauge.constant(0.05), eta),
         "low-regularity": (clean, gauge, high_eta),
-        "constant-eta": (clean, gauge, 0.6),  # a plain number, above every regularity
+        "constant-eta": (clean, gauge, RegularityFn.constant(0.6)),  # above every regularity
         "duplicated-and-shifted": (_duplicated_and_shifted(clean), gauge, eta),
         "multi-cube": (_multi_cube(clean), gauge, eta),
     }

@@ -61,6 +61,17 @@ def _run(tmp_path, command, config):
     ("cousin", {"exceptional_set": {"kind": "point", "at": [True, 0.5]}}, "at"),
     # exit 70 on an AttributeError
     ("minkowski", {"grid": [0.2, 0.7]}, "grid"),
+    ("stokes", {"current": [1, 2]}, "current"),
+    ("counterexample", {"current": [1, 2]}, "current"),
+    ("stokes", {"form": "x_dy"}, "form"),
+    ("cousin", {"exceptional_set": 5}, "exceptional_set"),
+    ("cousin", {"gauge": 5}, "gauge"),
+    # exit 0: the gauge's own set was not read
+    ("cousin", {"exceptional_set": POINT, "gauge": {"kind": "distance", "to": 5}}, "to"),
+    # exit 70 on an OverflowError: the integer is past the float range
+    ("stokes", {**FLAT, "current": {"kind": "flat_graph", "width": 10 ** 400}}, "width"),
+    ("counterexample", {"current": {"kind": "counterexample", "lambda_inverse": 10 ** 400}},
+     "lambda_inverse"),
 ])
 def test_a_malformed_value_is_a_usage_error_naming_its_key(tmp_path, capsys, command, config,
                                                            key):
@@ -83,6 +94,18 @@ def test_a_nan_segment_end_is_refused(tmp_path, capsys):
     segment = {"kind": "segment", "from": [0.5, 0.0], "to": [0.5, math.nan]}
     assert _run(tmp_path, "cousin", {"exceptional_set": segment}) == EXIT_USAGE
     assert "(0.5, nan) needs finite coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("to, message", [
+    ({"kind": "point", "at": [math.nan, 0.1]}, "needs finite coordinates"),
+    ({"kind": "point", "at": [0.3, 0.1]}, "gauge vanishes outside the declared singular set"),
+])
+def test_a_distance_gauge_measures_the_distance_to_its_own_set(tmp_path, capsys, to, message):
+    # the gauge measured the distance to the exceptional set and ignored "to" (exit 0)
+    config = {"exceptional_set": {"kind": "point", "at": [0.5, 0.1]},
+              "gauge": {"kind": "distance", "to": to, "cap": 0.2}}
+    assert _run(tmp_path, "cousin", config) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_saks_henstock_integrates_a_cube_set_over_all_three_axes(tmp_path):
@@ -119,13 +142,20 @@ def _numbers(node, path=()):
             yield from _numbers(child, path + (key,))
 
 
-# cousin measures a distance gauge to the run's exceptional set, so the gauge's
-# own "to" is not read
-UNREAD = {("gauge", "to")}
-TARGETS = [(command, config, path)
-           for command, config in [("counterexample", _readme_config())]
-           + [(run.command, run.config) for run in _workload_runs()]
-           for path in _numbers(config) if path[:2] not in UNREAD]
+def _objects(node, path=()):
+    """The path of every object below the root of a JSON tree."""
+    for key, child in node.items() if isinstance(node, dict) else ():
+        if isinstance(child, dict):
+            yield path + (key,)
+            yield from _objects(child, path + (key,))
+
+
+CONFIGS = [("counterexample", _readme_config())] + [(run.command, run.config)
+                                                     for run in _workload_runs()]
+TARGETS = [(command, config, path) for command, config in CONFIGS for path in _numbers(config)]
+OBJECT_TARGETS = [(command, config, path)
+                  for command, config in CONFIGS for path in _objects(config)]
+NON_OBJECTS = [[1, 2], 5, "x_dy", None, True]
 MALFORMED = [math.nan, math.inf, -math.inf, True, "0.5", None, [1.0]]
 # the library constructors that check these keys' values keep their messages,
 # which show a non-finite value instead of the key
@@ -169,6 +199,16 @@ def test_a_malformed_number_anywhere_exits_64_naming_its_key(target, value):
     key = _key(path)
     shown = key in CONSTRUCTOR_CHECKED and isinstance(value, float) and repr(value) in err
     assert re.search(rf"\b{key}\b", err) or shown, (path, value, err)
+
+
+def test_a_non_object_anywhere_exits_64_naming_its_key():
+    keys = {_key(path) for _, _, path in OBJECT_TARGETS}
+    assert keys == {"current", "exceptional_set", "gauge", "to", "form", "polynomial"}
+    for command, config, path in OBJECT_TARGETS:
+        for value in NON_OBJECTS:
+            code, err = _fuzz_run(command, _mutated(config, path, value))
+            assert code == EXIT_USAGE, (path, value, err)
+            assert re.search(rf"\b{_key(path)}\b", err), (path, value, err)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

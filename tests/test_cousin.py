@@ -193,8 +193,8 @@ def test_gauge_decompose_unit_square_full():
 def test_gauge_decompose_chart_pushforward_regularity():
     chart = ChartMap(
         psi=lambda x, y: np.asarray(x, dtype=float),
-        dpsi_dx=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-        dpsi_dy=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        gradient=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
+                               np.zeros_like(np.asarray(x, dtype=float))),
         lip_upper=math.sqrt(2.0),
         name="tilt",
     )
@@ -210,7 +210,8 @@ def test_gauge_decompose_chart_pushforward_regularity():
 
 def _flat_chart_current(rect: Rect) -> ChartCurrent:
     zeros = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    return ChartCurrent(rect, ChartMap(psi=zeros, dpsi_dx=zeros, dpsi_dy=zeros, lip_upper=1.0))
+    return ChartCurrent(rect, ChartMap(psi=zeros, gradient=lambda x, y: (zeros(x, y), zeros(x, y)),
+                                       lip_upper=1.0))
 
 
 def test_gauge_decompose_flat_graph_demo():
@@ -264,8 +265,8 @@ def test_subadditive_functionals():
 
     om = forms.FormField(
         2, 1,
-        evaluate=lambda p: forms.KCovector(2, 1, [0.0, p[0]]),
-        differential=lambda p: forms.KCovector(2, 2, [1.0]),
+        coeffs=lambda p: np.column_stack([np.zeros(len(p)), p[:, 0]]),
+        differential=lambda p: np.ones((len(p), 1)),
     )
     F = SubadditiveFn.abs_circulation(om)
     assert F.of_current(both) <= F.of_current(left) + F.of_current(right) + 1e-9
@@ -478,7 +479,7 @@ def _check_roots_by_root(roots: Sequence[DyadicCube], pts: np.ndarray, delta: Ga
     """
     touches = delta.zero_set.cube_distances(pts[:, 1], pts[:, -1])[0] <= 0.0
     for q, row, touch in zip(roots, pts, touches.tolist()):
-        top = max(eta(p) for p in row)
+        top = float(eta.many(row).max())
         if top >= CUBE_REGULARITY(q.m):
             raise ValueError(
                 f"eta {top} is not below the cube regularity {CUBE_REGULARITY(q.m)}"
@@ -496,7 +497,7 @@ def test_root_checks_refuse_the_roots_the_per_root_loop_refuses(case, level, slo
     if touching:  # a zero of the gauge at the lower corner of the last root
         lo = corner[-1] + np.ldexp(root_side[-1], -gen[-1]) * index[-1]
         gauge = gauge.min_with(Gauge.distance_to(ExceptionalSet.points([tuple(lo)])))
-    eta = from_callable(RegularityFn, lambda x: level + slope * float(np.sum(x)))
+    eta = from_callable(RegularityFn, lambda x: level + slope * x.sum(axis=1))
     try:
         _check_roots_by_root(roots, _test_points(corner, np.ldexp(root_side, -gen), index),
                              gauge, eta)
@@ -586,13 +587,13 @@ def test_cube_piece_masses_are_the_cube_set_bits(m):
 def test_cube_pieces_carry_their_eta_and_masses():
     E = ExceptionalSet.points([(0.0, 0.0)])
     g = Gauge.distance_to(E, 0.75, 0.05).min_with(Gauge.constant(0.8))
-    eta = from_callable(RegularityFn, lambda x: 0.01 + 0.01 * x[0])
+    eta = from_callable(RegularityFn, lambda x: 0.01 + 0.01 * x[:, 0])
     fam = gauge_decompose(TopDimCurrent(CubeSet.whole(ROOT), 3), ExceptionalSet.empty(), g,
                           eta, MASS, 1e-3)
     keys = [p.meta["cube"] for p in fam.pairs]
     assert keys == sorted(keys)
     for p in fam.pairs:
-        assert p.eta_at_tag == eta(np.asarray(p.tag))
+        assert p.eta_at_tag == eta.many(np.asarray(p.tag)[None])[0]
         assert p.gauge_at_tag == _gauge_by_norm(g, np.asarray(p.tag))
         assert (p.mass, p.boundary_mass) == (p.piece.mass().value, p.piece.boundary_mass().value)
 
@@ -604,7 +605,7 @@ def test_cube_pieces_carry_their_eta_and_masses():
 # must keep the bits these pairs give.
 
 
-def _cube_pairs(roots: Sequence[DyadicCube], delta: Gauge, eta: Callable, theta: int,
+def _cube_pairs(roots: Sequence[DyadicCube], delta: Gauge, eta: RegularityFn, theta: int,
                 max_generation: int, max_pieces: int) -> list[TaggedPair]:
     """Tagged Cousin pieces of the roots, root by root in (generation, index) order."""
     rid, gen, idx, diam, tags, vals = _fine_cubes(*_root_arrays(roots), delta.many, max_generation,
@@ -623,7 +624,7 @@ def _cube_pairs(roots: Sequence[DyadicCube], delta: Gauge, eta: Callable, theta:
             boundary_mass=boundary_mass,
             reg=CUBE_REGULARITY(m),
             gauge_at_tag=float(vals[k]),
-            eta_at_tag=eta(tags[k]),
+            eta_at_tag=float(eta.many(tags[k:k + 1])[0]),
             meta={"cube": cube.key()},
         ))
     return pairs
@@ -729,7 +730,7 @@ def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
             boundary_mass=bres.value,
             reg=mres.value / (bres.value * diam_push),
             gauge_at_tag=delta(tag3),
-            eta_at_tag=eta(tag3),
+            eta_at_tag=float(eta.many(tag3[None])[0]),
             meta={"pre_square": (square.x0, square.y0, square.x1 - square.x0),
                   "pre_cube": cube.key(), "pre_tag": tuple(map(float, pre_tag))},
         ))
@@ -789,7 +790,8 @@ def test_piece_table_views_carry_the_bits_of_the_per_piece_engine(monkeypatch, n
         domain = DyadicCube(RootBox((0.0, 0.0, 0.0), 1.0), 0, (0, 0, 0))
         gauge = Gauge.distance_to(ExceptionalSet.points([(0.1, 0.2, 0.3)]), 0.5, 0.05)
         family = cousin_decompose(domain, gauge, 0.05, theta=-2)
-        reference = _cube_pairs([domain], gauge, lambda point: 0.05, -2, 40, MAX_PIECES)
+        reference = _cube_pairs([domain], gauge, RegularityFn.constant(0.05), -2, 40,
+                                MAX_PIECES)
     else:
         family, reference = _per_piece_family(monkeypatch, *_reference_families()[name])
     assert len(family.pairs) == len(reference) > 0

@@ -33,14 +33,15 @@ UNIT = TopDimCurrent(CubeSet.whole(ROOT))
 
 def _flat_chart():
     zeros = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    return ChartMap(psi=zeros, dpsi_dx=zeros, dpsi_dy=zeros, lip_upper=1.0, name="flat")
+    return ChartMap(psi=zeros, gradient=lambda x, y: (zeros(x, y), zeros(x, y)), lip_upper=1.0,
+                    name="flat")
 
 
 def _tilt_chart():
     return ChartMap(
         psi=lambda x, y: np.asarray(x, dtype=float),
-        dpsi_dx=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-        dpsi_dy=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        gradient=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
+                               np.zeros_like(np.asarray(x, dtype=float))),
         lip_upper=math.sqrt(2.0),
         name="tilt",
     )
@@ -227,16 +228,25 @@ def test_coarea_center_point():
 def test_circulation_x_dy_green():
     om = forms.FormField(
         2, 1,
-        evaluate=lambda p: forms.KCovector(2, 1, [0.0, p[0]]),
-        differential=lambda p: forms.KCovector(2, 2, [1.0]),
+        coeffs=lambda p: np.column_stack([np.zeros(len(p)), p[:, 0]]),
+        differential=lambda p: np.ones((len(p), 1)),
     )
     res = boundary_form_integral(UNIT, om)
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_circulation_constant_form_closed_boundary():
-    om = forms.FormField(2, 1, evaluate=lambda p: forms.KCovector(2, 1, [0.0, 1.0]))
+    om = forms.FormField(2, 1, coeffs=lambda p: np.tile([0.0, 1.0], (len(p), 1)))
     assert boundary_form_integral(UNIT, om).value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_boundary_integral_of_a_1_current_sums_its_signed_endpoints():
+    # [0, 1/2] u [3/4, 1] with omega(x) = x: 1/2 - 0 + 1 - 3/4, from one evaluator call
+    calls = []
+    om = forms.FormField(1, 0, coeffs=lambda p: calls.append(len(p)) or p)
+    T = TopDimCurrent(CubeSet.of(RootBox((0.0,), 1.0), [1, 2], [[0], [3]]), theta=-2)
+    res = boundary_form_integral(T, om)
+    assert (res.value, res.error, calls) == (-2 * 0.75, 0.0, [4])
 
 
 def test_chart_lip_verification():
@@ -267,8 +277,8 @@ def _protocol_current(kind):
                       for p, d in edges]
     if kind == "parabolic_chart":
         chart = ChartMap(psi=lambda x, y: 0.25 * (np.asarray(x) ** 2 + np.asarray(y)),
-                         dpsi_dx=lambda x, y: 0.5 * np.asarray(x, dtype=float),
-                         dpsi_dy=lambda x, y: 0.25 * np.ones_like(np.asarray(x, dtype=float)),
+                         gradient=lambda x, y: (0.5 * np.asarray(x, dtype=float),
+                                                0.25 * np.ones_like(np.asarray(x, dtype=float))),
                          lip_upper=1.2, name="parabolic")
         T = ChartCurrent(Rect(0.0, 1.0, 0.0, 1.0), chart)
         curves = []
@@ -282,8 +292,8 @@ def _protocol_current(kind):
 
             def tangent(t, p=p, d=d):
                 u = p + t * d
-                return np.array([d[0], d[1], float(chart.dpsi_dx(u[0], u[1])) * d[0]
-                                 + float(chart.dpsi_dy(u[0], u[1])) * d[1]])
+                px, py = chart.gradient(u[0], u[1])
+                return np.array([d[0], d[1], float(px) * d[0] + float(py) * d[1]])
 
             curves.append((point, tangent, 0.0, 1.0))
         return T, curves
@@ -295,17 +305,16 @@ def _protocol_current(kind):
     curves = []
     for y, xa, xb in ((0.1, 0.0, math.pi), (0.4, math.pi, 0.0)):
         curves.append((lambda x, y=y: np.array([x, y, float(model.psi(x, y))]),
-                       lambda x, y=y: np.array([1.0, 0.0, float(model.dpsi_dx(x, y))]), xa, xb))
+                       lambda x, y=y: np.array([1.0, 0.0, float(model.gradient(x, y)[0])]), xa, xb))
     for x, ya, yb in ((math.pi, 0.1, 0.4), (0.0, 0.4, 0.1)):
         curves.append((lambda y, x=x: np.array([x, y, float(model.psi(x, y))]),
-                       lambda y, x=x: np.array([0.0, 1.0, float(model.dpsi_dy(x, y))]), ya, yb))
+                       lambda y, x=x: np.array([0.0, 1.0, float(model.gradient(x, y)[1])]), ya, yb))
     return T, curves
 
 
 def _form(n, coeffs):
     """A 1-form on R^n from a map of (N, n) points to (N, n) coefficients."""
-    return forms.FormField(n, 1, evaluate=lambda p: forms.KCovector(n, 1, coeffs(p[None, :])[0]),
-                           evaluate_batch=coeffs)
+    return forms.FormField(n, 1, coeffs)
 
 
 def _smooth_form(n):
@@ -335,7 +344,8 @@ def test_boundary_curves_match_per_point_reference(kind):
     ref = 0.0
     for point, tangent, t0, t1 in curves:
         def integrand(ts, point=point, tangent=tangent):
-            return np.array([float(np.dot(omega(point(t)).coeffs, tangent(t))) for t in ts])
+            return np.array([float(np.dot(omega.evaluate_many(point(t)[None])[0], tangent(t)))
+                             for t in ts])
 
         ref += integrate_1d(integrand, t0, t1, tol=1e-10, max_panels=2048).value
     res = boundary_form_integral(T, omega)
@@ -360,7 +370,7 @@ def test_graph_tangent_is_the_frame_wedge(kind):
         points, frames = u, [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))] * len(u)
     elif kind == "parabolic_chart":
         points = T.lift(u)
-        px, py = T.chart.dpsi_dx(u[:, 0], u[:, 1]), T.chart.dpsi_dy(u[:, 0], u[:, 1])
+        px, py = T.chart.gradient(u[:, 0], u[:, 1])
         # the frame of SurfaceModel.tangent_frame, built from the chart's partials
         n1, n2 = np.sqrt(1.0 + px ** 2), np.sqrt(1.0 + px ** 2 + py ** 2)
         n12 = n1 * n2

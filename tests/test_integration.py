@@ -16,8 +16,8 @@ UNIT_CUBE = DyadicCube(ROOT, 0, (0, 0))
 def _x_dy():
     return forms.FormField(
         2, 1,
-        evaluate=lambda p: forms.KCovector(2, 1, [0.0, p[0]]),
-        differential=lambda p: forms.KCovector(2, 2, [1.0]),
+        coeffs=lambda p: np.column_stack([np.zeros(len(p)), p[:, 0]]),
+        differential=lambda p: np.ones((len(p), 1)),
         name="x dy",
     )
 
@@ -27,8 +27,8 @@ def _smooth_chart():
     lip = math.sqrt(1.0 + (2 * scale) ** 2 + scale ** 2)
     return ChartMap(
         psi=lambda x, y: scale * (np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float)),
-        dpsi_dx=lambda x, y: 2 * scale * np.asarray(x, dtype=float),
-        dpsi_dy=lambda x, y: scale * np.ones_like(np.asarray(x, dtype=float)),
+        gradient=lambda x, y: (2 * scale * np.asarray(x, dtype=float),
+                               scale * np.ones_like(np.asarray(x, dtype=float))),
         lip_upper=lip,
         name="parabolic",
     )
@@ -38,8 +38,8 @@ def _xz_dy():
     # omega = x z dy with d omega = z dxdy - x dydz
     return forms.FormField(
         3, 1,
-        evaluate=lambda p: forms.KCovector(3, 1, [0.0, p[0] * p[2], 0.0]),
-        differential=lambda p: forms.KCovector(3, 2, [p[2], 0.0, -p[0]]),
+        coeffs=lambda p: np.column_stack([np.zeros(len(p)), p[:, 0] * p[:, 2], np.zeros(len(p))]),
+        differential=lambda p: np.column_stack([p[:, 2], np.zeros(len(p)), -p[:, 0]]),
         name="x z dy",
     )
 
@@ -86,7 +86,7 @@ def test_circulation_green_area():
 
 
 def test_circulation_constant_form_vanishes():
-    om = forms.FormField(2, 1, evaluate=lambda p: forms.KCovector(2, 1, [0.3, -1.2]))
+    om = forms.FormField(2, 1, coeffs=lambda p: np.tile([0.3, -1.2], (len(p), 1)))
     assert integration.circulation(om, UNIT).value == pytest.approx(0.0, abs=1e-12)
 
 

@@ -95,8 +95,7 @@ def _cube_pairs(draw):
 
 
 def _chart(name: str) -> ChartMap:
-    return ChartMap(lambda x, y: 0.0 * x, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x, 1.0,
-                    name=name)
+    return ChartMap(lambda x, y: 0.0 * x, lambda x, y: (0.0 * x, 0.0 * x), 1.0, name=name)
 
 
 @st.composite

@@ -29,8 +29,9 @@ from workloads import WORKLOADS  # noqa: E402
 # (name, command, config, CLI seed) of runs hashed beside the workloads: the polar
 # ladder of the counterexample; the Stokes check on the counterexample surface,
 # whose left side goes through the tangent grid of the surface integral; a
-# point excised from the unit square, whose refine follows the arcs of a ball; and
-# the console-script run of CI, a 3-D cube set whose pieces.json holds m = 3 cubes
+# point excised from the unit square, whose refine follows the arcs of a ball; the
+# console-script run of CI, a 3-D cube set whose pieces.json holds m = 3 cubes; and
+# the Stokes check of the two planar CLI forms on the unit square
 POINT = {"kind": "point", "at": [0.5, 0.5]}
 EXTRA_RUNS = [
     ("cylindrical", "counterexample", {"cylindrical": True, "n_strips": 8}, 0),
@@ -48,6 +49,8 @@ EXTRA_RUNS = [
             "cubes": [{"generation": 0, "corner": [0, 0, 0]}]}},
         "gauge": {"kind": "constant", "value": 1.0}, "eta": 0.01,
     }, 0),
+    *((f"stokes_{form}", "stokes", {"current": {"kind": "unit_square"}, "form": {"kind": form}}, 0)
+      for form in ("x_dy", "constant_dy")),
 ]
 
 
