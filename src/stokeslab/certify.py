@@ -115,9 +115,9 @@ def _chart_geometry(pairs, tags):
                              order=_CHECK_ORDER)
     _, edge_first, edge_counts = np.unique(edge_owner, return_index=True, return_counts=True)
     theta = np.abs(pairs.theta[ids]).astype(float)
-    sums = [theta * _runs(np.array([getattr(res, part) for res in results]), *runs)
-            for results, runs in ((areas, (first, counts)), (speeds, (edge_first, edge_counts)))
-            for part in ("value", "error")]
+    sums = [theta * _runs(column, *runs)
+            for res, runs in ((areas, (first, counts)), (speeds, (edge_first, edge_counts)))
+            for column in (res.value, res.error)]
     return ids, inside, diam, *sums, boxes
 
 

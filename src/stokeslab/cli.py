@@ -98,8 +98,10 @@ def _number(desc: dict, key, default=None, lo=None, hi=math.inf, *, integer=Fals
     return number
 
 
-def _point(desc: dict, key: str) -> tuple:
+def _point(desc: dict, key: str, where: str) -> tuple:
     """desc[key], a list of JSON numbers; ExceptionalSet checks that they are finite."""
+    if not isinstance(desc.get(key), list):
+        raise UsageError(f"{where} {key} must be a list of numbers, not {desc.get(key)!r}")
     coords = dict(enumerate(desc[key]))
     return tuple(_number(coords, i, where=key) for i in coords)
 
@@ -125,7 +127,8 @@ def _build_current(desc: dict):
     if kind == "unit_square":
         return TopDimCurrent(CubeSet.whole(RootBox((0.0, 0.0), 1.0)), theta)
     if kind == "cube_set":
-        return TopDimCurrent(CubeSet.from_json(json.dumps(desc["region"])), theta)
+        region = _object(desc.get("region"), "current region")
+        return TopDimCurrent(CubeSet.from_json(json.dumps(region)), theta)
     if kind == "flat_graph":
         w = _number(desc, "width", math.pi, 0)
         h = _number(desc, "height", 0.5, 0)
@@ -205,11 +208,11 @@ def _build_exceptional(desc: dict, current=None, where: str = "exceptional_set")
     if kind == "empty":
         return ExceptionalSet.empty()
     if kind == "point":
-        return ExceptionalSet.points([_point(desc, "at")])
+        return ExceptionalSet.points([_point(desc, "at", where)])
     if kind == "segment":
-        return ExceptionalSet.segment(_point(desc, "from"), _point(desc, "to"))
+        return ExceptionalSet.segment(_point(desc, "from", where), _point(desc, "to", where))
     if kind == "box":
-        return ExceptionalSet.box(_point(desc, "lo"), _point(desc, "hi"))
+        return ExceptionalSet.box(_point(desc, "lo", where), _point(desc, "hi", where))
     if kind == "singular_set":
         if not isinstance(current, SurfaceCurrent):
             raise UsageError("singular_set refers to a counterexample current")

@@ -104,9 +104,6 @@ class Gauge:
             best = np.minimum(best, s if kind == "const" else s * E.distance_many(pts) + o)
         return best
 
-    def __call__(self, x) -> float:
-        return float(self.many(np.asarray(x, dtype=float)[None])[0])
-
     @property
     def zero_set(self) -> ExceptionalSet:
         out = ExceptionalSet.empty()
@@ -807,10 +804,10 @@ def _chart_table(pieces: Sequence[ChartCurrent], cells: list, delta: Gauge,
     for i in np.unique(of).tolist():
         chart, k = pieces[i].chart, np.flatnonzero(of == i)
         # one quadrature sweep per kind of mass for all pieces of a chart piece
-        mass[k] = [r.value for r in chart_masses(chart, lo[k], hi[k], [1e-11] * len(k))]
+        mass[k] = chart_masses(chart, lo[k], hi[k], np.full(len(k), 1e-11)).value
         e = (4 * k[:, None] + np.arange(4)).ravel()
-        edge[k] = np.reshape([r.value for r in chart_masses(
-            chart, start[e], end[e], [1e-11] * len(e), boundary=True)], (-1, 4))
+        edge[k] = chart_masses(chart, start[e], end[e], np.full(len(e), 1e-11),
+                               boundary=True).value.reshape(-1, 4)
         tags[k] = chart.point(pre_tags[k, 0], pre_tags[k, 1])
     mass = np.abs(theta) * mass
     boundary_mass = np.abs(theta) * (((edge[:, 0] + edge[:, 1]) + edge[:, 2]) + edge[:, 3])

@@ -638,24 +638,25 @@ class ChartCurrent(Current):
         return chart_descriptor(self.theta, self.chart.name, self.domain.payload())
 
 
-def chart_masses(chart: ChartMap, lo, hi, tol, boundary: bool = False) -> list[QuadResult]:
+def chart_masses(chart: ChartMap, lo, hi, tol, boundary: bool = False) -> QuadResult:
     """Integrals of a chart's area element over rectangles, or of its lifted speed over segments.
 
     ``lo`` and ``hi`` are (R, 2): the corners of R rectangles, or with
     ``boundary`` the start and end points of R planar segments, each lifted
     through the chart and integrated over t in [0, 1].  One
     :func:`~stokeslab.quadrature.integrate_boxes` run takes them all, each
-    held to its entry of ``tol``; a result is the same alone as in any batch.
+    held to its entry of ``tol``; a row of its (R,) columns is the same alone
+    as in any batch.
     """
-    lo = np.asarray(lo, dtype=float).reshape(-1, 2)
-    hi = np.asarray(hi, dtype=float).reshape(-1, 2)
+    lo, hi = (np.asarray(a, dtype=float).reshape(-1, 2) for a in (lo, hi))
     if not boundary:
         return integrate_boxes(lambda box, x, y: chart.area_element(x, y), lo, hi, tol)
     direction = hi - lo
 
     def speed(box, t):
-        tangent = _lifted_tangent(chart, lo[box, None], direction[box, None], t)
-        return np.sqrt((tangent ** 2).sum(axis=-1))
+        d0, d1 = direction[box, 0, None], direction[box, 1, None]
+        px, py = chart.gradient(lo[box, 0, None] + t * d0, lo[box, 1, None] + t * d1)
+        return np.sqrt((d0 ** 2 + d1 ** 2) + (px * d0 + py * d1) ** 2)
 
     return integrate_boxes(speed, np.zeros((len(lo), 1)), np.ones((len(lo), 1)), tol)
 

@@ -14,8 +14,8 @@ each round every box above its tolerance splits its worst panel.  The new
 panels of all boxes go to the integrand together, in blocks of at most
 ``BLOCK_POINTS`` points, and each panel is reduced on its own row.  So a
 box's result does not depend on the other boxes, on its position in the
-batch or on where a block ends.  :func:`integrate_1d` and
-:func:`integrate_2d` are its one-box entry points.
+batch or on where a block ends.  It returns (B,) columns; :func:`integrate_1d`
+and :func:`integrate_2d` are its one-box entry points, returning box 0 alone.
 
 The fixed-panel composites of the package take their panels from one ragged
 rule, :func:`ragged_panels`: rows of their own intervals and panel counts,
@@ -49,7 +49,7 @@ class QuadResult:
     """Value of an integral together with an estimate of its absolute error.
 
     The error is |fine - coarse| summed over the panels: an a-posteriori
-    estimate, not a rigorous bound.
+    estimate, not a rigorous bound.  ``result[i]`` is box i of a result of columns.
     """
 
     value: float
@@ -59,6 +59,9 @@ class QuadResult:
     def __float__(self):
         return self.value
 
+    def __getitem__(self, box) -> "QuadResult":
+        return QuadResult(self.value[box], self.error[box], int(self.panels[box]))
+
     def scaled(self, factor: float) -> "QuadResult":
         """This result times factor: the value scales by factor, the error by |factor|."""
         return QuadResult(factor * self.value, abs(factor) * self.error, self.panels)
@@ -67,8 +70,7 @@ class QuadResult:
 @lru_cache(maxsize=None)
 def gauss_rule(order: int):
     """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
 def composite_nodes(lo, hi, panels: int, order: int = 12):
@@ -131,9 +133,8 @@ def _split(panels):
     return ends[..., np.arange(d)[:, None], bits[..., None] + [0, 1]]
 
 
-def integrate_boxes(f, lo, hi, tol, order: int = 12,
-                    max_panels: int = 4096) -> list[QuadResult]:
-    """Adaptive integrals of f over B boxes at once, one result per box.
+def integrate_boxes(f, lo, hi, tol, order: int = 12, max_panels: int = 4096) -> QuadResult:
+    """Adaptive integrals of f over B boxes at once, as one result of (B,) columns.
 
     ``lo`` and ``hi`` are the (B, d) corners of the boxes, any d >= 1, with
     lo <= hi, and ``tol`` holds one tolerance per box.  The integrand is
@@ -145,8 +146,7 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12,
     round, with no heap.  A box that reaches ``max_panels`` first raises a
     :class:`QuadratureError`.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi, tol = (np.asarray(a, dtype=float) for a in (lo, hi, tol))
     n_boxes, d = lo.shape
     unit = _unit_nodes(order, d)
     _, weights = gauss_rule(order)
@@ -161,14 +161,15 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12,
         for start in range(0, len(panels), step):
             rows = slice(start, start + step)
             coords = [mids[rows, a, None] + halves[rows, a, None] * unit[a] for a in range(d)]
-            vals = np.asarray(f(boxes[rows], *coords), dtype=float)
-            vals = vals.reshape((len(coords[0]),) + (order,) * d)
-            # contract x, then y, by running sums along each panel's own
-            # nodes: no panel's bits depend on the others, and exact products
-            # (a constant integrand) add up left to right
+            vals = np.asarray(f(boxes[rows], *coords), dtype=float).reshape((-1,) + (order,) * d)
+            # contract x, then y, by sums along each panel's own nodes, left to
+            # right and through one product buffer: no panel's bits depend on
+            # the others, and exact products (a constant integrand) add up in order
             for _ in range(d):
-                w = weights.reshape((order,) + (1,) * (vals.ndim - 2))
-                vals = np.cumsum(vals * w, axis=1)[:, -1]
+                acc, term = vals[:, 0] * weights[0], np.empty(vals.shape[:1] + vals.shape[2:])
+                for i in range(1, order):
+                    acc += np.multiply(vals[:, i], weights[i], out=term)
+                vals = acc
             sums[rows] = vals
         return halves.prod(axis=-1) * sums
 
@@ -179,8 +180,7 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12,
         """
         kids = _split(panels)
         todo = kids if coarse is not None else np.concatenate([panels[:, None], kids], axis=1)
-        vals = gauss(np.repeat(boxes, todo.shape[1]), todo.reshape(-1, d, 2))
-        vals = vals.reshape(todo.shape[:2])
+        vals = gauss(np.repeat(boxes, todo.shape[1]), todo.reshape(-1, d, 2)).reshape(todo.shape[:2])
         if coarse is None:
             coarse, vals = vals[:, 0], vals[:, 1:]
         fine = vals[:, 0].copy()
@@ -188,16 +188,16 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12,
             fine += vals[:, c]
         return kids, vals, fine, np.abs(fine - coarse)
 
-    results = [QuadResult(0.0, 0.0, 0)] * n_boxes
+    value, error, panels = np.zeros(n_boxes), np.zeros(n_boxes), np.zeros(n_boxes, dtype=int)
     owners = np.flatnonzero((lo != hi).all(axis=1))
     # the kids of each new panel, evaluated for its estimate, are the panels
     # its split makes, with their coarse values
     kids, kid_vals, fine, err = estimate(owners, np.stack([lo[owners], hi[owners]], axis=-1))
     # a box whose first estimate meets its tol finishes without a heap, with
     # the bits of a one-panel heap, whose value sum starts from 0 (-0.0 + 0 is +0.0)
-    first = err <= np.asarray(tol, dtype=float)[owners]
-    for box, value, error in zip(owners[first].tolist(), fine[first] + 0.0, err[first]):
-        results[box] = QuadResult(value, error, 1)
+    first = err <= tol[owners]
+    done = owners[first]
+    value[done], error[done], panels[done] = fine[first] + 0.0, err[first], 1
     owners, kids, kid_vals, fine, err = (a[~first] for a in (owners, kids, kid_vals, fine, err))
     heaps = {box: [] for box in owners.tolist()}
     tick = itertools.count()
@@ -211,7 +211,7 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12,
             heap = heaps[box]
             total_err = sum(-item[0] for item in heap)
             if total_err <= tol[box]:
-                results[box] = QuadResult(sum(item[2] for item in heap), total_err, len(heap))
+                value[box], error[box], panels[box] = sum(e[2] for e in heap), total_err, len(heap)
                 del heaps[box]
             elif len(heap) >= max_panels:
                 raise QuadratureError(
@@ -226,7 +226,7 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12,
             kids, kid_vals, fine, err = estimate(
                 owners, np.concatenate([entry[3] for _, entry in worst]),
                 np.concatenate([entry[4] for _, entry in worst]))
-    return results
+    return QuadResult(value, error, panels)
 
 
 def integrate_1d(f, a: float, b: float, tol: float = 1e-10, order: int = 12,
@@ -251,5 +251,4 @@ def _one_box(f, lo, hi, tol, order, max_panels) -> QuadResult:
     def flat(box, *coords):
         return np.reshape(f(*(c.ravel() for c in coords)), coords[0].shape)
 
-    (res,) = integrate_boxes(flat, [lo], [hi], [tol], order, max_panels)
-    return res
+    return integrate_boxes(flat, [lo], [hi], [tol], order, max_panels)[0]

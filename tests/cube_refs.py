@@ -2,17 +2,19 @@
 
 ``center``, ``corners``, ``diameter`` and ``subdivide`` were methods of
 ``DyadicCube``, ``cube_min_distance`` and ``cube_max_distance_bound`` methods
-of ``ExceptionalSet``; each keeps its body, with its object as the first
+of ``ExceptionalSet``, and ``gauge_at`` was ``Gauge.__call__`` of
+``stokeslab.cousin``; each keeps its body, with its object as the first
 argument ``self``.  ``neighborhood_indicator`` was a function of the module.
-The package works on cube arrays (``dyadic.refine``,
-``ExceptionalSet.cube_distances``), and the tests use these one-object
-versions as references.
+The package works on cube and point arrays (``dyadic.refine``,
+``ExceptionalSet.cube_distances``, ``Gauge.many``), and the tests use these
+one-object versions as references.
 """
 
 import math
 
 import numpy as np
 
+from stokeslab.cousin import Gauge
 from stokeslab.dyadic import MAX_GENERATION, DepthError, DyadicCube, ExceptionalSet
 
 
@@ -65,3 +67,7 @@ def neighborhood_indicator(E: ExceptionalSet, r: float, x) -> bool:
     if r <= 0:
         raise ValueError("neighbourhood radius must be positive")
     return E.distance(x) < r
+
+
+def gauge_at(self: Gauge, x) -> float:
+    return float(self.many(np.asarray(x, dtype=float)[None])[0])

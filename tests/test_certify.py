@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cube_refs import gauge_at
 from model_refs import from_callable
 
 from stokeslab import certify
@@ -280,7 +281,7 @@ def check_family(family, delta, eta, G=None) -> CertificateReport:
         if not _tag_in_support(piece, tag):
             report.add(f"piece {i}: tag {tag.tolist()} is not in the support")
 
-        dval = delta(tag)
+        dval = gauge_at(delta, tag)
         if dval <= 0:
             report.add(f"piece {i}: gauge vanishes at the tag")
         diam_upper = _piece_diam_upper(piece)

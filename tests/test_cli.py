@@ -623,3 +623,24 @@ def test_non_finite_geometry_and_counts_out_of_range_are_usage_errors(tmp_path, 
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"exceptional_set": {"kind": "point", "at": 5}},
+     "exceptional_set at must be a list of numbers, not 5"),
+    ({"exceptional_set": {"kind": "point"}},
+     "exceptional_set at must be a list of numbers, not None"),
+    ({"exceptional_set": {"kind": "segment", "from": [0.5, 0.0], "to": "up"}},
+     "exceptional_set to must be a list of numbers, not 'up'"),
+    ({"current": {"kind": "cube_set", "region": 5}}, "current region must be an object, not 5"),
+    ({"current": {"kind": "cube_set"}}, "current region must be an object, not None"),
+])
+def test_a_malformed_point_or_region_is_a_usage_error_naming_its_key(tmp_path, capsys, payload,
+                                                                     message):
+    # each exited 64 naming no key: "'int' object is not iterable", "'at'",
+    # "'int' object is not subscriptable"
+    cfg = _write_config(tmp_path, "c.json", {"current": {"kind": "unit_square"}, **payload})
+    out = tmp_path / "out"
+    assert main(["cousin", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cube_refs import center, corners, cube_min_distance, diameter, subdivide
+from cube_refs import center, corners, cube_min_distance, diameter, gauge_at, subdivide
 from model_refs import from_callable
 
 from stokeslab import certify, cousin
@@ -729,7 +729,7 @@ def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
             mass=mres.value,
             boundary_mass=bres.value,
             reg=mres.value / (bres.value * diam_push),
-            gauge_at_tag=delta(tag3),
+            gauge_at_tag=gauge_at(delta, tag3),
             eta_at_tag=float(eta.many(tag3[None])[0]),
             meta={"pre_square": (square.x0, square.y0, square.x1 - square.x0),
                   "pre_cube": cube.key(), "pre_tag": tuple(map(float, pre_tag))},

@@ -105,7 +105,9 @@ def test_empty_boxes_and_empty_batches():
     out = integrate_boxes(lambda box, x: x, [[0.5], [0.0]], [[0.5], [1.0]], [1e-10] * 2)
     assert out[0] == quadrature.QuadResult(0.0, 0.0, 0)
     assert out[1].value == pytest.approx(0.5, abs=1e-15)
-    assert integrate_boxes(lambda box, x, y: x, np.empty((0, 2)), np.empty((0, 2)), []) == []
+    # an empty batch is a result of empty columns
+    empty = integrate_boxes(lambda box, x, y: x, np.empty((0, 2)), np.empty((0, 2)), [])
+    assert [column.shape for column in (empty.value, empty.error, empty.panels)] == [(0,)] * 3
 
 
 def test_panels_go_to_the_integrand_in_point_blocks():
