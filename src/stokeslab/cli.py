@@ -37,6 +37,9 @@ class UsageError(ValueError):
     pass
 
 
+_REQUIRED = object()  # the default of a key that must be given
+
+
 def _load_config(args) -> dict:
     if args.config is None:
         config = {}
@@ -70,13 +73,14 @@ def _number(desc: dict, key, default=None, lo=None, hi=math.inf, *, integer=Fals
             where: str = "", why: str = ""):
     """desc[key], or default where desc has no key: a JSON number, else a usage error naming key.
 
-    An integer may be written as an integral float and must lie in [lo, hi].  A real
-    is returned as a float; given lo, it must be finite and lie in (lo, hi), and without
-    lo the constructor it goes to checks it.  where names the object desc, why the bounds.
+    A default of _REQUIRED is refused as the value None.  An integer may be written as an
+    integral float and must lie in [lo, hi].  A real is returned as a float; given lo, it
+    must be finite and lie in (lo, hi), and without lo the constructor it goes to checks
+    it.  where names the object desc, why the bounds.
     """
-    if key not in _object(desc, where):
+    if key not in _object(desc, where) and default is not _REQUIRED:
         return default
-    value, name = desc[key], f"{where} {key}".lstrip()
+    value, name = desc.get(key), f"{where} {key}".lstrip()
     if integer:
         if type(value) is float and value.is_integer():
             value = int(value)
@@ -98,12 +102,21 @@ def _number(desc: dict, key, default=None, lo=None, hi=math.inf, *, integer=Fals
     return number
 
 
-def _point(desc: dict, key: str, where: str) -> tuple:
-    """desc[key], a list of JSON numbers; ExceptionalSet checks that they are finite."""
+def _point(desc: dict, key: str, where: str, **bounds) -> tuple:
+    """desc[key], a list of JSON numbers each read with bounds; without bounds the caller
+    checks that they are finite (ExceptionalSet does)."""
     if not isinstance(desc.get(key), list):
         raise UsageError(f"{where} {key} must be a list of numbers, not {desc.get(key)!r}")
     coords = dict(enumerate(desc[key]))
-    return tuple(_number(coords, i, where=key) for i in coords)
+    return tuple(_number(coords, i, where=f"{where} {key}", **bounds) for i in coords)
+
+
+def _keyed(where: str, build, *args):
+    """build(*args), its ValueError a usage error naming where, the key of the args."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(f"{where}: {exc}") from None
 
 
 def _surface_options(config: dict) -> dict:
@@ -127,8 +140,7 @@ def _build_current(desc: dict):
     if kind == "unit_square":
         return TopDimCurrent(CubeSet.whole(RootBox((0.0, 0.0), 1.0)), theta)
     if kind == "cube_set":
-        region = _object(desc.get("region"), "current region")
-        return TopDimCurrent(CubeSet.from_json(json.dumps(region)), theta)
+        return TopDimCurrent(_cube_set(_object(desc.get("region"), "current region")), theta)
     if kind == "flat_graph":
         w = _number(desc, "width", math.pi, 0)
         h = _number(desc, "height", 0.5, 0)
@@ -155,6 +167,25 @@ def _build_current(desc: dict):
         params = _params_from(desc)
         return build_surface_current(params)
     raise UsageError(f"unknown current kind {kind!r}")
+
+
+def _cube_set(region: dict):
+    """The cube set of a region {"root": {"corner", "side"}, "cubes": [{"generation", ...}]}."""
+    from .dyadic import CubeSet, RootBox
+
+    where, cubes = "current region root", region.get("cubes")
+    root = _object(region.get("root"), where)
+    corner, side = _point(root, "corner", where), _number(root, "side", _REQUIRED, 0, where=where)
+    if not all(map(math.isfinite, corner)):  # as CubeSet.from_json refuses it
+        raise UsageError(f"{where}: root box corner {corner} and side {side} must be finite")
+    if not isinstance(cubes, list):
+        raise UsageError(f"current region cubes must be a list of objects, not {cubes!r}")
+    gen, index = [], []
+    for k, cube in enumerate(cubes):
+        at = f"current region cubes[{k}]"
+        gen.append(_number(cube, "generation", _REQUIRED, 0, integer=True, where=at))
+        index.append(_point(cube, "corner", at, lo=0, integer=True))
+    return _keyed("current region cubes", CubeSet.of, RootBox(corner, side), gen, index)
 
 
 def _params_from(desc: dict):
@@ -208,11 +239,13 @@ def _build_exceptional(desc: dict, current=None, where: str = "exceptional_set")
     if kind == "empty":
         return ExceptionalSet.empty()
     if kind == "point":
-        return ExceptionalSet.points([_point(desc, "at", where)])
+        return _keyed(f"{where} at", ExceptionalSet.points, [_point(desc, "at", where)])
     if kind == "segment":
-        return ExceptionalSet.segment(_point(desc, "from", where), _point(desc, "to", where))
+        return _keyed(f"{where} from and to", ExceptionalSet.segment, _point(desc, "from", where),
+                      _point(desc, "to", where))
     if kind == "box":
-        return ExceptionalSet.box(_point(desc, "lo", where), _point(desc, "hi", where))
+        return _keyed(f"{where} lo and hi", ExceptionalSet.box, _point(desc, "lo", where),
+                      _point(desc, "hi", where))
     if kind == "singular_set":
         if not isinstance(current, SurfaceCurrent):
             raise UsageError("singular_set refers to a counterexample current")
@@ -226,12 +259,13 @@ def _build_gauge(desc: dict, E, current):
 
     kind = _object(desc, "gauge").get("kind", "constant")
     if kind == "constant":
-        return Gauge.constant(_number(desc, "value", 0.4))
+        return _keyed("gauge value", Gauge.constant, _number(desc, "value", 0.4))
     if kind == "distance":
         to = _build_exceptional(desc["to"], current, "to") if "to" in desc else E
-        g = Gauge.distance_to(to, _number(desc, "scale", 1.0), _number(desc, "offset", 0.0))
+        g = _keyed("gauge scale and offset", Gauge.distance_to, to, _number(desc, "scale", 1.0),
+                   _number(desc, "offset", 0.0))
         cap = _number(desc, "cap")
-        return g if cap is None else g.min_with(Gauge.constant(cap))
+        return g if cap is None else g.min_with(_keyed("gauge cap", Gauge.constant, cap))
     raise UsageError(f"unknown gauge kind {kind!r}")
 
 
@@ -247,7 +281,7 @@ def run_cousin(config: dict) -> int:
     T = _build_current(config.get("current", {}))
     E = _build_exceptional(config.get("exceptional_set", {"kind": "empty"}), T)
     delta = _build_gauge(config.get("gauge", {"kind": "constant", "value": 0.4}), E, T)
-    eta = RegularityFn.constant(_number(config, "eta", 0.05))
+    eta = _keyed("eta", RegularityFn.constant, _number(config, "eta", 0.05))
     eps = _number(config, "epsilon", 1e-3, 0)
     G = SubadditiveFn.mass()
     family = gauge_decompose(T, E, delta, eta, G, eps)
@@ -270,8 +304,9 @@ def run_stokes(config: dict) -> int:
     out = Path(config["out_dir"])
     T = _build_current(config.get("current", {}))
     omega = _build_form(config.get("form", {}), T)
-    if omega.n != T.n:
-        raise UsageError(f"form {omega.name!r} lives in R^{omega.n}, the current in R^{T.n}")
+    if (omega.n, omega.k) != (T.n, T.m - 1):
+        raise UsageError(f"form {omega.name!r} has degree {omega.k} and lives in R^{omega.n}, the "
+                         f"current in R^{T.n} is {T.m}-dimensional and takes degree {T.m - 1}")
     E = _build_exceptional(config.get("exceptional_set", {"kind": "empty"}), T)
     tol = _number(config, "tol", None, 0)
     report = integration.stokes_check(T, omega, E, tol=tol,

@@ -26,6 +26,7 @@ from .currents import (
     boundary_form_integral,
     chart_masses,
     complement_within,
+    rect_edges,
     slice_current,
 )
 from .dyadic import CubeSet, DyadicCube, DepthError, ExceptionalSet, RootBox
@@ -214,8 +215,8 @@ class PieceTable(Sequence):
     set, a cube piece's region or a chart piece's domain (-1 for other
     pieces).  The cells, tuples of arrays led by the owner piece, in piece order:
     ``cubes`` (owner, root corner, root side, generation, index) of cube
-    pieces, ``rects`` (owner, lo, hi) and counterclockwise ``edges`` (owner,
-    start, end) of chart pieces.  As a sequence the table holds TaggedPair
+    pieces, ``rects`` (owner, lo, hi) and ``edges`` (owner, start, end), the
+    ``boundary_edges``, of chart pieces.  As a sequence the table holds TaggedPair
     views, which ``view(table, k)`` builds only when one is read.
     """
 
@@ -262,7 +263,8 @@ class PieceTable(Sequence):
         pairs = tuple(pairs)
         charts: dict = {}  # id -> (index, chart)
         roots: dict = {}  # id -> (index, root box)
-        cubes, rects, edges, chart, root = [], [], [], [], []
+        cubes, rects, chart, root = [], [], [], []
+        edges = [(np.empty(0, np.int64), np.empty((0, 2)), np.empty((0, 2)))]
         for k, piece in enumerate(p.piece for p in pairs):
             region = getattr(piece, "region", getattr(piece, "domain", None))
             box = region.root if isinstance(region, CubeSet) else None
@@ -270,7 +272,8 @@ class PieceTable(Sequence):
             if isinstance(piece, ChartCurrent):
                 chart.append(charts.setdefault(id(piece.chart), (len(charts), piece.chart))[0])
                 rects += [(k, (r.x0, r.y0), (r.x1, r.y1)) for r in piece.domain_rects()]
-                edges += [(k, *edge) for edge in piece.planar_edges()]
+                _, start, end, _, _ = piece.boundary_edges()
+                edges.append((np.full(len(start), k), start, end))
                 continue
             chart.append(-1)
             if isinstance(piece, TopDimCurrent):
@@ -283,7 +286,7 @@ class PieceTable(Sequence):
                    np.array(chart, dtype=np.int64), np.array(root, dtype=np.int64),
                    tuple(c for _, c in charts.values()), tuple(b for _, b in roots.values()),
                    _cells(cubes, (float, m), (float,), (np.int64,), (np.int64, m)),
-                   _cells(rects, (float, 2), (float, 2)), _cells(edges, (float, 2), (float, 2)),
+                   _cells(rects, (float, 2), (float, 2)), tuple(map(np.concatenate, zip(*edges))),
                    lambda table, k: pairs[k])
 
 
@@ -794,10 +797,7 @@ def _chart_table(pieces: Sequence[ChartCurrent], cells: list, delta: Gauge,
     cube_side = np.ldexp(side, -gen)[:, None]
     lo = corner + cube_side * idx
     hi = lo + cube_side
-    # the counterclockwise edges a -> b -> c -> d -> a of each piece, as Rect.boundary_edges
-    ring = np.stack([lo, np.column_stack([hi[:, 0], lo[:, 1]]), hi,
-                     np.column_stack([lo[:, 0], hi[:, 1]])], axis=1)
-    start, end = ring.reshape(-1, 2), np.roll(ring, -1, axis=1).reshape(-1, 2)
+    start, end = rect_edges(lo, hi)
     n = len(lo)
     theta = np.array([T.theta for T in pieces])[of]
     mass, edge, tags = np.empty(n), np.empty((n, 4)), np.empty((n, 3))

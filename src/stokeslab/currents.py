@@ -8,16 +8,17 @@ planar domain.  Three concrete kinds are supported:
 * oscillating-surface currents built from a strip model (see
   :mod:`stokeslab.counterexample`), windowed in y.
 
-Each kind provides one protocol.  ``boundary_curves`` gives the oriented
-boundary as curves ``(point(t), tangent(t), t0, t1)`` vectorized over t:
-cube sets use their planar edges, charts and surface windows lift the edges
-of their planar domain through psi.  ``tangent_plane`` gives the tangent
-2-vector at support points (:func:`graph_tangent` for the graphs).  Mass,
-boundary mass, restriction, complements, slices by distance functions,
-neighbourhood masses of a set and support samples are methods of the kinds,
-and the free functions below delegate to them.  :mod:`stokeslab.certify`
-re-derives masses, boundary masses and footprints from the raw geometry on
-purpose, so that it shares no numbers with this module.
+Each kind provides one protocol.  ``boundary_edges`` gives the oriented
+boundary as arrays (lift, start, end, t0, t1): segments u = start +
+t (end - start), t from t0 to t1, of the cube set's facets, of the chart's
+domain lifted by the chart, or of the window's sides lifted by the model.
+``tangent_plane`` gives the tangent 2-vector at support points
+(:func:`graph_tangent` for the graphs).  Mass, boundary mass, restriction,
+complements, slices by distance functions, neighbourhood masses of a set and
+support samples are methods of the kinds, and the free functions below
+delegate to them.  :mod:`stokeslab.certify` re-derives masses, boundary
+masses and footprints from the raw geometry on purpose, so that it shares no
+numbers with this module.
 
 Cube-set quantities are exact; the other masses are quadrature estimates
 whose error is |fine - coarse|, not a rigorous bound.
@@ -82,14 +83,6 @@ class Rect:
 
     def diameter(self) -> float:
         return math.hypot(self.x1 - self.x0, self.y1 - self.y0)
-
-    def boundary_edges(self):
-        """Counterclockwise edges as (start, end) point pairs."""
-        a = (self.x0, self.y0)
-        b = (self.x1, self.y0)
-        c = (self.x1, self.y1)
-        d = (self.x0, self.y1)
-        return [(a, b), (b, c), (c, d), (d, a)]
 
     def contains(self, x: float, y: float) -> bool:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
@@ -165,35 +158,25 @@ def _rects(domain) -> list[Rect]:
     return [Rect(lo[0], hi[0], lo[1], hi[1]) for lo, hi in zip(*domain.bounds())]
 
 
-def _planar_edges(domain) -> list:
-    """Counterclockwise boundary edges (start, end) of a Rect or a planar CubeSet."""
+def rect_edges(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends (4R, 2) of the edges a -> b -> c -> d -> a of rectangles lo, hi (R, 2)."""
+    lo, hi = (np.asarray(a, dtype=float).reshape(-1, 2) for a in (lo, hi))
+    ring = np.stack([lo, np.column_stack([hi[:, 0], lo[:, 1]]), hi,
+                     np.column_stack([lo[:, 0], hi[:, 1]])], axis=1)
+    return ring.reshape(-1, 2), np.roll(ring, -1, axis=1).reshape(-1, 2)
+
+
+def _domain_edges(domain, lift) -> tuple:
+    """boundary_edges of a Rect or planar CubeSet lifted by lift: counterclockwise, t in [0, 1]."""
     if isinstance(domain, Rect):
-        return domain.boundary_edges()
-    edges = []
-    for axis, coord, orient, lo, hi in domain.boundary_segments():
-        # the edge tangent is the facet normal turned by +90 degrees
-        if axis == 0:
-            ends = [(coord, lo[1]), (coord, hi[1])]
-        else:
-            ends = [(hi[0], coord), (lo[0], coord)]
-        edges.append(tuple(ends if orient > 0 else ends[::-1]))
-    return edges
-
-
-def _segments(edges) -> list:
-    """Each edge (p, q) as the planar segment (p, q - p) over t in [0, 1]."""
-    out = []
-    for p, q in edges:
-        p = np.asarray(p, dtype=float)
-        out.append((p, np.asarray(q, dtype=float) - p, 0.0, 1.0))
-    return out
-
-
-def _planar_curves(segments) -> list:
-    """Curves t -> base + t * direction of planar segments (base, direction, t0, t1)."""
-    return [(lambda t, b=b, d=d: b + np.multiply.outer(t, d),
-             lambda t, d=d: np.broadcast_to(d, (len(t), len(d))), t0, t1)
-            for b, d, t0, t1 in segments]
+        start, end = rect_edges((domain.x0, domain.y0), (domain.x1, domain.y1))
+    else:
+        axis, orient, lo, hi = domain.boundary_facets()
+        # the edge tangent is the facet normal turned by +90 degrees: up the facets
+        # whose normal is +x, leftward along those whose normal is +y
+        swap = ((axis == 0) != (orient > 0))[:, None]
+        start, end = np.where(swap, hi, lo), np.where(swap, lo, hi)
+    return lift, start, end, np.zeros(len(start)), np.ones(len(start))
 
 
 def _lifted_tangent(graph, base, direction, t):
@@ -209,25 +192,6 @@ def _lifted_tangent(graph, base, direction, t):
     px, py = graph.gradient(x, y)
     dz = px * d0 + py * d1
     return np.stack(np.broadcast_arrays(d0, d1, dz), axis=-1)
-
-
-def _lifted_curves(graph, segments) -> list:
-    """Planar segments lifted through a graph with psi and gradient.
-
-    The point u = base + t * direction lifts to (u, psi(u)) with tangent
-    (d0, d1, psi_x(u) d0 + psi_y(u) d1).
-    """
-    curves = []
-    for b, d, t0, t1 in segments:
-        def point(t, b=b, d=d):
-            u = b + np.multiply.outer(t, d)
-            return np.column_stack([u, graph.psi(u[:, 0], u[:, 1])])
-
-        def tangent(t, b=b, d=d):
-            return _lifted_tangent(graph, b, d, t)
-
-        curves.append((point, tangent, t0, t1))
-    return curves
 
 
 def _sample_boxes(lo, hi, weights, n: int, rng) -> np.ndarray:
@@ -275,9 +239,13 @@ class Current:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
-    def boundary_curves(self) -> list:
-        """Oriented boundary as curves (point(t), tangent(t), t0, t1), vectorized in t."""
-        self._unsupported("boundary curves")
+    def boundary_edges(self) -> tuple:
+        """Oriented boundary (lift, start, end, t0, t1): segments u = start + t (end - start).
+
+        t runs from t0 to t1, (E,) beside the (E, 2) start and end.  ``lift``, None
+        for a planar current, is the graph that lifts u to (u, lift.psi(u)).
+        """
+        self._unsupported("boundary edges")
 
     def tangent_plane(self, points):
         """Tangent 2-vectors w at support points (N, n) and their lengths: unit plane w / length."""
@@ -364,18 +332,17 @@ class TopDimCurrent(Current):
     def support_diameter(self) -> float:
         return self.region.diameter()
 
-    def boundary_curves(self) -> list:
+    def boundary_edges(self) -> tuple:
         if self.m != 2:
-            raise CurrentError("boundary curves are only provided in the plane")
-        return _planar_curves(_segments(_planar_edges(self.region)))
+            raise CurrentError("boundary edges are only provided in the plane")
+        return _domain_edges(self.region, None)
 
     def boundary_points_signed(self):
+        """The boundary points (k, 1) of a 1-current and their orientations (k,)."""
         if self.m != 1:
             raise CurrentError("signed boundary points only exist for 1-currents")
-        out = []
-        for axis, coord, orient, _, _ in self.region.boundary_segments():
-            out.append((coord, orient))
-        return out
+        _, orient, points, _ = self.region.boundary_facets()
+        return points, orient
 
     def tangent_plane(self, points):
         return np.ones((len(points), 1)), np.ones(len(points))
@@ -556,17 +523,13 @@ class ChartCurrent(Current):
                                     [(r.x1, r.y1) for r in rects], [self.tol] * len(rects)),
                        abs(self.theta))
 
-    def planar_edges(self) -> list:
-        """Counterclockwise planar boundary edges (start, end) of the domain."""
-        return _planar_edges(self.domain)
+    def boundary_edges(self) -> tuple:
+        return _domain_edges(self.domain, self.chart)
 
     def boundary_mass(self) -> QuadResult:
-        edges = np.array(self.planar_edges(), dtype=float).reshape(-1, 2, 2)
-        return _summed(chart_masses(self.chart, edges[:, 0], edges[:, 1], [self.tol] * len(edges),
+        _, start, end, _, _ = self.boundary_edges()
+        return _summed(chart_masses(self.chart, start, end, [self.tol] * len(start),
                                     boundary=True), abs(self.theta))
-
-    def boundary_curves(self) -> list:
-        return _lifted_curves(self.chart, _segments(self.planar_edges()))
 
     def tangent_plane(self, points):
         return graph_tangent(*self.chart.gradient(points[:, 0], points[:, 1]))
@@ -716,17 +679,13 @@ class SurfaceCurrent(Current):
         bump = 2.0 * self.model.sup_abs_psi(self.y_lo)
         return math.sqrt(width ** 2 + height ** 2 + bump ** 2)
 
-    def boundary_curves(self) -> list:
+    def boundary_edges(self) -> tuple:
         # the window's edges counterclockwise, each parametrized by the
-        # coordinate that runs along it
-        x0, x1 = self.model.x_lo, self.model.x_hi
-        ex, ey = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        return _lifted_curves(self.model, [
-            (np.array([0.0, self.y_lo]), ex, x0, x1),
-            (np.array([x1, 0.0]), ey, self.y_lo, self.y_hi),
-            (np.array([0.0, self.y_hi]), ex, x1, x0),
-            (np.array([x0, 0.0]), ey, self.y_hi, self.y_lo),
-        ])
+        # coordinate that runs along it: end - start is a unit vector
+        x0, x1, lo, hi = self.model.x_lo, self.model.x_hi, self.y_lo, self.y_hi
+        start = np.array([[0.0, lo], [x1, 0.0], [0.0, hi], [x0, 0.0]])
+        return (self.model, start, start + np.tile(np.eye(2), (2, 1)),
+                np.array([x0, lo, x1, hi]), np.array([x1, hi, x0, lo]))
 
     def tangent_plane(self, points):
         _, px, py, _ = self.model._strip_data(points[:, 0], points[:, 1])
@@ -982,23 +941,31 @@ def _cube_region_measure_in_ball(region: CubeSet, E: ExceptionalSet, r: float) -
     return QuadResult(math.fsum(root.measures(inside_gen)) + 0.5 * layer, 0.5 * layer, 0)
 
 
-def _line_integral(omega, point, tangent, t0: float, t1: float,
-                   tol: float) -> QuadResult:
-    def integrand(ts):
-        return np.vecdot(omega.evaluate_many(point(ts)), tangent(ts))
-
-    return integrate_1d(integrand, t0, t1, tol=tol, max_panels=2048)
-
-
 def boundary_form_integral(T: Current, omega, tol: float = 1e-10) -> QuadResult:
-    """Integral of a degree-(m-1) form over the oriented boundary of T."""
+    """Integral of a degree-(m-1) form over the oriented boundary of T.
+
+    One quadrature per edge of ``T.boundary_edges()``: the form at the point
+    u = start + t d, d = end - start, against the tangent d, both lifted
+    when the edges are.
+    """
     if T.m == 1:
-        signed = T.boundary_points_signed()
-        values = omega.evaluate_many(np.array([c for c, _ in signed]).reshape(-1, 1))[:, 0]
-        total = sum((o * v for (_, o), v in zip(signed, values.tolist())), 0.0)
+        points, orient = T.boundary_points_signed()
+        values = omega.evaluate_many(points)[:, 0]
+        total = sum((o * v for o, v in zip(orient.tolist(), values.tolist())), 0.0)
         return QuadResult(T.theta * total, 0.0, 0)
-    return _summed((_line_integral(omega, point, tangent, t0, t1, tol)
-                    for point, tangent, t0, t1 in T.boundary_curves()), T.theta)
+    lift, start, end, t0, t1 = T.boundary_edges()
+
+    def edge(p, d, a: float, b: float) -> QuadResult:
+        def integrand(t):
+            u = p + np.multiply.outer(t, d)
+            if lift is None:
+                return np.vecdot(omega.evaluate_many(u), d)
+            points = np.column_stack([u, lift.psi(u[:, 0], u[:, 1])])
+            return np.vecdot(omega.evaluate_many(points), _lifted_tangent(lift, p, d, t))
+
+        return integrate_1d(integrand, a, b, tol=tol, max_panels=2048)
+
+    return _summed(map(edge, start, end - start, t0.tolist(), t1.tolist()), T.theta)
 
 
 def coarea_slice_check(T: Current, E: ExceptionalSet, radii: Sequence[float]) -> dict:

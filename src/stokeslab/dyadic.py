@@ -336,21 +336,18 @@ class CubeSet:
         cells = sum(c << ((G - g) * (m - 1)) for g, c in zip(gens.tolist(), counts.tolist()))
         return cells * (self.root.side * 2.0 ** (-G)) ** (m - 1)
 
-    def boundary_segments(self):
-        """Uncancelled oriented boundary facets in real coordinates.
+    def boundary_facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The uncancelled boundary facets as arrays (axis, orientation, lo, hi), pairwise disjoint.
 
-        Returns a list of (axis, coordinate, orientation, lo, hi) pieces where
-        lo/hi bound the facet on the remaining axes; pieces from opposite
-        orientations never overlap.  Only meaningful for m <= 2.
+        Facet k is the box [lo[k], hi[k]] (E, m) flat on its axis, with outward
+        normal orientation[k] = +1 or -1 along it, in ``_boundary_facets`` order.
         """
         axis, orient, gen, index = self._boundary_facets()
         rows, hi = np.arange(len(gen)), index + 1
         # on the axis both corners take the face's coordinate, the cell's high side
         # on a high face and its low side on a low one
         index[rows, axis] = hi[rows, axis] = index[rows, axis] + (orient > 0)
-        lo, hi = (self.root.bounds(gen, corner)[0].tolist() for corner in (index, hi))
-        return [(a, l[a], o, tuple(l), tuple(h))
-                for a, o, l, h in zip(axis.tolist(), orient.tolist(), lo, hi)]
+        return axis, orient, self.root.bounds(gen, index)[0], self.root.bounds(gen, hi)[0]
 
     # -- membership and line queries -------------------------------------------
 

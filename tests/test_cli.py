@@ -204,6 +204,26 @@ def test_form_and_current_dimensions_must_agree(tmp_path, capsys, current, form)
     assert "the current in R^" in capsys.readouterr().err
 
 
+def test_a_form_of_the_wrong_degree_is_refused_before_any_integral(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a 1-form on the 3-dimensional unit cube computed the left side first and then
+    # exited 64 with "boundary curves are only provided in the plane"
+    from stokeslab import integration
+
+    def no_integral(*args, **kwargs):
+        raise AssertionError("stokes_check ran")
+
+    monkeypatch.setattr(integration, "stokes_check", no_integral)
+    cfg = _write_config(tmp_path, "d.json", {"current": {"kind": "cube_set", "region": {
+        "root": {"corner": [0.0, 0.0, 0.0], "side": 1.0},
+        "cubes": [{"generation": 0, "corner": [0, 0, 0]}]}}, "form": {"kind": "xz_dy"}})
+    out = tmp_path / "out"
+    assert main(["stokes", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "form 'x z dy' has degree 1" in err and "is 3-dimensional and takes degree 2" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["stokes", "counterexample"])
 def test_refused_parameters_exit_alike_in_every_subcommand(tmp_path, command):
     # h * a / lambda = 1.2 breaks the area condition; stokes used to exit 64
@@ -634,11 +654,38 @@ def test_non_finite_geometry_and_counts_out_of_range_are_usage_errors(tmp_path, 
      "exceptional_set to must be a list of numbers, not 'up'"),
     ({"current": {"kind": "cube_set", "region": 5}}, "current region must be an object, not 5"),
     ({"current": {"kind": "cube_set"}}, "current region must be an object, not None"),
+    ({"current": {"kind": "cube_set", "region": {"root": 5, "cubes": []}}},
+     "current region root must be an object, not 5"),
+    ({"current": {"kind": "cube_set", "region": {"root": {"corner": [0.0, 0.0], "side": 1.0},
+                                                 "cubes": [{"generation": 0}]}}},
+     "current region cubes[0] corner must be a list of numbers, not None"),
+    ({"current": {"kind": "cube_set", "region": {"root": {"corner": [0.0, 0.0], "side": -1},
+                                                 "cubes": []}}},
+     "current region root side must be a finite positive number, not -1"),
+    ({"current": _cube_region([0.0, 0.0], 1, [2, 0])},
+     "current region cubes: index (2, 0) outside the root box at generation 1"),
+    ({"current": _cube_region([0.0, 0.0], 1.5, [0, 0])},
+     "current region cubes[0] generation must be an integer, not 1.5"),
+    ({"current": _cube_region([0.0, 0.0], 1, [0.5, 0])},
+     "current region cubes[0] corner 0 must be an integer, not 0.5"),
+    ({"current": _cube_region(["0.5", 0.0], 0, [0, 0])},
+     "current region root corner 0 must be a number, not '0.5'"),
+    ({"gauge": {"kind": "constant", "value": 0}},
+     "gauge value: constant gauges must be positive and finite, not 0.0"),
+    ({"exceptional_set": POINT, "gauge": {"kind": "distance", "scale": 0}},
+     "gauge scale and offset: distance gauges need a finite scale > 0"),
+    ({"eta": -1}, "eta: regularity thresholds are finite and nonnegative, not -1.0"),
+    ({"exceptional_set": {"kind": "box", "lo": [0.6, 0.5], "hi": [0.4, 0.5]}},
+     "exceptional_set lo and hi: element (0.6, 0.5), (0.4, 0.5) needs finite coordinates "
+     "with lo <= hi"),
 ])
 def test_a_malformed_point_or_region_is_a_usage_error_naming_its_key(tmp_path, capsys, payload,
                                                                      message):
     # each exited 64 naming no key: "'int' object is not iterable", "'at'",
-    # "'int' object is not subscriptable"
+    # "'int' object is not subscriptable", "'corner'", "root box side must be
+    # positive", and the library constructors' messages without their keys; a
+    # generation of 1.5, a corner index of 0.5 and a root corner of "0.5" exited 0,
+    # read as 1, 0 and 0.5
     cfg = _write_config(tmp_path, "c.json", {"current": {"kind": "unit_square"}, **payload})
     out = tmp_path / "out"
     assert main(["cousin", "--config", cfg, "--out", str(out)]) == EXIT_USAGE

@@ -33,7 +33,7 @@ from stokeslab.cousin import (
     regularity,
 )
 from stokeslab.currents import (ChartCurrent, ChartMap, Current, CurrentError, Rect,
-                                TopDimCurrent, _lifted_tangent, _segments, _summed)
+                                TopDimCurrent, _lifted_tangent, _summed)
 from stokeslab.integration import riemann_sum
 from stokeslab.quadrature import QuadResult, integrate_boxes
 from stokeslab.dyadic import CubeSet, DepthError, DyadicCube, ExceptionalSet, RootBox
@@ -644,7 +644,16 @@ def chart_masses(pieces: Sequence[ChartCurrent], boundary: bool = False) -> list
     if any(p.chart is not chart for p in pieces):
         raise CurrentError("chart_masses needs pieces on one chart")
     if boundary:
-        parts = [(i, seg) for i, p in enumerate(pieces) for seg in _segments(p.planar_edges())]
+        def _segments(edges) -> list:
+            """Each edge (p, q) as the planar segment (p, q - p) over t in [0, 1]."""
+            out = []
+            for p, q in edges:
+                p = np.asarray(p, dtype=float)
+                out.append((p, np.asarray(q, dtype=float) - p, 0.0, 1.0))
+            return out
+
+        parts = [(i, seg) for i, p in enumerate(pieces)
+                 for seg in _segments(zip(*p.boundary_edges()[1:3]))]
         base = np.array([b for _, (b, _, _, _) in parts]).reshape(-1, 2)
         direction = np.array([d for _, (_, d, _, _) in parts]).reshape(-1, 2)
         lo, hi = np.zeros((len(parts), 1)), np.ones((len(parts), 1))

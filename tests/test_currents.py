@@ -268,48 +268,50 @@ def test_descriptor_round_trip_region():
 # -- the current protocol: boundary curves and tangent planes -------------------
 
 
+# five cubes of generations 1 to 3 whose boundary has hanging vertices
+STAIRCASE = CubeSet.of(ROOT, [1, 1, 2, 2, 3], [(0, 0), (1, 0), (0, 2), (1, 2), (2, 5)])
+
+
+def _per_point_curves(T):
+    """T's boundary_edges as curves (point(t), tangent(t), t0, t1), one point t at a time."""
+    lift, start, end, t0, t1 = T.boundary_edges()
+    curves = []
+    for p, q, a, b in zip(start, end, t0.tolist(), t1.tolist()):
+        d = q - p
+
+        def point(t, p=p, d=d):
+            u = p + t * d
+            return u if lift is None else np.array([u[0], u[1], float(lift.psi(u[0], u[1]))])
+
+        def tangent(t, p=p, d=d):
+            if lift is None:
+                return d
+            u = p + t * d
+            px, py = lift.gradient(u[0], u[1])
+            return np.array([d[0], d[1], float(px) * d[0] + float(py) * d[1]])
+
+        curves.append((point, tangent, a, b))
+    return curves
+
+
 def _protocol_current(kind):
     """A current of each kind with its boundary as (point(t), tangent(t), t0, t1) per point."""
-    if kind == "cube_square":
-        edges = [(np.asarray(p, dtype=float), np.asarray(q, dtype=float) - p)
-                 for p, q in Rect(0.0, 1.0, 0.0, 1.0).boundary_edges()]
-        return UNIT, [(lambda t, p=p, d=d: p + t * d, lambda t, d=d: d, 0.0, 1.0)
-                      for p, d in edges]
-    if kind == "parabolic_chart":
+    if kind in ("cube_square", "cube_staircase"):
+        T = UNIT if kind == "cube_square" else TopDimCurrent(STAIRCASE, -2)
+        return T, _per_point_curves(T)
+    if kind in ("parabolic_chart", "chart_over_cubes"):
         chart = ChartMap(psi=lambda x, y: 0.25 * (np.asarray(x) ** 2 + np.asarray(y)),
                          gradient=lambda x, y: (0.5 * np.asarray(x, dtype=float),
                                                 0.25 * np.ones_like(np.asarray(x, dtype=float))),
                          lip_upper=1.2, name="parabolic")
-        T = ChartCurrent(Rect(0.0, 1.0, 0.0, 1.0), chart)
-        curves = []
-        for p, q in Rect(0.0, 1.0, 0.0, 1.0).boundary_edges():
-            p = np.asarray(p, dtype=float)
-            d = np.asarray(q, dtype=float) - p
-
-            def point(t, p=p, d=d):
-                u = p + t * d
-                return np.array([u[0], u[1], float(chart.psi(u[0], u[1]))])
-
-            def tangent(t, p=p, d=d):
-                u = p + t * d
-                px, py = chart.gradient(u[0], u[1])
-                return np.array([d[0], d[1], float(px) * d[0] + float(py) * d[1]])
-
-            curves.append((point, tangent, 0.0, 1.0))
-        return T, curves
+        T = ChartCurrent(Rect(0.0, 1.0, 0.0, 1.0) if kind == "parabolic_chart" else STAIRCASE,
+                         chart)
+        return T, _per_point_curves(T)
     from stokeslab.counterexample import Params, SurfaceModel
     from stokeslab.currents import SurfaceCurrent
 
-    model = SurfaceModel(Params.default())
-    T = SurfaceCurrent(model, 0.1, 0.4)
-    curves = []
-    for y, xa, xb in ((0.1, 0.0, math.pi), (0.4, math.pi, 0.0)):
-        curves.append((lambda x, y=y: np.array([x, y, float(model.psi(x, y))]),
-                       lambda x, y=y: np.array([1.0, 0.0, float(model.gradient(x, y)[0])]), xa, xb))
-    for x, ya, yb in ((math.pi, 0.1, 0.4), (0.0, 0.4, 0.1)):
-        curves.append((lambda y, x=x: np.array([x, y, float(model.psi(x, y))]),
-                       lambda y, x=x: np.array([0.0, 1.0, float(model.gradient(x, y)[1])]), ya, yb))
-    return T, curves
+    T = SurfaceCurrent(SurfaceModel(Params.default()), 0.1, 0.4)
+    return T, _per_point_curves(T)
 
 
 def _form(n, coeffs):
@@ -332,7 +334,8 @@ def _exact_form(n):
                                         P[:, 0] * P[:, 1]], 1))
 
 
-KINDS = ["cube_square", "parabolic_chart", "surface_window"]
+KINDS = ["cube_square", "parabolic_chart", "surface_window", "cube_staircase",
+         "chart_over_cubes"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -353,6 +356,30 @@ def test_boundary_curves_match_per_point_reference(kind):
     assert res.value == pytest.approx(T.theta * ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("region", [
+    STAIRCASE, CubeSet.whole(ROOT).difference(CubeSet.of(ROOT, [2], [(1, 1)]))])
+def test_cube_set_edges_run_counterclockwise_around_the_set(region):
+    # one axis-parallel facet per edge; by the shoelace formula the integral of
+    # x dy over the edges is the measure, a hole's edges turning clockwise
+    lift, start, end, t0, t1 = TopDimCurrent(region).boundary_edges()
+    assert lift is None and (t0 == 0.0).all() and (t1 == 1.0).all()
+    assert ((start == end).sum(axis=1) == 1).all()
+    assert (start[:, 0] * (end[:, 1] - start[:, 1])).sum() == region.measure()
+    assert np.abs(end - start).sum() == region.perimeter()
+
+
+def test_surface_window_edges_run_counterclockwise_over_their_coordinates():
+    # bottom left to right, right side up, top right to left, left side down, each
+    # parametrized by the coordinate along it, so that end - start is a unit vector
+    T, _ = _protocol_current("surface_window")
+    x0, x1 = T.model.x_lo, T.model.x_hi
+    lift, start, end, t0, t1 = T.boundary_edges()
+    assert lift is T.model
+    assert np.array_equal(end - start, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(start[[0, 1, 2, 3], [1, 0, 1, 0]], [0.1, x1, 0.4, x0])
+    assert t0.tolist() == [x0, 0.1, x1, 0.4] and t1.tolist() == [x1, 0.4, x0, 0.1]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_exact_form_has_zero_circulation(kind):
     T, _ = _protocol_current(kind)
@@ -366,9 +393,9 @@ def test_graph_tangent_is_the_frame_wedge(kind):
     rng = np.random.default_rng(7)
     u = np.stack([rng.uniform(0.05, 0.95, 25) * (math.pi if kind == "surface_window" else 1.0),
                   rng.uniform(0.11, 0.39, 25)], axis=1)
-    if kind == "cube_square":
+    if T.n == 2:
         points, frames = u, [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))] * len(u)
-    elif kind == "parabolic_chart":
+    elif isinstance(T, ChartCurrent):
         points = T.lift(u)
         px, py = T.chart.gradient(u[:, 0], u[:, 1])
         # the frame of SurfaceModel.tangent_frame, built from the chart's partials

@@ -357,7 +357,7 @@ def test_perimeter_matches_the_unit_cell_count(pair):
         assert s.perimeter() == _unit_cell_perimeter(s)
         if s.m <= 2:
             lengths = [math.prod(b - a for d, (a, b) in enumerate(zip(lo, hi)) if d != axis)
-                       for axis, _, _, lo, hi in s.boundary_segments()]
+                       for axis, _, lo, hi in zip(*(f.tolist() for f in s.boundary_facets()))]
             assert math.fsum(lengths) == s.perimeter()
 
 
@@ -487,7 +487,8 @@ def test_one_cube_has_the_segments_low_then_high_axis_by_axis(m, g, data):
             face_lo[axis] = face_hi[axis] = coord
             expected.append((axis, coord, orient, tuple(face_lo), tuple(face_hi)))
     root = RootBox(corner, side)
-    assert CubeSet.of(root, [g], [index]).boundary_segments() == expected
+    facets = zip(*(f.tolist() for f in CubeSet.of(root, [g], [index]).boundary_facets()))
+    assert [(a, l[a], o, tuple(l), tuple(h)) for a, o, l, h in facets] == expected
 
 
 def test_perimeter_of_an_excised_square_is_not_quadratic():

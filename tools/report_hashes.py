@@ -30,9 +30,14 @@ from workloads import WORKLOADS  # noqa: E402
 # ladder of the counterexample; the Stokes check on the counterexample surface,
 # whose left side goes through the tangent grid of the surface integral; a
 # point excised from the unit square, whose refine follows the arcs of a ball; the
-# console-script run of CI, a 3-D cube set whose pieces.json holds m = 3 cubes; and
-# the Stokes check of the two planar CLI forms on the unit square
+# console-script run of CI, a 3-D cube set whose pieces.json holds m = 3 cubes; the
+# Stokes check of the two planar CLI forms on the unit square; and the Stokes check
+# on a staircase of cubes of three generations with multiplicity -2, whose boundary
+# has facets of different lengths meeting at hanging vertices
 POINT = {"kind": "point", "at": [0.5, 0.5]}
+STAIRCASE = {"root": {"corner": [0.0, 0.0], "side": 1.0}, "cubes": [
+    {"generation": g, "corner": corner}
+    for g, corner in ((1, [0, 0]), (1, [1, 0]), (2, [0, 2]), (2, [1, 2]), (3, [2, 5]))]}
 EXTRA_RUNS = [
     ("cylindrical", "counterexample", {"cylindrical": True, "n_strips": 8}, 0),
     ("stokes_surface", "stokes", {
@@ -51,6 +56,10 @@ EXTRA_RUNS = [
     }, 0),
     *((f"stokes_{form}", "stokes", {"current": {"kind": "unit_square"}, "form": {"kind": form}}, 0)
       for form in ("x_dy", "constant_dy")),
+    ("stokes_staircase", "stokes", {
+        "current": {"kind": "cube_set", "theta": -2, "region": STAIRCASE},
+        "form": {"kind": "x_dy"},
+    }, 0),
 ]
 
 
