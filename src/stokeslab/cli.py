@@ -389,6 +389,11 @@ def run_minkowski(config: dict) -> int:
     grid = config.get("grid", {})
     r0 = _number(grid, "r0", 0.2, 0, where="grid")
     q = _number(grid, "q", 0.7, 0, where="grid")
+    if q >= 1.0:
+        raise UsageError(f"grid q must be below 1, not {q!r}")
+    # the profile runs on a nonempty set only, and its radii start below the support
+    if not E.is_empty() and r0 >= (diameter := T.support_diameter()):
+        raise UsageError(f"grid r0 must be below the support diameter {diameter}, not {r0!r}")
     steps = _number(grid, "steps", 12, 3, integer=True, where="grid")  # the tail _classify reads
     evidence = minkowski.excisability_evidence(T, E, r0, q, steps)
     reports.write_json(out / "report.json", evidence.as_dict())

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -156,9 +157,9 @@ def _spline_values(x, c, u):
     in interval i, x[i] <= u < x[i + 1] clipped to the end intervals, the powers of
     z = u - x[i] are repeated products, and the sum starts at 0.0."""
     i = np.searchsorted(x[1:-1], u, side="right")
-    c, z = c[:, i], u - x[i]
+    z = u - x[i]
     z2 = z * z
-    return 0.0 + c[3] + c[2] * z + c[1] * z2 + c[0] * (z2 * z)
+    return 0.0 + c[3, i] + c[2, i] * z + c[1, i] * z2 + c[0, i] * (z2 * z)
 
 
 class TransitionFn:
@@ -382,70 +383,80 @@ class StripModel:
         rem = x_his - n_full * P
         rem[rem < 1e-15 * np.maximum(1.0, x_his)] = 0.0
         full, tail = n_full != 0, rem > 0
+        # only the rows' own entries stay: a call may hold thousands of rows
+        n_full, rem, P = n_full[full], rem[tail], P[tail]
         heights, row_of = np.unique(ys[full], return_inverse=True)
-        tail_panels = scale * np.maximum(2, np.ceil(panels * rem[tail] / P[tail])).astype(int)
+        tail_panels = scale * np.maximum(2, np.ceil(panels * rem / P)).astype(int)
         vals = self._gl_rows(integrand, np.concatenate([heights, ys[tail]]),
-                             np.concatenate([self._periods[self.strip_index(heights)], rem[tail]]),
+                             np.concatenate([self._periods[self.strip_index(heights)], rem]),
                              np.concatenate([np.full(len(heights), scale * panels), tail_panels]),
                              channels)
         out = np.zeros(vals.shape[:-1] + ys.shape)
-        out[..., full] = n_full[full] * vals[..., row_of.ravel()]
+        out[..., full] = n_full * vals[..., row_of.ravel()]
         out[..., tail] += vals[..., len(heights):]
         return out
 
     def _gl_rows(self, integrand, ys, lengths, panels, channels: int) -> np.ndarray:
         """Composite Gauss values over [0, lengths[i]] on panels[i] panels at heights ys[i].
 
-        A call builds its panels in one :func:`ragged_panels` pass and the
-        blend data of all its heights in one :class:`_Heights`.  Rows that
-        share their length and panel count share one (1, n) node row, whose
-        strip tables are built once for the group.  The other rows go end to
-        end, in order of panel count.  Each block is one
-        ``integrand(x, (heights, rows))`` call (see :class:`_Blend`) of at
-        most ROW_BLOCK_POINTS values plus one row, and each row is reduced
-        by its own (panels, order) @ weights and sum of half-widths times
-        panel sums.
+        The blend data of all the heights of a call come from one
+        :class:`_Heights`.  Rows that share their length and panel count
+        share one (1, n) node row, whose strip tables are built once for the
+        group; the other rows go end to end, in order of panel count.  The
+        node rows, groups first, are built in blocks of at most
+        ROW_BLOCK_POINTS values plus one row, one :func:`ragged_panels` pass
+        each, so a call holds the panels of one block at a time.  A group is
+        evaluated in blocks of its rows and the rows alone of a block in one
+        go, each an ``integrand(x, (heights, rows))`` call (see
+        :class:`_Blend`) of at most ROW_BLOCK_POINTS values plus one row, and
+        each row is reduced by its own (panels, order) @ weights and sum of
+        half-widths times panel sums.
         """
         order = np.lexsort((lengths, panels))
-        n, b = panels[order], lengths[order]
-        first = np.flatnonzero(np.r_[True, (n[1:] != n[:-1]) | (b[1:] != b[:-1])])
+        first = np.flatnonzero(np.r_[True, (np.diff(panels[order]) != 0)
+                                     | (np.diff(lengths[order]) != 0)])
         size = np.diff(np.r_[first, len(order)])
-        # one node row per group that shares it, then the rows alone
-        node_rows = np.concatenate([order[first[size > 1]], order[np.repeat(size == 1, size)]])
-        mids, halves = ragged_panels(0.0, lengths[node_rows], panels[node_rows])
-        edges = np.r_[0, np.cumsum(panels[node_rows])]
+        groups, members = first[size > 1], size[size > 1]
+        node_rows = np.concatenate([order[groups], order[np.repeat(size == 1, size)]])
+        points = channels * 12 * panels[node_rows]
+        block_of = (np.cumsum(points) - points) // ROW_BLOCK_POINTS
         nodes, weights = gauss_rule(12)
         heights = _Heights(self, ys)
         out = np.empty((channels, len(ys)))
 
-        def node_row(a, z):
-            """The Gauss nodes of the panels a:z, end to end."""
-            return (mids[a:z, None] + halves[a:z, None] * nodes).ravel()
-
-        def sums(vals, a, z, p):
-            """Each row's sum of half-widths times Gauss sums, for rows of p panels a:z."""
+        def sums(vals, halves, p):
+            """Each row's sum of half-widths times Gauss sums, for rows of p panels."""
             vals = vals.reshape(channels, -1, p, 12) @ weights
-            return np.sum(halves[a:z].reshape(-1, p) * vals, axis=-1)
+            return np.sum(halves.reshape(-1, p) * vals, axis=-1)
 
-        for g, (a, m) in enumerate(zip(first[size > 1], size[size > 1])):
-            x = node_row(edges[g], edges[g + 1])[None]
-            heights.share(x, order[a:a + m])
+        def shared(rows, x, halves):
+            """The rows of a group on their one node row x, in blocks of rows."""
+            heights.share(x, rows)
             step = max(1, ROW_BLOCK_POINTS // (channels * x.size))
-            for rows in np.split(order[a:a + m], np.arange(step, m, step)):
-                out[:, rows] = sums(integrand(x, (heights, rows[:, None])),
-                                    edges[g], edges[g + 1], n[a])
-        alone = np.arange((size > 1).sum(), len(node_rows))
-        points = channels * 12 * panels[node_rows[alone]]
-        block_of = (np.cumsum(points) - points) // ROW_BLOCK_POINTS
-        for block in np.split(alone, np.flatnonzero(np.diff(block_of)) + 1) if len(alone) else []:
-            rows, at = node_rows[block], edges[block[0]:block[-1] + 2]
-            vals = integrand(node_row(at[0], at[-1]),
-                             (heights, np.repeat(rows, 12 * panels[rows]))).reshape(channels, -1)
-            # each run of equal panel counts is reduced on its own
+            for part in np.split(rows, np.arange(step, len(rows), step)):
+                out[:, part] = sums(integrand(x, (heights, part[:, None])), halves,
+                                    panels[rows[0]])
+
+        def alone(rows, x, halves):
+            """Rows end to end on their nodes x, each run of equal panel counts reduced alone."""
+            vals = integrand(x, (heights, np.repeat(rows, 12 * panels[rows]))).reshape(channels, -1)
+            at = np.r_[0, np.cumsum(panels[rows])]
             runs = np.flatnonzero(np.r_[True, np.diff(panels[rows]) != 0, True])
             for a, z in zip(runs[:-1], runs[1:]):
-                out[:, rows[a:z]] = sums(vals[:, 12 * (at[a] - at[0]):12 * (at[z] - at[0])],
-                                         at[a], at[z], panels[rows[a]])
+                out[:, rows[a:z]] = sums(vals[:, 12 * at[a]:12 * at[z]], halves[at[a]:at[z]],
+                                         panels[rows[a]])
+
+        for block in np.split(np.arange(len(node_rows)), np.flatnonzero(np.diff(block_of)) + 1):
+            rows = node_rows[block]
+            mids, halves = ragged_panels(0.0, lengths[rows], panels[rows])
+            x = (mids[:, None] + halves[:, None] * nodes).ravel()
+            at = np.r_[0, np.cumsum(panels[rows])]
+            s = np.searchsorted(block, len(groups))
+            for i, g in enumerate(block[:s]):
+                shared(order[groups[g]:groups[g] + members[g]], x[12 * at[i]:12 * at[i + 1]][None],
+                       halves[at[i]:at[i + 1]])
+            if s < len(block):
+                alone(rows[s:], x[12 * at[s]:], halves[at[s]:])
         return out if channels > 1 else out[0]
 
     def _lengths_at(self, x, y):
@@ -478,31 +489,26 @@ class StripModel:
 
     # -- areas over ladder intervals -------------------------------------------
 
-    def _mass_rows(self, y0: float, y1: float, tol: float = 1e-10) -> QuadResult:
-        """Integral over [0, x_hi] x [y0, y1] of the area element; single strip."""
-        if y1 <= y0:
-            return QuadResult(0.0, 0.0, 0)
-        panels = 8
-        total1, total2 = self._y_composite(y0, y1, panels, 2 * panels)
-        return QuadResult(total2, abs(total2 - total1) + tol, 2 * panels)
+    def _y_rules(self, y0, y1, panels) -> np.ndarray:
+        """Composite Gauss rules in y over full-width rows: the area over [0, x_hi] x [y0, y1].
 
-    def _y_composite(self, y0: float, y1: float, *panels: int):
-        """Composite Gauss rules in y over full-width rows, the rows of all rules in one pass.
-
-        One total per panel count, each summed panel by panel; a single
-        panel count gives its total alone.
+        One total per window [y0[i], y1[i]] and panel count, shaped
+        (windows, len(panels)).  The panels of all the rules come from one
+        :func:`ragged_panels` pass and their rows from one
+        :meth:`_row_integrals` call, and each total is summed panel by panel
+        from the left, so a window's totals do not depend on the others.
         """
+        y0, y1 = np.broadcast_arrays(np.atleast_1d(np.asarray(y0, dtype=float)),
+                                     np.asarray(y1, dtype=float))
         nodes, weights = gauss_rule(12)
-        mids, halves = ragged_panels(y0, y1, panels)
+        counts = np.repeat(panels, len(y0))
+        mids, halves = ragged_panels(np.tile(y0, len(panels)), np.tile(y1, len(panels)), counts)
         ys = mids[:, None] + halves[:, None] * nodes
         rows = self._row_integrals(self._area_density, ys.ravel(), self.x_hi).reshape(ys.shape)
-        totals, cuts = [], np.cumsum(panels)[:-1]
-        for rule_halves, rule_rows in zip(np.split(halves, cuts), np.split(rows, cuts)):
-            total = 0.0
-            for half, row in zip(rule_halves, rule_rows):
-                total += half * float(np.dot(weights, row))
-            totals.append(total)
-        return totals if len(totals) > 1 else totals[0]
+        terms = np.split(halves * np.vecdot(rows, weights),
+                         np.cumsum(len(y0) * np.asarray(panels))[:-1])
+        return np.stack([np.cumsum(t.reshape(len(y0), p), axis=1)[:, -1]
+                         for t, p in zip(terms, panels)], axis=1)
 
 
 class SurfaceModel(StripModel):
@@ -591,20 +597,21 @@ class SurfaceModel(StripModel):
         speed = np.sqrt(1.0 + px ** 2)
         return np.stack([speed, px * data[3] / speed])
 
-    def _memo(self, key, compute):
-        cache = self._scalar_cache
-        if key not in cache:
-            cache[key] = compute()
-        return cache[key]
-
     def section_length(self, y: float) -> QuadResult:
         """L(y): arclength of the horizontal section at height y."""
-        y = float(y)
-        if y >= self.y_infinity:
-            return QuadResult(math.pi, 0.0, 0)
-        coarse = self._row_integrals(self._speed, y, math.pi)[0]
-        fine = self._row_integrals(self._speed, y, math.pi, scale=2)[0]
-        return QuadResult(float(fine), float(abs(fine - coarse)), 0)
+        return self.section_lengths([y])[0]
+
+    def section_lengths(self, ys) -> list[QuadResult]:
+        """L(y) at each of the heights ys: the coarse rows of all in one pass, the fine in one."""
+        ys = np.asarray(ys, dtype=float)
+        out = [QuadResult(math.pi, 0.0, 0)] * len(ys)
+        inner = np.flatnonzero(ys < self.y_infinity)
+        if len(inner):
+            coarse = self._row_integrals(self._speed, ys[inner], math.pi)
+            fine = self._row_integrals(self._speed, ys[inner], math.pi, scale=2)
+            for i, c, f in zip(inner, coarse.tolist(), fine.tolist()):
+                out[i] = QuadResult(f, abs(f - c), 0)
+        return out
 
     def partial_length(self, x: float, y: float) -> float:
         """L(x, y): arclength of the section from 0 to x."""
@@ -632,8 +639,7 @@ class SurfaceModel(StripModel):
 
     def strip_area(self, k: int, tol: float = 1e-10) -> tuple[QuadResult, float]:
         """Area over strip k with its closed-form upper bound."""
-        y0, y1 = self.strip_bounds_y(k)
-        res = self._memo(("strip_area", k, tol), lambda: self._mass_rows(y0, y1, tol))
+        res = self._window_areas([self.strip_bounds_y(k)], [tol])[0]
         p = self.params
         bound = math.pi * p.a ** k * math.sqrt(
             1.0 + 16.0 * p.h ** (2 * k) * p.lam ** (-2 * k)
@@ -658,11 +664,53 @@ class SurfaceModel(StripModel):
 
     def mass_between(self, y0: float, y1: float, tol: float = 1e-9) -> QuadResult:
         """Surface area over the window [y0, y1], certificate included."""
-        y0 = max(0.0, float(y0))
-        y1 = min(self.y_infinity, float(y1))
-        if y1 <= y0:
-            return QuadResult(0.0, 0.0, 0)
-        return self._memo(("mass", y0, y1, tol), lambda: self._mass_between(y0, y1, tol))
+        return self.masses_between([(y0, y1)], tol)[0]
+
+    def masses_between(self, windows, tol: float = 1e-9) -> list[QuadResult]:
+        """Surface areas over the windows (y0, y1), certificates included, each computed once.
+
+        A window is cut at the strip junctions up to strip k_cut, and the
+        strips past it enter by their tail bound.  A whole strip has the
+        error of :meth:`strip_area`, and a part of a strip the window's tol
+        shared among the strips from its first on.  The pieces of all the
+        windows go through one :meth:`_window_areas` pass.
+        """
+        windows = [(max(0.0, float(y0)), min(self.y_infinity, float(y1))) for y0, y1 in windows]
+        cache = self._scalar_cache
+        cuts = {w: [(k, lo, hi) for k, lo, hi in self.strip_windows(*w) if k <= self.k_cut]
+                for w in dict.fromkeys(windows) if w[1] > w[0] and ("mass", *w, tol) not in cache}
+        pieces, tols = [], []
+        for strips in cuts.values():
+            for k, lo, hi in strips:
+                pieces.append((lo, hi))
+                tols.append(1e-10 if (lo, hi) == self.strip_bounds_y(k)
+                             else tol / (self.k_cut + 1 - strips[0][0]))
+        areas = iter(self._window_areas(pieces, tols))
+        for (y0, y1), strips in cuts.items():
+            total, err, panels = 0.0, 0.0, 0
+            for res in islice(areas, len(strips)):
+                total += res.value
+                err += res.error
+                panels += res.panels
+            if y1 > self._ladder[self.k_cut + 1]:
+                err += self.tail_area_bound(self.k_cut + 1)
+            cache["mass", y0, y1, tol] = QuadResult(total, err, panels)
+        return [cache["mass", y0, y1, tol] if y1 > y0 else QuadResult(0.0, 0.0, 0)
+                for y0, y1 in windows]
+
+    def _window_areas(self, windows, tols) -> list[QuadResult]:
+        """Areas over single-strip windows (lo, hi) on 16 y-panels, each with its error.
+
+        The error is the change from 8 panels plus the window's tol.  The two
+        totals of each window are computed once: the windows that no earlier
+        call met go through one :meth:`_y_rules` pass.
+        """
+        cache = self._scalar_cache
+        missing = [w for w in dict.fromkeys(windows) if w not in cache]
+        if missing:
+            cache.update(zip(missing, self._y_rules(*np.array(missing).T, (8, 16)).tolist()))
+        return [QuadResult(fine, abs(fine - coarse) + tol, 16)
+                for (coarse, fine), tol in zip(map(cache.get, windows), tols)]
 
     def strip_windows(self, y0: float, y1: float) -> list[tuple[int, float, float]]:
         """(k, lo, hi): the window [y0, y1] cut at the strip junctions, one entry per strip met."""
@@ -675,24 +723,6 @@ class SurfaceModel(StripModel):
             if hi > lo:
                 out.append((k, lo, hi))
         return out
-
-    def _mass_between(self, y0: float, y1: float, tol: float) -> QuadResult:
-        k0 = int(self.strip_index(y0))
-        total, err, panels = 0.0, 0.0, 0
-        for k, lo, hi in self.strip_windows(y0, y1):
-            if k > self.k_cut:
-                break
-            s0, s1 = self.strip_bounds_y(k)
-            if lo == s0 and hi == s1:
-                res, _ = self.strip_area(k)  # full strips come from the cache
-            else:
-                res = self._mass_rows(lo, hi, tol=tol / (self.k_cut + 1 - k0))
-            total += res.value
-            err += res.error
-            panels += res.panels
-        if y1 > self._ladder[self.k_cut + 1]:
-            err += self.tail_area_bound(self.k_cut + 1)
-        return QuadResult(total, err, panels)
 
     # -- normalized arclength and the form -------------------------------------
 
@@ -763,13 +793,20 @@ class SurfaceModel(StripModel):
 
     def sup_omega_on_section(self, k: int, samples_per_period: int = 64) -> float:
         """sup over x of |omega(Psi(x, y_k))| via one-period sampling."""
-        y = float(self._ladder[k])
-        if y >= self.y_infinity:
-            return 0.0
-        P = self._x_period(int(self.strip_index(y)))
-        xs = np.linspace(0.0, min(P, math.pi), samples_per_period, endpoint=False)
-        values = self.omega_at_surface(xs, np.full_like(xs, y))
-        return max(float(np.linalg.norm(v)) for v in values)
+        return float(self.sup_omega_on_sections([k], samples_per_period)[0])
+
+    def sup_omega_on_sections(self, ks, samples_per_period: int = 64) -> np.ndarray:
+        """sup over x of |omega(Psi(x, y_k))| for each strip k, the samples of all in one call."""
+        ys = self._ladder[np.asarray(ks, dtype=int)]
+        out = np.zeros(len(ys))
+        inner = np.flatnonzero(ys < self.y_infinity)
+        if len(inner):
+            P = np.minimum(self._periods[self.strip_index(ys[inner])], math.pi)
+            xs = np.linspace(0.0, P, samples_per_period, endpoint=False, axis=-1)
+            values = self.omega_at_surface(xs.ravel(), np.repeat(ys[inner], samples_per_period))
+            norms = np.sqrt(np.vecdot(values, values)).reshape(xs.shape)
+            out[inner] = norms.max(axis=1)
+        return out
 
     def tangential_curl_samples(self, n_points: int, rng=None,
                                 max_strip: int = 10) -> np.ndarray:
@@ -870,6 +907,10 @@ def verify_failure(params: Optional[Params] = None, n_tangent_samples: int = 100
     for r, v in zip(profile.radii, profile.values):
         k = int(model.strip_index(max(model.y_infinity - r, 0.0)))
         content_by_k.setdefault(k, v)
+    # the strip columns in one pass each: all section lengths, all sup-omega samples
+    lengths = model.section_lengths(model._ladder[:k_hi + 1])
+    sampled = range(1, min(n_strips, k_hi) + 1)
+    sups = dict(zip(sampled, model.sup_omega_on_sections(sampled).tolist()))
     for k in range(0, k_hi + 1):
         res, bound = model.strip_area(k)
         running += res.value
@@ -879,8 +920,8 @@ def verify_failure(params: Optional[Params] = None, n_tangent_samples: int = 100
             "bound": bound,
             "within_bound": res.value <= bound + res.error,
             "partial_sum": running,
-            "section_length": model.section_length(model.strip_bounds_y(k)[0]).value,
-            "sup_omega": model.sup_omega_on_section(k) if 1 <= k <= n_strips else "",
+            "section_length": lengths[k].value,
+            "sup_omega": sups.get(k, ""),
             "content_value": content_by_k.get(k, ""),
         })
 
@@ -956,7 +997,7 @@ class CylindricalModel(StripModel):
         """Area over annulus k, with its derived upper bound."""
         p = self.params
         r_out, r_in = float(self._ladder[k]), float(self._ladder[k + 1])
-        area = self._y_composite(r_in, r_out, 8)
+        area = float(self._y_rules(r_in, r_out, (8,))[0, 0])
         if p.h == 0.0:
             ptheta_max = 0.0
         else:

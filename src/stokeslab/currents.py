@@ -273,6 +273,10 @@ class Current:
         """||T||(B(E, r)) with an error estimate."""
         self._unsupported("neighbourhood mass")
 
+    def neighborhood_masses(self, E: ExceptionalSet, radii) -> list[QuadResult]:
+        """||T||(B(E, r)) for each of the radii, with error estimates."""
+        return [self.neighborhood_mass(E, r) for r in radii]
+
     def support_samples(self, n: int, rng) -> np.ndarray:
         self._unsupported("support sampling")
 
@@ -665,8 +669,7 @@ class SurfaceCurrent(Current):
         return res.scaled(abs(self.theta))
 
     def boundary_mass(self) -> QuadResult:
-        bottom = self.model.section_length(self.y_lo)
-        top = self.model.section_length(self.y_hi)
+        bottom, top = self.model.section_lengths([self.y_lo, self.y_hi])
         sides = 2.0 * (self.y_hi - self.y_lo)
         err = bottom.error + top.error
         value = bottom.value + top.value + sides
@@ -727,11 +730,14 @@ class SurfaceCurrent(Current):
                      (("section", y),))
 
     def neighborhood_mass(self, E: ExceptionalSet, r: float) -> QuadResult:
+        return self.neighborhood_masses(E, [r])[0]
+
+    def neighborhood_masses(self, E: ExceptionalSet, radii) -> list[QuadResult]:
+        # the windows of all the radii in one pass of the model
         if not self.is_singular_set(E):
             raise ValueError("surface neighbourhood masses are implemented for the singular set")
-        y_from = max(self.y_lo, self.model.y_infinity - r)
-        res = self.model.mass_between(y_from, self.y_hi)
-        return res.scaled(abs(self.theta))
+        windows = [(max(self.y_lo, self.model.y_infinity - r), self.y_hi) for r in radii]
+        return [res.scaled(abs(self.theta)) for res in self.model.masses_between(windows)]
 
     def support_clearance(self, E: ExceptionalSet) -> Optional[float]:
         return self.model.y_infinity - self.y_hi if self.is_singular_set(E) else None

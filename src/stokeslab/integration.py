@@ -97,9 +97,8 @@ def _surface_tangent_integral(T: SurfaceCurrent, omega, options: dict) -> QuadRe
     total = 0.0
     abs_total = 0.0
     checked_mass = 0.0
-    for k, lo, hi in model.strip_windows(T.y_lo, T.y_hi):
-        if k > max_strip:
-            break
+    windows = [window for window in model.strip_windows(T.y_lo, T.y_hi) if window[0] <= max_strip]
+    for k, lo, hi in windows:
         P = min(model._x_period(k), model.x_hi)
         n_periods = model.x_hi / P
         step = 5e-6 * model.params.lam ** k
@@ -114,7 +113,8 @@ def _surface_tangent_integral(T: SurfaceCurrent, omega, options: dict) -> QuadRe
         dens = model._area_density(X, Y)
         total += float(wy @ (curl * dens) @ wx) * n_periods
         abs_total += float(wy @ (np.abs(curl) * dens) @ wx) * n_periods
-        checked_mass += model.mass_between(lo, hi).value
+    for res in model.masses_between([(lo, hi) for _, lo, hi in windows]):
+        checked_mass += res.value
     # strips past max_strip are not fd-verified; the integrand is the
     # tangential differential of a pullback of a closed form there, zero in
     # exact arithmetic, so only the fd floor enters the error estimate

@@ -130,11 +130,9 @@ def intrinsic_content(T: Current, E: ExceptionalSet, r0: float, q: float,
         raise ValueError("grid ratio q must lie in (0, 1)")
     if r0 >= T.support_diameter():
         raise ValueError("initial radius must be below the support diameter")
-    radii, measures, values, errors = [], [], [], []
-    for j in range(steps):
-        r = r0 * q ** j
-        res = neighborhood_mass(T, E, r)
-        radii.append(r)
+    radii = [r0 * q ** j for j in range(steps)]
+    measures, values, errors = [], [], []
+    for r, res in zip(radii, T.neighborhood_masses(E, radii)):
         measures.append(res.value)
         values.append(res.value / (2.0 * r))
         errors.append(res.error / (2.0 * r))

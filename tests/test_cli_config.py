@@ -108,6 +108,27 @@ def test_a_distance_gauge_measures_the_distance_to_its_own_set(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, message", [
+    # "grid ratio q must lie in (0, 1)"
+    ({"q": 1.5}, "grid q must be below 1, not 1.5"),
+    ({"q": 1}, "grid q must be below 1, not 1.0"),
+    # "initial radius must be below the support diameter"
+    ({"r0": 50}, "grid r0 must be below the support diameter 1.4142135623730951, not 50.0"),
+    ({"r0": 2 ** 0.5}, "grid r0 must be below the support diameter"),
+])
+def test_a_minkowski_grid_refusal_names_its_key(tmp_path, capsys, grid, message):
+    config = {"current": {"kind": "unit_square"}, "exceptional_set": POINT, "grid": grid}
+    assert _run(tmp_path, "minkowski", config) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_ratio_of_one_or_more_is_refused_without_a_profile(tmp_path, capsys):
+    # an empty set builds no profile, and a q of 1.5 was read without a check (exit 0)
+    assert _run(tmp_path, "minkowski", {"grid": {"q": 1.5}}) == EXIT_USAGE
+    assert "grid q must be below 1" in capsys.readouterr().err
+
+
 def test_saks_henstock_integrates_a_cube_set_over_all_three_axes(tmp_path):
     # the oracle integrated over the x-y face of each cube, 0.25 for the mass
     # 0.125 of [0, 1/2]^3, so the Riemann sums failed it at every j (exit 1)

@@ -469,7 +469,25 @@ def test_batched_mass_rows_match_per_row_reference():
             rows = [_ref_row(MODEL, MODEL._area_density, float(y), math.pi)
                     for y in mid + half * nodes]
             ref += half * float(np.dot(weights, rows))
-        assert MODEL._y_composite(y0, y1, panels) == pytest.approx(ref, rel=REL)
+        assert MODEL._y_rules(y0, y1, (panels,))[0, 0] == pytest.approx(ref, rel=REL)
+
+
+def test_y_rules_of_many_windows_have_the_bits_of_the_panel_by_panel_loop():
+    from stokeslab.quadrature import gauss_rule, ragged_panels
+
+    nodes, weights = gauss_rule(12)
+    windows = [MODEL.strip_bounds_y(k) for k in (0, 3, 7)] + [(0.3, MODEL._ladder[1]),
+                                                              (0.485, 0.49)]
+    totals = SurfaceModel(PARAMS)._y_rules(*np.array(windows).T, (8, 16))
+    assert totals.shape == (5, 2)
+    for (y0, y1), window_totals in zip(windows, totals):
+        for panels, total in zip((8, 16), window_totals):
+            # the loop the one-pass rules replaced, one row pass per panel
+            ref = 0.0
+            for mid, half in zip(*ragged_panels(y0, y1, panels)):
+                rows = MODEL._row_integrals(MODEL._area_density, mid + half * nodes, MODEL.x_hi)
+                ref += half * float(np.dot(weights, rows))
+            assert total == ref
 
 
 FLAT = Params(a=1 / 3, h=0.0, lam=0.25)
@@ -731,6 +749,30 @@ def test_ragged_row_blocks_bound_the_memory_of_many_rows():
     assert peak < 8 << 20
 
 
+def test_row_panels_are_built_one_block_at_a_time(monkeypatch):
+    from stokeslab import counterexample
+
+    # the curl run's rows again: the two-channel pass held all its 52,498 panels at once
+    rng = np.random.default_rng(41)
+    model = SurfaceModel(PARAMS)
+    ys = rng.uniform(0.0, model._ladder[10], 2400)
+    xs = rng.uniform(0.0, math.pi, 2400)
+    built = []
+    ragged_panels = counterexample.ragged_panels
+
+    def spy(lo, hi, panels):
+        built.append(np.atleast_1d(panels).copy())
+        return ragged_panels(lo, hi, panels)
+
+    monkeypatch.setattr(counterexample, "ragged_panels", spy)
+    batched = model._lengths_at(xs, ys)
+    assert sum(int(p.sum()) for p in built) > 50_000
+    # a block's rows start within ROW_BLOCK_POINTS values of its first row
+    assert all(12 * (p.sum() - p[-1]) < ROW_BLOCK_POINTS for p in built)
+    monkeypatch.undo()
+    assert all(np.array_equal(a, b) for a, b in zip(batched, model._lengths_at(xs, ys)))
+
+
 def test_strip_chart_area_element_is_one_blend_with_the_bits_of_the_partials(monkeypatch):
     model = SurfaceModel(PARAMS)
     chart = model.strip_chart(3)
@@ -773,9 +815,9 @@ def test_y_composite_pays_its_sin_and_cos_per_node_row_not_per_height():
         one_row = _trig_elements(model, lambda: model._row_integrals(
             model._area_density, [0.5 * (y0 + y1)], math.pi))
         # 12 heights of strip k, one row block: as many as one height
-        assert _trig_elements(model, lambda: model._y_composite(y0, y1, 1)) == one_row
+        assert _trig_elements(model, lambda: model._y_rules(y0, y1, (1,))) == one_row
         # 96 heights: once per row block of at most 21 heights
-        assert _trig_elements(model, lambda: model._y_composite(y0, y1, 8)) <= 5 * one_row
+        assert _trig_elements(model, lambda: model._y_rules(y0, y1, (8,))) <= 5 * one_row
 
 
 def test_batched_omega_matches_per_point_reference():
@@ -916,6 +958,102 @@ def test_failure_report_boundary_mass(failure_report):
 
 def test_failure_report_areas_within_bounds(failure_report):
     assert all(row["within_bound"] for row in failure_report["strip_areas"])
+
+
+def test_failure_report_strip_columns_are_the_one_element_calls(failure_report):
+    model = SurfaceModel(PARAMS)
+    rows = failure_report["strip_areas"]
+    assert [row["k"] for row in rows] == list(range(21))
+    for row in rows:
+        k = row["k"]
+        assert row["section_length"] == model.section_length(model.strip_bounds_y(k)[0]).value
+        assert row["sup_omega"] == (model.sup_omega_on_section(k) if 1 <= k <= 10 else "")
+    assert failure_report["sup_omega_per_strip"] == [
+        {"k": row["k"], "sup_omega": row["sup_omega"]} for row in rows[1:11]]
+
+
+# -- content profiles: every radius of a profile in one pass ---------------------
+
+Y_INF = PARAMS.y_infinity
+# radii whose balls start on the junctions of strips 1, 4 and 9, inside strips 0,
+# 1, 3 and 6, past the bottom of the surface, and in the tail past strip k_cut
+JUNCTION_RADII = [Y_INF - MODEL._ladder[k] for k in (1, 4, 9)]
+PROFILE_RADII = [*JUNCTION_RADII, 0.45, 0.2, 0.05, 3e-4, 0.7, 1.0,
+                 0.5 * (Y_INF - MODEL._ladder[MODEL.k_cut + 1])]
+
+
+def _masses_bits(results) -> tuple[bytes, bytes, list]:
+    return (np.array([res.value for res in results]).tobytes(),
+            np.array([res.error for res in results]).tobytes(), [res.panels for res in results])
+
+
+@pytest.mark.parametrize("window, theta", [
+    ((0.0, None), 1),
+    ((PARAMS.y_k(1) + 0.01, PARAMS.y_k(5)), 1),
+    ((0.0, None), -2),
+], ids=["full", "restricted", "theta-2"])
+def test_neighborhood_masses_have_the_bits_of_one_radius_calls(window, theta):
+    from stokeslab.currents import SurfaceCurrent
+
+    assert all(Y_INF - r == MODEL._ladder[k] for r, k in zip(JUNCTION_RADII, (1, 4, 9)))
+    assert Y_INF - PROFILE_RADII[-1] > MODEL._ladder[MODEL.k_cut + 1]
+    E = MODEL.singular_set()
+
+    def surface():  # a model of its own, whose memo holds no window yet
+        return SurfaceCurrent(SurfaceModel(PARAMS), *window, theta)
+
+    batched = surface().neighborhood_masses(E, PROFILE_RADII)
+    alone = [surface().neighborhood_mass(E, r) for r in PROFILE_RADII]
+    assert _masses_bits(batched) == _masses_bits(alone)
+    values = [res.value for res in batched]
+    if window[1] is None:
+        # the tail ball holds no strip up to k_cut, only their tail bound
+        assert values[9] == 0.0 and batched[9].error > 0.0
+        assert all(v > 0.0 for v in values[:9])
+        whole = abs(theta) * MODEL.mass_between(0.0, Y_INF).value
+        assert values[7] == values[8] == whole > values[3]
+    else:
+        # balls that stop short of the window, and balls that hold all of it
+        assert values[2] == values[6] == values[9] == 0.0
+        assert values[0] == values[3] == values[4] == values[7] == values[8] > values[1] > 0.0
+        assert values[5] > 0.0
+
+
+def test_a_window_shares_its_tol_among_the_strips_from_its_first():
+    model = SurfaceModel(PARAMS)
+    ladder = model._ladder
+    y0, y1 = 0.5 * (ladder[2] + ladder[3]), 0.5 * (ladder[5] + ladder[6])
+    res = model.mass_between(y0, y1, tol=1e-6)
+    # a part of strip 2, strips 3 and 4 whole, a part of strip 5
+    pieces = [(y0, ladder[3]), (ladder[3], ladder[4]), (ladder[4], ladder[5]), (ladder[5], y1)]
+    share = 1e-6 / (model.k_cut + 1 - 2)
+    totals = SurfaceModel(PARAMS)._y_rules(*np.array(pieces).T, (8, 16))
+    value, error = 0.0, 0.0
+    for (coarse, fine), tol in zip(totals.tolist(), [share, 1e-10, 1e-10, share]):
+        value += fine
+        error += abs(fine - coarse) + tol
+    assert (res.value, res.error, res.panels) == (value, error, 64)
+
+
+def test_a_content_profile_makes_one_row_pass(monkeypatch):
+    from stokeslab import minkowski
+
+    S = build_surface_current(PARAMS)
+    calls = []
+    row_integrals = SurfaceModel._row_integrals
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(np.atleast_1d(args[1])))
+        return row_integrals(self, *args, **kwargs)
+
+    monkeypatch.setattr(SurfaceModel, "_row_integrals", counted)
+    profile = minkowski.intrinsic_content(S, S.model.singular_set(), 0.2, 0.62, 18)
+    assert profile.trend == "DIVERGENT"
+    # the partial strips of 18 balls and the whole strips 1 to k_cut, 24 panels of 12 rows each
+    assert len(calls) == 1 and calls[0] == 288 * (18 + MODEL.k_cut)
+    # a second profile on the same model finds every window in the memo
+    minkowski.intrinsic_content(S, S.model.singular_set(), 0.2, 0.62, 18)
+    assert len(calls) == 1
 
 
 def test_verify_failure_refuses_bad_params():

@@ -31,9 +31,11 @@ from workloads import WORKLOADS  # noqa: E402
 # whose left side goes through the tangent grid of the surface integral; a
 # point excised from the unit square, whose refine follows the arcs of a ball; the
 # console-script run of CI, a 3-D cube set whose pieces.json holds m = 3 cubes; the
-# Stokes check of the two planar CLI forms on the unit square; and the Stokes check
-# on a staircase of cubes of three generations with multiplicity -2, whose boundary
-# has facets of different lengths meeting at hanging vertices
+# Stokes check of the two planar CLI forms on the unit square; the Stokes check on a
+# staircase of cubes of three generations with multiplicity -2, whose boundary has
+# facets of different lengths meeting at hanging vertices; and the content profile of
+# the counterexample surface around its singular segment, on a radius grid unlike
+# that of the counterexample report, whose windows all go through one y-rule pass
 POINT = {"kind": "point", "at": [0.5, 0.5]}
 STAIRCASE = {"root": {"corner": [0.0, 0.0], "side": 1.0}, "cubes": [
     {"generation": g, "corner": corner}
@@ -59,6 +61,10 @@ EXTRA_RUNS = [
     ("stokes_staircase", "stokes", {
         "current": {"kind": "cube_set", "theta": -2, "region": STAIRCASE},
         "form": {"kind": "x_dy"},
+    }, 0),
+    ("minkowski_surface", "minkowski", {
+        "current": {"kind": "counterexample"}, "exceptional_set": {"kind": "singular_set"},
+        "grid": {"r0": 0.3, "q": 0.5, "steps": 20},
     }, 0),
 ]
 
