@@ -19,6 +19,7 @@ lengths blowing up, and decay of the form near the singular set.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -232,11 +233,12 @@ class _Heights:
     """The blend data of heights y: strip index k, s, phi(s) and phi'(s) / width.
 
     phi'(s) / width is computed when first read.  :meth:`StripModel._gl_rows`
-    makes one for all the heights of a call, and its blocks read it through
-    :class:`_Blend`.  A (1, n) node row that a group of heights shares is
-    registered with :meth:`share`; the group's blocks then read f_j and f_j'
-    on it from :meth:`table`, each built once, when first read, for each
-    strip j from the group's least k to its greatest k + 1.
+    makes one for all the heights of a call and keys its rows on it; its
+    blocks read the heights of the distinct rows, kept by :meth:`take`,
+    through :class:`_Blend`.  A (1, n) node row that a group of heights
+    shares is registered with :meth:`share`; the group's blocks then read
+    f_j and f_j' on it from :meth:`table`, each built once, when first
+    read, for each strip j from the group's least k to its greatest k + 1.
     """
 
     def __init__(self, model: "StripModel", y):
@@ -250,6 +252,14 @@ class _Heights:
     def dw(self):
         return self._model.transition.derivative(self.s) / self._model._width[self.k]
 
+    def take(self, rows) -> "_Heights":
+        """The blend data of the heights ``rows`` alone, dw included once it is computed."""
+        part = copy.copy(self)
+        for name in ("y", "k", "s", "w", "dw"):
+            if name in vars(self):
+                setattr(part, name, getattr(self, name)[rows])
+        return part
+
     def share(self, x, rows):
         """Register x as the (1, n) node row that the heights ``rows`` share."""
         k = self.k[rows]
@@ -261,6 +271,27 @@ class _Heights:
             fn = (self._model._f, self._model._fprime)[i]
             self._tables[i] = fn(np.arange(self.k_lo, self._k_hi + 2)[:, None], self.row)
         return self._tables[i]
+
+
+def _distinct_rows(keys):
+    """The distinct rows of the int64 ``keys``, sorted, and the distinct row of each row.
+
+    Returns the index of the first row of each distinct key, in the order of
+    the keys' columns (the first column leads); the index of each row's key
+    among those; and where the runs of equal first two columns start among
+    them.
+    """
+    def starts(sorted_keys):
+        new = np.ones(len(sorted_keys), dtype=bool)
+        new[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+        return new
+
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = starts(keys)
+    row_of = np.empty(len(keys), dtype=np.intp)
+    row_of[order] = np.cumsum(new) - 1
+    return order[new], row_of, np.flatnonzero(starts(keys[new, :2]))
 
 
 class _Blend:
@@ -282,8 +313,13 @@ class _Blend:
         self._heights, self._rows = y if isinstance(y, tuple) else (_Heights(model, y), ...)
         heights, rows = self._heights, self._rows
         self._model, self._x = model, np.asarray(x, dtype=float)
-        self._k, self.y, self._w = heights.k[rows], heights.y[rows], heights.w[rows]
+        self._k, self._w = heights.k[rows], heights.w[rows]
         self._pairs, self._dw = {}, None
+
+    @property
+    def y(self):
+        """The heights of the points, gathered when read: only the polar integrands read them."""
+        return self._heights.y[self._rows]
 
     def _pair(self, i: int):
         heights, k = self._heights, self._k
@@ -341,6 +377,7 @@ class StripModel:
         ks = np.arange(self.K_TABLE + 1)
         self._amp = np.where(ks == 0, 0.0, params.h ** ks)
         self._freq = params.lam ** (-ks.astype(float))
+        self._slope = self._amp * self._freq
         self._sup_dphi = self.transition.sup_derivative()
 
     def strip_index(self, y):
@@ -355,8 +392,7 @@ class StripModel:
         return self._amp[k] * np.sin(np.asarray(x, dtype=float) * self._freq[k])
 
     def _fprime(self, k, x):
-        freq = self._freq[k]
-        return self._amp[k] * freq * np.cos(np.asarray(x, dtype=float) * freq)
+        return self._slope[k] * np.cos(np.asarray(x, dtype=float) * self._freq[k])
 
     # -- periodized x-integrals ----------------------------------------------
 
@@ -370,10 +406,11 @@ class StripModel:
         """Integral of ``integrand(x, y)`` over x in [0, x_hi], for every row (y, x_hi).
 
         Each row is a count of whole periods of its strip plus a tail, on
-        ``scale`` times the usual panels.  The whole-period integral is
-        computed once per distinct height, and the whole periods and the
-        tails go through one :meth:`_gl_rows` pass.  An integrand of
-        ``channels`` > 1 returns them on a leading axis, and so does this.
+        ``scale`` times the usual panels.  The whole periods and the tails
+        go through one :meth:`_gl_rows` pass, which integrates each distinct
+        blend key once: so a whole period is computed once per distinct key
+        of its height.  An integrand of ``channels`` > 1 returns them on a
+        leading axis, and so does this.
         """
         ys, x_his = np.broadcast_arrays(np.atleast_1d(np.asarray(ys, dtype=float)),
                                         np.asarray(x_his, dtype=float))
@@ -384,45 +421,58 @@ class StripModel:
         rem[rem < 1e-15 * np.maximum(1.0, x_his)] = 0.0
         full, tail = n_full != 0, rem > 0
         # only the rows' own entries stay: a call may hold thousands of rows
-        n_full, rem, P = n_full[full], rem[tail], P[tail]
-        heights, row_of = np.unique(ys[full], return_inverse=True)
+        n_full, whole, rem, P = n_full[full], P[full], rem[tail], P[tail]
         tail_panels = scale * np.maximum(2, np.ceil(panels * rem / P)).astype(int)
-        vals = self._gl_rows(integrand, np.concatenate([heights, ys[tail]]),
-                             np.concatenate([self._periods[self.strip_index(heights)], rem]),
-                             np.concatenate([np.full(len(heights), scale * panels), tail_panels]),
+        vals = self._gl_rows(integrand, np.concatenate([ys[full], ys[tail]]),
+                             np.concatenate([whole, rem]),
+                             np.concatenate([np.full(len(whole), scale * panels), tail_panels]),
                              channels)
         out = np.zeros(vals.shape[:-1] + ys.shape)
-        out[..., full] = n_full * vals[..., row_of.ravel()]
-        out[..., tail] += vals[..., len(heights):]
+        out[..., full] = n_full * vals[..., :len(whole)]
+        out[..., tail] += vals[..., len(whole):]
         return out
+
+    def _row_key(self, heights: _Heights) -> np.ndarray:
+        """What a row's value depends on besides its length and panels: here its height.
+
+        One int64 column per entry, float entries as their bit patterns,
+        so that -0.0 and 0.0 stay apart.  Polar integrands read the height
+        r itself; a ladder whose integrands read only the blend data keys
+        on those.
+        """
+        return heights.y.view(np.int64)[:, None]
 
     def _gl_rows(self, integrand, ys, lengths, panels, channels: int) -> np.ndarray:
         """Composite Gauss values over [0, lengths[i]] on panels[i] panels at heights ys[i].
 
-        The blend data of all the heights of a call come from one
-        :class:`_Heights`.  Rows that share their length and panel count
-        share one (1, n) node row, whose strip tables are built once for the
-        group; the other rows go end to end, in order of panel count.  The
-        node rows, groups first, are built in blocks of at most
-        ROW_BLOCK_POINTS values plus one row, one :func:`ragged_panels` pass
-        each, so a call holds the panels of one block at a time.  A group is
-        evaluated in blocks of its rows and the rows alone of a block in one
-        go, each an ``integrand(x, (heights, rows))`` call (see
-        :class:`_Blend`) of at most ROW_BLOCK_POINTS values plus one row, and
-        each row is reduced by its own (panels, order) @ weights and sum of
-        half-widths times panel sums.
+        A row's value depends on its height only through the model's
+        :meth:`_row_key`, so each distinct (panel count, length, row key)
+        is integrated once, and the other rows get its values.  The keys
+        come from one :class:`_Heights` of all the heights of a call, and
+        the blocks read the blend data of the distinct rows only.  Distinct
+        rows that share their length and panel count share one (1, n) node
+        row, whose strip tables are built once for the group; the other rows
+        go end to end, in order of panel count.  The node rows, groups
+        first, are built in blocks of at most ROW_BLOCK_POINTS values plus
+        one row, one :func:`ragged_panels` pass each, so a call holds the
+        panels of one block at a time.  A group is evaluated in blocks of its
+        rows and the rows alone of a block in one go, each an
+        ``integrand(x, (heights, rows))`` call (see :class:`_Blend`) of at
+        most ROW_BLOCK_POINTS values plus one row, and each row is reduced
+        by its own (panels, order) @ weights and sum of half-widths times
+        panel sums.
         """
-        order = np.lexsort((lengths, panels))
-        first = np.flatnonzero(np.r_[True, (np.diff(panels[order]) != 0)
-                                     | (np.diff(lengths[order]) != 0)])
-        size = np.diff(np.r_[first, len(order)])
+        heights = _Heights(self, ys)
+        kept, row_of, first = _distinct_rows(
+            np.column_stack([panels, lengths.view(np.int64), self._row_key(heights)]))
+        heights, lengths, panels = heights.take(kept), lengths[kept], panels[kept]
+        size = np.diff(np.r_[first, len(kept)])
         groups, members = first[size > 1], size[size > 1]
-        node_rows = np.concatenate([order[groups], order[np.repeat(size == 1, size)]])
+        node_rows = np.concatenate([groups, np.flatnonzero(np.repeat(size == 1, size))])
         points = channels * 12 * panels[node_rows]
         block_of = (np.cumsum(points) - points) // ROW_BLOCK_POINTS
         nodes, weights = gauss_rule(12)
-        heights = _Heights(self, ys)
-        out = np.empty((channels, len(ys)))
+        out = np.empty((channels, len(kept)))
 
         def sums(vals, halves, p):
             """Each row's sum of half-widths times Gauss sums, for rows of p panels."""
@@ -453,11 +503,11 @@ class StripModel:
             at = np.r_[0, np.cumsum(panels[rows])]
             s = np.searchsorted(block, len(groups))
             for i, g in enumerate(block[:s]):
-                shared(order[groups[g]:groups[g] + members[g]], x[12 * at[i]:12 * at[i + 1]][None],
-                       halves[at[i]:at[i + 1]])
+                shared(np.arange(groups[g], groups[g] + members[g]),
+                       x[12 * at[i]:12 * at[i + 1]][None], halves[at[i]:at[i + 1]])
             if s < len(block):
                 alone(rows[s:], x[12 * at[s]:], halves[at[s]:])
-        return out if channels > 1 else out[0]
+        return out[:, row_of] if channels > 1 else out[0, row_of]
 
     def _lengths_at(self, x, y):
         """L(y), dL/dy(y), L(x, y) and dL(x, y)/dy at points (x, y) of the strips.
@@ -583,6 +633,14 @@ class SurfaceModel(StripModel):
         return 2.0 * self.params.h ** max(k, 0) if self.params.h > 0 else 0.0
 
     # -- section lengths -------------------------------------------------------
+
+    def _row_key(self, heights: _Heights) -> np.ndarray:
+        """(k, phi(s), phi'(s) / width): the integrands below never read the height itself.
+
+        So the heights on a plateau of the transition in one strip, where
+        phi is exactly 0 or 1 and phi' is 0, share one row integral.
+        """
+        return np.column_stack([heights.k, heights.w.view(np.int64), heights.dw.view(np.int64)])
 
     def _speed(self, xs, ys):
         return np.sqrt(1.0 + self._strip_data(xs, ys)[1] ** 2)

@@ -67,7 +67,7 @@ class CurrentError(ValueError):
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned closed rectangle in the plane."""
+    """Axis-aligned closed rectangle in the plane; its coordinates are held as floats."""
 
     x0: float
     x1: float
@@ -75,6 +75,8 @@ class Rect:
     y1: float
 
     def __post_init__(self):
+        for name in ("x0", "x1", "y0", "y1"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise ValueError("rectangle must have positive extent")
 

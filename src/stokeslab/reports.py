@@ -73,7 +73,7 @@ def family_to_json(family, path) -> Path:
     numbers are slots; each piece fills its shape's slots from the columns and
     cells.  Other pieces are refused before the file is opened.
     """
-    from .currents import Rect, chart_descriptor, top_dim_descriptor
+    from .currents import chart_descriptor, top_dim_descriptor
     from .dyadic import cubes_payload
 
     table = family.pairs
@@ -90,7 +90,7 @@ def family_to_json(family, path) -> Path:
         The other leaves are strings; no string's text ends a line, so a number that does is a slot.
         """
         if chart >= 0:
-            skeleton = chart_descriptor(0, table.charts[chart].name, Rect(1, 2, 3, 4).payload())
+            skeleton = chart_descriptor(0, table.charts[chart].name, {"rect": [1, 2, 3, 4]})
         else:
             cubes = [range(w + 1 + j * w, w + 1 + (j + 1) * w) for j in range(n)]
             skeleton = top_dim_descriptor(0, cubes_payload(

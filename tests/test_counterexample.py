@@ -494,34 +494,90 @@ FLAT = Params(a=1 / 3, h=0.0, lam=0.25)
 
 
 def _mixed_rows(model):
-    """Rows (y, x_hi) of one row block: strips 0-3, whole periods and tails, shared and own.
+    """Rows (y, x_hi) in at most two row blocks: strips 0-3, periods and tails, shared and own.
 
-    The three heights of each of strips 0-2 share the strip's whole
+    The seven heights of each of strips 0-2 share the strip's whole
     periods, where it has any, and their sections share a tail, where a
-    section is no whole number of periods; the one height of strip 3 has
-    its whole periods alone, and the partial rows have tails of their own.
+    section is no whole number of periods.  Four of them lie on the
+    transition's plateaus, phi = 0 at s = 0.05 and 0.1 and phi = 1 at
+    s = 0.9 and 0.95, so a model that keys its rows on the blend data
+    integrates one row for each pair.  The one height of strip 3 has its
+    whole periods alone, and the partial rows have tails of their own.
     """
-    ts = np.array([0.2, 0.5, 0.8])
+    ts = np.array([0.05, 0.1, 0.2, 0.5, 0.8, 0.9, 0.95])
     ys = np.concatenate([model._ladder[k] + ts * model._width[k] for k in range(3)])
+    middle = ys.reshape(3, -1)[:, 2:5].ravel()
     partial = model.x_hi * np.array([0.99, 0.6, 0.3, 0.45, 0.7, 0.2, 0.55, 0.8, 0.35])
-    ys = np.concatenate([ys, ys, [ys[4], model._ladder[3] + 0.4 * model._width[3]]])
-    xs = np.concatenate([np.full(9, model.x_hi), partial, [model.x_hi, model.x_hi]])
+    ys = np.concatenate([ys, middle, [middle[4], model._ladder[3] + 0.4 * model._width[3]]])
+    xs = np.concatenate([np.full(len(ts) * 3, model.x_hi), partial, [model.x_hi, model.x_hi]])
     return ys, xs
 
 
-@pytest.mark.parametrize("model", [SurfaceModel(PARAMS), CylindricalModel(PARAMS),
-                                   SurfaceModel(FLAT), CylindricalModel(FLAT)],
-                         ids=["surface", "cylindrical", "surface-flat", "cylindrical-flat"])
+FOUR_MODELS = pytest.mark.parametrize(
+    "model", [SurfaceModel(PARAMS), CylindricalModel(PARAMS), SurfaceModel(FLAT),
+              CylindricalModel(FLAT)],
+    ids=["surface", "cylindrical", "surface-flat", "cylindrical-flat"])
+
+
+@FOUR_MODELS
 def test_shared_node_rows_keep_the_bits_of_one_row_calls(model):
     ys, xs = _mixed_rows(model)
-    # one row block at scale 1
-    assert len(ys) <= ROW_BLOCK_POINTS // (12 * model._panels_per_period())
+    # at most two row blocks at scale 1
+    assert len(ys) <= 2 * (ROW_BLOCK_POINTS // (12 * model._panels_per_period()))
     for integrand, channels in ((model._speed, 1), (model._speeds, 2), (model._area_density, 1)):
         for scale in (1, 2):
             batched = model._row_integrals(integrand, ys, xs, scale, channels)
             alone = [model._row_integrals(integrand, [y], [x], scale, channels)[..., 0]
                      for y, x in zip(ys, xs)]
             assert np.array_equal(batched, np.stack(alone, axis=-1))
+
+
+def _counted_rows(integrand):
+    """``integrand`` wrapped, and a list [rows, node values] of what its row passes evaluate."""
+    seen = [0, 0]
+
+    def counted(x, y):
+        heights, rows = y
+        seen[0] += np.unique(rows).size
+        seen[1] += math.prod(np.broadcast_shapes(np.shape(x), np.shape(rows)))
+        return integrand(x, y)
+
+    return counted, seen
+
+
+@pytest.mark.parametrize("model, rows", [(SurfaceModel(PARAMS), 2), (CylindricalModel(PARAMS), 4)],
+                         ids=["surface", "cylindrical"])
+def test_plateau_heights_share_a_row_where_the_row_key_is_the_blend_data(model, rows):
+    # two heights on each plateau of strip 2: phi = 0 and phi' = 0 at s = 0.05
+    # and 0.1, phi = 1 and phi' = 0 at s = 0.9 and 0.95
+    ys = model._ladder[2] + np.array([0.05, 0.1, 0.9, 0.95]) * model._width[2]
+    for integrand, channels in ((model._speed, 1), (model._speeds, 2), (model._area_density, 1)):
+        counted, seen = _counted_rows(integrand)
+        batched = model._row_integrals(counted, ys, model.x_hi, channels=channels)
+        # the Cartesian rows key on (k, phi, phi' / width); the polar rows read r itself
+        assert seen[0] == rows
+        alone = [model._row_integrals(integrand, [y], model.x_hi, channels=channels)[..., 0]
+                 for y in ys]
+        assert np.array_equal(batched, np.stack(alone, axis=-1))
+        assert np.array_equal(batched[..., 0], batched[..., 1]) == (rows == 2)
+
+
+def test_surface_integrands_never_read_the_height(monkeypatch):
+    from stokeslab import counterexample
+
+    def refused(self):
+        raise AssertionError("a Cartesian integrand read the height")
+
+    monkeypatch.setattr(counterexample._Blend, "y", property(refused))
+    model = SurfaceModel(PARAMS)
+    ys, xs = _mixed_rows(model)
+    for integrand, channels in ((model._speed, 1), (model._speeds, 2), (model._area_density, 1)):
+        model._row_integrals(integrand, ys, xs, channels=channels)
+        integrand(xs, ys)
+    # the polar integrands read r, so the refusal is live
+    cylinder = CylindricalModel(PARAMS)
+    with pytest.raises(AssertionError, match="read the height"):
+        cylinder._row_integrals(cylinder._speed, ys[:1], cylinder.x_hi)
 
 
 # -- the row quadrature before its one pass per call, kept verbatim ----------------
@@ -671,12 +727,13 @@ def test_one_pass_rows_keep_the_bits_of_the_passes_before(model):
         assert np.array_equal(now, then)
 
 
-@pytest.mark.parametrize("model", [SurfaceModel(PARAMS), CylindricalModel(PARAMS)],
-                         ids=["surface", "cylindrical"])
+@FOUR_MODELS
 def test_row_bits_do_not_depend_on_the_block_size(model, monkeypatch):
     from stokeslab import counterexample
 
-    ys, xs = _rows_across_strips(model, np.random.default_rng(37))
+    # the plateau heights of _mixed_rows share their rows on a Cartesian ladder
+    ys, xs = map(np.concatenate, zip(_rows_across_strips(model, np.random.default_rng(37)),
+                                     _mixed_rows(model)))
     # and a tail of 1e-7 at every height: one node row of two panels shared
     # across strips 0-8, whose blocks gather its strip tables
     tiny = np.full(len(ys), 1e-7)
@@ -1047,10 +1104,13 @@ def test_a_content_profile_makes_one_row_pass(monkeypatch):
         return row_integrals(self, *args, **kwargs)
 
     monkeypatch.setattr(SurfaceModel, "_row_integrals", counted)
+    S.model._area_density, seen = _counted_rows(S.model._area_density)
     profile = minkowski.intrinsic_content(S, S.model.singular_set(), 0.2, 0.62, 18)
     assert profile.trend == "DIVERGENT"
     # the partial strips of 18 balls and the whole strips 1 to k_cut, 24 panels of 12 rows each
-    assert len(calls) == 1 and calls[0] == 288 * (18 + MODEL.k_cut)
+    assert len(calls) == 1 and calls[0] == 288 * (18 + MODEL.k_cut) == 12_672
+    # a third of those rows lie on a plateau of the transition beside another of one key
+    assert seen == [8_382, 6_436_992]
     # a second profile on the same model finds every window in the memo
     minkowski.intrinsic_content(S, S.model.singular_set(), 0.2, 0.62, 18)
     assert len(calls) == 1

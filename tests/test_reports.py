@@ -174,6 +174,14 @@ def test_chart_names_are_written_as_their_descriptors_write_them(tmp_path, name)
     _assert_same_bytes(_family(pairs), tmp_path)
 
 
+def test_integer_rect_coordinates_are_written_as_their_descriptors_write_them(tmp_path):
+    rect = Rect(-3, 2.5, 1e-9, 7)
+    assert [type(v) for v in rect.payload()["rect"]] == [float] * 4
+    pairs = [TaggedPair((0.0, 0.5, -1.0), ChartCurrent(rect, _chart("c"), -2), *([2.0] * 6))]
+    _assert_same_bytes(_family(pairs), tmp_path)
+    assert "-3.0" in (tmp_path / "pieces.json").read_text()
+
+
 @st.composite
 def _mixed_pairs(draw):
     """Cube pieces of dimension 3 and chart pieces in one table, in any order."""

@@ -13,9 +13,10 @@ Each pair runs ``perfbench/run.py --workload W --seed S --seconds T
 first in even pairs and the working tree first in odd ones, so that a drift
 of the host falls on both alike.  For every workload and every end-to-end
 metric of ``BENCHMARK.json`` the output file gets both medians, both sets of
-quartiles and values, and the number of pairs in which the working tree was
-better (lower or higher, as the metric says); the failed-run counts of both
-sides come with them.
+quartiles and values, the relative change of the medians (head / base - 1)
+and the number of pairs in which the working tree was better (lower or
+higher, as the metric says); the failed-run counts of both sides come with
+them.
 """
 
 from __future__ import annotations
@@ -58,18 +59,20 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(results: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
-    """Per metric: base and head summaries, and the pairs the head won."""
+    """Per metric: base and head summaries, the change of the medians, the pairs the head won."""
     out = {}
     for spec in metrics:
         name = spec["name"]
         base = [b["metrics"][name]["value"] for b, _ in results]
         head = [h["metrics"][name]["value"] for _, h in results]
         sign = 1 if spec["better"] == "lower" else -1
+        mid_base, mid_head = statistics.median(base), statistics.median(head)
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             "base": summary(base),
             "head": summary(head),
+            "median_change": mid_head / mid_base - 1 if mid_base else None,
             "pairs_won": sum(sign * (h - b) < 0 for b, h in zip(base, head)),
         }
     out["failed"] = {"base": sum(b["failed"] for b, _ in results),
