@@ -952,9 +952,11 @@ def _cube_region_measure_in_ball(region: CubeSet, E: ExceptionalSet, r: float) -
 def boundary_form_integral(T: Current, omega, tol: float = 1e-10) -> QuadResult:
     """Integral of a degree-(m-1) form over the oriented boundary of T.
 
-    One quadrature per edge of ``T.boundary_edges()``: the form at the point
-    u = start + t d, d = end - start, against the tangent d, both lifted
-    when the edges are.
+    One quadrature run over every edge of ``T.boundary_edges()``: the form at
+    the point u = start + t d, d = end - start, against the tangent d, both
+    lifted when the edges are.  Edge i is integrated over t between t0[i] and
+    t1[i], with a sign of -1 where t1[i] < t0[i], and the edges are summed in
+    their order.
     """
     if T.m == 1:
         points, orient = T.boundary_points_signed()
@@ -962,18 +964,23 @@ def boundary_form_integral(T: Current, omega, tol: float = 1e-10) -> QuadResult:
         total = sum((o * v for o, v in zip(orient.tolist(), values.tolist())), 0.0)
         return QuadResult(T.theta * total, 0.0, 0)
     lift, start, end, t0, t1 = T.boundary_edges()
+    direction = end - start
 
-    def edge(p, d, a: float, b: float) -> QuadResult:
-        def integrand(t):
-            u = p + np.multiply.outer(t, d)
-            if lift is None:
-                return np.vecdot(omega.evaluate_many(u), d)
+    def integrand(box, t):
+        p, d = (np.repeat(a[box], t.shape[1], axis=0) for a in (start, direction))
+        t = t.ravel()
+        u = p + t[:, None] * d
+        if lift is None:
+            values = np.vecdot(omega.evaluate_many(u), d)
+        else:
             points = np.column_stack([u, lift.psi(u[:, 0], u[:, 1])])
-            return np.vecdot(omega.evaluate_many(points), _lifted_tangent(lift, p, d, t))
+            values = np.vecdot(omega.evaluate_many(points), _lifted_tangent(lift, p, d, t))
+        return values.reshape(len(box), -1)
 
-        return integrate_1d(integrand, a, b, tol=tol, max_panels=2048)
-
-    return _summed(map(edge, start, end - start, t0.tolist(), t1.tolist()), T.theta)
+    res = integrate_boxes(integrand, np.minimum(t0, t1)[:, None], np.maximum(t0, t1)[:, None],
+                          np.full(len(t0), tol), max_panels=2048)
+    return _summed(QuadResult(np.where(t1 < t0, -1.0, 1.0) * res.value, res.error, res.panels),
+                   T.theta)
 
 
 def coarea_slice_check(T: Current, E: ExceptionalSet, radii: Sequence[float]) -> dict:

@@ -28,8 +28,8 @@ from .cousin import (
     gauge_decompose,
 )
 from .currents import Current, CurrentError, SurfaceCurrent, boundary_form_integral
-from .dyadic import ExceptionalSet
-from .quadrature import QuadResult, gauss_rule, ragged_panels
+from .dyadic import DepthError, ExceptionalSet
+from .quadrature import QuadratureError, QuadResult, gauss_rule, ragged_panels
 
 __all__ = [
     "StokesReport",
@@ -292,7 +292,8 @@ def stokes_check(T: Current, omega, E_T: Optional[ExceptionalSet] = None,
         except DecompositionRefusal as exc:
             decomposition["status"] = "refused"
             decomposition["reason"] = str(exc)
-        except ResourceBudgetError as exc:
+        except (ResourceBudgetError, DepthError, QuadratureError) as exc:
+            # a stop inside the corroborating families leaves the identity undecided
             decomposition["status"] = "resource"
             decomposition["reason"] = str(exc)
     else:

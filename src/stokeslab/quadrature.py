@@ -17,6 +17,15 @@ box's result does not depend on the other boxes, on its position in the
 batch or on where a block ends.  It returns (B,) columns; :func:`integrate_1d`
 and :func:`integrate_2d` are its one-box entry points, returning box 0 alone.
 
+A block is node-major.  Each axis's Gauss nodes are built once per panel,
+as an (order, n) array, and spread over a C-ordered (order,)*d + (n,)
+grid; the integrand gets its transpose, one (n, order**d) array per axis
+in x-major node order.  The values are read back in that node-major
+layout, and each axis is contracted by one multiply by the weight column
+and then a sum of contiguous node rows, left to right.  The sums stay
+sequential: a numpy reduce over an axis may add pairwise, which would give
+a panel other bits than the sum along its own nodes in order.
+
 The fixed-panel composites of the package take their panels from one ragged
 rule, :func:`ragged_panels`: rows of their own intervals and panel counts,
 built in one vectorized pass with the bits of :func:`composite_nodes` row by
@@ -116,13 +125,6 @@ def ragged_panels(lo, hi, panels):
     return mids, halves
 
 
-@lru_cache(maxsize=None)
-def _unit_nodes(order: int, d: int):
-    """The order**d tensor Gauss nodes on [-1, 1]^d, one flat array per axis, x-major."""
-    nodes, _ = gauss_rule(order)
-    return tuple(u.ravel() for u in np.meshgrid(*[nodes] * d, indexing="ij"))
-
-
 def _split(panels):
     """The 2**d halves of panels (..., d, 2), x-major, as (..., 2**d, d, 2)."""
     lo, hi = panels[..., 0], panels[..., 1]
@@ -148,8 +150,7 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12, max_panels: int = 4096) -> 
     """
     lo, hi, tol = (np.asarray(a, dtype=float) for a in (lo, hi, tol))
     n_boxes, d = lo.shape
-    unit = _unit_nodes(order, d)
-    _, weights = gauss_rule(order)
+    nodes, weights = gauss_rule(order)
     step = max(1, BLOCK_POINTS // order ** d)
     n_kids = 2 ** d
 
@@ -160,16 +161,26 @@ def integrate_boxes(f, lo, hi, tol, order: int = 12, max_panels: int = 4096) -> 
         sums = np.empty(len(panels))
         for start in range(0, len(panels), step):
             rows = slice(start, start + step)
-            coords = [mids[rows, a, None] + halves[rows, a, None] * unit[a] for a in range(d)]
-            vals = np.asarray(f(boxes[rows], *coords), dtype=float).reshape((-1,) + (order,) * d)
-            # contract x, then y, by sums along each panel's own nodes, left to
-            # right and through one product buffer: no panel's bits depend on
-            # the others, and exact products (a constant integrand) add up in order
+            n = min(step, len(panels) - start)
+            coords = []
+            for a in range(d):
+                # the (order, n) nodes of axis a, spread over the node-major
+                # (order,)*d + (n,) grid of the block
+                axis = mids[rows, a] + halves[rows, a] * nodes[:, None]
+                if d > 1:
+                    grid = np.empty((order,) * d + (n,))
+                    grid[...] = axis.reshape((1,) * a + (order,) + (1,) * (d - 1 - a) + (n,))
+                    axis = grid
+                coords.append(axis.reshape(-1, n).T)
+            vals = np.asarray(f(boxes[rows], *coords), dtype=float)
+            vals = vals.reshape(n, -1).T.reshape((order,) * d + (n,))
+            # contract x, then y, along contiguous node rows: each panel's
+            # products added left to right, as sums along its own nodes
             for _ in range(d):
-                acc, term = vals[:, 0] * weights[0], np.empty(vals.shape[:1] + vals.shape[2:])
+                prods = vals * weights.reshape((order,) + (1,) * (vals.ndim - 1))
+                vals = prods[0]
                 for i in range(1, order):
-                    acc += np.multiply(vals[:, i], weights[i], out=term)
-                vals = acc
+                    vals += prods[i]
             sums[rows] = vals
         return halves.prod(axis=-1) * sums
 

@@ -8,6 +8,7 @@ stacked tangents of ``_lifted_tangent``.  Both are kept verbatim as references.
 
 import heapq
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,8 +17,14 @@ from hypothesis import strategies as st
 
 from stokeslab import quadrature
 from stokeslab.currents import _lifted_tangent, chart_masses
-from stokeslab.quadrature import (QuadratureError, QuadResult, _split, _unit_nodes, gauss_rule,
-                                  integrate_boxes)
+from stokeslab.quadrature import QuadratureError, QuadResult, _split, gauss_rule, integrate_boxes
+
+
+@lru_cache(maxsize=None)
+def _unit_nodes(order: int, d: int):
+    """The order**d tensor Gauss nodes on [-1, 1]^d, one flat array per axis, x-major."""
+    nodes, _ = gauss_rule(order)
+    return tuple(u.ravel() for u in np.meshgrid(*[nodes] * d, indexing="ij"))
 
 
 def _listed_boxes(f, lo, hi, tol, order: int = 12,
@@ -250,3 +257,59 @@ def test_a_negative_zero_first_estimate_reads_positive_zero():
         new = integrate_boxes(f, lo, hi, [1e-10] * 3)
         _assert_same_bits(new, _outcome(lambda: _listed_boxes(f, lo, hi, [1e-10] * 3)))
         assert not np.signbit(new.value).any() and new.panels.tolist() == [1] * 3
+
+
+def _kinked(box, *coords):
+    """A kink in x, an oscillation along the diagonal and a weight in the later axes."""
+    out = np.abs(coords[0] - 0.3 * box[:, None]) + np.sin(7.0 * sum(coords))
+    for u in coords[1:]:
+        out *= 1.0 + u * u
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_bits_do_not_depend_on_the_layout_the_integrand_returns(d):
+    # the values come back in the layout of the coordinates, node-major, or as
+    # a C-ordered (N, order**d) copy; a tol of 1 finishes on the first estimate
+    c_ordered = []
+
+    def own(box, *coords):
+        out = _kinked(box, *coords)
+        c_ordered.append(out.flags.c_contiguous and len(out) > 1)
+        return out
+
+    def copied(box, *coords):
+        return np.ascontiguousarray(_kinked(box, *coords))
+
+    lo = np.array([[-0.5] * d, [0.0] * d, [0.25] * d])
+    hi = lo + np.array([[1.5] * d, [1.0] * d, [0.5] * d])
+    tol = {1: [1e-10, 1.0, 1e-12], 2: [1e-5, 1.0, 1e-6], 3: [1e-3, 1.0, 1e-3]}[d]
+    new = integrate_boxes(own, lo, hi, tol, max_panels=256)
+    assert new.panels.max() > 1 and not any(c_ordered)
+    _assert_same_bits(new, integrate_boxes(copied, lo, hi, tol, max_panels=256))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_integrand_gets_the_nodes_of_each_panel_x_major(monkeypatch, d):
+    # a first-estimate run evaluates each box and its 2**d halves, in blocks
+    # of two panels and a point
+    order = 4
+    monkeypatch.setattr(quadrature, "BLOCK_POINTS", 2 * order ** d + 1)
+    got = []
+
+    def f(box, *coords):
+        got.append(coords)
+        return np.zeros_like(coords[0])
+
+    lo = np.array([[-0.5, 0.0, 0.25][:d], [0.125, -1.0, 2.0][:d]])
+    hi = lo + np.array([[1.5, 0.75, 0.5][:d], [0.25, 3.0, 1.0][:d]])
+    integrate_boxes(f, lo, hi, [1.0, 1.0], order)
+    roots = np.stack([lo, hi], axis=-1)
+    panels = np.concatenate([roots[:, None], _split(roots)], axis=1).reshape(-1, d, 2)
+    mids = 0.5 * (panels[..., 0] + panels[..., 1])
+    halves = 0.5 * (panels[..., 1] - panels[..., 0])
+    assert all(len(coords[0]) <= 2 for coords in got)
+    for a in range(d):
+        seen = np.concatenate([coords[a] for coords in got])
+        expected = mids[:, a, None] + halves[:, a, None] * _unit_nodes(order, d)[a]
+        assert seen.shape == expected.shape and seen.tobytes() == expected.tobytes()

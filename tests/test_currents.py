@@ -17,7 +17,9 @@ from stokeslab.currents import (
     HalfSpace,
     Rect,
     TopDimCurrent,
+    _lifted_tangent,
     _sample_boxes,
+    _summed,
     boundary_form_integral,
     coarea_slice_check,
     mass_additivity_check,
@@ -354,6 +356,52 @@ def test_boundary_curves_match_per_point_reference(kind):
     res = boundary_form_integral(T, omega)
     assert abs(ref) > 1e-3
     assert res.value == pytest.approx(T.theta * ref, rel=1e-12)
+
+
+def _per_edge_boundary_integral(T, omega, tol: float = 1e-10):
+    """boundary_form_integral of a 2-current as it was, one integrate_1d per edge, verbatim."""
+    from stokeslab.quadrature import integrate_1d
+
+    lift, start, end, t0, t1 = T.boundary_edges()
+
+    def edge(p, d, a: float, b: float):
+        def integrand(t):
+            u = p + np.multiply.outer(t, d)
+            if lift is None:
+                return np.vecdot(omega.evaluate_many(u), d)
+            points = np.column_stack([u, lift.psi(u[:, 0], u[:, 1])])
+            return np.vecdot(omega.evaluate_many(points), _lifted_tangent(lift, p, d, t))
+
+        return integrate_1d(integrand, a, b, tol=tol, max_panels=2048)
+
+    return _summed(map(edge, start, end - start, t0.tolist(), t1.tolist()), T.theta)
+
+
+class _WithDegenerateEdges(ChartCurrent):
+    """A chart current whose boundary also holds a point edge and an edge of zero t-length."""
+
+    def boundary_edges(self):
+        lift, start, end, t0, t1 = super().boundary_edges()
+        return (lift, np.vstack([start, [[0.5, 0.5], [0.25, 0.5]]]),
+                np.vstack([end, [[0.5, 0.5], [0.75, 0.5]]]), np.append(t0, [0.0, 0.3]),
+                np.append(t1, [1.0, 0.3]))
+
+
+@pytest.mark.parametrize("kind", KINDS + ["degenerate_edges"])
+def test_one_sweep_has_the_bits_of_one_quadrature_per_edge(kind):
+    # the surface window's top and left edges run from t0 down to t1
+    if kind == "degenerate_edges":
+        chart = _protocol_current("parabolic_chart")[0].chart
+        T = _WithDegenerateEdges(Rect(0.0, 1.0, 0.0, 1.0), chart, -3)
+    else:
+        T, _ = _protocol_current(kind)
+    _, _, _, t0, t1 = T.boundary_edges()
+    assert (t1 < t0).any() == (kind == "surface_window")
+    omega = _smooth_form(T.n)
+    for tol in (1e-10, 1e-13):
+        new, ref = boundary_form_integral(T, omega, tol), _per_edge_boundary_integral(T, omega, tol)
+        assert (new.value.hex(), new.error.hex(), new.panels) == \
+            (ref.value.hex(), ref.error.hex(), ref.panels)
 
 
 @pytest.mark.parametrize("region", [

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from stokeslab import forms, integration
-from stokeslab.cousin import Gauge, cousin_decompose
+from stokeslab.cousin import Gauge, ResourceBudgetError, cousin_decompose
 from stokeslab.currents import ChartCurrent, ChartMap, Rect, TopDimCurrent
-from stokeslab.dyadic import CubeSet, DyadicCube, RootBox
+from stokeslab.dyadic import CubeSet, DepthError, DyadicCube, RootBox
+from stokeslab.quadrature import QuadratureError
 
 ROOT = RootBox((0.0, 0.0), 1.0)
 UNIT = TopDimCurrent(CubeSet.whole(ROOT))
@@ -187,6 +188,20 @@ def test_stokes_refinement_curve_shrinks():
     errs = [c["abs_err"] for c in rep.refinement_curve]
     diams = [c["max_diam"] for c in rep.refinement_curve]
     assert errs[-1] <= errs[0] * (diams[-1] / diams[0]) * 4.0 + 1e-12
+
+
+@pytest.mark.parametrize("error", [DepthError, QuadratureError, ResourceBudgetError])
+def test_a_stop_inside_the_decomposition_leaves_the_identity_undecided(monkeypatch, error):
+    # a refinement past its generation cap or a stalled quadrature inside the
+    # corroborating families is a resource stop of the decomposition, not of the run
+    def stopped(*args, **kwargs):
+        raise error("out of budget")
+
+    monkeypatch.setattr(integration, "gauge_decompose", stopped)
+    rep = integration.stokes_check(UNIT, _x_dy())
+    assert rep.decomposition == {"attempted": True, "status": "resource",
+                                 "reason": "out of budget"}
+    assert abs(rep.gap) < 1e-9 and rep.verdict == integration.UNDECIDED
 
 
 def test_stokes_report_serializes():
