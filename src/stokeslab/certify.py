@@ -125,7 +125,7 @@ def _cube_geometry(pairs, tags):
     """Tag test, diameter, masses with their errors and footprint of cube pieces.
 
     Reads the cube cells.  The bounds of a cube are those of
-    DyadicCube.bounds: lo = corner + side * index and hi = lo + side, with
+    RootBox.bounds: lo = corner + side * index and hi = lo + side, with
     side = root side * 2**-generation.  A one-cube piece has diameter
     |hi - lo|, measure side**m and perimeter 2m side**(m-1); a piece of
     several cubes sums its cube measures with fsum and asks the CubeSet of
@@ -137,7 +137,7 @@ def _cube_geometry(pairs, tags):
     lo = corner + side[:, None] * index
     hi = lo + side[:, None]
     ids, first, counts, inside, boxes = _footprints(owner, lo, hi, tags)
-    # Python's float power, as DyadicCube.measure and CubeSet.perimeter take it
+    # Python's float power, as RootBox.measures and CubeSet.perimeter take it
     measure = np.array([s ** m for s in side.tolist()])
     mass = measure[first]
     perimeter = 2 * m * np.array([s ** (m - 1) for s in side[first].tolist()])

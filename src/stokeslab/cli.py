@@ -20,7 +20,7 @@ import numpy.random  # noqa: F401 -- loaded here, not lazily inside the first ru
 
 from .counterexample import ParamsError
 from .cousin import DecompositionRefusal, ResourceBudgetError
-from .dyadic import DepthError
+from .dyadic import MAX_GENERATION, DepthError
 from .quadrature import QuadratureError
 
 SCHEMA_VERSION = 1
@@ -176,14 +176,15 @@ def _cube_set(region: dict):
     where, cubes = "current region root", region.get("cubes")
     root = _object(region.get("root"), where)
     corner, side = _point(root, "corner", where), _number(root, "side", _REQUIRED, 0, where=where)
-    if not all(map(math.isfinite, corner)):  # as CubeSet.from_json refuses it
+    if not all(map(math.isfinite, corner)):
         raise UsageError(f"{where}: root box corner {corner} and side {side} must be finite")
     if not isinstance(cubes, list):
         raise UsageError(f"current region cubes must be a list of objects, not {cubes!r}")
     gen, index = [], []
     for k, cube in enumerate(cubes):
         at = f"current region cubes[{k}]"
-        gen.append(_number(cube, "generation", _REQUIRED, 0, integer=True, where=at))
+        gen.append(_number(cube, "generation", _REQUIRED, 0, MAX_GENERATION, integer=True,
+                           where=at, why=", the generations of the dyadic engine"))
         index.append(_point(cube, "corner", at, lo=0, integer=True))
     return _keyed("current region cubes", CubeSet.of, RootBox(corner, side), gen, index)
 

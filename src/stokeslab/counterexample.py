@@ -671,25 +671,6 @@ class SurfaceModel(StripModel):
                 out[i] = QuadResult(f, abs(f - c), 0)
         return out
 
-    def partial_length(self, x: float, y: float) -> float:
-        """L(x, y): arclength of the section from 0 to x."""
-        x, y = float(x), float(y)
-        if y >= self.y_infinity:
-            return x
-        return float(self._row_integrals(self._speed, y, x)[0])
-
-    def dy_section_length(self, y: float) -> float:
-        y = float(y)
-        if y >= self.y_infinity:
-            return 0.0
-        return float(self._row_integrals(self._speeds, y, math.pi, channels=2)[1, 0])
-
-    def dy_partial_length(self, x: float, y: float) -> float:
-        x, y = float(x), float(y)
-        if y >= self.y_infinity:
-            return 0.0
-        return float(self._row_integrals(self._speeds, y, x, channels=2)[1, 0])
-
     # -- strip areas and windowed mass ----------------------------------------
 
     def strip_bounds_y(self, k: int) -> tuple[float, float]:
@@ -848,10 +829,6 @@ class SurfaceModel(StripModel):
                                name="normalized-arclength form")
 
     # -- derived diagnostics ----------------------------------------------------
-
-    def sup_omega_on_section(self, k: int, samples_per_period: int = 64) -> float:
-        """sup over x of |omega(Psi(x, y_k))| via one-period sampling."""
-        return float(self.sup_omega_on_sections([k], samples_per_period)[0])
 
     def sup_omega_on_sections(self, ks, samples_per_period: int = 64) -> np.ndarray:
         """sup over x of |omega(Psi(x, y_k))| for each strip k, the samples of all in one call."""

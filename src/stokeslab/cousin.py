@@ -29,7 +29,7 @@ from .currents import (
     rect_edges,
     slice_current,
 )
-from .dyadic import CubeSet, DyadicCube, DepthError, ExceptionalSet, RootBox
+from .dyadic import CubeSet, DepthError, ExceptionalSet, RootBox
 from .minkowski import ExcisabilityEvidence, excisability_evidence, neighborhood_mass
 from .quadrature import QuadratureError
 
@@ -40,7 +40,6 @@ __all__ = [
     "TaggedPair",
     "TaggedFamily",
     "regularity",
-    "cousin_decompose",
     "excise",
     "gauge_decompose",
     "DecompositionRefusal",
@@ -427,7 +426,7 @@ def _fine_cubes(corner: np.ndarray, root_side: np.ndarray, gen: np.ndarray, idx:
             stop = int(rid[capped].min())
             mine = np.flatnonzero(capped & (rid == stop))
             at = mine[_depth_first_order(rid[mine], gen[mine], idx[mine])[0]]
-            # the bounds of the cube, as DyadicCube.bounds
+            # the bounds of the cube, as RootBox.bounds
             lo = corner[stop] + side[at] * idx[at].astype(float)
             stop_bounds = lo, lo + side[at]
         split = ~ok & (rid < stop)
@@ -510,21 +509,6 @@ def _cube_table(root: RootBox, gen: np.ndarray, index: np.ndarray, delta: Gauge,
                       np.zeros(n, dtype=np.int64), (), (root,),
                       (np.arange(n), corner[rid], root_side[rid], gen, idx), _EMPTY.rects,
                       _EMPTY.edges, view)
-
-
-def cousin_decompose(domain: DyadicCube, delta: Gauge, eta: float,
-                     max_generation: int = 40, theta: int = 1) -> TaggedFamily:
-    """Tagged dyadic tiling of a cube: every piece is delta-fine at its tag.
-
-    The gauge must be positive on the closed cube; eta must stay below the
-    cube regularity 0.5 * m^(-3/2).  The family tiles the cube exactly, so
-    the remainder is zero for every functional.
-    """
-    region = CubeSet.of(domain.root, [domain.generation], [domain.index])
-    table = _cube_table(domain.root, *region.arrays, delta, RegularityFn.constant(eta), theta,
-                        max_generation, MAX_PIECES)
-    parent = TopDimCurrent(region, theta)
-    return TaggedFamily(parent, table, (), 0.0, "mass", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +777,7 @@ def _chart_table(pieces: Sequence[ChartCurrent], cells: list, delta: Gauge,
     if not cells:
         return _EMPTY
     of, corner, side, gen, idx, diam, pre_tags = (np.concatenate(a) for a in zip(*cells))
-    # the bounds of each DyadicCube: lo = corner + side * index, hi = lo + side
+    # the bounds of each cube: lo = corner + side * index, hi = lo + side
     cube_side = np.ldexp(side, -gen)[:, None]
     lo = corner + cube_side * idx
     hi = lo + cube_side

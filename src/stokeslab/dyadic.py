@@ -8,23 +8,22 @@ or have disjoint interiors.
 
 A CubeSet is its root box and canonical arrays: int64 generations (n,) and
 indices (n, m), without repeats, covered cubes or full sibling groups, sorted
-by generation, then index.  The boundary comes from them by one refinement
-over facets, and ``CubeSet.cubes`` is a DyadicCube view built when first read.
+by generation, then index.  ``CubeSet.of`` is the one constructor; it checks
+that each (generation, index) is a cube of the root box.  The boundary comes
+from the arrays by one refinement over facets.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "RootBox",
-    "DyadicCube",
     "CubeSet",
     "ExceptionalSet",
     "DepthError",
@@ -66,57 +65,15 @@ class RootBox:
         return len(self.corner)
 
     def bounds(self, gen: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper corners (n, m) of cubes (generation, index): DyadicCube.bounds."""
+        """Lower and upper corners (n, m) of cubes (generation, index): corner + side * index."""
         side = np.ldexp(self.side, -gen)[:, None]
         lo = np.asarray(self.corner) + side * index
         return lo, lo + side
 
     def measures(self, gen: np.ndarray) -> list[float]:
-        """DyadicCube.measure of each cube of these generations, as Python floats."""
+        """The measure (side * 2.0 ** -g) ** m of each cube of generation g, as Python floats."""
         table = [(self.side * 2.0 ** (-g)) ** self.m for g in range(int(gen.max(initial=0)) + 1)]
         return [table[g] for g in gen.tolist()]
-
-
-@dataclass(frozen=True)
-class DyadicCube:
-    """Cube of side root.side * 2^-generation at integer corner coordinates."""
-
-    root: RootBox
-    generation: int
-    index: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.generation < 0:
-            raise ValueError("generation must be nonnegative")
-        object.__setattr__(self, "index", tuple(int(i) for i in self.index))
-        if len(self.index) != self.root.m:
-            raise ValueError("index arity does not match the root dimension")
-        top = 1 << self.generation
-        if any(not 0 <= i < top for i in self.index):
-            raise ValueError(f"index {self.index} outside the root box at generation {self.generation}")
-
-    @property
-    def m(self) -> int:
-        return self.root.m
-
-    @property
-    def side(self) -> float:
-        return self.root.side * 2.0 ** (-self.generation)
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        s = self.side
-        lo = np.asarray(self.root.corner) + s * np.asarray(self.index, dtype=float)
-        return lo, lo + s
-
-    def measure(self) -> float:
-        return self.side ** self.m
-
-    def ancestor_key(self, generation: int) -> tuple:
-        shift = self.generation - generation
-        return (generation, tuple(i >> shift for i in self.index))
-
-    def key(self) -> tuple:
-        return (self.generation, self.index)
 
 
 def cubes_payload(corner, side, gens: list[int], indices: list[list[int]]) -> dict:
@@ -154,7 +111,7 @@ def _canonicalize(m: int, gen: np.ndarray, index: np.ndarray) -> tuple[np.ndarra
 
 
 def _check_cubes(m: int, gen: np.ndarray, index: np.ndarray):
-    """Raise DyadicCube's ValueError for the first cube (generation, index) it would refuse."""
+    """Raise a ValueError for the first (generation, index) that is no cube of the root box."""
     negative, arity = gen < 0, index.shape[1] == m
     outside = (index < 0).any(axis=1) | (index >> np.maximum(gen, 0)[:, None] != 0).any(axis=1)
     for k in np.flatnonzero(negative | (not arity) | outside)[:1].tolist():
@@ -202,20 +159,12 @@ def refine(root: RootBox, gen: np.ndarray, index: np.ndarray, side, done,
 class CubeSet:
     """Finite union of pairwise nonoverlapping dyadic cubes, held as its canonical arrays.
 
-    Built from DyadicCube objects, ``CubeSet(root, cubes)``, or from arrays,
-    ``CubeSet.of(root, gen, index)``; equal iff the roots and canonical cubes are.
+    Built from arrays, ``CubeSet.of(root, gen, index)``; equal iff the roots and
+    canonical cubes are.
     """
 
     root: RootBox
     arrays: tuple[np.ndarray, np.ndarray]
-
-    def __init__(self, root: RootBox, cubes: Iterable[DyadicCube] = ()):
-        cubes = tuple(cubes)
-        if any(q.root != root for q in cubes):
-            raise GridError("all cubes of a CubeSet must share the root box")
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "arrays", _canonicalize(
-            root.m, [q.generation for q in cubes], [q.index for q in cubes]))
 
     @classmethod
     def whole(cls, root: RootBox) -> "CubeSet":
@@ -223,11 +172,11 @@ class CubeSet:
 
     @classmethod
     def empty(cls, root: RootBox) -> "CubeSet":
-        return cls(root)
+        return cls.of(root, [], [])
 
     @classmethod
     def of(cls, root: RootBox, gen: np.ndarray, index: np.ndarray) -> "CubeSet":
-        """The set of the cubes (generation, index) of root, checked as DyadicCube checks one."""
+        """The set of the cubes (generation, index) of root, each checked by _check_cubes."""
         try:
             gen = np.asarray(gen, dtype=np.int64).reshape(-1)
             index = np.asarray(index, dtype=np.int64).reshape(len(gen), -1 if len(gen) else root.m)
@@ -249,14 +198,8 @@ class CubeSet:
     def __hash__(self):
         return hash((self.root, *(a.tobytes() for a in self.arrays)))
 
-    @cached_property
-    def cubes(self) -> tuple[DyadicCube, ...]:
-        """The cubes as DyadicCube objects, in canonical order: a view built when first read."""
-        return tuple(DyadicCube(self.root, g, tuple(i))
-                     for g, i in zip(*(a.tolist() for a in self.arrays)))
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper corners (n, m) of the cubes, the bits of DyadicCube.bounds."""
+        """Lower and upper corners (n, m) of the cubes, as RootBox.bounds gives them."""
         return self.root.bounds(*self.arrays)
 
     @property
@@ -269,7 +212,7 @@ class CubeSet:
     # -- exact scalar geometry ------------------------------------------------
 
     def measure(self) -> float:
-        """The exact fsum of the cubes' DyadicCube.measure, from the generation table."""
+        """The exact fsum of the cubes' measures, from the generation table."""
         return math.fsum(self.root.measures(self.arrays[0]))
 
     def diameter(self) -> float:
@@ -443,21 +386,8 @@ class CubeSet:
     # -- serialization ----------------------------------------------------------
 
     def payload(self) -> dict:
-        """The set as plain JSON values: what to_json writes and descriptors embed."""
+        """The set as plain JSON values, the region format of a ``cube_set`` config."""
         return cubes_payload(self.root.corner, self.root.side, *(a.tolist() for a in self.arrays))
-
-    def to_json(self) -> str:
-        return json.dumps(self.payload())
-
-    @classmethod
-    def from_json(cls, text: str) -> "CubeSet":
-        payload = json.loads(text)
-        root = RootBox(tuple(payload["root"]["corner"]), payload["root"]["side"])
-        if not all(map(math.isfinite, (*root.corner, root.side))):
-            raise ValueError(f"root box corner {root.corner} and side {root.side} must be finite")
-        cubes = payload["cubes"]
-        return cls.of(root, [entry["generation"] for entry in cubes],
-                      [entry["corner"] for entry in cubes])
 
 
 def _keys(gen: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -28,10 +28,10 @@ a panel other bits than the sum along its own nodes in order.
 
 The fixed-panel composites of the package take their panels from one ragged
 rule, :func:`ragged_panels`: rows of their own intervals and panel counts,
-built in one vectorized pass with the bits of :func:`composite_nodes` row by
-row.  A caller expands the panels it needs into Gauss nodes and reduces a
-row by its (panels, order) @ weights and a sum of half-widths times panel
-sums.
+built in one vectorized pass, each row with the bits of its ``np.linspace``
+panels alone.  A caller expands the panels it needs into Gauss nodes and
+reduces a row by its (panels, order) @ weights and a sum of half-widths
+times panel sums.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["QuadResult", "QuadratureError", "integrate_1d", "integrate_2d", "integrate_boxes",
-           "gauss_rule", "composite_nodes", "ragged_panels"]
+           "gauss_rule", "ragged_panels"]
 
 BLOCK_POINTS = 1 << 14  # most integrand points in one call of integrate_boxes
 
@@ -82,31 +82,15 @@ def gauss_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def composite_nodes(lo, hi, panels: int, order: int = 12):
-    """Nodes and panel half-widths of the composite Gauss rule on [lo, hi].
-
-    [lo, hi] is cut into ``panels`` equal panels; lo and hi may be arrays of
-    a common shape S, giving nodes of shape S + (panels, order) and
-    half-widths of shape S + (panels,).  The integral of f is the sum over
-    panels of half-width times the weights of :func:`gauss_rule` dotted
-    with f at the panel's nodes.
-    """
-    nodes, _ = gauss_rule(order)
-    edges = np.linspace(lo, hi, panels + 1, axis=-1)
-    mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
-    halves = 0.5 * np.diff(edges, axis=-1)
-    return mids[..., None] + halves[..., None] * nodes, halves
-
-
 def ragged_panels(lo, hi, panels):
     """Midpoints and half-widths (T,) of the equal panels of ragged rows, end to end.
 
     Row i is [lo[i], hi[i]] cut into panels[i] >= 1 panels; lo, hi and panels
     broadcast to one row axis, and all T = sum(panels) panels are built in
     one pass.  Edge j of a row is j * ((hi - lo) / panels) + lo and its last
-    edge is hi, as in ``np.linspace``, so the Gauss nodes of panel t,
-    ``mids[t] + halves[t] * gauss_rule(order)[0]``, have the bits of
-    :func:`composite_nodes` on the row alone.
+    edge is hi, as in ``np.linspace``: so for the edges e of
+    ``np.linspace(lo[i], hi[i], panels[i] + 1)``, the row's panels have the
+    bits of 0.5 * (e[:-1] + e[1:]) and 0.5 * np.diff(e).
     """
     lo, hi, panels = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                          np.asarray(hi, dtype=float), np.atleast_1d(panels))

@@ -1,21 +1,89 @@
-"""Cube routines that only the tests call, moved out of ``stokeslab.dyadic`` verbatim.
+"""Cube routines that only the tests call, moved out of the package verbatim.
 
-``center``, ``corners``, ``diameter`` and ``subdivide`` were methods of
-``DyadicCube``, ``cube_min_distance`` and ``cube_max_distance_bound`` methods
-of ``ExceptionalSet``, and ``gauge_at`` was ``Gauge.__call__`` of
+``DyadicCube`` was the one-cube class of ``stokeslab.dyadic``, and
+``cube_set`` and ``cubes_of`` were the object constructor ``CubeSet(root,
+cubes)`` and the ``CubeSet.cubes`` view there.  ``center``, ``corners``,
+``diameter`` and ``subdivide`` were methods of ``DyadicCube``,
+``cube_min_distance`` and ``cube_max_distance_bound`` methods of
+``ExceptionalSet``, and ``gauge_at`` was ``Gauge.__call__`` of
 ``stokeslab.cousin``; each keeps its body, with its object as the first
-argument ``self``.  ``neighborhood_indicator`` was a function of the module.
-The package works on cube and point arrays (``dyadic.refine``,
+argument ``self``.  ``neighborhood_indicator`` was a function of the module,
+and ``cousin_decompose`` the one-cube twin of ``cousin.gauge_decompose``.
+The package works on cube and point arrays (``CubeSet.of``, ``dyadic.refine``,
 ``ExceptionalSet.cube_distances``, ``Gauge.many``), and the tests use these
 one-object versions as references.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from stokeslab.cousin import Gauge
-from stokeslab.dyadic import MAX_GENERATION, DepthError, DyadicCube, ExceptionalSet
+from stokeslab.cousin import MAX_PIECES, Gauge, RegularityFn, TaggedFamily, _cube_table
+from stokeslab.currents import TopDimCurrent
+from stokeslab.dyadic import (MAX_GENERATION, CubeSet, DepthError, ExceptionalSet, GridError,
+                              RootBox, _canonicalize)
+
+
+@dataclass(frozen=True)
+class DyadicCube:
+    """Cube of side root.side * 2^-generation at integer corner coordinates."""
+
+    root: RootBox
+    generation: int
+    index: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.generation < 0:
+            raise ValueError("generation must be nonnegative")
+        object.__setattr__(self, "index", tuple(int(i) for i in self.index))
+        if len(self.index) != self.root.m:
+            raise ValueError("index arity does not match the root dimension")
+        top = 1 << self.generation
+        if any(not 0 <= i < top for i in self.index):
+            raise ValueError(f"index {self.index} outside the root box at generation {self.generation}")
+
+    @property
+    def m(self) -> int:
+        return self.root.m
+
+    @property
+    def side(self) -> float:
+        return self.root.side * 2.0 ** (-self.generation)
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        s = self.side
+        lo = np.asarray(self.root.corner) + s * np.asarray(self.index, dtype=float)
+        return lo, lo + s
+
+    def measure(self) -> float:
+        return self.side ** self.m
+
+    def ancestor_key(self, generation: int) -> tuple:
+        shift = self.generation - generation
+        return (generation, tuple(i >> shift for i in self.index))
+
+    def key(self) -> tuple:
+        return (self.generation, self.index)
+
+
+def cube_set(root: RootBox, cubes: Iterable[DyadicCube] = ()) -> CubeSet:
+    """The set of DyadicCube objects: the object constructor ``CubeSet(root, cubes)``."""
+    self = CubeSet.__new__(CubeSet)
+    cubes = tuple(cubes)
+    if any(q.root != root for q in cubes):
+        raise GridError("all cubes of a CubeSet must share the root box")
+    object.__setattr__(self, "root", root)
+    object.__setattr__(self, "arrays", _canonicalize(
+        root.m, [q.generation for q in cubes], [q.index for q in cubes]))
+    return self
+
+
+def cubes_of(self: CubeSet) -> tuple[DyadicCube, ...]:
+    """The cubes as DyadicCube objects, in canonical order: the ``CubeSet.cubes`` view."""
+    return tuple(DyadicCube(self.root, g, tuple(i))
+                 for g, i in zip(*(a.tolist() for a in self.arrays)))
 
 
 def center(self: DyadicCube) -> np.ndarray:
@@ -71,3 +139,18 @@ def neighborhood_indicator(E: ExceptionalSet, r: float, x) -> bool:
 
 def gauge_at(self: Gauge, x) -> float:
     return float(self.many(np.asarray(x, dtype=float)[None])[0])
+
+
+def cousin_decompose(domain: DyadicCube, delta: Gauge, eta: float,
+                     max_generation: int = 40, theta: int = 1) -> TaggedFamily:
+    """Tagged dyadic tiling of a cube: every piece is delta-fine at its tag.
+
+    The gauge must be positive on the closed cube; eta must stay below the
+    cube regularity 0.5 * m^(-3/2).  The family tiles the cube exactly, so
+    the remainder is zero for every functional.
+    """
+    region = CubeSet.of(domain.root, [domain.generation], [domain.index])
+    table = _cube_table(domain.root, *region.arrays, delta, RegularityFn.constant(eta), theta,
+                        max_generation, MAX_PIECES)
+    parent = TopDimCurrent(region, theta)
+    return TaggedFamily(parent, table, (), 0.0, "mass", 0.0)

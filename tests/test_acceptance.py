@@ -9,13 +9,15 @@ import math
 import numpy as np
 import pytest
 
+from cube_refs import DyadicCube, cousin_decompose
+from model_refs import sup_omega_on_section
+
 from stokeslab import certify, forms, integration, minkowski
 from stokeslab.counterexample import Params, build_surface_current
 from stokeslab.cousin import (
     Gauge,
     RegularityFn,
     SubadditiveFn,
-    cousin_decompose,
     regularity,
 )
 from stokeslab.currents import (
@@ -26,7 +28,7 @@ from stokeslab.currents import (
     coarea_slice_check,
     pushforward_mass_bounds,
 )
-from stokeslab.dyadic import CubeSet, DyadicCube, ExceptionalSet, RootBox
+from stokeslab.dyadic import CubeSet, ExceptionalSet, RootBox
 
 ROOT = RootBox((0.0, 0.0), 1.0)
 UNIT = TopDimCurrent(CubeSet.whole(ROOT))
@@ -57,12 +59,12 @@ def surface_stokes(surface):
 def test_criterion_01_cube_regularity_exact():
     worst2 = 0.0
     for g, idx in [(0, (0, 0)), (1, (1, 0)), (3, (5, 2)), (6, (40, 11))]:
-        piece = TopDimCurrent(CubeSet(ROOT, (DyadicCube(ROOT, g, idx),)))
+        piece = TopDimCurrent(CubeSet.of(ROOT, [g], [idx]))
         worst2 = max(worst2, abs(regularity(piece) - 2.0 ** (-2.5)))
     root3 = RootBox((0.0, 0.0, 0.0), 1.0)
     worst3 = 0.0
     for g, idx in [(0, (0, 0, 0)), (2, (1, 2, 3))]:
-        piece = TopDimCurrent(CubeSet(root3, (DyadicCube(root3, g, idx),)))
+        piece = TopDimCurrent(CubeSet.of(root3, [g], [idx]))
         worst3 = max(worst3, abs(regularity(piece) - 1.0 / (2.0 * 3.0 ** 1.5)))
     _report(1, worst2 <= 1e-15 and worst3 <= 1e-15,
             f"square regularity off by {worst2:.2e}, cube by {worst3:.2e}")
@@ -169,7 +171,7 @@ def test_criterion_07_area_summability(surface):
 def test_criterion_08_form_decay(surface):
     model = surface.model
     ks = range(2, 11)
-    sups = [model.sup_omega_on_section(k) for k in ks]
+    sups = [sup_omega_on_section(model, k) for k in ks]
     decreasing = all(b < a for a, b in zip(sups, sups[1:]))
     envelope = [max((PARAMS.lam / PARAMS.h) ** k, (PARAMS.lam / PARAMS.a) ** k) for k in ks]
     fitted = float(np.median([s / e for s, e in zip(sups, envelope)]))

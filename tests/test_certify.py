@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import math
 import time
 import tracemalloc
@@ -11,16 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cube_refs import gauge_at
+from cube_refs import DyadicCube, cousin_decompose, cubes_of, gauge_at
 from model_refs import from_callable
 
 from stokeslab import certify
 from stokeslab.certify import _CHECK_ORDER, CertificateReport
 from stokeslab.quadrature import integrate_2d, integrate_boxes
 from stokeslab.cousin import (Gauge, PieceTable, RegularityFn, SubadditiveFn, TaggedPair,
-                              cousin_decompose, gauge_decompose)
+                              gauge_decompose)
 from stokeslab.currents import ChartCurrent, ChartMap, Rect, SurfaceCurrent, TopDimCurrent
-from stokeslab.dyadic import CubeSet, DyadicCube, ExceptionalSet, RootBox
+from stokeslab.dyadic import CubeSet, ExceptionalSet, RootBox
 
 ROOT = RootBox((0.0, 0.0), 1.0)
 MASS = SubadditiveFn.mass()
@@ -131,9 +132,8 @@ def _chart_pieces():
     from stokeslab.counterexample import build_surface_current
 
     parabolic = _build_current({"kind": "parabolic_graph"})
-    cubes = [DyadicCube(ROOT, 2, (0, j)) for j in range(4)] + \
-        [DyadicCube(ROOT, 2, (1, j)) for j in range(3)] + [DyadicCube(ROOT, 3, (4, 0))]
-    staircase = ChartCurrent(CubeSet(ROOT, tuple(cubes)), parabolic.chart)
+    staircase = ChartCurrent(CubeSet.of(ROOT, [2] * 7 + [3], [(0, j) for j in range(4)]
+                                        + [(1, j) for j in range(3)] + [(4, 0)]), parabolic.chart)
     model = build_surface_current().model
     _, lo, hi = model.strip_windows(0.0, model.y_infinity)[1]
     strip = ChartCurrent(Rect(model.x_lo, model.x_lo + 0.1, lo, lo + 0.5 * (hi - lo)),
@@ -222,7 +222,7 @@ def _footprint(piece) -> tuple[float, float, float, float]:
     """Planar parameter-domain bounding box (x0, x1, y0, y1)."""
     if isinstance(piece, TopDimCurrent):
         los, his = [], []
-        for q in piece.region.cubes:
+        for q in cubes_of(piece.region):
             lo, hi = q.bounds()
             los.append(lo)
             his.append(hi)
@@ -291,7 +291,7 @@ def check_family(family, delta, eta, G=None) -> CertificateReport:
             )
 
         if isinstance(piece, TopDimCurrent):
-            m_val = abs(piece.theta) * math.fsum(q.measure() for q in piece.region.cubes)
+            m_val = abs(piece.theta) * math.fsum(q.measure() for q in cubes_of(piece.region))
             m_err = 0.0
             b_val = abs(piece.theta) * piece.region.perimeter()
             b_err = 0.0
@@ -346,7 +346,7 @@ def _replace_pairs(family, pairs):
 def _tag_moved_out(family):
     pairs = list(family.pairs)
     for k in (3, len(pairs) // 2):
-        lo, hi = pairs[k].piece.region.cubes[0].bounds()
+        lo, hi = (b[0] for b in pairs[k].piece.region.bounds())
         pairs[k] = dataclasses.replace(pairs[k], tag=tuple(hi + 0.25 * (hi - lo)))
     return _replace_pairs(family, pairs)
 
@@ -354,7 +354,7 @@ def _tag_moved_out(family):
 def _duplicated_and_shifted(family):
     pairs = list(family.pairs)
     template = pairs[1]
-    lo, hi = template.piece.region.cubes[0].bounds()
+    lo, hi = (b[0] for b in template.piece.region.bounds())
     shift = 0.5 * (hi - lo)
     moved = CubeSet.whole(RootBox(tuple(lo + shift), float(hi[0] - lo[0])))
     pairs.insert(4, pairs[-1])
@@ -368,10 +368,10 @@ def _multi_cube(family):
     pairs = list(family.pairs)
     merged = []
     for start, stop in ((0, 2), (4, 7), (8, 12)):
-        cubes = [q for p in pairs[start:stop] for q in p.piece.region.cubes]
-        merged.append(dataclasses.replace(pairs[start], piece=TopDimCurrent(CubeSet(cubes[0].root, cubes))))
-    far = [pairs[13].piece.region.cubes[0], pairs[-1].piece.region.cubes[0]]
-    merged.append(dataclasses.replace(pairs[13], piece=TopDimCurrent(CubeSet(far[0].root, far), theta=-2)))
+        region = functools.reduce(CubeSet.union, (p.piece.region for p in pairs[start:stop]))
+        merged.append(dataclasses.replace(pairs[start], piece=TopDimCurrent(region)))
+    far = pairs[13].piece.region.union(pairs[-1].piece.region)
+    merged.append(dataclasses.replace(pairs[13], piece=TopDimCurrent(far, theta=-2)))
     return _replace_pairs(family, [merged[0], *pairs[2:4], merged[1], merged[2],
                                    *pairs[12:13], merged[3], *pairs[14:-1]])
 
@@ -455,8 +455,7 @@ def test_three_dimensional_cubes_differ_from_the_reference_only_in_false_overlap
     assert set(_overlap_messages(old)) - set(_overlap_messages(new))  # stacked in z
     assert new.checked_mass.hex() == old.checked_mass.hex()
     boxes = [np.ravel(np.stack(
-        [np.min([q.bounds()[0] for q in p.piece.region.cubes], axis=0),
-         np.max([q.bounds()[1] for q in p.piece.region.cubes], axis=0)], axis=1))
+        [p.piece.region.bounds()[0].min(axis=0), p.piece.region.bounds()[1].max(axis=0)], axis=1))
         for p in family.pairs]
     assert _overlap_messages(new) == _dense_overlap_messages(boxes)
     assert bool(_overlap_messages(new)) == (case in ("duplicated-and-shifted", "multi-cube"))

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from stokeslab import certify, cli, dyadic
+import cube_refs
+
+from stokeslab import certify, cli
 from stokeslab.cli import EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_UNDECIDED, EXIT_USAGE, main
 
 
@@ -578,7 +580,7 @@ def test_excision_run_builds_no_cube_object_outside_the_certifier(tmp_path, monk
     })
     built = {"engine": 0, "certifier": 0}
     checking = [False]
-    init, check = dyadic.DyadicCube.__post_init__, certify.check_family
+    init, check = cube_refs.DyadicCube.__post_init__, certify.check_family
 
     def counted(self):
         built["certifier" if checking[0] else "engine"] += 1
@@ -591,7 +593,7 @@ def test_excision_run_builds_no_cube_object_outside_the_certifier(tmp_path, monk
         finally:
             checking[0] = False
 
-    monkeypatch.setattr(dyadic.DyadicCube, "__post_init__", counted)
+    monkeypatch.setattr(cube_refs.DyadicCube, "__post_init__", counted)
     monkeypatch.setattr(certify, "check_family", checked)
     out = tmp_path / "out"
     assert main(["cousin", "--config", cfg, "--out", str(out), "--seed", "1"]) == EXIT_OK
@@ -618,7 +620,7 @@ def _cube_region(corner, generation, index):
     ("cousin", {"exceptional_set": POINT, "gauge": {"kind": "distance", "to": POINT,
                                                      "scale": float("nan")}},
      "not scale nan and offset 0.0"),
-    ("cousin", {"current": _cube_region([0.0, 0.0], 70, [2 ** 70 - 1, 0])},
+    ("cousin", {"current": _cube_region([0.0, 0.0], 40, [2 ** 70 - 1, 0])},
      f"cube generation or index {2 ** 70 - 1} does not fit in int64"),
     ("minkowski", {"exceptional_set": POINT, "grid": {"steps": 1}},
      "steps must be at least 3, not 1"),
@@ -690,4 +692,21 @@ def test_a_malformed_point_or_region_is_a_usage_error_naming_its_key(tmp_path, c
     out = tmp_path / "out"
     assert main(["cousin", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("generation", [40, 41, 1075])
+def test_a_cube_past_the_finest_generation_is_a_usage_error(tmp_path, capsys, generation):
+    # generation 41 exited 0 with HOLDS, and at 1075 the side underflowed to 0
+    # and the run held with lhs = rhs = 0; the set algebra refines to generation 40
+    cfg = _write_config(tmp_path, "c.json", {"current": _cube_region([0.0, 0.0], generation,
+                                                                     [0, 0])})
+    out = tmp_path / "out"
+    code = main(["stokes", "--config", cfg, "--out", str(out)])
+    if generation <= 40:
+        assert code == EXIT_OK
+        return
+    assert code == EXIT_USAGE
+    assert (f"current region cubes[0] generation must lie in [0, 40], the generations of the "
+            f"dyadic engine, not {generation}") in capsys.readouterr().err
     assert not out.exists()

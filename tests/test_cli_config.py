@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokeslab.cli import EXIT_INTERNAL, EXIT_USAGE, main
+from stokeslab.cli import EXIT_INTERNAL, EXIT_USAGE, _cube_set, main
+from stokeslab.dyadic import MAX_GENERATION, CubeSet, RootBox
 
 ROOT = Path(__file__).resolve().parents[1]
 CUBE = {"kind": "cube_set", "region": {"root": {"corner": [0.0, 0.0, 0.0], "side": 1.0},
@@ -241,3 +242,28 @@ def test_a_zero_or_negative_number_exits_with_a_documented_code(target, sign):
         node = node[key]
     code, err = _fuzz_run(command, _mutated(config, path, sign * node))
     assert code in (0, 1, 2, 3, EXIT_USAGE) and code != EXIT_INTERNAL, (path, sign, err)
+
+
+@st.composite
+def _regions(draw):
+    """Canonical cube sets of dimension 1 to 3, on roots of any finite corner and side."""
+    m = draw(st.integers(1, 3))
+    coord = st.floats(-1e6, 1e6, allow_nan=False)
+    root = RootBox(tuple(draw(coord) for _ in range(m)),
+                   draw(st.floats(1e-6, 1e6, exclude_min=True)))
+    gens, indices = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        g = draw(st.integers(0, MAX_GENERATION))
+        indices.append(tuple(draw(st.integers(0, 2 ** g - 1)) for _ in range(m)))
+        gens.append(g)
+    return CubeSet.of(root, gens, indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_regions())
+def test_the_config_reader_reads_back_every_region_payload(region):
+    # the region format has one reader, the checked one of the cube_set config
+    text = json.dumps(region.payload())
+    back = _cube_set(json.loads(text))
+    assert back == region
+    assert json.dumps(back.payload()) == text

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from model_refs import from_callable, max_regularity, u_and_du
+from model_refs import (dy_partial_length, dy_section_length, from_callable, max_regularity,
+                        partial_length, sup_omega_on_section, u_and_du)
 
 from stokeslab.cli import EXIT_OK, main
 from stokeslab.counterexample import (
@@ -308,7 +309,7 @@ def test_omega_continuous_across_x_seams():
 
 
 def test_sup_omega_decays_per_strip():
-    sups = [MODEL.sup_omega_on_section(k) for k in range(1, 11)]
+    sups = [sup_omega_on_section(MODEL, k) for k in range(1, 11)]
     assert all(b < a for a, b in zip(sups, sups[1:]))
     envelope = [max((PARAMS.lam / PARAMS.h) ** k, (PARAMS.lam / PARAMS.a) ** k)
                 for k in range(1, 11)]
@@ -448,8 +449,8 @@ def test_batched_lengths_match_per_point_reference():
     xs = np.concatenate([xs, xs[:5] * 0.5, np.full(3, math.pi), [-0.3]])
     ys = np.concatenate([ys, ys[:5], ys[-3:], ys[3:4]])
     ref = np.array([_ref_lengths(MODEL, x, y) for x, y in zip(xs, ys)])
-    scalar = np.array([(MODEL.section_length(y).value, MODEL.dy_section_length(y),
-                        MODEL.partial_length(x, y), MODEL.dy_partial_length(x, y))
+    scalar = np.array([(MODEL.section_length(y).value, dy_section_length(MODEL, y),
+                        partial_length(MODEL, x, y), dy_partial_length(MODEL, x, y))
                        for x, y in zip(xs, ys)])
     batched = np.stack(MODEL._lengths_at(xs, ys), axis=1)
     np.testing.assert_allclose(scalar, ref, rtol=REL, atol=0.0)
@@ -590,7 +591,8 @@ def test_surface_integrands_never_read_the_height(monkeypatch):
 
 
 def _gl_composite_before(f, lengths, panels: int, order: int = 12) -> np.ndarray:
-    from stokeslab.quadrature import composite_nodes, gauss_rule
+    from stokeslab.quadrature import gauss_rule
+    from test_quadrature import composite_nodes
 
     _, weights = gauss_rule(order)
     distinct, row_of, count = np.unique(np.asarray(lengths, dtype=float), return_inverse=True,
@@ -902,7 +904,7 @@ def test_batched_sup_omega_matches_per_point_reference():
         P = MODEL._x_period(int(MODEL.strip_index(y)))
         xs = np.linspace(0.0, min(P, math.pi), 64, endpoint=False)
         ref = max(float(np.linalg.norm(_ref_omega_at_surface(MODEL, float(x), y))) for x in xs)
-        assert MODEL.sup_omega_on_section(k) == pytest.approx(ref, rel=REL)
+        assert sup_omega_on_section(MODEL, k) == pytest.approx(ref, rel=REL)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -1024,7 +1026,7 @@ def test_failure_report_strip_columns_are_the_one_element_calls(failure_report):
     for row in rows:
         k = row["k"]
         assert row["section_length"] == model.section_length(model.strip_bounds_y(k)[0]).value
-        assert row["sup_omega"] == (model.sup_omega_on_section(k) if 1 <= k <= 10 else "")
+        assert row["sup_omega"] == (sup_omega_on_section(model, k) if 1 <= k <= 10 else "")
     assert failure_report["sup_omega_per_strip"] == [
         {"k": row["k"], "sup_omega": row["sup_omega"]} for row in rows[1:11]]
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cube_refs import center, corners, cube_min_distance, diameter, gauge_at, subdivide
+from cube_refs import (DyadicCube, center, corners, cousin_decompose, cubes_of, diameter, gauge_at,
+                       subdivide)
 from model_refs import from_callable
 
 from stokeslab import certify, cousin
@@ -27,7 +28,6 @@ from stokeslab.cousin import (
     _fine_cubes,
     _test_points,
     _tile_rect_with_squares,
-    cousin_decompose,
     excise,
     gauge_decompose,
     regularity,
@@ -36,7 +36,7 @@ from stokeslab.currents import (ChartCurrent, ChartMap, Current, CurrentError, R
                                 TopDimCurrent, _lifted_tangent, _summed)
 from stokeslab.integration import riemann_sum
 from stokeslab.quadrature import QuadResult, integrate_boxes
-from stokeslab.dyadic import CubeSet, DepthError, DyadicCube, ExceptionalSet, RootBox
+from stokeslab.dyadic import CubeSet, DepthError, ExceptionalSet, RootBox
 
 ROOT = RootBox((0.0, 0.0), 1.0)
 UNIT_CUBE = DyadicCube(ROOT, 0, (0, 0))
@@ -47,7 +47,7 @@ ETA = RegularityFn.constant(0.05)
 
 def test_square_regularity_is_exact():
     for g, idx in [(0, (0, 0)), (2, (1, 3)), (5, (7, 19))]:
-        piece = TopDimCurrent(CubeSet(ROOT, (DyadicCube(ROOT, g, idx),)))
+        piece = TopDimCurrent(CubeSet.of(ROOT, [g], [idx]))
         assert regularity(piece) == pytest.approx(2.0 ** (-2.5), rel=1e-14)
     assert CUBE_REGULARITY(2) == 2.0 ** (-2.5)
     assert CUBE_REGULARITY(3) == pytest.approx(1.0 / (2.0 * 3.0 ** 1.5), rel=1e-15)
@@ -81,7 +81,7 @@ def test_cousin_sixteen_cubes_for_gauge_04():
     # diam(gen 2) = sqrt(2)/4 ~ 0.354 < 0.4 but gen 1 has ~0.707
     fam = cousin_decompose(UNIT_CUBE, Gauge.constant(0.4), 0.1)
     assert len(fam.pairs) == 16
-    assert all(p.piece.region.cubes[0].generation == 2 for p in fam.pairs)
+    assert all(p.piece.region.arrays[0][0] == 2 for p in fam.pairs)
     assert fam.body_mass() == 1.0
 
 
@@ -102,7 +102,7 @@ def test_cousin_mixed_generation_family_passes_checker():
     E = ExceptionalSet.points([(0.0, 0.0)])
     g = Gauge.distance_to(E, 0.75, 0.05).min_with(Gauge.constant(0.8))
     fam = cousin_decompose(UNIT_CUBE, g, 0.1)
-    gens = {p.piece.region.cubes[0].generation for p in fam.pairs}
+    gens = {int(p.piece.region.arrays[0][0]) for p in fam.pairs}
     assert len(gens) > 1
     assert fam.body_mass() == 1.0
     report = certify.check_family(fam, g, RegularityFn.constant(0.1), MASS)
@@ -154,7 +154,7 @@ def test_excise_center_point_circle_bounds():
     assert info["removed_mass"] < 0.1
     assert info["slice_mass"] <= 2.0 * math.pi * 0.15 + 1e-6
     # support clears the excised ball
-    assert all(cube_min_distance(E, q) >= r - 1e-12 for q in T_eps.region.cubes)
+    assert (E.cube_distances(*T_eps.region.bounds())[0] >= r - 1e-12).all()
 
 
 def test_excise_disjoint_set_is_trivial():
@@ -254,11 +254,9 @@ def test_gauge_decompose_refuses_divergent_singular_set():
 
 
 def test_subadditive_functionals():
-    left = TopDimCurrent(CubeSet(ROOT, (DyadicCube(ROOT, 1, (0, 0)),)))
-    right = TopDimCurrent(CubeSet(ROOT, (DyadicCube(ROOT, 1, (1, 0)),)))
-    both = TopDimCurrent(
-        CubeSet(ROOT, (DyadicCube(ROOT, 1, (0, 0)), DyadicCube(ROOT, 1, (1, 0))))
-    )
+    left = TopDimCurrent(CubeSet.of(ROOT, [1], [(0, 0)]))
+    right = TopDimCurrent(CubeSet.of(ROOT, [1], [(1, 0)]))
+    both = TopDimCurrent(CubeSet.of(ROOT, [1, 1], [(0, 0), (1, 0)]))
     assert MASS.of_current(both) <= MASS.of_current(left) + MASS.of_current(right) + 1e-12
 
     from stokeslab import forms
@@ -576,7 +574,7 @@ def test_cube_piece_masses_are_the_cube_set_bits(m):
         root = RootBox((0.25,) * m, side)
         for g in range(41):
             cube = DyadicCube(root, g, ((1 << g) - 1,) * m)
-            region = CubeSet(root, (cube,))
+            region = CubeSet.of(root, [g], [cube.index])
             for theta in (1, -1, 3, -3):
                 piece = TopDimCurrent(region, theta)
                 mass, boundary_mass = _cube_masses(cube.side, m, theta)
@@ -618,7 +616,7 @@ def _cube_pairs(roots: Sequence[DyadicCube], delta: Gauge, eta: RegularityFn, th
         mass, boundary_mass = _cube_masses(cube.side, m, theta)
         pairs.append(TaggedPair(
             tag=tuple(tags[k].tolist()),
-            piece=TopDimCurrent(CubeSet(root, (cube,)), theta),
+            piece=TopDimCurrent(CubeSet.of(root, [cube.generation], [cube.index]), theta),
             diam=float(diam[k]),
             mass=mass,
             boundary_mass=boundary_mass,
@@ -680,7 +678,7 @@ def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
                            G: SubadditiveFn, budget: float, max_generation: int,
                            piece_budget: int) -> tuple[list[TaggedPair], list[Current]]:
     if isinstance(T, TopDimCurrent):
-        roots = list(T.region.cubes)
+        roots = list(cubes_of(T.region))
         if not roots:
             return [], []
         # one constant eta per cube: its largest value at the test points

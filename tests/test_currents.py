@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cube_refs import center
+from cube_refs import DyadicCube, center
 from model_refs import from_vector, verify_lip_upper
 
 from stokeslab import forms
+from stokeslab.cli import _cube_set
 from stokeslab.currents import (
     ChartCurrent,
     ChartMap,
@@ -27,7 +28,7 @@ from stokeslab.currents import (
     restrict,
     slice_current,
 )
-from stokeslab.dyadic import CubeSet, DepthError, DyadicCube, ExceptionalSet, RootBox
+from stokeslab.dyadic import CubeSet, DepthError, ExceptionalSet, RootBox
 
 ROOT = RootBox((0.0, 0.0), 1.0)
 UNIT = TopDimCurrent(CubeSet.whole(ROOT))
@@ -89,15 +90,8 @@ def test_restrict_identity_and_empty():
 def test_restrict_composition_is_intersection():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        cubes_a = tuple(
-            DyadicCube(ROOT, 2, (int(i), int(j)))
-            for i, j in rng.integers(0, 4, size=(5, 2))
-        )
-        cubes_b = tuple(
-            DyadicCube(ROOT, 2, (int(i), int(j)))
-            for i, j in rng.integers(0, 4, size=(5, 2))
-        )
-        A, B = CubeSet(ROOT, cubes_a), CubeSet(ROOT, cubes_b)
+        A = CubeSet.of(ROOT, [2] * 5, rng.integers(0, 4, size=(5, 2)))
+        B = CubeSet.of(ROOT, [2] * 5, rng.integers(0, 4, size=(5, 2)))
         two_step = restrict(restrict(UNIT, A), B)
         direct = restrict(UNIT, A.intersection(B))
         assert two_step.region == direct.region
@@ -112,7 +106,7 @@ def test_restrict_outside_refuses_to_stop_above_its_budget():
 def test_restrict_outside_caps_at_the_deepest_straddler():
     # a generation-26 cube beside a coarse one used to be split on, to generation 40
     fine = DyadicCube(ROOT, 26, (2 ** 25, 2 ** 25))
-    region = TopDimCurrent(CubeSet(ROOT, (DyadicCube(ROOT, 1, (0, 0)), fine)))
+    region = TopDimCurrent(CubeSet.of(ROOT, [1, fine.generation], [(0, 0), fine.index]))
     E = ExceptionalSet.points([(0.5, 0.5)])
     r = math.hypot(*(center(fine) - 0.5))
     with pytest.raises(DepthError, match="generation 26"):
@@ -197,13 +191,13 @@ def test_slice_additivity_over_restriction():
 
 
 def test_boundary_additivity_on_cube_sets():
-    a = CubeSet(ROOT, (DyadicCube(ROOT, 1, (0, 0)),))
-    b = CubeSet(ROOT, (DyadicCube(ROOT, 1, (1, 1)),))
+    a = CubeSet.of(ROOT, [1], [(0, 0)])
+    b = CubeSet.of(ROOT, [1], [(1, 1)])
     Ta, Tb = TopDimCurrent(a), TopDimCurrent(b)
     Tu = TopDimCurrent(a.union(b))
     # disjoint interfaces: equality
     assert Tu.boundary_mass().value == Ta.boundary_mass().value + Tb.boundary_mass().value
-    c = CubeSet(ROOT, (DyadicCube(ROOT, 1, (1, 0)),))
+    c = CubeSet.of(ROOT, [1], [(1, 0)])
     Tc = TopDimCurrent(c)
     Tuc = TopDimCurrent(a.union(c))
     assert Tuc.boundary_mass().value <= Ta.boundary_mass().value + Tc.boundary_mass().value
@@ -261,10 +255,10 @@ def test_descriptor_round_trip_region():
 
     d = UNIT.descriptor()
     assert d["type"] == "top_dim"
-    back = CubeSet.from_json(json.dumps(d["region"]))
+    back = _cube_set(json.loads(json.dumps(d["region"])))
     assert back == UNIT.region
     chart = ChartCurrent(UNIT.region, _tilt_chart()).descriptor()
-    assert chart["domain"] == d["region"] == json.loads(UNIT.region.to_json())
+    assert chart["domain"] == d["region"] == json.loads(json.dumps(UNIT.region.payload()))
 
 
 # -- the current protocol: boundary curves and tangent planes -------------------
@@ -496,14 +490,13 @@ def test_box_sampling_draws_the_bits_of_one_draw_per_sample(boxes_weights, n, se
 
 
 @pytest.mark.parametrize("current", [
-    TopDimCurrent(CubeSet(ROOT, (DyadicCube(ROOT, 2, (0, 1)), DyadicCube(ROOT, 1, (1, 1)),
-                                 DyadicCube(ROOT, 3, (5, 0))))),
+    TopDimCurrent(CubeSet.of(ROOT, [2, 1, 3], [(0, 1), (1, 1), (5, 0)])),
     ChartCurrent(Rect(0.0, 2.0, -1.0, 0.5), _tilt_chart()),
 ], ids=["cube-set", "chart"])
 def test_support_samples_are_the_bits_of_one_draw_per_sample(current):
     if isinstance(current, TopDimCurrent):
-        cubes = current.region.cubes
-        boxes, weights = [q.bounds() for q in cubes], [q.measure() for q in cubes]
+        region = current.region
+        boxes, weights = list(zip(*region.bounds())), region.root.measures(region.arrays[0])
     else:
         rects = current.domain_rects()
         boxes = [(np.array([r.x0, r.y0]), np.array([r.x1, r.y1])) for r in rects]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import operator
 import tracemalloc
@@ -9,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cube_refs import (cube_max_distance_bound, cube_min_distance, corners, gauge_at,
-                       neighborhood_indicator, subdivide)
+from cube_refs import (DyadicCube, cube_max_distance_bound, cube_min_distance, cube_set, cubes_of,
+                       corners, gauge_at, neighborhood_indicator, subdivide)
 
+from stokeslab.cli import _cube_set
 from stokeslab.cousin import Gauge
 from stokeslab.currents import TopDimCurrent
 from stokeslab.dyadic import (
     CubeSet,
     DepthError,
-    DyadicCube,
     ExceptionalSet,
     GridError,
     RootBox,
@@ -36,7 +37,7 @@ def test_measure_unit_square():
 
 
 def test_measure_minus_generation2_cube():
-    rest = UNIT.difference(CubeSet(ROOT, (_cube(2, 0, 0),)))
+    rest = UNIT.difference(CubeSet.of(ROOT, [2], [(0, 0)]))
     assert rest.measure() == 15.0 / 16.0
 
 
@@ -50,14 +51,14 @@ def test_perimeter_unit_square():
 
 def test_perimeter_adjacent_squares():
     root2 = RootBox((0.0, 0.0), 2.0)
-    two = CubeSet(root2, (DyadicCube(root2, 1, (0, 0)), DyadicCube(root2, 1, (0, 1))))
+    two = CubeSet.of(root2, [1, 1], [(0, 0), (0, 1)])
     assert two.perimeter() == 6.0
     assert two.measure() == 2.0
 
 
 def test_perimeter_l_shape():
     # removing a corner quarter leaves the outer perimeter unchanged
-    l_shape = UNIT.difference(CubeSet(ROOT, (_cube(1, 1, 1),)))
+    l_shape = UNIT.difference(CubeSet.of(ROOT, [1], [(1, 1)]))
     assert l_shape.perimeter() == 4.0
 
 
@@ -65,7 +66,7 @@ def test_perimeter_one_dimensional():
     root = RootBox((0.0,), 1.0)
     whole = CubeSet.whole(root)
     assert whole.perimeter() == 2.0
-    halves = CubeSet(root, tuple(subdivide(whole.cubes[0])))
+    halves = cube_set(root, tuple(subdivide(cubes_of(whole)[0])))
     assert halves.perimeter() == 2.0  # interior endpoint cancels
 
 
@@ -74,13 +75,13 @@ def test_diameter_unit_square():
 
 
 def test_diameter_single_cube_scales():
-    c = CubeSet(ROOT, (_cube(3, 2, 5),))
+    c = CubeSet.of(ROOT, [3], [(2, 5)])
     assert c.diameter() == pytest.approx((1 / 8) * math.sqrt(2.0), abs=1e-15)
 
 
 def test_diameter_two_far_cubes():
     root4 = RootBox((0.0, 0.0), 4.0)
-    pair = CubeSet(root4, (DyadicCube(root4, 2, (0, 0)), DyadicCube(root4, 2, (3, 0))))
+    pair = CubeSet.of(root4, [2, 2], [(0, 0), (3, 0)])
     assert pair.diameter() == pytest.approx(math.sqrt(17.0), abs=1e-14)
 
 
@@ -91,7 +92,7 @@ def test_diameter_empty_raises():
 
 def _pairwise_diameter(s: CubeSet) -> float:
     """CubeSet.diameter before its one-cube shortcut, verbatim."""
-    pts = np.unique(np.vstack([corners(q) for q in s.cubes]), axis=0)
+    pts = np.unique(np.vstack([corners(q) for q in cubes_of(s)]), axis=0)
     if s.m == 1:
         # sqrt(d * d) == |d| in IEEE arithmetic: the pairwise maximum below
         return float(np.ptp(pts))
@@ -113,7 +114,7 @@ def _one_cube_sets(draw):
     root = RootBox(corner, draw(st.floats(1e-3, 1e3)))
     generation = draw(st.integers(0, 40))
     index = tuple(draw(st.integers(0, 2 ** generation - 1)) for _ in range(m))
-    return CubeSet(root, (DyadicCube(root, generation, index),))
+    return CubeSet.of(root, [generation], [index])
 
 
 @given(_one_cube_sets())
@@ -123,7 +124,7 @@ def test_one_cube_diameter_keeps_the_bits_of_the_pairwise_maximum(s):
 
 
 def test_subdivide_children():
-    kids = subdivide(UNIT.cubes[0])
+    kids = subdivide(cubes_of(UNIT)[0])
     assert len(kids) == 4
     assert math.fsum(k.measure() for k in kids) == 1.0
     grandkid = subdivide(kids[0])[0]
@@ -132,7 +133,7 @@ def test_subdivide_children():
 
 def test_subdivide_interval():
     root = RootBox((0.0,), 1.0)
-    kids = subdivide(CubeSet.whole(root).cubes[0])
+    kids = subdivide(cubes_of(CubeSet.whole(root))[0])
     assert len(kids) == 2
 
 
@@ -155,15 +156,15 @@ def test_neighborhood_indicator_thin_box_clamps():
 
 
 def test_canonicalization_merges_and_dedups():
-    kids = subdivide(UNIT.cubes[0])
-    redundant = CubeSet(ROOT, tuple(kids) + (kids[0],) + tuple(subdivide(kids[1])))
+    kids = subdivide(cubes_of(UNIT)[0])
+    redundant = cube_set(ROOT, tuple(kids) + (kids[0],) + tuple(subdivide(kids[1])))
     assert redundant == UNIT
-    assert CubeSet(ROOT, redundant.cubes) == redundant
+    assert cube_set(ROOT, cubes_of(redundant)) == redundant
 
 
 def test_union_intersection_difference():
-    a = CubeSet(ROOT, (_cube(1, 0, 0), _cube(1, 1, 0)))
-    b = CubeSet(ROOT, (_cube(1, 1, 0), _cube(2, 0, 3)))
+    a = CubeSet.of(ROOT, [1, 1], [(0, 0), (1, 0)])
+    b = CubeSet.of(ROOT, [1, 2], [(1, 0), (0, 3)])
     assert a.union(b).measure() == pytest.approx(0.5 + 1 / 16, abs=0)
     assert a.intersection(b).measure() == 0.25
     assert a.difference(b).measure() == 0.25
@@ -185,11 +186,11 @@ def test_half_space_restriction():
 
 
 def test_json_round_trip_bit_exact():
-    l_shape = UNIT.difference(CubeSet(ROOT, (_cube(1, 1, 1),)))
-    text = l_shape.to_json()
-    back = CubeSet.from_json(text)
+    l_shape = UNIT.difference(CubeSet.of(ROOT, [1], [(1, 1)]))
+    text = json.dumps(l_shape.payload())
+    back = _cube_set(json.loads(text))
     assert back == l_shape
-    assert back.to_json() == text
+    assert json.dumps(back.payload()) == text
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -203,12 +204,12 @@ def test_subdivision_preserves_measure_exactly(seed):
 
 
 def _random_complex(rng, max_cubes=12):
-    cubes = []
+    gens, indices = [], []
     for _ in range(int(rng.integers(1, max_cubes))):
         g = int(rng.integers(1, 5))
-        idx = tuple(int(v) for v in rng.integers(0, 2 ** g, size=2))
-        cubes.append(DyadicCube(ROOT, g, idx))
-    return CubeSet(ROOT, tuple(cubes))
+        indices.append(tuple(int(v) for v in rng.integers(0, 2 ** g, size=2)))
+        gens.append(g)
+    return CubeSet.of(ROOT, gens, indices)
 
 
 def test_perimeter_subadditive_on_disjoint_complexes():
@@ -231,10 +232,10 @@ def test_perimeter_at_least_isoperimetric_on_rectangles():
     # squares give equality in perimeter >= 4 sqrt(measure)
     root = RootBox((0.0, 0.0), 1.0)
     for g, i, j in [(0, 0, 0), (1, 1, 0), (2, 3, 2), (3, 5, 1)]:
-        c = CubeSet(root, (DyadicCube(root, g, (i, j)),))
+        c = CubeSet.of(root, [g], [(i, j)])
         assert c.perimeter() == pytest.approx(4.0 * math.sqrt(c.measure()), rel=1e-14)
     # 2 x 1 rectangle of two generation-1 cubes: 6 >= 4 sqrt(1/2)
-    rect = CubeSet(root, (DyadicCube(root, 1, (0, 0)), DyadicCube(root, 1, (1, 0))))
+    rect = CubeSet.of(root, [1, 1], [(0, 0), (1, 0)])
     assert rect.perimeter() >= 4.0 * math.sqrt(rect.measure())
 
 
@@ -266,8 +267,8 @@ def test_cube_min_max_distance():
 
 def _difference_by_scan(a, b):
     """The per-cube scan reference: each pushed cube scans all of b's cubes."""
-    removed = {q.key() for q in b.cubes}
-    max_gen = max((q.generation for q in b.cubes), default=0)
+    removed = {q.key() for q in cubes_of(b)}
+    max_gen = max((q.generation for q in cubes_of(b)), default=0)
     out = []
 
     def push(q):
@@ -275,16 +276,16 @@ def _difference_by_scan(a, b):
             return
         if q.generation >= max_gen or not any(
             o.generation > q.generation and o.ancestor_key(q.generation) == q.key()
-            for o in b.cubes
+            for o in cubes_of(b)
         ):
             out.append(q)
             return
         for child in subdivide(q):
             push(child)
 
-    for q in a.cubes:
+    for q in cubes_of(a):
         push(q)
-    return CubeSet(a.root, tuple(out))
+    return cube_set(a.root, tuple(out))
 
 
 @st.composite
@@ -293,12 +294,12 @@ def _cube_set_pairs(draw, max_generation=6, max_cubes=8):
     root = RootBox((0.0,) * m, 1.0)
 
     def cube_set():
-        cubes = []
+        gens, indices = [], []
         for _ in range(draw(st.integers(0, max_cubes))):
             g = draw(st.integers(0, max_generation))
-            idx = tuple(draw(st.integers(0, 2 ** g - 1)) for _ in range(m))
-            cubes.append(DyadicCube(root, g, idx))
-        return CubeSet(root, tuple(cubes))
+            indices.append(tuple(draw(st.integers(0, 2 ** g - 1)) for _ in range(m)))
+            gens.append(g)
+        return CubeSet.of(root, gens, indices)
 
     return cube_set(), cube_set()
 
@@ -318,7 +319,7 @@ def test_diameter_of_many_intervals_stays_small():
     # a 1-D set used to fall back from the hull to an n x n difference array
     # (572 MiB at 2,500 intervals)
     root = RootBox((0.0,), 1.0)
-    intervals = CubeSet(root, tuple(DyadicCube(root, 13, (2 * i,)) for i in range(2500)))
+    intervals = CubeSet.of(root, [13] * 2500, [(2 * i,) for i in range(2500)])
     tracemalloc.start()
     try:
         diameter = intervals.diameter()
@@ -335,7 +336,7 @@ SHALLOW = 4  # cell references enumerate 2^(m * SHALLOW) cells at most
 def _cells(s: CubeSet) -> set:
     """Integer corners of the generation-SHALLOW cells covered by s."""
     cells = set()
-    for q in s.cubes:
+    for q in cubes_of(s):
         scale = 1 << (SHALLOW - q.generation)
         cells.update(itertools.product(*(range(i * scale, (i + 1) * scale) for i in q.index)))
     return cells
@@ -370,17 +371,17 @@ def test_half_space_cut_matches_the_cell_reference(pair, axis, k, keep_below):
     threshold = k * 2.0 ** -SHALLOW
     cut = s.restrict_half_space(axis, threshold, keep_below)
     below = {c for c in _cells(s) if (c[axis] < k) == keep_below}
-    expected = CubeSet(s.root, tuple(DyadicCube(s.root, SHALLOW, c) for c in below))
+    expected = cube_set(s.root, tuple(DyadicCube(s.root, SHALLOW, c) for c in below))
     assert cut == expected
     # an off-grid threshold raises iff some cube straddles it
     third = 1.0 / 3.0
-    bounds = [(q, *q.bounds()) for q in s.cubes]
+    bounds = [(q, *q.bounds()) for q in cubes_of(s)]
     if any(lo[axis] < third < hi[axis] for _, lo, hi in bounds):
         with pytest.raises(GridError):
             s.restrict_half_space(axis, third, keep_below)
     else:
         whole = tuple(q for q, _, hi in bounds if (hi[axis] <= third) == keep_below)
-        assert s.restrict_half_space(axis, third, keep_below) == CubeSet(s.root, whole)
+        assert s.restrict_half_space(axis, third, keep_below) == cube_set(s.root, whole)
 
 
 def _finest_generation(self) -> int:
@@ -420,7 +421,7 @@ def _boundary_cells_by_scan(self):
     G = _finest_generation(self)
     rests = [tuple(d for d in range(self.m) if d != axis) for axis in range(self.m)]
     groups: dict[tuple, tuple[list, list]] = {}
-    for q in self.cubes:
+    for q in cubes_of(self):
         scale = 1 << (G - q.generation)
         lo = tuple(i * scale for i in q.index)
         hi = tuple(l + scale for l in lo)
@@ -495,7 +496,7 @@ def test_perimeter_of_an_excised_square_is_not_quadratic():
     # 6,904 cubes around a segment; all-pairs facet cancellation took 4-5 s
     E = ExceptionalSet.segment((0.5, 0.0), (0.5, 1.0))
     region = TopDimCurrent(UNIT).restrict_outside(E, 0.01, 1e-3).region
-    assert len(region.cubes) == 6904
+    assert len(region.arrays[0]) == 6904
     t0 = perf_counter()
     perimeter = region.perimeter()
     elapsed = perf_counter() - t0

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cube_refs import DyadicCube, cousin_decompose
+
 from stokeslab import forms, integration
-from stokeslab.cousin import Gauge, ResourceBudgetError, cousin_decompose
+from stokeslab.cousin import Gauge, ResourceBudgetError
 from stokeslab.currents import ChartCurrent, ChartMap, Rect, TopDimCurrent
-from stokeslab.dyadic import CubeSet, DepthError, DyadicCube, RootBox
+from stokeslab.dyadic import CubeSet, DepthError, RootBox
 from stokeslab.quadrature import QuadratureError
 
 ROOT = RootBox((0.0, 0.0), 1.0)
@@ -212,10 +214,8 @@ def test_stokes_report_serializes():
 
 def test_theta_circulation_additivity():
     om = _x_dy()
-    left = TopDimCurrent(CubeSet(ROOT, (DyadicCube(ROOT, 1, (0, 0)),
-                                        DyadicCube(ROOT, 1, (0, 1)))))
-    right = TopDimCurrent(CubeSet(ROOT, (DyadicCube(ROOT, 1, (1, 0)),
-                                         DyadicCube(ROOT, 1, (1, 1)))))
+    left = TopDimCurrent(CubeSet.of(ROOT, [1, 1], [(0, 0), (0, 1)]))
+    right = TopDimCurrent(CubeSet.of(ROOT, [1, 1], [(1, 0), (1, 1)]))
     total = integration.circulation(om, UNIT)
     a = integration.circulation(om, left)
     b = integration.circulation(om, right)

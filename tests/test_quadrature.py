@@ -7,8 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokeslab.quadrature import (QuadratureError, QuadResult, composite_nodes, gauss_rule,
-                                  integrate_1d, integrate_2d, ragged_panels)
+from stokeslab.quadrature import (QuadratureError, QuadResult, gauss_rule, integrate_1d,
+                                  integrate_2d, ragged_panels)
+
+
+# The composite Gauss rule that ragged_panels replaced, moved here verbatim from
+# stokeslab.quadrature: the bit reference of the ragged rows.
+def composite_nodes(lo, hi, panels: int, order: int = 12):
+    """Nodes and panel half-widths of the composite Gauss rule on [lo, hi].
+
+    [lo, hi] is cut into ``panels`` equal panels; lo and hi may be arrays of
+    a common shape S, giving nodes of shape S + (panels, order) and
+    half-widths of shape S + (panels,).  The integral of f is the sum over
+    panels of half-width times the weights of :func:`gauss_rule` dotted
+    with f at the panel's nodes.
+    """
+    nodes, _ = gauss_rule(order)
+    edges = np.linspace(lo, hi, panels + 1, axis=-1)
+    mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    halves = 0.5 * np.diff(edges, axis=-1)
+    return mids[..., None] + halves[..., None] * nodes, halves
 
 
 def test_polynomial_exact():

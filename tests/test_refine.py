@@ -1,7 +1,8 @@
 """The array ``refine`` and its callers against the object-by-object code they replaced.
 
 The references below are the per-cube ``refine``, ``_ball_side``,
-``_canonicalize``, ``CubeSet.of``, ``CubeSet.from_json``,
+``_canonicalize``, ``CubeSet.of``, the region reader ``CubeSet.from_json``
+(whose job the config reader ``cli._cube_set`` does now),
 ``CubeSet.intersection``, ``CubeSet.difference``, ``CubeSet.restrict_half_space``,
 the ball sandwich of ``_cube_region_measure_in_ball`` and the per-cube
 cube-to-set distances, kept as they were written before the array versions;
@@ -18,17 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cube_refs import cube_max_distance_bound, cube_min_distance, subdivide
+from cube_refs import (DyadicCube, cube_max_distance_bound, cube_min_distance, cube_set, cubes_of,
+                       subdivide)
 
 from stokeslab import currents, dyadic
-from stokeslab.cli import _build_current
+from stokeslab.cli import UsageError, _build_current, _cube_set
 from stokeslab.cousin import Gauge, RegularityFn, SubadditiveFn, gauge_decompose
 from stokeslab.currents import TopDimCurrent, _ball_side, _cube_region_measure_in_ball
 from stokeslab.dyadic import (
     MAX_GENERATION,
     CubeSet,
     DepthError,
-    DyadicCube,
     ExceptionalSet,
     GridError,
     RootBox,
@@ -127,7 +128,7 @@ def _canonicalize_objects(root: RootBox, cubes) -> tuple[DyadicCube, ...]:
 
 def _of_objects(root: RootBox, gen: np.ndarray, index: np.ndarray) -> CubeSet:
     """The set of the cubes (generation, index) of root."""
-    return CubeSet(root, tuple(DyadicCube(root, g, tuple(i))
+    return cube_set(root, tuple(DyadicCube(root, g, tuple(i))
                                for g, i in zip(gen.tolist(), index.tolist())))
 
 
@@ -138,25 +139,25 @@ def _from_json_objects(text: str) -> CubeSet:
         DyadicCube(root, entry["generation"], tuple(entry["corner"]))
         for entry in payload["cubes"]
     )
-    return CubeSet(root, cubes)
+    return cube_set(root, cubes)
 
 
 def _intersection_objects(self: CubeSet, other: CubeSet) -> CubeSet:
     self._check_grid(other)
-    mine = {q.key() for q in self.cubes}
-    theirs = {q.key() for q in other.cubes}
+    mine = {q.key() for q in cubes_of(self)}
+    theirs = {q.key() for q in cubes_of(other)}
     # the cubes of each set inside a cube of the other, in this order
-    picked = (q for cubes, keys in ((other.cubes, mine), (self.cubes, theirs)) for q in cubes
+    picked = (q for cubes, keys in ((cubes_of(other), mine), (cubes_of(self), theirs)) for q in cubes
               if any(q.ancestor_key(g) in keys for g in range(q.generation + 1)))
-    return CubeSet(self.root, tuple(picked))
+    return cube_set(self.root, tuple(picked))
 
 
 def _difference_objects(self: CubeSet, other: CubeSet) -> CubeSet:
     """Set difference in O((|self| + 2^m |other|) * G), G the finest generation."""
     self._check_grid(other)
-    removed = {q.key() for q in other.cubes}
+    removed = {q.key() for q in cubes_of(other)}
     # a kept cube must split iff some removed cube lies strictly inside it
-    split = {q.ancestor_key(g) for q in other.cubes for g in range(q.generation)}
+    split = {q.ancestor_key(g) for q in cubes_of(other) for g in range(q.generation)}
 
     def side(q: DyadicCube) -> int:
         key = q.key()
@@ -164,10 +165,10 @@ def _difference_objects(self: CubeSet, other: CubeSet) -> CubeSet:
 
     # a straddler has a removed cube strictly inside, so it never reaches the cap
     kept, _ = _refine_objects(
-        (q for q in self.cubes
+        (q for q in cubes_of(self)
          if not any(q.ancestor_key(g) in removed for g in range(q.generation))),
         side, lambda straddlers: False, MAX_GENERATION)
-    return CubeSet(self.root, tuple(kept))
+    return cube_set(self.root, tuple(kept))
 
 
 def _restrict_half_space_objects(self: CubeSet, axis: int, threshold: float, keep_below: bool,
@@ -182,15 +183,15 @@ def _restrict_half_space_objects(self: CubeSet, axis: int, threshold: float, kee
         return side
 
     line = RootBox((self.root.corner[axis],), self.root.side)
-    shadows = {DyadicCube(line, q.generation, (q.index[axis],)) for q in self.cubes}
+    shadows = {DyadicCube(line, q.generation, (q.index[axis],)) for q in cubes_of(self)}
     _, off_grid = _refine_objects(shadows, cut(0), lambda straddlers: False, max_generation)
     if off_grid:
         raise GridError(
             f"threshold {threshold} is not aligned with the dyadic grid "
             f"within generation {max_generation}"
         )
-    kept, _ = _refine_objects(self.cubes, cut(axis), lambda straddlers: False, max_generation)
-    return CubeSet(self.root, tuple(kept))
+    kept, _ = _refine_objects(cubes_of(self), cut(axis), lambda straddlers: False, max_generation)
+    return cube_set(self.root, tuple(kept))
 
 
 def _ball_sandwich_objects(region: CubeSet, E: ExceptionalSet, r: float,
@@ -199,7 +200,7 @@ def _ball_sandwich_objects(region: CubeSet, E: ExceptionalSet, r: float,
     budget = 1e-4 * max(region.measure(), 1e-12)
     outside = _ball_side_objects(E, r)
     inside, straddlers = _refine_objects(
-        region.cubes, lambda q: -outside(q),
+        cubes_of(region), lambda q: -outside(q),
         lambda straddlers: math.fsum(q.measure() for q in straddlers) <= budget,
         max_generation)
     layer = math.fsum(q.measure() for q in straddlers)
@@ -230,7 +231,7 @@ def _regions(draw, m=None, max_generation=4, max_cubes=6):
         g = draw(st.integers(0, max_generation))
         cubes.append(DyadicCube(root, g, tuple(draw(st.integers(0, 2 ** g - 1))
                                                for _ in range(m))))
-    return CubeSet(root, tuple(cubes))
+    return cube_set(root, tuple(cubes))
 
 
 @st.composite
@@ -281,11 +282,11 @@ def test_array_refine_around_balls_keeps_the_sets_fsums_and_straddlers(case, sha
         lambda gen, index: math.fsum(root.measures(gen)) <= budget, max_generation)
     reference = _ball_side_objects(E, r)
     kept, straddlers = _refine_objects(
-        region.cubes, lambda q: sign * reference(q),
+        cubes_of(region), lambda q: sign * reference(q),
         lambda straddlers: math.fsum(q.measure() for q in straddlers) <= budget, max_generation)
     assert _keys(kept_gen, kept_index) == [q.key() for q in kept]
     assert _keys(gen, index) == [q.key() for q in straddlers]
-    assert CubeSet.of(root, kept_gen, kept_index) == CubeSet(root, tuple(kept))
+    assert CubeSet.of(root, kept_gen, kept_index) == cube_set(root, tuple(kept))
     for array, objects in ((kept_gen, kept), (gen, straddlers)):
         assert math.fsum(root.measures(array)).hex() == \
             math.fsum(q.measure() for q in objects).hex()
@@ -314,11 +315,11 @@ def test_excision_keeps_the_set_of_the_object_refine(m, elements, r):
     region = CubeSet.whole(RootBox((0.0,) * m, 1.0))
     E = ExceptionalSet(tuple(elements))
     kept, _ = _refine_objects(
-        region.cubes, _ball_side_objects(E, r),
+        cubes_of(region), _ball_side_objects(E, r),
         lambda s: (math.fsum(q.measure() for q in s) <= 1e-3
                    and max(q.side for q in s) <= 0.25 * r), 26)
     assert TopDimCurrent(region).restrict_outside(E, r, 1e-3).region == \
-        CubeSet(region.root, tuple(kept))
+        cube_set(region.root, tuple(kept))
 
 
 def test_three_dimensional_ball_sandwich_stops_at_the_cube_cap():
@@ -350,7 +351,7 @@ def _cube_lists(draw):
 @settings(max_examples=300, deadline=None)
 def test_array_canonical_form_has_the_cubes_of_the_dict_one(case):
     root, cubes = case
-    assert [q.key() for q in CubeSet(root, tuple(cubes)).cubes] == \
+    assert [q.key() for q in cubes_of(cube_set(root, tuple(cubes)))] == \
         [q.key() for q in _canonicalize_objects(root, cubes)]
 
 
@@ -362,20 +363,20 @@ def test_cube_sets_of_arrays_equal_the_sets_of_objects(case):
     index = np.array([q.index for q in cubes], dtype=np.int64).reshape(len(cubes), root.m)
     s = CubeSet.of(root, gen, index)
     expected = _of_objects(root, gen, index)
-    assert s == expected == CubeSet(root, tuple(cubes))
+    assert s == expected == cube_set(root, tuple(cubes))
     assert hash(s) == hash(expected)
-    assert s.cubes == expected.cubes == _canonicalize_objects(root, cubes)
+    assert cubes_of(s) == cubes_of(expected) == _canonicalize_objects(root, cubes)
     g, i = s.arrays
-    assert g.dtype == i.dtype == np.int64 and i.shape == (len(s.cubes), root.m)
-    assert (g.tolist(), i.tolist()) == ([q.generation for q in s.cubes],
-                                        [list(q.index) for q in s.cubes])
-    text = s.to_json()
-    assert CubeSet.from_json(text) == _from_json_objects(text) == s
-    assert CubeSet.from_json(text).to_json() == text
+    assert g.dtype == i.dtype == np.int64 and i.shape == (len(cubes_of(s)), root.m)
+    assert (g.tolist(), i.tolist()) == ([q.generation for q in cubes_of(s)],
+                                        [list(q.index) for q in cubes_of(s)])
+    text = json.dumps(s.payload())
+    assert _cube_set(json.loads(text)) == _from_json_objects(text) == s
+    assert json.dumps(_cube_set(json.loads(text)).payload()) == text
     if cubes:
         other = RootBox(root.corner, 2.0 * root.side)
         with pytest.raises(GridError):
-            CubeSet(root, (*cubes, DyadicCube(other, 0, (0,) * root.m)))
+            cube_set(root, (*cubes, DyadicCube(other, 0, (0,) * root.m)))
 
 
 @st.composite
@@ -400,19 +401,21 @@ def test_cube_sets_of_arrays_refuse_what_the_objects_refuse(case):
     try:
         expected = _of_objects(root, gen, index)
     except ValueError as exc:
-        for build in (lambda: CubeSet.of(root, gen, index), lambda: CubeSet.from_json(text)):
-            with pytest.raises(ValueError) as err:
-                build()
-            assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        with pytest.raises(ValueError) as err:
+            CubeSet.of(root, gen, index)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        # the config reader refuses it too, in its own words that name the key
+        with pytest.raises(UsageError, match=r"current region cubes"):
+            _cube_set(json.loads(text))
         return
-    assert CubeSet.of(root, gen, index) == expected == CubeSet.from_json(text)
+    assert CubeSet.of(root, gen, index) == expected == _cube_set(json.loads(text))
 
 
 @given(_regions(max_generation=6, max_cubes=8), st.data())
 @settings(max_examples=300, deadline=None)
 def test_difference_keeps_the_sets_of_the_object_refine(a, data):
     b = data.draw(_regions(a.m, max_generation=6, max_cubes=8))
-    b = CubeSet(a.root, tuple(DyadicCube(a.root, q.generation, q.index) for q in b.cubes))
+    b = cube_set(a.root, tuple(DyadicCube(a.root, q.generation, q.index) for q in cubes_of(b)))
     for x, y in ((a, b), (b, a), (CubeSet.whole(a.root), b), (a, a)):
         assert x.difference(y) == _difference_objects(x, y)
 
@@ -421,10 +424,10 @@ def test_difference_keeps_the_sets_of_the_object_refine(a, data):
 @settings(max_examples=300, deadline=None)
 def test_intersection_and_union_keep_the_sets_of_the_object_code(a, data):
     b = data.draw(_regions(a.m, max_generation=6, max_cubes=8))
-    b = CubeSet(a.root, tuple(DyadicCube(a.root, q.generation, q.index) for q in b.cubes))
+    b = cube_set(a.root, tuple(DyadicCube(a.root, q.generation, q.index) for q in cubes_of(b)))
     for x, y in ((a, b), (b, a), (CubeSet.whole(a.root), b), (a, a), (CubeSet.empty(a.root), a)):
         assert x.intersection(y) == _intersection_objects(x, y)
-        assert x.union(y) == CubeSet(x.root, x.cubes + y.cubes)
+        assert x.union(y) == cube_set(x.root, cubes_of(x) + cubes_of(y))
 
 
 @given(_regions(max_generation=4), st.integers(0, 2), st.integers(-1, 17), st.booleans(),
@@ -452,12 +455,12 @@ def test_half_space_cuts_keep_the_sets_and_refusals_of_the_object_refine(
 def test_batched_distances_carry_the_bits_of_the_per_cube_distances(region, data):
     E = data.draw(_exceptional_sets(region.root))
     nearest, farthest = E.cube_distances(*region.bounds())
-    assert nearest.tolist() == [_cube_min_distance(E, q) for q in region.cubes]
-    assert farthest.tolist() == [_cube_max_distance_bound(E, q) for q in region.cubes]
-    assert [cube_min_distance(E, q) for q in region.cubes] == nearest.tolist()
-    assert [cube_max_distance_bound(E, q) for q in region.cubes] == farthest.tolist()
+    assert nearest.tolist() == [_cube_min_distance(E, q) for q in cubes_of(region)]
+    assert farthest.tolist() == [_cube_max_distance_bound(E, q) for q in cubes_of(region)]
+    assert [cube_min_distance(E, q) for q in cubes_of(region)] == nearest.tolist()
+    assert [cube_max_distance_bound(E, q) for q in cubes_of(region)] == farthest.tolist()
     lo, hi = region.bounds()
-    for q, a, b in zip(region.cubes, lo, hi):
+    for q, a, b in zip(cubes_of(region), lo, hi):
         assert [a.tolist(), b.tolist()] == [v.tolist() for v in q.bounds()]
     empty = ExceptionalSet.empty().cube_distances(lo, hi)
     assert all(np.isinf(d).all() and d.shape == (len(lo),) for d in empty)
@@ -476,7 +479,7 @@ def test_refine_refuses_a_round_over_the_cube_cap(monkeypatch):
 
 def _fsum_of_cube_measures(s: CubeSet) -> float:
     """CubeSet.measure as it was: the fsum of each cube's DyadicCube.measure."""
-    return math.fsum(q.measure() for q in s.cubes)
+    return math.fsum(q.measure() for q in cubes_of(s))
 
 
 def test_cube_set_measure_is_the_per_cube_fsum_on_the_excision_sets(monkeypatch):
@@ -485,7 +488,7 @@ def test_cube_set_measure_is_the_per_cube_fsum_on_the_excision_sets(monkeypatch)
     def checked(self):
         value = measure(self)
         assert value.hex() == _fsum_of_cube_measures(self).hex()
-        sizes.append(len(self.cubes))
+        sizes.append(len(cubes_of(self)))
         return value
 
     monkeypatch.setattr(CubeSet, "measure", checked)
@@ -501,5 +504,5 @@ def test_cube_set_measure_is_the_per_cube_fsum_on_the_excision_sets(monkeypatch)
 @settings(max_examples=300, deadline=None)
 def test_cube_set_measure_is_the_per_cube_fsum(case):
     root, cubes = case
-    s = CubeSet(root, tuple(cubes))
+    s = cube_set(root, tuple(cubes))
     assert s.measure().hex() == _fsum_of_cube_measures(s).hex()

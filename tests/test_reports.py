@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cube_refs import DyadicCube, cousin_decompose
+
 from stokeslab import reports
 from stokeslab.cli import _build_current
 from stokeslab.cousin import (
@@ -20,11 +22,10 @@ from stokeslab.cousin import (
     SubadditiveFn,
     TaggedFamily,
     TaggedPair,
-    cousin_decompose,
     gauge_decompose,
 )
 from stokeslab.currents import ChartCurrent, ChartMap, Rect, TopDimCurrent
-from stokeslab.dyadic import CubeSet, DyadicCube, ExceptionalSet, RootBox
+from stokeslab.dyadic import CubeSet, ExceptionalSet, RootBox
 
 COLUMNS = ["piece_id", "tag", "diam", "mass", "boundary_mass", "reg", "delta_at_tag",
            "eta_at_tag"]
@@ -83,12 +84,12 @@ def _cube_pairs(draw):
     for _ in range(draw(st.integers(1, 6))):
         corner = tuple(draw(st.floats(-1e3, 1e3)) for _ in range(m))
         root = RootBox(corner, draw(st.sampled_from([1, 0.5, 3.0, 1e-3, 2.5e7])))
-        cubes = []
+        gens, indices = [], []
         for _ in range(draw(st.integers(1, 5))):
             g = draw(st.integers(0, 5))
-            cubes.append(DyadicCube(root, g, tuple(draw(st.integers(0, 2 ** g - 1))
-                                                   for _ in range(m))))
-        piece = TopDimCurrent(CubeSet(root, tuple(cubes)), draw(st.sampled_from([1, -1, 3])))
+            indices.append(tuple(draw(st.integers(0, 2 ** g - 1)) for _ in range(m)))
+            gens.append(g)
+        piece = TopDimCurrent(CubeSet.of(root, gens, indices), draw(st.sampled_from([1, -1, 3])))
         tag = tuple(draw(_FLOATS) for _ in range(m))
         pairs.append(TaggedPair(tag, piece, *(draw(_FLOATS) for _ in range(6))))
     return pairs
@@ -129,7 +130,7 @@ def test_an_integer_root_side_is_written_as_given(tmp_path):
 
 def test_a_chart_piece_over_a_cube_set_is_refused(tmp_path):
     root = RootBox((0.0, 0.0), 1.0)
-    square = ChartCurrent(CubeSet(root, (DyadicCube(root, 1, (0, 1)),)), _chart("flat"))
+    square = ChartCurrent(CubeSet.of(root, [1], [(0, 1)]), _chart("flat"))
     pair = TaggedPair((0.25, 0.75, 0.0), square, *([math.pi] * 6))
     family = TaggedFamily(square, [pair], (), 0.0, "mass", 0.0)
     with pytest.raises(ValueError, match="piece 0 is neither"):
@@ -144,14 +145,13 @@ def _family(pairs) -> TaggedFamily:
 def _diagonal_piece(m: int, n: int, root=None, theta: int = 1) -> TopDimCurrent:
     """n cubes of generation 4 on every other step of the diagonal of an m-cube: none merges."""
     root = root or RootBox((0.5,) * m, 2.0)
-    cubes = tuple(DyadicCube(root, 4, (2 * j,) * m) for j in range(n))
-    return TopDimCurrent(CubeSet(root, cubes), theta)
+    return TopDimCurrent(CubeSet.of(root, [4] * n, [(2 * j,) * m for j in range(n)]), theta)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_pieces_of_one_to_five_cubes_write_the_bytes_of_their_descriptors(tmp_path, m):
     pieces = [_diagonal_piece(m, n, theta=(-1) ** n * n) for n in (3, 1, 5, 2, 4, 1, 5)]
-    assert sorted({len(piece.region.cubes) for piece in pieces}) == [1, 2, 3, 4, 5]
+    assert sorted({len(piece.region.arrays[0]) for piece in pieces}) == [1, 2, 3, 4, 5]
     pairs = [TaggedPair((0.125 * k,) * m, piece, *([0.5 + k] * 6))
              for k, piece in enumerate(pieces)]
     _assert_same_bytes(_family(pairs), tmp_path)
