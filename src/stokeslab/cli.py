@@ -216,24 +216,19 @@ def _columns(f):
     return lambda points: np.column_stack([np.broadcast_to(c, len(points)) for c in f(points.T)])
 
 
-def _build_form(desc: dict, current=None):
+def _build_form(desc: dict, current):
     from . import forms
 
     kind = _object(desc, "form").get("kind", "x_dy")
     if kind in _FORMS:
         n, form, d, name = _FORMS[kind]
         return forms.FormField(n, 1, _columns(form), _columns(d), name=name)
-    if kind == "counterexample_omega":
-        from .currents import SurfaceCurrent
-
-        if not isinstance(current, SurfaceCurrent):
-            raise UsageError("counterexample_omega needs a counterexample current")
-        return current.model.omega_field()
+    if kind == "counterexample_omega":  # the current's own form; kinds without one refuse
+        return _keyed("form counterexample_omega", current.omega_field)
     raise UsageError(f"unknown form kind {kind!r}")
 
 
-def _build_exceptional(desc: dict, current=None, where: str = "exceptional_set"):
-    from .currents import SurfaceCurrent
+def _build_exceptional(desc: dict, current, where: str = "exceptional_set"):
     from .dyadic import ExceptionalSet
 
     kind = _object(desc, where).get("kind", "empty")
@@ -247,10 +242,8 @@ def _build_exceptional(desc: dict, current=None, where: str = "exceptional_set")
     if kind == "box":
         return _keyed(f"{where} lo and hi", ExceptionalSet.box, _point(desc, "lo", where),
                       _point(desc, "hi", where))
-    if kind == "singular_set":
-        if not isinstance(current, SurfaceCurrent):
-            raise UsageError("singular_set refers to a counterexample current")
-        return current.model.singular_set()
+    if kind == "singular_set":  # the current's own singular set; kinds without one refuse
+        return _keyed(f"{where} singular_set", current.singular_set)
     raise UsageError(f"unknown exceptional-set kind {kind!r}")
 
 

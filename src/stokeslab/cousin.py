@@ -21,7 +21,6 @@ from .currents import (
     ChartCurrent,
     Current,
     Rect,
-    SurfaceCurrent,
     TopDimCurrent,
     boundary_form_integral,
     chart_masses,
@@ -258,30 +257,24 @@ class PieceTable(Sequence):
 
     @classmethod
     def gather(cls, pairs: Sequence[TaggedPair]) -> "PieceTable":
-        """The table of a sequence of pairs, gathered once; its views are the pairs."""
+        """The table of pairs, gathered once through ``piece_cells``; its views are the pairs."""
         pairs = tuple(pairs)
         charts: dict = {}  # id -> (index, chart)
         roots: dict = {}  # id -> (index, root box)
         cubes, rects, chart, root = [], [], [], []
         edges = [(np.empty(0, np.int64), np.empty((0, 2)), np.empty((0, 2)))]
         for k, piece in enumerate(p.piece for p in pairs):
-            region = getattr(piece, "region", getattr(piece, "domain", None))
-            box = region.root if isinstance(region, CubeSet) else None
+            box, graph, (gens, indices), piece_rects, (start, end) = piece.piece_cells()
             root.append(-1 if box is None else roots.setdefault(id(box), (len(roots), box))[0])
-            if isinstance(piece, ChartCurrent):
-                chart.append(charts.setdefault(id(piece.chart), (len(charts), piece.chart))[0])
-                rects += [(k, (r.x0, r.y0), (r.x1, r.y1)) for r in piece.domain_rects()]
-                _, start, end, _, _ = piece.boundary_edges()
-                edges.append((np.full(len(start), k), start, end))
-                continue
-            chart.append(-1)
-            if isinstance(piece, TopDimCurrent):
-                cubes += [(k, box.corner, box.side, g, i)
-                          for g, i in zip(*(a.tolist() for a in piece.region.arrays))]
+            chart.append(-1 if graph is None
+                         else charts.setdefault(id(graph), (len(charts), graph))[0])
+            cubes += [(k, box.corner, box.side, g, i) for g, i in zip(gens, indices)]
+            rects += [(k, lo, hi) for lo, hi in piece_rects]
+            edges.append((np.full(len(start), k), start, end))
         tags = np.array([p.tag for p in pairs], dtype=float).reshape(len(pairs), -1 if pairs else 2)
         m = tags.shape[1]
         return cls(tags, *(np.array([getattr(p, c) for p in pairs], dtype=float) for c in _COLUMNS),
-                   np.array([getattr(p.piece, "theta", 1) for p in pairs], dtype=np.int64),
+                   np.array([p.piece.theta for p in pairs], dtype=np.int64),
                    np.array(chart, dtype=np.int64), np.array(root, dtype=np.int64),
                    tuple(c for _, c in charts.values()), tuple(b for _, b in roots.values()),
                    _cells(cubes, (float, m), (float,), (np.int64,), (np.int64, m)),
@@ -627,8 +620,9 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
 
     # step 1: excise the singular set with half the budget
     work = T
-    if not E_T.is_empty() and _needs_excision(T, E_T):
-        r0 = _initial_excision_radius(T, E_T)
+    clearance = math.inf if E_T.is_empty() else T.support_clearance(E_T)
+    if clearance is None or clearance <= 0.0:
+        r0 = min(0.25 * T.support_diameter(), 0.2)
         stopped: Optional[RuntimeError] = None
         for _ in range(40):
             try:
@@ -655,14 +649,13 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
                 "excision could not reach the functional budget eps/2"
             )
 
-    # step 2 + 3: chart atlas and per-chart splitting
-    charts, uncovered = _chart_atlas(work)
+    # step 2 + 3: the current's atlas, then dyadic tiling or per-chart splitting
+    cubes, charts, uncovered = work.decomposition_atlas()
     remainder.extend(uncovered)
-    p_count = max(len(charts), 1)
-    per_chart_budget = eps / (2.0 * p_count)
+    per_chart_budget = eps / (2.0 * max(len(charts), 1))
 
-    if isinstance(work, TopDimCurrent):
-        table = _cube_table(work.region.root, *work.region.arrays, delta, eta, work.theta,
+    if cubes is not None:
+        table = _cube_table(cubes.region.root, *cubes.region.arrays, delta, eta, cubes.theta,
                             max_generation, max_pieces)
     else:
         # every chart piece is tiled before any piece's masses are swept
@@ -681,36 +674,6 @@ def gauge_decompose(T: Current, E_T: ExceptionalSet, delta: Gauge,
             f"remainder functional value {remainder_value:.3e} >= eps {eps:.3e}"
         )
     return TaggedFamily(T, table, tuple(remainder), remainder_value, G.name, eps)
-
-
-def _needs_excision(T: Current, E: ExceptionalSet) -> bool:
-    far = T.support_clearance(E)
-    return far is None or far <= 0.0
-
-
-def _initial_excision_radius(T: Current, E: ExceptionalSet) -> float:
-    return min(0.25 * T.support_diameter(), 0.2)
-
-
-def _chart_atlas(T: Current) -> tuple[list[Current], list[Current]]:
-    """Cover T by graph charts; cube sets are their own (identity) chart.
-
-    Returns (chart pieces, uncovered pieces to charge against the budget).
-    """
-    if not isinstance(T, SurfaceCurrent):
-        return [T], []
-    model = T.model
-    if model.params.h == 0.0:
-        # degenerate flat surface: one chart covers everything
-        return [ChartCurrent(Rect(model.x_lo, model.x_hi, T.y_lo, T.y_hi),
-                             model.strip_chart(0), T.theta)], []
-    pieces: list[Current] = []
-    for k, lo, hi in model.strip_windows(T.y_lo, T.y_hi):
-        if k > model.k_cut:
-            return pieces, [SurfaceCurrent(model, lo, T.y_hi, T.theta)]
-        pieces.append(ChartCurrent(Rect(model.x_lo, model.x_hi, lo, hi),
-                                   model.strip_chart(k), T.theta))
-    return pieces, []
 
 
 def _chart_fineness(chart, delta: Gauge) -> Callable:

@@ -8,17 +8,21 @@ planar domain.  Three concrete kinds are supported:
 * oscillating-surface currents built from a strip model (see
   :mod:`stokeslab.counterexample`), windowed in y.
 
-Each kind provides one protocol.  ``boundary_edges`` gives the oriented
-boundary as arrays (lift, start, end, t0, t1): segments u = start +
-t (end - start), t from t0 to t1, of the cube set's facets, of the chart's
-domain lifted by the chart, or of the window's sides lifted by the model.
-``tangent_plane`` gives the tangent 2-vector at support points
-(:func:`graph_tangent` for the graphs).  Mass, boundary mass, restriction,
-complements, slices by distance functions, neighbourhood masses of a set and
-support samples are methods of the kinds, and the free functions below
-delegate to them.  :mod:`stokeslab.certify` re-derives masses, boundary
-masses and footprints from the raw geometry on purpose, so that it shares no
-numbers with this module.
+Each kind provides one protocol, and no other module asks a current its
+kind.  ``boundary_edges`` gives the oriented boundary as arrays (lift,
+start, end, t0, t1): segments u = start + t (end - start), t from t0 to t1,
+of the cube set's facets, of the chart's domain lifted by the chart, or of
+the window's sides lifted by the model.  ``tangent_plane`` gives the tangent
+2-vector at support points (:func:`graph_tangent` for the graphs),
+``tangent_integral`` the integral of d omega over it, ``singular_set`` and
+``omega_field`` the set and form a surface carries, ``decomposition_atlas``
+the parts a gauge decomposition tiles and ``piece_cells`` what a piece table
+keeps of a piece.  Mass, boundary mass, restriction, complements, slices by
+distance functions, neighbourhood masses of a set and support samples are
+methods of the kinds, and the free functions below delegate to them.
+:mod:`stokeslab.certify` re-derives masses, boundary masses and footprints
+from the raw geometry on purpose, so that it shares no numbers with this
+module.
 
 Cube-set quantities are exact; the other masses are quadrature estimates
 whose error is |fine - coarse|, not a rigorous bound.
@@ -28,12 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dyadic import CubeSet, DepthError, ExceptionalSet, RootBox, _corners, refine
-from .quadrature import QuadResult, integrate_1d, integrate_2d, integrate_boxes
+from .quadrature import (QuadResult, gauss_rule, integrate_1d, integrate_2d, integrate_boxes,
+                         ragged_panels)
 
 __all__ = [
     "Rect",
@@ -46,8 +51,6 @@ __all__ = [
     "Slice",
     "graph_tangent",
     "chart_masses",
-    "mass",
-    "boundary_mass",
     "restrict",
     "mass_additivity_check",
     "pushforward_mass_bounds",
@@ -82,9 +85,6 @@ class Rect:
 
     def measure(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-    def diameter(self) -> float:
-        return math.hypot(self.x1 - self.x0, self.y1 - self.y0)
 
     def contains(self, x: float, y: float) -> bool:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
@@ -213,6 +213,18 @@ def chart_descriptor(theta: int, name: str, domain: dict) -> dict:
     return {"type": "chart", "theta": theta, "chart": name or "anonymous", "domain": domain}
 
 
+class PieceCells(NamedTuple):
+    """What a piece table keeps of a current as a piece: the root box of its cube set, its
+    chart, its cubes as (generation, index) lists, the (lo, hi) corners of its domain's
+    rectangles and the (E, 2) starts and ends of its boundary edges."""
+
+    root: Optional[RootBox] = None
+    chart: Optional[ChartMap] = None
+    cubes: tuple = ((), ())
+    rects: tuple = ()
+    edges: tuple = (np.empty((0, 2)), np.empty((0, 2)))
+
+
 class Current:
     """Common interface of the concrete current kinds.
 
@@ -294,9 +306,28 @@ class Current:
         """Integral of f d||T|| for f mapping points (N, n) to values (N,)."""
         self._unsupported("scalar integrals")
 
-    def tangent_integral(self, omega, tol: float) -> QuadResult:
-        """Integral of <d omega(x), unit tangent plane(x)> d||T||, d omega by ``omega.d_many``."""
+    def tangent_integral(self, omega, tol: float, options: Optional[dict] = None) -> QuadResult:
+        """Integral of <d omega(x), unit tangent plane(x)> d||T||, d omega by ``omega.d_many``.
+
+        ``options`` tune the strip sampling of a surface; the other kinds ignore them."""
         self._unsupported("tangent integrals")
+
+    def singular_set(self) -> ExceptionalSet:
+        """The singular set the current carries itself."""
+        self._unsupported("singular sets")
+
+    def omega_field(self):
+        """The 1-form field the current carries itself."""
+        self._unsupported("own forms")
+
+    def decomposition_atlas(self) -> tuple:
+        """(cube-set part or None, chart pieces, uncovered pieces): what a gauge decomposition
+        tiles dyadically, tiles through the charts, and charges against its budget."""
+        self._unsupported("gauge decomposition")
+
+    def piece_cells(self) -> PieceCells:
+        """The cells a piece table keeps of this current as a piece: none unless a kind has them."""
+        return PieceCells()
 
     def square_at(self, u, side: float):
         """The square piece of side ``side`` centred at u, and its diameter bound."""
@@ -465,7 +496,7 @@ class TopDimCurrent(Current):
                    for lo, hi, t in zip(*self.region.bounds(), tols))
         return _summed(results, abs(self.theta))
 
-    def tangent_integral(self, omega, tol: float) -> QuadResult:
+    def tangent_integral(self, omega, tol: float, options: Optional[dict] = None) -> QuadResult:
         res = TopDimCurrent(self.region, 1).scalar_integral(
             lambda pts: omega.d_many(pts)[:, 0], tol)
         return res.scaled(self.theta)
@@ -473,6 +504,12 @@ class TopDimCurrent(Current):
     def square_at(self, u, side: float):
         root = RootBox((u[0] - side / 2.0, u[1] - side / 2.0), side)
         return TopDimCurrent(CubeSet.whole(root), self.theta), side * math.sqrt(2)
+
+    def decomposition_atlas(self) -> tuple:
+        return self, [], []
+
+    def piece_cells(self) -> PieceCells:
+        return PieceCells(self.region.root, cubes=tuple(a.tolist() for a in self.region.arrays))
 
     def descriptor(self) -> dict:
         return top_dim_descriptor(self.theta, self.region.payload())
@@ -512,9 +549,6 @@ class ChartCurrent(Current):
     def lift(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return self.chart.point(u[..., 0], u[..., 1])
-
-    def domain_measure(self) -> float:
-        return self.domain.measure()
 
     def _integrate(self, density, tol: float, factor: float,
                    max_panels: int = 4096) -> QuadResult:
@@ -587,7 +621,7 @@ class ChartCurrent(Current):
             lambda x, y: f(self.chart.point(x, y)) * self.chart.area_element(x, y),
             tol, abs(self.theta))
 
-    def tangent_integral(self, omega, tol: float) -> QuadResult:
+    def tangent_integral(self, omega, tol: float, options: Optional[dict] = None) -> QuadResult:
         def dens(xs, ys):
             points = self.chart.point(xs, ys)
             w, _ = self.tangent_plane(points)
@@ -601,7 +635,17 @@ class ChartCurrent(Current):
         return piece, self.chart.lip_upper * side * math.sqrt(2)
 
     def pushforward_data(self):
-        return self.chart, self.domain_measure()
+        return self.chart, self.domain.measure()
+
+    def decomposition_atlas(self) -> tuple:
+        return None, [self], []
+
+    def piece_cells(self) -> PieceCells:
+        root = self.domain.root if isinstance(self.domain, CubeSet) else None
+        _, start, end, _, _ = self.boundary_edges()
+        return PieceCells(root, self.chart, rects=[((r.x0, r.y0), (r.x1, r.y1))
+                                                   for r in self.domain_rects()],
+                          edges=(start, end))
 
     def descriptor(self) -> dict:
         return chart_descriptor(self.theta, self.chart.name, self.domain.payload())
@@ -662,9 +706,15 @@ class SurfaceCurrent(Current):
     def is_zero(self) -> bool:
         return False
 
+    def singular_set(self) -> ExceptionalSet:
+        return self.model.singular_set()
+
+    def omega_field(self):
+        return self.model.omega_field()
+
     def is_singular_set(self, E: ExceptionalSet) -> bool:
         """Whether E is the model's singular segment, the one set surfaces slice and excise by."""
-        return E.elements == self.model.singular_set().elements
+        return E.elements == self.singular_set().elements
 
     def mass(self) -> QuadResult:
         res = self.model.mass_between(self.y_lo, self.y_hi)
@@ -737,7 +787,7 @@ class SurfaceCurrent(Current):
     def neighborhood_masses(self, E: ExceptionalSet, radii) -> list[QuadResult]:
         # the windows of all the radii in one pass of the model
         if not self.is_singular_set(E):
-            raise ValueError("surface neighbourhood masses are implemented for the singular set")
+            raise CurrentError("surface neighbourhood masses are implemented for the singular set")
         windows = [(max(self.y_lo, self.model.y_infinity - r), self.y_hi) for r in radii]
         return [res.scaled(abs(self.theta)) for res in self.model.masses_between(windows)]
 
@@ -746,6 +796,65 @@ class SurfaceCurrent(Current):
 
     def restrict_outside(self, E: ExceptionalSet, r: float, layer_budget: float) -> Current:
         return self.restrict(HalfSpace(1, self.model.y_infinity - r, below=True))
+
+    def tangent_integral(self, omega, tol: float, options: Optional[dict] = None) -> QuadResult:
+        """Tangential differential of a 1-form over the surface, sampled strip by strip.
+
+        The differential is finite-differenced with strip-adapted steps.  The
+        integrand is exactly zero where the form is the pullback of a closed
+        planar form; finite differences verify this on the strips the step
+        size can resolve, and deeper strips contribute only their mass to the
+        error estimate.
+        """
+        options = options or {}
+        model = self.model
+        max_strip = options.get("max_strip", 8)
+        y_panels = options.get("y_panels", 2)
+        x_panels = options.get("x_panels", 4)
+        order = options.get("order", 8)
+        nodes, weights = gauss_rule(order)
+
+        total = 0.0
+        abs_total = 0.0
+        checked_mass = 0.0
+        windows = [window for window in model.strip_windows(self.y_lo, self.y_hi)
+                   if window[0] <= max_strip]
+        for k, lo, hi in windows:
+            P = min(model._x_period(k), model.x_hi)
+            n_periods = model.x_hi / P
+            step = 5e-6 * model.params.lam ** k
+            margin = 2 * step
+            # the y rule and the x rule as two ragged rows
+            mids, halves = ragged_panels([lo + margin, 0.0], [hi - margin, P], [y_panels, x_panels])
+            grid = (mids[:, None] + halves[:, None] * nodes).ravel()
+            grid_weights = (halves[:, None] * weights).ravel()
+            (ys, xs), (wy, wx) = (np.split(a, [y_panels * order]) for a in (grid, grid_weights))
+            X, Y = np.meshgrid(xs, ys)
+            curl = model.tangential_curls(X.ravel(), Y.ravel(), step, omega).reshape(X.shape)
+            dens = model._area_density(X, Y)
+            total += float(wy @ (curl * dens) @ wx) * n_periods
+            abs_total += float(wy @ (np.abs(curl) * dens) @ wx) * n_periods
+        for res in model.masses_between([(lo, hi) for _, lo, hi in windows]):
+            checked_mass += res.value
+        # strips past max_strip are not fd-verified; the integrand is the
+        # tangential differential of a pullback of a closed form there, zero in
+        # exact arithmetic, so only the fd floor enters the error estimate
+        return QuadResult(self.theta * total, abs_total + 1e-9 * max(checked_mass, 1.0), 0)
+
+    def decomposition_atlas(self) -> tuple:
+        """One chart per strip up to the model's k_cut; the strips past it stay uncovered."""
+        model = self.model
+        if model.params.h == 0.0:
+            # degenerate flat surface: one chart covers everything
+            return None, [ChartCurrent(Rect(model.x_lo, model.x_hi, self.y_lo, self.y_hi),
+                                       model.strip_chart(0), self.theta)], []
+        pieces: list[Current] = []
+        for k, lo, hi in model.strip_windows(self.y_lo, self.y_hi):
+            if k > model.k_cut:
+                return None, pieces, [SurfaceCurrent(model, lo, self.y_hi, self.theta)]
+            pieces.append(ChartCurrent(Rect(model.x_lo, model.x_hi, lo, hi),
+                                       model.strip_chart(k), self.theta))
+        return None, pieces, []
 
     def pushforward_data(self):
         model = self.model
@@ -766,14 +875,6 @@ class SurfaceCurrent(Current):
 
 # ---------------------------------------------------------------------------
 # free-function operations
-
-
-def mass(T: Current) -> QuadResult:
-    return T.mass()
-
-
-def boundary_mass(T: Current) -> QuadResult:
-    return T.boundary_mass()
 
 
 def restrict(T: Current, region) -> Current:

@@ -27,16 +27,16 @@ from .cousin import (
     TaggedFamily,
     gauge_decompose,
 )
-from .currents import Current, CurrentError, SurfaceCurrent, boundary_form_integral
+from .currents import Current, CurrentError, boundary_form_integral
 from .dyadic import DepthError, ExceptionalSet
-from .quadrature import QuadratureError, QuadResult, gauss_rule, ragged_panels
+from .minkowski import excisability_evidence
+from .quadrature import QuadratureError, QuadResult
 
 __all__ = [
     "StokesReport",
     "riemann_sum",
     "circulation",
     "scalar_integral_oracle",
-    "form_tangent_integral",
     "saks_henstock_test",
     "differentiation_test",
     "stokes_check",
@@ -65,60 +65,6 @@ def scalar_integral_oracle(T: Current, f: Callable, tol: float = 1e-10) -> QuadR
     ``f`` maps a batch of ambient points (N, n) to values (N,).
     """
     return T.scalar_integral(f, tol)
-
-
-def form_tangent_integral(T: Current, omega, tol: float = 1e-9,
-                          surface_options: Optional[dict] = None) -> QuadResult:
-    """integral of <d omega(x), unit tangent plane(x)> d||T|| for a 1-form field omega.
-
-    Surface currents are sampled strip by strip, so that the differential
-    is finite-differenced with strip-adapted steps.
-    """
-    if isinstance(T, SurfaceCurrent):
-        return _surface_tangent_integral(T, omega, surface_options or {})
-    return T.tangent_integral(omega, tol)
-
-
-def _surface_tangent_integral(T: SurfaceCurrent, omega, options: dict) -> QuadResult:
-    """Tangential differential of a 1-form over the surface, by sampling.
-
-    The integrand is exactly zero where the form is the pullback of a
-    closed planar form; finite differences verify this on the strips the
-    step size can resolve, and deeper strips contribute only their mass to
-    the error estimate.
-    """
-    model = T.model
-    max_strip = options.get("max_strip", 8)
-    y_panels = options.get("y_panels", 2)
-    x_panels = options.get("x_panels", 4)
-    order = options.get("order", 8)
-    nodes, weights = gauss_rule(order)
-
-    total = 0.0
-    abs_total = 0.0
-    checked_mass = 0.0
-    windows = [window for window in model.strip_windows(T.y_lo, T.y_hi) if window[0] <= max_strip]
-    for k, lo, hi in windows:
-        P = min(model._x_period(k), model.x_hi)
-        n_periods = model.x_hi / P
-        step = 5e-6 * model.params.lam ** k
-        margin = 2 * step
-        # the y rule and the x rule as two ragged rows
-        mids, halves = ragged_panels([lo + margin, 0.0], [hi - margin, P], [y_panels, x_panels])
-        grid = (mids[:, None] + halves[:, None] * nodes).ravel()
-        grid_weights = (halves[:, None] * weights).ravel()
-        (ys, xs), (wy, wx) = (np.split(a, [y_panels * order]) for a in (grid, grid_weights))
-        X, Y = np.meshgrid(xs, ys)
-        curl = model.tangential_curls(X.ravel(), Y.ravel(), step, omega).reshape(X.shape)
-        dens = model._area_density(X, Y)
-        total += float(wy @ (curl * dens) @ wx) * n_periods
-        abs_total += float(wy @ (np.abs(curl) * dens) @ wx) * n_periods
-    for res in model.masses_between([(lo, hi) for _, lo, hi in windows]):
-        checked_mass += res.value
-    # strips past max_strip are not fd-verified; the integrand is the
-    # tangential differential of a pullback of a closed form there, zero in
-    # exact arithmetic, so only the fd floor enters the error estimate
-    return QuadResult(T.theta * total, abs_total + 1e-9 * max(checked_mass, 1.0), 0)
 
 
 def saks_henstock_test(f: Callable, T: Current, eps1: float,
@@ -250,66 +196,59 @@ def stokes_check(T: Current, omega, E_T: Optional[ExceptionalSet] = None,
                  evidence=None, surface_options: Optional[dict] = None) -> StokesReport:
     """Compare both sides of the boundary identity and corroborate by families.
 
-    The left side comes from the quadrature oracle applied to the exterior
+    The left side is the current's ``tangent_integral`` of the exterior
     derivative (analytic when the form carries one, finite differences
-    otherwise); the right side is the circulation.  When the singular set
+    otherwise), whose strip sampling on a surface ``surface_options`` tune;
+    the right side is the circulation.  When the singular set
     admits a decomposition, Riemann sums over shrinking uniform gauges are
-    reported alongside.
+    reported alongside; the excisability evidence of a nonempty singular set
+    is gathered once, before the first gauge, and refused evidence leaves the
+    identity undecided.
     """
     E_T = E_T or ExceptionalSet.empty()
     analytic = omega.differential is not None
     if tol is None:
         tol = 1e-6 if analytic else 1e-3
 
-    lhs = form_tangent_integral(T, omega, surface_options=surface_options)
+    lhs = T.tangent_integral(omega, 1e-9, surface_options)
     rhs = circulation(omega, T)
     gap = lhs.value - rhs.value
 
-    decomposition: dict = {"attempted": False}
+    decomposition: dict = {"attempted": True}
     family_stats = None
     curve = []
-    if not isinstance(T, SurfaceCurrent) or E_T.is_empty():
-        decomposition["attempted"] = True
+    try:
+        if not E_T.is_empty():
+            evidence = evidence or excisability_evidence(T, E_T)
+            if not evidence.accepted:
+                raise DecompositionRefusal(evidence.reason)
         G = SubadditiveFn.max_of(SubadditiveFn.mass(),
                                  SubadditiveFn.abs_circulation(omega))
         G.name = "max(mass, |circulation|)"
         eta = RegularityFn.constant(0.05)
-        try:
-            for j in eps_schedule:
-                delta = Gauge.constant(2.0 ** (-j))
-                family = gauge_decompose(T, E_T, delta, eta, G, max(tol / 3.0, 1e-9),
-                                         evidence=evidence)
-                sigma = riemann_sum(lambda tags: _tangent_densities(T, omega, tags), family)
-                curve.append({
-                    "j": j,
-                    "max_diam": family.max_diameter(),
-                    "riemann_sum": sigma,
-                    "oracle": lhs.value,
-                    "abs_err": abs(sigma - lhs.value),
-                })
-                family_stats = family.summary()
-            decomposition["status"] = "decomposed"
-        except DecompositionRefusal as exc:
-            decomposition["status"] = "refused"
-            decomposition["reason"] = str(exc)
-        except (ResourceBudgetError, DepthError, QuadratureError) as exc:
-            # a stop inside the corroborating families leaves the identity undecided
-            decomposition["status"] = "resource"
-            decomposition["reason"] = str(exc)
-    else:
-        decomposition["attempted"] = True
-        from .minkowski import excisability_evidence
+        for j in eps_schedule:
+            delta = Gauge.constant(2.0 ** (-j))
+            family = gauge_decompose(T, E_T, delta, eta, G, max(tol / 3.0, 1e-9),
+                                     evidence=evidence)
+            sigma = riemann_sum(lambda tags: _tangent_densities(T, omega, tags), family)
+            curve.append({
+                "j": j,
+                "max_diam": family.max_diameter(),
+                "riemann_sum": sigma,
+                "oracle": lhs.value,
+                "abs_err": abs(sigma - lhs.value),
+            })
+            family_stats = family.summary()
+        decomposition["status"] = "decomposed"
+    except DecompositionRefusal as exc:
+        decomposition["status"] = "refused"
+        decomposition["reason"] = str(exc)
+    except (ResourceBudgetError, DepthError, QuadratureError) as exc:
+        # a stop inside the corroborating families leaves the identity undecided
+        decomposition["status"] = "resource"
+        decomposition["reason"] = str(exc)
 
-        ev = evidence or excisability_evidence(T, E_T)
-        if ev.accepted:
-            decomposition["status"] = "evidence-accepted"
-            decomposition["constant"] = ev.constant
-        else:
-            decomposition["status"] = "refused"
-            decomposition["reason"] = ev.reason
-
-    refused = decomposition.get("status") in ("refused", "resource")
-    budget = lhs.error + rhs.error
+    refused = decomposition["status"] in ("refused", "resource")
     if abs(gap) <= tol:
         verdict = UNDECIDED if refused else HOLDS
     else:

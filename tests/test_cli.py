@@ -494,6 +494,23 @@ def test_stokes_refuses_bad_surface_options(tmp_path, capsys, options, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("stokes", {"current": {"kind": "unit_square"}, "form": {"kind": "counterexample_omega"}},
+     "counterexample_omega"),
+    *((command, {"current": {"kind": "parabolic_graph"},
+                 "exceptional_set": {"kind": "singular_set"}}, "singular_set")
+      for command in ("minkowski", "cousin")),
+])
+def test_own_forms_and_singular_sets_of_other_kinds_are_usage_errors(tmp_path, capsys, command,
+                                                                     config, key):
+    # only the counterexample current carries a form and a singular set of its own
+    cfg = _write_config(tmp_path, "k.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_surface_options_are_accepted(tmp_path):
     cfg = _write_config(tmp_path, "o.json", {
         **FLAT_XZ_DY, "surface_options": {"max_strip": 0, "order": 4.0, "x_panels": 1},

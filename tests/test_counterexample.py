@@ -1078,6 +1078,19 @@ def test_neighborhood_masses_have_the_bits_of_one_radius_calls(window, theta):
         assert values[5] > 0.0
 
 
+@pytest.mark.parametrize("measure", [
+    lambda S, E: S.slice(E, 0.1, 64),
+    lambda S, E: S.neighborhood_masses(E, [0.1]),
+], ids=["slice", "neighborhood_masses"])
+def test_a_surface_refuses_a_set_other_than_its_singular_set_as_a_current_error(measure):
+    from stokeslab.currents import CurrentError, SurfaceCurrent
+    from stokeslab.dyadic import ExceptionalSet
+
+    S = SurfaceCurrent(MODEL)
+    with pytest.raises(CurrentError, match="singular set"):
+        measure(S, ExceptionalSet.points([(0.5, 0.5, 0.0)]))
+
+
 def test_a_window_shares_its_tol_among_the_strips_from_its_first():
     model = SurfaceModel(PARAMS)
     ladder = model._ladder

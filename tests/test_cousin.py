@@ -745,17 +745,21 @@ def _decompose_chart_piece(T: Current, delta: Gauge, eta: RegularityFn,
 
 
 def _per_piece_family(monkeypatch, T, E, gauge, eps):
-    """gauge_decompose's family and the reference pairs of the chart pieces it decomposed."""
+    """gauge_decompose's family and the reference pairs of the pieces its atlas gave.
+
+    Those are the cube-set part of the current's decomposition_atlas, or its chart pieces.
+    """
     charts = []
-    atlas = cousin._chart_atlas
+    atlas = type(T).decomposition_atlas
 
     def recorded(work):
-        out = atlas(work)
-        charts.extend(out[0])
-        return out
+        cubes, pieces, uncovered = atlas(work)
+        charts.extend([] if cubes is None else [cubes])
+        charts.extend(pieces)
+        return cubes, pieces, uncovered
 
     with monkeypatch.context() as m:
-        m.setattr(cousin, "_chart_atlas", recorded)
+        m.setattr(type(T), "decomposition_atlas", recorded)
         family = gauge_decompose(T, E, gauge, ETA, MASS, eps)
     return family, [pair for piece in charts for pair in _decompose_chart_piece(
         piece, gauge, ETA, MASS, eps / (2.0 * len(charts)), 40, MAX_PIECES)[0]]

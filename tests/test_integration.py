@@ -5,10 +5,11 @@ import pytest
 
 from cube_refs import DyadicCube, cousin_decompose
 
-from stokeslab import forms, integration
+from stokeslab import cousin, forms, integration, minkowski
+from stokeslab.counterexample import Params, build_surface_current
 from stokeslab.cousin import Gauge, ResourceBudgetError
 from stokeslab.currents import ChartCurrent, ChartMap, Rect, TopDimCurrent
-from stokeslab.dyadic import CubeSet, DepthError, RootBox
+from stokeslab.dyadic import CubeSet, DepthError, ExceptionalSet, RootBox
 from stokeslab.quadrature import QuadratureError
 
 ROOT = RootBox((0.0, 0.0), 1.0)
@@ -204,6 +205,51 @@ def test_a_stop_inside_the_decomposition_leaves_the_identity_undecided(monkeypat
     assert rep.decomposition == {"attempted": True, "status": "resource",
                                  "reason": "out of budget"}
     assert abs(rep.gap) < 1e-9 and rep.verdict == integration.UNDECIDED
+
+
+def _counted_evidence(monkeypatch) -> list:
+    """The calls of excisability_evidence from here on, wherever the package makes them."""
+    calls = []
+    evidence = minkowski.excisability_evidence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evidence(*args, **kwargs)
+
+    for module in (minkowski, cousin, integration):
+        monkeypatch.setattr(module, "excisability_evidence", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("at", [(0.5, 0.5), (0.3, 0.7)])
+def test_stokes_holds_on_a_cube_set_with_a_point_excised(monkeypatch, at):
+    # a grid vertex and an off-grid point; the evidence is gathered once for
+    # the whole gauge schedule, not once per gauge
+    calls = _counted_evidence(monkeypatch)
+    rep = integration.stokes_check(UNIT, _x_dy(), ExceptionalSet.points([at]))
+    assert rep.verdict == integration.HOLDS
+    assert rep.decomposition == {"attempted": True, "status": "decomposed"}
+    assert len(rep.refinement_curve) == 4
+    assert len(calls) == 1
+
+
+def test_a_singular_set_of_divergent_content_leaves_a_cube_set_undecided():
+    box = ExceptionalSet.box((0.25, 0.25), (0.75, 0.75))
+    rep = integration.stokes_check(UNIT, _x_dy(), box)
+    assert abs(rep.gap) < 1e-9 and rep.verdict == integration.UNDECIDED
+    assert rep.decomposition["status"] == "refused"
+    assert "DIVERGENT" in rep.decomposition["reason"]
+    assert rep.refinement_curve == () and rep.family_stats is None
+
+
+def test_the_flat_surface_decomposes_around_its_singular_set():
+    # h = 0: the content of the singular segment is bounded, so the gauge
+    # schedule runs through the excision like any other kind
+    T = build_surface_current(Params(a=1.0 / 3.0, h=0.0, lam=0.25))
+    rep = integration.stokes_check(T, T.omega_field(), T.singular_set())
+    assert rep.verdict == integration.HOLDS
+    assert rep.decomposition == {"attempted": True, "status": "decomposed"}
+    assert len(rep.refinement_curve) == 4 and rep.family_stats["pieces"] > 0
 
 
 def test_stokes_report_serializes():
